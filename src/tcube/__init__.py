@@ -7,8 +7,9 @@ compared with exact equality.
 """
 
 from .scalar import GaussRat
-from .linalg import (ExactMatrix, ExactVector, adjoint, gram_schmidt, inner,
-                     kernel_basis, kron, kron_power, matmul, matvec, rank)
+from .linalg import (ExactMatrix, ExactVector, SingularMatrixError,
+                     gram_schmidt, inner, inverse, kernel_basis, kron,
+                     kron_power, pivot_inverse, rank)
 from .cube import (CubeContext, SpectrumTable, build_context, spectrum,
                    verify_commutators, verify_conjugation,
                    verify_idempotent_families, verify_spectra)
@@ -22,8 +23,9 @@ from .leonard import (BASIS_LABELS, LeonardVerdict, PhiMatrix, SixBases,
                       verify_inner_products, verify_rep_matrices)
 
 __all__ = [
-    "GaussRat", "ExactMatrix", "ExactVector", "adjoint", "gram_schmidt",
-    "inner", "kernel_basis", "kron", "kron_power", "matmul", "matvec", "rank",
+    "GaussRat", "ExactMatrix", "ExactVector", "SingularMatrixError",
+    "gram_schmidt", "inner", "inverse", "kernel_basis", "kron", "kron_power",
+    "pivot_inverse", "rank",
     "CubeContext", "SpectrumTable", "build_context", "spectrum",
     "verify_commutators", "verify_conjugation", "verify_idempotent_families",
     "verify_spectra", "Decomposition", "IrreducibleModule", "decompose",

@@ -37,6 +37,11 @@ BUILD_OPS = ("adjacency", "dual", "imaginary", "P", "distance",
              "E", "Estar", "Eeps")
 CORRUPT_OPS = {"adjacency": "A", "dual": "Astar", "imaginary": "Aeps"}
 
+# Raised when a construction or module breaks one of its invariants; verify
+# reports each as a failed row naming the invariant.
+VERIFY_ERRORS = (cube.ConstructionError, decomposition.InvariantViolation,
+                 leonard.BasisError)
+
 # (check_id, i, j, passed, first_discrepancy)
 Row = Tuple[str, Optional[int], Optional[int], bool, Optional[Tuple[int, int]]]
 
@@ -58,7 +63,8 @@ def _default_d_limit() -> int:
     try:
         return int(raw)
     except ValueError:
-        return cube.DEFAULT_D_LIMIT
+        raise ValueError(f"{ENV_D_LIMIT} must be an integer, got {raw!r}") \
+            from None
 
 
 def _progress(msg: str):
@@ -71,6 +77,10 @@ def _progress(msg: str):
 def _checks_to_rows(checks) -> List[Row]:
     return [(c.identity, None, None, c.passed, c.first_discrepancy)
             for c in checks]
+
+
+def _error_row(prefix: str, exc: Exception) -> Row:
+    return (f"{prefix}{type(exc).__name__}: {exc}", None, None, False, None)
 
 
 def _module_bundles(ctx: CubeContext, show_progress=False):
@@ -89,26 +99,32 @@ def _module_suite_rows(ctx, bundle, suite) -> List[Row]:
     m, bases, phi = bundle
     tag = f"r{m.r}m{m.index}"
     rows: List[Row] = []
-    if suite in ("rep-matrices", "all"):
-        for cell in leonard.verify_rep_matrices(ctx, bases):
-            rows.append((f"{tag}:rep[{cell.basis}][{cell.op}]",
-                         None, None, cell.passed, None))
-    if suite in ("inner-products", "all"):
-        for g in leonard.verify_inner_products(bases, phi):
-            rows.append((f"{tag}:{g.check_id}", g.i, g.j, g.passed, None))
-    if suite in ("transitions", "all"):
-        report = leonard.transition_matrices(bases, phi)
-        for (src, dst), cell in sorted(report.cells.items()):
-            rows.append((f"{tag}:transition[{src}|{dst}]",
-                         None, None, cell.passed, None))
-        for c in report.coherence:
-            rows.append((f"{tag}:{c.identity}", None, None, c.passed, None))
-    if suite == "all":
-        for c in decomposition.verify_seed_norms(m):
-            rows.append((f"{tag}:{c.identity}", None, None, c.passed, None))
-        verdict = leonard.is_leonard_triple(*leonard.module_triple(ctx, bases))
-        rows.append((f"{tag}:leonard_triple", None, None,
-                     verdict.verdict == "true", None))
+    try:
+        if suite in ("rep-matrices", "all"):
+            for cell in leonard.verify_rep_matrices(ctx, bases):
+                rows.append((f"{tag}:rep[{cell.basis}][{cell.op}]",
+                             None, None, cell.passed, None))
+        if suite in ("inner-products", "all"):
+            for g in leonard.verify_inner_products(bases, phi):
+                rows.append((f"{tag}:{g.check_id}", g.i, g.j, g.passed, None))
+        if suite in ("transitions", "all"):
+            report = leonard.transition_matrices(bases, phi)
+            for (src, dst), cell in sorted(report.cells.items()):
+                rows.append((f"{tag}:transition[{src}|{dst}]",
+                             None, None, cell.passed, None))
+            for c in report.coherence:
+                rows.append((f"{tag}:{c.identity}", None, None, c.passed,
+                             None))
+        if suite == "all":
+            for c in decomposition.verify_seed_norms(m):
+                rows.append((f"{tag}:{c.identity}", None, None, c.passed,
+                             None))
+            verdict = leonard.is_leonard_triple(
+                *leonard.module_triple(ctx, bases))
+            rows.append((f"{tag}:leonard_triple", None, None,
+                         verdict.verdict == "true", None))
+    except VERIFY_ERRORS as exc:
+        rows.append(_error_row(f"{tag}:", exc))
     return rows
 
 
@@ -143,6 +159,8 @@ def _rows_for_modules(ctx, bundles, suite, parallel) -> List[Row]:
 
 
 def run_suite(ctx: CubeContext, suite: str, parallel: bool = False) -> List[Row]:
+    """Report rows of one suite.  A broken invariant becomes a failed row:
+    one for the decomposition as a whole, or one per module."""
     rows: List[Row] = []
     if suite in ("commutators", "all"):
         rows.extend(_checks_to_rows(cube.verify_commutators(ctx)))
@@ -154,8 +172,12 @@ def run_suite(ctx: CubeContext, suite: str, parallel: bool = False) -> List[Row]
         rows.extend(_checks_to_rows(cube.verify_conjugation(ctx)))
         _progress("  conjugation done")
     if suite in ("rep-matrices", "inner-products", "transitions", "all"):
-        _, bundles = _module_bundles(ctx)
-        rows.extend(_rows_for_modules(ctx, bundles, suite, parallel))
+        try:
+            _, bundles = _module_bundles(ctx)
+        except VERIFY_ERRORS as exc:
+            rows.append(_error_row("", exc))
+        else:
+            rows.extend(_rows_for_modules(ctx, bundles, suite, parallel))
     return rows
 
 
@@ -230,15 +252,19 @@ def _cmd_build(cfg: RunConfig, args) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, args) -> int:
-    ctx = build_context(cfg.D, cfg.d_limit)
-    if args.corrupt:
-        name = CORRUPT_OPS[args.corrupt]
-        target = getattr(ctx, name)
-        spot = next((r, c) for r in range(target.rows)
-                    for c in range(target.cols) if target[r, c])
-        ctx = ctx.with_flipped_sign(name, *spot)
-        _progress(f"  injected sign flip into {args.corrupt} at {spot}")
-    rows = run_suite(ctx, args.suite, cfg.parallel)
+    try:
+        ctx = build_context(cfg.D, cfg.d_limit)
+    except cube.ConstructionError as exc:
+        rows = [_error_row("", exc)]
+    else:
+        if args.corrupt:
+            name = CORRUPT_OPS[args.corrupt]
+            target = getattr(ctx, name)
+            spot = next((r, c) for r in range(target.rows)
+                        for c in range(target.cols) if target[r, c])
+            ctx = ctx.with_flipped_sign(name, *spot)
+            _progress(f"  injected sign flip into {args.corrupt} at {spot}")
+        rows = run_suite(ctx, args.suite, cfg.parallel)
     header = {"D": cfg.D, "suite": args.suite}
     code = _emit(_rows_to_text(rows, cfg.format, header), cfg.output_path)
     if code:
@@ -360,7 +386,7 @@ def _build_parser() -> _Parser:
     def common(sp):
         sp.add_argument("--d", dest="D", type=int, required=True,
                         help="cube dimension")
-        sp.add_argument("--d-limit", type=int, default=_default_d_limit(),
+        sp.add_argument("--d-limit", type=int, default=None,
                         help="largest allowed dimension "
                              f"(default {cube.DEFAULT_D_LIMIT}, env "
                              f"{ENV_D_LIMIT})")
@@ -410,10 +436,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    cfg = RunConfig(D=args.D, command=args.command, output_path=args.output,
-                    format=args.format, d_limit=args.d_limit,
-                    parallel=args.parallel)
     try:
+        d_limit = (_default_d_limit() if args.d_limit is None
+                   else args.d_limit)
+        cfg = RunConfig(D=args.D, command=args.command,
+                        output_path=args.output, format=args.format,
+                        d_limit=d_limit, parallel=args.parallel)
         return _COMMANDS[args.command](cfg, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -58,6 +58,12 @@ def index_of_vertex(t) -> int:
     return idx
 
 
+def _zero_one(mask) -> ExactMatrix:
+    """The real 0/1 matrix that is 1 where the boolean array `mask` is."""
+    return ExactMatrix._raw(mask.astype(int).astype(object),
+                            np.zeros(mask.shape, dtype=object), 1, reduce=False)
+
+
 def _kron_sum(factor: ExactMatrix, D: int) -> ExactMatrix:
     """sum over positions of I1^(x i) (x) factor (x) I1^(x (D-1-i))."""
     total = ExactMatrix.zeros(2 ** D, 2 ** D)
@@ -92,7 +98,9 @@ class CubeContext:
         self.Pinv = self.P.adjoint().scale(Fraction(1, self.n))
         _require(self.P @ self.Pinv == ExactMatrix.identity(self.n),
                  "P inverse construction failed")
-        self.dist_matrices = tuple(self._distance_matrix(k)
+        idx = np.arange(self.n)
+        hamming = self.dist.astype(int)[idx[:, None] ^ idx[None, :]]
+        self.dist_matrices = tuple(_zero_one(hamming == k)
                                    for k in range(D + 1))
         self._E = None
         self._Estar = None
@@ -133,16 +141,6 @@ class CubeContext:
                  "imaginary adjacency: Kronecker construction disagrees")
         return by_def
 
-    def _distance_matrix(self, k: int) -> ExactMatrix:
-        n = self.n
-        re = np.zeros((n, n), dtype=object)
-        for y in range(n):
-            for z in range(n):
-                if bin(y ^ z).count("1") == k:
-                    re[y, z] = 1
-        return ExactMatrix._raw(re, np.zeros((n, n), dtype=object), 1,
-                                reduce=False)
-
     # -- idempotent families ------------------------------------------------------
 
     @property
@@ -157,12 +155,8 @@ class CubeContext:
     def Estar(self):
         """Dual idempotents: diagonal indicators of the distance slices."""
         if self._Estar is None:
-            fam = []
-            for i in range(self.D + 1):
-                fam.append(ExactMatrix.diagonal(
-                    [1 if int(self.dist[y]) == i else 0
-                     for y in range(self.n)]))
-            self._Estar = tuple(fam)
+            self._Estar = tuple(_zero_one(np.diag(self.dist == i))
+                                for i in range(self.D + 1))
         return self._Estar
 
     @property
@@ -208,26 +202,6 @@ class CubeContext:
 
 def build_context(D: int, d_limit: int = DEFAULT_D_LIMIT) -> CubeContext:
     return CubeContext(D, d_limit)
-
-
-def imaginary_adjacency(ctx: CubeContext) -> ExactMatrix:
-    return ctx.Aeps
-
-
-def primitive_idempotents(ctx: CubeContext):
-    return ctx.E
-
-
-def dual_idempotents(ctx: CubeContext):
-    return ctx.Estar
-
-
-def imaginary_idempotents(ctx: CubeContext):
-    return ctx.Eeps
-
-
-def build_P(ctx: CubeContext) -> ExactMatrix:
-    return ctx.P
 
 
 def coordinate_transposition(ctx: CubeContext, a: int, b: int) -> ExactMatrix:
@@ -298,7 +272,7 @@ def verify_idempotent_families(ctx: CubeContext, include_ranks: bool = True):
     n, D = ctx.n, ctx.D
     ident = ExactMatrix.identity(n)
     checks = []
-    allones = ExactMatrix([[1] * n for _ in range(n)])
+    allones = _zero_one(np.ones((n, n), dtype=bool))
     checks.append(check_equal("E_trivial_allones", ctx.E[0].scale(n), allones))
     for label, family in (("E", ctx.E), ("Estar", ctx.Estar), ("Eeps", ctx.Eeps)):
         total = ExactMatrix.zeros(n, n)

@@ -178,14 +178,15 @@ def _check_orthogonal_sum(ctx: CubeContext, modules) -> None:
     if len(vectors) != ctx.n:
         raise InvariantViolation(
             f"module dimensions sum to {len(vectors)}, expected {ctx.n}")
-    stacked = ExactMatrix([v.entries() for v in vectors])
+    stacked = ExactMatrix.stack(vectors)
     gram = stacked @ stacked.adjoint()
-    owner = [m_idx for m_idx, m in enumerate(modules) for _ in m.slice_basis]
-    for a in range(len(vectors)):
-        for b in range(len(vectors)):
-            if owner[a] != owner[b] and gram[a, b]:
-                raise InvariantViolation(
-                    f"modules {owner[a]} and {owner[b]} are not orthogonal")
+    owner = np.array([m_idx for m_idx, m in enumerate(modules)
+                      for _ in m.slice_basis])
+    cross = gram.nonzero() & (owner[:, None] != owner[None, :])
+    if cross.any():
+        a, b = np.argwhere(cross)[0]
+        raise InvariantViolation(
+            f"modules {owner[a]} and {owner[b]} are not orthogonal")
 
 
 def decompose(ctx: CubeContext) -> Decomposition:
@@ -200,8 +201,8 @@ def decompose(ctx: CubeContext) -> Decomposition:
         cols = ctx.slice_indices(r)
         rows = ctx.slice_indices(r - 1) if r >= 1 else []
         if rows:
-            restricted = ExactMatrix([[ctx.A[y, z] for z in cols]
-                                      for y in rows])
+            restricted = ExactMatrix.stack([ctx.A.row(y).take(cols)
+                                            for y in rows])
         else:
             restricted = ExactMatrix.zeros(0, len(cols))
         seeds_small = kernel_basis(restricted)

@@ -34,7 +34,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .cube import CubeContext
 from .decomposition import IrreducibleModule
-from .linalg import ExactMatrix, ExactVector, inner, kernel_basis, _echelon
+from .linalg import (ExactMatrix, ExactVector, SingularMatrixError, inner,
+                     kernel_basis, pivot_inverse)
 from .report import IdentityCheck, check_true
 from .scalar import GaussRat, I as IUNIT
 
@@ -137,56 +138,31 @@ class BasisSolver:
 
     def __init__(self, vectors: List[ExactVector]):
         self.vectors = list(vectors)
-        k = len(self.vectors)
-        stacked = ExactMatrix([v.entries() for v in self.vectors])
-        rk, pivots, _, _ = _echelon(stacked._re, stacked._im)
-        if rk != k:
-            raise BasisError("vectors are linearly dependent")
-        self.positions = pivots
-        grid = [[self.vectors[b][p] for b in range(k)] for p in pivots]
-        self.inverse = _invert_grid(grid)
+        stacked = ExactMatrix.stack(self.vectors)
+        try:
+            self.positions, sub_inverse = pivot_inverse(stacked)
+        except SingularMatrixError:
+            raise BasisError("vectors are linearly dependent") from None
+        # target[positions] = sub^T @ coords, with sub = stacked[:, positions]
+        self.inverse = sub_inverse.transpose()
+        self._columns = stacked.transpose()
 
-    def coords(self, target: ExactVector) -> List[GaussRat]:
-        k = len(self.vectors)
-        rhs = [target[p] for p in self.positions]
-        coeffs = [sum((self.inverse[a][b] * rhs[b] for b in range(k)),
-                      GaussRat(0)) for a in range(k)]
-        recon = ExactVector.zeros(target.length)
-        for c, v in zip(coeffs, self.vectors):
-            if c:
-                recon = recon + v.scale(c)
-        if recon != target:
+    def coords(self, target: ExactVector) -> ExactVector:
+        coeffs = self.inverse.matvec(target.take(self.positions))
+        if self._columns.matvec(coeffs) != target:
             raise BasisError("target is outside the span of the basis")
         return coeffs
 
-
-def _invert_grid(grid) -> List[List[GaussRat]]:
-    """Gauss-Jordan inverse of a small matrix of scalars."""
-    k = len(grid)
-    aug = [[grid[r][c] for c in range(k)]
-           + [GaussRat(1 if c == r else 0) for c in range(k)]
-           for r in range(k)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col]), None)
-        if piv is None:
-            raise BasisError("coefficient system is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = GaussRat(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
+    def coords_matrix(self, targets: List[ExactVector]) -> ExactMatrix:
+        """The matrix whose j-th column is coords(targets[j])."""
+        return ExactMatrix.stack([self.coords(t) for t in targets]).transpose()
 
 
 def representation_matrix(op: ExactMatrix, basis: List[ExactVector],
                           solver: Optional[BasisSolver] = None) -> ExactMatrix:
     """Matrix B with op @ v_j = sum_i B_ij v_i, extracted by exact solving."""
     solver = solver or BasisSolver(basis)
-    k = len(basis)
-    cols = [solver.coords(op.matvec(v)) for v in basis]
-    return ExactMatrix([[cols[j][i] for j in range(k)] for i in range(k)])
+    return solver.coords_matrix([op.matvec(v) for v in basis])
 
 
 # -- the six bases ------------------------------------------------------------------
@@ -268,13 +244,10 @@ def diagonal_form(d: int) -> ExactMatrix:
 
 def _tridiag(d: int, sub_sign: int, super_sign: int,
              imaginary: bool) -> ExactMatrix:
-    grid = [[GaussRat(0)] * (d + 1) for _ in range(d + 1)]
     unit = IUNIT if imaginary else GaussRat(1)
-    for i in range(1, d + 1):
-        grid[i][i - 1] = unit * (sub_sign * i)
-    for i in range(d):
-        grid[i][i + 1] = unit * (super_sign * (d - i))
-    return ExactMatrix(grid)
+    sub = [unit * (sub_sign * i) for i in range(1, d + 1)]
+    sup = [unit * (super_sign * (d - i)) for i in range(d)]
+    return ExactMatrix.diagonal(sub, -1) + ExactMatrix.diagonal(sup, 1)
 
 
 def tridiagonal_form(d: int) -> ExactMatrix:
@@ -560,10 +533,7 @@ def transition_matrices(bases: SixBases, phi: PhiMatrix) -> TransitionReport:
     computed = {}
     for src in BASIS_LABELS:
         for dst in BASIS_LABELS:
-            k = mod.d + 1
-            cols = [solvers[src].coords(v) for v in bases[dst]]
-            computed[(src, dst)] = ExactMatrix(
-                [[cols[j][a] for j in range(k)] for a in range(k)])
+            computed[(src, dst)] = solvers[src].coords_matrix(bases[dst])
     cells = {}
     for key, mat in computed.items():
         formula = transition_formula(key[0], key[1], mod, phi)

@@ -8,9 +8,17 @@ letting products run through int64 numpy kernels whenever a conservative
 magnitude bound allows; otherwise they fall back to object-dtype numpy ops,
 which are still exact.
 
-Elimination (rank / kernels) is fraction-free: rows are combined over the
-Gaussian integers and divided by their integer content after each step, which
-bounds coefficient growth without ever leaving Z[i].
+Matrices are built from numerator arrays, never from grids of scalars: a
+diagonal from its values, a stack of vectors on their common denominator.
+
+Elimination is fraction-free: rows are combined over the Gaussian integers
+and divided by their integer content after each step, which bounds
+coefficient growth without ever leaving Z[i].  The forward pass gives the
+rank; the Gauss-Jordan pass, which also clears each pivot column above the
+pivot, gives kernel vectors and the one exact inverse, `pivot_inverse`: the
+pivot columns of a matrix with independent rows and the inverse of its
+square submatrix on them.  Coordinates in a basis come from that inverse,
+computed once per basis; each coordinate vector is then one exact product.
 """
 
 from __future__ import annotations
@@ -37,14 +45,15 @@ def _max_abs(arr) -> int:
 
 
 def _content(den: int, *arrays) -> int:
-    """gcd of den and all array entries, with early exit at 1."""
+    """gcd of den and all array entries, with early exit at 1 after each
+    chunk of entries."""
     g = den
     for arr in arrays:
-        for v in arr.flat:
-            if v:
-                g = math.gcd(g, v)
-                if g == 1:
-                    return 1
+        flat = arr.ravel()
+        for start in range(0, flat.size, 1024):
+            g = math.gcd(g, *flat[start:start + 1024].tolist())
+            if g == 1:
+                return 1
     return g
 
 
@@ -69,6 +78,13 @@ def _i64_parts(x):
     return cached
 
 
+def _fits_i64(length: int, ma: int, mb: int) -> bool:
+    """True when both operands convert to int64 and every complex dot of the
+    given length over entries bounded by ma and mb stays below 2^62."""
+    return (ma < _I64_LIMIT and mb < _I64_LIMIT
+            and 2 * length * ma * mb < _I64_LIMIT)
+
+
 def _product(a, b, dot):
     """Exact complex product of the numerator arrays of a and b via `dot`.
 
@@ -78,8 +94,7 @@ def _product(a, b, dot):
     """
     ar, ai, br, bi = a._re, a._im, b._re, b._im
     inner = ar.shape[-1] if ar.ndim > 1 else ar.shape[0]
-    fits = 2 * inner * a._max() * b._max() < _I64_LIMIT if inner else True
-    if fits:
+    if _fits_i64(inner, a._max(), b._max()):
         ar_, ai_, a_im = _i64_parts(a)
         br_, bi_, b_im = _i64_parts(b)
         cr = dot(ar_, br_)
@@ -190,6 +205,11 @@ class ExactVector:
 
     def support(self):
         return [k for k in range(self.length) if self._re[k] or self._im[k]]
+
+    def take(self, positions) -> "ExactVector":
+        """The entries at the given positions, in that order."""
+        return ExactVector._raw(self._re[positions], self._im[positions],
+                                self._den)
 
     def __eq__(self, other):
         if not isinstance(other, ExactVector):
@@ -318,12 +338,23 @@ class ExactMatrix:
         return cls._raw(re, _obj_zeros((n, n)), 1, reduce=False)
 
     @classmethod
-    def diagonal(cls, values):
+    def diagonal(cls, values, offset=0):
+        """Square matrix holding `values` on the diagonal `offset` places
+        above the main one (below it when negative), zero elsewhere."""
         values = [as_gauss(v) for v in values]
-        n = len(values)
-        grid = [[values[i] if i == j else GaussRat(0) for j in range(n)]
-                for i in range(n)]
-        return cls(grid)
+        den = _common_denominator([values])
+        re = np.array([int(v.re * den) for v in values], dtype=object)
+        im = np.array([int(v.im * den) for v in values], dtype=object)
+        return cls._raw(np.diag(re, offset), np.diag(im, offset), den)
+
+    @classmethod
+    def stack(cls, vectors):
+        """The matrix whose rows are the given vectors, on their common
+        denominator; ValueError for no vectors or unequal lengths."""
+        den = math.lcm(*(v._den for v in vectors))
+        re = np.stack([v._re * (den // v._den) for v in vectors])
+        im = np.stack([v._im * (den // v._den) for v in vectors])
+        return cls._raw(re, im, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -355,6 +386,10 @@ class ExactMatrix:
 
     def is_zero(self) -> bool:
         return self._max() == 0
+
+    def nonzero(self):
+        """Boolean array marking the nonzero entries."""
+        return np.not_equal(self._re, 0) | np.not_equal(self._im, 0)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -474,18 +509,6 @@ class ExactMatrix:
 # -- free functions -------------------------------------------------------------
 
 
-def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a @ b
-
-
-def matvec(a: ExactMatrix, v: ExactVector) -> ExactVector:
-    return a.matvec(v)
-
-
-def adjoint(a: ExactMatrix) -> ExactMatrix:
-    return a.adjoint()
-
-
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product; result row index = u * b.rows + u' (first factor
     most significant)."""
@@ -519,8 +542,7 @@ def inner(u: ExactVector, v: ExactVector) -> GaussRat:
         raise ValueError("vector length mismatch")
     if u.length == 0:
         return GaussRat(0)
-    um, vm = u._max(), v._max()
-    if 2 * u.length * um * vm < _I64_LIMIT:
+    if _fits_i64(u.length, u._max(), v._max()):
         ur, ui, u_im = _i64_parts(u)
         vr, vi, v_im = _i64_parts(v)
         if ui is None:
@@ -555,20 +577,22 @@ def first_discrepancy(a: ExactMatrix, b: ExactMatrix):
 # -- fraction-free elimination ----------------------------------------------------
 
 
-def _row_reduce_content(re_row, im_row):
-    vals = [v if v > 0 else -v for v in re_row if v]
-    vals += [v if v > 0 else -v for v in im_row if v]
-    if not vals:
-        return 1
-    return math.gcd(*vals)
+def _reduce_rows(re, im):
+    """Divide each row of (re, im) by the gcd of its entries, in place."""
+    g = np.gcd.reduce(np.concatenate([re, im], axis=1), axis=1)
+    for k in np.nonzero(g > 1)[0]:
+        re[k] //= g[k]
+        im[k] //= g[k]
 
 
-def _echelon(re, im):
+def _echelon(re, im, jordan=False):
     """Fraction-free row echelon over Z[i] with per-row content reduction.
 
     Returns (rank, pivot_cols, re, im); rows at index >= rank are zero.
     Pivots are chosen as the first row with a nonzero entry in the leftmost
-    unfinished column, so the result is deterministic.
+    unfinished column, so the result is deterministic.  With `jordan` each
+    pivot also clears its column above it (Gauss-Jordan), so every pivot
+    column ends with a single nonzero entry.
     """
     re = re.copy()
     im = im.copy()
@@ -589,21 +613,19 @@ def _echelon(re, im):
             re[[r, piv]] = re[[piv, r]]
             im[[r, piv]] = im[[piv, r]]
         pvr, pvi = re[r, c], im[r, c]
-        col_r, col_i = re[r + 1:, c], im[r + 1:, c]
-        nz = np.nonzero(np.not_equal(col_r, 0) | np.not_equal(col_i, 0))[0]
+        top = 0 if jordan else r + 1
+        nz = top + np.nonzero(np.not_equal(re[top:, c], 0)
+                              | np.not_equal(im[top:, c], 0))[0]
+        nz = nz[nz != r]
         if len(nz):
-            br, bi = re[r + 1:][nz], im[r + 1:][nz]
-            fr, fi = col_r[nz][:, None], col_i[nz][:, None]
+            br, bi = re[nz], im[nz]
+            fr, fi = re[nz, c][:, None], im[nz, c][:, None]
             pr, pi = re[r][None, :], im[r][None, :]
             new_r = (pvr * br - pvi * bi) - (fr * pr - fi * pi)
             new_i = (pvr * bi + pvi * br) - (fr * pi + fi * pr)
-            for k in range(new_r.shape[0]):
-                g = _row_reduce_content(new_r[k], new_i[k])
-                if g > 1:
-                    new_r[k] //= g
-                    new_i[k] //= g
-            re[r + 1:][nz] = new_r
-            im[r + 1:][nz] = new_i
+            _reduce_rows(new_r, new_i)
+            re[nz] = new_r
+            im[nz] = new_i
         pivots.append(c)
         r += 1
     return r, pivots, re, im
@@ -615,33 +637,72 @@ def rank(m: ExactMatrix) -> int:
     return r
 
 
+def _divide_rows(re, im, pr, pi):
+    """Row k of re + i*im divided by the Gaussian integer pr[k] + i*pi[k]
+    (column arrays): (numerator re, numerator im, common denominator)."""
+    norms = pr * pr + pi * pi
+    den = math.lcm(*norms.flat)
+    f = den // norms
+    # x / p = x * conj(p) / |p|^2
+    return (re * pr + im * pi) * f, (im * pr - re * pi) * f, den
+
+
 def kernel_basis(m: ExactMatrix):
     """Exact basis of the right null space, one vector per free column.
 
     Deterministic given entry order: free columns ascending, the free
-    coordinate set to 1, pivot coordinates by back-substitution.
+    coordinate set to 1, the other free coordinates 0 and the pivot
+    coordinates read off the Gauss-Jordan form.
     """
-    rk, pivots, ere, eim = _echelon(m._re, m._im)
+    rk, pivots, ere, eim = _echelon(m._re, m._im, jordan=True)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
+    d = np.arange(rk)
+    xr, xi, den = _divide_rows(-ere[:rk, free], -eim[:rk, free],
+                               ere[d, pivots][:, None], eim[d, pivots][:, None])
     basis = []
-    for f in free:
-        x = {f: GaussRat(1)}
-        for rr in range(rk - 1, -1, -1):
-            p = pivots[rr]
-            if p > f:
-                continue
-            s = GaussRat(0)
-            for c, xc in x.items():
-                if c > p and (ere[rr, c] or eim[rr, c]):
-                    s = s + GaussRat(Fraction(int(ere[rr, c])),
-                                     Fraction(int(eim[rr, c]))) * xc
-            if s:
-                x[p] = -s / GaussRat(Fraction(int(ere[rr, p])),
-                                     Fraction(int(eim[rr, p])))
-        entries = [x.get(c, GaussRat(0)) for c in range(m.cols)]
-        basis.append(ExactVector(entries))
+    for j, f in enumerate(free):
+        re, im = _obj_zeros(m.cols), _obj_zeros(m.cols)
+        re[pivots], im[pivots] = xr[:, j], xi[:, j]
+        re[f] = den
+        basis.append(ExactVector._raw(re, im, den))
     return basis
+
+
+class SingularMatrixError(ValueError):
+    """The rows of a matrix handed to an exact inverse are dependent."""
+
+
+def pivot_inverse(m: ExactMatrix):
+    """Pivot columns of m and the exact inverse of m restricted to them.
+
+    m must have independent rows.  A forward elimination picks the pivot
+    columns (as in `rank`); fraction-free Gauss-Jordan on [S | I], with S
+    the square submatrix of m's numerators on those columns, then leaves
+    diag(p) on the left and T on the right, so S^-1 = diag(p)^-1 T, and
+    m's submatrix S / den has inverse den * S^-1.  Returns (pivot_cols,
+    that inverse).  Raises SingularMatrixError on dependent rows.
+    """
+    k = m.rows
+    rk, pivots, _, _ = _echelon(m._re, m._im)
+    if rk < k:
+        raise SingularMatrixError(f"rank {rk} < {k} rows")
+    d = np.arange(k)
+    ident = _obj_zeros((k, k))
+    ident[d, d] = 1
+    aug_re = np.concatenate([m._re[:, pivots], ident], axis=1)
+    aug_im = np.concatenate([m._im[:, pivots], _obj_zeros((k, k))], axis=1)
+    _, _, re, im = _echelon(aug_re, aug_im, jordan=True)
+    tr, ti, den = _divide_rows(re[:, k:], im[:, k:], re[d, d][:, None],
+                               im[d, d][:, None])
+    return pivots, ExactMatrix._raw(tr * m._den, ti * m._den, den)
+
+
+def inverse(m: ExactMatrix) -> ExactMatrix:
+    """Exact inverse of a square matrix; SingularMatrixError if singular."""
+    if m.rows != m.cols:
+        raise ValueError(f"inverse needs a square matrix, got {m.shape}")
+    return pivot_inverse(m)[1]
 
 
 def gram_schmidt(vectors):

@@ -97,6 +97,27 @@ def naive_matrix_rank(m) -> int:
     return naive_rank(m.to_rows())
 
 
+def naive_inverse(rows):
+    """Inverse of a square grid of scalars by plain Gauss-Jordan over Q(i)
+    with division on the augmented grid [M | I]; None if M is singular.
+    The independent oracle for the library's fraction-free inverse."""
+    n = len(rows)
+    aug = [list(row) + [GaussRat(1 if c == r else 0) for c in range(n)]
+           for r, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = GaussRat(1) / aug[col][col]
+        aug[col] = [e * inv for e in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
 def hamming_weight(v: int) -> int:
     return bin(v).count("1")
 

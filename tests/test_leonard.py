@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import get_bundles, get_ctx, get_phi, series_2f1
-from tcube.leonard import (BASIS_LABELS, OPERATOR_LABELS, BasisSolver,
-                           diagonal_form, hypergeometric_2f1,
+from tcube.leonard import (BASIS_LABELS, OPERATOR_LABELS, BasisError,
+                           BasisSolver, diagonal_form, hypergeometric_2f1,
                            is_leonard_triple, itridiagonal_subneg_form,
                            itridiagonal_superneg_form, module_report,
                            module_triple, representation_matrix,
@@ -163,6 +163,25 @@ def test_tridiagonal_row_sums():
         tri = tridiagonal_form(d)
         ones = ExactVector([1] * (d + 1))
         assert tri.matvec(ones) == ones.scale(d)
+
+
+def test_basis_solver_coords_and_span_certificate():
+    solver = BasisSolver([ExactVector([1, 0, 0]),
+                          ExactVector([0, GaussRat(0, 1), Fraction(1, 2)])])
+    assert solver.coords(ExactVector([2, GaussRat(0, 3), Fraction(3, 2)])) \
+        == ExactVector([2, 3])
+    with pytest.raises(BasisError):
+        solver.coords(ExactVector([0, 1, 0]))
+    with pytest.raises(BasisError):
+        BasisSolver([ExactVector([1, 2]), ExactVector([2, 4])])
+
+
+def test_basis_solver_rejects_vector_of_another_module_d3():
+    (m0, bases0, _), (m1, _, _) = get_bundles(3)[:2]
+    solver = BasisSolver(list(bases0["AsA"]))
+    assert solver.coords(m0.u) == ExactVector([1] * (m0.d + 1))
+    with pytest.raises(BasisError):
+        solver.coords(m1.u)
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 4])

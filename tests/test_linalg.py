@@ -1,5 +1,5 @@
 """Exact matrix/vector algebra: products, Kronecker structure, adjoints,
-inner products, kernels, orthogonalization, dump round-trips."""
+inner products, kernels, inverses, orthogonalization, dump round-trips."""
 
 from fractions import Fraction
 
@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_matrix_rank
-from tcube.linalg import (ExactMatrix, ExactVector, gram_schmidt, inner,
-                          kernel_basis, kron, kron_power, rank)
+from conftest import naive_inverse, naive_matrix_rank, naive_rank
+from tcube.linalg import (ExactMatrix, ExactVector, SingularMatrixError,
+                          gram_schmidt, inner, inverse, kernel_basis, kron,
+                          kron_power, pivot_inverse, rank)
 from tcube.scalar import GaussRat
 
 small = st.integers(min_value=-6, max_value=6)
 gauss_small = st.builds(lambda a, b: GaussRat(a, b), small, small)
+rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+mixed_scalar = st.one_of(small, rational, gauss_small,
+                         st.builds(GaussRat, rational, rational))
 
 
 def mat_strategy(rows, cols):
@@ -204,3 +208,154 @@ def test_big_integer_matmul_falls_back_exactly():
     sq = a @ a
     assert sq[0, 0] == GaussRat(big * big)
     assert sq[0, 1] == GaussRat(2 * big)
+
+
+# -- array-native construction ---------------------------------------------------
+
+
+@given(st.lists(mixed_scalar, max_size=5), st.integers(-2, 2))
+def test_diagonal_matches_grid_constructor(values, offset):
+    n = len(values) + abs(offset)
+    grid = [[0] * n for _ in range(n)]
+    for k, v in enumerate(values):
+        r, c = (k, k + offset) if offset >= 0 else (k - offset, k)
+        grid[r][c] = v
+    assert ExactMatrix.diagonal(values, offset) == ExactMatrix(grid)
+
+
+@given(st.lists(st.lists(mixed_scalar, min_size=3, max_size=3),
+                min_size=1, max_size=4))
+def test_stack_matches_grid_constructor(rows):
+    assert ExactMatrix.stack([ExactVector(r) for r in rows]) \
+        == ExactMatrix(rows)
+
+
+# -- exact inverse ------------------------------------------------------------------
+
+
+square = st.integers(1, 4).flatmap(lambda n: mat_strategy(n, n))
+
+
+@settings(max_examples=60)
+@given(square, st.sampled_from([1, Fraction(1, 3), GaussRat(2, -1),
+                                GaussRat(Fraction(1, 2), 3)]))
+def test_inverse_matches_gauss_jordan_oracle(m, c):
+    m = m.scale(c)
+    oracle = naive_inverse(m.to_rows())
+    if oracle is None:
+        with pytest.raises(SingularMatrixError):
+            inverse(m)
+        return
+    inv = inverse(m)
+    assert inv == ExactMatrix(oracle)
+    assert inv @ m == ExactMatrix.identity(m.rows)
+
+
+def test_inverse_rejects_singular_and_non_square():
+    with pytest.raises(SingularMatrixError):
+        inverse(ExactMatrix([[1, 2], [2, 4]]))
+    with pytest.raises(SingularMatrixError):
+        inverse(ExactMatrix.zeros(3, 3))
+    with pytest.raises(ValueError):
+        inverse(ExactMatrix.zeros(2, 3))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 3).flatmap(lambda k: mat_strategy(k, 4)))
+def test_pivot_inverse_on_leftmost_independent_columns(m):
+    rows = m.to_rows()
+    if naive_rank(rows) < m.rows:
+        with pytest.raises(SingularMatrixError):
+            pivot_inverse(m)
+        return
+    pivots, inv = pivot_inverse(m)
+    # a column is a pivot exactly when it raises the rank of its prefix
+    prefix_rank = [naive_rank([row[:c] for row in rows])
+                   for c in range(m.cols + 1)]
+    assert pivots == [c for c in range(m.cols)
+                      if prefix_rank[c + 1] > prefix_rank[c]]
+    sub = [[row[c] for c in pivots] for row in rows]
+    assert inv == ExactMatrix(naive_inverse(sub))
+
+
+# -- the int64 bound of the product kernels ---------------------------------------
+
+
+def _int_complex_entries(draw, count, e):
+    """count Gaussian integers with parts in [-2^e, 2^e], the first one
+    on the boundary so the operand's largest magnitude is 2^e."""
+    bound = 2 ** e
+    part = st.one_of(st.sampled_from([bound, -bound, 0]),
+                     st.integers(-bound, bound))
+    first = (draw(st.sampled_from([bound, -bound])), draw(part))
+    return [first] + [(draw(part), draw(part)) for _ in range(count - 1)]
+
+
+@st.composite
+def straddling_operands(draw):
+    """Gaussian-integer operands whose magnitudes put the int64 test
+    2 * n * max|a| * max|b| < 2^62 on either side of the bound."""
+    n = draw(st.integers(1, 4))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ea = draw(st.integers(18, 44))
+    eb = draw(st.integers(57 - ea, 62 - ea))
+    a = _int_complex_entries(draw, rows * n, ea)
+    b = _int_complex_entries(draw, n * cols, eb)
+    return n, rows, cols, a, b
+
+
+def _cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _as_matrix(entries, rows, cols):
+    return ExactMatrix([[GaussRat(*entries[r * cols + c]) for c in range(cols)]
+                        for r in range(rows)])
+
+
+@settings(max_examples=150)
+@given(straddling_operands())
+def test_products_across_int64_bound_match_python_ints(ops):
+    n, rows, cols, a, b = ops
+    am = _as_matrix(a, rows, n)
+    bm = _as_matrix(b, n, cols)
+    prod = am @ bm
+    for r in range(rows):
+        for c in range(cols):
+            terms = [_cmul(a[r * n + k], b[k * cols + c]) for k in range(n)]
+            assert prod[r, c] == GaussRat(sum(t[0] for t in terms),
+                                          sum(t[1] for t in terms))
+    v = ExactVector([GaussRat(*b[k * cols]) for k in range(n)])
+    mv = am.matvec(v)
+    for r in range(rows):
+        terms = [_cmul(a[r * n + k], b[k * cols]) for k in range(n)]
+        assert mv[r] == GaussRat(sum(t[0] for t in terms),
+                                 sum(t[1] for t in terms))
+    u = ExactVector([GaussRat(*a[k]) for k in range(n)])
+    conj_terms = [_cmul(a[k], (b[k * cols][0], -b[k * cols][1]))
+                  for k in range(n)]
+    assert inner(u, v) == GaussRat(sum(t[0] for t in conj_terms),
+                                   sum(t[1] for t in conj_terms))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("bits", range(57, 64))
+def test_aligned_extremes_at_int64_bound(n, bits):
+    # every term of the dot has the largest magnitude and the same sign, so
+    # the exact sums n * 2^(bits+1) reach and pass 2^63
+    a, b = 2 ** (bits // 2), 2 ** (bits - bits // 2)
+    am = ExactMatrix([[GaussRat(a, a)] * n])
+    for br, bi, want in ((b, -b, GaussRat(n * 2 * a * b, 0)),
+                         (b, b, GaussRat(0, n * 2 * a * b))):
+        bm = ExactMatrix([[GaussRat(br, bi)] for _ in range(n)])
+        assert (am @ bm)[0, 0] == want
+        assert am.matvec(bm.column(0))[0] == want
+        u = ExactVector([GaussRat(a, a)] * n)
+        assert inner(u, bm.column(0).conj()) == want
+
+
+def test_zero_operand_with_entries_beyond_int64():
+    big = 2 ** 70
+    assert (ExactMatrix([[big]]) @ ExactMatrix([[0]])).is_zero()
+    assert ExactMatrix([[0]]).matvec(ExactVector([big])).is_zero()
+    assert inner(ExactVector([big]), ExactVector([0])).is_zero()
