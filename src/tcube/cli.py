@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -128,27 +129,43 @@ def _module_suite_rows(ctx, bundle, suite) -> List[Row]:
     return rows
 
 
-_PAR_STATE: dict = {}
+# Per-process state of a --parallel worker, set once by _init_worker.
+_WORKER: dict = {}
+
+
+def _init_worker(D: int, d_limit: int, flips) -> None:
+    """Rebuild the (possibly sign-flipped) context and its decomposition in
+    a worker, so that no start method has to inherit the parent's state."""
+    ctx = build_context(D, d_limit)
+    for flip in flips:
+        ctx = ctx.with_flipped_sign(*flip)
+    _WORKER["ctx"] = ctx
+    _WORKER["modules"] = decomposition.decompose(ctx).modules
 
 
 def _parallel_worker(args):
     suite, k = args
-    ctx = _PAR_STATE["ctx"]
-    bundle = _PAR_STATE["bundles"][k]
+    ctx = _WORKER["ctx"]
+    m = _WORKER["modules"][k]
+    bundle = (m, leonard.build_six_bases(ctx, m), leonard.phi_matrix(m.d))
     return k, _module_suite_rows(ctx, bundle, suite)
 
 
 def _rows_for_modules(ctx, bundles, suite, parallel) -> List[Row]:
     if parallel and len(bundles) > 1:
-        global _PAR_STATE
-        _PAR_STATE = {"ctx": ctx, "bundles": bundles}
-        with ProcessPoolExecutor() as pool:
+        # spawn: workers start from a fresh import on every platform, and a
+        # fork of a process that may hold threads is never taken
+        workers = min(len(bundles), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context(
+                                     "spawn"),
+                                 initializer=_init_worker,
+                                 initargs=(ctx.D, ctx.d_limit,
+                                           ctx.flips)) as pool:
             results = list(pool.map(_parallel_worker,
                                     [(suite, k) for k in range(len(bundles))]))
-        results.sort(key=lambda kr: kr[0])
-        rows = [r for _, rs in results for r in rs]
-        _PAR_STATE = {}
-        return rows
+        return [r for _, rs in sorted(results, key=lambda kr: kr[0])
+                for r in rs]
     rows = []
     for k, bundle in enumerate(bundles):
         rows.extend(_module_suite_rows(ctx, bundle, suite))
@@ -158,18 +175,27 @@ def _rows_for_modules(ctx, bundles, suite, parallel) -> List[Row]:
     return rows
 
 
+def _matrix_suite_rows(verify, ctx) -> List[Row]:
+    """Rows of one whole-matrix suite; a broken invariant is one failed row."""
+    try:
+        return _checks_to_rows(verify(ctx))
+    except VERIFY_ERRORS as exc:
+        return [_error_row("", exc)]
+
+
 def run_suite(ctx: CubeContext, suite: str, parallel: bool = False) -> List[Row]:
     """Report rows of one suite.  A broken invariant becomes a failed row:
-    one for the decomposition as a whole, or one per module."""
+    one for a whole-matrix suite, one for the decomposition as a whole, or
+    one per module; the other suites still run."""
     rows: List[Row] = []
     if suite in ("commutators", "all"):
-        rows.extend(_checks_to_rows(cube.verify_commutators(ctx)))
+        rows.extend(_matrix_suite_rows(cube.verify_commutators, ctx))
         _progress("  commutators done")
     if suite in ("idempotents", "all"):
-        rows.extend(_checks_to_rows(cube.verify_idempotent_families(ctx)))
+        rows.extend(_matrix_suite_rows(cube.verify_idempotent_families, ctx))
         _progress("  idempotent families done")
     if suite in ("conjugation", "all"):
-        rows.extend(_checks_to_rows(cube.verify_conjugation(ctx)))
+        rows.extend(_matrix_suite_rows(cube.verify_conjugation, ctx))
         _progress("  conjugation done")
     if suite in ("rep-matrices", "inner-products", "transitions", "all"):
         try:
@@ -446,6 +472,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except VERIFY_ERRORS as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,6 +14,12 @@ Operators:
          cycles A -> Astar -> Aeps -> A
   A_k    distance-k indicator matrices
   E, Estar, Eeps   the three idempotent families (spectral projections)
+
+The idempotent families come from closed forms, with no interpolation
+products: E_i = 2^-D sum_h K_i(h) A_h with the Krawtchouk numbers K_i(h),
+certified against A (sum to I, A E_i = theta_i E_i); Estar_i is the
+indicator of slice i; and Eeps_i = S^-1 E_i S with S = diag(i^dist), the
+same diagonal phase that takes A to Aeps.
 """
 
 from __future__ import annotations
@@ -64,6 +70,26 @@ def _zero_one(mask) -> ExactMatrix:
                             np.zeros(mask.shape, dtype=object), 1, reduce=False)
 
 
+def _phase_conjugate(m: ExactMatrix, phase) -> ExactMatrix:
+    """S^-1 m S for S = diag(i^dist): entry (x, y) times i^phase[x, y],
+    where `phase` holds dist(y) - dist(x) mod 4."""
+    odd = phase % 2 == 1
+    sign = np.where(phase >= 2, -1, 1)
+    # i^k (re + i im) is (re, im), (-im, re), (-re, -im), (im, -re) for k = 0..3
+    return ExactMatrix._raw(np.where(odd, -m._im, m._re) * sign,
+                            np.where(odd, m._re, m._im) * sign, m._den,
+                            reduce=False)
+
+
+def krawtchouk_table(D: int):
+    """K[h, i] = K_i(h) = sum_j (-1)^j C(h, j) C(D - h, i - j), the i-th
+    eigenvalue of the distance-h matrix of Q_D (object array of ints)."""
+    return np.array([[sum((-1) ** j * math.comb(h, j) * math.comb(D - h, i - j)
+                          for j in range(i + 1))
+                      for i in range(D + 1)]
+                     for h in range(D + 1)], dtype=object)
+
+
 def _kron_sum(factor: ExactMatrix, D: int) -> ExactMatrix:
     """sum over positions of I1^(x i) (x) factor (x) I1^(x (D-1-i))."""
     total = ExactMatrix.zeros(2 ** D, 2 ** D)
@@ -76,20 +102,28 @@ def _kron_sum(factor: ExactMatrix, D: int) -> ExactMatrix:
 class CubeContext:
     """All operators of Q_D for one dimension; immutable after construction.
 
-    The idempotent families are built lazily (interpolation products are the
-    expensive part) and cached; everything else is constructed eagerly with
-    the dual-construction cross-checks.
+    The idempotent families are built lazily from their closed forms and
+    cached; everything else is constructed eagerly with the dual-construction
+    cross-checks.  `flips` lists the sign flips applied by
+    `with_flipped_sign`, so that the same context can be rebuilt elsewhere.
     """
 
     def __init__(self, D: int, d_limit: int = DEFAULT_D_LIMIT):
         if not 1 <= D <= d_limit:
             raise ValueError(f"D must satisfy 1 <= D <= {d_limit}, got {D}")
         self.D = D
+        self.d_limit = d_limit
+        self.flips = ()
         self.n = 2 ** D
         self.base_point = (0,) * D
         self.dist = np.array([bin(v).count("1") for v in range(self.n)],
                              dtype=object)
         self.theta = [D - 2 * i for i in range(D + 1)]
+        dist = self.dist.astype(int)
+        idx = np.arange(self.n)
+        # distance between vertices x and y, and dist(y) - dist(x) mod 4
+        self.hamming = dist[idx[:, None] ^ idx[None, :]]
+        self._phase = (dist[None, :] - dist[:, None]) % 4
 
         self.A = self._build_adjacency()
         self.Astar = self._build_dual_adjacency()
@@ -98,9 +132,7 @@ class CubeContext:
         self.Pinv = self.P.adjoint().scale(Fraction(1, self.n))
         _require(self.P @ self.Pinv == ExactMatrix.identity(self.n),
                  "P inverse construction failed")
-        idx = np.arange(self.n)
-        hamming = self.dist.astype(int)[idx[:, None] ^ idx[None, :]]
-        self.dist_matrices = tuple(_zero_one(hamming == k)
+        self.dist_matrices = tuple(_zero_one(self.hamming == k)
                                    for k in range(D + 1))
         self._E = None
         self._Estar = None
@@ -139,17 +171,40 @@ class CubeContext:
         aeps1 = (A1 @ ASTAR1 - ASTAR1 @ A1).scale(GaussRat(0, Fraction(-1, 2)))
         _require(by_def == _kron_sum(aeps1, self.D),
                  "imaginary adjacency: Kronecker construction disagrees")
+        _require(by_def == _phase_conjugate(self.A, self._phase),
+                 "imaginary adjacency: diagonal phase conjugate of A disagrees")
         return by_def
 
     # -- idempotent families ------------------------------------------------------
 
     @property
     def E(self):
-        """Primitive idempotents of A by linear interpolation."""
+        """Primitive idempotents of A: E_i = 2^-D sum_h K_i(h) A_h.
+
+        Certified on the first build against this context's A: sum_i E_i = I
+        and A E_i = theta_i E_i.  These force E_i = p_i(A) for the Lagrange
+        polynomial p_i with p_i(theta_k) = [i = k], since
+        p_i(A) = p_i(A) sum_k E_k = sum_k p_i(theta_k) E_k = E_i.
+        """
         if self._E is None:
-            self._E = tuple(self._interpolation_idempotent(self.A, i)
-                            for i in range(self.D + 1))
+            K = krawtchouk_table(self.D)
+            zeros = np.zeros((self.n, self.n), dtype=object)
+            family = tuple(ExactMatrix._raw(K[:, i][self.hamming], zeros,
+                                            self.n)
+                           for i in range(self.D + 1))
+            self._certify_idempotents(family)
+            self._E = family
         return self._E
+
+    def _certify_idempotents(self, family) -> None:
+        total = ExactMatrix.zeros(self.n, self.n)
+        for e in family:
+            total = total + e
+        _require(total == ExactMatrix.identity(self.n),
+                 "idempotent closed form: the E_i do not sum to I")
+        for i, e in enumerate(family):
+            _require(self.A @ e == e.scale(self.theta[i]),
+                     f"idempotent closed form: A E_{i} != {self.theta[i]} E_{i}")
 
     @property
     def Estar(self):
@@ -161,20 +216,15 @@ class CubeContext:
 
     @property
     def Eeps(self):
-        """Imaginary idempotents Pinv @ E_i @ P."""
-        if self._Eeps is None:
-            self._Eeps = tuple(self.Pinv @ e @ self.P for e in self.E)
-        return self._Eeps
+        """Imaginary idempotents S^-1 E_i S with S = diag(i^dist).
 
-    def _interpolation_idempotent(self, m: ExactMatrix, i: int) -> ExactMatrix:
-        prod = ExactMatrix.identity(self.n)
-        scale = Fraction(1)
-        for j in range(self.D + 1):
-            if j == i:
-                continue
-            prod = prod @ (m - ExactMatrix.identity(self.n).scale(self.theta[j]))
-            scale /= self.theta[i] - self.theta[j]
-        return prod.scale(scale)
+        Aeps = S^-1 A S is a construction check and Aeps = Pinv A P is
+        verified by the conjugation suite, so these equal Pinv E_i P.
+        """
+        if self._Eeps is None:
+            self._Eeps = tuple(_phase_conjugate(e, self._phase)
+                               for e in self.E)
+        return self._Eeps
 
     # -- slices --------------------------------------------------------------------
 
@@ -188,10 +238,13 @@ class CubeContext:
         """Copy of this context with one entry of an operator sign-flipped.
 
         Bypasses the construction cross-checks on purpose; used to confirm the
-        verification suites actually detect corruption.
+        verification suites actually detect corruption.  The idempotent
+        families are rebuilt from the clone's operators on first use.
         """
         clone = object.__new__(CubeContext)
         clone.__dict__.update(self.__dict__)
+        clone._E = clone._Estar = clone._Eeps = None
+        clone.flips = self.flips + ((op, r, c),)
         m = getattr(clone, op)
         g = m[r, c]
         grid = m.to_rows()

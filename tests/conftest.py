@@ -17,6 +17,7 @@ import pytest
 from tcube.cube import build_context
 from tcube.decomposition import decompose
 from tcube.leonard import build_six_bases, phi_matrix
+from tcube.linalg import ExactMatrix
 from tcube.scalar import GaussRat
 
 _CTX = {}
@@ -116,6 +117,24 @@ def naive_inverse(rows):
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def interpolation_idempotents(m, theta):
+    """E_i = prod_{j != i} (m - theta_j I) / (theta_i - theta_j) for each i:
+    the spectral projections of a matrix m with distinct eigenvalues theta,
+    by Lagrange interpolation in dense products.  The independent oracle for
+    the library's closed-form idempotents."""
+    ident = ExactMatrix.identity(m.rows)
+    family = []
+    for i, t_i in enumerate(theta):
+        prod = ident
+        scale = Fraction(1)
+        for j, t_j in enumerate(theta):
+            if j != i:
+                prod = prod @ (m - ident.scale(t_j))
+                scale /= t_i - t_j
+        family.append(prod.scale(scale))
+    return tuple(family)
 
 
 def hamming_weight(v: int) -> int:

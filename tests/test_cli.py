@@ -5,12 +5,16 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import tcube
 from tcube import cli
 from tcube.cli import main
 from tcube.cube import ConstructionError
+from tcube.decomposition import InvariantViolation
 from tcube.linalg import ExactMatrix
 from tcube.scalar import GaussRat
 
@@ -230,9 +234,62 @@ def test_verify_report_golden_digest(capsys, suite, D):
     assert digest == GOLDEN_VERIFY_SHA256[suite][D - 1]
 
 
-# The first invariant each --corrupt choice breaks at D = 3.
+# sha256 of `tcube build --d D --op OP --index i`, recorded while E was
+# still built by interpolation and Eeps as Pinv E P; [D - 1][i].
+GOLDEN_BUILD_SHA256 = {
+    "E": (
+        ("3428a87e0815b26e93001c46ac95a6d2ac11a472e0766151c02ae8fbfdf36d01",
+         "945d8567b4c9cca8cc1378b46d0495651e8b7048cc9f9c759e95874c9e61e477"),
+        ("af45ca7b56aad03bb066c74b8c9ab7df500a154e849fe47fb8d86d33fb4bac7e",
+         "3f5381c081113f4694cec5ac37c6dcc59e02a5a397a85a1977bc017b23be67fe",
+         "af99fdc4050f7c8a4ff737b7e9db135045a93cfbceebe3701cf0b99a0d04f342"),
+        ("f830efbfcda8fea22e2ba88beb86e59f9f4e7e0bdfbd0ee177891939090c272c",
+         "ebca20d4464b076d77581acac03b11fe49cace022a0665265b2d6dcbe8c50e59",
+         "f46e4320cb181d7f6d7aa0443fbd7b985227eded779496933553799c2c3fd9aa",
+         "0bbdcf15536b7d54baf4b250ae74a3600d85b8522af3295e9892a38f57ea3f44"),
+        ("6f7b117abef0959d1ab0d1888ed75ccc611dfeff73e88e12c974975cd69cd8ba",
+         "dc11dd7eb0a08ac28c1d23238cf3a5c802de5804662d75437b6cbc4d26dcbe3e",
+         "feada95185c880838d556a441e23907cefdfcf7bb759151500f76a6696097bbd",
+         "78749ad3693a05cc577f7006f486c03bee0351524499bc4e09cb079a247d6f5d",
+         "9710214abfafa18679e1f75fa9cde383a1391100865dc297ec994bd2f54ad9fe"),
+    ),
+    "Eeps": (
+        ("2e3ba832e581181c5c3b4837ad0cf304240f72b1aad5998c19a3d2707f8c229a",
+         "3fd4306d562f697f76b48dfa8c128b379c9b6e0e517a318a2d3cefd7c6f14d65"),
+        ("26a3fd40290c8627880aaa0e35e71f16d5be18ca25ac721e36f4411aa5800853",
+         "1d97ef772e0c05db93caf8c595583385b9502acd566db5505968448ec2ec51f9",
+         "5fee843131fee3cd505ddffa51d2883b814f76899169abf33a865a7181557e3c"),
+        ("41bfdab2178307d3713e7c916012123d66d899186c771054bdc7121baa32da8c",
+         "a4001615c7f12b32202cd96ebb37660c9780ad66b30b66740189dce90170bbce",
+         "c06c0ee7fa6036648e06f0656b7c34ac28d7f2f1d0d45bcfa2870ad0f5a7acd8",
+         "2fda065fbe3b60ac2f72e508d3a1f44edc6841991a4f2fb4990b8ffcf492192c"),
+        ("f32dff14d4d22bb8da4ba940dac888d1e1914c3f0d9fad3cc36095d8ab6f5b8c",
+         "1761b072b5437891901121eb7cbe1a2dc521f1e34904983a56cad3799a32ef5b",
+         "4452b81fcf1e5baf420f93134c5ef1420b7854fd0aed0fdb6a4da9eabd5bb376",
+         "678c62c53a79becc5133e4689009dbd1134009740f13e1e0f2c01f301fa0d524",
+         "4f4f3a666a60be23cb7e43e79ae84223b351a13e992a6ac0dbf45102d6bdef71"),
+    ),
+}
+
+
+@pytest.mark.parametrize("D", range(1, 5))
+@pytest.mark.parametrize("op", sorted(GOLDEN_BUILD_SHA256))
+def test_build_idempotent_golden_digest(capsys, op, D):
+    for i, expected in enumerate(GOLDEN_BUILD_SHA256[op][D - 1]):
+        code, out = run(capsys, "build", "--d", str(D), "--op", op,
+                        "--index", str(i))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+# The row of the idempotent certificate when A has a flipped sign at D = 3.
+CERTIFICATE_ROW = "ConstructionError: idempotent closed form: A E_0 != 3 E_0"
+
+# The first invariant each --corrupt choice breaks at D = 3.  A flipped
+# adjacency entry first fails the certificate of the closed-form E, which
+# decompose reads before any module invariant.
 CORRUPT_FAILURES = {
-    "adjacency": "InvariantViolation: module r=0 index=0: <u*,u> vanished",
+    "adjacency": CERTIFICATE_ROW,
     "dual": "InvariantViolation: module r=0 index=0: "
             "Astar does not scale slice 0",
     "imaginary": "r1m0:BasisError: target is outside the span of the basis",
@@ -259,6 +316,34 @@ def test_verify_corruption_reports_invariant(capsys, corrupt, fmt):
     assert CORRUPT_FAILURES[corrupt] in _failed_ids(out, fmt)
 
 
+@pytest.mark.parametrize("fmt", ["pretty", "csv", "json"])
+@pytest.mark.parametrize("suite", ["idempotents", "conjugation", "all"])
+def test_verify_adjacency_certificate_row(capsys, suite, fmt):
+    code, out = run(capsys, "verify", "--d", "3", "--suite", suite,
+                    "--corrupt", "adjacency", "--format", fmt)
+    assert code == 1
+    assert CERTIFICATE_ROW in _failed_ids(out, fmt)
+
+
+# Suites that read neither the flipped operator nor anything built from it,
+# and so rightly pass: the idempotent suite never reads Astar, and inner
+# products and transitions never read Aeps.
+UNREAD_BY_SUITE = {("dual", "idempotents"), ("imaginary", "inner-products"),
+                   ("imaginary", "transitions")}
+
+
+@pytest.mark.parametrize("suite", cli.SUITES)
+@pytest.mark.parametrize("corrupt", sorted(cli.CORRUPT_OPS))
+def test_verify_every_corruption_reports(capsys, corrupt, suite):
+    code, out = run(capsys, "verify", "--d", "3", "--suite", suite,
+                    "--corrupt", corrupt)
+    if (corrupt, suite) in UNREAD_BY_SUITE:
+        assert code == 0 and "FAIL" not in out
+    else:
+        assert code == 1
+        assert _failed_ids(out, "pretty")
+
+
 def test_verify_construction_error_reports(capsys, monkeypatch):
     def broken(D, d_limit):
         raise ConstructionError("P inverse construction failed")
@@ -277,3 +362,58 @@ def test_d_limit_env_not_an_integer(capsys, monkeypatch):
     assert code == 2
     assert captured.out == ""
     assert "TCUBE_D_LIMIT must be an integer, got 'abc'" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--d", "3"],
+    ["module-report", "--d", "3"],
+    ["leonard-check", "--d", "3"],
+])
+def test_other_commands_report_broken_invariant(capsys, monkeypatch, argv):
+    def broken(ctx):
+        raise InvariantViolation("L + R differs from A")
+    monkeypatch.setattr(cli.decomposition, "decompose", broken)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: InvariantViolation: L + R differs from A\n"
+
+
+def test_build_reports_construction_error(capsys, monkeypatch):
+    def broken(D, d_limit):
+        raise ConstructionError("P inverse construction failed")
+    monkeypatch.setattr(cli, "build_context", broken)
+    code = main(["build", "--d", "2", "--op", "E", "--index", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == \
+        "error: ConstructionError: P inverse construction failed\n"
+
+
+_VERIFY_IN_SUBPROCESS = """
+import multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1])
+from tcube.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("corrupt", [[], ["--corrupt", "imaginary"]],
+                         ids=["clean", "imaginary"])
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_parallel_matches_serial_under_start_method(method, corrupt):
+    # the workers rebuild their state, so the output does not depend on the
+    # process start method, and a --corrupt flip reaches them as well
+    src = os.path.dirname(os.path.dirname(tcube.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    argv = ["verify", "--d", "3", "--suite", "all"] + corrupt
+    outs = [subprocess.run([sys.executable, "-c", _VERIFY_IN_SUBPROCESS,
+                            method] + argv + extra,
+                           capture_output=True, text=True, env=env,
+                           timeout=300)
+            for extra in ([], ["--parallel"])]
+    assert "Traceback" not in outs[1].stderr
+    assert outs[0].returncode == outs[1].returncode == (1 if corrupt else 0)
+    assert outs[0].stdout == outs[1].stdout

@@ -5,12 +5,14 @@ import math
 
 import pytest
 
-from conftest import brute_p_1j, get_ctx, naive_matrix_rank
+from conftest import (brute_p_1j, get_ctx, interpolation_idempotents,
+                      naive_matrix_rank)
 from tcube.cube import (ConstructionError, SpectrumTable, build_context,
-                        coordinate_transposition, index_of_vertex, spectrum,
-                        verify_commutators, verify_conjugation,
-                        verify_idempotent_families, verify_spectra,
-                        vertex_of_index)
+                        coordinate_transposition, index_of_vertex,
+                        krawtchouk_table, spectrum, verify_commutators,
+                        verify_conjugation, verify_idempotent_families,
+                        verify_spectra, vertex_of_index)
+from tcube.leonard import phi_matrix
 from tcube.linalg import ExactMatrix, ExactVector, rank
 from tcube.report import all_passed
 from tcube.scalar import GaussRat
@@ -142,18 +144,40 @@ def test_idempotent_families_suite(D):
     assert all_passed(verify_idempotent_families(get_ctx(D)))
 
 
-def test_imaginary_idempotent_interpolation_cross_check():
-    # the imaginary family also satisfies the interpolation formula in Aeps
+@pytest.mark.parametrize("D", range(1, 7))
+def test_closed_form_idempotents_match_interpolation(D):
+    # E from Krawtchouk numbers and Eeps by a diagonal phase equal the
+    # interpolation polynomials in A and in Aeps, and Eeps_i = Pinv E_i P
+    ctx = get_ctx(D)
+    assert ctx.E == interpolation_idempotents(ctx.A, ctx.theta)
+    assert ctx.Eeps == interpolation_idempotents(ctx.Aeps, ctx.theta)
+    for e, e_eps in zip(ctx.E, ctx.Eeps):
+        assert e_eps == ctx.Pinv @ e @ ctx.P
+
+
+@pytest.mark.parametrize("D", range(1, 11))
+def test_krawtchouk_table_matches_phi(D):
+    # two independent evaluations: the alternating binomial sum in cube and
+    # C(D, i) * 2F1(-h, -i; -D; 2) in leonard
+    K = krawtchouk_table(D)
+    phi = phi_matrix(D)
+    assert [[K[h, i] for i in range(D + 1)] for h in range(D + 1)] == \
+        [[phi.phi(h, i) for i in range(D + 1)] for h in range(D + 1)]
+
+
+def test_idempotent_certificate_rejects_wrong_families():
+    # eigenrelations alone allow any scaling, the sum alone any reordering
     ctx = get_ctx(3)
-    for i in range(4):
-        prod = ExactMatrix.identity(8)
-        scale = GaussRat(1)
-        for j in range(4):
-            if j == i:
-                continue
-            prod = prod @ (ctx.Aeps - ExactMatrix.identity(8).scale(ctx.theta[j]))
-            scale = scale / (ctx.theta[i] - ctx.theta[j])
-        assert prod.scale(scale) == ctx.Eeps[i]
+    with pytest.raises(ConstructionError, match="do not sum to I"):
+        ctx._certify_idempotents(tuple(e.scale(2) for e in ctx.E))
+    with pytest.raises(ConstructionError, match=r"A E_0 != 3 E_0"):
+        ctx._certify_idempotents(ctx.E[::-1])
+
+
+def test_idempotent_certificate_rejects_flipped_adjacency():
+    flipped = get_ctx(3).with_flipped_sign("A", 0, 1)
+    with pytest.raises(ConstructionError, match=r"A E_0 != 3 E_0"):
+        flipped.E
 
 
 def test_spectrum_examples():
