@@ -1,76 +1,41 @@
 #!/usr/bin/env python3
-"""Run every verification suite over a range of dimensions and summarize.
+"""Run `tcube verify --suite all` over a range of dimensions and summarize.
+
+Each dimension is one call of the CLI's own `run_suite(ctx, "all")`, so
+this script checks exactly what `tcube verify` reports.
 
 Example:
     python scripts/run_full_verification.py --dmax 6
-    python scripts/run_full_verification.py --dmax 8 --transitions-dmax 6
 """
 
 import argparse
+import math
 import sys
 import time
 
-from tcube.cube import (build_context, verify_commutators, verify_conjugation,
-                        verify_idempotent_families, verify_spectra)
-from tcube.decomposition import decompose, verify_seed_norms
-from tcube.leonard import (build_six_bases, is_leonard_triple, module_triple,
-                           phi_matrix, transition_matrices,
-                           verify_inner_products, verify_rep_matrices)
-from tcube.report import all_passed
-
-
-def run_dimension(D, with_transitions):
-    t0 = time.monotonic()
-    ctx = build_context(D)
-    results = {
-        "commutators": all_passed(verify_commutators(ctx)),
-        "idempotents": all_passed(verify_idempotent_families(ctx)),
-        "conjugation": all_passed(verify_conjugation(ctx)),
-        "spectra": all_passed(verify_spectra(ctx)),
-    }
-    dec = decompose(ctx)
-    phis = {}
-    rep_ok = inner_ok = trans_ok = leonard_ok = norms_ok = True
-    for m in dec.modules:
-        bases = build_six_bases(ctx, m)
-        phi = phis.setdefault(m.d, phi_matrix(m.d))
-        rep_ok &= all(c.passed for c in verify_rep_matrices(ctx, bases))
-        inner_ok &= all(c.passed for c in verify_inner_products(bases, phi))
-        if with_transitions:
-            trans_ok &= transition_matrices(bases, phi).all_passed()
-        leonard_ok &= is_leonard_triple(*module_triple(ctx, bases)).verdict \
-            == "true"
-        norms_ok &= all_passed(verify_seed_norms(m))
-    results.update({
-        "decomposition": sum(m.dim for m in dec.modules) == 2 ** D,
-        "rep-matrices": rep_ok,
-        "inner-products": inner_ok,
-        "seed-norms": norms_ok,
-        "leonard": leonard_ok,
-    })
-    if with_transitions:
-        results["transitions"] = trans_ok
-    elapsed = time.monotonic() - t0
-    return results, len(dec.modules), elapsed
+from tcube.cli import run_suite
+from tcube.cube import build_context
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dmax", type=int, default=6)
-    ap.add_argument("--transitions-dmax", type=int, default=6,
-                    help="largest D for the 36-cell transition tables")
     args = ap.parse_args()
 
     failures = 0
     for D in range(1, args.dmax + 1):
-        results, n_modules, elapsed = run_dimension(
-            D, with_transitions=D <= args.transitions_dmax)
-        bad = [k for k, ok in results.items() if not ok]
+        t0 = time.monotonic()
+        rows = run_suite(build_context(D), "all")
+        elapsed = time.monotonic() - t0
+        bad = [r[0] for r in rows if not r[3]]
         failures += len(bad)
-        status = "ok" if not bad else f"FAILED: {', '.join(bad)}"
-        print(f"D={D}: {n_modules:3d} modules, {len(results)} suites, "
+        status = "ok" if not bad else f"FAILED: {', '.join(bad[:5])}" + (
+            f" and {len(bad) - 5} more" if len(bad) > 5 else "")
+        # one module per seed: C(D, r) - C(D, r - 1) summed over r
+        modules = math.comb(D, D // 2)
+        print(f"D={D}: {modules:3d} modules, {len(rows)} checks, "
               f"{elapsed:6.1f}s  {status}")
-    print("all suites passed" if not failures else f"{failures} suite "
+    print("all suites passed" if not failures else f"{failures} check "
           "failures")
     return 0 if not failures else 1
 

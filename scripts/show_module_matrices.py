@@ -11,7 +11,7 @@ import sys
 from tcube.cube import build_context
 from tcube.decomposition import decompose
 from tcube.leonard import (BASIS_LABELS, OPERATOR_LABELS, BasisSolver,
-                           build_six_bases, representation_matrix)
+                           build_six_bases, cube_representation)
 
 
 def compact(g):
@@ -52,13 +52,11 @@ def main():
               file=sys.stderr)
         return 2
     bases = build_six_bases(ctx, mod)
-    ops = {"A": ctx.A, "Astar": ctx.Astar, "Aeps": ctx.Aeps}
     print(f"module r={mod.r} d={mod.d} index={mod.index} of Q_{args.D}")
     for label in BASIS_LABELS:
         solver = BasisSolver(list(bases[label]))
         for op_name in OPERATOR_LABELS:
-            rep = representation_matrix(ops[op_name], list(bases[label]),
-                                        solver)
+            rep = cube_representation(ctx, op_name, solver)
             print(f"\n{op_name} in basis {label}:")
             print(fmt(rep))
     return 0

@@ -14,8 +14,7 @@ from .cube import (CubeContext, SpectrumTable, build_context, spectrum,
                    verify_commutators, verify_conjugation,
                    verify_idempotent_families, verify_spectra)
 from .decomposition import (Decomposition, IrreducibleModule, decompose,
-                            lowering_operator, multiplicity, normalize_seeds,
-                            raising_operator, verify_seed_norms)
+                            multiplicity, normalize_seeds, verify_seed_norms)
 from .leonard import (BASIS_LABELS, LeonardVerdict, PhiMatrix, SixBases,
                       build_six_bases, hypergeometric_2f1, is_leonard_triple,
                       module_report, module_triple, phi_matrix,
@@ -29,8 +28,7 @@ __all__ = [
     "CubeContext", "SpectrumTable", "build_context", "spectrum",
     "verify_commutators", "verify_conjugation", "verify_idempotent_families",
     "verify_spectra", "Decomposition", "IrreducibleModule", "decompose",
-    "lowering_operator", "multiplicity", "normalize_seeds", "raising_operator",
-    "verify_seed_norms", "BASIS_LABELS", "LeonardVerdict", "PhiMatrix",
+    "multiplicity", "normalize_seeds", "verify_seed_norms", "BASIS_LABELS", "LeonardVerdict", "PhiMatrix",
     "SixBases", "build_six_bases", "hypergeometric_2f1", "is_leonard_triple",
     "module_report", "module_triple", "phi_matrix", "representation_matrix",
     "transition_matrices", "verify_phi", "verify_inner_products",

@@ -84,16 +84,12 @@ def _error_row(prefix: str, exc: Exception) -> Row:
     return (f"{prefix}{type(exc).__name__}: {exc}", None, None, False, None)
 
 
-def _module_bundles(ctx: CubeContext, show_progress=False):
-    dec = decomposition.decompose(ctx)
-    bundles = []
+def _module_bundles(ctx: CubeContext, modules):
+    """(module, six bases, Phi) for each of the given modules."""
     phis = {}
-    for m in dec.modules:
-        bundles.append((m, leonard.build_six_bases(ctx, m),
-                        phis.setdefault(m.d, leonard.phi_matrix(m.d))))
-        if show_progress:
-            _progress(f"  built bases for module r={m.r} index={m.index}")
-    return dec, bundles
+    return [(m, leonard.build_six_bases(ctx, m),
+             phis.setdefault(m.d, leonard.phi_matrix(m.d)))
+            for m in modules]
 
 
 def _module_suite_rows(ctx, bundle, suite) -> List[Row]:
@@ -199,7 +195,7 @@ def run_suite(ctx: CubeContext, suite: str, parallel: bool = False) -> List[Row]
         _progress("  conjugation done")
     if suite in ("rep-matrices", "inner-products", "transitions", "all"):
         try:
-            _, bundles = _module_bundles(ctx)
+            bundles = _module_bundles(ctx, decomposition.decompose(ctx).modules)
         except VERIFY_ERRORS as exc:
             rows.append(_error_row("", exc))
         else:
@@ -336,19 +332,17 @@ def _cmd_decompose(cfg: RunConfig, args) -> int:
 
 def _cmd_module_report(cfg: RunConfig, args) -> int:
     ctx = build_context(cfg.D, cfg.d_limit)
-    _, bundles = _module_bundles(ctx)
-    reports = []
-    for m, bases, phi in bundles:
-        if args.r is not None and m.r != args.r:
-            continue
-        if args.index is not None and m.index != args.index:
-            continue
-        reports.append(leonard.module_report(ctx, bases, phi))
-        _progress(f"  reported module r={m.r} index={m.index}")
-    if not reports:
+    selected = [m for m in decomposition.decompose(ctx).modules
+                if (args.r is None or m.r == args.r)
+                and (args.index is None or m.index == args.index)]
+    if not selected:
         print("error: no module matches the given --r/--index",
               file=sys.stderr)
         return 2
+    reports = []
+    for m, bases, phi in _module_bundles(ctx, selected):
+        reports.append(leonard.module_report(ctx, bases, phi))
+        _progress(f"  reported module r={m.r} index={m.index}")
     if cfg.format == "pretty":
         lines = []
         for rep in reports:
@@ -366,9 +360,9 @@ def _cmd_module_report(cfg: RunConfig, args) -> int:
 
 def _cmd_leonard_check(cfg: RunConfig, args) -> int:
     ctx = build_context(cfg.D, cfg.d_limit)
-    _, bundles = _module_bundles(ctx)
     results = []
-    for m, bases, _ in bundles:
+    for m, bases, _ in _module_bundles(ctx,
+                                       decomposition.decompose(ctx).modules):
         verdict = leonard.is_leonard_triple(*leonard.module_triple(ctx, bases))
         results.append({"r": m.r, "index": m.index, "d": m.d,
                         "verdict": verdict.verdict,

@@ -20,6 +20,14 @@ products: E_i = 2^-D sum_h K_i(h) A_h with the Krawtchouk numbers K_i(h),
 certified against A (sum to I, A E_i = theta_i E_i); Estar_i is the
 indicator of slice i; and Eeps_i = S^-1 E_i S with S = diag(i^dist), the
 same diagonal phase that takes A to Aeps.
+
+These dense matrices serve the whole-matrix suites.  The module layer uses
+the block operators instead (`CubeContext.apply` and `project`), which act
+on many vectors at once without a dense 2^D x 2^D product: A, Aeps and the
+ladder operators L, R are gathers over the D neighbours of each vertex,
+Astar is a diagonal scale, P is D butterfly passes of P1, and the images
+under E_i come from two fast Walsh-Hadamard transforms, certified against
+A on every call.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .linalg import ExactMatrix, kron, kron_power, rank
+from .linalg import I64_LIMIT, ExactMatrix, fits_i64, kron, kron_power, rank
 from .report import check_equal, check_true
 from .scalar import GaussRat
 
@@ -70,15 +78,121 @@ def _zero_one(mask) -> ExactMatrix:
                             np.zeros(mask.shape, dtype=object), 1, reduce=False)
 
 
+def _times_i_power(re, im, k):
+    """(re + i im) * i^k entrywise, for an integer array k (taken mod 4)
+    that broadcasts against re and im."""
+    k = k % 4
+    odd = k % 2 == 1
+    sign = np.where(k >= 2, -1, 1)
+    # i^k (re + i im) is (re, im), (-im, re), (-re, -im), (im, -re) for k = 0..3
+    return np.where(odd, -im, re) * sign, np.where(odd, re, im) * sign
+
+
 def _phase_conjugate(m: ExactMatrix, phase) -> ExactMatrix:
     """S^-1 m S for S = diag(i^dist): entry (x, y) times i^phase[x, y],
     where `phase` holds dist(y) - dist(x) mod 4."""
-    odd = phase % 2 == 1
-    sign = np.where(phase >= 2, -1, 1)
-    # i^k (re + i im) is (re, im), (-im, re), (-re, -im), (im, -re) for k = 0..3
-    return ExactMatrix._raw(np.where(odd, -m._im, m._re) * sign,
-                            np.where(odd, m._re, m._im) * sign, m._den,
-                            reduce=False)
+    re, im = _times_i_power(m._re, m._im, phase)
+    return ExactMatrix._raw(re, im, m._den, reduce=False)
+
+
+# -- kernels of the block operators ------------------------------------------------
+#
+# A block holds one vector per row.  The kernels below act on the rows of its
+# numerator arrays, which are int64 when the caller has checked a bound and
+# object arrays of Python ints otherwise; the code is the same for both.
+
+
+def _numerators(m: ExactMatrix, fits: bool):
+    """m's numerator arrays, as int64 when `fits` and as objects otherwise."""
+    if fits:
+        return m._re.astype(np.int64), m._im.astype(np.int64)
+    return m._re, m._im
+
+
+def _walsh_hadamard(a):
+    """a @ H for H[x, z] = (-1)^popcount(x & z), on a copy of a: one
+    butterfly pass per bit, each at most doubling the largest entry."""
+    a = a.copy()
+    rows, n = a.shape
+    h = 1
+    while h < n:
+        v = a.reshape(rows, n // (2 * h), 2, h)
+        lo, hi = v[:, :, 0, :], v[:, :, 1, :]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+        h *= 2
+    return a
+
+
+def _p_butterflies(re, im):
+    """Each row v of re + i im replaced by P v, P = kron_power(P1, D), on
+    copies: per bit, (v0, v1) -> (v0 + v1, i (v1 - v0)); each pass at most
+    doubles the largest entry."""
+    re, im = re.copy(), im.copy()
+    rows, n = re.shape
+    h = 1
+    while h < n:
+        vr = re.reshape(rows, n // (2 * h), 2, h)
+        vi = im.reshape(rows, n // (2 * h), 2, h)
+        r0, r1 = vr[:, :, 0, :], vr[:, :, 1, :]
+        i0, i1 = vi[:, :, 0, :], vi[:, :, 1, :]
+        # i (v1 - v0) = (i0 - i1) + i (r1 - r0)
+        new_r1, new_i1 = i0 - i1, r1 - r0
+        r0 += r1
+        i0 += i1
+        r1[...], i1[...] = new_r1, new_i1
+        h *= 2
+    return re, im
+
+
+def _flip_bit(a, s):
+    """a[:, y ^ s] over the columns y, for s = 0 or a power of two: the two
+    halves of every run of 2s columns trade places."""
+    if s == 0:
+        return a
+    rows, n = a.shape
+    return a.reshape(rows, n // (2 * s), 2, s)[:, :, ::-1, :].reshape(rows, n)
+
+
+class _Gather:
+    """A matrix M supported on the pairs (y, y ^ shifts[k]), with
+    M[y, y ^ shifts[k]] = (re + i im)[y, k] / den: its values, an int64
+    copy of them when they fit, and its largest numerator."""
+
+    def __init__(self, shifts, re, im, den):
+        self.shifts, self.re, self.den = shifts, re, den
+        self.im = im if im.any() else None
+        self.max = max(int(abs(re).max()), int(abs(im).max()))
+        self.c64 = None
+        if self.max < I64_LIMIT:
+            self.c64 = (re.astype(np.int64),
+                        None if self.im is None else im.astype(np.int64))
+
+    @classmethod
+    def of(cls, m: ExactMatrix, shifts) -> "_Gather":
+        rows = np.arange(m.rows)[:, None]
+        cols = rows ^ np.array(shifts)
+        return cls(shifts, m._re[rows, cols], m._im[rows, cols], m._den)
+
+    def masked(self, keep) -> "_Gather":
+        im = self.re * 0 if self.im is None else self.im
+        return _Gather(self.shifts, self.re * keep, im * keep, self.den)
+
+    def apply(self, re, im):
+        """Numerators (over den) of every row x of re + i im times M:
+        (M x)[y] = sum_k M[y, y ^ shifts[k]] x[y ^ shifts[k]].  int64
+        arrays must satisfy fits_i64(len(shifts), self.max, max |x|)."""
+        vr, vi = self.c64 if re.dtype == np.int64 else (self.re, self.im)
+        out_re = out_im = 0
+        for k, s in enumerate(self.shifts):
+            xr, xi = _flip_bit(re, s), _flip_bit(im, s)
+            out_re = out_re + xr * vr[:, k]
+            out_im = out_im + xi * vr[:, k]
+            if vi is not None:
+                out_re = out_re - xi * vi[:, k]
+                out_im = out_im + xr * vi[:, k]
+        return out_re, out_im
 
 
 def krawtchouk_table(D: int):
@@ -124,6 +238,8 @@ class CubeContext:
         # distance between vertices x and y, and dist(y) - dist(x) mod 4
         self.hamming = dist[idx[:, None] ^ idx[None, :]]
         self._phase = (dist[None, :] - dist[:, None]) % 4
+        self._dist = dist
+        self._slice_masks = dist[None, :] == np.arange(D + 1)[:, None]
 
         self.A = self._build_adjacency()
         self.Astar = self._build_dual_adjacency()
@@ -137,6 +253,7 @@ class CubeContext:
         self._E = None
         self._Estar = None
         self._Eeps = None
+        self._gathers = {}
 
     # -- operator constructions ------------------------------------------------
 
@@ -200,11 +317,19 @@ class CubeContext:
         total = ExactMatrix.zeros(self.n, self.n)
         for e in family:
             total = total + e
-        _require(total == ExactMatrix.identity(self.n),
+        self._certify(total == ExactMatrix.identity(self.n),
+                      (self.A @ e == e.scale(self.theta[i])
+                       for i, e in enumerate(family)))
+
+    def _certify(self, sums_to_identity: bool, eigen) -> None:
+        """The certificate of the closed-form E: the parts sum to the
+        identity, then A E_i = theta_i E_i for i = 0..D (`eigen` yields one
+        bool per i and is read only up to the first failure)."""
+        _require(sums_to_identity,
                  "idempotent closed form: the E_i do not sum to I")
-        for i, e in enumerate(family):
-            _require(self.A @ e == e.scale(self.theta[i]),
-                     f"idempotent closed form: A E_{i} != {self.theta[i]} E_{i}")
+        for i, ok in enumerate(eigen):
+            _require(ok, f"idempotent closed form: "
+                         f"A E_{i} != {self.theta[i]} E_{i}")
 
     @property
     def Estar(self):
@@ -226,6 +351,112 @@ class CubeContext:
                                for e in self.E)
         return self._Eeps
 
+    # -- block operators -------------------------------------------------------------
+    #
+    # The module layer applies operators to blocks, one vector per row, and
+    # never builds a dense 2^D x 2^D matrix for them.  The gathers read their
+    # values off this context's own matrices, so a flipped sign shows.
+
+    def _gather_table(self, op: str) -> _Gather:
+        """A, Aeps, L or R as a gather over the D neighbours y ^ (1 << k), or
+        Astar over the diagonal, after checking that the support allows it."""
+        table = self._gathers.get(op)
+        if table is not None:
+            return table
+        if op in ("A", "Aeps"):
+            m = getattr(self, op)
+            _require(not (m.nonzero() & (self.hamming != 1)).any(),
+                     f"{op}: support leaves the cube edges")
+            table = _Gather.of(m, [1 << k for k in range(self.D)])
+        elif op == "Astar":
+            _require(not (self.Astar.nonzero() & (self.hamming != 0)).any(),
+                     "Astar: support leaves the diagonal")
+            table = _Gather.of(self.Astar, [0])
+        elif op in ("L", "R"):
+            # L = A towards the slice above (bit k of y clear), R the rest
+            up = (np.arange(self.n)[:, None] >> np.arange(self.D)) & 1 == 0
+            table = self._gather_table("A").masked(up if op == "L" else ~up)
+        else:
+            raise ValueError(f"unknown block operator {op!r}")
+        self._gathers[op] = table
+        return table
+
+    def apply(self, op: str, block: ExactMatrix) -> ExactMatrix:
+        """op applied to every row of block, i.e. the rows of block @ op^T.
+
+        op is A, Astar, Aeps, L or R (gathers, see `_gather_table`) or P
+        (D butterfly passes of P1).  The kernels run in int64 when a bound
+        on the block's and the operator's numerators shows that they fit.
+        """
+        if block.cols != self.n:
+            raise ValueError(f"block has {block.cols} columns, expected {self.n}")
+        if op == "P":
+            re, im = _p_butterflies(
+                *_numerators(block, block._max() * self.n < I64_LIMIT))
+            return ExactMatrix.from_numerators(re, im, block._den)
+        table = self._gather_table(op)
+        fits = fits_i64(len(table.shifts), table.max, block._max())
+        re, im = table.apply(*_numerators(block, fits))
+        return ExactMatrix.from_numerators(re, im, block._den * table.den)
+
+    def project(self, family: str, block: ExactMatrix):
+        """(F_0 V, ..., F_D V) for the rows V of block and the family F = E,
+        Estar or Eeps, without building F.
+
+        Estar_i V masks slice i.  E_i V = 2^-D (V H) diag(wt = i) H with the
+        Walsh-Hadamard matrix H, since E_i = 2^-D H diag(wt = i) H; every
+        call is certified against this context's A: sum_i E_i V = V and
+        A (E_i V) = theta_i E_i V.  These force each E_i V to be the exact
+        theta_i-component of V: the second puts E_i V in ker(A - theta_i),
+        kernels for distinct theta_i are independent, so the first is the
+        unique split of V along them.  Eeps_i V = S^-1 E_i (S V) with
+        S = diag(i^dist); it is certified through E on S V, not against
+        Aeps.
+        """
+        if block.cols != self.n:
+            raise ValueError(f"block has {block.cols} columns, expected {self.n}")
+        if family == "Estar":
+            re, im = _numerators(block, block._max() < I64_LIMIT)
+            return tuple(ExactMatrix.from_numerators(re * mask, im * mask,
+                                                     block._den)
+                         for mask in self._slice_masks)
+        if family not in ("E", "Eeps"):
+            raise ValueError(f"unknown idempotent family {family!r}")
+        re, im = block._re, block._im
+        if family == "Eeps":
+            re, im = _times_i_power(re, im, self._dist)
+        parts = self._spectral_parts(re, im, block._max())
+        out = []
+        for zr, zi in parts:
+            if family == "Eeps":
+                zr, zi = _times_i_power(zr, zi, -self._dist)
+            out.append(ExactMatrix.from_numerators(zr, zi, block._den * self.n))
+        return tuple(out)
+
+    def _spectral_parts(self, re, im, m: int):
+        """Numerators, over 2^D, of E_i x for every row x of re + i im (object
+        arrays with entries bounded by m), certified against A."""
+        n, D = self.n, self.D
+        a = self._gather_table("A")
+        # |x H| <= n m and each part is at most n^2 m; their sum, theta_i
+        # times one and A times one stay below (2D + 2) n^2 m a.max a.den
+        if m * n * n * (2 * D + 2) * a.max * a.den < I64_LIMIT:
+            re, im = re.astype(np.int64), im.astype(np.int64)
+        rows = re.shape[0]
+        spectrum = _walsh_hadamard(np.concatenate([re, im]))
+        masked = spectrum[None, :, :] * self._slice_masks[:, None, :]
+        parts = _walsh_hadamard(masked.reshape(-1, n)).reshape(D + 1, 2, rows, n)
+        zr, zi = parts[:, 0], parts[:, 1]
+        ar, ai = a.apply(zr.reshape(-1, n), zi.reshape(-1, n))
+        ar, ai = ar.reshape(D + 1, rows, n), ai.reshape(D + 1, rows, n)
+        self._certify(
+            np.array_equal(zr.sum(axis=0), n * re)
+            and np.array_equal(zi.sum(axis=0), n * im),
+            (np.array_equal(ar[i], self.theta[i] * a.den * zr[i])
+             and np.array_equal(ai[i], self.theta[i] * a.den * zi[i])
+             for i in range(D + 1)))
+        return list(zip(zr, zi))
+
     # -- slices --------------------------------------------------------------------
 
     def slice_indices(self, k: int):
@@ -239,11 +470,13 @@ class CubeContext:
 
         Bypasses the construction cross-checks on purpose; used to confirm the
         verification suites actually detect corruption.  The idempotent
-        families are rebuilt from the clone's operators on first use.
+        families and the block operators are rebuilt from the clone's
+        operators on first use.
         """
         clone = object.__new__(CubeContext)
         clone.__dict__.update(self.__dict__)
         clone._E = clone._Estar = clone._Eeps = None
+        clone._gathers = {}
         clone.flips = self.flips + ((op, r, c),)
         m = getattr(clone, op)
         g = m[r, c]

@@ -8,6 +8,11 @@ module attached to a seed w is span{w, Rw, R^2 w, ...}.  Every structural
 claim used downstream (thinness, nonvanishing windows, closure, orthogonality,
 dimension count) is re-verified on the constructed data, so the seeding
 routine itself does not have to be trusted.
+
+A module's slice basis is handled as one block, a matrix with one vector per
+row: the context's structured operators (`CubeContext.apply`, `project`)
+give L, R and Astar of the whole block and all D + 1 images E_i W and
+Eeps_i W in one call each, and the checks compare rows of blocks at once.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .cube import CubeContext
-from .linalg import (ExactMatrix, ExactVector, gram_schmidt, inner,
-                     kernel_basis)
+from .linalg import (ExactMatrix, ExactVector, fits_i64, gram_schmidt,
+                     inner, kernel_basis)
 from .report import check_true
 from .scalar import GaussRat
 
@@ -38,23 +43,6 @@ class FieldExtensionRequired(ValueError):
     """Targets are feasible over C but need a square root outside Q(i)."""
 
 
-def _masked_adjacency(ctx: CubeContext, shift: int) -> ExactMatrix:
-    mask = np.array((ctx.dist[:, None] + shift) == ctx.dist[None, :],
-                    dtype=object)
-    re = ctx.A._re * mask
-    return ExactMatrix._raw(re, np.zeros_like(re), 1, reduce=False)
-
-
-def lowering_operator(ctx: CubeContext) -> ExactMatrix:
-    """L = sum_i Estar_{i-1} A Estar_i; moves slice k to slice k-1."""
-    return _masked_adjacency(ctx, +1)
-
-
-def raising_operator(ctx: CubeContext) -> ExactMatrix:
-    """R = sum_i Estar_{i+1} A Estar_i; L + R = A exactly."""
-    return _masked_adjacency(ctx, -1)
-
-
 def multiplicity(D: int, r: int) -> int:
     """Number of irreducible modules with endpoint r: C(D,r) - C(D,r-1)."""
     if not 0 <= 2 * r <= D:
@@ -63,13 +51,36 @@ def multiplicity(D: int, r: int) -> int:
     return math.comb(D, r) - low
 
 
+def proportional_rows(x: ExactMatrix, y: ExactMatrix):
+    """Boolean array: whether row k of x is c * (row k of y) for some
+    scalar c; y has one row per row of x, or a single row that every row
+    of x is compared with.  A zero row of y has only the zero multiple.
+
+    Cross-multiplies at the first nonzero entry p of y's row: x = c y
+    exactly when x * y[p] = x[p] * y.  The denominators are common to a
+    block's rows and do not matter.  Each cross entry sums four products
+    of numerators, so int64 holds it when fits_i64(2, max|x|, max|y|).
+    """
+    xr, xi, yr, yi = x._re, x._im, y._re, y._im
+    if fits_i64(2, x._max(), y._max()):
+        xr, xi, yr, yi = (a.astype(np.int64) for a in (xr, xi, yr, yi))
+    y_nonzero = y.nonzero()
+    p = y_nonzero.argmax(axis=1)[:, None]
+    ypr = np.take_along_axis(yr, p, axis=1)
+    ypi = np.take_along_axis(yi, p, axis=1)
+    p = np.broadcast_to(p, (x.rows, 1))
+    xpr = np.take_along_axis(xr, p, axis=1)
+    xpi = np.take_along_axis(xi, p, axis=1)
+    cross_r = (xr * ypr - xi * ypi) - (xpr * yr - xpi * yi)
+    cross_i = (xr * ypi + xi * ypr) - (xpr * yi + xpi * yr)
+    same_line = ~(np.not_equal(cross_r, 0) | np.not_equal(cross_i, 0)).any(axis=1)
+    return same_line & (y_nonzero.any(axis=1) | ~x.nonzero().any(axis=1))
+
+
 def proportional(v: ExactVector, w: ExactVector) -> bool:
     """True when v = c*w for some scalar c (zero vectors allowed)."""
-    if w.is_zero():
-        return v.is_zero()
-    p = w.support()[0]
-    c = v[p] / w[p]
-    return v == w.scale(c)
+    return bool(proportional_rows(ExactMatrix.stack([v]),
+                                  ExactMatrix.stack([w]))[0])
 
 
 @dataclass(frozen=True)
@@ -117,51 +128,64 @@ def _fail(r, index, what):
 
 
 def _embed(ctx: CubeContext, small: ExactVector, indices) -> ExactVector:
-    entries = [GaussRat(0)] * ctx.n
-    for k, idx in enumerate(indices):
-        entries[idx] = small[k]
-    return ExactVector(entries)
+    re, im = np.zeros(ctx.n, dtype=object), np.zeros(ctx.n, dtype=object)
+    re[indices], im[indices] = small._re, small._im
+    return ExactVector._raw(re, im, small._den, reduce=False)
 
 
-def _check_images_thin(ctx, family, basis, r, d, index, label):
-    """dim(family_i W) <= 1 with the nonvanishing window r <= i <= r+d."""
-    for i in range(ctx.D + 1):
-        images = [family[i].matvec(b) for b in basis]
-        nonzero = [v for v in images if not v.is_zero()]
+def _check_images_thin(parts, r, d, index, label):
+    """dim(family_i W) <= 1 with the nonvanishing window r <= i <= r+d;
+    parts[i] holds the images under family_i of the slice basis, one per
+    row."""
+    for i, images in enumerate(parts):
+        nonzero = images.nonzero().any(axis=1)
         in_window = r <= i <= r + d
-        if in_window and not nonzero:
+        if in_window and not nonzero.any():
             _fail(r, index, f"{label}_{i} W vanished inside the window")
-        if not in_window and nonzero:
+        if not in_window and nonzero.any():
             _fail(r, index, f"{label}_{i} W nonzero outside the window")
-        for v in nonzero[1:]:
-            if not proportional(v, nonzero[0]):
+        if nonzero.any():
+            first = ExactMatrix.stack([images.row(int(nonzero.argmax()))])
+            if not proportional_rows(images, first).all():
                 _fail(r, index, f"dim({label}_{i} W) > 1 (not thin)")
 
 
 def _validate_module(ctx: CubeContext, mod: IrreducibleModule,
-                     L: ExactMatrix) -> None:
+                     block: ExactMatrix, raised_top: ExactMatrix,
+                     e_parts, eeps_parts) -> None:
+    """The invariants of one module; block stacks its slice basis,
+    raised_top is R applied to the top vector, and e_parts / eeps_parts
+    are the images of the block under E_i and Eeps_i."""
     r, d, index = mod.r, mod.d, mod.index
     basis = mod.slice_basis
     if d != ctx.D - 2 * r:
         _fail(r, index, "diameter is not D - 2r")
-    for k, b in enumerate(basis):
-        if b.is_zero():
+    nonzero = block.nonzero()
+    slices = r + np.arange(d + 1)
+    outside = nonzero & (ctx.dist[None, :] != slices[:, None])
+    for k in range(d + 1):
+        if not nonzero[k].any():
             _fail(r, index, f"slice basis vector {k} is zero")
-        if any(int(ctx.dist[p]) != r + k for p in b.support()):
+        if outside[k].any():
             _fail(r, index, f"slice basis vector {k} leaves slice {r + k}")
-    # closure under A = L + R along the slice ladder
-    if not L.matvec(basis[0]).is_zero():
+    # closure under A = L + R along the slice ladder: L b_k is a nonzero
+    # multiple of b_(k-1), and of the zero vector for k = 0
+    lowered = ctx.apply("L", block)
+    below = ExactMatrix.stack([ExactVector.zeros(ctx.n)] + list(basis[:-1]))
+    onto = proportional_rows(lowered, below)
+    if not onto[0]:
         _fail(r, index, "seed not annihilated by the lowering operator")
+    lowered_nonzero = lowered.nonzero().any(axis=1)
     for k in range(1, d + 1):
-        img = L.matvec(basis[k])
-        if img.is_zero() or not proportional(img, basis[k - 1]):
+        if not lowered_nonzero[k] or not onto[k]:
             _fail(r, index, f"L does not map slice {k} onto slice {k - 1}")
-    top = (ctx.A.matvec(basis[d]) - L.matvec(basis[d]))
-    if not top.is_zero():
+    if not raised_top.is_zero():
         _fail(r, index, "raising the top slice does not vanish")
     # closure under Astar is automatic for slice-supported vectors; verify.
-    for k, b in enumerate(basis):
-        if ctx.Astar.matvec(b) != b.scale(ctx.D - 2 * (r + k)):
+    scaled = ExactMatrix.diagonal([ctx.D - 2 * (r + k)
+                                   for k in range(d + 1)]) @ block
+    for k, ok in enumerate(ctx.apply("Astar", block).row_equal(scaled)):
+        if not ok:
             _fail(r, index, f"Astar does not scale slice {k}")
     for seed, name in ((mod.u, "u"), (mod.u_eps, "ue")):
         if seed.is_zero():
@@ -169,8 +193,8 @@ def _validate_module(ctx: CubeContext, mod: IrreducibleModule,
     for a, b in (("u*", "u"), ("u", "ue"), ("ue", "u*")):
         if not mod.seed_inner(a, b):
             _fail(r, index, f"<{a},{b}> vanished")
-    _check_images_thin(ctx, ctx.E, basis, r, d, index, "E")
-    _check_images_thin(ctx, ctx.Eeps, basis, r, d, index, "Eeps")
+    _check_images_thin(e_parts, r, d, index, "E")
+    _check_images_thin(eeps_parts, r, d, index, "Eeps")
 
 
 def _check_orthogonal_sum(ctx: CubeContext, modules) -> None:
@@ -190,11 +214,10 @@ def _check_orthogonal_sum(ctx: CubeContext, modules) -> None:
 
 
 def decompose(ctx: CubeContext) -> Decomposition:
-    """Split C^(2^D) into irreducible T-modules and validate every invariant."""
-    L = lowering_operator(ctx)
-    R = raising_operator(ctx)
-    if L + R != ctx.A:
-        raise InvariantViolation("L + R differs from A")
+    """Split C^(2^D) into irreducible T-modules and validate every invariant.
+
+    Per module: one R gather per ladder step, one E and one Eeps call on
+    the stacked slice basis (giving u = E_r u* and ue = Eeps_r u* too)."""
     modules = []
     mults = {}
     for r in range(ctx.D // 2 + 1):
@@ -217,17 +240,21 @@ def decompose(ctx: CubeContext) -> Decomposition:
             seeds = [s.primitive() for s in seeds]
         d = ctx.D - 2 * r
         for index, u_star in enumerate(seeds):
-            basis = [u_star]
-            for _ in range(d):
-                basis.append(R.matvec(basis[-1]))
+            ladder = [ExactMatrix.stack([u_star])]
+            for _ in range(d + 1):
+                ladder.append(ctx.apply("R", ladder[-1]))
+            basis = tuple(step.row(0) for step in ladder[:-1])
+            block = ExactMatrix.stack(basis)
+            e_parts = ctx.project("E", block)
+            eeps_parts = ctx.project("Eeps", block)
             mod = IrreducibleModule(
                 r=r, d=d, index=index,
                 u_star=u_star,
-                u=ctx.E[r].matvec(u_star),
-                u_eps=ctx.Eeps[r].matvec(u_star),
-                slice_basis=tuple(basis),
+                u=e_parts[r].row(0),
+                u_eps=eeps_parts[r].row(0),
+                slice_basis=basis,
             )
-            _validate_module(ctx, mod, L)
+            _validate_module(ctx, mod, block, ladder[-1], e_parts, eeps_parts)
             modules.append(mod)
         mults[r] = len(seeds)
     _check_orthogonal_sum(ctx, modules)
@@ -313,16 +340,20 @@ def normalize_seeds(mod: IrreducibleModule, a, b, c) -> IrreducibleModule:
 
 def verify_module_p_cycle(ctx: CubeContext, mod: IrreducibleModule):
     """P maps E_i W -> Estar_i W -> Eeps_i W -> E_i W inside the window."""
+    window = range(mod.r, mod.r + mod.d + 1)
+    seed = ExactMatrix.stack([mod.u_star])
+    e_vecs, eps_vecs = ([part.row(0) for part in
+                         ctx.project(family, seed)[window.start:window.stop]]
+                        for family in ("E", "Eeps"))
+    star_vecs = list(mod.slice_basis)
+    # one P pass over every source, each compared with its target
+    shifted = ctx.apply("P", ExactMatrix.stack(e_vecs + star_vecs + eps_vecs))
+    ok = proportional_rows(shifted,
+                           ExactMatrix.stack(star_vecs + eps_vecs + e_vecs))
+    ok = ok.reshape(3, mod.d + 1)
     checks = []
-    for i in range(mod.r, mod.r + mod.d + 1):
-        e_vec = ctx.E[i].matvec(mod.u_star)
-        eps_vec = ctx.Eeps[i].matvec(mod.u_star)
-        star_vec = mod.slice_basis[i - mod.r]
-        checks.append(check_true(
-            f"P_E_to_Estar[{i}]", proportional(ctx.P.matvec(e_vec), star_vec)))
-        checks.append(check_true(
-            f"P_Estar_to_Eeps[{i}]",
-            proportional(ctx.P.matvec(star_vec), eps_vec)))
-        checks.append(check_true(
-            f"P_Eeps_to_E[{i}]", proportional(ctx.P.matvec(eps_vec), e_vec)))
+    for k, i in enumerate(window):
+        checks.append(check_true(f"P_E_to_Estar[{i}]", bool(ok[0, k])))
+        checks.append(check_true(f"P_Estar_to_Eeps[{i}]", bool(ok[1, k])))
+        checks.append(check_true(f"P_Eeps_to_E[{i}]", bool(ok[2, k])))
     return checks

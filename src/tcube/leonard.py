@@ -23,12 +23,18 @@ with u, u*, ue the seeds in E_r W, Estar_r W, Eeps_r W.  The module provides:
 
 Coefficient extraction never assumes orthogonality: each basis gets a pivot
 submatrix inverted once, and every solve is verified by exact reconstruction.
+
+The six bases come from one call per idempotent family on the stacked seeds
+(`CubeContext.project`), and every operator acts on a whole basis at once
+(`CubeContext.apply`); the coordinates of all images in a basis are one
+product with the inverse, certified by one product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -133,36 +139,45 @@ class BasisSolver:
 
     Elimination locates coordinate positions whose square submatrix is
     invertible; that inverse is computed once, and every solve is certified
-    by reconstructing the target exactly.
+    by reconstructing the targets exactly.  `stacked` holds the vectors as
+    the rows of a block.
     """
 
     def __init__(self, vectors: List[ExactVector]):
-        self.vectors = list(vectors)
-        stacked = ExactMatrix.stack(self.vectors)
+        self.stacked = ExactMatrix.stack(list(vectors))
         try:
-            self.positions, sub_inverse = pivot_inverse(stacked)
+            self.positions, sub_inverse = pivot_inverse(self.stacked)
         except SingularMatrixError:
             raise BasisError("vectors are linearly dependent") from None
         # target[positions] = sub^T @ coords, with sub = stacked[:, positions]
         self.inverse = sub_inverse.transpose()
-        self._columns = stacked.transpose()
 
     def coords(self, target: ExactVector) -> ExactVector:
-        coeffs = self.inverse.matvec(target.take(self.positions))
-        if self._columns.matvec(coeffs) != target:
+        """The coordinates of one target: the one-column coords_matrix."""
+        return self.coords_matrix(ExactMatrix.stack([target])).column(0)
+
+    def coords_matrix(self, targets: ExactMatrix) -> ExactMatrix:
+        """The matrix whose j-th column holds the coordinates of row j of
+        targets: inverse @ targets[:, positions]^T, certified by the one
+        product coords^T @ stacked == targets."""
+        coeffs = self.inverse @ targets.columns(self.positions).transpose()
+        if coeffs.transpose() @ self.stacked != targets:
             raise BasisError("target is outside the span of the basis")
         return coeffs
-
-    def coords_matrix(self, targets: List[ExactVector]) -> ExactMatrix:
-        """The matrix whose j-th column is coords(targets[j])."""
-        return ExactMatrix.stack([self.coords(t) for t in targets]).transpose()
 
 
 def representation_matrix(op: ExactMatrix, basis: List[ExactVector],
                           solver: Optional[BasisSolver] = None) -> ExactMatrix:
     """Matrix B with op @ v_j = sum_i B_ij v_i, extracted by exact solving."""
     solver = solver or BasisSolver(basis)
-    return solver.coords_matrix([op.matvec(v) for v in basis])
+    return solver.coords_matrix(solver.stacked @ op.transpose())
+
+
+def cube_representation(ctx: CubeContext, op: str,
+                        solver: BasisSolver) -> ExactMatrix:
+    """The matrix of the cube operator `op` (A, Astar or Aeps) in the
+    solver's basis, from one block application of the operator."""
+    return solver.coords_matrix(ctx.apply(op, solver.stacked))
 
 
 # -- the six bases ------------------------------------------------------------------
@@ -177,67 +192,82 @@ class SixBases:
         return self.vectors[label]
 
 
+# Rows of the seed block of build_six_bases: the module's seeds u, u*, ue,
+# then the chained seeds Pu, P^2 u, P^3 u.
+_SEED_ROWS = {"u": 0, "u*": 1, "ue": 2, "Pu": 3, "P2u": 4, "P3u": 5}
+
+# basis label -> (idempotent family, seed); vector i is family_(r+i) seed
+_BASIS_SPEC = {"AsA": ("Estar", "u"), "AeA": ("Eeps", "u"),
+               "AeAs": ("Eeps", "u*"), "AAs": ("E", "u*"),
+               "AAe": ("E", "ue"), "AsAe": ("Estar", "ue")}
+
+# With seeds chained by P (u* := Pu, ue := Pu*), each basis is the entrywise
+# P-image of its predecessor: P family_a(seed_a) = family_b(seed_b).
+_P_SHIFTS = (
+    ("AsA->AeAs", ("Estar", "u"), ("Eeps", "Pu")),
+    ("AeAs->AAe", ("Eeps", "Pu"), ("E", "P2u")),
+    ("AAe->AsA", ("E", "P2u"), ("Estar", "P3u")),
+    ("AeA->AAs", ("Eeps", "u"), ("E", "Pu")),
+    ("AAs->AsAe", ("E", "Pu"), ("Estar", "P2u")),
+    ("AsAe->AeA", ("Estar", "P2u"), ("Eeps", "P3u")),
+)
+
+
 def build_six_bases(ctx: CubeContext, mod: IrreducibleModule) -> SixBases:
     """Apply the idempotent families to the seeds; every vector must be
     nonzero, the seeds must decompose as the sums of their slices, and the
-    bases must be P-images of each other under the chained normalization."""
+    bases must be P-images of each other under the chained normalization.
+
+    One call per family on the block [u, u*, ue, Pu, P^2 u, P^3 u] gives
+    every vector of the six bases and of the P-shift checks."""
     r, d = mod.r, mod.d
-    fams = {"A": ctx.E, "As": ctx.Estar, "Ae": ctx.Eeps}
-    seeds = {"A": mod.u, "As": mod.u_star, "Ae": mod.u_eps}
-    spec = {"AsA": ("As", "A"), "AeA": ("Ae", "A"), "AeAs": ("Ae", "As"),
-            "AAs": ("A", "As"), "AAe": ("A", "Ae"), "AsAe": ("As", "Ae")}
+    chained = [ExactMatrix.stack([mod.u])]
+    for _ in range(3):
+        chained.append(ctx.apply("P", chained[-1]))
+    seeds = ExactMatrix.stack([mod.u, mod.u_star, mod.u_eps]
+                              + [c.row(0) for c in chained[1:]])
+    window = {family: ctx.project(family, seeds)[r:r + d + 1]
+              for family in ("E", "Estar", "Eeps")}
+
+    def vector(family, seed, i):
+        return window[family][i].row(_SEED_ROWS[seed])
+
     vectors = {}
-    for label, (fam, seed) in spec.items():
-        vs = tuple(fams[fam][r + i].matvec(seeds[seed]) for i in range(d + 1))
+    for label, (family, seed) in _BASIS_SPEC.items():
+        vs = tuple(vector(family, seed, i) for i in range(d + 1))
         for i, v in enumerate(vs):
             if v.is_zero():
                 raise BasisError(f"basis {label} vector {i} is zero "
                                  f"(module r={r} index={mod.index})")
         vectors[label] = vs
-    for label, seed in (("AsA", mod.u), ("AeA", mod.u),
-                        ("AeAs", mod.u_star), ("AAs", mod.u_star),
-                        ("AAe", mod.u_eps), ("AsAe", mod.u_eps)):
+    for label, (_, seed) in _BASIS_SPEC.items():
         total = vectors[label][0]
         for v in vectors[label][1:]:
             total = total + v
-        if total != seed:
+        if total != seeds.row(_SEED_ROWS[seed]):
             raise BasisError(f"basis {label} does not sum back to its seed")
-    _check_p_shift(ctx, mod)
+    _check_p_shift(ctx, mod, vector)
     return SixBases(module=mod, vectors=vectors)
 
 
-def _check_p_shift(ctx: CubeContext, mod: IrreducibleModule) -> None:
-    """With seeds chained by P (u* := Pu, ue := Pu*), each basis is the
-    entrywise P-image of its predecessor."""
-    r, d = mod.r, mod.d
-    u = mod.u
-    us = ctx.P.matvec(u)
-    ue = ctx.P.matvec(us)
-    u_back = ctx.P.matvec(ue)
-    for i in range(d + 1):
-        pairs = (
-            ("AsA->AeAs", ctx.P.matvec(ctx.Estar[r + i].matvec(u)),
-             ctx.Eeps[r + i].matvec(us)),
-            ("AeAs->AAe", ctx.P.matvec(ctx.Eeps[r + i].matvec(us)),
-             ctx.E[r + i].matvec(ue)),
-            ("AAe->AsA", ctx.P.matvec(ctx.E[r + i].matvec(ue)),
-             ctx.Estar[r + i].matvec(u_back)),
-            ("AeA->AAs", ctx.P.matvec(ctx.Eeps[r + i].matvec(u)),
-             ctx.E[r + i].matvec(us)),
-            ("AAs->AsAe", ctx.P.matvec(ctx.E[r + i].matvec(us)),
-             ctx.Estar[r + i].matvec(ue)),
-            ("AsAe->AeA", ctx.P.matvec(ctx.Estar[r + i].matvec(ue)),
-             ctx.Eeps[r + i].matvec(u_back)),
-        )
-        for name, lhs, rhs in pairs:
-            if lhs != rhs:
-                raise BasisError(f"P-shift {name} failed at slice {i} "
-                                 f"(module r={r} index={mod.index})")
+def _check_p_shift(ctx: CubeContext, mod: IrreducibleModule, vector) -> None:
+    """Each pair of _P_SHIFTS at each slice i, with one P pass over all the
+    left-hand sides; vector(family, seed, i) is family_(r+i) seed."""
+    rows = [(i, name, lhs, rhs) for i in range(mod.d + 1)
+            for name, lhs, rhs in _P_SHIFTS]
+    shifted = ctx.apply("P", ExactMatrix.stack([vector(*lhs, i)
+                                                for i, _, lhs, _ in rows]))
+    targets = ExactMatrix.stack([vector(*rhs, i) for i, _, _, rhs in rows])
+    for (i, name, _, _), ok in zip(rows, shifted.row_equal(targets)):
+        if not ok:
+            raise BasisError(f"P-shift {name} failed at slice {i} "
+                             f"(module r={mod.r} index={mod.index})")
 
 
 # -- representation matrices ----------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def diagonal_form(d: int) -> ExactMatrix:
     return ExactMatrix.diagonal([d - 2 * i for i in range(d + 1)])
 
@@ -250,16 +280,19 @@ def _tridiag(d: int, sub_sign: int, super_sign: int,
     return ExactMatrix.diagonal(sub, -1) + ExactMatrix.diagonal(sup, 1)
 
 
+@lru_cache(maxsize=None)
 def tridiagonal_form(d: int) -> ExactMatrix:
     """Real tridiagonal: subdiagonal 1..d, superdiagonal d..1, zero diagonal."""
     return _tridiag(d, +1, +1, imaginary=False)
 
 
+@lru_cache(maxsize=None)
 def itridiagonal_subneg_form(d: int) -> ExactMatrix:
     """i times the tridiagonal shape with negated subdiagonal."""
     return _tridiag(d, -1, +1, imaginary=True)
 
 
+@lru_cache(maxsize=None)
 def itridiagonal_superneg_form(d: int) -> ExactMatrix:
     """i times the tridiagonal shape with negated superdiagonal."""
     return _tridiag(d, +1, -1, imaginary=True)
@@ -300,14 +333,12 @@ class RepCell:
 def verify_rep_matrices(ctx: CubeContext, bases: SixBases) -> List[RepCell]:
     """The full 6 bases x 3 operators grid against the closed forms."""
     d = bases.module.d
-    ops = {"A": ctx.A, "Astar": ctx.Astar, "Aeps": ctx.Aeps}
     cells = []
     for label in BASIS_LABELS:
         solver = BasisSolver(list(bases[label]))
         for op_name in OPERATOR_LABELS:
             form = REP_FORMS[(op_name, label)]
-            got = representation_matrix(ops[op_name], list(bases[label]),
-                                        solver)
+            got = cube_representation(ctx, op_name, solver)
             cells.append(RepCell(basis=label, op=op_name, form=form,
                                  passed=got == _FORM_BUILDERS[form](d),
                                  matrix=got))
@@ -533,7 +564,8 @@ def transition_matrices(bases: SixBases, phi: PhiMatrix) -> TransitionReport:
     computed = {}
     for src in BASIS_LABELS:
         for dst in BASIS_LABELS:
-            computed[(src, dst)] = solvers[src].coords_matrix(bases[dst])
+            computed[(src, dst)] = solvers[src].coords_matrix(
+                solvers[dst].stacked)
     cells = {}
     for key, mat in computed.items():
         formula = transition_formula(key[0], key[1], mod, phi)
@@ -635,10 +667,9 @@ def is_leonard_triple(b0: ExactMatrix, b1: ExactMatrix,
 def module_triple(ctx: CubeContext, bases: SixBases):
     """The three operators restricted to the module, as matrices in the
     basis diagonalizing the dual adjacency operator."""
-    basis = list(bases["AsA"])
-    solver = BasisSolver(basis)
-    return tuple(representation_matrix(op, basis, solver)
-                 for op in (ctx.A, ctx.Astar, ctx.Aeps))
+    solver = BasisSolver(list(bases["AsA"]))
+    return tuple(cube_representation(ctx, op, solver)
+                 for op in OPERATOR_LABELS)
 
 
 # -- per-module report ------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 
 from .scalar import GaussRat, as_gauss
 
-_I64_LIMIT = 2 ** 62
+I64_LIMIT = 2 ** 62
 
 
 def _obj_zeros(shape):
@@ -78,11 +78,11 @@ def _i64_parts(x):
     return cached
 
 
-def _fits_i64(length: int, ma: int, mb: int) -> bool:
+def fits_i64(length: int, ma: int, mb: int) -> bool:
     """True when both operands convert to int64 and every complex dot of the
     given length over entries bounded by ma and mb stays below 2^62."""
-    return (ma < _I64_LIMIT and mb < _I64_LIMIT
-            and 2 * length * ma * mb < _I64_LIMIT)
+    return (ma < I64_LIMIT and mb < I64_LIMIT
+            and 2 * length * ma * mb < I64_LIMIT)
 
 
 def _product(a, b, dot):
@@ -94,7 +94,7 @@ def _product(a, b, dot):
     """
     ar, ai, br, bi = a._re, a._im, b._re, b._im
     inner = ar.shape[-1] if ar.ndim > 1 else ar.shape[0]
-    if _fits_i64(inner, a._max(), b._max()):
+    if fits_i64(inner, a._max(), b._max()):
         ar_, ai_, a_im = _i64_parts(a)
         br_, bi_, b_im = _i64_parts(b)
         cr = dot(ar_, br_)
@@ -356,6 +356,19 @@ class ExactMatrix:
         im = np.stack([v._im * (den // v._den) for v in vectors])
         return cls._raw(re, im, den)
 
+    @classmethod
+    def from_numerators(cls, re, im, den):
+        """The matrix (re + i im) / den from integer arrays, int64 or object,
+        in lowest terms.  The content of int64 arrays is taken with
+        np.gcd.reduce, so they are divided before they become Python ints."""
+        if re.dtype != np.int64:
+            return cls._raw(re, im, den)
+        g = math.gcd(den, int(np.gcd.reduce(re, axis=None)),
+                     int(np.gcd.reduce(im, axis=None)))
+        if g > 1:
+            re, im, den = re // g, im // g, den // g
+        return cls._raw(re, im, den, reduce=False)
+
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
@@ -381,6 +394,11 @@ class ExactMatrix:
         return ExactVector._raw(self._re[:, c].copy(), self._im[:, c].copy(),
                                 self._den)
 
+    def columns(self, positions) -> "ExactMatrix":
+        """The columns at the given positions, in that order."""
+        return ExactMatrix._raw(self._re[:, positions], self._im[:, positions],
+                                self._den)
+
     def to_rows(self):
         return [[self[r, c] for c in range(self.cols)] for r in range(self.rows)]
 
@@ -399,6 +417,14 @@ class ExactMatrix:
                 and np.array_equal(self._im, other._im))
 
     __hash__ = None
+
+    def row_equal(self, other: "ExactMatrix"):
+        """Boolean array: whether row k of self equals row k of other."""
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        return (np.equal(self._re * other._den, other._re * self._den)
+                & np.equal(self._im * other._den, other._im * self._den)
+                ).all(axis=1)
 
     # -- additive structure ---------------------------------------------------
 
@@ -542,7 +568,7 @@ def inner(u: ExactVector, v: ExactVector) -> GaussRat:
         raise ValueError("vector length mismatch")
     if u.length == 0:
         return GaussRat(0)
-    if _fits_i64(u.length, u._max(), v._max()):
+    if fits_i64(u.length, u._max(), v._max()):
         ur, ui, u_im = _i64_parts(u)
         vr, vi, v_im = _i64_parts(v)
         if ui is None:

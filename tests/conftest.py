@@ -137,6 +137,17 @@ def interpolation_idempotents(m, theta):
     return tuple(family)
 
 
+def dense_ladder(ctx):
+    """(L, R): the entries of A towards the slice below and above, masked
+    densely from A by the slice index.  The oracle for the block L and R."""
+    grid = ctx.A.to_rows()
+    zero = GaussRat(0)
+    dist = [int(k) for k in ctx.dist]
+    return tuple(ExactMatrix([[grid[y][z] if dist[z] == dist[y] + step else zero
+                               for z in range(ctx.n)] for y in range(ctx.n)])
+                 for step in (+1, -1))
+
+
 def hamming_weight(v: int) -> int:
     return bin(v).count("1")
 

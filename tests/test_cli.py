@@ -282,6 +282,94 @@ def test_build_idempotent_golden_digest(capsys, op, D):
         assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
+# sha256 of the reports of the other commands, recorded while every module
+# vector was still a dense matvec; [D - 1].
+GOLDEN_COMMAND_SHA256 = {
+    ("decompose", "pretty"): (
+        "4dc4cf6ba88f799860d6a9abcb2af2a46f2973252234663866b088f409cd6aad",
+        "2456248565b433320ebcdaf5b6aba17a783d982a3ac545ae1a97f7e17a43011e",
+        "d8f953cbafa19c2f1b4aa0d1313452a8f48b89a5c391ab01396972f2f9ded4a6",
+        "4230a776cd6cff48f3c23e87f8033c997d41aad7530f5d5e5b8146b878d6bb27",
+        "d7fc79928d902d71dbb01fe25026d9c6dc3d1b79700098af7d4ab73308b74732",
+    ),
+    ("decompose", "csv"): (
+        "cdaf1365dee68c03645931b25f1927db0d76f55edf589a2bd78675743adffda2",
+        "f79226970a5575ab6912c5d63d4e3f35353c94a5f8dc83dd1c46943d071b3256",
+        "92015a17b218d30faca5c2884f8011e02a67ceea820fca9706048768ae9168a7",
+        "18d7421ca4f39b5e85ea59b6dba69c3806d1bb315a25f74c956c060ff3f1fb29",
+        "79e967f2160f6ff9843fad86ab906bf7fac2494319595aeab72dc0754b19f05a",
+    ),
+    ("decompose", "json"): (
+        "6a9f4933748aa79129d28eb9ff8407bf56992b71a204939074fc1de549d9e00f",
+        "8b688bfab2310702778078efa56092ffaeb05aa0745672b363c5b6413f947d96",
+        "67186a0b657ae3fe2e22e89f2dca902171b559a656ec239b54a742834b482fe2",
+        "78cfdf6aede7cf6167db0e80599a7a9f3125be324eda2609900e131b7826cb57",
+        "48ec278cf880fc4040cc26ae20efddaab83eab6fa73f45ca4c2d2f3405a8b569",
+    ),
+    ("leonard-check", "pretty"): (
+        "bc936e762d7ed54b6d770a85030065eb32410f95420ad34a2875663c5dd70891",
+        "f9b15b6d25e264f16ea83ab1dce7b09ec03721611b758f8729709e276cb63be3",
+        "39fdb659ebc6fda09e197e09fe8e6254854a67998661eb34d21a0147c762dee3",
+        "6d45f93b2a2359471e16d6433be5b1a8ae3bed24dc33a13d8a6100f01479fe49",
+        "fac09f66f9320e96c481d993576eea5918d27977aa5a15066879af3ecc21edfb",
+    ),
+    ("leonard-check", "csv"): (
+        "7b0252b1efde80f7d2244f189e5a2f383fe6048a3f651dce6175a29225bd7237",
+        "66d451713fb8c8b7ba6bc61ab14bbc619fc193ec4511116e09cf97c31977e4d6",
+        "3fd782473d97398e93e820da62b82830643cbe8ccba4fd7e85de9317ed90c3bc",
+        "2a3d31adff8d6ba4cbef5f7a2e3c40ad579a8a07699f449978d703302d842ed7",
+        "83c24b3420af2c61aa6fbf9e773bece37db070661c49459eebe486f50b8d0b1a",
+    ),
+    ("leonard-check", "json"): (
+        "597b6f8e2189528c53366958e2d5fe32c2573ecb871fa4b8d1914927191d521d",
+        "2d18254d66e6e00d1248fccaeef6d7854eef16ad90d627e72a2ac9fa0d22e475",
+        "51676d393cd8ac257f84dd8b8246d6bbe76ce7908124280491849815714539e8",
+        "f4b2d62f106b82f1a27dd33729b326a19b824cf6fe5a3de3009613f25ec9e7d3",
+        "afbdb87e3e50c2595d521a83d6362e2b6a7b969e35e929e65cc371e74255f8a8",
+    ),
+    ("module-report", "json"): (
+        "1215aaa6152ebc2fea6a7d9bbfa10f75a908302a9741000d018ba0662fd131ef",
+        "cb86ce736b43afda2b7f419fb729216d035591e9f6fd43893f36134048e2a8d7",
+        "a097a49573877e5140f89984c3640a1948a1434e183da6b42a1309f94a14c1b0",
+        "7e8f3c15ee15117cecb7542d50221b7af60e7a7b82341eb6bb45fc38fa363ad3",
+        "ea5406ce8135e14e4d859fee0066d9189a582780e00ff9d767f5c366fab21a53",
+    ),
+}
+
+
+@pytest.mark.parametrize("D", range(1, 6))
+@pytest.mark.parametrize("command,fmt", sorted(GOLDEN_COMMAND_SHA256))
+def test_command_report_golden_digest(capsys, command, fmt, D):
+    code, out = run(capsys, command, "--d", str(D), "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == GOLDEN_COMMAND_SHA256[(command, fmt)][D - 1]
+
+
+# sha256 of the lines "<file name> <sha256 of the file>", one per seed file
+# of `decompose --emit-seeds` in name order, recorded with the digests
+# above; [D - 1].
+GOLDEN_SEEDS_SHA256 = (
+    "6e72af37d735aba97e638a3549f6eaa840630658949e0c4251213c1045bfbe12",
+    "373c477075025c3250a0dba9b89d88b16266c0ce3d7bc758cf26aefbc2020b06",
+    "63467c6c445d3a9c2ee43aabd243ea543487be243b922c4a240af27ebcba85fa",
+    "c354f2c21b5e72931586a8a2b1eb2292493fcfea6e3e6a0476ca139042224247",
+    "e34fca3c5e0062d48e76e8e3d1e3ffa9450d6311cdbc4eb5756b07a109724ca8",
+)
+
+
+@pytest.mark.parametrize("D", range(1, 6))
+def test_emitted_seed_files_golden_digest(tmp_path, capsys, D):
+    code, _ = run(capsys, "decompose", "--d", str(D), "--emit-seeds",
+                  "--output-dir", str(tmp_path))
+    assert code == 0
+    listing = "".join(
+        f"{name} {hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()}\n"
+        for name in sorted(os.listdir(tmp_path)))
+    assert hashlib.sha256(listing.encode()).hexdigest() == \
+        GOLDEN_SEEDS_SHA256[D - 1]
+
+
 # The row of the idempotent certificate when A has a flipped sign at D = 3.
 CERTIFICATE_ROW = "ConstructionError: idempotent closed form: A E_0 != 3 E_0"
 

@@ -3,13 +3,13 @@ invariant validation, seed normalization."""
 
 import pytest
 
-from conftest import get_ctx, get_decomposition, naive_rank
+from conftest import dense_ladder, get_ctx, get_decomposition, naive_rank
 from tcube.decomposition import (FieldExtensionRequired, InfeasibleTargets,
-                                 decompose, lowering_operator, multiplicity,
-                                 normalize_seeds, proportional,
-                                 raising_operator, verify_module_p_cycle,
-                                 verify_seed_norms)
-from tcube.linalg import ExactVector, inner
+                                 InvariantViolation, _check_images_thin,
+                                 decompose, multiplicity, normalize_seeds,
+                                 proportional, proportional_rows,
+                                 verify_module_p_cycle, verify_seed_norms)
+from tcube.linalg import ExactMatrix, ExactVector, inner
 from tcube.report import all_passed
 from tcube.scalar import GaussRat
 
@@ -21,20 +21,28 @@ def _restricted_lowering(ctx, r):
     return [[ctx.A[y, z] for z in cols] for y in rows]
 
 
+def _block_matrix(ctx, op):
+    """The dense matrix of a block operator: its images of the unit vectors
+    are the rows of op^T."""
+    return ctx.apply(op, ExactMatrix.identity(ctx.n)).transpose()
+
+
 def test_lowering_plus_raising_is_adjacency():
     ctx = get_ctx(4)
-    assert lowering_operator(ctx) + raising_operator(ctx) == ctx.A
+    assert _block_matrix(ctx, "L") + _block_matrix(ctx, "R") == ctx.A
+    assert (_block_matrix(ctx, "L"), _block_matrix(ctx, "R")) == \
+        dense_ladder(ctx)
 
 
 def test_lowering_kills_bottom_slice():
     ctx = get_ctx(3)
-    bottom = ExactVector.basis_vector(8, 0)
-    assert lowering_operator(ctx).matvec(bottom).is_zero()
+    bottom = ExactMatrix.stack([ExactVector.basis_vector(8, 0)])
+    assert ctx.apply("L", bottom).is_zero()
 
 
 def test_adjoint_of_lowering_is_raising():
     ctx = get_ctx(4)
-    assert lowering_operator(ctx).adjoint() == raising_operator(ctx)
+    assert _block_matrix(ctx, "L").adjoint() == _block_matrix(ctx, "R")
 
 
 def test_kernel_dimension_oracle_d3():
@@ -197,6 +205,36 @@ def test_proportional_helper():
     assert proportional(v.scale(GaussRat(0, 3)), v)
     assert not proportional(ExactVector([1, 0]), ExactVector([0, 1]))
     assert proportional(ExactVector.zeros(2), ExactVector.zeros(2))
+    assert not proportional(ExactVector([1, 0]), ExactVector.zeros(2))
+    assert proportional(ExactVector.zeros(2), ExactVector([0, 1]))
+
+
+def test_proportional_rows_against_one_row_and_row_by_row():
+    x = ExactMatrix([[2, GaussRat(0, 4)], [0, 0], [1, 1]])
+    ref = ExactMatrix([[GaussRat(0, 1), -2]])
+    assert proportional_rows(x, ref).tolist() == [True, True, False]
+    y = ExactMatrix([[1, GaussRat(0, 2)], [0, 0], [0, 0]])
+    assert proportional_rows(x, y).tolist() == [True, True, False]
+    big = ExactMatrix([[2 ** 70, GaussRat(0, 2 ** 71)], [2 ** 70, 1]])
+    assert proportional_rows(big, ExactMatrix(
+        [[1, GaussRat(0, 2)]])).tolist() == [True, False]
+    # 2^61 * 8 wraps to 0 in int64, so this pair must not take int64
+    assert not proportional_rows(ExactMatrix([[2 ** 61, 0]]),
+                                 ExactMatrix([[8, 8]]))[0]
+
+
+def test_thinness_check_on_blocks():
+    # parts[i] holds family_i of a two-vector basis; window r..r+d = 1..1
+    zero = ExactMatrix.zeros(2, 3)
+    line = ExactMatrix([[1, 2, 0], [0, 0, 0]])
+    _check_images_thin((zero, line, zero), 1, 0, 0, "E")
+    with pytest.raises(InvariantViolation, match=r"dim\(E_1 W\) > 1"):
+        _check_images_thin((zero, ExactMatrix([[1, 2, 0], [1, 0, 0]]), zero),
+                           1, 0, 0, "E")
+    with pytest.raises(InvariantViolation, match="E_1 W vanished inside"):
+        _check_images_thin((zero, zero, zero), 1, 0, 0, "E")
+    with pytest.raises(InvariantViolation, match="Eeps_2 W nonzero outside"):
+        _check_images_thin((zero, line, line), 1, 0, 0, "Eeps")
 
 
 def test_decomposition_report_shape():

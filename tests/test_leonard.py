@@ -7,8 +7,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import get_bundles, get_ctx, get_phi, series_2f1
+from tcube.cube import build_context
+from tcube.decomposition import decompose
 from tcube.leonard import (BASIS_LABELS, OPERATOR_LABELS, BasisError,
-                           BasisSolver, diagonal_form, hypergeometric_2f1,
+                           BasisSolver, build_six_bases, diagonal_form,
+                           hypergeometric_2f1,
                            is_leonard_triple, itridiagonal_subneg_form,
                            itridiagonal_superneg_form, module_report,
                            module_triple, representation_matrix,
@@ -174,6 +177,41 @@ def test_basis_solver_coords_and_span_certificate():
         solver.coords(ExactVector([0, 1, 0]))
     with pytest.raises(BasisError):
         BasisSolver([ExactVector([1, 2]), ExactVector([2, 4])])
+
+
+def test_basis_solver_coords_matrix_is_one_certified_product():
+    solver = BasisSolver([ExactVector([1, 0, 0]),
+                          ExactVector([0, GaussRat(0, 1), Fraction(1, 2)])])
+    inside = [ExactVector([2, GaussRat(0, 3), Fraction(3, 2)]),
+              ExactVector([0, 2, GaussRat(0, -1)])]
+    got = solver.coords_matrix(ExactMatrix.stack(inside))
+    assert got == ExactMatrix.stack([solver.coords(t) for t in inside]) \
+        .transpose()
+    assert got.column(1) == ExactVector([0, GaussRat(0, -2)])
+    with pytest.raises(BasisError, match="outside the span"):
+        solver.coords_matrix(ExactMatrix.stack(
+            inside + [ExactVector([0, 1, 0])]))
+
+
+def test_p_shift_failure_names_pair_and_slice(monkeypatch):
+    # negate one row of the P pass over the left-hand sides: row 6 * i + k
+    # is pair k of the P-shift table at slice i
+    ctx = build_context(3)
+    mod = decompose(ctx).modules[0]
+    apply = ctx.apply
+
+    def one_row_negated(op, block):
+        out = apply(op, block)
+        if op != "P" or block.rows == 1:
+            return out
+        rows = [out.row(k) for k in range(out.rows)]
+        rows[6 * 1 + 1] = -rows[6 * 1 + 1]
+        return ExactMatrix.stack(rows)
+
+    monkeypatch.setattr(ctx, "apply", one_row_negated)
+    with pytest.raises(BasisError, match=r"^P-shift AeAs->AAe failed at "
+                                         r"slice 1 \(module r=0 index=0\)$"):
+        build_six_bases(ctx, mod)
 
 
 def test_basis_solver_rejects_vector_of_another_module_d3():

@@ -1,0 +1,180 @@
+"""Block operators of the module layer against the dense matrices.
+
+Every structured operator (`CubeContext.apply`) and every projection
+(`CubeContext.project`) must equal, row for row, the stack of dense matvecs
+with the context's own matrices, on both sides of each int64 bound.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import dense_ladder, get_ctx
+from tcube.cube import ConstructionError
+from tcube.linalg import I64_LIMIT, ExactMatrix, ExactVector
+from tcube.scalar import GaussRat
+
+OPERATORS = ("A", "Astar", "Aeps", "L", "R", "P")
+FAMILIES = ("E", "Estar", "Eeps")
+
+
+def _dense(ctx, op):
+    if op in ("L", "R"):
+        return dense_ladder(ctx)[op == "R"]
+    return getattr(ctx, op)
+
+
+def _dense_rows(matrix, block):
+    return ExactMatrix.stack([matrix.matvec(block.row(k))
+                              for k in range(block.rows)])
+
+
+def _random_block(rng, rows, n, big):
+    """Gaussian rationals with small denominators; with `big`, numerators
+    reach past 2^62 so every kernel takes its object fallback."""
+    top = 2 ** 70 if big else 9
+
+    def entry():
+        return GaussRat(Fraction(rng.randint(-top, top), rng.randint(1, 6)),
+                        Fraction(rng.randint(-top, top), rng.randint(1, 6)))
+    return ExactMatrix([[entry() for _ in range(n)] for _ in range(rows)])
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
+@pytest.mark.parametrize("D", range(1, 8))
+def test_block_operators_equal_dense_matvecs(D, big):
+    ctx = get_ctx(D)
+    block = _random_block(random.Random(D), 3, ctx.n, big)
+    assert (block._max() >= I64_LIMIT) == big
+    for op in OPERATORS:
+        assert ctx.apply(op, block) == _dense_rows(_dense(ctx, op), block), op
+    for family in FAMILIES:
+        parts = ctx.project(family, block)
+        assert len(parts) == D + 1
+        for i, part in enumerate(parts):
+            assert part == _dense_rows(getattr(ctx, family)[i], block), \
+                (family, i)
+
+
+# -- the int64 bounds ------------------------------------------------------------
+#
+# Each kernel takes int64 when its bound holds for the block's largest
+# numerator m:
+#   gathers        2 * k * v * m < 2^62 for k entries per row of largest
+#                  numerator v: k = D, v = 1 for A, Aeps, L and R, and
+#                  k = 1, v = D for Astar
+#   P              m * 2^D < 2^62
+#   E and Eeps     m * 4^D * (2D + 2) < 2^62 (with A's numerators 1)
+
+
+def _threshold_bits(op, D):
+    """log2 of the largest m for which the kernel of op takes int64."""
+    n = 2 ** D
+    factor = {"P": n, "E": n * n * (2 * D + 2), "Eeps": n * n * (2 * D + 2),
+              "Estar": 1}.get(op, 2 * D)
+    return 62 - math.log2(factor)
+
+
+@st.composite
+def straddling_blocks(draw):
+    """(D, op, block): entries up to 2^e with e on either side of the op's
+    int64 threshold, the first entry at +-2^e."""
+    D = draw(st.integers(1, 4))
+    op = draw(st.sampled_from(OPERATORS + FAMILIES))
+    center = int(_threshold_bits(op, D))
+    e = draw(st.integers(center - 2, center + 2))
+    bound = 2 ** e
+    part = st.one_of(st.sampled_from([bound, -bound, 0]),
+                     st.integers(-bound, bound))
+    n, rows = 2 ** D, draw(st.integers(1, 3))
+    entries = [(draw(part), draw(part)) for _ in range(rows * n)]
+    entries[0] = (draw(st.sampled_from([bound, -bound])), draw(part))
+    return D, op, ExactMatrix([[GaussRat(*entries[r * n + c])
+                                for c in range(n)] for r in range(rows)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(straddling_blocks())
+def test_block_kernels_across_int64_bounds_equal_dense(case):
+    D, op, block = case
+    ctx = get_ctx(D)
+    if op in FAMILIES:
+        for i, part in enumerate(ctx.project(op, block)):
+            assert part == _dense_rows(getattr(ctx, op)[i], block)
+    else:
+        assert ctx.apply(op, block) == _dense_rows(_dense(ctx, op), block)
+
+
+@pytest.mark.parametrize("D", [1, 3, 5])
+@pytest.mark.parametrize("op", OPERATORS + FAMILIES)
+def test_aligned_extremes_at_int64_bounds(op, D):
+    # every entry has the largest magnitude and the same sign, which makes
+    # the sums of the Walsh-Hadamard, butterfly and gather kernels as large
+    # as their bounds allow: just inside and just outside each bound, and
+    # at 2^61 - 1, where a sum of four aligned terms passes 2^63
+    ctx = get_ctx(D)
+    bits = math.floor(_threshold_bits(op, D))
+    for m in (2 ** bits - 1, 2 ** (bits + 1), 2 ** 61 - 1):
+        block = ExactMatrix([[GaussRat(m, m)] * ctx.n, [m] * ctx.n])
+        if op in FAMILIES:
+            for i, part in enumerate(ctx.project(op, block)):
+                assert part == _dense_rows(getattr(ctx, op)[i], block)
+        else:
+            assert ctx.apply(op, block) == _dense_rows(_dense(ctx, op), block)
+
+
+# -- the checks behind the structured operators -------------------------------------
+
+
+def _base_vertex_block(ctx):
+    return ExactMatrix.stack([ExactVector.basis_vector(ctx.n, 0)])
+
+
+@pytest.mark.parametrize("family", ["E", "Eeps"])
+def test_block_certificate_rejects_flipped_adjacency(family):
+    flipped = get_ctx(3).with_flipped_sign("A", 0, 1)
+    with pytest.raises(ConstructionError, match=r"A E_0 != 3 E_0"):
+        flipped.project(family, _base_vertex_block(flipped))
+
+
+def test_block_certificate_not_tied_to_imaginary_adjacency():
+    # Eeps is certified through E against A, never against Aeps
+    flipped = get_ctx(3).with_flipped_sign("Aeps", 0, 1)
+    block = _base_vertex_block(flipped)
+    assert flipped.project("Eeps", block) == get_ctx(3).project("Eeps", block)
+    every = ExactMatrix.identity(8)
+    assert flipped.apply("Aeps", every) != get_ctx(3).apply("Aeps", every)
+
+
+def test_flipped_sign_resets_block_operators():
+    ctx = get_ctx(3)
+    block = _base_vertex_block(ctx)
+    ctx.apply("Astar", block)
+    flipped = ctx.with_flipped_sign("Astar", 0, 0)
+    assert flipped.apply("Astar", block) == ctx.apply("Astar", block).scale(-1)
+
+
+@pytest.mark.parametrize("op", ["A", "Aeps", "Astar"])
+def test_support_off_the_gather_pattern_is_rejected(op):
+    ctx = get_ctx(2).with_flipped_sign(op, 0, 0 if op == "Astar" else 1)
+    grid = getattr(ctx, op).to_rows()
+    grid[0][3] = GaussRat(1)  # vertices 0 and 3 are two steps apart
+    setattr(ctx, op, ExactMatrix(grid))
+    with pytest.raises(ConstructionError, match=f"^{op}: support leaves"):
+        ctx.apply(op, _base_vertex_block(ctx))
+
+
+def test_block_shape_and_names_are_checked():
+    ctx = get_ctx(2)
+    with pytest.raises(ValueError):
+        ctx.apply("A", ExactMatrix.identity(3))
+    with pytest.raises(ValueError):
+        ctx.project("E", ExactMatrix.identity(3))
+    with pytest.raises(ValueError):
+        ctx.apply("Estar", ExactMatrix.identity(4))
+    with pytest.raises(ValueError):
+        ctx.project("A", ExactMatrix.identity(4))
