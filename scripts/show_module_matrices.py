@@ -10,7 +10,7 @@ import sys
 
 from tcube.cube import build_context
 from tcube.decomposition import decompose
-from tcube.leonard import (BASIS_LABELS, OPERATOR_LABELS, BasisSolver,
+from tcube.leonard import (BASIS_LABELS, OPERATOR_LABELS, ModuleSolvers,
                            build_six_bases, cube_representation)
 
 
@@ -53,10 +53,10 @@ def main():
         return 2
     bases = build_six_bases(ctx, mod)
     print(f"module r={mod.r} d={mod.d} index={mod.index} of Q_{args.D}")
+    solvers = ModuleSolvers(bases)
     for label in BASIS_LABELS:
-        solver = BasisSolver(list(bases[label]))
         for op_name in OPERATOR_LABELS:
-            rep = cube_representation(ctx, op_name, solver)
+            rep = cube_representation(ctx, op_name, solvers[label])
             print(f"\n{op_name} in basis {label}:")
             print(fmt(rep))
     return 0

@@ -95,17 +95,19 @@ def _module_bundles(ctx: CubeContext, modules):
 def _module_suite_rows(ctx, bundle, suite) -> List[Row]:
     m, bases, phi = bundle
     tag = f"r{m.r}m{m.index}"
+    # built on first use and dropped with this module's rows
+    solvers = leonard.ModuleSolvers(bases)
     rows: List[Row] = []
     try:
         if suite in ("rep-matrices", "all"):
-            for cell in leonard.verify_rep_matrices(ctx, bases):
+            for cell in leonard.verify_rep_matrices(ctx, bases, solvers):
                 rows.append((f"{tag}:rep[{cell.basis}][{cell.op}]",
                              None, None, cell.passed, None))
         if suite in ("inner-products", "all"):
             for g in leonard.verify_inner_products(bases, phi):
                 rows.append((f"{tag}:{g.check_id}", g.i, g.j, g.passed, None))
         if suite in ("transitions", "all"):
-            report = leonard.transition_matrices(bases, phi)
+            report = leonard.transition_matrices(bases, phi, solvers)
             for (src, dst), cell in sorted(report.cells.items()):
                 rows.append((f"{tag}:transition[{src}|{dst}]",
                              None, None, cell.passed, None))
@@ -117,7 +119,7 @@ def _module_suite_rows(ctx, bundle, suite) -> List[Row]:
                 rows.append((f"{tag}:{c.identity}", None, None, c.passed,
                              None))
             verdict = leonard.is_leonard_triple(
-                *leonard.module_triple(ctx, bases))
+                *leonard.module_triple(ctx, bases, solvers))
             rows.append((f"{tag}:leonard_triple", None, None,
                          verdict.verdict == "true", None))
     except VERIFY_ERRORS as exc:

@@ -17,8 +17,8 @@ with u, u*, ue the seeds in E_r W, Estar_r W, Eeps_r W.  The module provides:
   * the full grid of inner products between bases, checked against the
     closed-form values built from the seeds' mutual inner products;
   * the 36 transition matrices, computed by exact change of basis and
-    compared cell by cell to the closed-form tables, including inverse and
-    composition coherence;
+    compared to the closed-form tables, including inverse and composition
+    coherence;
   * a generic Leonard-triple recognizer working over Q(i).
 
 Coefficient extraction never assumes orthogonality: each basis gets a pivot
@@ -28,22 +28,36 @@ The six bases come from one call per idempotent family on the stacked seeds
 (`CubeContext.project`), and every operator acts on a whole basis at once
 (`CubeContext.apply`); the coordinates of all images in a basis are one
 product with the inverse, certified by one product.
+
+Each module's checks are whole-matrix operations.  The closed forms are
+tables of Gaussian-integer numerators, built once per Phi matrix (one per
+inner-product kind and one per transition pattern) and scaled per module by
+one seed scalar; the nine seed inner products are computed once per module.
+The inner products are the blocks of one Gram matrix of the six stacked
+bases, each compared with its scaled table entry by entry.  A module's six
+`BasisSolver`s (`ModuleSolvers`) are shared by its rep-matrix, transition
+and Leonard checks and dropped with it; the 36 transitions are one
+coordinate product per source basis on all six bases at once, and the
+inverse and composition rows are the blocks of one product per middle basis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from .cube import CubeContext
 from .decomposition import IrreducibleModule
 from .linalg import (ExactMatrix, ExactVector, SingularMatrixError, inner,
                      kernel_basis, pivot_inverse)
 from .report import IdentityCheck, check_true
-from .scalar import GaussRat, I as IUNIT
+from .scalar import GaussRat
 
 BASIS_LABELS = ("AsA", "AeA", "AeAs", "AAs", "AAe", "AsAe")
 OPERATOR_LABELS = ("A", "Astar", "Aeps")
@@ -84,10 +98,19 @@ class PhiMatrix:
     def phi(self, i: int, j: int) -> Fraction:
         return math.comb(self.d, j) * self.hyper[i][j]
 
-    def matrix(self) -> ExactMatrix:
+    def numerators(self) -> Tuple[np.ndarray, int]:
+        """Phi as an object array of integers over one positive
+        denominator (1 unless an entry has been replaced)."""
         n = self.d + 1
-        return ExactMatrix([[GaussRat(self.phi(i, j)) for j in range(n)]
-                            for i in range(n)])
+        grid = [[self.phi(i, j) for j in range(n)] for i in range(n)]
+        den = math.lcm(*(x.denominator for row in grid for x in row))
+        num = np.array([[x.numerator * (den // x.denominator) for x in row]
+                        for row in grid], dtype=object).reshape(n, n)
+        return num, den
+
+    def matrix(self) -> ExactMatrix:
+        num, den = self.numerators()
+        return ExactMatrix.from_numerators(num, np.zeros_like(num), den)
 
     def with_flipped_entry(self, i: int, j: int) -> "PhiMatrix":
         """Sign-flip one hypergeometric value (testing hook; the flipped
@@ -191,6 +214,48 @@ class SixBases:
     def __getitem__(self, label: str) -> Tuple[ExactVector, ...]:
         return self.vectors[label]
 
+    def stacked(self) -> ExactMatrix:
+        """All six bases as the rows of one block, in BASIS_LABELS order;
+        `rows(label)` is the slice of one basis."""
+        return ExactMatrix.stack([v for label in BASIS_LABELS
+                                  for v in self.vectors[label]])
+
+    def rows(self, label: str) -> slice:
+        n = self.module.d + 1
+        k = BASIS_LABELS.index(label)
+        return slice(k * n, (k + 1) * n)
+
+    @cached_property
+    def seed_scalars(self) -> Dict[str, GaussRat]:
+        """The nine inner products of the seeds, once per module; the
+        inner-product, proportionality and transition checks share them."""
+        mod = self.module
+        u, us, ue = mod.u, mod.u_star, mod.u_eps
+        return {
+            "u|u": inner(u, u), "u*|u*": inner(us, us), "ue|ue": inner(ue, ue),
+            "u|u*": inner(u, us), "u*|u": inner(us, u),
+            "u|ue": inner(u, ue), "ue|u": inner(ue, u),
+            "u*|ue": inner(us, ue), "ue|u*": inner(ue, us),
+        }
+
+
+class ModuleSolvers:
+    """The BasisSolver of each of one module's six bases, built on first
+    use and shared by the module's rep-matrix, transition and Leonard
+    checks.  It lives as long as the caller keeps it: one module's rows,
+    so a run never holds the solvers of every module at once."""
+
+    def __init__(self, bases: SixBases):
+        self.bases = bases
+        self._built: Dict[str, BasisSolver] = {}
+
+    def __getitem__(self, label: str) -> BasisSolver:
+        solver = self._built.get(label)
+        if solver is None:
+            solver = BasisSolver(list(self.bases[label]))
+            self._built[label] = solver
+        return solver
+
 
 # Rows of the seed block of build_six_bases: the module's seeds u, u*, ue,
 # then the chained seeds Pu, P^2 u, P^3 u.
@@ -274,10 +339,12 @@ def diagonal_form(d: int) -> ExactMatrix:
 
 def _tridiag(d: int, sub_sign: int, super_sign: int,
              imaginary: bool) -> ExactMatrix:
-    unit = IUNIT if imaginary else GaussRat(1)
-    sub = [unit * (sub_sign * i) for i in range(1, d + 1)]
-    sup = [unit * (super_sign * (d - i)) for i in range(d)]
-    return ExactMatrix.diagonal(sub, -1) + ExactMatrix.diagonal(sup, 1)
+    sub = np.array([sub_sign * i for i in range(1, d + 1)], dtype=object)
+    sup = np.array([super_sign * (d - i) for i in range(d)], dtype=object)
+    band = np.diag(sub, -1) + np.diag(sup, 1)
+    zero = np.zeros_like(band)
+    re, im = (zero, band) if imaginary else (band, zero)
+    return ExactMatrix.from_numerators(re, im, 1)
 
 
 @lru_cache(maxsize=None)
@@ -330,12 +397,15 @@ class RepCell:
     matrix: ExactMatrix
 
 
-def verify_rep_matrices(ctx: CubeContext, bases: SixBases) -> List[RepCell]:
+def verify_rep_matrices(ctx: CubeContext, bases: SixBases,
+                        solvers: Optional[ModuleSolvers] = None
+                        ) -> List[RepCell]:
     """The full 6 bases x 3 operators grid against the closed forms."""
     d = bases.module.d
+    solvers = ModuleSolvers(bases) if solvers is None else solvers
     cells = []
     for label in BASIS_LABELS:
-        solver = BasisSolver(list(bases[label]))
+        solver = solvers[label]
         for op_name in OPERATOR_LABELS:
             form = REP_FORMS[(op_name, label)]
             got = cube_representation(ctx, op_name, solver)
@@ -343,6 +413,86 @@ def verify_rep_matrices(ctx: CubeContext, bases: SixBases) -> List[RepCell]:
                                  passed=got == _FORM_BUILDERS[form](d),
                                  matrix=got))
     return cells
+
+
+# -- closed-form tables ----------------------------------------------------------------
+
+# i ** k for k mod 4, as real and imaginary parts
+_IPOW_RE = np.array([1, 0, -1, 0], dtype=object)
+_IPOW_IM = np.array([0, 1, 0, -1], dtype=object)
+
+
+def _unit_power(sign: int, d: int) -> Tuple[int, int]:
+    """(1 + sign i) ** d as (real part, imaginary part)."""
+    re, im = 1, 0
+    for _ in range(d):
+        re, im = re - sign * im, im + sign * re
+    return re, im
+
+
+def _gauss_table(weights, power, unit: Tuple[int, int],
+                 den: int) -> ExactMatrix:
+    """The matrix weights * i ** power * unit / den from integer arrays
+    (weights, power) and a Gaussian integer unit."""
+    k = np.mod(power, 4)
+    pr, pi = _IPOW_RE[k], _IPOW_IM[k]
+    ur, ui = unit
+    return ExactMatrix.from_numerators(weights * (pr * ur - pi * ui),
+                                       weights * (pr * ui + pi * ur), den)
+
+
+@lru_cache(maxsize=None)
+def _ipow_diagonal(d: int, sign: int) -> ExactMatrix:
+    """diag(i ** (sign k)) for k = 0..d."""
+    k = np.arange(d + 1)
+    return _gauss_table(np.diag(np.ones(d + 1, dtype=object)),
+                        sign * k[:, None], (1, 0), 1)
+
+
+@lru_cache(maxsize=None)
+def inner_tables(phi: PhiMatrix) -> Mapping[str, ExactMatrix]:
+    """Each formula kind of INNER_FORMULAS at every (i, j), before the seed
+    scalar: with b_i = C(d,i) and f = 2F1(-i,-j;-d;2),
+
+        delta         [i = j] b_i / 2^d
+        delta_ipow    [i = j] b_i i^i (1+i)^-d
+        f             b_i b_j f / 2^d
+        f_ipow_j      b_i b_j f i^j / 2^d
+        f_ipow_i      b_i b_j f i^i / 2^d
+        f_ipow_negij  b_i b_j f i^(-i-j) (2-2i)^-d
+
+    using (1+i)^-d = (1-i)^d / 2^d and (2-2i)^-d = (1+i)^d / 4^d."""
+    d = phi.d
+    i, j = np.indices((d + 1, d + 1))
+    binom = np.array([math.comb(d, k) for k in range(d + 1)], dtype=object)
+    num, q = phi.numerators()
+    pair = binom[:, None] * num
+    delta = np.diag(binom)
+    one = (1, 0)
+    return MappingProxyType({
+        "delta": _gauss_table(delta, 0, one, 2 ** d),
+        "delta_ipow": _gauss_table(delta, i, _unit_power(-1, d), 2 ** d),
+        "f": _gauss_table(pair, 0, one, 2 ** d * q),
+        "f_ipow_j": _gauss_table(pair, j, one, 2 ** d * q),
+        "f_ipow_i": _gauss_table(pair, i, one, 2 ** d * q),
+        "f_ipow_negij": _gauss_table(pair, -i - j, _unit_power(+1, d),
+                                     4 ** d * q),
+    })
+
+
+@lru_cache(maxsize=None)
+def transition_tables(phi: PhiMatrix) -> Mapping[str, ExactMatrix]:
+    """Each pattern of TRANSITION_TABLE before its prefactor: i^power(i,j)
+    Phi_ij for the power patterns, diag(i^k) for D1 and diag(i^-k) for
+    D2."""
+    d = phi.d
+    i, j = np.indices((d + 1, d + 1))
+    num, q = phi.numerators()
+    tables = {name: _gauss_table(num, power(i, j), (1, 0), q)
+              for name, power in _POWER_PATTERNS.items()}
+    tables["D1"] = _ipow_diagonal(d, +1)
+    tables["D2"] = _ipow_diagonal(d, -1)
+    return MappingProxyType(tables)
 
 
 # -- inner products ------------------------------------------------------------------
@@ -354,16 +504,6 @@ class GridCheck:
     i: int
     j: int
     passed: bool
-
-
-def _seed_scalars(mod: IrreducibleModule) -> Dict[str, GaussRat]:
-    u, us, ue = mod.u, mod.u_star, mod.u_eps
-    return {
-        "u|u": inner(u, u), "u*|u*": inner(us, us), "ue|ue": inner(ue, ue),
-        "u|u*": inner(u, us), "u*|u": inner(us, u),
-        "u|ue": inner(u, ue), "ue|u": inner(ue, u),
-        "u*|ue": inner(us, ue), "ue|u*": inner(ue, us),
-    }
 
 
 # (first basis, second basis) -> (formula kind, seed scalar key); the value of
@@ -393,65 +533,44 @@ INNER_FORMULAS = {
 }
 
 
-def expected_inner(kind: str, i: int, j: int, d: int, scalar: GaussRat,
-                   phi: PhiMatrix) -> GaussRat:
-    binom = math.comb(d, i)
-    if kind == "delta":
-        if i != j:
-            return GaussRat(0)
-        return scalar * Fraction(binom, 2 ** d)
-    if kind == "delta_ipow":
-        if i != j:
-            return GaussRat(0)
-        return scalar * (IUNIT ** i) * binom * (GaussRat(1, 1) ** (-d))
-    pair = binom * math.comb(d, j) * phi.f(i, j)
-    if kind == "f":
-        return scalar * Fraction(pair, 2 ** d)
-    if kind == "f_ipow_j":
-        return scalar * Fraction(pair, 2 ** d) * IUNIT ** j
-    if kind == "f_ipow_i":
-        return scalar * Fraction(pair, 2 ** d) * IUNIT ** i
-    if kind == "f_ipow_negij":
-        return scalar * pair * (IUNIT ** (-i - j)) * (GaussRat(2, -2) ** (-d))
-    raise ValueError(f"unknown formula kind {kind}")
-
-
 def verify_inner_products(bases: SixBases, phi: PhiMatrix) -> List[GridCheck]:
-    """Every pairing of the closed-form inner-product theorems, all (i, j)."""
-    mod = bases.module
-    d = mod.d
-    scal = _seed_scalars(mod)
+    """Every pairing of the closed-form inner-product theorems, all (i, j):
+    each block of the Gram matrix of the six stacked bases against its
+    table scaled by the seed scalar."""
+    n = bases.module.d + 1
+    stacked = bases.stacked()
+    gram = stacked @ stacked.adjoint()
+    scal = bases.seed_scalars
+    tables = inner_tables(phi)
     checks = []
     for (x, y), (kind, key) in INNER_FORMULAS.items():
-        scalar = scal[key]
-        for i in range(d + 1):
-            for j in range(d + 1):
-                got = inner(bases[x][i], bases[y][j])
-                want = expected_inner(kind, i, j, d, scalar, phi)
-                checks.append(GridCheck(f"inner[{x}|{y}]", i, j, got == want))
-    checks.extend(_verify_slice_proportionality(bases))
+        ok = gram.block(bases.rows(x), bases.rows(y)).entries_equal(
+            tables[kind].scale(scal[key]))
+        checks.extend(GridCheck(f"inner[{x}|{y}]", i, j, bool(ok[i, j]))
+                      for i in range(n) for j in range(n))
+    checks.extend(_verify_slice_proportionality(bases, stacked))
     return checks
 
 
-def _verify_slice_proportionality(bases: SixBases) -> List[GridCheck]:
+def _verify_slice_proportionality(bases: SixBases,
+                                  stacked: ExactMatrix) -> List[GridCheck]:
     """The slicewise proportionality between bases sharing an idempotent
     family: each AAe (resp. AsA, AeAs) vector is an explicit multiple of the
-    matching AAs (resp. AsAe, AeA) vector."""
-    mod = bases.module
-    d = mod.d
-    scal = _seed_scalars(mod)
+    matching AAs (resp. AsAe, AeA) vector, i^i (1-i)^d times a ratio of seed
+    scalars.  `stacked` is bases.stacked()."""
+    d = bases.module.d
+    scal = bases.seed_scalars
     omi_d = GaussRat(1, -1) ** d
-    triples = (
-        ("AAe", "AAs", scal["ue|u*"] / scal["u*|u*"]),
-        ("AsA", "AsAe", scal["u|ue"] / scal["ue|ue"]),
-        ("AeAs", "AeA", scal["u*|u"] / scal["u|u"]),
-    )
+    every = slice(None)
     checks = []
-    for x, y, factor in triples:
-        for i in range(d + 1):
-            coeff = (IUNIT ** i) * omi_d * factor
-            ok = bases[x][i] == bases[y][i].scale(coeff)
-            checks.append(GridCheck(f"proportional[{x}|{y}]", i, i, ok))
+    for x, y, key, norm in (("AAe", "AAs", "ue|u*", "u*|u*"),
+                            ("AsA", "AsAe", "u|ue", "ue|ue"),
+                            ("AeAs", "AeA", "u*|u", "u|u")):
+        coeffs = _ipow_diagonal(d, +1).scale(omi_d * scal[key] / scal[norm])
+        ok = stacked.block(bases.rows(x), every).row_equal(
+            coeffs @ stacked.block(bases.rows(y), every))
+        checks.extend(GridCheck(f"proportional[{x}|{y}]", i, i, bool(v))
+                      for i, v in enumerate(ok))
     return checks
 
 
@@ -501,33 +620,39 @@ _POWER_PATTERNS = {
 }
 
 
-def transition_formula(src: str, dst: str, mod: IrreducibleModule,
-                       phi: PhiMatrix) -> ExactMatrix:
-    """Closed-form transition matrix from basis src to basis dst."""
-    d = mod.d
-    if src == dst:
-        return ExactMatrix.identity(d + 1)
-    pattern, prefactor = TRANSITION_TABLE[(src, dst)]
-    scal = _seed_scalars(mod)
+def _prefactor(spec, d: int, scal: Dict[str, GaussRat]) -> GaussRat:
     opi, omi = GaussRat(1, 1), GaussRat(1, -1)
-    if prefactor[0] == "unit":
-        scale = opi ** (-d) if prefactor[1] == "opi_inv" else omi ** (-d)
-    else:
-        key, norm, extra = prefactor
-        scale = scal[key] / scal[norm]
-        if extra == "omi":
-            scale = scale * omi ** d
-        elif extra == "opi":
-            scale = scale * opi ** d
-    if pattern == "D1":
-        return ExactMatrix.diagonal([scale * IUNIT ** k
-                                     for k in range(d + 1)])
-    if pattern == "D2":
-        return ExactMatrix.diagonal([scale * IUNIT ** (-k)
-                                     for k in range(d + 1)])
-    power = _POWER_PATTERNS[pattern]
-    return ExactMatrix([[scale * (IUNIT ** power(i, j)) * phi.phi(i, j)
-                         for j in range(d + 1)] for i in range(d + 1)])
+    if spec[0] == "unit":
+        return opi ** (-d) if spec[1] == "opi_inv" else omi ** (-d)
+    key, norm, extra = spec
+    scale = scal[key] / scal[norm]
+    if extra == "omi":
+        scale = scale * omi ** d
+    elif extra == "opi":
+        scale = scale * opi ** d
+    return scale
+
+
+def transition_formulas(scal: Dict[str, GaussRat], phi: PhiMatrix
+                        ) -> Dict[Tuple[str, str], ExactMatrix]:
+    """The closed-form transition matrix of every (src, dst): the identity
+    when src == dst, else the pattern table of TRANSITION_TABLE scaled by
+    its prefactor, which `scal` (the seed scalars) determines."""
+    d = phi.d
+    tables = transition_tables(phi)
+    ident = ExactMatrix.identity(d + 1)
+    scales = {}
+    formulas = {}
+    for src in BASIS_LABELS:
+        for dst in BASIS_LABELS:
+            if src == dst:
+                formulas[(src, dst)] = ident
+                continue
+            pattern, spec = TRANSITION_TABLE[(src, dst)]
+            if spec not in scales:
+                scales[spec] = _prefactor(spec, d, scal)
+            formulas[(src, dst)] = tables[pattern].scale(scales[spec])
+    return formulas
 
 
 @dataclass(frozen=True)
@@ -555,35 +680,48 @@ class TransitionReport:
         return out
 
 
-def transition_matrices(bases: SixBases, phi: PhiMatrix) -> TransitionReport:
+def transition_matrices(bases: SixBases, phi: PhiMatrix,
+                        solvers: Optional[ModuleSolvers] = None
+                        ) -> TransitionReport:
     """All 36 transitions: direct change-of-basis vs closed form, then
-    inverse and composition coherence on the computed matrices."""
+    inverse and composition coherence on the computed matrices.
+
+    The coordinates of all six bases in one source basis are one
+    coords_matrix call, so the transitions are the blocks of a
+    6(d+1) x 6(d+1) matrix T (row block src, column block dst); for each
+    middle basis b, block (a, c) of T[:, b] @ T[b, :] is T(a,b) T(b,c)."""
     mod = bases.module
-    solvers = {label: BasisSolver(list(bases[label]))
-               for label in BASIS_LABELS}
-    computed = {}
+    solvers = ModuleSolvers(bases) if solvers is None else solvers
+    # every solver first: a dependent basis is reported before a target
+    # outside a span
+    by_src = [solvers[label] for label in BASIS_LABELS]
+    stacked = bases.stacked()
+    computed = ExactMatrix.stack([s.coords_matrix(stacked) for s in by_src])
+    formulas = transition_formulas(bases.seed_scalars, phi)
+    rows = {label: bases.rows(label) for label in BASIS_LABELS}
+    cells = {}
     for src in BASIS_LABELS:
         for dst in BASIS_LABELS:
-            computed[(src, dst)] = solvers[src].coords_matrix(
-                solvers[dst].stacked)
-    cells = {}
-    for key, mat in computed.items():
-        formula = transition_formula(key[0], key[1], mod, phi)
-        cells[key] = TransitionCell(src=key[0], dst=key[1],
-                                    passed=mat == formula,
-                                    computed=mat, formula=formula)
+            mat = computed.block(rows[src], rows[dst])
+            formula = formulas[(src, dst)]
+            cells[(src, dst)] = TransitionCell(src=src, dst=dst,
+                                               passed=mat == formula,
+                                               computed=mat, formula=formula)
+    every = slice(None)
+    through = {b: computed.block(every, rows[b])
+               @ computed.block(rows[b], every) for b in BASIS_LABELS}
+    agrees = {b: through[b].entries_equal(computed) for b in BASIS_LABELS}
     ident = ExactMatrix.identity(mod.d + 1)
     coherence = []
     for a in BASIS_LABELS:
         for b in BASIS_LABELS:
             if a < b:
-                ok = computed[(a, b)] @ computed[(b, a)] == ident
+                ok = through[b].block(rows[a], rows[a]) == ident
                 coherence.append(check_true(f"transition_inverse[{a}|{b}]", ok))
     for a in BASIS_LABELS:
         for b in BASIS_LABELS:
             for c in BASIS_LABELS:
-                ok = (computed[(a, b)] @ computed[(b, c)]
-                      == computed[(a, c)])
+                ok = agrees[b][rows[a], rows[c]].all()
                 coherence.append(
                     check_true(f"transition_composition[{a}|{b}|{c}]", ok))
     return TransitionReport(module=mod, cells=cells,
@@ -594,12 +732,12 @@ def transition_matrices(bases: SixBases, phi: PhiMatrix) -> TransitionReport:
 
 
 def _is_irreducible_tridiagonal(m: ExactMatrix) -> bool:
-    n = m.rows
-    for r in range(n):
-        for c in range(n):
-            if abs(r - c) > 1 and m[r, c]:
-                return False
-    return all(m[k + 1, k] and m[k, k + 1] for k in range(n - 1))
+    nonzero = m.nonzero()
+    off_band = np.abs(np.subtract.outer(np.arange(m.rows),
+                                        np.arange(m.cols))) > 1
+    return bool(not (nonzero & off_band).any()
+                and np.diagonal(nonzero, -1).all()
+                and np.diagonal(nonzero, 1).all())
 
 
 @dataclass(frozen=True)
@@ -664,11 +802,12 @@ def is_leonard_triple(b0: ExactMatrix, b1: ExactMatrix,
         rep_matrices=reps)
 
 
-def module_triple(ctx: CubeContext, bases: SixBases):
+def module_triple(ctx: CubeContext, bases: SixBases,
+                  solvers: Optional[ModuleSolvers] = None):
     """The three operators restricted to the module, as matrices in the
     basis diagonalizing the dual adjacency operator."""
-    solver = BasisSolver(list(bases["AsA"]))
-    return tuple(cube_representation(ctx, op, solver)
+    solvers = ModuleSolvers(bases) if solvers is None else solvers
+    return tuple(cube_representation(ctx, op, solvers["AsA"])
                  for op in OPERATOR_LABELS)
 
 
@@ -679,7 +818,8 @@ def module_report(ctx: CubeContext, bases: SixBases,
                   phi: Optional[PhiMatrix] = None) -> dict:
     mod = bases.module
     phi = phi or phi_matrix(mod.d)
-    rep_cells = verify_rep_matrices(ctx, bases)
+    solvers = ModuleSolvers(bases)
+    rep_cells = verify_rep_matrices(ctx, bases, solvers)
     rep_json: Dict[str, dict] = {}
     for cell in rep_cells:
         rep_json.setdefault(cell.basis, {})[cell.op] = {
@@ -688,8 +828,8 @@ def module_report(ctx: CubeContext, bases: SixBases,
     inner_json: Dict[str, bool] = {}
     for c in inner_checks:
         inner_json[c.check_id] = inner_json.get(c.check_id, True) and c.passed
-    trans = transition_matrices(bases, phi)
-    verdict = is_leonard_triple(*module_triple(ctx, bases))
+    trans = transition_matrices(bases, phi, solvers)
+    verdict = is_leonard_triple(*module_triple(ctx, bases, solvers))
     return {
         "D": ctx.D,
         "r": mod.r,

@@ -9,7 +9,10 @@ magnitude bound allows; otherwise they fall back to object-dtype numpy ops,
 which are still exact.
 
 Matrices are built from numerator arrays, never from grids of scalars: a
-diagonal from its values, a stack of vectors on their common denominator.
+diagonal from its values, a stack of vectors or matrices on their common
+denominator.  Entrywise equality (`entries_equal`) compares numerators
+across the two denominators, so blocks on different denominators compare
+without being brought to lowest terms.
 
 Elimination is fraction-free: rows are combined over the Gaussian integers
 and divided by their integer content after each step, which bounds
@@ -348,12 +351,13 @@ class ExactMatrix:
         return cls._raw(np.diag(re, offset), np.diag(im, offset), den)
 
     @classmethod
-    def stack(cls, vectors):
-        """The matrix whose rows are the given vectors, on their common
-        denominator; ValueError for no vectors or unequal lengths."""
-        den = math.lcm(*(v._den for v in vectors))
-        re = np.stack([v._re * (den // v._den) for v in vectors])
-        im = np.stack([v._im * (den // v._den) for v in vectors])
+    def stack(cls, items):
+        """The matrix whose rows are the given vectors, or the rows of the
+        given matrices in turn, on their common denominator; ValueError for
+        no items or unequal lengths."""
+        den = math.lcm(*(x._den for x in items))
+        re = np.vstack([x._re * (den // x._den) for x in items])
+        im = np.vstack([x._im * (den // x._den) for x in items])
         return cls._raw(re, im, den)
 
     @classmethod
@@ -399,6 +403,11 @@ class ExactMatrix:
         return ExactMatrix._raw(self._re[:, positions], self._im[:, positions],
                                 self._den)
 
+    def block(self, rows: slice, cols: slice) -> "ExactMatrix":
+        """The submatrix on the given row and column slices."""
+        return ExactMatrix._raw(self._re[rows, cols], self._im[rows, cols],
+                                self._den)
+
     def to_rows(self):
         return [[self[r, c] for c in range(self.cols)] for r in range(self.rows)]
 
@@ -418,13 +427,17 @@ class ExactMatrix:
 
     __hash__ = None
 
-    def row_equal(self, other: "ExactMatrix"):
-        """Boolean array: whether row k of self equals row k of other."""
+    def entries_equal(self, other: "ExactMatrix"):
+        """Boolean array: whether entry (r, c) of self equals that of other,
+        compared across the two denominators."""
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
         return (np.equal(self._re * other._den, other._re * self._den)
-                & np.equal(self._im * other._den, other._im * self._den)
-                ).all(axis=1)
+                & np.equal(self._im * other._den, other._im * self._den))
+
+    def row_equal(self, other: "ExactMatrix"):
+        """Boolean array: whether row k of self equals row k of other."""
+        return self.entries_equal(other).all(axis=1)
 
     # -- additive structure ---------------------------------------------------
 

@@ -10,15 +10,16 @@ expected values are confirmed through an independent route.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from tcube.cube import build_context
 from tcube.decomposition import decompose
-from tcube.leonard import build_six_bases, phi_matrix
+from tcube.leonard import TRANSITION_TABLE, build_six_bases, phi_matrix
 from tcube.linalg import ExactMatrix
-from tcube.scalar import GaussRat
+from tcube.scalar import GaussRat, I as IUNIT
 
 _CTX = {}
 _DEC = {}
@@ -135,6 +136,74 @@ def interpolation_idempotents(m, theta):
                 scale /= t_i - t_j
         family.append(prod.scale(scale))
     return tuple(family)
+
+
+def oracle_inner(kind: str, i: int, j: int, d: int, scalar: GaussRat,
+                 phi) -> GaussRat:
+    """The closed form of one inner-product formula kind at (i, j), times
+    the seed scalar, in GaussRat arithmetic one cell at a time.  The
+    independent oracle for the library's inner-product tables."""
+    binom = math.comb(d, i)
+    if kind == "delta":
+        if i != j:
+            return GaussRat(0)
+        return scalar * Fraction(binom, 2 ** d)
+    if kind == "delta_ipow":
+        if i != j:
+            return GaussRat(0)
+        return scalar * (IUNIT ** i) * binom * (GaussRat(1, 1) ** (-d))
+    pair = binom * math.comb(d, j) * phi.f(i, j)
+    if kind == "f":
+        return scalar * Fraction(pair, 2 ** d)
+    if kind == "f_ipow_j":
+        return scalar * Fraction(pair, 2 ** d) * IUNIT ** j
+    if kind == "f_ipow_i":
+        return scalar * Fraction(pair, 2 ** d) * IUNIT ** i
+    if kind == "f_ipow_negij":
+        return scalar * pair * (IUNIT ** (-i - j)) * (GaussRat(2, -2) ** (-d))
+    raise ValueError(f"unknown formula kind {kind}")
+
+
+ORACLE_POWERS = {
+    "zero": lambda i, j: 0, "i": lambda i, j: i, "j": lambda i, j: j,
+    "neg_i": lambda i, j: -i, "neg_j": lambda i, j: -j,
+    "sum": lambda i, j: i + j, "neg_sum": lambda i, j: -i - j,
+}
+
+
+def oracle_pattern(pattern: str, scale: GaussRat, phi) -> ExactMatrix:
+    """One transition pattern times scale, cell by cell: scale i^power(i,j)
+    Phi_ij, or the diagonal scale i^k (D1) or scale i^-k (D2)."""
+    n = phi.d + 1
+    if pattern in ("D1", "D2"):
+        sign = 1 if pattern == "D1" else -1
+        return ExactMatrix([[scale * IUNIT ** (sign * i) if i == j
+                             else GaussRat(0) for j in range(n)]
+                            for i in range(n)])
+    power = ORACLE_POWERS[pattern]
+    return ExactMatrix([[scale * (IUNIT ** power(i, j)) * phi.phi(i, j)
+                         for j in range(n)] for i in range(n)])
+
+
+def oracle_transition(src: str, dst: str, scal, phi) -> ExactMatrix:
+    """The closed-form transition matrix from basis src to basis dst for
+    the seed scalars `scal`, with its prefactor in GaussRat arithmetic.  The
+    independent oracle for the library's transition formulas."""
+    d = phi.d
+    if src == dst:
+        return ExactMatrix.identity(d + 1)
+    pattern, prefactor = TRANSITION_TABLE[(src, dst)]
+    opi, omi = GaussRat(1, 1), GaussRat(1, -1)
+    if prefactor[0] == "unit":
+        scale = opi ** (-d) if prefactor[1] == "opi_inv" else omi ** (-d)
+    else:
+        key, norm, extra = prefactor
+        scale = scal[key] / scal[norm]
+        if extra == "omi":
+            scale = scale * omi ** d
+        elif extra == "opi":
+            scale = scale * opi ** d
+    return oracle_pattern(pattern, scale, phi)
 
 
 def dense_ladder(ctx):

@@ -234,6 +234,65 @@ def test_verify_report_golden_digest(capsys, suite, D):
     assert digest == GOLDEN_VERIFY_SHA256[suite][D - 1]
 
 
+# sha256 of the csv and json reports of `tcube verify --d D --suite S
+# --format F` for the module suites, recorded while the inner-product and
+# transition closed forms were still evaluated one cell at a time; [D - 1].
+GOLDEN_VERIFY_FORMAT_SHA256 = {
+    ("all", "csv"): (
+        "e3ea74622f31b8ab5e12cc3dfdf67334d0ba318597ce9cf13ec27c9333aa94e6",
+        "473774fa877ddeb7cd5ab0fc6cd8a1b91c797753cf13c95736e762198c489b47",
+        "9bc687588861611e2efab14abff83a57b83356d53caca720148e876c9bf71c01",
+        "9915e96f7a7e8475583d7708ef6bfb8ef79bcdda3741a40ced7a432aaa58bda4",
+        "65d7bc0e652deba747317974665f2e5632b201b3126651940116d95aacefc0f5",
+    ),
+    ("all", "json"): (
+        "8aca3d11c588f6e9762f4ca95b5ba4a603b7ec70dfdd4b3a771acb590cfb0702",
+        "ece5b3c0869b21e7677b937fad2bb2eb0d692b785dab486a4bf60ea3fcdb7388",
+        "34503eb191006ef1ebb64461e37ead6709c61ab8babd16e933d29e9923b1072f",
+        "494809369315e347b6cb736e505023804b265b0a3620a18bc2e98688632af71d",
+        "7db3fcd1975a8f1ce301348abeebe9e09b9f55934be54fa13789321e739e802f",
+    ),
+    ("inner-products", "csv"): (
+        "076ddc251135b229d0a7c49566898fe7ba11397237ed048889908a851f94e342",
+        "6a513b4ead79ee06d558815cdccbfc951eeb7c821f28e9ed3d2042c5e9baaca9",
+        "926109ea55b021e152593ee800fceec9adbbff860a9771793697d6dc978f704f",
+        "6bcc2e03da9b36345ef5f675e841081ce8d96a7c1fee48f92d6ed7f37f785f3d",
+        "f1a552e3db885fd7c590c0b6c93b9d8f9d34d483ce47869d5172a7fe5292b499",
+    ),
+    ("inner-products", "json"): (
+        "f40730db4662a14439d2a7ae7f837b3d37db94706a2f96984ece0c7eca6b56a7",
+        "7d1ceb5fe1b65e83930964fd64a9439c69a3f275fdbbe3e59e1dfe447c0a6154",
+        "73676dc42625eed2c877421700bd38bd43f779656c8115f0bb2d7a3086fbea3b",
+        "069b07512bfebdfea09a14b97e17cc8956997974c769f2492b7c61e2e4b94aa5",
+        "f3efaf06fcabc472a24188e00145baf17c427d0b2965ad09d3cafabf73d126f1",
+    ),
+    ("transitions", "csv"): (
+        "e8421bd50b7767c06ced20312239b002a6785179f64cf04f61cf7f0dbd8cb393",
+        "60ae5f2f22c66977393cadc9634bb5c6937aa8688e97cee814f27a0bd0baa744",
+        "b0cc1e96b7c6d6a518dbb27ad498f57e44299e1929a31c8e6f8f74e4500c12cf",
+        "2a045bfeb353a7266cf7945d7414ccf63750774149ff81bc726c88e6961d5f0a",
+        "51c0a0158cf0d5d173741e8c789bc24bf3084c4e589b2fd678938d37303d0584",
+    ),
+    ("transitions", "json"): (
+        "9e6500d4ed5720c8922913b27754aab60a4f94095eac59bfb785673cf45f75ab",
+        "2e11391e95ea363e620a3a9159743d9c1550ea4c543a081cd8cb8c3a01b495d8",
+        "91ddc61b9faa8605bbeeb7182c491aaf87b8fec3de21d8a8b17f620f35d2b6fd",
+        "ee276dfb2e8a3778e56b9bfdccbdd37edff6575d31105b31f3edfb2bd3907130",
+        "efc5a20152be89d8c0bb317340cf1ac6feb75da35cbd43852ca56589db2eec7a",
+    ),
+}
+
+
+@pytest.mark.parametrize("D", range(1, 6))
+@pytest.mark.parametrize("suite,fmt", sorted(GOLDEN_VERIFY_FORMAT_SHA256))
+def test_verify_formats_golden_digest(capsys, suite, fmt, D):
+    code, out = run(capsys, "verify", "--d", str(D), "--suite", suite,
+                    "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == GOLDEN_VERIFY_FORMAT_SHA256[(suite, fmt)][D - 1]
+
+
 # sha256 of `tcube build --d D --op OP --index i`, recorded while E was
 # still built by interpolation and Eeps as Pinv E P; [D - 1][i].
 GOLDEN_BUILD_SHA256 = {

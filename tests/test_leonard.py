@@ -2,20 +2,26 @@
 transition matrices, Leonard-triple recognizer."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import get_bundles, get_ctx, get_phi, series_2f1
+from conftest import (get_bundles, get_ctx, get_phi, oracle_inner,
+                      oracle_pattern, oracle_transition, series_2f1)
 from tcube.cube import build_context
 from tcube.decomposition import decompose
-from tcube.leonard import (BASIS_LABELS, OPERATOR_LABELS, BasisError,
-                           BasisSolver, build_six_bases, diagonal_form,
-                           hypergeometric_2f1,
+from tcube.leonard import (BASIS_LABELS, INNER_FORMULAS, OPERATOR_LABELS,
+                           TRANSITION_TABLE, BasisError, BasisSolver,
+                           ModuleSolvers, PhiMatrix,
+                           _is_irreducible_tridiagonal,
+                           build_six_bases, diagonal_form,
+                           hypergeometric_2f1, inner_tables,
                            is_leonard_triple, itridiagonal_subneg_form,
                            itridiagonal_superneg_form, module_report,
                            module_triple, representation_matrix,
-                           transition_matrices, tridiagonal_form, verify_phi,
+                           transition_formulas, transition_matrices,
+                           transition_tables, tridiagonal_form, verify_phi,
                            verify_inner_products, verify_rep_matrices)
 from tcube.linalg import ExactMatrix, ExactVector, inner
 from tcube.scalar import GaussRat
@@ -307,6 +313,138 @@ def test_transition_example_diagonal_cell():
     assert cell.formula == expect and cell.computed == expect
 
 
+# -- closed-form tables against the cell-by-cell oracles ------------------------------
+
+SEED_KEYS = ("u|u", "u*|u*", "ue|ue", "u|u*", "u*|u", "u|ue", "ue|u",
+             "u*|ue", "ue|u*")
+
+
+def random_gauss(rng, nonzero=False):
+    while True:
+        g = GaussRat(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                     Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        if g or not nonzero:
+            return g
+
+
+def phis_to_check(d):
+    """Phi at d, Phi with a sign-flipped entry (the tables are keyed on the
+    Phi matrix itself, not on d) and Phi with a non-integer entry (its
+    numerators then sit over a denominator)."""
+    phi = get_phi(d)
+    grid = [list(row) for row in phi.hyper]
+    grid[d][d // 2] = Fraction(1, 3)
+    return [phi, phi.with_flipped_entry(d // 2, d),
+            PhiMatrix(d, tuple(tuple(row) for row in grid))]
+
+
+@pytest.mark.parametrize("d", range(0, 9))
+def test_inner_tables_match_cell_oracle(d):
+    rng = random.Random(d)
+    for phi in phis_to_check(d):
+        tables = inner_tables(phi)
+        assert set(tables) == {kind for kind, _ in INNER_FORMULAS.values()}
+        for kind, table in sorted(tables.items()):
+            for scalar in (GaussRat(1), random_gauss(rng), random_gauss(rng)):
+                want = ExactMatrix([[oracle_inner(kind, i, j, d, scalar, phi)
+                                     for j in range(d + 1)]
+                                    for i in range(d + 1)])
+                assert table.scale(scalar) == want, (kind, scalar)
+
+
+@pytest.mark.parametrize("d", range(0, 9))
+def test_transition_tables_match_cell_oracle(d):
+    rng = random.Random(100 + d)
+    for phi in phis_to_check(d):
+        tables = transition_tables(phi)
+        assert set(tables) == {p for p, _ in TRANSITION_TABLE.values()}
+        for pattern, table in sorted(tables.items()):
+            scale = random_gauss(rng)
+            assert table.scale(scale) == oracle_pattern(pattern, scale, phi)
+        scal = {key: random_gauss(rng, nonzero=True) for key in SEED_KEYS}
+        formulas = transition_formulas(scal, phi)
+        assert set(formulas) == {(a, b) for a in BASIS_LABELS
+                                 for b in BASIS_LABELS}
+        for (src, dst), formula in formulas.items():
+            assert formula == oracle_transition(src, dst, scal, phi)
+
+
+def test_phi_matrix_from_integer_arrays():
+    for d in range(0, 7):
+        for phi in phis_to_check(d):
+            assert phi.matrix() == ExactMatrix([[phi.phi(i, j)
+                                                 for j in range(d + 1)]
+                                                for i in range(d + 1)])
+
+
+def test_module_solvers_built_once_on_first_use():
+    (m, bases, phi), = [b for b in get_bundles(2) if b[0].d == 2]
+    solvers = ModuleSolvers(bases)
+    first = solvers["AeA"]
+    assert solvers["AeA"] is first
+    assert first.stacked == ExactMatrix.stack(list(bases["AeA"]))
+    verify_rep_matrices(get_ctx(2), bases, solvers)
+    transition_matrices(bases, phi, solvers)
+    assert solvers["AeA"] is first
+
+
+def test_one_wrong_transition_fails_its_cell_and_exactly_its_coherence(
+        monkeypatch):
+    # Double the coordinates of basis t in basis s after they are certified:
+    # T(s, t) alone becomes 2 T(s, t).  Then T(a,b) T(b,c) == T(a,c) fails
+    # exactly when the factor 2 appears on one side only.
+    (m, bases, phi) = next(b for b in get_bundles(3) if b[0].d == 3)
+    s, t = "AeA", "AAs"
+    solvers = ModuleSolvers(bases)
+    honest = solvers[s].coords_matrix
+    block = bases.rows(t)
+    double_t = ExactMatrix.diagonal([2 if block.start <= k < block.stop else 1
+                                     for k in range(6 * (m.d + 1))])
+    monkeypatch.setattr(solvers[s], "coords_matrix",
+                        lambda targets: honest(targets) @ double_t)
+    report = transition_matrices(bases, phi, solvers)
+    labels = BASIS_LABELS
+    composition = ([(s, t, c) for c in labels if c != t]
+                   + [(a, s, t) for a in labels if a != s]
+                   + [(s, b, t) for b in labels if b not in (s, t)])
+    assert sorted(report.failures()) == sorted(
+        [f"{s}->{t}", f"transition_inverse[{min(s, t)}|{max(s, t)}]"]
+        + [f"transition_composition[{a}|{b}|{c}]" for a, b, c in composition])
+
+
+# What a sign flip of the hypergeometric value at (1, 2) fails on the d = 3
+# module of Q_3, recorded while the closed forms were evaluated one cell at a
+# time: the twelve inner-product pairings with a Phi factor, at (1, 2) only,
+# and the 24 transitions with a Phi pattern (neither the identity nor a
+# D1/D2 diagonal).  The computed matrices, and so coherence, are unaffected.
+FLIPPED_PHI_INNER_PAIRS = (
+    "AAe|AsA", "AAs|AeAs", "AAs|AsA", "AAs|AsAe",
+    "AeAs|AAe", "AeA|AAe", "AeA|AAs", "AeA|AsA",
+    "AsAe|AAe", "AsAe|AeA", "AsAe|AeAs", "AsA|AeAs",
+)
+FLIPPED_PHI_TRANSITIONS = (
+    "AAe->AeA", "AAe->AeAs", "AAe->AsA", "AAe->AsAe",
+    "AAs->AeA", "AAs->AeAs", "AAs->AsA", "AAs->AsAe",
+    "AeA->AAe", "AeA->AAs", "AeA->AsA", "AeA->AsAe",
+    "AeAs->AAe", "AeAs->AAs", "AeAs->AsA", "AeAs->AsAe",
+    "AsA->AAe", "AsA->AAs", "AsA->AeA", "AsA->AeAs",
+    "AsAe->AAe", "AsAe->AAs", "AsAe->AeA", "AsAe->AeAs",
+)
+
+
+def test_flipped_phi_entry_fails_the_same_cells():
+    (m, bases, phi) = next(b for b in get_bundles(3) if b[0].d == 3)
+    flipped = phi.with_flipped_entry(1, 2)
+    bad_inner = sorted((c.check_id, c.i, c.j)
+                       for c in verify_inner_products(bases, flipped)
+                       if not c.passed)
+    assert bad_inner == [(f"inner[{pair}]", 1, 2)
+                         for pair in FLIPPED_PHI_INNER_PAIRS]
+    report = transition_matrices(bases, flipped)
+    assert sorted(report.failures()) == list(FLIPPED_PHI_TRANSITIONS)
+    assert all(c.passed for c in report.coherence)
+
+
 # -- Leonard recognizer ---------------------------------------------------------------------
 
 
@@ -366,6 +504,21 @@ def test_eigen_order_flip_and_permutation_sensitivity():
     rep_perm = representation_matrix(bs, perm)
     assert any(rep_perm[i, j] for i in range(3) for j in range(3)
                if abs(i - j) > 1)
+
+
+def test_irreducible_tridiagonal_reads_the_nonzero_mask():
+    tri = tridiagonal_form(3)
+    assert _is_irreducible_tridiagonal(tri)
+    assert _is_irreducible_tridiagonal(ExactMatrix.zeros(1, 1))
+    grid = tri.to_rows()
+    grid[0][2] = GaussRat(0, 1)          # nonzero off the band
+    assert not _is_irreducible_tridiagonal(ExactMatrix(grid))
+    grid = tri.to_rows()
+    grid[2][1] = GaussRat(0)             # zero on the subdiagonal
+    assert not _is_irreducible_tridiagonal(ExactMatrix(grid))
+    grid = tri.to_rows()
+    grid[1][2] = GaussRat(0)             # zero on the superdiagonal
+    assert not _is_irreducible_tridiagonal(ExactMatrix(grid))
 
 
 def test_recognizer_rejects_mismatched_sizes():

@@ -230,6 +230,50 @@ def test_stack_matches_grid_constructor(rows):
         == ExactMatrix(rows)
 
 
+@given(st.lists(st.lists(mixed_scalar, min_size=3, max_size=3),
+                min_size=2, max_size=5), st.integers(1, 4))
+def test_stack_of_matrices_is_the_stack_of_their_rows(rows, cut):
+    cut = min(cut, len(rows) - 1)
+    top, bottom = ExactMatrix(rows[:cut]), ExactMatrix(rows[cut:])
+    assert ExactMatrix.stack([top, bottom]) == ExactMatrix(rows)
+    assert ExactMatrix.stack([top, ExactVector(rows[cut])]) \
+        == ExactMatrix(rows[:cut + 1])
+
+
+@given(mat_strategy(4, 5), st.integers(0, 3), st.integers(1, 4),
+       st.integers(0, 4), st.integers(1, 5))
+def test_block_matches_the_grid(m, r0, r1, c0, c1):
+    rows, cols = slice(r0, max(r0 + 1, r1)), slice(c0, max(c0 + 1, c1))
+    grid = [row[cols] for row in m.to_rows()[rows]]
+    assert m.block(rows, cols) == ExactMatrix(grid)
+
+
+@given(mat_strategy(3, 3), mat_strategy(3, 3), st.sampled_from(
+    [1, Fraction(1, 3), GaussRat(2, -1), GaussRat(Fraction(1, 2), 3)]))
+def test_entries_equal_compares_each_entry_by_value(a, b, c):
+    # half the entries of `other` are those of a c, half those of b; the two
+    # matrices sit on different denominators
+    ga = a.scale(c).to_rows()
+    mixed = [[ga[r][k] if (r + k) % 2 else e for k, e in enumerate(row)]
+             for r, row in enumerate(b.to_rows())]
+    other = ExactMatrix(mixed)
+    mask = a.scale(c).entries_equal(other)
+    assert mask.tolist() == [[ga[r][k] == mixed[r][k] for k in range(3)]
+                             for r in range(3)]
+    assert mask[1, 0] and mask[0, 1]
+    assert a.scale(c).row_equal(other).tolist() == [all(row) for row in
+                                                     mask.tolist()]
+    assert a.entries_equal(a.scale(Fraction(6)).scale(Fraction(1, 6))).all()
+
+
+def test_entries_equal_across_denominators():
+    half = ExactMatrix([[Fraction(1, 2), 1, GaussRat(0, Fraction(1, 2))]])
+    sixth = ExactMatrix([[Fraction(1, 2), Fraction(1, 3), GaussRat(0, 1)]])
+    assert half.entries_equal(sixth).tolist() == [[True, False, False]]
+    assert sixth.entries_equal(half).tolist() == [[True, False, False]]
+    assert half.row_equal(sixth).tolist() == [False]
+
+
 # -- exact inverse ------------------------------------------------------------------
 
 
