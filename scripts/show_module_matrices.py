@@ -10,8 +10,8 @@ import sys
 
 from tcube.cube import build_context
 from tcube.decomposition import decompose
-from tcube.leonard import (BASIS_LABELS, OPERATOR_LABELS, ModuleSolvers,
-                           build_six_bases, cube_representation)
+from tcube.leonard import (BASIS_LABELS, OPERATOR_LABELS, build_six_bases,
+                           cube_representations)
 
 
 def compact(g):
@@ -53,10 +53,9 @@ def main():
         return 2
     bases = build_six_bases(ctx, mod)
     print(f"module r={mod.r} d={mod.d} index={mod.index} of Q_{args.D}")
-    solvers = ModuleSolvers(bases)
     for label in BASIS_LABELS:
-        for op_name in OPERATOR_LABELS:
-            rep = cube_representation(ctx, op_name, solvers[label])
+        reps = cube_representations(ctx, bases, label)
+        for op_name, rep in zip(OPERATOR_LABELS, reps):
             print(f"\n{op_name} in basis {label}:")
             print(fmt(rep))
     return 0

@@ -84,30 +84,22 @@ def _error_row(prefix: str, exc: Exception) -> Row:
     return (f"{prefix}{type(exc).__name__}: {exc}", None, None, False, None)
 
 
-def _module_bundles(ctx: CubeContext, modules):
-    """(module, six bases, Phi) for each of the given modules."""
-    phis = {}
-    return [(m, leonard.build_six_bases(ctx, m),
-             phis.setdefault(m.d, leonard.phi_matrix(m.d)))
-            for m in modules]
-
-
-def _module_suite_rows(ctx, bundle, suite) -> List[Row]:
-    m, bases, phi = bundle
+def _module_suite_rows(ctx, m, suite) -> List[Row]:
+    """Rows of one module, whose six bases live only as long as its rows."""
     tag = f"r{m.r}m{m.index}"
-    # built on first use and dropped with this module's rows
-    solvers = leonard.ModuleSolvers(bases)
     rows: List[Row] = []
     try:
+        bases = leonard.build_six_bases(ctx, m)
         if suite in ("rep-matrices", "all"):
-            for cell in leonard.verify_rep_matrices(ctx, bases, solvers):
+            for cell in leonard.verify_rep_matrices(ctx, bases):
                 rows.append((f"{tag}:rep[{cell.basis}][{cell.op}]",
                              None, None, cell.passed, None))
+        phi = leonard.phi_matrix(m.d)
         if suite in ("inner-products", "all"):
             for g in leonard.verify_inner_products(bases, phi):
                 rows.append((f"{tag}:{g.check_id}", g.i, g.j, g.passed, None))
         if suite in ("transitions", "all"):
-            report = leonard.transition_matrices(bases, phi, solvers)
+            report = leonard.transition_matrices(bases, phi)
             for (src, dst), cell in sorted(report.cells.items()):
                 rows.append((f"{tag}:transition[{src}|{dst}]",
                              None, None, cell.passed, None))
@@ -119,7 +111,7 @@ def _module_suite_rows(ctx, bundle, suite) -> List[Row]:
                 rows.append((f"{tag}:{c.identity}", None, None, c.passed,
                              None))
             verdict = leonard.is_leonard_triple(
-                *leonard.module_triple(ctx, bases, solvers))
+                *leonard.module_triple(ctx, bases))
             rows.append((f"{tag}:leonard_triple", None, None,
                          verdict.verdict == "true", None))
     except VERIFY_ERRORS as exc:
@@ -143,17 +135,14 @@ def _init_worker(D: int, d_limit: int, flips) -> None:
 
 def _parallel_worker(args):
     suite, k = args
-    ctx = _WORKER["ctx"]
-    m = _WORKER["modules"][k]
-    bundle = (m, leonard.build_six_bases(ctx, m), leonard.phi_matrix(m.d))
-    return k, _module_suite_rows(ctx, bundle, suite)
+    return k, _module_suite_rows(_WORKER["ctx"], _WORKER["modules"][k], suite)
 
 
-def _rows_for_modules(ctx, bundles, suite, parallel) -> List[Row]:
-    if parallel and len(bundles) > 1:
+def _rows_for_modules(ctx, modules, suite, parallel) -> List[Row]:
+    if parallel and len(modules) > 1:
         # spawn: workers start from a fresh import on every platform, and a
         # fork of a process that may hold threads is never taken
-        workers = min(len(bundles), os.cpu_count() or 1)
+        workers = min(len(modules), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context(
                                      "spawn"),
@@ -161,15 +150,14 @@ def _rows_for_modules(ctx, bundles, suite, parallel) -> List[Row]:
                                  initargs=(ctx.D, ctx.d_limit,
                                            ctx.flips)) as pool:
             results = list(pool.map(_parallel_worker,
-                                    [(suite, k) for k in range(len(bundles))]))
+                                    [(suite, k) for k in range(len(modules))]))
         return [r for _, rs in sorted(results, key=lambda kr: kr[0])
                 for r in rs]
     rows = []
-    for k, bundle in enumerate(bundles):
-        rows.extend(_module_suite_rows(ctx, bundle, suite))
-        m = bundle[0]
+    for k, m in enumerate(modules):
+        rows.extend(_module_suite_rows(ctx, m, suite))
         _progress(f"  verified module r={m.r} index={m.index} "
-                  f"({k + 1}/{len(bundles)})")
+                  f"({k + 1}/{len(modules)})")
     return rows
 
 
@@ -197,11 +185,11 @@ def run_suite(ctx: CubeContext, suite: str, parallel: bool = False) -> List[Row]
         _progress("  conjugation done")
     if suite in ("rep-matrices", "inner-products", "transitions", "all"):
         try:
-            bundles = _module_bundles(ctx, decomposition.decompose(ctx).modules)
+            modules = decomposition.decompose(ctx).modules
         except VERIFY_ERRORS as exc:
             rows.append(_error_row("", exc))
         else:
-            rows.extend(_rows_for_modules(ctx, bundles, suite, parallel))
+            rows.extend(_rows_for_modules(ctx, modules, suite, parallel))
     return rows
 
 
@@ -342,8 +330,9 @@ def _cmd_module_report(cfg: RunConfig, args) -> int:
               file=sys.stderr)
         return 2
     reports = []
-    for m, bases, phi in _module_bundles(ctx, selected):
-        reports.append(leonard.module_report(ctx, bases, phi))
+    for m in selected:
+        reports.append(leonard.module_report(
+            ctx, leonard.build_six_bases(ctx, m)))
         _progress(f"  reported module r={m.r} index={m.index}")
     if cfg.format == "pretty":
         lines = []
@@ -363,9 +352,9 @@ def _cmd_module_report(cfg: RunConfig, args) -> int:
 def _cmd_leonard_check(cfg: RunConfig, args) -> int:
     ctx = build_context(cfg.D, cfg.d_limit)
     results = []
-    for m, bases, _ in _module_bundles(ctx,
-                                       decomposition.decompose(ctx).modules):
-        verdict = leonard.is_leonard_triple(*leonard.module_triple(ctx, bases))
+    for m in decomposition.decompose(ctx).modules:
+        verdict = leonard.is_leonard_triple(
+            *leonard.module_triple(ctx, leonard.build_six_bases(ctx, m)))
         results.append({"r": m.r, "index": m.index, "d": m.d,
                         "verdict": verdict.verdict,
                         "eigenvalue_order": list(verdict.eigenvalue_order)})

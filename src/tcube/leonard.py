@@ -21,24 +21,23 @@ with u, u*, ue the seeds in E_r W, Estar_r W, Eeps_r W.  The module provides:
     coherence;
   * a generic Leonard-triple recognizer working over Q(i).
 
-Coefficient extraction never assumes orthogonality: each basis gets a pivot
-submatrix inverted once, and every solve is verified by exact reconstruction.
-
 The six bases come from one call per idempotent family on the stacked seeds
 (`CubeContext.project`), and every operator acts on a whole basis at once
-(`CubeContext.apply`); the coordinates of all images in a basis are one
-product with the inverse, certified by one product.
+(`CubeContext.apply`).  Each basis is the image of one seed under a family
+of Hermitian orthogonal idempotents, so it is orthogonal: coordinates are
+<t, b_k> / <b_k, b_k>, once the basis's Gram block is seen to be diagonal,
+and every solve is certified by exact reconstruction.  Only the Leonard
+recognizer, whose eigenbases need not be orthogonal, eliminates.
 
 Each module's checks are whole-matrix operations.  The closed forms are
 tables of Gaussian-integer numerators, built once per Phi matrix (one per
 inner-product kind and one per transition pattern) and scaled per module by
 one seed scalar; the nine seed inner products are computed once per module.
 The inner products are the blocks of one Gram matrix of the six stacked
-bases, each compared with its scaled table entry by entry.  A module's six
-`BasisSolver`s (`ModuleSolvers`) are shared by its rep-matrix, transition
-and Leonard checks and dropped with it; the 36 transitions are one
-coordinate product per source basis on all six bases at once, and the
-inverse and composition rows are the blocks of one product per middle basis.
+bases, each compared with its scaled table entry by entry.  The rep matrices
+are one coordinate call per basis; the 36 transitions are one per source
+basis on all six bases at once, and the inverse and composition rows are
+the blocks of one product per middle basis.
 """
 
 from __future__ import annotations
@@ -120,6 +119,7 @@ class PhiMatrix:
         return PhiMatrix(self.d, tuple(tuple(row) for row in grid))
 
 
+@lru_cache(maxsize=None)
 def phi_matrix(d: int) -> PhiMatrix:
     if d < 0:
         raise ValueError("d must be nonnegative")
@@ -158,7 +158,8 @@ def verify_phi(phi: PhiMatrix) -> List[IdentityCheck]:
 
 
 class BasisSolver:
-    """Exact coordinates with respect to a fixed independent list of vectors.
+    """Exact coordinates with respect to a fixed independent list of vectors
+    that need not be orthogonal (the Leonard recognizer's eigenbases).
 
     Elimination locates coordinate positions whose square submatrix is
     invertible; that inverse is computed once, and every solve is certified
@@ -196,13 +197,6 @@ def representation_matrix(op: ExactMatrix, basis: List[ExactVector],
     return solver.coords_matrix(solver.stacked @ op.transpose())
 
 
-def cube_representation(ctx: CubeContext, op: str,
-                        solver: BasisSolver) -> ExactMatrix:
-    """The matrix of the cube operator `op` (A, Astar or Aeps) in the
-    solver's basis, from one block application of the operator."""
-    return solver.coords_matrix(ctx.apply(op, solver.stacked))
-
-
 # -- the six bases ------------------------------------------------------------------
 
 
@@ -214,6 +208,7 @@ class SixBases:
     def __getitem__(self, label: str) -> Tuple[ExactVector, ...]:
         return self.vectors[label]
 
+    @cached_property
     def stacked(self) -> ExactMatrix:
         """All six bases as the rows of one block, in BASIS_LABELS order;
         `rows(label)` is the slice of one basis."""
@@ -224,6 +219,29 @@ class SixBases:
         n = self.module.d + 1
         k = BASIS_LABELS.index(label)
         return slice(k * n, (k + 1) * n)
+
+    @cached_property
+    def gram(self) -> ExactMatrix:
+        """stacked @ stacked^*: entry (a, b) is <row a, row b>."""
+        return self.stacked @ self.stacked.adjoint()
+
+    def coords(self, label: str, targets: ExactMatrix) -> ExactMatrix:
+        """The matrix whose j-th column holds the coordinates of row j of
+        targets in basis `label`: coordinate k is <t, b_k> / <b_k, b_k>,
+        once the basis's Gram block is seen to be diagonal with a nonzero
+        diagonal, certified by the one product coords^T @ basis == targets."""
+        rows = self.rows(label)
+        norms = self.gram.block(rows, rows)
+        if not np.array_equal(norms.nonzero(), np.eye(norms.rows, dtype=bool)):
+            raise BasisError(f"basis {label} is not orthogonal (module "
+                             f"r={self.module.r} index={self.module.index})")
+        basis = self.stacked.block(rows, slice(None))
+        inverse_norms = ExactMatrix.diagonal(
+            [1 / norms[k, k] for k in range(norms.rows)])
+        coeffs = inverse_norms @ (targets @ basis.adjoint()).transpose()
+        if coeffs.transpose() @ basis != targets:
+            raise BasisError("target is outside the span of the basis")
+        return coeffs
 
     @cached_property
     def seed_scalars(self) -> Dict[str, GaussRat]:
@@ -237,24 +255,6 @@ class SixBases:
             "u|ue": inner(u, ue), "ue|u": inner(ue, u),
             "u*|ue": inner(us, ue), "ue|u*": inner(ue, us),
         }
-
-
-class ModuleSolvers:
-    """The BasisSolver of each of one module's six bases, built on first
-    use and shared by the module's rep-matrix, transition and Leonard
-    checks.  It lives as long as the caller keeps it: one module's rows,
-    so a run never holds the solvers of every module at once."""
-
-    def __init__(self, bases: SixBases):
-        self.bases = bases
-        self._built: Dict[str, BasisSolver] = {}
-
-    def __getitem__(self, label: str) -> BasisSolver:
-        solver = self._built.get(label)
-        if solver is None:
-            solver = BasisSolver(list(self.bases[label]))
-            self._built[label] = solver
-        return solver
 
 
 # Rows of the seed block of build_six_bases: the module's seeds u, u*, ue,
@@ -397,18 +397,27 @@ class RepCell:
     matrix: ExactMatrix
 
 
-def verify_rep_matrices(ctx: CubeContext, bases: SixBases,
-                        solvers: Optional[ModuleSolvers] = None
-                        ) -> List[RepCell]:
+def cube_representations(ctx: CubeContext, bases: SixBases,
+                         label: str) -> Tuple[ExactMatrix, ...]:
+    """The matrices of A, Astar and Aeps (OPERATOR_LABELS order) in basis
+    `label`: one coordinate call on the stacked images of the basis under
+    the three operators."""
+    basis = bases.stacked.block(bases.rows(label), slice(None))
+    coeffs = bases.coords(label, ExactMatrix.stack(
+        [ctx.apply(op, basis) for op in OPERATOR_LABELS]))
+    n = basis.rows
+    return tuple(coeffs.block(slice(None), slice(k * n, (k + 1) * n))
+                 for k in range(len(OPERATOR_LABELS)))
+
+
+def verify_rep_matrices(ctx: CubeContext, bases: SixBases) -> List[RepCell]:
     """The full 6 bases x 3 operators grid against the closed forms."""
     d = bases.module.d
-    solvers = ModuleSolvers(bases) if solvers is None else solvers
     cells = []
     for label in BASIS_LABELS:
-        solver = solvers[label]
-        for op_name in OPERATOR_LABELS:
+        reps = cube_representations(ctx, bases, label)
+        for op_name, got in zip(OPERATOR_LABELS, reps):
             form = REP_FORMS[(op_name, label)]
-            got = cube_representation(ctx, op_name, solver)
             cells.append(RepCell(basis=label, op=op_name, form=form,
                                  passed=got == _FORM_BUILDERS[form](d),
                                  matrix=got))
@@ -538,8 +547,7 @@ def verify_inner_products(bases: SixBases, phi: PhiMatrix) -> List[GridCheck]:
     each block of the Gram matrix of the six stacked bases against its
     table scaled by the seed scalar."""
     n = bases.module.d + 1
-    stacked = bases.stacked()
-    gram = stacked @ stacked.adjoint()
+    gram = bases.gram
     scal = bases.seed_scalars
     tables = inner_tables(phi)
     checks = []
@@ -548,17 +556,17 @@ def verify_inner_products(bases: SixBases, phi: PhiMatrix) -> List[GridCheck]:
             tables[kind].scale(scal[key]))
         checks.extend(GridCheck(f"inner[{x}|{y}]", i, j, bool(ok[i, j]))
                       for i in range(n) for j in range(n))
-    checks.extend(_verify_slice_proportionality(bases, stacked))
+    checks.extend(_verify_slice_proportionality(bases))
     return checks
 
 
-def _verify_slice_proportionality(bases: SixBases,
-                                  stacked: ExactMatrix) -> List[GridCheck]:
+def _verify_slice_proportionality(bases: SixBases) -> List[GridCheck]:
     """The slicewise proportionality between bases sharing an idempotent
     family: each AAe (resp. AsA, AeAs) vector is an explicit multiple of the
     matching AAs (resp. AsAe, AeA) vector, i^i (1-i)^d times a ratio of seed
-    scalars.  `stacked` is bases.stacked()."""
+    scalars."""
     d = bases.module.d
+    stacked = bases.stacked
     scal = bases.seed_scalars
     omi_d = GaussRat(1, -1) ** d
     every = slice(None)
@@ -680,23 +688,17 @@ class TransitionReport:
         return out
 
 
-def transition_matrices(bases: SixBases, phi: PhiMatrix,
-                        solvers: Optional[ModuleSolvers] = None
-                        ) -> TransitionReport:
+def transition_matrices(bases: SixBases, phi: PhiMatrix) -> TransitionReport:
     """All 36 transitions: direct change-of-basis vs closed form, then
     inverse and composition coherence on the computed matrices.
 
-    The coordinates of all six bases in one source basis are one
-    coords_matrix call, so the transitions are the blocks of a
-    6(d+1) x 6(d+1) matrix T (row block src, column block dst); for each
-    middle basis b, block (a, c) of T[:, b] @ T[b, :] is T(a,b) T(b,c)."""
+    The coordinates of all six bases in one source basis are one coords
+    call, so the transitions are the blocks of a 6(d+1) x 6(d+1) matrix T
+    (row block src, column block dst); for each middle basis b, block (a, c)
+    of T[:, b] @ T[b, :] is T(a,b) T(b,c)."""
     mod = bases.module
-    solvers = ModuleSolvers(bases) if solvers is None else solvers
-    # every solver first: a dependent basis is reported before a target
-    # outside a span
-    by_src = [solvers[label] for label in BASIS_LABELS]
-    stacked = bases.stacked()
-    computed = ExactMatrix.stack([s.coords_matrix(stacked) for s in by_src])
+    computed = ExactMatrix.stack([bases.coords(label, bases.stacked)
+                                  for label in BASIS_LABELS])
     formulas = transition_formulas(bases.seed_scalars, phi)
     rows = {label: bases.rows(label) for label in BASIS_LABELS}
     cells = {}
@@ -802,13 +804,10 @@ def is_leonard_triple(b0: ExactMatrix, b1: ExactMatrix,
         rep_matrices=reps)
 
 
-def module_triple(ctx: CubeContext, bases: SixBases,
-                  solvers: Optional[ModuleSolvers] = None):
+def module_triple(ctx: CubeContext, bases: SixBases):
     """The three operators restricted to the module, as matrices in the
     basis diagonalizing the dual adjacency operator."""
-    solvers = ModuleSolvers(bases) if solvers is None else solvers
-    return tuple(cube_representation(ctx, op, solvers["AsA"])
-                 for op in OPERATOR_LABELS)
+    return cube_representations(ctx, bases, "AsA")
 
 
 # -- per-module report ------------------------------------------------------------------------
@@ -818,8 +817,7 @@ def module_report(ctx: CubeContext, bases: SixBases,
                   phi: Optional[PhiMatrix] = None) -> dict:
     mod = bases.module
     phi = phi or phi_matrix(mod.d)
-    solvers = ModuleSolvers(bases)
-    rep_cells = verify_rep_matrices(ctx, bases, solvers)
+    rep_cells = verify_rep_matrices(ctx, bases)
     rep_json: Dict[str, dict] = {}
     for cell in rep_cells:
         rep_json.setdefault(cell.basis, {})[cell.op] = {
@@ -828,8 +826,8 @@ def module_report(ctx: CubeContext, bases: SixBases,
     inner_json: Dict[str, bool] = {}
     for c in inner_checks:
         inner_json[c.check_id] = inner_json.get(c.check_id, True) and c.passed
-    trans = transition_matrices(bases, phi, solvers)
-    verdict = is_leonard_triple(*module_triple(ctx, bases, solvers))
+    trans = transition_matrices(bases, phi)
+    verdict = is_leonard_triple(*module_triple(ctx, bases))
     return {
         "D": ctx.D,
         "r": mod.r,

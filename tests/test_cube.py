@@ -144,6 +144,36 @@ def test_idempotent_families_suite(D):
     assert all_passed(verify_idempotent_families(get_ctx(D)))
 
 
+def test_rank_row_needs_the_idempotent_product(monkeypatch):
+    # Estar_1 + N with N nilpotent inside slice 1 keeps trace and rank 3 but
+    # is not idempotent; the rank is read off the trace only for a proven
+    # idempotent, so Estar_rank[1] fails along with Estar_product[1,1]
+    ctx = build_context(3)
+    grid = ctx.Estar[1].to_rows()
+    grid[1][2] = GaussRat(1)
+    perturbed = ExactMatrix(grid)
+    assert perturbed.trace() == 3 and rank(perturbed) == 3
+    family = ctx.Estar[:1] + (perturbed,) + ctx.Estar[2:]
+    monkeypatch.setattr(ctx, "_Estar", family)
+    passed = {c.identity: c.passed for c in verify_idempotent_families(ctx)}
+    assert not passed["Estar_product[1,1]"]
+    assert not passed["Estar_rank[1]"]
+    assert all(passed[f"{label}_rank[{i}]"]
+               for label in ("E", "Estar", "Eeps") for i in range(4)
+               if (label, i) != ("Estar", 1))
+
+
+def test_rank_row_reads_the_trace(monkeypatch):
+    # Estar_0 and Estar_1 swapped are still orthogonal idempotents summing
+    # to I; only their ranks 3 and 1 against C(3,0) and C(3,1) give it away
+    ctx = build_context(3)
+    family = (ctx.Estar[1], ctx.Estar[0]) + ctx.Estar[2:]
+    monkeypatch.setattr(ctx, "_Estar", family)
+    failed = [c.identity for c in verify_idempotent_families(ctx)
+              if not c.passed]
+    assert failed == ["Estar_rank[0]", "Estar_rank[1]"]
+
+
 @pytest.mark.parametrize("D", range(1, 7))
 def test_closed_form_idempotents_match_interpolation(D):
     # E from Krawtchouk numbers and Eeps by a diagonal phase equal the

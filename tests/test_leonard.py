@@ -13,8 +13,7 @@ from tcube.cube import build_context
 from tcube.decomposition import decompose
 from tcube.leonard import (BASIS_LABELS, INNER_FORMULAS, OPERATOR_LABELS,
                            TRANSITION_TABLE, BasisError, BasisSolver,
-                           ModuleSolvers, PhiMatrix,
-                           _is_irreducible_tridiagonal,
+                           PhiMatrix, SixBases, _is_irreducible_tridiagonal,
                            build_six_bases, diagonal_form,
                            hypergeometric_2f1, inner_tables,
                            is_leonard_triple, itridiagonal_subneg_form,
@@ -377,15 +376,60 @@ def test_phi_matrix_from_integer_arrays():
                                                 for i in range(d + 1)])
 
 
-def test_module_solvers_built_once_on_first_use():
-    (m, bases, phi), = [b for b in get_bundles(2) if b[0].d == 2]
-    solvers = ModuleSolvers(bases)
-    first = solvers["AeA"]
-    assert solvers["AeA"] is first
-    assert first.stacked == ExactMatrix.stack(list(bases["AeA"]))
-    verify_rep_matrices(get_ctx(2), bases, solvers)
-    transition_matrices(bases, phi, solvers)
-    assert solvers["AeA"] is first
+def test_module_gram_built_once_on_first_use():
+    ctx = get_ctx(2)
+    (m, _, phi), = [b for b in get_bundles(2) if b[0].d == 2]
+    bases = build_six_bases(ctx, m)
+    stacked, gram = bases.stacked, bases.gram
+    assert stacked == ExactMatrix.stack(
+        [v for label in BASIS_LABELS for v in bases[label]])
+    assert gram == stacked @ stacked.adjoint()
+    verify_rep_matrices(ctx, bases)
+    verify_inner_products(bases, phi)
+    transition_matrices(bases, phi)
+    module_triple(ctx, bases)
+    assert bases.stacked is stacked and bases.gram is gram
+
+
+@pytest.mark.parametrize("D", range(1, 7))
+def test_orthogonal_coords_equal_the_elimination_solver(D):
+    # BasisSolver, which never assumes orthogonality, is the oracle
+    ctx = get_ctx(D)
+    for m, bases, _ in get_bundles(D):
+        targets = ExactMatrix.stack(
+            [bases.stacked] + [ctx.apply(op, bases.stacked)
+                               for op in OPERATOR_LABELS])
+        for label in BASIS_LABELS:
+            assert bases.coords(label, targets) == \
+                BasisSolver(list(bases[label])).coords_matrix(targets)
+
+
+def _with_basis(bases, label, vectors):
+    return SixBases(module=bases.module,
+                    vectors=dict(bases.vectors, **{label: tuple(vectors)}))
+
+
+@pytest.mark.parametrize("change", ["sheared", "zero"])
+def test_non_orthogonal_basis_is_named(change):
+    ctx = get_ctx(3)
+    (m, bases, phi) = next(b for b in get_bundles(3) if b[0].d == 3)
+    v = list(bases["AeA"])
+    v[2] = v[2] + v[1] if change == "sheared" else v[2].scale(0)
+    broken = _with_basis(bases, "AeA", v)
+    message = r"^basis AeA is not orthogonal \(module r=0 index=0\)$"
+    with pytest.raises(BasisError, match=message):
+        broken.coords("AeA", bases.stacked)
+    with pytest.raises(BasisError, match=message):
+        verify_rep_matrices(ctx, broken)
+    with pytest.raises(BasisError, match=message):
+        transition_matrices(broken, phi)
+
+
+def test_target_outside_the_span_keeps_its_message():
+    (m0, bases0, _), (m1, _, _) = get_bundles(3)[:2]
+    with pytest.raises(BasisError,
+                       match=r"^target is outside the span of the basis$"):
+        bases0.coords("AsA", ExactMatrix.stack([m0.u, m1.u]))
 
 
 def test_one_wrong_transition_fails_its_cell_and_exactly_its_coherence(
@@ -395,14 +439,17 @@ def test_one_wrong_transition_fails_its_cell_and_exactly_its_coherence(
     # exactly when the factor 2 appears on one side only.
     (m, bases, phi) = next(b for b in get_bundles(3) if b[0].d == 3)
     s, t = "AeA", "AAs"
-    solvers = ModuleSolvers(bases)
-    honest = solvers[s].coords_matrix
+    honest = SixBases.coords
     block = bases.rows(t)
     double_t = ExactMatrix.diagonal([2 if block.start <= k < block.stop else 1
                                      for k in range(6 * (m.d + 1))])
-    monkeypatch.setattr(solvers[s], "coords_matrix",
-                        lambda targets: honest(targets) @ double_t)
-    report = transition_matrices(bases, phi, solvers)
+
+    def doubled(self, label, targets):
+        coeffs = honest(self, label, targets)
+        return coeffs @ double_t if label == s else coeffs
+
+    monkeypatch.setattr(SixBases, "coords", doubled)
+    report = transition_matrices(bases, phi)
     labels = BASIS_LABELS
     composition = ([(s, t, c) for c in labels if c != t]
                    + [(a, s, t) for a in labels if a != s]
