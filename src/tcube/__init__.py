@@ -12,7 +12,7 @@ from .linalg import (ExactMatrix, ExactVector, SingularMatrixError,
                      kron_power, pivot_inverse, rank)
 from .cube import (CubeContext, SpectrumTable, build_context, spectrum,
                    verify_commutators, verify_conjugation,
-                   verify_idempotent_families, verify_spectra)
+                   verify_idempotent_families)
 from .decomposition import (Decomposition, IrreducibleModule, decompose,
                             multiplicity, normalize_seeds, verify_seed_norms)
 from .leonard import (BASIS_LABELS, LeonardVerdict, PhiMatrix, SixBases,
@@ -27,8 +27,9 @@ __all__ = [
     "pivot_inverse", "rank",
     "CubeContext", "SpectrumTable", "build_context", "spectrum",
     "verify_commutators", "verify_conjugation", "verify_idempotent_families",
-    "verify_spectra", "Decomposition", "IrreducibleModule", "decompose",
-    "multiplicity", "normalize_seeds", "verify_seed_norms", "BASIS_LABELS", "LeonardVerdict", "PhiMatrix",
+    "Decomposition", "IrreducibleModule", "decompose", "multiplicity",
+    "normalize_seeds", "verify_seed_norms", "BASIS_LABELS", "LeonardVerdict",
+    "PhiMatrix",
     "SixBases", "build_six_bases", "hypergeometric_2f1", "is_leonard_triple",
     "module_report", "module_triple", "phi_matrix", "representation_matrix",
     "transition_matrices", "verify_phi", "verify_inner_products",

@@ -27,6 +27,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from . import cube, decomposition, leonard
 from .cube import CubeContext, build_context
 
@@ -272,8 +274,7 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
         if args.corrupt:
             name = CORRUPT_OPS[args.corrupt]
             target = getattr(ctx, name)
-            spot = next((r, c) for r in range(target.rows)
-                        for c in range(target.cols) if target[r, c])
+            spot = tuple(np.argwhere(target.nonzero())[0].tolist())
             ctx = ctx.with_flipped_sign(name, *spot)
             _progress(f"  injected sign flip into {args.corrupt} at {spot}")
         rows = run_suite(ctx, args.suite, cfg.parallel)

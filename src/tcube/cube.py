@@ -39,7 +39,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .linalg import I64_LIMIT, ExactMatrix, fits_i64, kron, kron_power
+from .linalg import (I64_LIMIT, ExactMatrix, _numerators, fits_i64, kron,
+                     kron_power)
 from .report import check_equal, check_true
 from .scalar import GaussRat
 
@@ -72,12 +73,6 @@ def index_of_vertex(t) -> int:
     return idx
 
 
-def _zero_one(mask) -> ExactMatrix:
-    """The real 0/1 matrix that is 1 where the boolean array `mask` is."""
-    return ExactMatrix._raw(mask.astype(int).astype(object),
-                            np.zeros(mask.shape, dtype=object), 1, reduce=False)
-
-
 def _times_i_power(re, im, k):
     """(re + i im) * i^k entrywise, for an integer array k (taken mod 4)
     that broadcasts against re and im."""
@@ -92,21 +87,15 @@ def _phase_conjugate(m: ExactMatrix, phase) -> ExactMatrix:
     """S^-1 m S for S = diag(i^dist): entry (x, y) times i^phase[x, y],
     where `phase` holds dist(y) - dist(x) mod 4."""
     re, im = _times_i_power(m._re, m._im, phase)
-    return ExactMatrix._raw(re, im, m._den, reduce=False)
+    return ExactMatrix.from_numerators(re, im, m._den)
 
 
 # -- kernels of the block operators ------------------------------------------------
 #
 # A block holds one vector per row.  The kernels below act on the rows of its
 # numerator arrays, which are int64 when the caller has checked a bound and
-# object arrays of Python ints otherwise; the code is the same for both.
-
-
-def _numerators(m: ExactMatrix, fits: bool):
-    """m's numerator arrays, as int64 when `fits` and as objects otherwise."""
-    if fits:
-        return m._re.astype(np.int64), m._im.astype(np.int64)
-    return m._re, m._im
+# object arrays of Python ints otherwise (`linalg._numerators`); the code is
+# the same for both.
 
 
 def _walsh_hadamard(a):
@@ -248,8 +237,10 @@ class CubeContext:
         self.Pinv = self.P.adjoint().scale(Fraction(1, self.n))
         _require(self.P @ self.Pinv == ExactMatrix.identity(self.n),
                  "P inverse construction failed")
-        self.dist_matrices = tuple(_zero_one(self.hamming == k)
-                                   for k in range(D + 1))
+        self.dist_matrices = tuple(
+            ExactMatrix.from_numerators(ones, 0 * ones, 1)
+            for ones in ((self.hamming == k).astype(np.int64)
+                         for k in range(D + 1)))
         self._E = None
         self._Estar = None
         self._Eeps = None
@@ -263,8 +254,7 @@ class CubeContext:
         for y in range(n):
             for k in range(self.D):
                 re[y, y ^ (1 << k)] = 1
-        a = ExactMatrix._raw(re, np.zeros((n, n), dtype=object), 1,
-                             reduce=False)
+        a = ExactMatrix.from_numerators(re, np.zeros((n, n), dtype=object), 1)
         _require(a == _kron_sum(A1, self.D),
                  "adjacency: Hamming and Kronecker constructions disagree")
         return a
@@ -281,8 +271,8 @@ class CubeContext:
             GaussRat(0, Fraction(-1, 2)))
         # entrywise: i * (dist(z) - dist(y)) on edges
         im = self.A._re * (self.dist[None, :] - self.dist[:, None])
-        by_entries = ExactMatrix._raw(np.zeros((self.n, self.n), dtype=object),
-                                      im, 1, reduce=False)
+        by_entries = ExactMatrix.from_numerators(
+            np.zeros((self.n, self.n), dtype=object), im, 1)
         _require(by_def == by_entries,
                  "imaginary adjacency: commutator and entry formula disagree")
         aeps1 = (A1 @ ASTAR1 - ASTAR1 @ A1).scale(GaussRat(0, Fraction(-1, 2)))
@@ -306,8 +296,8 @@ class CubeContext:
         if self._E is None:
             K = krawtchouk_table(self.D)
             zeros = np.zeros((self.n, self.n), dtype=object)
-            family = tuple(ExactMatrix._raw(K[:, i][self.hamming], zeros,
-                                            self.n)
+            family = tuple(ExactMatrix.from_numerators(K[:, i][self.hamming],
+                                                       zeros, self.n)
                            for i in range(self.D + 1))
             self._certify_idempotents(family)
             self._E = family
@@ -335,8 +325,10 @@ class CubeContext:
     def Estar(self):
         """Dual idempotents: diagonal indicators of the distance slices."""
         if self._Estar is None:
-            self._Estar = tuple(_zero_one(np.diag(self.dist == i))
-                                for i in range(self.D + 1))
+            self._Estar = tuple(
+                ExactMatrix.from_numerators(ones, 0 * ones, 1)
+                for ones in (np.diag(self._dist == i).astype(np.int64)
+                             for i in range(self.D + 1)))
         return self._Estar
 
     @property
@@ -479,10 +471,9 @@ class CubeContext:
         clone._gathers = {}
         clone.flips = self.flips + ((op, r, c),)
         m = getattr(clone, op)
-        g = m[r, c]
-        grid = m.to_rows()
-        grid[r][c] = -g
-        setattr(clone, op, ExactMatrix(grid))
+        re, im = m._re.copy(), m._im.copy()
+        re[r, c], im[r, c] = -re[r, c], -im[r, c]
+        setattr(clone, op, ExactMatrix.from_numerators(re, im, m._den))
         return clone
 
 
@@ -500,7 +491,7 @@ def coordinate_transposition(ctx: CubeContext, a: int, b: int) -> ExactMatrix:
         ba, bb = (y >> pa) & 1, (y >> pb) & 1
         z = y & ~(1 << pa) & ~(1 << pb) | (bb << pa) | (ba << pb)
         re[y, z] = 1
-    return ExactMatrix._raw(re, np.zeros((n, n), dtype=object), 1, reduce=False)
+    return ExactMatrix.from_numerators(re, np.zeros((n, n), dtype=object), 1)
 
 
 # -- spectra -------------------------------------------------------------------------
@@ -563,7 +554,8 @@ def verify_idempotent_families(ctx: CubeContext):
     n, D = ctx.n, ctx.D
     ident = ExactMatrix.identity(n)
     checks = []
-    allones = _zero_one(np.ones((n, n), dtype=bool))
+    ones = np.ones((n, n), dtype=np.int64)
+    allones = ExactMatrix.from_numerators(ones, 0 * ones, 1)
     checks.append(check_equal("E_trivial_allones", ctx.E[0].scale(n), allones))
     for label, family in (("E", ctx.E), ("Estar", ctx.Estar), ("Eeps", ctx.Eeps)):
         total = ExactMatrix.zeros(n, n)
@@ -624,10 +616,3 @@ def verify_conjugation(ctx: CubeContext):
                                   ctx.P @ ctx.Eeps[i] @ ctx.Pinv, ctx.E[i]))
     return checks
 
-
-def verify_spectra(ctx: CubeContext):
-    """All three spectra match (eigenvalue D-2i, multiplicity C(D,i))."""
-    expected = SpectrumTable(tuple((ctx.D - 2 * i, math.comb(ctx.D, i))
-                                   for i in range(ctx.D + 1)))
-    return [check_true(f"spectrum_{name}", spectrum(ctx, name) == expected)
-            for name in ("adjacency", "dual", "imaginary")]

@@ -25,8 +25,8 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .cube import CubeContext
-from .linalg import (ExactMatrix, ExactVector, fits_i64, gram_schmidt,
-                     inner, kernel_basis)
+from .linalg import (ExactMatrix, ExactVector, _numerators, fits_i64,
+                     gram_schmidt, inner, kernel_basis)
 from .report import check_true
 from .scalar import GaussRat
 
@@ -61,9 +61,8 @@ def proportional_rows(x: ExactMatrix, y: ExactMatrix):
     block's rows and do not matter.  Each cross entry sums four products
     of numerators, so int64 holds it when fits_i64(2, max|x|, max|y|).
     """
-    xr, xi, yr, yi = x._re, x._im, y._re, y._im
-    if fits_i64(2, x._max(), y._max()):
-        xr, xi, yr, yi = (a.astype(np.int64) for a in (xr, xi, yr, yi))
+    fits = fits_i64(2, x._max(), y._max())
+    (xr, xi), (yr, yi) = _numerators(x, fits), _numerators(y, fits)
     y_nonzero = y.nonzero()
     p = y_nonzero.argmax(axis=1)[:, None]
     ypr = np.take_along_axis(yr, p, axis=1)
@@ -130,7 +129,7 @@ def _fail(r, index, what):
 def _embed(ctx: CubeContext, small: ExactVector, indices) -> ExactVector:
     re, im = np.zeros(ctx.n, dtype=object), np.zeros(ctx.n, dtype=object)
     re[indices], im[indices] = small._re, small._im
-    return ExactVector._raw(re, im, small._den, reduce=False)
+    return ExactVector.from_numerators(re, im, small._den)
 
 
 def _check_images_thin(parts, r, d, index, label):

@@ -1,26 +1,30 @@
 """Dense exact linear algebra over Q(i).
 
-Matrices and vectors store Gaussian-integer numerators (numpy object arrays of
-Python ints, one array for the real and one for the imaginary part) together
-with a single positive integer denominator, reduced so the gcd of all
-numerators and the denominator is 1.  This keeps arithmetic exact while
-letting products run through int64 numpy kernels whenever a conservative
-magnitude bound allows; otherwise they fall back to object-dtype numpy ops,
-which are still exact.
+Vectors and matrices share one numerator-array core: two numpy object
+arrays of Python ints, the real and the imaginary numerators, over one
+positive integer denominator, in lowest terms (the gcd of every numerator
+and the denominator is 1).  Lowest terms are unique, so equality compares
+arrays.  `ExactVector` and `ExactMatrix` share the body that stores, reduces,
+indexes, compares, adds, scales and conjugates these arrays; each adds only
+its shape, its grid constructor and its dump format.
 
-Matrices are built from numerator arrays, never from grids of scalars: a
-diagonal from its values, a stack of vectors or matrices on their common
-denominator.  Entrywise equality (`entries_equal`) compares numerators
-across the two denominators, so blocks on different denominators compare
-without being brought to lowest terms.
+Integer arrays, int64 or object, enter through one constructor,
+`from_numerators`; scalars only through the grid constructors and
+`diagonal`.  Every complex product (matrix times matrix or vector, the
+Kronecker product, the inner product) is one kernel, `_product`, which runs
+on int64 copies of the numerators when `fits_i64` bounds every result entry
+and on Python ints otherwise; the results are identical.  Entrywise
+equality (`entries_equal`) compares numerators across the two denominators,
+so blocks on different denominators compare without being brought to
+lowest terms.
 
 Elimination is fraction-free: rows are combined over the Gaussian integers
 and divided by their integer content after each step, which bounds
 coefficient growth without ever leaving Z[i].  The forward pass gives the
 rank; the Gauss-Jordan pass, which also clears each pivot column above the
-pivot, gives kernel vectors and the one exact inverse, `pivot_inverse`: the
-pivot columns of a matrix with independent rows and the inverse of its
-square submatrix on them.
+pivot, gives kernel vectors and, on [m | I], the one exact inverse,
+`pivot_inverse`: the pivot columns of a matrix with independent rows and
+the inverse of its square submatrix on them.
 """
 
 from __future__ import annotations
@@ -64,20 +68,33 @@ def _freeze(arr):
     return arr
 
 
-def _i64_parts(x):
-    """Cached int64 copies of a matrix/vector's numerator arrays.
+def _entry_gauss(re, im, den) -> GaussRat:
+    return GaussRat(Fraction(int(re), den), Fraction(int(im), den))
 
-    Returns (re64, im64_or_None, has_imag); only valid when the caller has
-    already checked that combined products stay below the int64 ceiling.
-    """
-    cached = x._c64
-    if cached is None:
-        has_imag = _max_abs(x._im) > 0
-        cached = (x._re.astype(np.int64),
-                  x._im.astype(np.int64) if has_imag else None,
-                  has_imag)
-        object.__setattr__(x, "_c64", cached)
-    return cached
+
+def _numerators_of(scalars):
+    """(re, im, den): the flat object numerator arrays of the given scalars
+    over den, the lcm of their denominators.  That den is the least common
+    one, so the arrays are in lowest terms."""
+    scalars = [as_gauss(s) for s in scalars]
+    den = math.lcm(*(f.denominator for g in scalars for f in (g.re, g.im)))
+    re = np.array([int(g.re * den) for g in scalars], dtype=object)
+    im = np.array([int(g.im * den) for g in scalars], dtype=object)
+    return re, im, den
+
+
+def _numerators(x, i64: bool):
+    """The numerator arrays (re, im) of x: int64 copies, converted once per
+    object, when `i64` (the caller has checked that a bound below 2^62
+    holds), else x's own object arrays.  A zero imaginary part becomes a
+    read-only zero view that takes no memory."""
+    if not i64:
+        return x._re, x._im
+    if x._c64 is None:
+        im = (x._im.astype(np.int64) if x._im.any()
+              else np.broadcast_to(np.int64(0), x._im.shape))
+        object.__setattr__(x, "_c64", (x._re.astype(np.int64), im))
+    return x._c64
 
 
 def fits_i64(length: int, ma: int, mb: int) -> bool:
@@ -88,31 +105,18 @@ def fits_i64(length: int, ma: int, mb: int) -> bool:
 
 
 def _product(a, b, dot):
-    """Exact complex product of the numerator arrays of a and b via `dot`.
+    """(re, im) numerator arrays, over a._den * b._den, of the complex
+    product of a and b under the bilinear `dot` (np.dot or np.kron).
 
-    Uses int64 numpy kernels when the result provably fits, otherwise
-    object-dtype numpy ops on Python ints.  Zero real/imaginary parts are
-    skipped entirely.
+    Runs on int64 when fits_i64 holds for the length of a's last axis: an
+    entry of a dot sums that many complex products, and an entry of a
+    Kronecker product is one, so the bound covers both.  Otherwise on
+    Python ints.  A zero imaginary part costs no dot.
     """
-    ar, ai, br, bi = a._re, a._im, b._re, b._im
-    inner = ar.shape[-1] if ar.ndim > 1 else ar.shape[0]
-    if fits_i64(inner, a._max(), b._max()):
-        ar_, ai_, a_im = _i64_parts(a)
-        br_, bi_, b_im = _i64_parts(b)
-        cr = dot(ar_, br_)
-        if a_im and b_im:
-            cr = cr - dot(ai_, bi_)
-        ci = None
-        if b_im:
-            ci = dot(ar_, bi_)
-        if a_im:
-            t = dot(ai_, br_)
-            ci = t if ci is None else ci + t
-        cr = cr.astype(object)
-        ci = ci.astype(object) if ci is not None else _obj_zeros(cr.shape)
-        return cr, ci
-    a_im = _max_abs(ai) > 0
-    b_im = _max_abs(bi) > 0
+    fits = fits_i64(a._re.shape[-1], a._max(), b._max())
+    ar, ai = _numerators(a, fits)
+    br, bi = _numerators(b, fits)
+    a_im, b_im = ai.any(), bi.any()
     cr = dot(ar, br)
     if a_im and b_im:
         cr = cr - dot(ai, bi)
@@ -122,44 +126,24 @@ def _product(a, b, dot):
     if a_im:
         t = dot(ai, br)
         ci = t if ci is None else ci + t
-    if ci is None:
-        ci = _obj_zeros(cr.shape)
-    return cr, ci
+    return cr, np.zeros_like(cr) if ci is None else ci
 
 
-def _entry_gauss(re, im, den) -> GaussRat:
-    return GaussRat(Fraction(int(re), den), Fraction(int(im), den))
+class _NumeratorArray:
+    """(re + i im) / den for numpy object arrays re, im of Python ints and
+    an integer den > 0, in lowest terms; immutable.  The body shared by
+    ExactVector and ExactMatrix: `_mx` caches the largest numerator and
+    `_c64` the int64 copies of the arrays."""
 
+    __slots__ = ("_re", "_im", "_den", "_mx", "_c64")
 
-def _common_denominator(rows_of_entries):
-    """lcm of all component denominators in a grid (or list) of scalars."""
-    flat = []
-    for row in rows_of_entries:
-        flat.extend(row)
-    den = 1
-    for g in flat:
-        den = math.lcm(den, g.re.denominator, g.im.denominator)
-    return den
-
-
-class ExactVector:
-    """Immutable vector over Q(i)."""
-
-    __slots__ = ("length", "_re", "_im", "_den", "_mx", "_c64")
-
-    def __init__(self, entries):
-        entries = [as_gauss(e) for e in entries]
-        den = _common_denominator([entries])
-        re = np.array([int(e.re * den) for e in entries], dtype=object)
-        im = np.array([int(e.im * den) for e in entries], dtype=object)
-        self._init_raw(re, im, den)
-
-    def _init_raw(self, re, im, den, reduce=True):
+    def _init(self, re, im, den, reduce=True):
+        re = np.asarray(re, dtype=object)
+        im = np.asarray(im, dtype=object)
         if reduce and den > 1:
             g = _content(den, re, im)
             if g > 1:
                 re, im, den = re // g, im // g, den // g
-        object.__setattr__(self, "length", int(re.shape[0]))
         object.__setattr__(self, "_re", _freeze(re))
         object.__setattr__(self, "_im", _freeze(im))
         object.__setattr__(self, "_den", den)
@@ -168,23 +152,32 @@ class ExactVector:
 
     @classmethod
     def _raw(cls, re, im, den, reduce=True):
-        v = cls.__new__(cls)
-        v._init_raw(np.asarray(re, dtype=object), np.asarray(im, dtype=object),
-                    den, reduce)
-        return v
+        """From numerator arrays; reduce=False only for arrays already in
+        lowest terms."""
+        x = cls.__new__(cls)
+        x._init(re, im, den, reduce)
+        return x
 
     @classmethod
-    def zeros(cls, n):
-        return cls._raw(_obj_zeros(n), _obj_zeros(n), 1, reduce=False)
+    def from_numerators(cls, re, im, den):
+        """(re + i im) / den from integer arrays, int64 or object, in lowest
+        terms.  The content of int64 arrays is taken with np.gcd.reduce, so
+        they are divided before they become Python ints."""
+        if re.dtype != np.int64:
+            return cls._raw(re, im, den)
+        if den > 1:
+            g = math.gcd(den, int(np.gcd.reduce(re, axis=None)),
+                         int(np.gcd.reduce(im, axis=None)))
+            if g > 1:
+                re, im, den = re // g, im // g, den // g
+        return cls._raw(re, im, den, reduce=False)
 
     @classmethod
-    def basis_vector(cls, n, k):
-        re = _obj_zeros(n)
-        re[k] = 1
-        return cls._raw(re, _obj_zeros(n), 1, reduce=False)
+    def zeros(cls, *shape):
+        return cls._raw(_obj_zeros(shape), _obj_zeros(shape), 1, reduce=False)
 
     def __setattr__(self, name, value):
-        raise AttributeError("ExactVector is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _max(self) -> int:
         m = self._mx
@@ -193,17 +186,105 @@ class ExactVector:
             object.__setattr__(self, "_mx", m)
         return m
 
-    def __len__(self):
-        return self.length
-
-    def __getitem__(self, k) -> GaussRat:
-        return _entry_gauss(self._re[k], self._im[k], self._den)
-
-    def entries(self):
-        return [self[k] for k in range(self.length)]
+    def __getitem__(self, index) -> GaussRat:
+        return _entry_gauss(self._re[index], self._im[index], self._den)
 
     def is_zero(self) -> bool:
         return self._max() == 0
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self._re.shape == other._re.shape and self._den == other._den
+                and np.array_equal(self._re, other._re)
+                and np.array_equal(self._im, other._im))
+
+    __hash__ = None
+
+    def _combine(self, other, sign):
+        """self + sign * other on the lcm of the two denominators."""
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self._re.shape != other._re.shape:
+            raise ValueError(
+                f"shape mismatch {self._re.shape} vs {other._re.shape}")
+        l = math.lcm(self._den, other._den)
+        fa, fb = l // self._den, sign * (l // other._den)
+        return self._raw(self._re * fa + other._re * fb,
+                         self._im * fa + other._im * fb, l)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._raw(-self._re, -self._im, self._den, reduce=False)
+
+    def scale(self, c):
+        c = as_gauss(c)
+        cr = c.re.numerator * c.im.denominator
+        ci = c.im.numerator * c.re.denominator
+        cd = c.re.denominator * c.im.denominator
+        return self._raw(self._re * cr - self._im * ci,
+                         self._re * ci + self._im * cr, self._den * cd)
+
+    def __mul__(self, c):
+        return self.scale(c)
+
+    __rmul__ = __mul__
+
+    def conj(self):
+        return self._raw(self._re, -self._im, self._den, reduce=False)
+
+    # -- dump format ----------------------------------------------------------------
+
+    def _dump_entries(self):
+        """[*index, "p/q", "p/q"] for each nonzero entry, row-major, with
+        the real and imaginary parts in lowest terms."""
+        nonzero = np.not_equal(self._re, 0) | np.not_equal(self._im, 0)
+        out = []
+        for index in np.argwhere(nonzero).tolist():
+            g = self[tuple(index)]
+            out.append(index + [f"{g.re.numerator}/{g.re.denominator}",
+                                f"{g.im.numerator}/{g.im.denominator}"])
+        return out
+
+    @classmethod
+    def _from_dump_entries(cls, shape, entries):
+        scalars = [GaussRat(0)] * math.prod(shape)
+        for *index, re, im in entries:
+            flat = int(np.ravel_multi_index(index, shape))
+            scalars[flat] = GaussRat(Fraction(re), Fraction(im))
+        re, im, den = _numerators_of(scalars)
+        return cls._raw(re.reshape(shape), im.reshape(shape), den,
+                        reduce=False)
+
+
+class ExactVector(_NumeratorArray):
+    """Immutable vector over Q(i)."""
+
+    __slots__ = ()
+
+    def __init__(self, entries):
+        self._init(*_numerators_of(entries), reduce=False)
+
+    @classmethod
+    def basis_vector(cls, n, k):
+        re = _obj_zeros(n)
+        re[k] = 1
+        return cls._raw(re, _obj_zeros(n), 1, reduce=False)
+
+    @property
+    def length(self) -> int:
+        return self._re.shape[0]
+
+    def __len__(self):
+        return self.length
+
+    def entries(self):
+        return [self[k] for k in range(self.length)]
 
     def support(self):
         return [k for k in range(self.length) if self._re[k] or self._im[k]]
@@ -213,55 +294,6 @@ class ExactVector:
         return ExactVector._raw(self._re[positions], self._im[positions],
                                 self._den)
 
-    def __eq__(self, other):
-        if not isinstance(other, ExactVector):
-            return NotImplemented
-        return (self.length == other.length and self._den == other._den
-                and np.array_equal(self._re, other._re)
-                and np.array_equal(self._im, other._im))
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, ExactVector):
-            return NotImplemented
-        if self.length != other.length:
-            raise ValueError("vector length mismatch")
-        l = math.lcm(self._den, other._den)
-        fa, fb = l // self._den, l // other._den
-        return ExactVector._raw(self._re * fa + other._re * fb,
-                                self._im * fa + other._im * fb, l)
-
-    def __sub__(self, other):
-        if not isinstance(other, ExactVector):
-            return NotImplemented
-        if self.length != other.length:
-            raise ValueError("vector length mismatch")
-        l = math.lcm(self._den, other._den)
-        fa, fb = l // self._den, l // other._den
-        return ExactVector._raw(self._re * fa - other._re * fb,
-                                self._im * fa - other._im * fb, l)
-
-    def __neg__(self):
-        return ExactVector._raw(-self._re, -self._im, self._den, reduce=False)
-
-    def scale(self, c) -> "ExactVector":
-        c = as_gauss(c)
-        cr = c.re.numerator * c.im.denominator
-        ci = c.im.numerator * c.re.denominator
-        cd = c.re.denominator * c.im.denominator
-        return ExactVector._raw(self._re * cr - self._im * ci,
-                                self._re * ci + self._im * cr,
-                                self._den * cd)
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "ExactVector":
-        return ExactVector._raw(self._re, -self._im, self._den, reduce=False)
-
     def primitive(self) -> "ExactVector":
         """Same line, scaled so entries are Gaussian integers with content 1."""
         g = _content(0, self._re, self._im)
@@ -270,84 +302,41 @@ class ExactVector:
         return ExactVector._raw(self._re // g, self._im // g, 1, reduce=False)
 
     def to_dump(self) -> dict:
-        ent = []
-        for k in range(self.length):
-            g = self[k]
-            if g:
-                ent.append([k, f"{g.re.numerator}/{g.re.denominator}",
-                            f"{g.im.numerator}/{g.im.denominator}"])
-        return {"length": self.length, "entries": ent}
+        return {"length": self.length, "entries": self._dump_entries()}
 
     @staticmethod
     def from_dump(d: dict) -> "ExactVector":
-        ent = [GaussRat(0)] * d["length"]
-        for k, re, im in d["entries"]:
-            ent[k] = GaussRat(Fraction(re), Fraction(im))
-        return ExactVector(ent)
+        return ExactVector._from_dump_entries((d["length"],), d["entries"])
 
     def __repr__(self):
         return f"ExactVector({[str(e) for e in self.entries()]})"
 
 
-class ExactMatrix:
+class ExactMatrix(_NumeratorArray):
     """Immutable dense matrix over Q(i) with exact entrywise equality."""
 
-    __slots__ = ("rows", "cols", "_re", "_im", "_den", "_mx", "_c64")
+    __slots__ = ()
 
     def __init__(self, rows_of_entries):
-        grid = [[as_gauss(e) for e in row] for row in rows_of_entries]
-        nrows = len(grid)
-        ncols = len(grid[0]) if nrows else 0
-        if any(len(r) != ncols for r in grid):
+        grid = [list(row) for row in rows_of_entries]
+        shape = (len(grid), len(grid[0]) if grid else 0)
+        if any(len(row) != shape[1] for row in grid):
             raise ValueError("ragged rows")
-        den = _common_denominator(grid)
-        re = np.array([[int(e.re * den) for e in row] for row in grid],
-                      dtype=object).reshape(nrows, ncols)
-        im = np.array([[int(e.im * den) for e in row] for row in grid],
-                      dtype=object).reshape(nrows, ncols)
-        self._init_raw(re, im, den)
-
-    def _init_raw(self, re, im, den, reduce=True):
-        if reduce and den > 1:
-            g = _content(den, re, im)
-            if g > 1:
-                re, im, den = re // g, im // g, den // g
-        object.__setattr__(self, "rows", int(re.shape[0]))
-        object.__setattr__(self, "cols", int(re.shape[1]))
-        object.__setattr__(self, "_re", _freeze(re))
-        object.__setattr__(self, "_im", _freeze(im))
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_mx", None)
-        object.__setattr__(self, "_c64", None)
-
-    @classmethod
-    def _raw(cls, re, im, den, reduce=True):
-        m = cls.__new__(cls)
-        m._init_raw(np.asarray(re, dtype=object), np.asarray(im, dtype=object),
-                    den, reduce)
-        return m
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls._raw(_obj_zeros((rows, cols)), _obj_zeros((rows, cols)), 1,
-                        reduce=False)
+        re, im, den = _numerators_of([e for row in grid for e in row])
+        self._init(re.reshape(shape), im.reshape(shape), den, reduce=False)
 
     @classmethod
     def identity(cls, n):
-        re = _obj_zeros((n, n))
-        for k in range(n):
-            re[k, k] = 1
-        return cls._raw(re, _obj_zeros((n, n)), 1, reduce=False)
+        return cls._raw(np.identity(n, dtype=object), _obj_zeros((n, n)), 1,
+                        reduce=False)
 
     @classmethod
     def diagonal(cls, values, offset=0):
         """Square matrix holding `values` on the diagonal `offset` places
         above the main one (below it when negative), zero elsewhere."""
-        values = [as_gauss(v) for v in values]
-        den = _common_denominator([values])
-        re = np.array([int(v.re * den) for v in values], dtype=object)
-        im = np.array([int(v.im * den) for v in values], dtype=object)
-        return cls._raw(np.diag(re, offset), np.diag(im, offset), den)
+        re, im, den = _numerators_of(values)
+        return cls._raw(np.diag(re, offset), np.diag(im, offset), den,
+                        reduce=False)
 
     @classmethod
     def stack(cls, items):
@@ -359,36 +348,17 @@ class ExactMatrix:
         im = np.vstack([x._im * (den // x._den) for x in items])
         return cls._raw(re, im, den)
 
-    @classmethod
-    def from_numerators(cls, re, im, den):
-        """The matrix (re + i im) / den from integer arrays, int64 or object,
-        in lowest terms.  The content of int64 arrays is taken with
-        np.gcd.reduce, so they are divided before they become Python ints."""
-        if re.dtype != np.int64:
-            return cls._raw(re, im, den)
-        g = math.gcd(den, int(np.gcd.reduce(re, axis=None)),
-                     int(np.gcd.reduce(im, axis=None)))
-        if g > 1:
-            re, im, den = re // g, im // g, den // g
-        return cls._raw(re, im, den, reduce=False)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
-
     @property
     def shape(self):
-        return (self.rows, self.cols)
+        return self._re.shape
 
-    def _max(self) -> int:
-        m = self._mx
-        if m is None:
-            m = max(_max_abs(self._re), _max_abs(self._im))
-            object.__setattr__(self, "_mx", m)
-        return m
+    @property
+    def rows(self) -> int:
+        return self._re.shape[0]
 
-    def __getitem__(self, rc) -> GaussRat:
-        r, c = rc
-        return _entry_gauss(self._re[r, c], self._im[r, c], self._den)
+    @property
+    def cols(self) -> int:
+        return self._re.shape[1]
 
     def row(self, r) -> ExactVector:
         return ExactVector._raw(self._re[r].copy(), self._im[r].copy(), self._den)
@@ -410,21 +380,9 @@ class ExactMatrix:
     def to_rows(self):
         return [[self[r, c] for c in range(self.cols)] for r in range(self.rows)]
 
-    def is_zero(self) -> bool:
-        return self._max() == 0
-
     def nonzero(self):
         """Boolean array marking the nonzero entries."""
         return np.not_equal(self._re, 0) | np.not_equal(self._im, 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (self.shape == other.shape and self._den == other._den
-                and np.array_equal(self._re, other._re)
-                and np.array_equal(self._im, other._im))
-
-    __hash__ = None
 
     def entries_equal(self, other: "ExactMatrix"):
         """Boolean array: whether entry (r, c) of self equals that of other,
@@ -438,47 +396,6 @@ class ExactMatrix:
         """Boolean array: whether row k of self equals row k of other."""
         return self.entries_equal(other).all(axis=1)
 
-    # -- additive structure ---------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        l = math.lcm(self._den, other._den)
-        fa, fb = l // self._den, l // other._den
-        return ExactMatrix._raw(self._re * fa + other._re * fb,
-                                self._im * fa + other._im * fb, l)
-
-    def __sub__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        l = math.lcm(self._den, other._den)
-        fa, fb = l // self._den, l // other._den
-        return ExactMatrix._raw(self._re * fa - other._re * fb,
-                                self._im * fa - other._im * fb, l)
-
-    def __neg__(self):
-        return ExactMatrix._raw(-self._re, -self._im, self._den, reduce=False)
-
-    def scale(self, c) -> "ExactMatrix":
-        c = as_gauss(c)
-        cr = c.re.numerator * c.im.denominator
-        ci = c.im.numerator * c.re.denominator
-        cd = c.re.denominator * c.im.denominator
-        return ExactMatrix._raw(self._re * cr - self._im * ci,
-                                self._re * ci + self._im * cr,
-                                self._den * cd)
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
-    # -- multiplicative structure ----------------------------------------------
-
     def __matmul__(self, other):
         if isinstance(other, ExactVector):
             return self.matvec(other)
@@ -487,8 +404,8 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ValueError(
                 f"inner dimensions disagree: {self.shape} @ {other.shape}")
-        cr, ci = _product(self, other, np.dot)
-        return ExactMatrix._raw(cr, ci, self._den * other._den)
+        return ExactMatrix.from_numerators(*_product(self, other, np.dot),
+                                           self._den * other._den)
 
     def matvec(self, v: ExactVector) -> ExactVector:
         if not isinstance(v, ExactVector):
@@ -496,17 +413,12 @@ class ExactMatrix:
         if self.cols != v.length:
             raise ValueError(
                 f"inner dimensions disagree: {self.shape} @ ({v.length},)")
-        cr, ci = _product(self, v, np.dot)
-        return ExactVector._raw(cr, ci, self._den * v._den)
-
-    # -- involutions ------------------------------------------------------------
+        return ExactVector.from_numerators(*_product(self, v, np.dot),
+                                           self._den * v._den)
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix._raw(self._re.T.copy(), self._im.T.copy(), self._den,
                                 reduce=False)
-
-    def conj(self) -> "ExactMatrix":
-        return ExactMatrix._raw(self._re, -self._im, self._den, reduce=False)
 
     def adjoint(self) -> "ExactMatrix":
         """Conjugate transpose."""
@@ -518,24 +430,14 @@ class ExactMatrix:
         ti = sum(int(self._im[k, k]) for k in range(min(self.shape)))
         return _entry_gauss(tr, ti, self._den)
 
-    # -- dump format -------------------------------------------------------------
-
     def to_dump(self) -> dict:
-        ent = []
-        for r in range(self.rows):
-            for c in range(self.cols):
-                g = self[r, c]
-                if g:
-                    ent.append([r, c, f"{g.re.numerator}/{g.re.denominator}",
-                                f"{g.im.numerator}/{g.im.denominator}"])
-        return {"rows": self.rows, "cols": self.cols, "entries": ent}
+        return {"rows": self.rows, "cols": self.cols,
+                "entries": self._dump_entries()}
 
     @staticmethod
     def from_dump(d: dict) -> "ExactMatrix":
-        grid = [[GaussRat(0)] * d["cols"] for _ in range(d["rows"])]
-        for r, c, re, im in d["entries"]:
-            grid[r][c] = GaussRat(Fraction(re), Fraction(im))
-        return ExactMatrix(grid)
+        return ExactMatrix._from_dump_entries((d["rows"], d["cols"]),
+                                              d["entries"])
 
     def to_json(self) -> str:
         return json.dumps(self.to_dump(), sort_keys=True)
@@ -550,19 +452,7 @@ class ExactMatrix:
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product; result row index = u * b.rows + u' (first factor
     most significant)."""
-    a_im = _max_abs(a._im) > 0
-    b_im = _max_abs(b._im) > 0
-    re = np.kron(a._re, b._re)
-    if a_im and b_im:
-        re = re - np.kron(a._im, b._im)
-    shape = (a.rows * b.rows, a.cols * b.cols)
-    im = _obj_zeros(shape)
-    if b_im:
-        im = im + np.kron(a._re, b._im)
-    if a_im:
-        im = im + np.kron(a._im, b._re)
-    return ExactMatrix._raw(re.reshape(shape), im.reshape(shape),
-                            a._den * b._den)
+    return ExactMatrix._raw(*_product(a, b, np.kron), a._den * b._den)
 
 
 def kron_power(a: ExactMatrix, k: int) -> ExactMatrix:
@@ -578,38 +468,16 @@ def inner(u: ExactVector, v: ExactVector) -> GaussRat:
     """Hermitian inner product; the second argument is conjugated."""
     if u.length != v.length:
         raise ValueError("vector length mismatch")
-    if u.length == 0:
-        return GaussRat(0)
-    if fits_i64(u.length, u._max(), v._max()):
-        ur, ui, u_im = _i64_parts(u)
-        vr, vi, v_im = _i64_parts(v)
-        if ui is None:
-            ui = np.zeros(u.length, dtype=np.int64)
-        if vi is None:
-            vi = np.zeros(v.length, dtype=np.int64)
-        re = int(ur @ vr + ui @ vi)
-        im = int(ui @ vr - ur @ vi)
-    else:
-        re = int(np.dot(u._re, v._re) + np.dot(u._im, v._im))
-        im = int(np.dot(u._im, v._re) - np.dot(u._re, v._im))
-    return _entry_gauss(re, im, u._den * v._den)
-
-
-def norm_sq(u: ExactVector) -> Fraction:
-    return inner(u, u).re
+    return _entry_gauss(*_product(u, v.conj(), np.dot), u._den * v._den)
 
 
 def first_discrepancy(a: ExactMatrix, b: ExactMatrix):
-    """(row, col) of the first differing entry in row-major order, else None."""
+    """(row, col) of the first differing entry in row-major order, (0, 0)
+    when the shapes differ, else None."""
     if a.shape != b.shape:
         return (0, 0)
-    if a == b:
-        return None
-    for r in range(a.rows):
-        for c in range(a.cols):
-            if a[r, c] != b[r, c]:
-                return (r, c)
-    return None
+    hits = np.argwhere(~a.entries_equal(b))
+    return tuple(hits[0].tolist()) if len(hits) else None
 
 
 # -- fraction-free elimination ----------------------------------------------------
@@ -714,25 +582,24 @@ class SingularMatrixError(ValueError):
 def pivot_inverse(m: ExactMatrix):
     """Pivot columns of m and the exact inverse of m restricted to them.
 
-    m must have independent rows.  A forward elimination picks the pivot
-    columns (as in `rank`); fraction-free Gauss-Jordan on [S | I], with S
-    the square submatrix of m's numerators on those columns, then leaves
-    diag(p) on the left and T on the right, so S^-1 = diag(p)^-1 T, and
-    m's submatrix S / den has inverse den * S^-1.  Returns (pivot_cols,
-    that inverse).  Raises SingularMatrixError on dependent rows.
+    m must have independent rows.  One fraction-free Gauss-Jordan pass on
+    [m | I] takes m's leftmost independent columns as pivots (as `rank`
+    does) and leaves diag(p) on them and M on the right, with M S = diag(p)
+    for S the square submatrix of m's numerators on the pivots.  So
+    S^-1 = diag(p)^-1 M, and m's submatrix S / den has inverse den * S^-1.
+    Returns (pivot_cols, that inverse).  Dependent rows leave a pivot in
+    the I block: SingularMatrixError.
     """
-    k = m.rows
-    rk, pivots, _, _ = _echelon(m._re, m._im)
+    k, n = m.shape
+    aug_re = np.concatenate([m._re, np.identity(k, dtype=object)], axis=1)
+    aug_im = np.concatenate([m._im, _obj_zeros((k, k))], axis=1)
+    _, pivots, re, im = _echelon(aug_re, aug_im, jordan=True)
+    rk = sum(c < n for c in pivots)
     if rk < k:
         raise SingularMatrixError(f"rank {rk} < {k} rows")
     d = np.arange(k)
-    ident = _obj_zeros((k, k))
-    ident[d, d] = 1
-    aug_re = np.concatenate([m._re[:, pivots], ident], axis=1)
-    aug_im = np.concatenate([m._im[:, pivots], _obj_zeros((k, k))], axis=1)
-    _, _, re, im = _echelon(aug_re, aug_im, jordan=True)
-    tr, ti, den = _divide_rows(re[:, k:], im[:, k:], re[d, d][:, None],
-                               im[d, d][:, None])
+    tr, ti, den = _divide_rows(re[:, n:], im[:, n:], re[d, pivots][:, None],
+                               im[d, pivots][:, None])
     return pivots, ExactMatrix._raw(tr * m._den, ti * m._den, den)
 
 

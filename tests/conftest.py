@@ -120,6 +120,19 @@ def naive_inverse(rows):
     return [row[n:] for row in aug]
 
 
+def naive_first_discrepancy(a, b):
+    """(row, col) of the first entry, in row-major order, where the GaussRat
+    entries of a and b differ; (0, 0) when the shapes differ, None when all
+    agree.  The entry-by-entry oracle for linalg.first_discrepancy."""
+    if a.shape != b.shape:
+        return (0, 0)
+    for r in range(a.rows):
+        for c in range(a.cols):
+            if a[r, c] != b[r, c]:
+                return (r, c)
+    return None
+
+
 def interpolation_idempotents(m, theta):
     """E_i = prod_{j != i} (m - theta_j I) / (theta_i - theta_j) for each i:
     the spectral projections of a matrix m with distinct eigenvalues theta,

@@ -11,7 +11,7 @@ from tcube.cube import (ConstructionError, SpectrumTable, build_context,
                         coordinate_transposition, index_of_vertex,
                         krawtchouk_table, spectrum, verify_commutators,
                         verify_conjugation, verify_idempotent_families,
-                        verify_spectra, vertex_of_index)
+                        vertex_of_index)
 from tcube.leonard import phi_matrix
 from tcube.linalg import ExactMatrix, ExactVector, rank
 from tcube.report import all_passed
@@ -223,7 +223,6 @@ def test_three_spectra_equal_d5():
     tables = [spectrum(ctx, w) for w in ("adjacency", "dual", "imaginary")]
     assert tables[0] == tables[1] == tables[2]
     assert tables[0].total() == 32
-    assert all_passed(verify_spectra(ctx))
 
 
 @pytest.mark.parametrize("D", [2, 3, 4, 5, 6])

@@ -1,5 +1,6 @@
-"""Exact matrix/vector algebra: products, Kronecker structure, adjoints,
-inner products, kernels, inverses, orthogonalization, dump round-trips."""
+"""Exact matrix/vector algebra: the shared vector/matrix body, products,
+Kronecker structure, adjoints, inner products, kernels, inverses,
+orthogonalization, dump round-trips, first discrepancies."""
 
 from fractions import Fraction
 
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_inverse, naive_matrix_rank, naive_rank
+from conftest import (naive_first_discrepancy, naive_inverse,
+                      naive_matrix_rank, naive_rank)
 from tcube.linalg import (ExactMatrix, ExactVector, SingularMatrixError,
-                          gram_schmidt, inner, inverse, kernel_basis, kron,
-                          kron_power, pivot_inverse, rank)
+                          first_discrepancy, gram_schmidt, inner, inverse,
+                          kernel_basis, kron, kron_power, pivot_inverse, rank)
 from tcube.scalar import GaussRat
 
 small = st.integers(min_value=-6, max_value=6)
@@ -33,6 +35,32 @@ def vec_strategy(n):
 SWAP = ExactMatrix([[0, 1], [1, 0]])
 P1 = ExactMatrix([[GaussRat(1), GaussRat(1)],
                   [GaussRat(0, -1), GaussRat(0, 1)]])
+
+
+# -- the body shared by vectors and matrices --------------------------------------
+
+
+@given(st.lists(mixed_scalar, min_size=3, max_size=3),
+       st.lists(mixed_scalar, min_size=3, max_size=3),
+       st.sampled_from(["drawn", "same", "zero"]), mixed_scalar,
+       st.integers(0, 2))
+def test_vector_matches_one_row_matrix(xs, ys, kind, c, k):
+    if kind == "same":
+        ys = xs
+    elif kind == "zero":
+        ys = [0, 0, 0]
+    u, v = ExactVector(xs), ExactVector(ys)
+    mu, mv = ExactMatrix([xs]), ExactMatrix([ys])
+    for vec, mat in ((u + v, mu + mv), (u - v, mu - mv), (-v, -mv),
+                     (u.scale(c), mu.scale(c)), (c * u, mu * c),
+                     (u.conj(), mu.conj()), (v.conj(), mv.conj())):
+        assert ExactMatrix.stack([vec]) == mat
+        assert vec.is_zero() == mat.is_zero()
+    assert (u == v) == (mu == mv)
+    assert u[k] == mu[0, k] and v[k] == mv[0, k]
+    assert v.is_zero() == mv.is_zero() == (kind == "zero" or not any(ys))
+    # a vector never equals a matrix, not even its own one-row stack
+    assert u != mu and not (u == ExactMatrix.stack([u]))
 
 
 def test_identity_neutral():
@@ -398,8 +426,91 @@ def test_aligned_extremes_at_int64_bound(n, bits):
         assert inner(u, bm.column(0).conj()) == want
 
 
+@st.composite
+def gauss_int_vectors(draw):
+    """Two Gaussian-integer vectors whose largest parts are 2^ea and 2^eb,
+    on either side of 2^62 and with products on either side of the int64
+    bound, over denominators 1, 3 or 12."""
+    n = draw(st.integers(1, 4))
+    ea = draw(st.integers(25, 66))
+    eb = draw(st.integers(max(1, 56 - ea), 66))
+    vectors = []
+    for e in (ea, eb):
+        parts = _int_complex_entries(draw, n, e)
+        den = draw(st.sampled_from([1, 3, 12]))
+        vectors.append(ExactVector([GaussRat(Fraction(re, den),
+                                             Fraction(im, den))
+                                    for re, im in parts]))
+    return vectors
+
+
+@settings(max_examples=150)
+@given(gauss_int_vectors())
+def test_inner_is_the_product_with_the_adjoint(uv):
+    u, v = uv
+    gram = ExactMatrix.stack([u]) @ ExactMatrix.stack([v]).adjoint()
+    assert inner(u, v) == gram[0, 0]
+    oracle = GaussRat(0)
+    for k in range(u.length):
+        oracle = oracle + u[k] * v[k].conj()
+    assert inner(u, v) == oracle
+
+
+@settings(max_examples=150)
+@given(straddling_operands())
+def test_kron_across_int64_bound_matches_python_ints(ops):
+    n, rows, cols, a, b = ops
+    am = _as_matrix(a, rows, n)
+    bm = _as_matrix(b, n, cols)
+    k = kron(am, bm)
+    assert k.shape == (rows * n, n * cols)
+    for r in range(rows):
+        for c in range(n):
+            for rr in range(n):
+                for cc in range(cols):
+                    want = _cmul(a[r * n + c], b[rr * cols + cc])
+                    assert k[r * n + rr, c * cols + cc] == GaussRat(*want)
+
+
+def test_kron_of_extremes_on_both_sides_of_the_bound():
+    # the entry is 2^(e+1), as is the bound 2 * max|a| * max|b|: 2^61 on
+    # the int64 path, then 2^62 and 2^63 on the Python-int path
+    for e in (60, 61, 62):
+        a = ExactMatrix([[GaussRat(2 ** 30, 2 ** 30)]])
+        b = ExactMatrix([[GaussRat(2 ** (e - 30), -2 ** (e - 30))]])
+        assert kron(a, b)[0, 0] == GaussRat(2 ** (e + 1), 0)
+
+
 def test_zero_operand_with_entries_beyond_int64():
     big = 2 ** 70
     assert (ExactMatrix([[big]]) @ ExactMatrix([[0]])).is_zero()
     assert ExactMatrix([[0]]).matvec(ExactVector([big])).is_zero()
     assert inner(ExactVector([big]), ExactVector([0])).is_zero()
+
+
+# -- first discrepancy -------------------------------------------------------------
+
+
+@given(mat_strategy(3, 4), mat_strategy(3, 4),
+       st.lists(st.booleans(), min_size=12, max_size=12),
+       st.sampled_from([Fraction(1, 3), GaussRat(Fraction(1, 2), 1),
+                        GaussRat(0, Fraction(1, 5))]))
+def test_first_discrepancy_matches_entry_oracle(a, b, keep, c):
+    # `other` takes each entry from a c where `keep` says so, else from b / 2;
+    # the two matrices sit on different denominators
+    a = a.scale(c)
+    ga, gb = a.to_rows(), b.scale(Fraction(1, 2)).to_rows()
+    other = ExactMatrix([[ga[r][k] if keep[4 * r + k] else gb[r][k]
+                          for k in range(4)] for r in range(3)])
+    assert first_discrepancy(a, other) == naive_first_discrepancy(a, other)
+    assert first_discrepancy(other, a) == naive_first_discrepancy(other, a)
+    assert first_discrepancy(a, a.scale(Fraction(7, 7))) is None
+
+
+def test_first_discrepancy_examples():
+    half = ExactMatrix([[Fraction(1, 2), 1], [GaussRat(0, Fraction(1, 2)), 0]])
+    sixth = ExactMatrix([[Fraction(1, 2), 1], [GaussRat(0, Fraction(1, 2)),
+                                               Fraction(1, 3)]])
+    assert first_discrepancy(half, sixth) == (1, 1)
+    assert first_discrepancy(half, half) is None
+    assert first_discrepancy(half, ExactMatrix.zeros(2, 3)) == (0, 0)
