@@ -20,10 +20,8 @@ import argparse
 import csv
 import io
 import json
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -52,11 +50,9 @@ Row = Tuple[str, Optional[int], Optional[int], bool, Optional[Tuple[int, int]]]
 @dataclass
 class RunConfig:
     D: int
-    command: str
     output_path: Optional[str]
     format: str
     d_limit: int
-    parallel: bool
 
 
 def _default_d_limit() -> int:
@@ -121,48 +117,6 @@ def _module_suite_rows(ctx, m, suite) -> List[Row]:
     return rows
 
 
-# Per-process state of a --parallel worker, set once by _init_worker.
-_WORKER: dict = {}
-
-
-def _init_worker(D: int, d_limit: int, flips) -> None:
-    """Rebuild the (possibly sign-flipped) context and its decomposition in
-    a worker, so that no start method has to inherit the parent's state."""
-    ctx = build_context(D, d_limit)
-    for flip in flips:
-        ctx = ctx.with_flipped_sign(*flip)
-    _WORKER["ctx"] = ctx
-    _WORKER["modules"] = decomposition.decompose(ctx).modules
-
-
-def _parallel_worker(args):
-    suite, k = args
-    return k, _module_suite_rows(_WORKER["ctx"], _WORKER["modules"][k], suite)
-
-
-def _rows_for_modules(ctx, modules, suite, parallel) -> List[Row]:
-    if parallel and len(modules) > 1:
-        # spawn: workers start from a fresh import on every platform, and a
-        # fork of a process that may hold threads is never taken
-        workers = min(len(modules), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context(
-                                     "spawn"),
-                                 initializer=_init_worker,
-                                 initargs=(ctx.D, ctx.d_limit,
-                                           ctx.flips)) as pool:
-            results = list(pool.map(_parallel_worker,
-                                    [(suite, k) for k in range(len(modules))]))
-        return [r for _, rs in sorted(results, key=lambda kr: kr[0])
-                for r in rs]
-    rows = []
-    for k, m in enumerate(modules):
-        rows.extend(_module_suite_rows(ctx, m, suite))
-        _progress(f"  verified module r={m.r} index={m.index} "
-                  f"({k + 1}/{len(modules)})")
-    return rows
-
-
 def _matrix_suite_rows(verify, ctx) -> List[Row]:
     """Rows of one whole-matrix suite; a broken invariant is one failed row."""
     try:
@@ -171,7 +125,7 @@ def _matrix_suite_rows(verify, ctx) -> List[Row]:
         return [_error_row("", exc)]
 
 
-def run_suite(ctx: CubeContext, suite: str, parallel: bool = False) -> List[Row]:
+def run_suite(ctx: CubeContext, suite: str) -> List[Row]:
     """Report rows of one suite.  A broken invariant becomes a failed row:
     one for a whole-matrix suite, one for the decomposition as a whole, or
     one per module; the other suites still run."""
@@ -191,7 +145,10 @@ def run_suite(ctx: CubeContext, suite: str, parallel: bool = False) -> List[Row]
         except VERIFY_ERRORS as exc:
             rows.append(_error_row("", exc))
         else:
-            rows.extend(_rows_for_modules(ctx, modules, suite, parallel))
+            for k, m in enumerate(modules):
+                rows.extend(_module_suite_rows(ctx, m, suite))
+                _progress(f"  verified module r={m.r} index={m.index} "
+                          f"({k + 1}/{len(modules)})")
     return rows
 
 
@@ -277,7 +234,7 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
             spot = tuple(np.argwhere(target.nonzero())[0].tolist())
             ctx = ctx.with_flipped_sign(name, *spot)
             _progress(f"  injected sign flip into {args.corrupt} at {spot}")
-        rows = run_suite(ctx, args.suite, cfg.parallel)
+        rows = run_suite(ctx, args.suite)
     header = {"D": cfg.D, "suite": args.suite}
     code = _emit(_rows_to_text(rows, cfg.format, header), cfg.output_path)
     if code:
@@ -395,22 +352,19 @@ def _build_parser() -> _Parser:
                             "Leonard-triple verification for the hypercube.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, formats=("json", "csv", "pretty"), default="pretty"):
         sp.add_argument("--d", dest="D", type=int, required=True,
                         help="cube dimension")
         sp.add_argument("--d-limit", type=int, default=None,
                         help="largest allowed dimension "
                              f"(default {cube.DEFAULT_D_LIMIT}, env "
                              f"{ENV_D_LIMIT})")
-        sp.add_argument("--format", choices=("json", "csv", "pretty"),
-                        default="pretty")
+        sp.add_argument("--format", choices=formats, default=default)
         sp.add_argument("--output", default=None, help="write report here "
                         "instead of stdout")
-        sp.add_argument("--parallel", action="store_true",
-                        help="verify modules in parallel processes")
 
     b = sub.add_parser("build", help="dump one operator")
-    common(b)
+    common(b, ("json",), "json")
     b.add_argument("--op", choices=BUILD_OPS, required=True)
     b.add_argument("--index", type=int, default=None,
                    help="index for distance/E/Estar/Eeps")
@@ -428,7 +382,7 @@ def _build_parser() -> _Parser:
                    help="directory for --emit-seeds files (default .)")
 
     m = sub.add_parser("module-report", help="per-module verification report")
-    common(m)
+    common(m, ("json", "pretty"))
     m.add_argument("--r", type=int, default=None)
     m.add_argument("--index", type=int, default=None)
 
@@ -451,9 +405,8 @@ def main(argv=None) -> int:
     try:
         d_limit = (_default_d_limit() if args.d_limit is None
                    else args.d_limit)
-        cfg = RunConfig(D=args.D, command=args.command,
-                        output_path=args.output, format=args.format,
-                        d_limit=d_limit, parallel=args.parallel)
+        cfg = RunConfig(D=args.D, output_path=args.output, format=args.format,
+                        d_limit=d_limit)
         return _COMMANDS[args.command](cfg, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -194,31 +195,27 @@ def krawtchouk_table(D: int):
 
 
 def _kron_sum(factor: ExactMatrix, D: int) -> ExactMatrix:
-    """sum over positions of I1^(x i) (x) factor (x) I1^(x (D-1-i))."""
-    total = ExactMatrix.zeros(2 ** D, 2 ** D)
-    for i in range(D):
-        total = total + kron(kron(kron_power(I1, i), factor),
-                             kron_power(I1, D - 1 - i))
+    """sum over positions of I1^(x i) (x) factor (x) I1^(x (D-1-i)), by the
+    recursion K_1 = factor, K_(k+1) = K_k (x) I1 + I_(2^k) (x) factor."""
+    total = factor
+    for k in range(1, D):
+        total = kron(total, I1) + kron(ExactMatrix.identity(2 ** k), factor)
     return total
 
 
 class CubeContext:
     """All operators of Q_D for one dimension; immutable after construction.
 
-    The idempotent families are built lazily from their closed forms and
-    cached; everything else is constructed eagerly with the dual-construction
-    cross-checks.  `flips` lists the sign flips applied by
-    `with_flipped_sign`, so that the same context can be rebuilt elsewhere.
+    The idempotent families and the distance matrices are built lazily and
+    cached; the operators are constructed eagerly with the dual-construction
+    cross-checks.
     """
 
     def __init__(self, D: int, d_limit: int = DEFAULT_D_LIMIT):
         if not 1 <= D <= d_limit:
             raise ValueError(f"D must satisfy 1 <= D <= {d_limit}, got {D}")
         self.D = D
-        self.d_limit = d_limit
-        self.flips = ()
         self.n = 2 ** D
-        self.base_point = (0,) * D
         self.dist = np.array([bin(v).count("1") for v in range(self.n)],
                              dtype=object)
         self.theta = [D - 2 * i for i in range(D + 1)]
@@ -237,10 +234,6 @@ class CubeContext:
         self.Pinv = self.P.adjoint().scale(Fraction(1, self.n))
         _require(self.P @ self.Pinv == ExactMatrix.identity(self.n),
                  "P inverse construction failed")
-        self.dist_matrices = tuple(
-            ExactMatrix.from_numerators(ones, 0 * ones, 1)
-            for ones in ((self.hamming == k).astype(np.int64)
-                         for k in range(D + 1)))
         self._E = None
         self._Estar = None
         self._Eeps = None
@@ -248,13 +241,16 @@ class CubeContext:
 
     # -- operator constructions ------------------------------------------------
 
+    @cached_property
+    def dist_matrices(self):
+        """The distance-k indicator matrices A_k, k = 0..D."""
+        return tuple(ExactMatrix.from_numerators(ones, 0 * ones, 1)
+                     for ones in ((self.hamming == k).astype(np.int64)
+                                  for k in range(self.D + 1)))
+
     def _build_adjacency(self) -> ExactMatrix:
-        n = self.n
-        re = np.zeros((n, n), dtype=object)
-        for y in range(n):
-            for k in range(self.D):
-                re[y, y ^ (1 << k)] = 1
-        a = ExactMatrix.from_numerators(re, np.zeros((n, n), dtype=object), 1)
+        ones = (self.hamming == 1).astype(np.int64)
+        a = ExactMatrix.from_numerators(ones, 0 * ones, 1)
         _require(a == _kron_sum(A1, self.D),
                  "adjacency: Hamming and Kronecker constructions disagree")
         return a
@@ -469,7 +465,6 @@ class CubeContext:
         clone.__dict__.update(self.__dict__)
         clone._E = clone._Estar = clone._Eeps = None
         clone._gathers = {}
-        clone.flips = self.flips + ((op, r, c),)
         m = getattr(clone, op)
         re, im = m._re.copy(), m._im.copy()
         re[r, c], im[r, c] = -re[r, c], -im[r, c]

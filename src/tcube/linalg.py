@@ -286,9 +286,6 @@ class ExactVector(_NumeratorArray):
     def entries(self):
         return [self[k] for k in range(self.length)]
 
-    def support(self):
-        return [k for k in range(self.length) if self._re[k] or self._im[k]]
-
     def take(self, positions) -> "ExactVector":
         """The entries at the given positions, in that order."""
         return ExactVector._raw(self._re[positions], self._im[positions],

@@ -100,14 +100,6 @@ def test_verify_deterministic_output(capsys):
     assert first == second
 
 
-def test_verify_parallel_matches_serial(capsys):
-    _, serial = run(capsys, "verify", "--d", "3", "--suite", "rep-matrices",
-                    "--format", "json")
-    _, parallel = run(capsys, "verify", "--d", "3", "--suite", "rep-matrices",
-                      "--format", "json", "--parallel")
-    assert serial == parallel
-
-
 def test_decompose_d3_report(capsys):
     code, out = run(capsys, "decompose", "--d", "3", "--format", "json")
     assert code == 0
@@ -170,6 +162,16 @@ def test_leonard_check(capsys):
 
 def test_usage_error_unknown_suite(capsys):
     assert main(["verify", "--d", "2", "--suite", "bogus"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--d", "2", "--parallel"],
+    ["build", "--d", "2", "--op", "adjacency", "--format", "csv"],
+    ["module-report", "--d", "2", "--format", "csv"],
+], ids=["verify-parallel", "build-csv", "module-report-csv"])
+def test_usage_error_unsupported_option(capsys, argv):
+    # an option a subcommand would ignore is refused, not accepted
+    assert main(argv) == 2
 
 
 # sha256 of the pretty (text) report of `tcube verify --d D --suite S`,
@@ -632,34 +634,6 @@ def test_build_reports_construction_error(capsys, monkeypatch):
     assert code == 1
     assert captured.err == \
         "error: ConstructionError: P inverse construction failed\n"
-
-
-_VERIFY_IN_SUBPROCESS = """
-import multiprocessing, sys
-multiprocessing.set_start_method(sys.argv[1])
-from tcube.cli import main
-sys.exit(main(sys.argv[2:]))
-"""
-
-
-@pytest.mark.parametrize("corrupt", [[], ["--corrupt", "imaginary"]],
-                         ids=["clean", "imaginary"])
-@pytest.mark.parametrize("method", ["fork", "spawn"])
-def test_parallel_matches_serial_under_start_method(method, corrupt):
-    # the workers rebuild their state, so the output does not depend on the
-    # process start method, and a --corrupt flip reaches them as well
-    src = os.path.dirname(os.path.dirname(tcube.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    argv = ["verify", "--d", "3", "--suite", "all"] + corrupt
-    outs = [subprocess.run([sys.executable, "-c", _VERIFY_IN_SUBPROCESS,
-                            method] + argv + extra,
-                           capture_output=True, text=True, env=env,
-                           timeout=300)
-            for extra in ([], ["--parallel"])]
-    assert "Traceback" not in outs[1].stderr
-    assert outs[0].returncode == outs[1].returncode == (1 if corrupt else 0)
-    assert outs[0].stdout == outs[1].stdout
 
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
