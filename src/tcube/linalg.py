@@ -11,9 +11,12 @@ its shape, its grid constructor and its dump format.
 Integer arrays, int64 or object, enter through one constructor,
 `from_numerators`; scalars only through the grid constructors and
 `diagonal`.  Every complex product (matrix times matrix or vector, the
-Kronecker product, the inner product) is one kernel, `_product`, which runs
-on int64 copies of the numerators when `fits_i64` bounds every result entry
-and on Python ints otherwise; the results are identical.  Entrywise
+Kronecker product, the inner product) is one kernel, `_product`, with three
+tiers: a dot runs on float64 BLAS when `fits_f64` keeps every value it forms
+an integer of magnitude at most 2^53, so nothing rounds; a Kronecker product,
+or a dot past that bound, runs on int64 copies of the numerators when
+`fits_i64` bounds every result entry below 2^62; anything else runs on
+Python ints.  The results are identical.  Entrywise
 equality (`entries_equal`) compares numerators across the two denominators,
 so blocks on different denominators compare without being brought to
 lowest terms.
@@ -38,6 +41,7 @@ import numpy as np
 from .scalar import GaussRat, as_gauss
 
 I64_LIMIT = 2 ** 62
+F64_LIMIT = 2 ** 53
 
 
 def _obj_zeros(shape):
@@ -104,19 +108,38 @@ def fits_i64(length: int, ma: int, mb: int) -> bool:
             and 2 * length * ma * mb < I64_LIMIT)
 
 
+def fits_f64(length: int, ma: int, mb: int) -> bool:
+    """True when every product, partial sum and combined part of a complex
+    dot of the given length over entries bounded by ma and mb is an integer
+    of magnitude at most 2^53, which float64 holds exactly."""
+    return 2 * length * ma * mb <= F64_LIMIT
+
+
 def _product(a, b, dot):
     """(re, im) numerator arrays, over a._den * b._den, of the complex
     product of a and b under the bilinear `dot` (np.dot or np.kron).
 
-    Runs on int64 when fits_i64 holds for the length of a's last axis: an
-    entry of a dot sums that many complex products, and an entry of a
-    Kronecker product is one, so the bound covers both.  Otherwise on
-    Python ints.  A zero imaginary part costs no dot.
+    Three tiers, by the length of a's last axis (an entry of a dot sums
+    that many complex products, an entry of a Kronecker product is one):
+    - float64: a dot for which fits_i64 and fits_f64 hold runs on float64
+      copies of the int64 numerators, so on BLAS, which numpy has not for
+      int64.  Every value it forms is an integer of magnitude at most 2^53,
+      so none rounds, whatever BLAS's summation order, FMA use or thread
+      count, and the result is cast back to int64 exactly;
+    - int64: otherwise, when fits_i64 holds;
+    - Python ints: otherwise.
+    The results are identical.  A zero imaginary part costs no dot.
     """
-    fits = fits_i64(a._re.shape[-1], a._max(), b._max())
+    length, ma, mb = a._re.shape[-1], a._max(), b._max()
+    fits = fits_i64(length, ma, mb)
     ar, ai = _numerators(a, fits)
     br, bi = _numerators(b, fits)
     a_im, b_im = ai.any(), bi.any()
+    on_float = fits and dot is np.dot and fits_f64(length, ma, mb)
+    if on_float:
+        ar, br = ar.astype(np.float64), br.astype(np.float64)
+        ai = ai.astype(np.float64) if a_im else None
+        bi = bi.astype(np.float64) if b_im else None
     cr = dot(ar, br)
     if a_im and b_im:
         cr = cr - dot(ai, bi)
@@ -126,7 +149,10 @@ def _product(a, b, dot):
     if a_im:
         t = dot(ai, br)
         ci = t if ci is None else ci + t
-    return cr, np.zeros_like(cr) if ci is None else ci
+    ci = np.zeros_like(cr) if ci is None else ci
+    if on_float:
+        return cr.astype(np.int64), ci.astype(np.int64)
+    return cr, ci
 
 
 class _NumeratorArray:

@@ -4,15 +4,17 @@ orthogonalization, dump round-trips, first discrepancies."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (naive_first_discrepancy, naive_inverse,
+from conftest import (get_ctx, naive_first_discrepancy, naive_inverse,
                       naive_matrix_rank, naive_rank)
 from tcube.linalg import (ExactMatrix, ExactVector, SingularMatrixError,
-                          first_discrepancy, gram_schmidt, inner, inverse,
-                          kernel_basis, kron, kron_power, pivot_inverse, rank)
+                          _product, first_discrepancy, fits_f64, gram_schmidt,
+                          inner, inverse, kernel_basis, kron, kron_power,
+                          pivot_inverse, rank)
 from tcube.scalar import GaussRat
 
 small = st.integers(min_value=-6, max_value=6)
@@ -350,7 +352,7 @@ def test_pivot_inverse_on_leftmost_independent_columns(m):
     assert inv == ExactMatrix(naive_inverse(sub))
 
 
-# -- the int64 bound of the product kernels ---------------------------------------
+# -- the float64 and int64 bounds of the product kernels ------------------------
 
 
 def _int_complex_entries(draw, count, e):
@@ -365,12 +367,13 @@ def _int_complex_entries(draw, count, e):
 
 @st.composite
 def straddling_operands(draw):
-    """Gaussian-integer operands whose magnitudes put the int64 test
-    2 * n * max|a| * max|b| < 2^62 on either side of the bound."""
+    """Gaussian-integer operands whose magnitudes put the float64 test
+    2 * n * max|a| * max|b| <= 2^53 and the int64 test < 2^62 on either
+    side of their bounds."""
     n = draw(st.integers(1, 4))
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     ea = draw(st.integers(18, 44))
-    eb = draw(st.integers(57 - ea, 62 - ea))
+    eb = draw(st.integers(47 - ea, 62 - ea))
     a = _int_complex_entries(draw, rows * n, ea)
     b = _int_complex_entries(draw, n * cols, eb)
     return n, rows, cols, a, b
@@ -410,30 +413,47 @@ def test_products_across_int64_bound_match_python_ints(ops):
                                    sum(t[1] for t in conj_terms))
 
 
+def _aligned_dots(a_entries, b_entries, want):
+    am = ExactMatrix([a_entries])
+    bm = ExactMatrix([[e] for e in b_entries])
+    assert (am @ bm)[0, 0] == want
+    assert am.matvec(bm.column(0))[0] == want
+    assert inner(ExactVector(a_entries), bm.column(0).conj()) == want
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("bits", range(57, 64))
+@pytest.mark.parametrize("bits", range(50, 64))
 def test_aligned_extremes_at_int64_bound(n, bits):
     # every term of the dot has the largest magnitude and the same sign, so
-    # the exact sums n * 2^(bits+1) reach and pass 2^63
+    # the exact sums n * 2^(bits+1) reach and pass 2^53 and 2^63
     a, b = 2 ** (bits // 2), 2 ** (bits - bits // 2)
-    am = ExactMatrix([[GaussRat(a, a)] * n])
     for br, bi, want in ((b, -b, GaussRat(n * 2 * a * b, 0)),
                          (b, b, GaussRat(0, n * 2 * a * b))):
-        bm = ExactMatrix([[GaussRat(br, bi)] for _ in range(n)])
-        assert (am @ bm)[0, 0] == want
-        assert am.matvec(bm.column(0))[0] == want
-        u = ExactVector([GaussRat(a, a)] * n)
-        assert inner(u, bm.column(0).conj()) == want
+        _aligned_dots([GaussRat(a, a)] * n, [GaussRat(br, bi)] * n, want)
+    # an odd sum 2^bits + 1, split as evenly as it goes over the 2n parts of
+    # (1 + i) * b_k, so it is as large as the bound allows; from 2^53 on
+    # float64 cannot hold it, and a float tier taken above the bound rounds
+    total = 2 ** bits + 1
+    q, r = divmod(total, 2 * n)
+    parts = [q + 1] * r + [q] * (2 * n - r)
+    ys, zs = parts[0::2], parts[1::2]
+    skew = sum(ys) - sum(zs)
+    _aligned_dots([GaussRat(1, 1)] * n,
+                  [GaussRat(y, -z) for y, z in zip(ys, zs)],
+                  GaussRat(total, skew))
+    _aligned_dots([GaussRat(1, 1)] * n,
+                  [GaussRat(y, z) for y, z in zip(ys, zs)],
+                  GaussRat(skew, total))
 
 
 @st.composite
 def gauss_int_vectors(draw):
     """Two Gaussian-integer vectors whose largest parts are 2^ea and 2^eb,
-    on either side of 2^62 and with products on either side of the int64
-    bound, over denominators 1, 3 or 12."""
+    on either side of 2^62 and with products on either side of the float64
+    and the int64 bound, over denominators 1, 3 or 12."""
     n = draw(st.integers(1, 4))
     ea = draw(st.integers(25, 66))
-    eb = draw(st.integers(max(1, 56 - ea), 66))
+    eb = draw(st.integers(max(1, 47 - ea), 66))
     vectors = []
     for e in (ea, eb):
         parts = _int_complex_entries(draw, n, e)
@@ -481,11 +501,39 @@ def test_kron_of_extremes_on_both_sides_of_the_bound():
         assert kron(a, b)[0, 0] == GaussRat(2 ** (e + 1), 0)
 
 
+def _object_dots(a, b):
+    """The complex product's numerator arrays by np.dot on a's and b's own
+    object arrays, which hold Python ints."""
+    return (np.dot(a._re, b._re) - np.dot(a._im, b._im),
+            np.dot(a._re, b._im) + np.dot(a._im, b._re))
+
+
+@pytest.mark.parametrize("D", range(1, 7))
+def test_float_tier_equals_python_int_dots_on_cube_matrices(D):
+    # the whole-matrix products of the paper's identities: real (E_i E_j,
+    # A A*), complex (Ee_i Ee_j, P P^-1) and mixed (A Ae, E_i Ee_i)
+    ctx = get_ctx(D)
+    pairs = [(ctx.A, ctx.Astar), (ctx.P, ctx.Pinv), (ctx.A, ctx.Aeps)]
+    for i in range(D + 1):
+        pairs.append((ctx.E[i], ctx.Eeps[i]))
+        for j in range(D + 1):
+            pairs.append((ctx.E[i], ctx.E[j]))
+            pairs.append((ctx.Eeps[i], ctx.Eeps[j]))
+    for a, b in pairs:
+        assert fits_f64(ctx.n, a._max(), b._max())
+        cr, ci = _product(a, b, np.dot)
+        assert cr.dtype == ci.dtype == np.int64
+        want_r, want_i = _object_dots(a, b)
+        assert np.array_equal(cr, want_r) and np.array_equal(ci, want_i)
+
+
 def test_zero_operand_with_entries_beyond_int64():
-    big = 2 ** 70
-    assert (ExactMatrix([[big]]) @ ExactMatrix([[0]])).is_zero()
-    assert ExactMatrix([[0]]).matvec(ExactVector([big])).is_zero()
-    assert inner(ExactVector([big]), ExactVector([0])).is_zero()
+    # the float64 bound holds for any partner of a zero operand; 2^1100
+    # has no float64 value, so that partner must not be converted
+    for big in (2 ** 70, 2 ** 1100):
+        assert (ExactMatrix([[big]]) @ ExactMatrix([[0]])).is_zero()
+        assert ExactMatrix([[0]]).matvec(ExactVector([big])).is_zero()
+        assert inner(ExactVector([big]), ExactVector([0])).is_zero()
 
 
 # -- first discrepancy -------------------------------------------------------------
