@@ -94,9 +94,9 @@ def _phase_conjugate(m: ExactMatrix, phase) -> ExactMatrix:
 # -- kernels of the block operators ------------------------------------------------
 #
 # A block holds one vector per row.  The kernels below act on the rows of its
-# numerator arrays, which are int64 when the caller has checked a bound and
-# object arrays of Python ints otherwise (`linalg._numerators`); the code is
-# the same for both.
+# numerator arrays: the block's own int64 arrays when the caller has checked
+# a bound, and object copies, on which numpy computes with Python ints,
+# otherwise (`linalg._numerators`); the code is the same for both.
 
 
 def _walsh_hadamard(a):
@@ -147,17 +147,13 @@ def _flip_bit(a, s):
 
 class _Gather:
     """A matrix M supported on the pairs (y, y ^ shifts[k]), with
-    M[y, y ^ shifts[k]] = (re + i im)[y, k] / den: its values, an int64
-    copy of them when they fit, and its largest numerator."""
+    M[y, y ^ shifts[k]] = (re + i im)[y, k] / den: its values, stored as
+    M's numerators are, and its largest numerator."""
 
     def __init__(self, shifts, re, im, den):
         self.shifts, self.re, self.den = shifts, re, den
         self.im = im if im.any() else None
         self.max = max(int(abs(re).max()), int(abs(im).max()))
-        self.c64 = None
-        if self.max < I64_LIMIT:
-            self.c64 = (re.astype(np.int64),
-                        None if self.im is None else im.astype(np.int64))
 
     @classmethod
     def of(cls, m: ExactMatrix, shifts) -> "_Gather":
@@ -172,8 +168,9 @@ class _Gather:
     def apply(self, re, im):
         """Numerators (over den) of every row x of re + i im times M:
         (M x)[y] = sum_k M[y, y ^ shifts[k]] x[y ^ shifts[k]].  int64
-        arrays must satisfy fits_i64(len(shifts), self.max, max |x|)."""
-        vr, vi = self.c64 if re.dtype == np.int64 else (self.re, self.im)
+        arrays must satisfy fits_i64(len(shifts), self.max, max |x|); object
+        arrays make every product one of Python ints."""
+        vr, vi = self.re, self.im
         out_re = out_im = 0
         for k, s in enumerate(self.shifts):
             xr, xi = _flip_bit(re, s), _flip_bit(im, s)
@@ -404,7 +401,8 @@ class CubeContext:
         if block.cols != self.n:
             raise ValueError(f"block has {block.cols} columns, expected {self.n}")
         if family == "Estar":
-            re, im = _numerators(block, block._max() < I64_LIMIT)
+            # a 0/1 mask leaves every numerator as it is stored
+            re, im = block._re, block._im
             return tuple(ExactMatrix.from_numerators(re * mask, im * mask,
                                                      block._den)
                          for mask in self._slice_masks)
@@ -422,14 +420,15 @@ class CubeContext:
         return tuple(out)
 
     def _spectral_parts(self, re, im, m: int):
-        """Numerators, over 2^D, of E_i x for every row x of re + i im (object
-        arrays with entries bounded by m), certified against A."""
+        """Numerators, over 2^D, of E_i x for every row x of re + i im (stored
+        numerator arrays with entries bounded by m), certified against A."""
         n, D = self.n, self.D
         a = self._gather_table("A")
         # |x H| <= n m and each part is at most n^2 m; their sum, theta_i
         # times one and A times one stay below (2D + 2) n^2 m a.max a.den
-        if m * n * n * (2 * D + 2) * a.max * a.den < I64_LIMIT:
-            re, im = re.astype(np.int64), im.astype(np.int64)
+        if m * n * n * (2 * D + 2) * a.max * a.den >= I64_LIMIT:
+            re = re.astype(object, copy=False)
+            im = im.astype(object, copy=False)
         rows = re.shape[0]
         spectrum = _walsh_hadamard(np.concatenate([re, im]))
         masked = spectrum[None, :, :] * self._slice_masks[:, None, :]

@@ -127,7 +127,8 @@ def _fail(r, index, what):
 
 
 def _embed(ctx: CubeContext, small: ExactVector, indices) -> ExactVector:
-    re, im = np.zeros(ctx.n, dtype=object), np.zeros(ctx.n, dtype=object)
+    re = np.zeros(ctx.n, dtype=small._re.dtype)
+    im = np.zeros(ctx.n, dtype=small._re.dtype)
     re[indices], im[indices] = small._re, small._im
     return ExactVector.from_numerators(re, im, small._den)
 

@@ -1,12 +1,18 @@
 """Dense exact linear algebra over Q(i).
 
-Vectors and matrices share one numerator-array core: two numpy object
-arrays of Python ints, the real and the imaginary numerators, over one
-positive integer denominator, in lowest terms (the gcd of every numerator
-and the denominator is 1).  Lowest terms are unique, so equality compares
-arrays.  `ExactVector` and `ExactMatrix` share the body that stores, reduces,
-indexes, compares, adds, scales and conjugates these arrays; each adds only
-its shape, its grid constructor and its dump format.
+Vectors and matrices share one numerator-array core: two numpy integer
+arrays, the real and the imaginary numerators, over one positive integer
+denominator, in lowest terms (the gcd of every numerator and the
+denominator is 1).  The arrays are int64 exactly when every numerator is
+below 2^62 in magnitude, and object arrays of Python ints otherwise, so the
+storage is a function of the value.  Lowest terms are unique too, so
+equality compares arrays.  `ExactVector` and `ExactMatrix` share the body
+that stores, reduces, indexes, compares, adds, scales and conjugates these
+arrays; each adds only its shape, its grid constructor and its dump format.
+
+numpy wraps int64 overflow silently, so every operation that multiplies
+int64 numerators by an integer factor first checks a bound below 2^62 and
+otherwise runs on Python-int copies (`_numerators`).
 
 Integer arrays, int64 or object, enter through one constructor,
 `from_numerators`; scalars only through the grid constructors and
@@ -14,20 +20,19 @@ Integer arrays, int64 or object, enter through one constructor,
 Kronecker product, the inner product) is one kernel, `_product`, with three
 tiers: a dot runs on float64 BLAS when `fits_f64` keeps every value it forms
 an integer of magnitude at most 2^53, so nothing rounds; a Kronecker product,
-or a dot past that bound, runs on int64 copies of the numerators when
-`fits_i64` bounds every result entry below 2^62; anything else runs on
-Python ints.  The results are identical.  Entrywise
-equality (`entries_equal`) compares numerators across the two denominators,
-so blocks on different denominators compare without being brought to
-lowest terms.
+or a dot past that bound, runs on the int64 numerators when `fits_i64`
+bounds every result entry below 2^62; anything else runs on Python ints.
+The results are identical.  Entrywise equality (`entries_equal`) compares
+numerators across the two denominators, so blocks on different
+denominators compare without being brought to lowest terms.
 
-Elimination is fraction-free: rows are combined over the Gaussian integers
-and divided by their integer content after each step, which bounds
-coefficient growth without ever leaving Z[i].  The forward pass gives the
-rank; the Gauss-Jordan pass, which also clears each pivot column above the
-pivot, gives kernel vectors and, on [m | I], the one exact inverse,
-`pivot_inverse`: the pivot columns of a matrix with independent rows and
-the inverse of its square submatrix on them.
+Elimination is fraction-free and runs on Python ints: rows are combined
+over the Gaussian integers and divided by their integer content after each
+step, which bounds coefficient growth without ever leaving Z[i].  The
+forward pass gives the rank; the Gauss-Jordan pass, which also clears each
+pivot column above the pivot, gives kernel vectors and, on [m | I], the one
+exact inverse, `pivot_inverse`: the pivot columns of a matrix with
+independent rows and the inverse of its square submatrix on them.
 """
 
 from __future__ import annotations
@@ -48,10 +53,33 @@ def _obj_zeros(shape):
     return np.zeros(shape, dtype=object)
 
 
+def _as_object(arr):
+    return arr if arr.dtype == object else arr.astype(object)
+
+
 def _max_abs(arr) -> int:
     if arr.size == 0:
         return 0
-    return int(abs(arr).max())
+    if arr.dtype == object:
+        return int(abs(arr).max())
+    return max(int(arr.max()), -int(arr.min()))
+
+
+def _stored(re, im):
+    """(re, im, m) for integer arrays re and im: int64 arrays when every
+    entry of both is below 2^62 in magnitude, else object arrays of Python
+    ints; m is the largest magnitude, or None when an entry has no int64
+    value."""
+    re, im = np.asarray(re), np.asarray(im)
+    try:
+        re64, im64 = re.astype(np.int64, copy=False), im.astype(np.int64,
+                                                                copy=False)
+    except OverflowError:
+        return _as_object(re), _as_object(im), None
+    m = max(_max_abs(re64), _max_abs(im64))
+    if m < I64_LIMIT:
+        return re64, im64, m
+    return _as_object(re), _as_object(im), m
 
 
 def _content(den: int, *arrays) -> int:
@@ -61,7 +89,10 @@ def _content(den: int, *arrays) -> int:
     for arr in arrays:
         flat = arr.ravel()
         for start in range(0, flat.size, 1024):
-            g = math.gcd(g, *flat[start:start + 1024].tolist())
+            chunk = flat[start:start + 1024]
+            g = math.gcd(g, int(np.gcd.reduce(chunk))
+                         if chunk.dtype == np.int64 else
+                         math.gcd(*chunk.tolist()))
             if g == 1:
                 return 1
     return g
@@ -88,22 +119,32 @@ def _numerators_of(scalars):
 
 
 def _numerators(x, i64: bool):
-    """The numerator arrays (re, im) of x: int64 copies, converted once per
-    object, when `i64` (the caller has checked that a bound below 2^62
-    holds), else x's own object arrays.  A zero imaginary part becomes a
-    read-only zero view that takes no memory."""
-    if not i64:
+    """The numerator arrays (re, im) of x: its own arrays when `i64` (the
+    caller has checked that a bound below 2^62 holds, so they are int64),
+    else object copies, on which numpy computes with Python ints."""
+    if i64:
         return x._re, x._im
-    if x._c64 is None:
-        im = (x._im.astype(np.int64) if x._im.any()
-              else np.broadcast_to(np.int64(0), x._im.shape))
-        object.__setattr__(x, "_c64", (x._re.astype(np.int64), im))
-    return x._c64
+    return _as_object(x._re), _as_object(x._im)
+
+
+def _fits(m: int, f: int) -> bool:
+    """True when entries of magnitude at most m times an integer of
+    magnitude at most |f| stay below 2^62.  An array of zeros counts as
+    m = 1, since numpy rejects a factor without an int64 value even then."""
+    return max(m, 1) * abs(f) < I64_LIMIT
+
+
+def _scaled(x, f: int):
+    """x's numerator arrays times the integer f: on int64 when _fits(max, f)
+    holds, else on object copies.  An int64 result stays below 2^62 in
+    magnitude, so the sum of two (`_combine`) stays within int64."""
+    re, im = _numerators(x, _fits(x._max(), f))
+    return re * f, im * f
 
 
 def fits_i64(length: int, ma: int, mb: int) -> bool:
-    """True when both operands convert to int64 and every complex dot of the
-    given length over entries bounded by ma and mb stays below 2^62."""
+    """True when both operands are stored as int64 and every complex dot of
+    the given length over entries bounded by ma and mb stays below 2^62."""
     return (ma < I64_LIMIT and mb < I64_LIMIT
             and 2 * length * ma * mb < I64_LIMIT)
 
@@ -126,8 +167,8 @@ def _product(a, b, dot):
       int64.  Every value it forms is an integer of magnitude at most 2^53,
       so none rounds, whatever BLAS's summation order, FMA use or thread
       count, and the result is cast back to int64 exactly;
-    - int64: otherwise, when fits_i64 holds;
-    - Python ints: otherwise.
+    - int64: otherwise, when fits_i64 holds, on the stored arrays;
+    - Python ints: otherwise, on object copies.
     The results are identical.  A zero imaginary part costs no dot.
     """
     length, ma, mb = a._re.shape[-1], a._max(), b._max()
@@ -156,25 +197,30 @@ def _product(a, b, dot):
 
 
 class _NumeratorArray:
-    """(re + i im) / den for numpy object arrays re, im of Python ints and
-    an integer den > 0, in lowest terms; immutable.  The body shared by
-    ExactVector and ExactMatrix: `_mx` caches the largest numerator and
-    `_c64` the int64 copies of the arrays."""
+    """(re + i im) / den for integer arrays re, im and an integer den > 0,
+    in lowest terms; immutable.  re and im are int64 when every numerator is
+    below 2^62 in magnitude, else object arrays of Python ints.  The body
+    shared by ExactVector and ExactMatrix: `_mx` caches the largest
+    numerator."""
 
-    __slots__ = ("_re", "_im", "_den", "_mx", "_c64")
+    __slots__ = ("_re", "_im", "_den", "_mx")
 
     def _init(self, re, im, den, reduce=True):
-        re = np.asarray(re, dtype=object)
-        im = np.asarray(im, dtype=object)
+        re, im, mx = _stored(re, im)
         if reduce and den > 1:
             g = _content(den, re, im)
+            # with every numerator zero g is den, which may have no int64
+            # value; only den is divided then
             if g > 1:
-                re, im, den = re // g, im // g, den // g
+                den //= g
+                if mx != 0:
+                    re, im = re // g, im // g
+                    re, im, mx = (_stored(re, im) if re.dtype == object
+                                  else (re, im, mx // g))
         object.__setattr__(self, "_re", _freeze(re))
         object.__setattr__(self, "_im", _freeze(im))
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_mx", None)
-        object.__setattr__(self, "_c64", None)
+        object.__setattr__(self, "_mx", mx)
 
     @classmethod
     def _raw(cls, re, im, den, reduce=True):
@@ -187,25 +233,19 @@ class _NumeratorArray:
     @classmethod
     def from_numerators(cls, re, im, den):
         """(re + i im) / den from integer arrays, int64 or object, in lowest
-        terms.  The content of int64 arrays is taken with np.gcd.reduce, so
-        they are divided before they become Python ints."""
-        if re.dtype != np.int64:
-            return cls._raw(re, im, den)
-        if den > 1:
-            g = math.gcd(den, int(np.gcd.reduce(re, axis=None)),
-                         int(np.gcd.reduce(im, axis=None)))
-            if g > 1:
-                re, im, den = re // g, im // g, den // g
-        return cls._raw(re, im, den, reduce=False)
+        terms."""
+        return cls._raw(re, im, den)
 
     @classmethod
     def zeros(cls, *shape):
-        return cls._raw(_obj_zeros(shape), _obj_zeros(shape), 1, reduce=False)
+        zeros = np.zeros(shape, dtype=np.int64)
+        return cls._raw(zeros, zeros, 1, reduce=False)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _max(self) -> int:
+        """The largest magnitude of a numerator."""
         m = self._mx
         if m is None:
             m = max(_max_abs(self._re), _max_abs(self._im))
@@ -235,9 +275,9 @@ class _NumeratorArray:
             raise ValueError(
                 f"shape mismatch {self._re.shape} vs {other._re.shape}")
         l = math.lcm(self._den, other._den)
-        fa, fb = l // self._den, sign * (l // other._den)
-        return self._raw(self._re * fa + other._re * fb,
-                         self._im * fa + other._im * fb, l)
+        ar, ai = _scaled(self, l // self._den)
+        br, bi = _scaled(other, sign * (l // other._den))
+        return self._raw(ar + br, ai + bi, l)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -253,8 +293,8 @@ class _NumeratorArray:
         cr = c.re.numerator * c.im.denominator
         ci = c.im.numerator * c.re.denominator
         cd = c.re.denominator * c.im.denominator
-        return self._raw(self._re * cr - self._im * ci,
-                         self._re * ci + self._im * cr, self._den * cd)
+        re, im = _numerators(self, _fits(self._max(), abs(cr) + abs(ci)))
+        return self._raw(re * cr - im * ci, re * ci + im * cr, self._den * cd)
 
     def __mul__(self, c):
         return self.scale(c)
@@ -298,9 +338,9 @@ class ExactVector(_NumeratorArray):
 
     @classmethod
     def basis_vector(cls, n, k):
-        re = _obj_zeros(n)
+        re, im = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
         re[k] = 1
-        return cls._raw(re, _obj_zeros(n), 1, reduce=False)
+        return cls._raw(re, im, 1, reduce=False)
 
     @property
     def length(self) -> int:
@@ -350,8 +390,8 @@ class ExactMatrix(_NumeratorArray):
 
     @classmethod
     def identity(cls, n):
-        return cls._raw(np.identity(n, dtype=object), _obj_zeros((n, n)), 1,
-                        reduce=False)
+        return cls._raw(np.identity(n, dtype=np.int64),
+                        np.zeros((n, n), dtype=np.int64), 1, reduce=False)
 
     @classmethod
     def diagonal(cls, values, offset=0):
@@ -367,9 +407,9 @@ class ExactMatrix(_NumeratorArray):
         given matrices in turn, on their common denominator; ValueError for
         no items or unequal lengths."""
         den = math.lcm(*(x._den for x in items))
-        re = np.vstack([x._re * (den // x._den) for x in items])
-        im = np.vstack([x._im * (den // x._den) for x in items])
-        return cls._raw(re, im, den)
+        parts = [_scaled(x, den // x._den) for x in items]
+        return cls._raw(np.vstack([re for re, _ in parts]),
+                        np.vstack([im for _, im in parts]), den)
 
     @property
     def shape(self):
@@ -412,8 +452,9 @@ class ExactMatrix(_NumeratorArray):
         compared across the two denominators."""
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return (np.equal(self._re * other._den, other._re * self._den)
-                & np.equal(self._im * other._den, other._im * self._den))
+        ar, ai = _scaled(self, other._den)
+        br, bi = _scaled(other, self._den)
+        return np.equal(ar, br) & np.equal(ai, bi)
 
     def row_equal(self, other: "ExactMatrix"):
         """Boolean array: whether row k of self equals row k of other."""
@@ -517,14 +558,15 @@ def _reduce_rows(re, im):
 def _echelon(re, im, jordan=False):
     """Fraction-free row echelon over Z[i] with per-row content reduction.
 
-    Returns (rank, pivot_cols, re, im); rows at index >= rank are zero.
+    Runs on object copies of (re, im), so on Python ints.  Returns
+    (rank, pivot_cols, re, im); rows at index >= rank are zero.
     Pivots are chosen as the first row with a nonzero entry in the leftmost
     unfinished column, so the result is deterministic.  With `jordan` each
     pivot also clears its column above it (Gauss-Jordan), so every pivot
     column ends with a single nonzero entry.
     """
-    re = re.copy()
-    im = im.copy()
+    re = re.astype(object)
+    im = im.astype(object)
     nrows, ncols = re.shape
     pivots = []
     r = 0

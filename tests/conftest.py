@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tcube.cube import build_context
 from tcube.decomposition import decompose
 from tcube.leonard import TRANSITION_TABLE, build_six_bases, phi_matrix
-from tcube.linalg import ExactMatrix
+from tcube.linalg import I64_LIMIT, ExactMatrix
 from tcube.scalar import GaussRat, I as IUNIT
 
 _CTX = {}
@@ -97,6 +98,18 @@ def naive_rank(rows) -> int:
 
 def naive_matrix_rank(m) -> int:
     return naive_rank(m.to_rows())
+
+
+def assert_canonical_storage(x):
+    """x's numerator arrays are int64 exactly when every numerator is below
+    2^62 in magnitude, else object arrays, and x's cached largest numerator
+    is right: the storage rule, checked on Python ints read one entry at a
+    time."""
+    largest = max((abs(int(v)) for arr in (x._re, x._im) for v in arr.flat),
+                  default=0)
+    assert x._max() == largest
+    want = np.int64 if largest < I64_LIMIT else object
+    assert x._re.dtype == want and x._im.dtype == want
 
 
 def naive_inverse(rows):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (get_ctx, naive_first_discrepancy, naive_inverse,
+from conftest import (assert_canonical_storage, get_ctx,
+                      naive_first_discrepancy, naive_inverse,
                       naive_matrix_rank, naive_rank)
 from tcube.linalg import (ExactMatrix, ExactVector, SingularMatrixError,
                           _product, first_discrepancy, fits_f64, gram_schmidt,
@@ -304,6 +305,71 @@ def test_entries_equal_across_denominators():
     assert half.row_equal(sixth).tolist() == [False]
 
 
+# -- storage ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("top", [2 ** 62 - 1, 2 ** 62, 2 ** 62 + 1,
+                                 2 ** 63 - 1, 2 ** 63, 2 ** 70])
+def test_storage_is_int64_exactly_below_2_62(top, sign):
+    big = sign * top
+    grid = [[GaussRat(big, 1), GaussRat(0)], [GaussRat(0, -3), GaussRat(5)]]
+    m = ExactMatrix(grid)
+    assert (m._re.dtype == np.int64) == (top < 2 ** 62)
+    re = np.array([[big, 0], [0, 5]], dtype=object)
+    im = np.array([[1, 0], [-3, 0]], dtype=object)
+    built = [m, ExactMatrix.from_numerators(re, im, 1)]
+    if -2 ** 63 <= big < 2 ** 63:
+        built.append(ExactMatrix.from_numerators(re.astype(np.int64),
+                                                 im.astype(np.int64), 1))
+    for x in built:
+        assert_canonical_storage(x)
+        assert x == m and x.to_rows() == grid
+    v = m.row(0)
+    for x in (-m, m.conj(), m.transpose(), m.adjoint(), v, m.column(0),
+              m.block(slice(0, 1), slice(None)), m.columns([1, 0]),
+              v.take([1, 0]), v.primitive(), m + m, m - m, m + m.scale(-1),
+              m.scale(GaussRat(0, Fraction(1, 2))), m @ m, m.matvec(v),
+              kron(m, m), ExactMatrix.stack([m, v]),
+              ExactMatrix.diagonal([big, GaussRat(0, 1)], 1),
+              ExactMatrix.from_dump(m.to_dump()),
+              ExactVector.from_dump(v.to_dump()), inverse(m),
+              *kernel_basis(ExactMatrix.stack([v])),
+              ExactMatrix.identity(2), ExactMatrix.zeros(2, 3),
+              ExactVector.basis_vector(3, 1)):
+        assert_canonical_storage(x)
+
+
+def test_content_reduction_moves_storage_across_2_62():
+    # over den 4 the numerators 3 * 2^62 and 2^62 reduce to 3 * 2^60 and
+    # 2^60, which int64 holds; over den 2 to 3 * 2^61 and 2^61, which it
+    # must not
+    re = np.array([3 * 2 ** 62, 2 ** 62], dtype=object)
+    for den, stored in ((4, np.int64), (2, object)):
+        v = ExactVector.from_numerators(re, 0 * re, den)
+        assert_canonical_storage(v)
+        assert v._re.dtype == stored
+        assert v.entries() == [GaussRat(Fraction(3 * 2 ** 62, den)),
+                               GaussRat(Fraction(2 ** 62, den))]
+    # zero numerators over any denominator are the zero vector over 1
+    zeros = np.zeros(2, dtype=np.int64)
+    zero = ExactVector.from_numerators(zeros, zeros, 2 ** 70)
+    assert zero == ExactVector([0, 0]) and zero._den == 1
+
+
+def test_zero_operands_take_factors_beyond_int64():
+    # a zero array counts as bounded by 1 in every guard: numpy refuses an
+    # int64 array times a Python int without an int64 value, even zeros
+    tiny = ExactVector([Fraction(1, 2 ** 70), 0])
+    zero = ExactVector([0, 0])
+    assert zero + tiny == tiny and tiny - zero == tiny
+    assert zero.scale(2 ** 70).is_zero()
+    assert ExactMatrix.stack([zero, tiny]) == ExactMatrix([[0, 0],
+                                                           tiny.entries()])
+    assert ExactMatrix.stack([zero]).entries_equal(
+        ExactMatrix.stack([tiny])).tolist() == [[False, True]]
+
+
 # -- exact inverse ------------------------------------------------------------------
 
 
@@ -365,52 +431,114 @@ def _int_complex_entries(draw, count, e):
     return [first] + [(draw(part), draw(part)) for _ in range(count - 1)]
 
 
+def _odd_near(draw, e):
+    """An odd integer in (2^e, 2^(e+1))."""
+    return 2 ** e + 2 * draw(st.integers(0, 2 ** (e - 1) - 1)) + 1
+
+
 @st.composite
 def straddling_operands(draw):
-    """Gaussian-integer operands whose magnitudes put the float64 test
-    2 * n * max|a| * max|b| <= 2^53 and the int64 test < 2^62 on either
-    side of their bounds."""
+    """Gaussian-integer numerators a (rows x n) over the odd denominator da
+    and b (n x cols) over db.  Their magnitudes put the float64 test
+    2 * n * max|a| * max|b| <= 2^53 and the int64 test < 2^62 on either side
+    of their bounds; the denominators put max|a| * db and max|b| * da, the
+    factors that a sum on the common denominator, a scale by db, a stack and
+    an entrywise comparison apply, between 2^59 and 2^68, so on either side
+    of 2^62 and past 2^63."""
     n = draw(st.integers(1, 4))
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     ea = draw(st.integers(18, 44))
     eb = draw(st.integers(47 - ea, 62 - ea))
     a = _int_complex_entries(draw, rows * n, ea)
     b = _int_complex_entries(draw, n * cols, eb)
-    return n, rows, cols, a, b
+    da = _odd_near(draw, draw(st.integers(59 - eb, 66 - eb)))
+    db = _odd_near(draw, draw(st.integers(59 - ea, 66 - ea)))
+    return n, rows, cols, a, b, da, db
 
 
 def _cmul(x, y):
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
-def _as_matrix(entries, rows, cols):
-    return ExactMatrix([[GaussRat(*entries[r * cols + c]) for c in range(cols)]
-                        for r in range(rows)])
+def _gauss(entry, den):
+    return GaussRat(Fraction(entry[0], den), Fraction(entry[1], den))
+
+
+def _as_matrix(entries, rows, cols, den=1):
+    return ExactMatrix([[_gauss(entries[r * cols + c], den)
+                         for c in range(cols)] for r in range(rows)])
+
+
+def _assert_rows(m, rows):
+    assert_canonical_storage(m)
+    assert m.to_rows() == rows
 
 
 @settings(max_examples=150)
 @given(straddling_operands())
 def test_products_across_int64_bound_match_python_ints(ops):
-    n, rows, cols, a, b = ops
-    am = _as_matrix(a, rows, n)
-    bm = _as_matrix(b, n, cols)
+    n, rows, cols, a, b, da, db = ops
+    am = _as_matrix(a, rows, n, da)
+    bm = _as_matrix(b, n, cols, db)
     prod = am @ bm
+    assert_canonical_storage(prod)
     for r in range(rows):
         for c in range(cols):
             terms = [_cmul(a[r * n + k], b[k * cols + c]) for k in range(n)]
-            assert prod[r, c] == GaussRat(sum(t[0] for t in terms),
-                                          sum(t[1] for t in terms))
-    v = ExactVector([GaussRat(*b[k * cols]) for k in range(n)])
+            assert prod[r, c] == _gauss((sum(t[0] for t in terms),
+                                         sum(t[1] for t in terms)), da * db)
+    v = ExactVector([_gauss(b[k * cols], db) for k in range(n)])
     mv = am.matvec(v)
+    assert_canonical_storage(mv)
     for r in range(rows):
         terms = [_cmul(a[r * n + k], b[k * cols]) for k in range(n)]
-        assert mv[r] == GaussRat(sum(t[0] for t in terms),
-                                 sum(t[1] for t in terms))
-    u = ExactVector([GaussRat(*a[k]) for k in range(n)])
+        assert mv[r] == _gauss((sum(t[0] for t in terms),
+                                sum(t[1] for t in terms)), da * db)
+    u = ExactVector([_gauss(a[k], da) for k in range(n)])
     conj_terms = [_cmul(a[k], (b[k * cols][0], -b[k * cols][1]))
                   for k in range(n)]
-    assert inner(u, v) == GaussRat(sum(t[0] for t in conj_terms),
-                                   sum(t[1] for t in conj_terms))
+    assert inner(u, v) == _gauss((sum(t[0] for t in conj_terms),
+                                  sum(t[1] for t in conj_terms)), da * db)
+
+
+@settings(max_examples=150)
+@given(straddling_operands())
+def test_sums_scales_stacks_across_int64_bound_match_python_ints(ops):
+    # every value on the left is built through the library's int64 guards,
+    # every value on the right in GaussRat arithmetic one entry at a time
+    n, rows, cols, a, b, da, db = ops
+    x, y = _as_matrix(a, rows, n, da), _as_matrix(b, cols, n, db)
+    gx = [[_gauss(a[r * n + k], da) for k in range(n)] for r in range(rows)]
+    gy = [[_gauss(b[r * n + k], db) for k in range(n)] for r in range(cols)]
+    u, w = x.row(0), y.row(0)
+    for vec, want in ((u + w, [p + q for p, q in zip(gx[0], gy[0])]),
+                      (u - w, [p - q for p, q in zip(gx[0], gy[0])]),
+                      (w - u, [q - p for p, q in zip(gx[0], gy[0])])):
+        assert_canonical_storage(vec)
+        assert vec.entries() == want
+    _assert_rows(x.block(slice(0, 1), slice(None))
+                 + y.block(slice(0, 1), slice(None)),
+                 [[p + q for p, q in zip(gx[0], gy[0])]])
+    for c in (GaussRat(db), GaussRat(0, db), GaussRat(db, -db)):
+        _assert_rows(x.scale(c), [[e * c for e in row] for row in gx])
+    _assert_rows(ExactMatrix.stack([x, y]), gx + gy)
+    _assert_rows(ExactMatrix.stack([u, y, w]), [gx[0]] + gy + [gy[0]])
+    # x's first row over da against itself and y's rows over lcm(da, db):
+    # the first rows agree, the others where two entries happen to
+    xy = ExactMatrix(gx[:1] + gy)
+    assert_canonical_storage(xy)
+    firsts = ExactMatrix.stack([u] * (1 + cols))
+    want = [[p == q for p, q in zip(row, gx[0])] for row in gx[:1] + gy]
+    assert xy.entries_equal(firsts).tolist() == want
+    assert firsts.entries_equal(xy).tolist() == want
+    assert first_discrepancy(xy, firsts) == naive_first_discrepancy(xy,
+                                                                    firsts)
+    # x's and y's first rows over da and db
+    want = [[p == q for p, q in zip(gx[0], gy[0])]]
+    assert ExactMatrix.stack([u]).entries_equal(
+        ExactMatrix.stack([w])).tolist() == want
+    assert ExactMatrix.stack([w]).entries_equal(
+        ExactMatrix.stack([u])).tolist() == want
 
 
 def _aligned_dots(a_entries, b_entries, want):
@@ -479,17 +607,19 @@ def test_inner_is_the_product_with_the_adjoint(uv):
 @settings(max_examples=150)
 @given(straddling_operands())
 def test_kron_across_int64_bound_matches_python_ints(ops):
-    n, rows, cols, a, b = ops
-    am = _as_matrix(a, rows, n)
-    bm = _as_matrix(b, n, cols)
+    n, rows, cols, a, b, da, db = ops
+    am = _as_matrix(a, rows, n, da)
+    bm = _as_matrix(b, n, cols, db)
     k = kron(am, bm)
+    assert_canonical_storage(k)
     assert k.shape == (rows * n, n * cols)
     for r in range(rows):
         for c in range(n):
             for rr in range(n):
                 for cc in range(cols):
                     want = _cmul(a[r * n + c], b[rr * cols + cc])
-                    assert k[r * n + rr, c * cols + cc] == GaussRat(*want)
+                    assert k[r * n + rr, c * cols + cc] == _gauss(want,
+                                                                  da * db)
 
 
 def test_kron_of_extremes_on_both_sides_of_the_bound():
@@ -502,10 +632,11 @@ def test_kron_of_extremes_on_both_sides_of_the_bound():
 
 
 def _object_dots(a, b):
-    """The complex product's numerator arrays by np.dot on a's and b's own
-    object arrays, which hold Python ints."""
-    return (np.dot(a._re, b._re) - np.dot(a._im, b._im),
-            np.dot(a._re, b._im) + np.dot(a._im, b._re))
+    """The complex product's numerator arrays by np.dot on object copies of
+    a's and b's numerators, so on Python ints."""
+    ar, ai = a._re.astype(object), a._im.astype(object)
+    br, bi = b._re.astype(object), b._im.astype(object)
+    return (np.dot(ar, br) - np.dot(ai, bi), np.dot(ar, bi) + np.dot(ai, br))
 
 
 @pytest.mark.parametrize("D", range(1, 7))

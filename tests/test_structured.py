@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_ladder, get_ctx
+from conftest import assert_canonical_storage, dense_ladder, get_ctx
 from tcube.cube import ConstructionError
 from tcube.linalg import I64_LIMIT, ExactMatrix, ExactVector
 from tcube.scalar import GaussRat
@@ -82,11 +82,14 @@ def _threshold_bits(op, D):
 @st.composite
 def straddling_blocks(draw):
     """(D, op, block): entries up to 2^e with e on either side of the op's
-    int64 threshold, the first entry at +-2^e."""
+    int64 threshold, or above it up to 2^61, where the block is still stored
+    as int64 but its sums pass 2^63 unless the kernel takes its object
+    fallback; the first entry at +-2^e."""
     D = draw(st.integers(1, 4))
     op = draw(st.sampled_from(OPERATORS + FAMILIES))
     center = int(_threshold_bits(op, D))
-    e = draw(st.integers(center - 2, center + 2))
+    e = draw(st.one_of(st.integers(center - 2, center + 2),
+                       st.integers(min(center, 61), 61)))
     bound = 2 ** e
     part = st.one_of(st.sampled_from([bound, -bound, 0]),
                      st.integers(-bound, bound))
@@ -104,9 +107,12 @@ def test_block_kernels_across_int64_bounds_equal_dense(case):
     ctx = get_ctx(D)
     if op in FAMILIES:
         for i, part in enumerate(ctx.project(op, block)):
+            assert_canonical_storage(part)
             assert part == _dense_rows(getattr(ctx, op)[i], block)
     else:
-        assert ctx.apply(op, block) == _dense_rows(_dense(ctx, op), block)
+        image = ctx.apply(op, block)
+        assert_canonical_storage(image)
+        assert image == _dense_rows(_dense(ctx, op), block)
 
 
 @pytest.mark.parametrize("D", [1, 3, 5])
