@@ -8,32 +8,30 @@ compared with exact equality.
 
 from .scalar import GaussRat
 from .linalg import (ExactMatrix, ExactVector, SingularMatrixError,
-                     gram_schmidt, inner, inverse, kernel_basis, kron,
-                     kron_power, pivot_inverse, rank)
-from .cube import (CubeContext, SpectrumTable, build_context, spectrum,
-                   verify_commutators, verify_conjugation,
-                   verify_idempotent_families)
+                     gram_schmidt, inner, kernel_basis, kron, kron_power,
+                     pivot_inverse, rank)
+from .cube import (CubeContext, build_context, verify_commutators,
+                   verify_conjugation, verify_idempotent_families)
 from .decomposition import (Decomposition, IrreducibleModule, decompose,
                             multiplicity, normalize_seeds, verify_seed_norms)
 from .leonard import (BASIS_LABELS, LeonardVerdict, PhiMatrix, SixBases,
                       build_six_bases, hypergeometric_2f1, is_leonard_triple,
                       module_report, module_triple, phi_matrix,
-                      representation_matrix, transition_matrices, verify_phi,
-                      verify_inner_products, verify_rep_matrices)
+                      transition_matrices, verify_phi, verify_inner_products,
+                      verify_rep_matrices)
 
 __all__ = [
     "GaussRat", "ExactMatrix", "ExactVector", "SingularMatrixError",
-    "gram_schmidt", "inner", "inverse", "kernel_basis", "kron", "kron_power",
+    "gram_schmidt", "inner", "kernel_basis", "kron", "kron_power",
     "pivot_inverse", "rank",
-    "CubeContext", "SpectrumTable", "build_context", "spectrum",
-    "verify_commutators", "verify_conjugation", "verify_idempotent_families",
+    "CubeContext", "build_context", "verify_commutators",
+    "verify_conjugation", "verify_idempotent_families",
     "Decomposition", "IrreducibleModule", "decompose", "multiplicity",
     "normalize_seeds", "verify_seed_norms", "BASIS_LABELS", "LeonardVerdict",
     "PhiMatrix",
     "SixBases", "build_six_bases", "hypergeometric_2f1", "is_leonard_triple",
-    "module_report", "module_triple", "phi_matrix", "representation_matrix",
-    "transition_matrices", "verify_phi", "verify_inner_products",
-    "verify_rep_matrices",
+    "module_report", "module_triple", "phi_matrix", "transition_matrices",
+    "verify_phi", "verify_inner_products", "verify_rep_matrices",
 ]
 
 __version__ = "0.1.0"

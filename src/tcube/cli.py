@@ -30,12 +30,14 @@ import numpy as np
 from . import cube, decomposition, leonard
 from .cube import CubeContext, build_context
 
-ENV_D_LIMIT = "TCUBE_D_LIMIT"
-
 SUITES = ("commutators", "idempotents", "conjugation", "rep-matrices",
           "inner-products", "transitions", "all")
-BUILD_OPS = ("adjacency", "dual", "imaginary", "P", "distance",
-             "E", "Estar", "Eeps")
+# build's --op choice -> the CubeContext attribute it dumps; the indexed
+# ones are families, read at --index
+PLAIN_OPS = {"adjacency": "A", "dual": "Astar", "imaginary": "Aeps", "P": "P"}
+INDEXED_OPS = {"distance": "dist_matrices", "E": "E", "Estar": "Estar",
+               "Eeps": "Eeps"}
+BUILD_OPS = (*PLAIN_OPS, *INDEXED_OPS)
 CORRUPT_OPS = {"adjacency": "A", "dual": "Astar", "imaginary": "Aeps"}
 
 # Raised when a construction or module breaks one of its invariants; verify
@@ -53,17 +55,6 @@ class RunConfig:
     output_path: Optional[str]
     format: str
     d_limit: int
-
-
-def _default_d_limit() -> int:
-    raw = os.environ.get(ENV_D_LIMIT)
-    if raw is None:
-        return cube.DEFAULT_D_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_D_LIMIT} must be an integer, got {raw!r}") \
-            from None
 
 
 def _progress(msg: str):
@@ -203,22 +194,24 @@ def _json_text(doc) -> str:
 # -- subcommands --------------------------------------------------------------------
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_build(cfg: RunConfig, args) -> int:
-    ctx = build_context(cfg.D, cfg.d_limit)
     op = args.op
-    indexed = {"distance": ctx.dist_matrices, "E": ctx.E,
-               "Estar": ctx.Estar, "Eeps": ctx.Eeps}
-    if op in indexed:
-        if args.index is None:
-            print(f"error: --op {op} requires --index", file=sys.stderr)
-            return 2
+    if op in INDEXED_OPS and args.index is None:
+        return _usage_error(f"--op {op} requires --index")
+    if op not in INDEXED_OPS and args.index is not None:
+        return _usage_error(f"--op {op} takes no --index")
+    ctx = build_context(cfg.D, cfg.d_limit)
+    if op in INDEXED_OPS:
         if not 0 <= args.index <= ctx.D:
-            print(f"error: --index must be in 0..{ctx.D}", file=sys.stderr)
-            return 2
-        matrix = indexed[op][args.index]
+            return _usage_error(f"--index must be in 0..{ctx.D}")
+        matrix = getattr(ctx, INDEXED_OPS[op])[args.index]
     else:
-        matrix = {"adjacency": ctx.A, "dual": ctx.Astar,
-                  "imaginary": ctx.Aeps, "P": ctx.P}[op]
+        matrix = getattr(ctx, PLAIN_OPS[op])
     return _emit(_json_text(matrix.to_dump()), cfg.output_path)
 
 
@@ -243,6 +236,8 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
 
 
 def _cmd_decompose(cfg: RunConfig, args) -> int:
+    if args.output_dir is not None and not args.emit_seeds:
+        return _usage_error("--output-dir requires --emit-seeds")
     ctx = build_context(cfg.D, cfg.d_limit)
     dec = decomposition.decompose(ctx)
     if args.emit_seeds:
@@ -284,9 +279,7 @@ def _cmd_module_report(cfg: RunConfig, args) -> int:
                 if (args.r is None or m.r == args.r)
                 and (args.index is None or m.index == args.index)]
     if not selected:
-        print("error: no module matches the given --r/--index",
-              file=sys.stderr)
-        return 2
+        return _usage_error("no module matches the given --r/--index")
     reports = []
     for m in selected:
         reports.append(leonard.module_report(
@@ -355,10 +348,9 @@ def _build_parser() -> _Parser:
     def common(sp, formats=("json", "csv", "pretty"), default="pretty"):
         sp.add_argument("--d", dest="D", type=int, required=True,
                         help="cube dimension")
-        sp.add_argument("--d-limit", type=int, default=None,
+        sp.add_argument("--d-limit", type=int, default=cube.DEFAULT_D_LIMIT,
                         help="largest allowed dimension "
-                             f"(default {cube.DEFAULT_D_LIMIT}, env "
-                             f"{ENV_D_LIMIT})")
+                             f"(default {cube.DEFAULT_D_LIMIT})")
         sp.add_argument("--format", choices=formats, default=default)
         sp.add_argument("--output", default=None, help="write report here "
                         "instead of stdout")
@@ -403,10 +395,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        d_limit = (_default_d_limit() if args.d_limit is None
-                   else args.d_limit)
         cfg = RunConfig(D=args.D, output_path=args.output, format=args.format,
-                        d_limit=d_limit)
+                        d_limit=args.d_limit)
         return _COMMANDS[args.command](cfg, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,15 +28,18 @@ ladder operators L, R are gathers over the D neighbours of each vertex,
 Astar is a diagonal scale, P is D butterfly passes of P1, and the images
 under E_i come from two fast Walsh-Hadamard transforms, certified against
 A on every call.
+
+The three whole-matrix suites close the module: the commutator and
+quadratic relations, the idempotent families (whose `F_rank[i]` rows are
+the eigenvalue multiplicities: F_i idempotent with trace C(D, i)), and
+conjugation by P.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Tuple
 
 import numpy as np
 
@@ -61,17 +64,6 @@ class ConstructionError(RuntimeError):
 def _require(cond: bool, msg: str):
     if not cond:
         raise ConstructionError(msg)
-
-
-def vertex_of_index(idx: int, D: int) -> Tuple[int, ...]:
-    return tuple((idx >> (D - 1 - k)) & 1 for k in range(D))
-
-
-def index_of_vertex(t) -> int:
-    idx = 0
-    for bit in t:
-        idx = (idx << 1) | bit
-    return idx
 
 
 def _times_i_power(re, im, k):
@@ -473,49 +465,6 @@ class CubeContext:
 
 def build_context(D: int, d_limit: int = DEFAULT_D_LIMIT) -> CubeContext:
     return CubeContext(D, d_limit)
-
-
-def coordinate_transposition(ctx: CubeContext, a: int, b: int) -> ExactMatrix:
-    """Permutation matrix of the automorphism swapping coordinates a and b
-    (0-based positions, coordinate 0 most significant)."""
-    D, n = ctx.D, ctx.n
-    pa, pb = D - 1 - a, D - 1 - b
-    re = np.zeros((n, n), dtype=object)
-    for y in range(n):
-        ba, bb = (y >> pa) & 1, (y >> pb) & 1
-        z = y & ~(1 << pa) & ~(1 << pb) | (bb << pa) | (ba << pb)
-        re[y, z] = 1
-    return ExactMatrix.from_numerators(re, np.zeros((n, n), dtype=object), 1)
-
-
-# -- spectra -------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpectrumTable:
-    """(eigenvalue, multiplicity) pairs, eigenvalue descending."""
-
-    entries: Tuple[Tuple[int, int], ...]
-
-    def total(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    def to_json(self) -> dict:
-        return {"spectrum": [[ev, m] for ev, m in self.entries]}
-
-
-_FAMILIES = {"adjacency": "E", "dual": "Estar", "imaginary": "Eeps"}
-
-
-def spectrum(ctx: CubeContext, which: str) -> SpectrumTable:
-    """Eigenvalue table read off the idempotent ranks of the chosen family,
-    which are traces: E is certified when built, Estar is 0/1 diagonal and
-    Eeps is a phase conjugate of E, so every family is idempotent."""
-    if which not in _FAMILIES:
-        raise ValueError(f"unknown operator family {which!r}")
-    family = getattr(ctx, _FAMILIES[which])
-    return SpectrumTable(tuple((ctx.D - 2 * i, int(family[i].trace().re))
-                               for i in range(ctx.D + 1)))
 
 
 # -- verification suites ----------------------------------------------------------------

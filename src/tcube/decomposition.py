@@ -76,12 +76,6 @@ def proportional_rows(x: ExactMatrix, y: ExactMatrix):
     return same_line & (y_nonzero.any(axis=1) | ~x.nonzero().any(axis=1))
 
 
-def proportional(v: ExactVector, w: ExactVector) -> bool:
-    """True when v = c*w for some scalar c (zero vectors allowed)."""
-    return bool(proportional_rows(ExactMatrix.stack([v]),
-                                  ExactMatrix.stack([w]))[0])
-
-
 @dataclass(frozen=True)
 class IrreducibleModule:
     """One irreducible T-module: endpoint r, diameter d = D - 2r, the three
@@ -333,27 +327,3 @@ def normalize_seeds(mod: IrreducibleModule, a, b, c) -> IrreducibleModule:
         raise InvariantViolation(f"normalization produced {got} instead of "
                                  f"the requested targets")
     return out
-
-
-# -- subspace conjugation under P ---------------------------------------------------
-
-
-def verify_module_p_cycle(ctx: CubeContext, mod: IrreducibleModule):
-    """P maps E_i W -> Estar_i W -> Eeps_i W -> E_i W inside the window."""
-    window = range(mod.r, mod.r + mod.d + 1)
-    seed = ExactMatrix.stack([mod.u_star])
-    e_vecs, eps_vecs = ([part.row(0) for part in
-                         ctx.project(family, seed)[window.start:window.stop]]
-                        for family in ("E", "Eeps"))
-    star_vecs = list(mod.slice_basis)
-    # one P pass over every source, each compared with its target
-    shifted = ctx.apply("P", ExactMatrix.stack(e_vecs + star_vecs + eps_vecs))
-    ok = proportional_rows(shifted,
-                           ExactMatrix.stack(star_vecs + eps_vecs + e_vecs))
-    ok = ok.reshape(3, mod.d + 1)
-    checks = []
-    for k, i in enumerate(window):
-        checks.append(check_true(f"P_E_to_Estar[{i}]", bool(ok[0, k])))
-        checks.append(check_true(f"P_Estar_to_Eeps[{i}]", bool(ok[1, k])))
-        checks.append(check_true(f"P_Eeps_to_E[{i}]", bool(ok[2, k])))
-    return checks

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -188,13 +188,6 @@ class BasisSolver:
         if coeffs.transpose() @ self.stacked != targets:
             raise BasisError("target is outside the span of the basis")
         return coeffs
-
-
-def representation_matrix(op: ExactMatrix, basis: List[ExactVector],
-                          solver: Optional[BasisSolver] = None) -> ExactMatrix:
-    """Matrix B with op @ v_j = sum_i B_ij v_i, extracted by exact solving."""
-    solver = solver or BasisSolver(basis)
-    return solver.coords_matrix(solver.stacked @ op.transpose())
 
 
 # -- the six bases ------------------------------------------------------------------
@@ -790,7 +783,8 @@ def is_leonard_triple(b0: ExactMatrix, b1: ExactMatrix,
         for o in range(3):
             if o == t:
                 continue
-            rep = representation_matrix(ops[o], list(bases[t]), solver)
+            # column j holds the coordinates of ops[o] applied to vector j
+            rep = solver.coords_matrix(solver.stacked @ ops[o].transpose())
             reps[(t, o)] = rep
             tri[(t, o)] = _is_irreducible_tridiagonal(rep)
     ok = all(tri.values())
@@ -813,10 +807,9 @@ def module_triple(ctx: CubeContext, bases: SixBases):
 # -- per-module report ------------------------------------------------------------------------
 
 
-def module_report(ctx: CubeContext, bases: SixBases,
-                  phi: Optional[PhiMatrix] = None) -> dict:
+def module_report(ctx: CubeContext, bases: SixBases) -> dict:
     mod = bases.module
-    phi = phi or phi_matrix(mod.d)
+    phi = phi_matrix(mod.d)
     rep_cells = verify_rep_matrices(ctx, bases)
     rep_json: Dict[str, dict] = {}
     for cell in rep_cells:

@@ -26,18 +26,17 @@ The results are identical.  Entrywise equality (`entries_equal`) compares
 numerators across the two denominators, so blocks on different
 denominators compare without being brought to lowest terms.
 
-Elimination is fraction-free and runs on Python ints: rows are combined
-over the Gaussian integers and divided by their integer content after each
-step, which bounds coefficient growth without ever leaving Z[i].  The
-forward pass gives the rank; the Gauss-Jordan pass, which also clears each
-pivot column above the pivot, gives kernel vectors and, on [m | I], the one
-exact inverse, `pivot_inverse`: the pivot columns of a matrix with
-independent rows and the inverse of its square submatrix on them.
+Elimination is one fraction-free Gauss-Jordan pass on Python ints: rows
+are combined over the Gaussian integers and divided by their integer
+content after each step, which bounds coefficient growth without ever
+leaving Z[i].  Its pivot count is the rank; its pivot columns, each cleared
+above and below the pivot, give kernel vectors and, on [m | I], the exact
+inverse `pivot_inverse`: the pivot columns of a matrix with independent
+rows and the inverse of its square submatrix on them.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
@@ -336,12 +335,6 @@ class ExactVector(_NumeratorArray):
     def __init__(self, entries):
         self._init(*_numerators_of(entries), reduce=False)
 
-    @classmethod
-    def basis_vector(cls, n, k):
-        re, im = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-        re[k] = 1
-        return cls._raw(re, im, 1, reduce=False)
-
     @property
     def length(self) -> int:
         return self._re.shape[0]
@@ -503,9 +496,6 @@ class ExactMatrix(_NumeratorArray):
         return ExactMatrix._from_dump_entries((d["rows"], d["cols"]),
                                               d["entries"])
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dump(), sort_keys=True)
-
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, den={self._den})"
 
@@ -555,15 +545,15 @@ def _reduce_rows(re, im):
         im[k] //= g[k]
 
 
-def _echelon(re, im, jordan=False):
-    """Fraction-free row echelon over Z[i] with per-row content reduction.
+def _echelon(re, im):
+    """Fraction-free Gauss-Jordan over Z[i] with per-row content reduction.
 
     Runs on object copies of (re, im), so on Python ints.  Returns
     (rank, pivot_cols, re, im); rows at index >= rank are zero.
     Pivots are chosen as the first row with a nonzero entry in the leftmost
-    unfinished column, so the result is deterministic.  With `jordan` each
-    pivot also clears its column above it (Gauss-Jordan), so every pivot
-    column ends with a single nonzero entry.
+    unfinished column, so the result is deterministic.  Each pivot clears
+    its column above and below it, so every pivot column ends with a single
+    nonzero entry.
     """
     re = re.astype(object)
     im = im.astype(object)
@@ -584,9 +574,8 @@ def _echelon(re, im, jordan=False):
             re[[r, piv]] = re[[piv, r]]
             im[[r, piv]] = im[[piv, r]]
         pvr, pvi = re[r, c], im[r, c]
-        top = 0 if jordan else r + 1
-        nz = top + np.nonzero(np.not_equal(re[top:, c], 0)
-                              | np.not_equal(im[top:, c], 0))[0]
+        nz = np.nonzero(np.not_equal(re[:, c], 0)
+                        | np.not_equal(im[:, c], 0))[0]
         nz = nz[nz != r]
         if len(nz):
             br, bi = re[nz], im[nz]
@@ -603,7 +592,8 @@ def _echelon(re, im, jordan=False):
 
 
 def rank(m: ExactMatrix) -> int:
-    """Exact rank via fraction-free elimination (denominator irrelevant)."""
+    """Exact rank: the pivot count of the Gauss-Jordan pass (denominator
+    irrelevant)."""
     r, _, _, _ = _echelon(m._re, m._im)
     return r
 
@@ -625,7 +615,7 @@ def kernel_basis(m: ExactMatrix):
     coordinate set to 1, the other free coordinates 0 and the pivot
     coordinates read off the Gauss-Jordan form.
     """
-    rk, pivots, ere, eim = _echelon(m._re, m._im, jordan=True)
+    rk, pivots, ere, eim = _echelon(m._re, m._im)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     d = np.arange(rk)
@@ -658,7 +648,7 @@ def pivot_inverse(m: ExactMatrix):
     k, n = m.shape
     aug_re = np.concatenate([m._re, np.identity(k, dtype=object)], axis=1)
     aug_im = np.concatenate([m._im, _obj_zeros((k, k))], axis=1)
-    _, pivots, re, im = _echelon(aug_re, aug_im, jordan=True)
+    _, pivots, re, im = _echelon(aug_re, aug_im)
     rk = sum(c < n for c in pivots)
     if rk < k:
         raise SingularMatrixError(f"rank {rk} < {k} rows")
@@ -666,13 +656,6 @@ def pivot_inverse(m: ExactMatrix):
     tr, ti, den = _divide_rows(re[:, n:], im[:, n:], re[d, pivots][:, None],
                                im[d, pivots][:, None])
     return pivots, ExactMatrix._raw(tr * m._den, ti * m._den, den)
-
-
-def inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse of a square matrix; SingularMatrixError if singular."""
-    if m.rows != m.cols:
-        raise ValueError(f"inverse needs a square matrix, got {m.shape}")
-    return pivot_inverse(m)[1]
 
 
 def gram_schmidt(vectors):

@@ -14,11 +14,6 @@ class IdentityCheck:
     passed: bool
     first_discrepancy: Optional[Tuple[int, int]] = None
 
-    def to_json(self) -> dict:
-        fd = None if self.first_discrepancy is None else list(self.first_discrepancy)
-        return {"identity": self.identity, "passed": self.passed,
-                "first_discrepancy": fd}
-
 
 def check_equal(name: str, lhs: ExactMatrix, rhs: ExactMatrix) -> IdentityCheck:
     if lhs == rhs:

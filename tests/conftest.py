@@ -18,8 +18,9 @@ import pytest
 
 from tcube.cube import build_context
 from tcube.decomposition import decompose
-from tcube.leonard import TRANSITION_TABLE, build_six_bases, phi_matrix
-from tcube.linalg import I64_LIMIT, ExactMatrix
+from tcube.leonard import (TRANSITION_TABLE, BasisSolver, build_six_bases,
+                           phi_matrix)
+from tcube.linalg import I64_LIMIT, ExactMatrix, ExactVector
 from tcube.scalar import GaussRat, I as IUNIT
 
 _CTX = {}
@@ -68,6 +69,23 @@ def decomposition_cache():
 @pytest.fixture(scope="session")
 def bundle_cache():
     return get_bundles
+
+
+# -- constructors --------------------------------------------------------------------
+
+
+def basis_vector(n, k):
+    """The k-th unit vector of length n."""
+    re = np.zeros(n, dtype=np.int64)
+    re[k] = 1
+    return ExactVector.from_numerators(re, 0 * re, 1)
+
+
+def representation_matrix(op, basis):
+    """Matrix B with op @ v_j = sum_i B_ij v_i for the vectors v_j of basis,
+    by exact solving (the recognizer's route, on any basis)."""
+    solver = BasisSolver(list(basis))
+    return solver.coords_matrix(solver.stacked @ op.transpose())
 
 
 # -- independent oracles ----------------------------------------------------------

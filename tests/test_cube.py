@@ -1,17 +1,16 @@
 """Operators of Q_D: literal small cases, commutator and quadratic identities,
-idempotent families, conjugation by P, spectra, slice structure."""
+idempotent families and their traces, conjugation by P, slice structure."""
 
 import math
 
+import numpy as np
 import pytest
 
 from conftest import (brute_p_1j, get_ctx, interpolation_idempotents,
                       naive_matrix_rank)
-from tcube.cube import (ConstructionError, SpectrumTable, build_context,
-                        coordinate_transposition, index_of_vertex,
-                        krawtchouk_table, spectrum, verify_commutators,
-                        verify_conjugation, verify_idempotent_families,
-                        vertex_of_index)
+from tcube.cube import (ConstructionError, build_context, krawtchouk_table,
+                        verify_commutators, verify_conjugation,
+                        verify_idempotent_families)
 from tcube.leonard import phi_matrix
 from tcube.linalg import ExactMatrix, ExactVector, rank
 from tcube.report import all_passed
@@ -28,13 +27,24 @@ def test_d_range_enforced():
         build_context(4, d_limit=3)
 
 
+def _vertex(idx, D):
+    """The bit string (t_1, ..., t_D) of the vertex with index
+    sum(t_k * 2^(D-k)): the first coordinate is the most significant bit."""
+    return tuple((idx >> (D - 1 - k)) & 1 for k in range(D))
+
+
 def test_vertex_indexing_bijection():
+    # the context's distances and Hamming table read the index as that
+    # bit string
     for D in (1, 3, 5):
-        for idx in range(2 ** D):
-            assert index_of_vertex(vertex_of_index(idx, D)) == idx
-        # first coordinate is the most significant bit
-        assert vertex_of_index(1 << (D - 1), D) == (1,) + (0,) * (D - 1)
-    assert index_of_vertex((1, 0, 0)) == 4
+        ctx = get_ctx(D)
+        vertices = [_vertex(idx, D) for idx in range(ctx.n)]
+        assert len(set(vertices)) == ctx.n
+        assert [sum(t) for t in vertices] == [int(k) for k in ctx.dist]
+        assert all(ctx.hamming[x, y] == sum(a != b for a, b in zip(vx, vy))
+                   for x, vx in enumerate(vertices)
+                   for y, vy in enumerate(vertices))
+    assert _vertex(4, 3) == (1, 0, 0)
 
 
 def test_distance_matrices_partition():
@@ -210,27 +220,42 @@ def test_idempotent_certificate_rejects_flipped_adjacency():
         flipped.E
 
 
+def _spectrum(ctx, family):
+    """(eigenvalue, multiplicity) pairs read off the traces of an idempotent
+    family, eigenvalue descending: F_i belongs to theta_i = D - 2i, and an
+    idempotent's trace is its rank."""
+    return [(ctx.theta[i], int(f.trace().re)) for i, f in enumerate(family)]
+
+
 def test_spectrum_examples():
-    assert spectrum(get_ctx(2), "imaginary") == \
-        SpectrumTable(((2, 1), (0, 2), (-2, 1)))
-    assert spectrum(get_ctx(1), "adjacency") == SpectrumTable(((1, 1), (-1, 1)))
-    with pytest.raises(ValueError):
-        spectrum(get_ctx(1), "bogus")
+    assert _spectrum(get_ctx(2), get_ctx(2).Eeps) == [(2, 1), (0, 2), (-2, 1)]
+    assert _spectrum(get_ctx(1), get_ctx(1).E) == [(1, 1), (-1, 1)]
 
 
 def test_three_spectra_equal_d5():
     ctx = get_ctx(5)
-    tables = [spectrum(ctx, w) for w in ("adjacency", "dual", "imaginary")]
+    tables = [_spectrum(ctx, f) for f in (ctx.E, ctx.Estar, ctx.Eeps)]
     assert tables[0] == tables[1] == tables[2]
-    assert tables[0].total() == 32
+    assert sum(m for _, m in tables[0]) == 32
 
 
 @pytest.mark.parametrize("D", [2, 3, 4, 5, 6])
 def test_p_commutes_with_coordinate_transpositions(D):
+    def coordinate_transposition(a, b):
+        """Permutation matrix of the automorphism swapping coordinates a and
+        b (0-based positions, coordinate 0 most significant)."""
+        pa, pb = D - 1 - a, D - 1 - b
+        re = np.zeros((ctx.n, ctx.n), dtype=np.int64)
+        for y in range(ctx.n):
+            ba, bb = (y >> pa) & 1, (y >> pb) & 1
+            z = y & ~(1 << pa) & ~(1 << pb) | (bb << pa) | (ba << pb)
+            re[y, z] = 1
+        return ExactMatrix.from_numerators(re, 0 * re, 1)
+
     ctx = get_ctx(D)
     for a in range(D):
         for b in range(a + 1, D):
-            m = coordinate_transposition(ctx, a, b)
+            m = coordinate_transposition(a, b)
             assert ctx.P @ m == m @ ctx.P
 
 

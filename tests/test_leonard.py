@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (get_bundles, get_ctx, get_phi, oracle_inner,
-                      oracle_pattern, oracle_transition, series_2f1)
+                      oracle_pattern, oracle_transition, representation_matrix,
+                      series_2f1)
 from tcube.cube import build_context
 from tcube.decomposition import decompose
 from tcube.leonard import (BASIS_LABELS, INNER_FORMULAS, OPERATOR_LABELS,
@@ -18,8 +19,7 @@ from tcube.leonard import (BASIS_LABELS, INNER_FORMULAS, OPERATOR_LABELS,
                            hypergeometric_2f1, inner_tables,
                            is_leonard_triple, itridiagonal_subneg_form,
                            itridiagonal_superneg_form, module_report,
-                           module_triple, representation_matrix,
-                           transition_formulas, transition_matrices,
+                           module_triple, transition_formulas, transition_matrices,
                            transition_tables, tridiagonal_form, verify_phi,
                            verify_inner_products, verify_rep_matrices)
 from tcube.linalg import ExactMatrix, ExactVector, inner
@@ -244,10 +244,9 @@ def test_rep_commutators_descend_d3():
     ctx = get_ctx(3)
     for m, bases, _ in get_bundles(3):
         for label in BASIS_LABELS:
-            solver = BasisSolver(list(bases[label]))
-            b = representation_matrix(ctx.A, list(bases[label]), solver)
-            bs = representation_matrix(ctx.Astar, list(bases[label]), solver)
-            be = representation_matrix(ctx.Aeps, list(bases[label]), solver)
+            b = representation_matrix(ctx.A, bases[label])
+            bs = representation_matrix(ctx.Astar, bases[label])
+            be = representation_matrix(ctx.Aeps, bases[label])
             two_i = GaussRat(0, 2)
             assert b @ bs - bs @ b == be.scale(two_i)
             assert bs @ be - be @ bs == b.scale(two_i)
@@ -579,8 +578,8 @@ def test_recognizer_rejects_mismatched_sizes():
 
 def test_module_report_shape():
     ctx = get_ctx(3)
-    (m, bases, phi) = get_bundles(3)[0]
-    rep = module_report(ctx, bases, phi)
+    (m, bases, _) = get_bundles(3)[0]
+    rep = module_report(ctx, bases)
     assert rep["D"] == 3 and rep["r"] == m.r
     assert rep["leonard_triple"] == "true"
     assert rep["transitions"] == {"cells_checked": 36, "failures": []}

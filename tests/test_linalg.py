@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_canonical_storage, get_ctx,
+from conftest import (assert_canonical_storage, basis_vector, get_ctx,
                       naive_first_discrepancy, naive_inverse,
                       naive_matrix_rank, naive_rank)
 from tcube.linalg import (ExactMatrix, ExactVector, SingularMatrixError,
                           _product, first_discrepancy, fits_f64, gram_schmidt,
-                          inner, inverse, kernel_basis, kron, kron_power,
-                          pivot_inverse, rank)
+                          inner, kernel_basis, kron, kron_power, pivot_inverse,
+                          rank)
 from tcube.scalar import GaussRat
 
 small = st.integers(min_value=-6, max_value=6)
@@ -142,7 +142,7 @@ def test_adjoint_moves_across_inner_product(u, v, b):
 
 
 def test_inner_examples():
-    e0 = ExactVector.basis_vector(4, 0)
+    e0 = basis_vector(4, 0)
     assert inner(e0, e0) == GaussRat(1)
     v = ExactVector([GaussRat(1), GaussRat(0, 1)])
     assert inner(v, v) == GaussRat(2)
@@ -160,8 +160,8 @@ def test_kernel_of_identity_empty():
 def test_kernel_of_zero_matrix():
     vecs = kernel_basis(ExactMatrix.zeros(2, 2))
     assert len(vecs) == 2
-    assert vecs[0] == ExactVector.basis_vector(2, 0)
-    assert vecs[1] == ExactVector.basis_vector(2, 1)
+    assert vecs[0] == basis_vector(2, 0)
+    assert vecs[1] == basis_vector(2, 1)
 
 
 @settings(max_examples=60)
@@ -333,10 +333,10 @@ def test_storage_is_int64_exactly_below_2_62(top, sign):
               kron(m, m), ExactMatrix.stack([m, v]),
               ExactMatrix.diagonal([big, GaussRat(0, 1)], 1),
               ExactMatrix.from_dump(m.to_dump()),
-              ExactVector.from_dump(v.to_dump()), inverse(m),
+              ExactVector.from_dump(v.to_dump()), pivot_inverse(m)[1],
               *kernel_basis(ExactMatrix.stack([v])),
               ExactMatrix.identity(2), ExactMatrix.zeros(2, 3),
-              ExactVector.basis_vector(3, 1)):
+              basis_vector(3, 1)):
         assert_canonical_storage(x)
 
 
@@ -380,24 +380,27 @@ square = st.integers(1, 4).flatmap(lambda n: mat_strategy(n, n))
 @given(square, st.sampled_from([1, Fraction(1, 3), GaussRat(2, -1),
                                 GaussRat(Fraction(1, 2), 3)]))
 def test_inverse_matches_gauss_jordan_oracle(m, c):
+    # on a nonsingular square matrix every column is a pivot
     m = m.scale(c)
     oracle = naive_inverse(m.to_rows())
     if oracle is None:
         with pytest.raises(SingularMatrixError):
-            inverse(m)
+            pivot_inverse(m)
         return
-    inv = inverse(m)
+    pivots, inv = pivot_inverse(m)
+    assert pivots == list(range(m.cols))
     assert inv == ExactMatrix(oracle)
     assert inv @ m == ExactMatrix.identity(m.rows)
 
 
 def test_inverse_rejects_singular_and_non_square():
     with pytest.raises(SingularMatrixError):
-        inverse(ExactMatrix([[1, 2], [2, 4]]))
+        pivot_inverse(ExactMatrix([[1, 2], [2, 4]]))
     with pytest.raises(SingularMatrixError):
-        inverse(ExactMatrix.zeros(3, 3))
-    with pytest.raises(ValueError):
-        inverse(ExactMatrix.zeros(2, 3))
+        pivot_inverse(ExactMatrix.zeros(3, 3))
+    # more rows than columns: the rows are dependent
+    with pytest.raises(SingularMatrixError):
+        pivot_inverse(ExactMatrix([[1, 0], [0, 1], [1, 1]]))
 
 
 @settings(max_examples=60)

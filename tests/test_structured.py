@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_canonical_storage, dense_ladder, get_ctx
+from conftest import (assert_canonical_storage, basis_vector, dense_ladder,
+                      get_ctx)
 from tcube.cube import ConstructionError
-from tcube.linalg import I64_LIMIT, ExactMatrix, ExactVector
+from tcube.linalg import I64_LIMIT, ExactMatrix
 from tcube.scalar import GaussRat
 
 OPERATORS = ("A", "Astar", "Aeps", "L", "R", "P")
@@ -137,7 +138,7 @@ def test_aligned_extremes_at_int64_bounds(op, D):
 
 
 def _base_vertex_block(ctx):
-    return ExactMatrix.stack([ExactVector.basis_vector(ctx.n, 0)])
+    return ExactMatrix.stack([basis_vector(ctx.n, 0)])
 
 
 @pytest.mark.parametrize("family", ["E", "Eeps"])
