@@ -285,19 +285,20 @@ def _cmd_module_report(cfg: RunConfig, args) -> int:
         reports.append(leonard.module_report(
             ctx, leonard.build_six_bases(ctx, m)))
         _progress(f"  reported module r={m.r} index={m.index}")
+    passed = [all(v["passed"] for ops in rep["rep_matrices"].values()
+                  for v in ops.values())
+              and all(rep["inner_products"].values())
+              and not rep["transitions"]["failures"]
+              and rep["leonard_triple"] == "true" for rep in reports]
     if cfg.format == "pretty":
-        lines = []
-        for rep in reports:
-            ok = (all(v["passed"] for ops in rep["rep_matrices"].values()
-                      for v in ops.values())
-                  and all(rep["inner_products"].values())
-                  and not rep["transitions"]["failures"]
-                  and rep["leonard_triple"] == "true")
-            lines.append(f"module r={rep['r']} index={rep['module_index']}: "
-                         f"{'all checks pass' if ok else 'FAILURES PRESENT'} "
-                         f"(leonard_triple={rep['leonard_triple']})")
-        return _emit("\n".join(lines) + "\n", cfg.output_path)
-    return _emit(_json_text(reports), cfg.output_path)
+        text = "".join(
+            f"module r={rep['r']} index={rep['module_index']}: "
+            f"{'all checks pass' if ok else 'FAILURES PRESENT'} "
+            f"(leonard_triple={rep['leonard_triple']})\n"
+            for rep, ok in zip(reports, passed))
+    else:
+        text = _json_text(reports)
+    return _emit(text, cfg.output_path) or (0 if all(passed) else 1)
 
 
 def _cmd_leonard_check(cfg: RunConfig, args) -> int:

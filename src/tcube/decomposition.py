@@ -9,16 +9,17 @@ claim used downstream (thinness, nonvanishing windows, closure, orthogonality,
 dimension count) is re-verified on the constructed data, so the seeding
 routine itself does not have to be trusted.
 
-A module's slice basis is handled as one block, a matrix with one vector per
-row: the context's structured operators (`CubeContext.apply`, `project`)
-give L, R and Astar of the whole block and all D + 1 images E_i W and
-Eeps_i W in one call each, and the checks compare rows of blocks at once.
+A module's slice basis is stored as one block, a (d+1) x 2^D matrix with
+one vector per row: the context's structured operators (`CubeContext.apply`,
+`project`) give L, R and Astar of the whole block and all D + 1 images E_i W
+and Eeps_i W in one call each, and the checks compare rows of blocks at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Tuple
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .cube import CubeContext
 from .linalg import (ExactMatrix, ExactVector, _numerators, fits_i64,
-                     gram_schmidt, inner, kernel_basis)
+                     gram_schmidt, kernel_basis)
 from .report import check_true
 from .scalar import GaussRat
 
@@ -76,10 +77,14 @@ def proportional_rows(x: ExactMatrix, y: ExactMatrix):
     return same_line & (y_nonzero.any(axis=1) | ~x.nonzero().any(axis=1))
 
 
+# The seeds in the row order of IrreducibleModule.seed_gram
+SEED_NAMES = ("u", "u*", "ue")
+
+
 @dataclass(frozen=True)
 class IrreducibleModule:
     """One irreducible T-module: endpoint r, diameter d = D - 2r, the three
-    seeds and a basis with one vector per distance slice."""
+    seeds and its slice basis, a block with one vector per distance slice."""
 
     r: int
     d: int
@@ -87,15 +92,21 @@ class IrreducibleModule:
     u_star: ExactVector
     u: ExactVector
     u_eps: ExactVector
-    slice_basis: Tuple[ExactVector, ...]
+    slice_basis: ExactMatrix
 
     @property
     def dim(self) -> int:
         return self.d + 1
 
+    @cached_property
+    def seed_gram(self) -> ExactMatrix:
+        """S @ S^* for S = [u, u*, ue]: entry (a, b) is <seed a, seed b>."""
+        seeds = ExactMatrix.stack([self.u, self.u_star, self.u_eps])
+        return seeds @ seeds.adjoint()
+
     def seed_inner(self, first: str, second: str) -> GaussRat:
-        seeds = {"u": self.u, "u*": self.u_star, "ue": self.u_eps}
-        return inner(seeds[first], seeds[second])
+        return self.seed_gram[SEED_NAMES.index(first),
+                              SEED_NAMES.index(second)]
 
     def to_json(self) -> dict:
         return {"r": self.r, "d": self.d, "index": self.index, "dim": self.dim}
@@ -139,19 +150,19 @@ def _check_images_thin(parts, r, d, index, label):
         if not in_window and nonzero.any():
             _fail(r, index, f"{label}_{i} W nonzero outside the window")
         if nonzero.any():
-            first = ExactMatrix.stack([images.row(int(nonzero.argmax()))])
+            p = int(nonzero.argmax())
+            first = images.block(slice(p, p + 1), slice(None))
             if not proportional_rows(images, first).all():
                 _fail(r, index, f"dim({label}_{i} W) > 1 (not thin)")
 
 
 def _validate_module(ctx: CubeContext, mod: IrreducibleModule,
-                     block: ExactMatrix, raised_top: ExactMatrix,
-                     e_parts, eeps_parts) -> None:
-    """The invariants of one module; block stacks its slice basis,
-    raised_top is R applied to the top vector, and e_parts / eeps_parts
-    are the images of the block under E_i and Eeps_i."""
+                     raised_top: ExactMatrix, e_parts, eeps_parts) -> None:
+    """The invariants of one module; raised_top is R applied to the top
+    vector of its slice basis, and e_parts / eeps_parts are the images of
+    the slice basis under E_i and Eeps_i."""
     r, d, index = mod.r, mod.d, mod.index
-    basis = mod.slice_basis
+    block = mod.slice_basis
     if d != ctx.D - 2 * r:
         _fail(r, index, "diameter is not D - 2r")
     nonzero = block.nonzero()
@@ -165,7 +176,8 @@ def _validate_module(ctx: CubeContext, mod: IrreducibleModule,
     # closure under A = L + R along the slice ladder: L b_k is a nonzero
     # multiple of b_(k-1), and of the zero vector for k = 0
     lowered = ctx.apply("L", block)
-    below = ExactMatrix.stack([ExactVector.zeros(ctx.n)] + list(basis[:-1]))
+    below = ExactMatrix.stack([ExactMatrix.zeros(1, ctx.n),
+                               block.block(slice(0, d), slice(None))])
     onto = proportional_rows(lowered, below)
     if not onto[0]:
         _fail(r, index, "seed not annihilated by the lowering operator")
@@ -192,14 +204,12 @@ def _validate_module(ctx: CubeContext, mod: IrreducibleModule,
 
 
 def _check_orthogonal_sum(ctx: CubeContext, modules) -> None:
-    vectors = [b for m in modules for b in m.slice_basis]
-    if len(vectors) != ctx.n:
+    owner = np.repeat(np.arange(len(modules)), [m.dim for m in modules])
+    if len(owner) != ctx.n:
         raise InvariantViolation(
-            f"module dimensions sum to {len(vectors)}, expected {ctx.n}")
-    stacked = ExactMatrix.stack(vectors)
+            f"module dimensions sum to {len(owner)}, expected {ctx.n}")
+    stacked = ExactMatrix.stack([m.slice_basis for m in modules])
     gram = stacked @ stacked.adjoint()
-    owner = np.array([m_idx for m_idx, m in enumerate(modules)
-                      for _ in m.slice_basis])
     cross = gram.nonzero() & (owner[:, None] != owner[None, :])
     if cross.any():
         a, b = np.argwhere(cross)[0]
@@ -227,18 +237,13 @@ def decompose(ctx: CubeContext) -> Decomposition:
             raise InvariantViolation(
                 f"endpoint {r}: kernel dimension {len(seeds_small)} differs "
                 f"from C(D,r) - C(D,r-1) = {multiplicity(ctx.D, r)}")
-        seeds = [_embed(ctx, s, cols) for s in seeds_small]
-        if len(seeds) > 1:
-            seeds = gram_schmidt(seeds)
-        else:
-            seeds = [s.primitive() for s in seeds]
+        seeds = gram_schmidt([_embed(ctx, s, cols) for s in seeds_small])
         d = ctx.D - 2 * r
         for index, u_star in enumerate(seeds):
             ladder = [ExactMatrix.stack([u_star])]
             for _ in range(d + 1):
                 ladder.append(ctx.apply("R", ladder[-1]))
-            basis = tuple(step.row(0) for step in ladder[:-1])
-            block = ExactMatrix.stack(basis)
+            block = ExactMatrix.stack(ladder[:-1])
             e_parts = ctx.project("E", block)
             eeps_parts = ctx.project("Eeps", block)
             mod = IrreducibleModule(
@@ -246,9 +251,9 @@ def decompose(ctx: CubeContext) -> Decomposition:
                 u_star=u_star,
                 u=e_parts[r].row(0),
                 u_eps=eeps_parts[r].row(0),
-                slice_basis=basis,
+                slice_basis=block,
             )
-            _validate_module(ctx, mod, block, ladder[-1], e_parts, eeps_parts)
+            _validate_module(ctx, mod, ladder[-1], e_parts, eeps_parts)
             modules.append(mod)
         mults[r] = len(seeds)
     _check_orthogonal_sum(ctx, modules)
@@ -265,9 +270,9 @@ def verify_seed_norms(mod: IrreducibleModule):
     a = mod.seed_inner("u", "u*")
     b = mod.seed_inner("u*", "ue")
     c = mod.seed_inner("ue", "u")
-    nu = inner(mod.u, mod.u)
-    nus = inner(mod.u_star, mod.u_star)
-    nue = inner(mod.u_eps, mod.u_eps)
+    nu = mod.seed_inner("u", "u")
+    nus = mod.seed_inner("u*", "u*")
+    nue = mod.seed_inner("ue", "ue")
     scalar = a * b * c * one_plus_i_d
     return [
         check_true("seed_norm_u",
@@ -305,7 +310,7 @@ def normalize_seeds(mod: IrreducibleModule, a, b, c) -> IrreducibleModule:
     product = a * b * c * GaussRat(1, 1) ** mod.d
     if not product.is_real() or product.re <= 0:
         raise InfeasibleTargets("infeasible targets")
-    nus = inner(mod.u_star, mod.u_star).re
+    nus = mod.seed_inner("u*", "u*").re
     delta = product.re / (c.abs_sq() * nus)
     root = _rational_sqrt(delta)
     if root is None:
@@ -319,7 +324,7 @@ def normalize_seeds(mod: IrreducibleModule, a, b, c) -> IrreducibleModule:
         u=mod.u.scale(lam),
         u_star=mod.u_star.scale(lam_star),
         u_eps=mod.u_eps.scale(lam_eps),
-        slice_basis=tuple(v.scale(lam_star) for v in mod.slice_basis),
+        slice_basis=mod.slice_basis.scale(lam_star),
     )
     got = (out.seed_inner("u", "u*"), out.seed_inner("u*", "ue"),
            out.seed_inner("ue", "u"))

@@ -22,17 +22,18 @@ with u, u*, ue the seeds in E_r W, Estar_r W, Eeps_r W.  The module provides:
   * a generic Leonard-triple recognizer working over Q(i).
 
 The six bases come from one call per idempotent family on the stacked seeds
-(`CubeContext.project`), and every operator acts on a whole basis at once
-(`CubeContext.apply`).  Each basis is the image of one seed under a family
-of Hermitian orthogonal idempotents, so it is orthogonal: coordinates are
-<t, b_k> / <b_k, b_k>, once the basis's Gram block is seen to be diagonal,
-and every solve is certified by exact reconstruction.  Only the Leonard
-recognizer, whose eigenbases need not be orthogonal, eliminates.
+(`CubeContext.project`) and are kept as one block, d + 1 rows per basis;
+every operator acts on a whole basis at once (`CubeContext.apply`).  Each
+basis is the image of one seed under a family of Hermitian orthogonal
+idempotents, so it is orthogonal: coordinates are <t, b_k> / <b_k, b_k>,
+once the basis's Gram block is seen to be diagonal, and every solve is
+certified by exact reconstruction.  Only the Leonard recognizer, whose
+eigenbases need not be orthogonal, eliminates.
 
 Each module's checks are whole-matrix operations.  The closed forms are
 tables of Gaussian-integer numerators, built once per Phi matrix (one per
 inner-product kind and one per transition pattern) and scaled per module by
-one seed scalar; the nine seed inner products are computed once per module.
+one seed scalar, read off the module's 3 x 3 Gram matrix of the seeds.
 The inner products are the blocks of one Gram matrix of the six stacked
 bases, each compared with its scaled table entry by entry.  The rep matrices
 are one coordinate call per basis; the 36 transitions are one per source
@@ -52,8 +53,8 @@ from typing import Dict, List, Mapping, Tuple
 import numpy as np
 
 from .cube import CubeContext
-from .decomposition import IrreducibleModule
-from .linalg import (ExactMatrix, ExactVector, SingularMatrixError, inner,
+from .decomposition import SEED_NAMES, IrreducibleModule
+from .linalg import (ExactMatrix, ExactVector, SingularMatrixError,
                      kernel_basis, pivot_inverse)
 from .report import IdentityCheck, check_true
 from .scalar import GaussRat
@@ -195,18 +196,14 @@ class BasisSolver:
 
 @dataclass(frozen=True)
 class SixBases:
+    """The six bases of one module as the rows of one block, in BASIS_LABELS
+    order; `bases[label]` is the (d+1) x 2^D block of one basis."""
+
     module: IrreducibleModule
-    vectors: Dict[str, Tuple[ExactVector, ...]]
+    stacked: ExactMatrix
 
-    def __getitem__(self, label: str) -> Tuple[ExactVector, ...]:
-        return self.vectors[label]
-
-    @cached_property
-    def stacked(self) -> ExactMatrix:
-        """All six bases as the rows of one block, in BASIS_LABELS order;
-        `rows(label)` is the slice of one basis."""
-        return ExactMatrix.stack([v for label in BASIS_LABELS
-                                  for v in self.vectors[label]])
+    def __getitem__(self, label: str) -> ExactMatrix:
+        return self.stacked.block(self.rows(label), slice(None))
 
     def rows(self, label: str) -> slice:
         n = self.module.d + 1
@@ -228,7 +225,7 @@ class SixBases:
         if not np.array_equal(norms.nonzero(), np.eye(norms.rows, dtype=bool)):
             raise BasisError(f"basis {label} is not orthogonal (module "
                              f"r={self.module.r} index={self.module.index})")
-        basis = self.stacked.block(rows, slice(None))
+        basis = self[label]
         inverse_norms = ExactMatrix.diagonal(
             [1 / norms[k, k] for k in range(norms.rows)])
         coeffs = inverse_norms @ (targets @ basis.adjoint()).transpose()
@@ -238,16 +235,11 @@ class SixBases:
 
     @cached_property
     def seed_scalars(self) -> Dict[str, GaussRat]:
-        """The nine inner products of the seeds, once per module; the
-        inner-product, proportionality and transition checks share them."""
-        mod = self.module
-        u, us, ue = mod.u, mod.u_star, mod.u_eps
-        return {
-            "u|u": inner(u, u), "u*|u*": inner(us, us), "ue|ue": inner(ue, ue),
-            "u|u*": inner(u, us), "u*|u": inner(us, u),
-            "u|ue": inner(u, ue), "ue|u": inner(ue, u),
-            "u*|ue": inner(us, ue), "ue|u*": inner(ue, us),
-        }
+        """The nine seed inner products, keyed "a|b", from the module's seed
+        Gram matrix; the inner-product, proportionality and transition
+        checks share them."""
+        return {f"{a}|{b}": self.module.seed_inner(a, b)
+                for a in SEED_NAMES for b in SEED_NAMES}
 
 
 # Rows of the seed block of build_six_bases: the module's seeds u, u*, ue,
@@ -277,49 +269,52 @@ def build_six_bases(ctx: CubeContext, mod: IrreducibleModule) -> SixBases:
     bases must be P-images of each other under the chained normalization.
 
     One call per family on the block [u, u*, ue, Pu, P^2 u, P^3 u] gives
-    every vector of the six bases and of the P-shift checks."""
+    every vector of the six bases and of the P-shift checks: row i*6 + k of
+    the family's window is family_(r+i) applied to seed row k, so the basis
+    generated by seed row k is the strided row slice k::6."""
     r, d = mod.r, mod.d
+    n = d + 1
     chained = [ExactMatrix.stack([mod.u])]
     for _ in range(3):
         chained.append(ctx.apply("P", chained[-1]))
-    seeds = ExactMatrix.stack([mod.u, mod.u_star, mod.u_eps]
-                              + [c.row(0) for c in chained[1:]])
-    window = {family: ctx.project(family, seeds)[r:r + d + 1]
+    seeds = ExactMatrix.stack([mod.u, mod.u_star, mod.u_eps] + chained[1:])
+    window = {family: ExactMatrix.stack(ctx.project(family, seeds)[r:r + n])
               for family in ("E", "Estar", "Eeps")}
 
-    def vector(family, seed, i):
-        return window[family][i].row(_SEED_ROWS[seed])
+    def basis(family, seed):
+        k = _SEED_ROWS[seed]
+        return window[family].block(slice(k, None, len(_SEED_ROWS)),
+                                    slice(None))
 
-    vectors = {}
-    for label, (family, seed) in _BASIS_SPEC.items():
-        vs = tuple(vector(family, seed, i) for i in range(d + 1))
-        for i, v in enumerate(vs):
-            if v.is_zero():
-                raise BasisError(f"basis {label} vector {i} is zero "
-                                 f"(module r={r} index={mod.index})")
-        vectors[label] = vs
-    for label, (_, seed) in _BASIS_SPEC.items():
-        total = vectors[label][0]
-        for v in vectors[label][1:]:
-            total = total + v
-        if total != seeds.row(_SEED_ROWS[seed]):
+    bases = SixBases(module=mod, stacked=ExactMatrix.stack(
+        [basis(*_BASIS_SPEC[label]) for label in BASIS_LABELS]))
+    zero = ~bases.stacked.nonzero().any(axis=1)
+    if zero.any():
+        z = int(zero.argmax())
+        raise BasisError(f"basis {BASIS_LABELS[z // n]} vector {z % n} is "
+                         f"zero (module r={r} index={mod.index})")
+    ones = np.ones((1, n), dtype=np.int64)
+    ones = ExactMatrix.from_numerators(ones, 0 * ones, 1)
+    for label in BASIS_LABELS:
+        k = _SEED_ROWS[_BASIS_SPEC[label][1]]
+        if ones @ bases[label] != seeds.block(slice(k, k + 1), slice(None)):
             raise BasisError(f"basis {label} does not sum back to its seed")
-    _check_p_shift(ctx, mod, vector)
-    return SixBases(module=mod, vectors=vectors)
+    _check_p_shift(ctx, mod, basis)
+    return bases
 
 
-def _check_p_shift(ctx: CubeContext, mod: IrreducibleModule, vector) -> None:
+def _check_p_shift(ctx: CubeContext, mod: IrreducibleModule, basis) -> None:
     """Each pair of _P_SHIFTS at each slice i, with one P pass over all the
-    left-hand sides; vector(family, seed, i) is family_(r+i) seed."""
-    rows = [(i, name, lhs, rhs) for i in range(mod.d + 1)
-            for name, lhs, rhs in _P_SHIFTS]
-    shifted = ctx.apply("P", ExactMatrix.stack([vector(*lhs, i)
-                                                for i, _, lhs, _ in rows]))
-    targets = ExactMatrix.stack([vector(*rhs, i) for i, _, _, rhs in rows])
-    for (i, name, _, _), ok in zip(rows, shifted.row_equal(targets)):
-        if not ok:
-            raise BasisError(f"P-shift {name} failed at slice {i} "
-                             f"(module r={mod.r} index={mod.index})")
+    left-hand sides; basis(family, seed) is the block of family_(r+i) seed
+    over i, so row (d+1)*k + i of the pass is pair k at slice i."""
+    shifted = ctx.apply("P", ExactMatrix.stack([basis(*lhs)
+                                                for _, lhs, _ in _P_SHIFTS]))
+    targets = ExactMatrix.stack([basis(*rhs) for _, _, rhs in _P_SHIFTS])
+    failed = ~shifted.row_equal(targets).reshape(len(_P_SHIFTS), mod.d + 1)
+    if failed.any():
+        i, k = np.argwhere(failed.T)[0]
+        raise BasisError(f"P-shift {_P_SHIFTS[k][0]} failed at slice {i} "
+                         f"(module r={mod.r} index={mod.index})")
 
 
 # -- representation matrices ----------------------------------------------------------
@@ -395,7 +390,7 @@ def cube_representations(ctx: CubeContext, bases: SixBases,
     """The matrices of A, Astar and Aeps (OPERATOR_LABELS order) in basis
     `label`: one coordinate call on the stacked images of the basis under
     the three operators."""
-    basis = bases.stacked.block(bases.rows(label), slice(None))
+    basis = bases[label]
     coeffs = bases.coords(label, ExactMatrix.stack(
         [ctx.apply(op, basis) for op in OPERATOR_LABELS]))
     n = basis.rows
@@ -559,17 +554,14 @@ def _verify_slice_proportionality(bases: SixBases) -> List[GridCheck]:
     matching AAs (resp. AsAe, AeA) vector, i^i (1-i)^d times a ratio of seed
     scalars."""
     d = bases.module.d
-    stacked = bases.stacked
     scal = bases.seed_scalars
     omi_d = GaussRat(1, -1) ** d
-    every = slice(None)
     checks = []
     for x, y, key, norm in (("AAe", "AAs", "ue|u*", "u*|u*"),
                             ("AsA", "AsAe", "u|ue", "ue|ue"),
                             ("AeAs", "AeA", "u*|u", "u|u")):
         coeffs = _ipow_diagonal(d, +1).scale(omi_d * scal[key] / scal[norm])
-        ok = stacked.block(bases.rows(x), every).row_equal(
-            coeffs @ stacked.block(bases.rows(y), every))
+        ok = bases[x].row_equal(coeffs @ bases[y])
         checks.extend(GridCheck(f"proportional[{x}|{y}]", i, i, bool(v))
                       for i, v in enumerate(ok))
     return checks

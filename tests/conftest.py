@@ -81,6 +81,11 @@ def basis_vector(n, k):
     return ExactVector.from_numerators(re, 0 * re, 1)
 
 
+def block_rows(block):
+    """The rows of a block, as a list of vectors."""
+    return [block.row(k) for k in range(block.rows)]
+
+
 def representation_matrix(op, basis):
     """Matrix B with op @ v_j = sum_i B_ij v_i for the vectors v_j of basis,
     by exact solving (the recognizer's route, on any basis)."""

@@ -1,6 +1,7 @@
 """CLI behaviour: dumps, suites, exit codes, determinism, formats."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -152,6 +153,31 @@ def test_module_report_filter(capsys):
     assert reports[0]["r"] == 1
     assert reports[0]["leonard_triple"] == "true"
     assert run(capsys, "module-report", "--d", "2", "--r", "5")[0] == 2
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_module_report_exits_1_when_a_check_fails(capsys, monkeypatch, fmt):
+    code, _ = run(capsys, "module-report", "--d", "2", "--format", fmt)
+    assert code == 0
+    honest = cli.leonard.verify_inner_products
+
+    def one_cell_failed(bases, phi):
+        checks = honest(bases, phi)
+        if bases.module.r == 1:
+            checks[0] = dataclasses.replace(checks[0], passed=False)
+        return checks
+
+    monkeypatch.setattr(cli.leonard, "verify_inner_products", one_cell_failed)
+    code, out = run(capsys, "module-report", "--d", "2", "--format", fmt)
+    assert code == 1
+    if fmt == "pretty":
+        assert out.splitlines() == [
+            "module r=0 index=0: all checks pass (leonard_triple=true)",
+            "module r=1 index=0: FAILURES PRESENT (leonard_triple=true)"]
+    else:
+        failed = [rep["r"] for rep in json.loads(out)
+                  if not all(rep["inner_products"].values())]
+        assert failed == [1]
 
 
 def test_leonard_check(capsys):

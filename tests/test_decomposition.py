@@ -3,8 +3,8 @@ invariant validation, seed normalization."""
 
 import pytest
 
-from conftest import (basis_vector, dense_ladder, get_ctx, get_decomposition,
-                      naive_rank)
+from conftest import (basis_vector, block_rows, dense_ladder, get_ctx,
+                      get_decomposition, naive_rank)
 from tcube.decomposition import (FieldExtensionRequired, InfeasibleTargets,
                                  InvariantViolation, _check_images_thin,
                                  decompose, multiplicity, normalize_seeds,
@@ -75,7 +75,9 @@ def test_decompose_d1_single_module():
     m = dec.modules[0]
     assert (m.r, m.d, m.dim) == (0, 1, 2)
     # spans C^2: the two slice vectors are the standard basis up to scale
-    assert not m.slice_basis[0].is_zero() and not m.slice_basis[1].is_zero()
+    assert m.slice_basis.shape == (2, 2)
+    assert not m.slice_basis.row(0).is_zero()
+    assert not m.slice_basis.row(1).is_zero()
 
 
 def test_decompose_d2_structure():
@@ -104,10 +106,11 @@ def test_decompose_counts_match_closed_form(D):
 def test_tridiagonal_action_on_slice_basis(D):
     ctx = get_ctx(D)
     for m in get_decomposition(D).modules:
-        for k, b in enumerate(m.slice_basis):
+        basis = block_rows(m.slice_basis)
+        for k, b in enumerate(basis):
             image = ctx.A.matvec(b)
-            below = m.slice_basis[k - 1] if k >= 1 else None
-            above = m.slice_basis[k + 1] if k < m.d else None
+            below = basis[k - 1] if k >= 1 else None
+            above = basis[k + 1] if k < m.d else None
             recon = ExactVector.zeros(ctx.n)
             for nb in (below, above):
                 if nb is None:
@@ -129,7 +132,7 @@ def test_module_p_cycle(D):
         e_vecs, eps_vecs = ([part.row(0)
                              for part in ctx.project(family, seed)[window]]
                             for family in ("E", "Eeps"))
-        star_vecs = list(m.slice_basis)
+        star_vecs = block_rows(m.slice_basis)
         shifted = ctx.apply("P", ExactMatrix.stack(e_vecs + star_vecs
                                                    + eps_vecs))
         ok = proportional_rows(shifted, ExactMatrix.stack(
@@ -204,12 +207,22 @@ def test_scaling_seeds_by_i_preserves_inner_products():
     assert inner(ue, u) == m.seed_inner("ue", "u")
 
 
+@pytest.mark.parametrize("D", [2, 3, 4])
+def test_seed_gram_holds_the_nine_inner_products(D):
+    for m in get_decomposition(D).modules:
+        seeds = {"u": m.u, "u*": m.u_star, "ue": m.u_eps}
+        assert m.seed_gram.shape == (3, 3)
+        for a, va in seeds.items():
+            for b, vb in seeds.items():
+                assert m.seed_inner(a, b) == inner(va, vb), (a, b)
+
+
 def test_cross_module_orthogonality_d4():
     modules = get_decomposition(4).modules
     for a in range(len(modules)):
         for b in range(a):
-            for va in modules[a].slice_basis:
-                for vb in modules[b].slice_basis:
+            for va in block_rows(modules[a].slice_basis):
+                for vb in block_rows(modules[b].slice_basis):
                     assert inner(va, vb).is_zero()
 
 

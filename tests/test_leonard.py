@@ -7,13 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (get_bundles, get_ctx, get_phi, oracle_inner,
-                      oracle_pattern, oracle_transition, representation_matrix,
-                      series_2f1)
+from conftest import (block_rows, get_bundles, get_ctx, get_phi,
+                      oracle_inner, oracle_pattern, oracle_transition,
+                      representation_matrix, series_2f1)
 from tcube.cube import build_context
 from tcube.decomposition import decompose
-from tcube.leonard import (BASIS_LABELS, INNER_FORMULAS, OPERATOR_LABELS,
-                           TRANSITION_TABLE, BasisError, BasisSolver,
+from tcube.leonard import (_BASIS_SPEC, BASIS_LABELS, INNER_FORMULAS,
+                           OPERATOR_LABELS, TRANSITION_TABLE, BasisError,
+                           BasisSolver,
                            PhiMatrix, SixBases, _is_irreducible_tridiagonal,
                            build_six_bases, diagonal_form,
                            hypergeometric_2f1, inner_tables,
@@ -93,17 +94,16 @@ def test_six_bases_d1_structure():
     ctx = get_ctx(1)
     (m, bases, _), = get_bundles(1)
     # Estar_0 u and Estar_1 u are the coordinate vectors scaled by u's entries
-    asa = bases["AsA"]
-    assert asa[0] == ExactVector([m.u[0], GaussRat(0)])
-    assert asa[1] == ExactVector([GaussRat(0), m.u[1]])
+    assert bases["AsA"] == ExactMatrix([[m.u[0], GaussRat(0)],
+                                        [GaussRat(0), m.u[1]]])
 
 
 @pytest.mark.parametrize("D", [2, 3, 4])
 def test_six_bases_nonzero_and_sizes(D):
     for m, bases, _ in get_bundles(D):
         for label in BASIS_LABELS:
-            assert len(bases[label]) == m.d + 1
-            assert all(not v.is_zero() for v in bases[label])
+            assert bases[label].shape == (m.d + 1, 2 ** D)
+            assert all(not v.is_zero() for v in block_rows(bases[label]))
 
 
 def test_basis_orthogonality_with_norms_d4():
@@ -111,7 +111,7 @@ def test_basis_orthogonality_with_norms_d4():
         norm_u = inner(m.u, m.u)
         for i in range(m.d + 1):
             for j in range(m.d + 1):
-                got = inner(bases["AsA"][i], bases["AsA"][j])
+                got = inner(bases["AsA"].row(i), bases["AsA"].row(j))
                 if i != j:
                     assert got.is_zero()
                 else:
@@ -124,9 +124,25 @@ def test_seed_decomposes_as_slice_sums_d3():
                             ("AeAs", m.u_star), ("AAs", m.u_star),
                             ("AAe", m.u_eps), ("AsAe", m.u_eps)):
             total = ExactVector.zeros(seed.length)
-            for v in bases[label]:
+            for v in block_rows(bases[label]):
                 total = total + v
             assert total == seed
+
+
+@pytest.mark.parametrize("D", range(1, 6))
+def test_six_bases_match_the_dense_idempotents(D):
+    # vector i of each basis against family_(r+i) seed by a dense product,
+    # a route that does not use the strided selection of build_six_bases
+    ctx = get_ctx(D)
+    for m, bases, _ in get_bundles(D):
+        seeds = {"u": m.u, "u*": m.u_star, "ue": m.u_eps}
+        for label in BASIS_LABELS:
+            family, seed = _BASIS_SPEC[label]
+            block = bases[label]
+            assert block.shape == (m.d + 1, 2 ** D)
+            for i in range(m.d + 1):
+                want = getattr(ctx, family)[m.r + i].matvec(seeds[seed])
+                assert block.row(i) == want, (m.r, m.index, label, i)
 
 
 # -- representation matrices ----------------------------------------------------------
@@ -135,11 +151,11 @@ def test_seed_decomposes_as_slice_sums_d3():
 def test_rep_matrix_examples_d2():
     ctx = get_ctx(2)
     (m, bases, _) = next(b for b in get_bundles(2) if b[0].d == 2)
-    rep_a_aas = representation_matrix(ctx.A, list(bases["AAs"]))
+    rep_a_aas = representation_matrix(ctx.A, block_rows(bases["AAs"]))
     assert rep_a_aas == ExactMatrix.diagonal([2, 0, -2])
-    rep_a_asa = representation_matrix(ctx.A, list(bases["AsA"]))
+    rep_a_asa = representation_matrix(ctx.A, block_rows(bases["AsA"]))
     assert rep_a_asa == ExactMatrix([[0, 2, 0], [1, 0, 1], [0, 2, 0]])
-    rep_ae_asa = representation_matrix(ctx.Aeps, list(bases["AsA"]))
+    rep_ae_asa = representation_matrix(ctx.Aeps, block_rows(bases["AsA"]))
     assert rep_ae_asa == ExactMatrix(
         [[GaussRat(0), GaussRat(0, 2), GaussRat(0)],
          [GaussRat(0, -1), GaussRat(0), GaussRat(0, 1)],
@@ -199,18 +215,19 @@ def test_basis_solver_coords_matrix_is_one_certified_product():
 
 
 def test_p_shift_failure_names_pair_and_slice(monkeypatch):
-    # negate one row of the P pass over the left-hand sides: row 6 * i + k
+    # negate one row of the P pass over the left-hand sides: row (d+1)*k + i
     # is pair k of the P-shift table at slice i
     ctx = build_context(3)
     mod = decompose(ctx).modules[0]
     apply = ctx.apply
+    k, i = 1, 1
 
     def one_row_negated(op, block):
         out = apply(op, block)
         if op != "P" or block.rows == 1:
             return out
-        rows = [out.row(k) for k in range(out.rows)]
-        rows[6 * 1 + 1] = -rows[6 * 1 + 1]
+        rows = block_rows(out)
+        rows[(mod.d + 1) * k + i] = -rows[(mod.d + 1) * k + i]
         return ExactMatrix.stack(rows)
 
     monkeypatch.setattr(ctx, "apply", one_row_negated)
@@ -221,7 +238,7 @@ def test_p_shift_failure_names_pair_and_slice(monkeypatch):
 
 def test_basis_solver_rejects_vector_of_another_module_d3():
     (m0, bases0, _), (m1, _, _) = get_bundles(3)[:2]
-    solver = BasisSolver(list(bases0["AsA"]))
+    solver = BasisSolver(block_rows(bases0["AsA"]))
     assert solver.coords(m0.u) == ExactVector([1] * (m0.d + 1))
     with pytest.raises(BasisError):
         solver.coords(m1.u)
@@ -244,9 +261,10 @@ def test_rep_commutators_descend_d3():
     ctx = get_ctx(3)
     for m, bases, _ in get_bundles(3):
         for label in BASIS_LABELS:
-            b = representation_matrix(ctx.A, bases[label])
-            bs = representation_matrix(ctx.Astar, bases[label])
-            be = representation_matrix(ctx.Aeps, bases[label])
+            vectors = block_rows(bases[label])
+            b = representation_matrix(ctx.A, vectors)
+            bs = representation_matrix(ctx.Astar, vectors)
+            be = representation_matrix(ctx.Aeps, vectors)
             two_i = GaussRat(0, 2)
             assert b @ bs - bs @ b == be.scale(two_i)
             assert bs @ be - be @ bs == b.scale(two_i)
@@ -269,7 +287,7 @@ def test_inner_product_zero_cell_from_2f1():
     # between AAs and AsA is exactly zero there
     (m, bases, phi) = next(b for b in get_bundles(2) if b[0].d == 2)
     assert hypergeometric_2f1(1, 1, 2) == 0
-    assert inner(bases["AAs"][1], bases["AsA"][1]).is_zero()
+    assert inner(bases["AAs"].row(1), bases["AsA"].row(1)).is_zero()
 
 
 def test_delta_factor_off_diagonal_zero_d3():
@@ -277,7 +295,8 @@ def test_delta_factor_off_diagonal_zero_d3():
         for i in range(m.d + 1):
             for j in range(m.d + 1):
                 if i != j:
-                    assert inner(bases["AsA"][i], bases["AsA"][j]).is_zero()
+                    assert inner(bases["AsA"].row(i),
+                                 bases["AsA"].row(j)).is_zero()
 
 
 # -- transition matrices -----------------------------------------------------------------
@@ -380,8 +399,8 @@ def test_module_gram_built_once_on_first_use():
     (m, _, phi), = [b for b in get_bundles(2) if b[0].d == 2]
     bases = build_six_bases(ctx, m)
     stacked, gram = bases.stacked, bases.gram
-    assert stacked == ExactMatrix.stack(
-        [v for label in BASIS_LABELS for v in bases[label]])
+    assert stacked == ExactMatrix.stack([bases[label]
+                                         for label in BASIS_LABELS])
     assert gram == stacked @ stacked.adjoint()
     verify_rep_matrices(ctx, bases)
     verify_inner_products(bases, phi)
@@ -400,19 +419,20 @@ def test_orthogonal_coords_equal_the_elimination_solver(D):
                                for op in OPERATOR_LABELS])
         for label in BASIS_LABELS:
             assert bases.coords(label, targets) == \
-                BasisSolver(list(bases[label])).coords_matrix(targets)
+                BasisSolver(block_rows(bases[label])).coords_matrix(targets)
 
 
 def _with_basis(bases, label, vectors):
-    return SixBases(module=bases.module,
-                    vectors=dict(bases.vectors, **{label: tuple(vectors)}))
+    return SixBases(module=bases.module, stacked=ExactMatrix.stack(
+        [ExactMatrix.stack(vectors) if other == label else bases[other]
+         for other in BASIS_LABELS]))
 
 
 @pytest.mark.parametrize("change", ["sheared", "zero"])
 def test_non_orthogonal_basis_is_named(change):
     ctx = get_ctx(3)
     (m, bases, phi) = next(b for b in get_bundles(3) if b[0].d == 3)
-    v = list(bases["AeA"])
+    v = block_rows(bases["AeA"])
     v[2] = v[2] + v[1] if change == "sheared" else v[2].scale(0)
     broken = _with_basis(bases, "AeA", v)
     message = r"^basis AeA is not orthogonal \(module r=0 index=0\)$"
