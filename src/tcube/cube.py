@@ -26,8 +26,9 @@ the block operators instead (`CubeContext.apply` and `project`), which act
 on many vectors at once without a dense 2^D x 2^D product: A, Aeps and the
 ladder operators L, R are gathers over the D neighbours of each vertex,
 Astar is a diagonal scale, P is D butterfly passes of P1, and the images
-under E_i come from two fast Walsh-Hadamard transforms, certified against
-A on every call.
+under E_i come from two fast Walsh-Hadamard transforms, computed and
+certified against A on every call only for the i that the caller asks for
+(a module's window).
 
 The three whole-matrix suites close the module: the commutator and
 quadratic relations, the idempotent families (whose `F_rank[i]` rows are
@@ -59,6 +60,16 @@ I1 = ExactMatrix.identity(2)
 
 class ConstructionError(RuntimeError):
     """A self-check between two independent constructions disagreed."""
+
+
+class OutsideWindow(ValueError):
+    """The rows of a block have content outside the window asked of
+    `CubeContext.project`; `parts` holds all D + 1 of their parts, each
+    certified as the full projection certifies it."""
+
+    def __init__(self, parts):
+        super().__init__("block has content outside the window")
+        self.parts = parts
 
 
 def _require(cond: bool, msg: str):
@@ -293,16 +304,17 @@ class CubeContext:
         for e in family:
             total = total + e
         self._certify(total == ExactMatrix.identity(self.n),
-                      (self.A @ e == e.scale(self.theta[i])
+                      ((i, self.A @ e == e.scale(self.theta[i]))
                        for i, e in enumerate(family)))
 
     def _certify(self, sums_to_identity: bool, eigen) -> None:
         """The certificate of the closed-form E: the parts sum to the
-        identity, then A E_i = theta_i E_i for i = 0..D (`eigen` yields one
-        bool per i and is read only up to the first failure)."""
+        identity, then A E_i = theta_i E_i for each part i (`eigen` yields
+        one pair (i, bool) per part and is read only up to the first
+        failure)."""
         _require(sums_to_identity,
                  "idempotent closed form: the E_i do not sum to I")
-        for i, ok in enumerate(eigen):
+        for i, ok in eigen:
             _require(ok, f"idempotent closed form: "
                          f"A E_{i} != {self.theta[i]} E_{i}")
 
@@ -376,34 +388,48 @@ class CubeContext:
         re, im = table.apply(*_numerators(block, fits))
         return ExactMatrix.from_numerators(re, im, block._den * table.den)
 
-    def project(self, family: str, block: ExactMatrix):
-        """(F_0 V, ..., F_D V) for the rows V of block and the family F = E,
-        Estar or Eeps, without building F.
+    def project(self, family: str, block: ExactMatrix, window: range):
+        """(F_i V for i in window) for the rows V of block and the family
+        F = E, Estar or Eeps, without building F; window = range(D + 1) is
+        the full projection.
 
         Estar_i V masks slice i.  E_i V = 2^-D (V H) diag(wt = i) H with the
         Walsh-Hadamard matrix H, since E_i = 2^-D H diag(wt = i) H; every
-        call is certified against this context's A: sum_i E_i V = V and
-        A (E_i V) = theta_i E_i V.  These force each E_i V to be the exact
-        theta_i-component of V: the second puts E_i V in ker(A - theta_i),
-        kernels for distinct theta_i are independent, so the first is the
-        unique split of V along them.  Eeps_i V = S^-1 E_i (S V) with
+        call is certified against this context's A: the window parts sum to
+        V, and A (E_i V) = theta_i E_i V for each i in the window.  These
+        force each part to be the exact theta_i-component of V and every
+        component outside the window to be zero: the second puts each part
+        in ker(A - theta_i), kernels for distinct theta_i are independent,
+        so the first is the unique split of V along them, and it has no
+        nonzero part outside the window.  Eeps_i V = S^-1 E_i (S V) with
         S = diag(i^dist); it is certified through E on S V, not against
         Aeps.
+
+        When the window parts do not sum to V, some row has content outside
+        the window: OutsideWindow then carries the full projection, with
+        the full certificate, so that the caller can name the part that
+        breaks its invariant.
         """
         if block.cols != self.n:
             raise ValueError(f"block has {block.cols} columns, expected {self.n}")
+        full = range(self.D + 1)
         if family == "Estar":
+            masks = self._slice_masks[list(window)]
+            if (block.nonzero() & ~masks.any(axis=0)).any():
+                raise OutsideWindow(self.project(family, block, full))
             # a 0/1 mask leaves every numerator as it is stored
             re, im = block._re, block._im
             return tuple(ExactMatrix.from_numerators(re * mask, im * mask,
                                                      block._den)
-                         for mask in self._slice_masks)
+                         for mask in masks)
         if family not in ("E", "Eeps"):
             raise ValueError(f"unknown idempotent family {family!r}")
         re, im = block._re, block._im
         if family == "Eeps":
             re, im = _times_i_power(re, im, self._dist)
-        parts = self._spectral_parts(re, im, block._max())
+        parts = self._spectral_parts(re, im, block._max(), window)
+        if parts is None:
+            raise OutsideWindow(self.project(family, block, full))
         out = []
         for zr, zi in parts:
             if family == "Eeps":
@@ -411,9 +437,14 @@ class CubeContext:
             out.append(ExactMatrix.from_numerators(zr, zi, block._den * self.n))
         return tuple(out)
 
-    def _spectral_parts(self, re, im, m: int):
+    def _spectral_parts(self, re, im, m: int, window: range):
         """Numerators, over 2^D, of E_i x for every row x of re + i im (stored
-        numerator arrays with entries bounded by m), certified against A."""
+        numerator arrays with entries bounded by m) and every i in window:
+        one Walsh-Hadamard pass for all of them, then one pass and one A
+        gather per part in the window.  Certified against A as `project`
+        says; None when the parts do not sum to every x.  The full window
+        always sums to x, unless the transforms are wrong, which the
+        certificate reports."""
         n, D = self.n, self.D
         a = self._gather_table("A")
         # |x H| <= n m and each part is at most n^2 m; their sum, theta_i
@@ -422,18 +453,23 @@ class CubeContext:
             re = re.astype(object, copy=False)
             im = im.astype(object, copy=False)
         rows = re.shape[0]
+        masks = self._slice_masks[list(window)]
         spectrum = _walsh_hadamard(np.concatenate([re, im]))
-        masked = spectrum[None, :, :] * self._slice_masks[:, None, :]
-        parts = _walsh_hadamard(masked.reshape(-1, n)).reshape(D + 1, 2, rows, n)
+        masked = spectrum[None, :, :] * masks[:, None, :]
+        parts = _walsh_hadamard(masked.reshape(-1, n)).reshape(
+            len(masks), 2, rows, n)
         zr, zi = parts[:, 0], parts[:, 1]
+        sums = (np.array_equal(zr.sum(axis=0), n * re)
+                and np.array_equal(zi.sum(axis=0), n * im))
+        if not sums and len(masks) <= D:
+            return None
         ar, ai = a.apply(zr.reshape(-1, n), zi.reshape(-1, n))
-        ar, ai = ar.reshape(D + 1, rows, n), ai.reshape(D + 1, rows, n)
+        ar, ai = ar.reshape(zr.shape), ai.reshape(zi.shape)
         self._certify(
-            np.array_equal(zr.sum(axis=0), n * re)
-            and np.array_equal(zi.sum(axis=0), n * im),
-            (np.array_equal(ar[i], self.theta[i] * a.den * zr[i])
-             and np.array_equal(ai[i], self.theta[i] * a.den * zi[i])
-             for i in range(D + 1)))
+            sums,
+            ((i, np.array_equal(ar[k], self.theta[i] * a.den * zr[k])
+              and np.array_equal(ai[k], self.theta[i] * a.den * zi[k]))
+             for k, i in enumerate(window)))
         return list(zip(zr, zi))
 
     # -- slices --------------------------------------------------------------------

@@ -11,8 +11,9 @@ routine itself does not have to be trusted.
 
 A module's slice basis is stored as one block, a (d+1) x 2^D matrix with
 one vector per row: the context's structured operators (`CubeContext.apply`,
-`project`) give L, R and Astar of the whole block and all D + 1 images E_i W
-and Eeps_i W in one call each, and the checks compare rows of blocks at once.
+`project`) give L, R and Astar of the whole block and the images E_i W and
+Eeps_i W over the module's window r <= i <= r+d in one call each, and the
+checks compare rows of blocks at once.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .cube import CubeContext
+from .cube import CubeContext, OutsideWindow
 from .linalg import (ExactMatrix, ExactVector, _numerators, fits_i64,
                      gram_schmidt, kernel_basis)
 from .report import check_true
@@ -138,11 +139,23 @@ def _embed(ctx: CubeContext, small: ExactVector, indices) -> ExactVector:
     return ExactVector.from_numerators(re, im, small._den)
 
 
+def window_images(ctx: CubeContext, family: str, block: ExactMatrix,
+                  window: range):
+    """{i: family_i V} for the rows V of block over the window, whose
+    certificate proves every part outside it zero; when V has content
+    outside the window, {i: family_i V} for every i = 0..D, so that the
+    caller's check on the parts names the one that breaks its invariant."""
+    try:
+        return dict(zip(window, ctx.project(family, block, window)))
+    except OutsideWindow as exc:
+        return dict(enumerate(exc.parts))
+
+
 def _check_images_thin(parts, r, d, index, label):
     """dim(family_i W) <= 1 with the nonvanishing window r <= i <= r+d;
-    parts[i] holds the images under family_i of the slice basis, one per
-    row."""
-    for i, images in enumerate(parts):
+    parts maps i to the images under family_i of the slice basis, one per
+    row, in ascending i."""
+    for i, images in parts.items():
         nonzero = images.nonzero().any(axis=1)
         in_window = r <= i <= r + d
         if in_window and not nonzero.any():
@@ -204,15 +217,32 @@ def _validate_module(ctx: CubeContext, mod: IrreducibleModule,
 
 
 def _check_orthogonal_sum(ctx: CubeContext, modules) -> None:
+    """The dimensions sum to 2^D and the modules are pairwise orthogonal.
+
+    Rests on _validate_module's slice-support check: vector k of a module
+    with endpoint r lies on slice r + k.  So vectors on different slices are
+    orthogonal without any product, and the check is one Gram per slice s,
+    of the vectors on slice s restricted to the slice's C(D, s) columns,
+    which must vanish off the pairs of one module.  The pair named is the
+    first in the row-major order of the Gram of all the vectors."""
     owner = np.repeat(np.arange(len(modules)), [m.dim for m in modules])
     if len(owner) != ctx.n:
         raise InvariantViolation(
             f"module dimensions sum to {len(owner)}, expected {ctx.n}")
     stacked = ExactMatrix.stack([m.slice_basis for m in modules])
-    gram = stacked @ stacked.adjoint()
-    cross = gram.nonzero() & (owner[:, None] != owner[None, :])
-    if cross.any():
-        a, b = np.argwhere(cross)[0]
+    on_slice = np.concatenate([m.r + np.arange(m.dim) for m in modules])
+    crossing = []
+    for s in range(ctx.D + 1):
+        rows = np.flatnonzero(on_slice == s)
+        vectors = stacked.block(rows, slice(None)).columns(
+            ctx.slice_indices(s))
+        gram = vectors @ vectors.adjoint()
+        cross = gram.nonzero() & (owner[rows][:, None] != owner[rows][None, :])
+        if cross.any():
+            a, b = np.argwhere(cross)[0]
+            crossing.append((rows[a], rows[b]))
+    if crossing:
+        a, b = min(crossing)
         raise InvariantViolation(
             f"modules {owner[a]} and {owner[b]} are not orthogonal")
 
@@ -221,7 +251,8 @@ def decompose(ctx: CubeContext) -> Decomposition:
     """Split C^(2^D) into irreducible T-modules and validate every invariant.
 
     Per module: one R gather per ladder step, one E and one Eeps call on
-    the stacked slice basis (giving u = E_r u* and ue = Eeps_r u* too)."""
+    the stacked slice basis over the window r..r+d (giving u = E_r u* and
+    ue = Eeps_r u* too)."""
     modules = []
     mults = {}
     for r in range(ctx.D // 2 + 1):
@@ -244,8 +275,9 @@ def decompose(ctx: CubeContext) -> Decomposition:
             for _ in range(d + 1):
                 ladder.append(ctx.apply("R", ladder[-1]))
             block = ExactMatrix.stack(ladder[:-1])
-            e_parts = ctx.project("E", block)
-            eeps_parts = ctx.project("Eeps", block)
+            window = range(r, r + d + 1)
+            e_parts = window_images(ctx, "E", block, window)
+            eeps_parts = window_images(ctx, "Eeps", block, window)
             mod = IrreducibleModule(
                 r=r, d=d, index=index,
                 u_star=u_star,

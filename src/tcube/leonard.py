@@ -22,12 +22,12 @@ with u, u*, ue the seeds in E_r W, Estar_r W, Eeps_r W.  The module provides:
   * a generic Leonard-triple recognizer working over Q(i).
 
 The six bases come from one call per idempotent family on the stacked seeds
-(`CubeContext.project`) and are kept as one block, d + 1 rows per basis;
-every operator acts on a whole basis at once (`CubeContext.apply`).  Each
-basis is the image of one seed under a family of Hermitian orthogonal
-idempotents, so it is orthogonal: coordinates are <t, b_k> / <b_k, b_k>,
-once the basis's Gram block is seen to be diagonal, and every solve is
-certified by exact reconstruction.  Only the Leonard recognizer, whose
+over the module's window (`CubeContext.project`) and are kept as one block,
+d + 1 rows per basis; every operator acts on all six bases at once
+(`CubeContext.apply`).  Each basis is the image of one seed under a family
+of Hermitian orthogonal idempotents, so it is orthogonal: coordinates are
+<t, b_k> / <b_k, b_k>, once the basis's Gram block is seen to be diagonal,
+and every solve is certified by exact reconstruction.  Only the Leonard recognizer, whose
 eigenbases need not be orthogonal, eliminates.
 
 Each module's checks are whole-matrix operations.  The closed forms are
@@ -36,7 +36,8 @@ inner-product kind and one per transition pattern) and scaled per module by
 one seed scalar, read off the module's 3 x 3 Gram matrix of the seeds.
 The inner products are the blocks of one Gram matrix of the six stacked
 bases, each compared with its scaled table entry by entry.  The rep matrices
-are one coordinate call per basis; the 36 transitions are one per source
+are one gather per operator on the six stacked bases and one coordinate
+call per basis; the 36 transitions are one per source
 basis on all six bases at once, and the inverse and composition rows are
 the blocks of one product per middle basis.
 """
@@ -53,7 +54,7 @@ from typing import Dict, List, Mapping, Tuple
 import numpy as np
 
 from .cube import CubeContext
-from .decomposition import SEED_NAMES, IrreducibleModule
+from .decomposition import SEED_NAMES, IrreducibleModule, window_images
 from .linalg import (ExactMatrix, ExactVector, SingularMatrixError,
                      kernel_basis, pivot_inverse)
 from .report import IdentityCheck, check_true
@@ -226,8 +227,13 @@ class SixBases:
             raise BasisError(f"basis {label} is not orthogonal (module "
                              f"r={self.module.r} index={self.module.index})")
         basis = self[label]
-        inverse_norms = ExactMatrix.diagonal(
-            [1 / norms[k, k] for k in range(norms.rows)])
+        # <b_k, b_k> = re[k, k] / den is real and positive, so its inverse
+        # is den * (l / re[k, k]) / l for l the lcm of the re[k, k]
+        norm = [int(x) for x in norms._re.diagonal()]
+        l = math.lcm(*norm)
+        inverse = np.diag(np.array([norms._den * (l // x) for x in norm],
+                                   dtype=object))
+        inverse_norms = ExactMatrix.from_numerators(inverse, 0 * inverse, l)
         coeffs = inverse_norms @ (targets @ basis.adjoint()).transpose()
         if coeffs.transpose() @ basis != targets:
             raise BasisError("target is outside the span of the basis")
@@ -268,18 +274,23 @@ def build_six_bases(ctx: CubeContext, mod: IrreducibleModule) -> SixBases:
     nonzero, the seeds must decompose as the sums of their slices, and the
     bases must be P-images of each other under the chained normalization.
 
-    One call per family on the block [u, u*, ue, Pu, P^2 u, P^3 u] gives
-    every vector of the six bases and of the P-shift checks: row i*6 + k of
-    the family's window is family_(r+i) applied to seed row k, so the basis
-    generated by seed row k is the strided row slice k::6."""
+    One call per family on the block [u, u*, ue, Pu, P^2 u, P^3 u] over
+    the window r..r+d gives every vector of the six bases and of the P-shift
+    checks: row i*6 + k of the family's window is family_(r+i) applied to
+    seed row k, so the basis generated by seed row k is the strided row
+    slice k::6.  A seed with content outside the window fails the sum-back
+    or the P-shift check below."""
     r, d = mod.r, mod.d
     n = d + 1
     chained = [ExactMatrix.stack([mod.u])]
     for _ in range(3):
         chained.append(ctx.apply("P", chained[-1]))
     seeds = ExactMatrix.stack([mod.u, mod.u_star, mod.u_eps] + chained[1:])
-    window = {family: ExactMatrix.stack(ctx.project(family, seeds)[r:r + n])
-              for family in ("E", "Estar", "Eeps")}
+    span = range(r, r + n)
+    window = {}
+    for family in ("E", "Estar", "Eeps"):
+        images = window_images(ctx, family, seeds, span)
+        window[family] = ExactMatrix.stack([images[i] for i in span])
 
     def basis(family, seed):
         k = _SEED_ROWS[seed]
@@ -385,25 +396,27 @@ class RepCell:
     matrix: ExactMatrix
 
 
-def cube_representations(ctx: CubeContext, bases: SixBases,
-                         label: str) -> Tuple[ExactMatrix, ...]:
+def cube_representations(bases: SixBases, label: str,
+                         images) -> Tuple[ExactMatrix, ...]:
     """The matrices of A, Astar and Aeps (OPERATOR_LABELS order) in basis
-    `label`: one coordinate call on the stacked images of the basis under
-    the three operators."""
-    basis = bases[label]
-    coeffs = bases.coords(label, ExactMatrix.stack(
-        [ctx.apply(op, basis) for op in OPERATOR_LABELS]))
-    n = basis.rows
+    `label`, given `images`, the three operators applied to the rows of
+    the basis: one coordinate call on the stacked images."""
+    coeffs = bases.coords(label, ExactMatrix.stack(images))
+    n = bases.module.d + 1
     return tuple(coeffs.block(slice(None), slice(k * n, (k + 1) * n))
                  for k in range(len(OPERATOR_LABELS)))
 
 
 def verify_rep_matrices(ctx: CubeContext, bases: SixBases) -> List[RepCell]:
-    """The full 6 bases x 3 operators grid against the closed forms."""
+    """The full 6 bases x 3 operators grid against the closed forms: each
+    operator applied once to all six bases, whose rows each basis takes."""
     d = bases.module.d
+    images = [ctx.apply(op, bases.stacked) for op in OPERATOR_LABELS]
     cells = []
     for label in BASIS_LABELS:
-        reps = cube_representations(ctx, bases, label)
+        rows = bases.rows(label)
+        reps = cube_representations(
+            bases, label, [image.block(rows, slice(None)) for image in images])
         for op_name, got in zip(OPERATOR_LABELS, reps):
             form = REP_FORMS[(op_name, label)]
             cells.append(RepCell(basis=label, op=op_name, form=form,
@@ -793,7 +806,9 @@ def is_leonard_triple(b0: ExactMatrix, b1: ExactMatrix,
 def module_triple(ctx: CubeContext, bases: SixBases):
     """The three operators restricted to the module, as matrices in the
     basis diagonalizing the dual adjacency operator."""
-    return cube_representations(ctx, bases, "AsA")
+    basis = bases["AsA"]
+    return cube_representations(
+        bases, "AsA", [ctx.apply(op, basis) for op in OPERATOR_LABELS])
 
 
 # -- per-module report ------------------------------------------------------------------------

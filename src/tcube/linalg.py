@@ -284,8 +284,20 @@ class _NumeratorArray:
     def __sub__(self, other):
         return self._combine(other, -1)
 
+    def _like(self, re, im):
+        """(re + i im) / self's denominator, for arrays whose entries have
+        the magnitudes of self's (a transpose, negation or conjugate), so
+        in lowest terms and stored as self's are: self's storage and
+        largest numerator pass through."""
+        x = type(self).__new__(type(self))
+        object.__setattr__(x, "_re", _freeze(re))
+        object.__setattr__(x, "_im", _freeze(im))
+        object.__setattr__(x, "_den", self._den)
+        object.__setattr__(x, "_mx", self._mx)
+        return x
+
     def __neg__(self):
-        return self._raw(-self._re, -self._im, self._den, reduce=False)
+        return self._like(-self._re, -self._im)
 
     def scale(self, c):
         c = as_gauss(c)
@@ -301,7 +313,7 @@ class _NumeratorArray:
     __rmul__ = __mul__
 
     def conj(self):
-        return self._raw(self._re, -self._im, self._den, reduce=False)
+        return self._like(self._re, -self._im)
 
     # -- dump format ----------------------------------------------------------------
 
@@ -428,8 +440,9 @@ class ExactMatrix(_NumeratorArray):
         return ExactMatrix._raw(self._re[:, positions], self._im[:, positions],
                                 self._den)
 
-    def block(self, rows: slice, cols: slice) -> "ExactMatrix":
-        """The submatrix on the given row and column slices."""
+    def block(self, rows, cols) -> "ExactMatrix":
+        """The submatrix on the given row and column slices; one of the two
+        may be an index array instead."""
         return ExactMatrix._raw(self._re[rows, cols], self._im[rows, cols],
                                 self._den)
 
@@ -474,13 +487,11 @@ class ExactMatrix(_NumeratorArray):
                                            self._den * v._den)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._raw(self._re.T.copy(), self._im.T.copy(), self._den,
-                                reduce=False)
+        return self._like(self._re.T.copy(), self._im.T.copy())
 
     def adjoint(self) -> "ExactMatrix":
         """Conjugate transpose."""
-        return ExactMatrix._raw(self._re.T.copy(), -self._im.T.copy(), self._den,
-                                reduce=False)
+        return self._like(self._re.T.copy(), -self._im.T.copy())
 
     def trace(self) -> GaussRat:
         tr = sum(int(self._re[k, k]) for k in range(min(self.shape)))

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from tcube.cube import build_context
-from tcube.decomposition import decompose
+from tcube.decomposition import InvariantViolation, decompose
 from tcube.leonard import (TRANSITION_TABLE, BasisSolver, build_six_bases,
                            phi_matrix)
 from tcube.linalg import I64_LIMIT, ExactMatrix, ExactVector
@@ -253,6 +253,25 @@ def oracle_transition(src: str, dst: str, scal, phi) -> ExactMatrix:
         elif extra == "opi":
             scale = scale * opi ** d
     return oracle_pattern(pattern, scale, phi)
+
+
+def dense_orthogonal_sum(ctx, modules):
+    """The dimensions of the modules sum to 2^D and their vectors are
+    pairwise orthogonal, by one dense Gram of all of them, 2^D x 2^D; the
+    first pair of modules that fails, in the Gram's row-major order, is
+    named.  The oracle for the slice-blocked orthogonality check of
+    decompose, which it raises as: InvariantViolation."""
+    owner = np.repeat(np.arange(len(modules)), [m.dim for m in modules])
+    if len(owner) != ctx.n:
+        raise InvariantViolation(
+            f"module dimensions sum to {len(owner)}, expected {ctx.n}")
+    stacked = ExactMatrix.stack([m.slice_basis for m in modules])
+    gram = stacked @ stacked.adjoint()
+    cross = gram.nonzero() & (owner[:, None] != owner[None, :])
+    if cross.any():
+        a, b = np.argwhere(cross)[0]
+        raise InvariantViolation(
+            f"modules {owner[a]} and {owner[b]} are not orthogonal")
 
 
 def dense_ladder(ctx):

@@ -1,14 +1,19 @@
 """Module decomposition: ladder operators, kernel seeding, multiplicities,
 invariant validation, seed normalization."""
 
+from dataclasses import replace
+
 import pytest
 
-from conftest import (basis_vector, block_rows, dense_ladder, get_ctx,
-                      get_decomposition, naive_rank)
+from conftest import (basis_vector, block_rows, dense_ladder,
+                      dense_orthogonal_sum, get_ctx, get_decomposition,
+                      naive_rank)
 from tcube.decomposition import (FieldExtensionRequired, InfeasibleTargets,
                                  InvariantViolation, _check_images_thin,
-                                 decompose, multiplicity, normalize_seeds,
-                                 proportional_rows, verify_seed_norms)
+                                 _check_orthogonal_sum, decompose,
+                                 multiplicity, normalize_seeds,
+                                 proportional_rows, verify_seed_norms,
+                                 window_images)
 from tcube.linalg import ExactMatrix, ExactVector, inner
 from tcube.report import all_passed
 from tcube.scalar import GaussRat
@@ -127,10 +132,10 @@ def test_module_p_cycle(D):
     # they do not show this
     ctx = get_ctx(D)
     for m in get_decomposition(D).modules:
-        window = slice(m.r, m.r + m.d + 1)
+        window = range(m.r, m.r + m.d + 1)
         seed = ExactMatrix.stack([m.u_star])
         e_vecs, eps_vecs = ([part.row(0)
-                             for part in ctx.project(family, seed)[window]]
+                             for part in ctx.project(family, seed, window)]
                             for family in ("E", "Eeps"))
         star_vecs = block_rows(m.slice_basis)
         shifted = ctx.apply("P", ExactMatrix.stack(e_vecs + star_vecs
@@ -226,6 +231,80 @@ def test_cross_module_orthogonality_d4():
                     assert inner(va, vb).is_zero()
 
 
+def _with_slice_vector(mod, k, vector):
+    rows = block_rows(mod.slice_basis)
+    rows[k] = vector
+    return replace(mod, slice_basis=ExactMatrix.stack(rows))
+
+
+def _orthogonality_verdict(check, ctx, modules):
+    try:
+        check(ctx, modules)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("D", range(1, 9))
+def test_sliced_orthogonality_check_agrees_with_dense(D):
+    ctx = get_ctx(D)
+    modules = list(get_decomposition(D).modules)
+    cases = [modules, modules[:-1]]
+    # the last module's first vector, on slice r, plus another module's
+    # vector on that slice: same slice, not orthogonal to that module
+    last = modules[-1]
+    for other in modules[:-1]:
+        if other.r <= last.r:
+            shifted = last.slice_basis.row(0) + \
+                other.slice_basis.row(last.r - other.r)
+            cases.append(modules[:-1] + [_with_slice_vector(last, 0,
+                                                            shifted)])
+            break
+    verdicts = [(_orthogonality_verdict(_check_orthogonal_sum, ctx, case),
+                 _orthogonality_verdict(dense_orthogonal_sum, ctx, case))
+                for case in cases]
+    assert all(sliced == dense for sliced, dense in verdicts), verdicts
+    assert verdicts[0] == (None, None)
+    assert all(sliced is not None for sliced, _ in verdicts[1:])
+
+
+def test_same_slice_non_orthogonal_vector_names_the_pair():
+    # module 2 of Q_3 (r = 1) gets on its slice 1 the vector of module 0
+    # (r = 0) on slice 1 added: the pair (0, 2) fails, first in the order
+    # of the dense Gram
+    ctx = get_ctx(3)
+    modules = list(get_decomposition(3).modules)
+    m0, m2 = modules[0], modules[2]
+    assert (m0.r, m2.r) == (0, 1)
+    modules[2] = _with_slice_vector(
+        m2, 0, m2.slice_basis.row(0) + m0.slice_basis.row(1))
+    for check in (_check_orthogonal_sum, dense_orthogonal_sum):
+        with pytest.raises(InvariantViolation,
+                           match=r"^modules 0 and 2 are not orthogonal$"):
+            check(ctx, modules)
+
+
+@pytest.mark.parametrize("family", ["E", "Eeps"])
+def test_content_outside_the_window_is_named(family):
+    # a module of Q_3 with r = 1 has the window 1..2; the image of the base
+    # vertex under family_0 is content outside it
+    ctx = get_ctx(3)
+    m = next(m for m in get_decomposition(3).modules if m.r == 1)
+    window = range(m.r, m.r + m.d + 1)
+    parts = window_images(ctx, family, m.slice_basis, window)
+    assert list(parts) == list(window)
+    stray = ctx.project(family, ExactMatrix.identity(ctx.n),
+                        range(ctx.D + 1))[0]
+    block = ExactMatrix.stack([m.slice_basis.row(0) + stray.row(0),
+                               m.slice_basis.row(1)])
+    parts = window_images(ctx, family, block, window)
+    assert list(parts) == list(range(ctx.D + 1))
+    with pytest.raises(InvariantViolation, match=rf"^module r=1 index="
+                       rf"{m.index}: {family}_0 W nonzero outside the "
+                       rf"window$"):
+        _check_images_thin(parts, m.r, m.d, m.index, family)
+
+
 def test_proportional_helper():
     def proportional(v, w):
         return bool(proportional_rows(ExactMatrix.stack([v]),
@@ -257,14 +336,19 @@ def test_thinness_check_on_blocks():
     # parts[i] holds family_i of a two-vector basis; window r..r+d = 1..1
     zero = ExactMatrix.zeros(2, 3)
     line = ExactMatrix([[1, 2, 0], [0, 0, 0]])
-    _check_images_thin((zero, line, zero), 1, 0, 0, "E")
+
+    def parts(*images):
+        return dict(enumerate(images))
+    _check_images_thin(parts(zero, line, zero), 1, 0, 0, "E")
+    _check_images_thin({1: line}, 1, 0, 0, "E")
     with pytest.raises(InvariantViolation, match=r"dim\(E_1 W\) > 1"):
-        _check_images_thin((zero, ExactMatrix([[1, 2, 0], [1, 0, 0]]), zero),
-                           1, 0, 0, "E")
+        _check_images_thin(
+            parts(zero, ExactMatrix([[1, 2, 0], [1, 0, 0]]), zero),
+            1, 0, 0, "E")
     with pytest.raises(InvariantViolation, match="E_1 W vanished inside"):
-        _check_images_thin((zero, zero, zero), 1, 0, 0, "E")
+        _check_images_thin(parts(zero, zero, zero), 1, 0, 0, "E")
     with pytest.raises(InvariantViolation, match="Eeps_2 W nonzero outside"):
-        _check_images_thin((zero, line, line), 1, 0, 0, "Eeps")
+        _check_images_thin(parts(zero, line, line), 1, 0, 0, "Eeps")
 
 
 def test_decomposition_report_shape():

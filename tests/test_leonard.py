@@ -3,6 +3,7 @@ transition matrices, Leonard-triple recognizer."""
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -234,6 +235,21 @@ def test_p_shift_failure_names_pair_and_slice(monkeypatch):
     with pytest.raises(BasisError, match=r"^P-shift AeAs->AAe failed at "
                                          r"slice 1 \(module r=0 index=0\)$"):
         build_six_bases(ctx, mod)
+
+
+@pytest.mark.parametrize("seed, label", [("u", "AeA"), ("u_star", "AeAs"),
+                                         ("u_eps", "AAe")])
+def test_seed_outside_the_window_does_not_sum_back(seed, label):
+    # a vertex of slice 1 added to one seed of a module with r = 1 gives it
+    # content outside the window 1..2 under E and Eeps; the first basis in
+    # BASIS_LABELS order built from that seed by E or Eeps is named
+    ctx = get_ctx(3)
+    mod = next(m for m in get_bundles(3) if m[0].r == 1)[0]
+    vertex = ExactMatrix.identity(ctx.n).row(1)
+    bad = replace(mod, **{seed: getattr(mod, seed) + vertex})
+    with pytest.raises(BasisError, match=rf"^basis {label} does not sum back "
+                                         rf"to its seed$"):
+        build_six_bases(ctx, bad)
 
 
 def test_basis_solver_rejects_vector_of_another_module_d3():

@@ -340,6 +340,31 @@ def test_storage_is_int64_exactly_below_2_62(top, sign):
         assert_canonical_storage(x)
 
 
+@pytest.mark.parametrize("top", [5, 2 ** 61 - 1, 2 ** 62 + 1, 2 ** 70 + 1])
+def test_sign_and_transpose_pass_storage_through(top):
+    # a negation, conjugate, transpose or adjoint has its source's
+    # magnitudes and denominator, so its source's storage and largest
+    # numerator, int64 below 2^62 and object arrays above
+    grid = [[GaussRat(Fraction(top, 3), -1), GaussRat(0, Fraction(-top, 3))],
+            [GaussRat(Fraction(1, 3)), GaussRat(2)]]
+    m = ExactMatrix(grid)
+    v = m.row(0)
+    assert (m._re.dtype == object) == (top >= 2 ** 62)
+    cols = [list(col) for col in zip(*grid)]
+    cases = [(-m, [[-e for e in row] for row in grid]),
+             (m.conj(), [[e.conj() for e in row] for row in grid]),
+             (m.transpose(), cols),
+             (m.adjoint(), [[e.conj() for e in row] for row in cols])]
+    for x, want in cases:
+        assert_canonical_storage(x)
+        assert x._re.dtype == m._re.dtype and x._den == m._den
+        assert x.to_rows() == want
+    for x, want in ((-v, [-e for e in grid[0]]),
+                    (v.conj(), [e.conj() for e in grid[0]])):
+        assert_canonical_storage(x)
+        assert x._re.dtype == v._re.dtype and x.entries() == want
+
+
 def test_content_reduction_moves_storage_across_2_62():
     # over den 4 the numerators 3 * 2^62 and 2^62 reduce to 3 * 2^60 and
     # 2^60, which int64 holds; over den 2 to 3 * 2^61 and 2^61, which it

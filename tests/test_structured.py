@@ -1,8 +1,9 @@
 """Block operators of the module layer against the dense matrices.
 
 Every structured operator (`CubeContext.apply`) and every projection
-(`CubeContext.project`) must equal, row for row, the stack of dense matvecs
-with the context's own matrices, on both sides of each int64 bound.
+(`CubeContext.project`), over the full range of i and over a window of it,
+must equal, row for row, the stack of dense matvecs with the context's own
+matrices, on both sides of each int64 bound.
 """
 
 import math
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import (assert_canonical_storage, basis_vector, dense_ladder,
                       get_ctx)
-from tcube.cube import ConstructionError
+from tcube.cube import ConstructionError, OutsideWindow
+from tcube.decomposition import window_images
 from tcube.linalg import I64_LIMIT, ExactMatrix
 from tcube.scalar import GaussRat
 
@@ -45,6 +47,20 @@ def _random_block(rng, rows, n, big):
     return ExactMatrix([[entry() for _ in range(n)] for _ in range(rows)])
 
 
+def _assert_window_images_equal_dense(ctx, family, block, window):
+    """The images of block over the window (or over every i, when block
+    has content outside it) equal the dense ones, in canonical storage, and
+    every image left out is zero."""
+    got = window_images(ctx, family, block, window)
+    for i in range(ctx.D + 1):
+        dense = _dense_rows(getattr(ctx, family)[i], block)
+        if i in got:
+            assert_canonical_storage(got[i])
+            assert got[i] == dense, (family, i)
+        else:
+            assert i not in window and dense.is_zero(), (family, i)
+
+
 @pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
 @pytest.mark.parametrize("D", range(1, 8))
 def test_block_operators_equal_dense_matvecs(D, big):
@@ -54,11 +70,27 @@ def test_block_operators_equal_dense_matvecs(D, big):
     for op in OPERATORS:
         assert ctx.apply(op, block) == _dense_rows(_dense(ctx, op), block), op
     for family in FAMILIES:
-        parts = ctx.project(family, block)
+        parts = ctx.project(family, block, range(D + 1))
         assert len(parts) == D + 1
         for i, part in enumerate(parts):
             assert part == _dense_rows(getattr(ctx, family)[i], block), \
                 (family, i)
+        for lo in range(D + 1):
+            for hi in range(lo + 1, D + 2):
+                window = range(lo, hi)
+                # every part of the random block is nonzero, so a window
+                # short of the full range leaves content outside it
+                if hi - lo <= D:
+                    with pytest.raises(OutsideWindow) as exc:
+                        ctx.project(family, block, window)
+                    assert exc.value.parts == parts
+                # the sum of the window parts is a block with content
+                # inside the window only, and these are its parts there
+                inside = parts[lo]
+                for part in parts[lo + 1:hi]:
+                    inside = inside + part
+                assert ctx.project(family, inside, window) == parts[lo:hi], \
+                    (family, lo, hi)
 
 
 # -- the int64 bounds ------------------------------------------------------------
@@ -82,10 +114,11 @@ def _threshold_bits(op, D):
 
 @st.composite
 def straddling_blocks(draw):
-    """(D, op, block): entries up to 2^e with e on either side of the op's
-    int64 threshold, or above it up to 2^61, where the block is still stored
-    as int64 but its sums pass 2^63 unless the kernel takes its object
-    fallback; the first entry at +-2^e."""
+    """(D, op, block, window): entries up to 2^e with e on either side of
+    the op's int64 threshold, or above it up to 2^61, where the block is
+    still stored as int64 but its sums pass 2^63 unless the kernel takes its
+    object fallback; the first entry at +-2^e.  The window is a range of
+    the i of a projection."""
     D = draw(st.integers(1, 4))
     op = draw(st.sampled_from(OPERATORS + FAMILIES))
     center = int(_threshold_bits(op, D))
@@ -97,19 +130,23 @@ def straddling_blocks(draw):
     n, rows = 2 ** D, draw(st.integers(1, 3))
     entries = [(draw(part), draw(part)) for _ in range(rows * n)]
     entries[0] = (draw(st.sampled_from([bound, -bound])), draw(part))
+    lo = draw(st.integers(0, D))
+    window = range(lo, draw(st.integers(lo + 1, D + 1)))
     return D, op, ExactMatrix([[GaussRat(*entries[r * n + c])
-                                for c in range(n)] for r in range(rows)])
+                                for c in range(n)] for r in range(rows)]), \
+        window
 
 
 @settings(max_examples=150, deadline=None)
 @given(straddling_blocks())
 def test_block_kernels_across_int64_bounds_equal_dense(case):
-    D, op, block = case
+    D, op, block, window = case
     ctx = get_ctx(D)
     if op in FAMILIES:
-        for i, part in enumerate(ctx.project(op, block)):
+        for i, part in enumerate(ctx.project(op, block, range(D + 1))):
             assert_canonical_storage(part)
             assert part == _dense_rows(getattr(ctx, op)[i], block)
+        _assert_window_images_equal_dense(ctx, op, block, window)
     else:
         image = ctx.apply(op, block)
         assert_canonical_storage(image)
@@ -128,8 +165,10 @@ def test_aligned_extremes_at_int64_bounds(op, D):
     for m in (2 ** bits - 1, 2 ** (bits + 1), 2 ** 61 - 1):
         block = ExactMatrix([[GaussRat(m, m)] * ctx.n, [m] * ctx.n])
         if op in FAMILIES:
-            for i, part in enumerate(ctx.project(op, block)):
+            for i, part in enumerate(ctx.project(op, block, range(D + 1))):
                 assert part == _dense_rows(getattr(ctx, op)[i], block)
+            # constant rows lie in E_0 W alone: the window path at the bound
+            _assert_window_images_equal_dense(ctx, op, block, range(1))
         else:
             assert ctx.apply(op, block) == _dense_rows(_dense(ctx, op), block)
 
@@ -143,16 +182,31 @@ def _base_vertex_block(ctx):
 
 @pytest.mark.parametrize("family", ["E", "Eeps"])
 def test_block_certificate_rejects_flipped_adjacency(family):
+    # the base vertex has content in every E_i, so a window short of the
+    # full range fails its sum and the full certificate names E_0
     flipped = get_ctx(3).with_flipped_sign("A", 0, 1)
-    with pytest.raises(ConstructionError, match=r"A E_0 != 3 E_0"):
-        flipped.project(family, _base_vertex_block(flipped))
+    for window in (range(4), range(1), range(1, 3)):
+        with pytest.raises(ConstructionError, match=r"A E_0 != 3 E_0"):
+            flipped.project(family, _base_vertex_block(flipped), window)
+
+
+@pytest.mark.parametrize("family", ["E", "Eeps"])
+def test_window_certificate_checks_each_part_against_adjacency(family):
+    # content inside the window 1..2 only sums to the block, so each window
+    # part must still be checked as an eigenvector of the flipped A
+    parts = get_ctx(3).project(family, _base_vertex_block(get_ctx(3)),
+                               range(4))
+    flipped = get_ctx(3).with_flipped_sign("A", 0, 1)
+    with pytest.raises(ConstructionError, match=r"A E_1 != 1 E_1"):
+        flipped.project(family, parts[1] + parts[2], range(1, 3))
 
 
 def test_block_certificate_not_tied_to_imaginary_adjacency():
     # Eeps is certified through E against A, never against Aeps
     flipped = get_ctx(3).with_flipped_sign("Aeps", 0, 1)
     block = _base_vertex_block(flipped)
-    assert flipped.project("Eeps", block) == get_ctx(3).project("Eeps", block)
+    assert flipped.project("Eeps", block, range(4)) == \
+        get_ctx(3).project("Eeps", block, range(4))
     every = ExactMatrix.identity(8)
     assert flipped.apply("Aeps", every) != get_ctx(3).apply("Aeps", every)
 
@@ -180,8 +234,8 @@ def test_block_shape_and_names_are_checked():
     with pytest.raises(ValueError):
         ctx.apply("A", ExactMatrix.identity(3))
     with pytest.raises(ValueError):
-        ctx.project("E", ExactMatrix.identity(3))
+        ctx.project("E", ExactMatrix.identity(3), range(3))
     with pytest.raises(ValueError):
         ctx.apply("Estar", ExactMatrix.identity(4))
     with pytest.raises(ValueError):
-        ctx.project("A", ExactMatrix.identity(4))
+        ctx.project("A", ExactMatrix.identity(4), range(3))
