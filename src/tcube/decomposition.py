@@ -2,12 +2,26 @@
 
 Seeding strategy: the adjacency operator splits as A = L + R where L lowers
 the distance slice by one and R raises it (the flat part vanishes because the
-cube has no odd cycles).  For each endpoint r the kernel of L restricted to
-slice r gives one seed per module; seeds are exactly orthogonalized, and the
-module attached to a seed w is span{w, Rw, R^2 w, ...}.  Every structural
-claim used downstream (thinness, nonvanishing windows, closure, orthogonality,
-dimension count) is re-verified on the constructed data, so the seeding
-routine itself does not have to be trusted.
+cube has no odd cycles).  For each endpoint r the kernel of L on slice r has
+one seed per module, and the module attached to a seed w is
+span{w, Rw, R^2 w, ...}.  The standard module of Q_D is the D-fold tensor
+power of that of Q_1, and L, R and Astar act on it as sl_2 does (Go, Europ.
+J. Combin. 23 (2002)), so the seeds have a closed Clebsch-Gordan recursion
+over the last coordinate, with vertex 2x + t of Q_D the vertex x of Q_(D-1)
+followed by the bit t:
+
+  (a) w (x) e0 for each seed w of Q_(D-1) with endpoint r;
+  (b) (R w') (x) e0 - d' (w' (x) e1) for each seed w' of Q_(D-1) with
+      endpoint r - 1 and diameter d' = D - 2r + 1, which L annihilates
+      because L R w' = d' w'.
+
+They are integer vectors, exactly orthogonal, C(D,r) - C(D,r-1) of them
+per r, and need no elimination and no context (`closed_form_seeds`).  The
+recursion itself does not have to be trusted: every structural claim used
+downstream (thinness, nonvanishing windows, closure, orthogonality,
+dimension count) is re-verified on the constructed data against the
+context's operators, and `decompose` says why these checks prove that the
+seeds span the kernel of L on each slice.
 
 A module's slice basis is stored as one block, a (d+1) x 2^D matrix with
 one vector per row: the context's structured operators (`CubeContext.apply`,
@@ -27,8 +41,8 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .cube import CubeContext, OutsideWindow
-from .linalg import (ExactMatrix, ExactVector, _numerators, fits_i64,
-                     gram_schmidt, kernel_basis)
+from .linalg import (ExactMatrix, ExactVector, _as_object, _fits, _max_abs,
+                     _numerators, fits_i64)
 from .report import check_true
 from .scalar import GaussRat
 
@@ -132,11 +146,54 @@ def _fail(r, index, what):
     raise InvariantViolation(f"module r={r} index={index}: {what}")
 
 
-def _embed(ctx: CubeContext, small: ExactVector, indices) -> ExactVector:
-    re = np.zeros(ctx.n, dtype=small._re.dtype)
-    im = np.zeros(ctx.n, dtype=small._re.dtype)
-    re[indices], im[indices] = small._re, small._im
-    return ExactVector.from_numerators(re, im, small._den)
+def _raise(w):
+    """R w for each row w of an integer array over the vertices of Q_m:
+    entry x sums w over the vertices x - 2^k, one for each bit k set in x."""
+    rows, n = w.shape
+    out = np.zeros_like(w)
+    h = 1
+    while h < n:
+        shape = (rows, n // (2 * h), 2, h)
+        out.reshape(shape)[:, :, 1, :] += w.reshape(shape)[:, :, 0, :]
+        h *= 2
+    return out
+
+
+def _append_bit(even, odd):
+    """even (x) e0 + odd (x) e1 for arrays of rows over the vertices of
+    Q_(D-1): entry 2x + t of a row is even[x] for t = 0 and odd[x] for
+    t = 1."""
+    return np.stack([even, odd], axis=2).reshape(len(even), -1)
+
+
+def _seed_step(prev, D: int):
+    """The seeds of Q_D, {r: one seed per row}, from those of Q_(D-1) by the
+    recursion (a), (b) of the module docstring, the (a) seeds first.  An
+    entry of R w' sums r entries of w' and d' <= D, so every new entry is at
+    most D times the largest old one: int64 when _fits(max, D), else on
+    Python ints."""
+    if not all(_fits(_max_abs(w), D) for w in prev.values()):
+        prev = {r: _as_object(w) for r, w in prev.items()}
+    out = {}
+    for r in range(D // 2 + 1):
+        parts = []
+        if r in prev:
+            parts.append(_append_bit(prev[r], 0 * prev[r]))
+        if r - 1 in prev:
+            w = prev[r - 1]
+            parts.append(_append_bit(_raise(w), -(D - 2 * r + 1) * w))
+        out[r] = np.concatenate(parts)
+    return out
+
+
+def closed_form_seeds(D: int):
+    """{r: seeds} for r = 0..D//2: the closed-form seeds of the modules of
+    Q_D with endpoint r, one integer vector of length 2^D per row, by the
+    recursion from the single vertex of Q_0."""
+    seeds = {0: np.ones((1, 1), dtype=np.int64)}
+    for m in range(1, D + 1):
+        seeds = _seed_step(seeds, m)
+    return seeds
 
 
 def window_images(ctx: CubeContext, family: str, block: ExactMatrix,
@@ -250,27 +307,31 @@ def _check_orthogonal_sum(ctx: CubeContext, modules) -> None:
 def decompose(ctx: CubeContext) -> Decomposition:
     """Split C^(2^D) into irreducible T-modules and validate every invariant.
 
+    The seeds are `closed_form_seeds`; the checks prove that those with
+    endpoint r span the kernel of L on slice r.  Each seed is a nonzero
+    vector on slice r that L, read off this context's A, annihilates.  The
+    modules are pairwise orthogonal (one Gram per slice) and their
+    dimensions sum to 2^D, so C^(2^D) is their direct sum; each is closed
+    under L, which maps its slice vector k >= 1 to a nonzero multiple of
+    vector k - 1.  A vector v on slice r with L v = 0 then splits into one
+    component per module, each on slice r and each killed by L, so each is
+    a multiple of that module's seed if its endpoint is r, and zero
+    otherwise.  The count C(D,r) - C(D,r-1) per r is checked as well.
+
     Per module: one R gather per ladder step, one E and one Eeps call on
     the stacked slice basis over the window r..r+d (giving u = E_r u* and
     ue = Eeps_r u* too)."""
     modules = []
     mults = {}
-    for r in range(ctx.D // 2 + 1):
-        cols = ctx.slice_indices(r)
-        rows = ctx.slice_indices(r - 1) if r >= 1 else []
-        if rows:
-            restricted = ExactMatrix.stack([ctx.A.row(y).take(cols)
-                                            for y in rows])
-        else:
-            restricted = ExactMatrix.zeros(0, len(cols))
-        seeds_small = kernel_basis(restricted)
-        if len(seeds_small) != multiplicity(ctx.D, r):
+    for r, numerators in closed_form_seeds(ctx.D).items():
+        if len(numerators) != multiplicity(ctx.D, r):
             raise InvariantViolation(
-                f"endpoint {r}: kernel dimension {len(seeds_small)} differs "
-                f"from C(D,r) - C(D,r-1) = {multiplicity(ctx.D, r)}")
-        seeds = gram_schmidt([_embed(ctx, s, cols) for s in seeds_small])
+                f"endpoint {r}: {len(numerators)} seeds, expected "
+                f"C(D,r) - C(D,r-1) = {multiplicity(ctx.D, r)}")
+        seeds = ExactMatrix.from_numerators(numerators, 0 * numerators, 1)
         d = ctx.D - 2 * r
-        for index, u_star in enumerate(seeds):
+        for index in range(seeds.rows):
+            u_star = seeds.row(index)
             ladder = [ExactMatrix.stack([u_star])]
             for _ in range(d + 1):
                 ladder.append(ctx.apply("R", ladder[-1]))
@@ -287,7 +348,7 @@ def decompose(ctx: CubeContext) -> Decomposition:
             )
             _validate_module(ctx, mod, ladder[-1], e_parts, eeps_parts)
             modules.append(mod)
-        mults[r] = len(seeds)
+        mults[r] = seeds.rows
     _check_orthogonal_sum(ctx, modules)
     return Decomposition(D=ctx.D, modules=tuple(modules), multiplicities=mults)
 

@@ -37,7 +37,8 @@ one seed scalar, read off the module's 3 x 3 Gram matrix of the seeds.
 The inner products are the blocks of one Gram matrix of the six stacked
 bases, each compared with its scaled table entry by entry.  The rep matrices
 are one gather per operator on the six stacked bases and one coordinate
-call per basis; the 36 transitions are one per source
+product for all six, certified by one reconstruction and compared with one
+closed-form table; the 36 transitions are one coordinate call per source
 basis on all six bases at once, and the inverse and composition rows are
 the blocks of one product per middle basis.
 """
@@ -216,25 +217,39 @@ class SixBases:
         """stacked @ stacked^*: entry (a, b) is <row a, row b>."""
         return self.stacked @ self.stacked.adjoint()
 
+    def orthogonal(self, label: str) -> bool:
+        """Whether the Gram block of basis `label` is diagonal with a
+        nonzero diagonal."""
+        rows = self.rows(label)
+        norms = self.gram.block(rows, rows)
+        return np.array_equal(norms.nonzero(), np.eye(norms.rows, dtype=bool))
+
+    def not_orthogonal(self, label: str) -> BasisError:
+        return BasisError(f"basis {label} is not orthogonal (module "
+                          f"r={self.module.r} index={self.module.index})")
+
+    def inverse_norms(self, rows: slice) -> ExactMatrix:
+        """diag(1 / <b_k, b_k>) over the rows b_k of stacked in `rows`, from
+        the integer Gram diagonal: <b_k, b_k> = re[k, k] / den is real and
+        positive, so its inverse is den * (l / re[k, k]) / l for l the lcm
+        of the re[k, k].  A zero norm, which only a basis that fails
+        `orthogonal` has, stands in as 1."""
+        norm = [int(x) or 1 for x in self.gram._re.diagonal()[rows]]
+        l = math.lcm(*norm)
+        inverse = np.diag(np.array([self.gram._den * (l // x) for x in norm],
+                                   dtype=object))
+        return ExactMatrix.from_numerators(inverse, 0 * inverse, l)
+
     def coords(self, label: str, targets: ExactMatrix) -> ExactMatrix:
         """The matrix whose j-th column holds the coordinates of row j of
         targets in basis `label`: coordinate k is <t, b_k> / <b_k, b_k>,
-        once the basis's Gram block is seen to be diagonal with a nonzero
-        diagonal, certified by the one product coords^T @ basis == targets."""
-        rows = self.rows(label)
-        norms = self.gram.block(rows, rows)
-        if not np.array_equal(norms.nonzero(), np.eye(norms.rows, dtype=bool)):
-            raise BasisError(f"basis {label} is not orthogonal (module "
-                             f"r={self.module.r} index={self.module.index})")
+        once the basis is seen to be `orthogonal`, certified by the one
+        product coords^T @ basis == targets."""
+        if not self.orthogonal(label):
+            raise self.not_orthogonal(label)
         basis = self[label]
-        # <b_k, b_k> = re[k, k] / den is real and positive, so its inverse
-        # is den * (l / re[k, k]) / l for l the lcm of the re[k, k]
-        norm = [int(x) for x in norms._re.diagonal()]
-        l = math.lcm(*norm)
-        inverse = np.diag(np.array([norms._den * (l // x) for x in norm],
-                                   dtype=object))
-        inverse_norms = ExactMatrix.from_numerators(inverse, 0 * inverse, l)
-        coeffs = inverse_norms @ (targets @ basis.adjoint()).transpose()
+        coeffs = self.inverse_norms(self.rows(label)) @ \
+            (targets @ basis.adjoint()).transpose()
         if coeffs.transpose() @ basis != targets:
             raise BasisError("target is outside the span of the basis")
         return coeffs
@@ -407,21 +422,63 @@ def cube_representations(bases: SixBases, label: str,
                  for k in range(len(OPERATOR_LABELS)))
 
 
+@lru_cache(maxsize=None)
+def rep_form_table(d: int) -> ExactMatrix:
+    """The closed forms of the 18 cells laid out as verify_rep_matrices lays
+    out its coordinates: row block (operator o, basis b) and column block b
+    hold form(o, b)^T, zero elsewhere (every form is an integer matrix)."""
+    n, nb = d + 1, len(BASIS_LABELS)
+    shape = (len(OPERATOR_LABELS) * nb * n, nb * n)
+    re, im = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
+    for o, op_name in enumerate(OPERATOR_LABELS):
+        for b, label in enumerate(BASIS_LABELS):
+            form = _FORM_BUILDERS[REP_FORMS[(op_name, label)]](d)
+            rows = slice((o * nb + b) * n, (o * nb + b + 1) * n)
+            cols = slice(b * n, (b + 1) * n)
+            re[rows, cols], im[rows, cols] = form._re.T, form._im.T
+    return ExactMatrix.from_numerators(re, im, 1)
+
+
 def verify_rep_matrices(ctx: CubeContext, bases: SixBases) -> List[RepCell]:
-    """The full 6 bases x 3 operators grid against the closed forms: each
-    operator applied once to all six bases, whose rows each basis takes."""
+    """The full 6 bases x 3 operators grid against the closed forms, with
+    one operator pass and one coordinate product per module.
+
+    Each operator is applied once to all six bases; row (o, b, j) of the
+    stacked images is operator o applied to vector j of basis b, and its
+    coordinates in basis b are <t, b_k> / <b_k, b_k>: the own column block
+    of images @ stacked^*, scaled by the inverse norms.  One product
+    coeffs @ stacked == images certifies all 18 cells, and one comparison
+    with `rep_form_table` gives their verdicts.  The first basis, in
+    BASIS_LABELS order, that is not orthogonal or does not span its images
+    raises as SixBases.coords does, orthogonality first."""
     d = bases.module.d
-    images = [ctx.apply(op, bases.stacked) for op in OPERATOR_LABELS]
+    n, nb = d + 1, len(BASIS_LABELS)
+    images = ExactMatrix.stack([ctx.apply(op, bases.stacked)
+                                for op in OPERATOR_LABELS])
+    # the basis of each column of coordinates and of each row of images
+    col_basis = np.arange(nb * n) // n
+    row_basis = np.tile(col_basis, len(OPERATOR_LABELS))
+    own = row_basis[:, None] == col_basis[None, :]
+    products = images @ bases.stacked.adjoint()
+    coeffs = ExactMatrix.from_numerators(
+        products._re * own, products._im * own, products._den) \
+        @ bases.inverse_norms(slice(None))
+    spans = (coeffs @ bases.stacked).row_equal(images)
+    for b, name in enumerate(BASIS_LABELS):
+        if not bases.orthogonal(name):
+            raise bases.not_orthogonal(name)
+        if not spans[row_basis == b].all():
+            raise BasisError("target is outside the span of the basis")
+    agrees = coeffs.entries_equal(rep_form_table(d))
     cells = []
-    for label in BASIS_LABELS:
-        rows = bases.rows(label)
-        reps = cube_representations(
-            bases, label, [image.block(rows, slice(None)) for image in images])
-        for op_name, got in zip(OPERATOR_LABELS, reps):
-            form = REP_FORMS[(op_name, label)]
-            cells.append(RepCell(basis=label, op=op_name, form=form,
-                                 passed=got == _FORM_BUILDERS[form](d),
-                                 matrix=got))
+    for b, name in enumerate(BASIS_LABELS):
+        cols = slice(b * n, (b + 1) * n)
+        for o, op_name in enumerate(OPERATOR_LABELS):
+            rows = slice((o * nb + b) * n, (o * nb + b + 1) * n)
+            cells.append(RepCell(basis=name, op=op_name,
+                                 form=REP_FORMS[(op_name, name)],
+                                 passed=bool(agrees[rows, cols].all()),
+                                 matrix=coeffs.block(rows, cols).transpose()))
     return cells
 
 

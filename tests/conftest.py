@@ -5,7 +5,9 @@ the whole session; building them once keeps the exact-arithmetic suites fast.
 
 The oracle helpers here deliberately avoid the library's own computational
 paths (no Bareiss elimination, no incremental series) so that derived
-expected values are confirmed through an independent route.
+expected values are confirmed through an independent route.  The one
+exception is `elimination_seeds`: the exact elimination and Gram-Schmidt
+that decompose's closed-form seeds replaced, kept as their oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from tcube.cube import build_context
 from tcube.decomposition import InvariantViolation, decompose
 from tcube.leonard import (TRANSITION_TABLE, BasisSolver, build_six_bases,
                            phi_matrix)
-from tcube.linalg import I64_LIMIT, ExactMatrix, ExactVector
+from tcube.linalg import (I64_LIMIT, ExactMatrix, ExactVector, gram_schmidt,
+                          kernel_basis)
 from tcube.scalar import GaussRat, I as IUNIT
 
 _CTX = {}
@@ -272,6 +275,25 @@ def dense_orthogonal_sum(ctx, modules):
         a, b = np.argwhere(cross)[0]
         raise InvariantViolation(
             f"modules {owner[a]} and {owner[b]} are not orthogonal")
+
+
+def elimination_seeds(ctx, r):
+    """The seeds of endpoint r as an exact elimination finds them: a basis
+    of the kernel of the rows of A on slice r - 1, restricted to the
+    columns of slice r (L on slice r), orthogonalized by Gram-Schmidt and
+    embedded in C^(2^D), one per row of the result.  The oracle for the
+    closed-form seeds of decompose."""
+    cols = ctx.slice_indices(r)
+    rows = ctx.slice_indices(r - 1) if r >= 1 else []
+    if rows:
+        restricted = ExactMatrix.stack([ctx.A.row(y).take(cols) for y in rows])
+    else:
+        restricted = ExactMatrix.zeros(0, len(cols))
+    seeds = ExactMatrix.stack(gram_schmidt(kernel_basis(restricted)))
+    zeros = np.zeros((seeds.rows, ctx.n), dtype=object)
+    re, im = zeros.copy(), zeros.copy()
+    re[:, cols], im[:, cols] = seeds._re, seeds._im
+    return ExactMatrix.from_numerators(re, im, seeds._den)
 
 
 def dense_ladder(ctx):

@@ -15,7 +15,8 @@ import tcube
 from tcube import cli
 from tcube.cli import main
 from tcube.cube import ConstructionError
-from tcube.decomposition import InvariantViolation
+from tcube.decomposition import (InvariantViolation, closed_form_seeds,
+                                 multiplicity)
 from tcube.leonard import BasisError
 from tcube.linalg import ExactMatrix
 from tcube.scalar import GaussRat
@@ -529,14 +530,15 @@ def test_command_report_golden_digest(capsys, command, fmt, D):
 
 
 # sha256 of the lines "<file name> <sha256 of the file>", one per seed file
-# of `decompose --emit-seeds` in name order, recorded with the digests
-# above; [D - 1].
+# of `decompose --emit-seeds` in name order; [D - 1].  D = 3..5 were
+# re-recorded when the seeds became the closed-form Clebsch-Gordan vectors
+# (D = 1, 2 have one seed per endpoint, the same vector as before).
 GOLDEN_SEEDS_SHA256 = (
     "6e72af37d735aba97e638a3549f6eaa840630658949e0c4251213c1045bfbe12",
     "373c477075025c3250a0dba9b89d88b16266c0ce3d7bc758cf26aefbc2020b06",
-    "63467c6c445d3a9c2ee43aabd243ea543487be243b922c4a240af27ebcba85fa",
-    "c354f2c21b5e72931586a8a2b1eb2292493fcfea6e3e6a0476ca139042224247",
-    "e34fca3c5e0062d48e76e8e3d1e3ffa9450d6311cdbc4eb5756b07a109724ca8",
+    "7cdaeffc05e97a557139ed7e2eafaac23f7979224e589ce05d863286da66179f",
+    "bd070fa2d1ff1a7197ab20b6ef5c4fe12ddcee669a1a67b9e2dfe8703e235a70",
+    "05382c5a4efcacdf36a3cafa221172da55a02f4e8ad7b2cbc79b03162ba760d5",
 )
 
 
@@ -557,12 +559,14 @@ CERTIFICATE_ROW = "ConstructionError: idempotent closed form: A E_0 != 3 E_0"
 
 # The first invariant each --corrupt choice breaks at D = 3.  A flipped
 # adjacency entry first fails the certificate of the closed-form E, which
-# decompose reads before any module invariant.
+# decompose reads before any module invariant.  The flipped Aeps entry
+# (0, 1) reads vertex 1: module r1m1 (seed e_2 + e_4 - 2 e_1) has support
+# there, module r1m0 (spanned by e_4 - e_2 and e_5 - e_3) has not.
 CORRUPT_FAILURES = {
     "adjacency": CERTIFICATE_ROW,
     "dual": "InvariantViolation: module r=0 index=0: "
             "Astar does not scale slice 0",
-    "imaginary": "r1m0:BasisError: target is outside the span of the basis",
+    "imaginary": "r1m1:BasisError: target is outside the span of the basis",
 }
 
 
@@ -612,6 +616,26 @@ def test_verify_every_corruption_reports(capsys, corrupt, suite):
     else:
         assert code == 1
         assert _failed_ids(out, "pretty")
+
+
+@pytest.mark.parametrize("D", [3, 4, 5])
+def test_seed_with_wrong_diameter_is_a_named_row(capsys, monkeypatch, D):
+    # The first branch-(b) seed of endpoint 1 with d' off by one,
+    # (R w') (x) e0 - (d' + 1) (w' (x) e1), lies on slice 1 but outside the
+    # kernel of L: verify names it and exits 1, with no traceback.
+    honest = closed_form_seeds(D)
+    w = closed_form_seeds(D - 1)[0][0]
+    index = multiplicity(D - 1, 1)
+    wrong = honest[1].copy()
+    wrong[index, 1::2] -= w
+    monkeypatch.setattr(cli.decomposition, "closed_form_seeds",
+                        lambda _: {**honest, 1: wrong})
+    code, out = run(capsys, "verify", "--d", str(D), "--suite", "rep-matrices")
+    assert code == 1
+    assert out.splitlines() == [
+        f"FAIL  InvariantViolation: module r=1 index={index}: "
+        "seed not annihilated by the lowering operator",
+        "1 checks, 1 failures"]
 
 
 def test_verify_construction_error_reports(capsys, monkeypatch):

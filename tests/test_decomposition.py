@@ -3,18 +3,22 @@ invariant validation, seed normalization."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from conftest import (basis_vector, block_rows, dense_ladder,
-                      dense_orthogonal_sum, get_ctx, get_decomposition,
-                      naive_rank)
+                      dense_orthogonal_sum, elimination_seeds, get_ctx,
+                      get_decomposition, naive_rank)
+from tcube import decomposition
+from tcube.cube import build_context
 from tcube.decomposition import (FieldExtensionRequired, InfeasibleTargets,
                                  InvariantViolation, _check_images_thin,
-                                 _check_orthogonal_sum, decompose,
+                                 _check_orthogonal_sum, _seed_step,
+                                 closed_form_seeds, decompose,
                                  multiplicity, normalize_seeds,
                                  proportional_rows, verify_seed_norms,
                                  window_images)
-from tcube.linalg import ExactMatrix, ExactVector, inner
+from tcube.linalg import ExactMatrix, ExactVector, inner, rank
 from tcube.report import all_passed
 from tcube.scalar import GaussRat
 
@@ -72,6 +76,67 @@ def test_multiplicity_examples():
 def test_multiplicity_sum_is_total_dimension(D):
     assert sum(multiplicity(D, r) * (D - 2 * r + 1)
                for r in range(D // 2 + 1)) == 2 ** D
+
+
+@pytest.mark.parametrize("D", range(1, 11))
+def test_closed_form_seeds_are_an_orthogonal_kernel_basis(D):
+    # for every endpoint r: multiplicity(D, r) nonzero integer vectors on
+    # slice r, pairwise orthogonal (a Gram on Python ints) and annihilated
+    # by the context's L
+    ctx = get_ctx(D) if D <= 8 else build_context(D)
+    seeds = closed_form_seeds(D)
+    assert sorted(seeds) == list(range(D // 2 + 1))
+    for r, w in seeds.items():
+        assert w.dtype == np.int64
+        assert w.shape == (multiplicity(D, r), ctx.n)
+        cols = ctx.slice_indices(r)
+        off_slice = np.delete(w, cols, axis=1)
+        assert not off_slice.any()
+        on_slice = w[:, cols].astype(object)
+        gram = on_slice @ on_slice.T
+        assert (gram[~np.eye(len(w), dtype=bool)] == 0).all()
+        assert (np.diagonal(gram) > 0).all()
+        block = ExactMatrix.from_numerators(w, 0 * w, 1)
+        assert ctx.apply("L", block).is_zero()
+
+
+@pytest.mark.parametrize("D", range(1, 9))
+def test_closed_form_seeds_span_the_elimination_kernel(D):
+    # the kernel basis by elimination and Gram-Schmidt spans the same space:
+    # the two stacked have rank equal to the count
+    ctx = get_ctx(D)
+    for r, w in closed_form_seeds(D).items():
+        oracle = elimination_seeds(ctx, r)
+        assert oracle.rows == len(w)
+        seeds = ExactMatrix.from_numerators(w, 0 * w, 1)
+        assert rank(ExactMatrix.stack([seeds, oracle])) == len(w)
+
+
+def test_seed_step_falls_to_python_ints_past_the_int64_bound():
+    # a step multiplies the largest entry by at most D: 4 * 2^61 has no
+    # int64 value, so the step from int64 seeds near 2^61 runs on Python
+    # ints, and by linearity gives the scaled seeds of Q_4
+    prev = closed_form_seeds(3)
+    big = 2 ** 61 // max(int(abs(w).max()) for w in prev.values())
+    scaled = _seed_step({r: w * big for r, w in prev.items()}, 4)
+    for r, w in _seed_step(prev, 4).items():
+        assert w.dtype == np.int64
+        assert scaled[r].dtype == object
+        assert (scaled[r] == w.astype(object) * big).all()
+
+
+@pytest.mark.parametrize("change", ["drop", "repeat"])
+def test_seed_count_is_checked(monkeypatch, change):
+    # one seed too few or too many at endpoint 1 of Q_4 fails the count
+    # before any module of that endpoint is built
+    honest = closed_form_seeds(4)
+    w = honest[1][:-1] if change == "drop" else honest[1][[0, 0, 1, 2]]
+    monkeypatch.setattr(decomposition, "closed_form_seeds",
+                        lambda _: {**honest, 1: w})
+    with pytest.raises(InvariantViolation,
+                       match=rf"^endpoint 1: {len(w)} seeds, expected "
+                             r"C\(D,r\) - C\(D,r-1\) = 3$"):
+        decompose(get_ctx(4))
 
 
 def test_decompose_d1_single_module():

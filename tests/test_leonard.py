@@ -16,7 +16,8 @@ from tcube.decomposition import decompose
 from tcube.leonard import (_BASIS_SPEC, BASIS_LABELS, INNER_FORMULAS,
                            OPERATOR_LABELS, TRANSITION_TABLE, BasisError,
                            BasisSolver,
-                           PhiMatrix, SixBases, _is_irreducible_tridiagonal,
+                           PhiMatrix, REP_FORMS, SixBases,
+                           _FORM_BUILDERS, _is_irreducible_tridiagonal,
                            build_six_bases, diagonal_form,
                            hypergeometric_2f1, inner_tables,
                            is_leonard_triple, itridiagonal_subneg_form,
@@ -458,6 +459,65 @@ def test_non_orthogonal_basis_is_named(change):
         verify_rep_matrices(ctx, broken)
     with pytest.raises(BasisError, match=message):
         transition_matrices(broken, phi)
+
+
+@pytest.mark.parametrize("D", range(1, 7))
+def test_rep_cells_equal_the_per_label_coords(D):
+    # the one coordinate product per module against one coords call per
+    # basis on that basis's images: the same 18 matrices and verdicts
+    ctx = get_ctx(D)
+    n_ops = len(OPERATOR_LABELS)
+    for m, bases, _ in get_bundles(D):
+        n = m.d + 1
+        cells = verify_rep_matrices(ctx, bases)
+        assert len(cells) == len(BASIS_LABELS) * n_ops
+        cells = iter(cells)
+        for label in BASIS_LABELS:
+            coeffs = bases.coords(label, ExactMatrix.stack(
+                [ctx.apply(op, bases[label]) for op in OPERATOR_LABELS]))
+            for k, op in enumerate(OPERATOR_LABELS):
+                cell = next(cells)
+                got = coeffs.block(slice(None), slice(k * n, (k + 1) * n))
+                form = REP_FORMS[(op, label)]
+                assert (cell.basis, cell.op, cell.form) == (label, op, form)
+                assert cell.matrix == got
+                assert cell.passed == (got == _FORM_BUILDERS[form](m.d))
+
+
+def _first_coords_failure(ctx, bases):
+    """The message of the first BasisError of the per-label path: one
+    coords call per basis, in BASIS_LABELS order, on its images."""
+    for label in BASIS_LABELS:
+        try:
+            bases.coords(label, ExactMatrix.stack(
+                [ctx.apply(op, bases[label]) for op in OPERATOR_LABELS]))
+        except BasisError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("broken", [("AsA",), ("AsA", "AeA"), ("AeA", "AsA"),
+                                    ("AeAs", "AAe")])
+def test_rep_matrices_raise_the_first_failing_basis(broken):
+    # a basis is broken either by a vector of another module on the same
+    # slice (orthogonal, but its images leave the span) or, in second
+    # place, by a shear (not orthogonal); verify_rep_matrices raises what
+    # the per-label path raises first, orthogonality before span
+    ctx = get_ctx(3)
+    (m, bases, _), (_, other, _) = [b for b in get_bundles(3)
+                                    if b[0].r == 1]
+    for k, label in enumerate(broken):
+        v = block_rows(bases[label])
+        if k == 0:
+            v[0] = other[label].row(0)
+        else:
+            v[1] = v[1] + v[0]
+        bases = _with_basis(bases, label, v)
+    message = _first_coords_failure(ctx, bases)
+    assert message is not None
+    with pytest.raises(BasisError) as exc:
+        verify_rep_matrices(ctx, bases)
+    assert str(exc.value) == message
 
 
 def test_target_outside_the_span_keeps_its_message():
