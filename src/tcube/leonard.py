@@ -618,6 +618,13 @@ def verify_inner_products(bases: SixBases, phi: PhiMatrix) -> List[GridCheck]:
     return checks
 
 
+# (x, y, seed scalar key, norm key): vector i of x is i^i (1-i)^d times
+# key / norm times vector i of y
+_PROPORTIONAL_ROWS = (("AAe", "AAs", "ue|u*", "u*|u*"),
+                      ("AsA", "AsAe", "u|ue", "ue|ue"),
+                      ("AeAs", "AeA", "u*|u", "u|u"))
+
+
 def _verify_slice_proportionality(bases: SixBases) -> List[GridCheck]:
     """The slicewise proportionality between bases sharing an idempotent
     family: each AAe (resp. AsA, AeAs) vector is an explicit multiple of the
@@ -627,9 +634,7 @@ def _verify_slice_proportionality(bases: SixBases) -> List[GridCheck]:
     scal = bases.seed_scalars
     omi_d = GaussRat(1, -1) ** d
     checks = []
-    for x, y, key, norm in (("AAe", "AAs", "ue|u*", "u*|u*"),
-                            ("AsA", "AsAe", "u|ue", "ue|ue"),
-                            ("AeAs", "AeA", "u*|u", "u|u")):
+    for x, y, key, norm in _PROPORTIONAL_ROWS:
         coeffs = _ipow_diagonal(d, +1).scale(omi_d * scal[key] / scal[norm])
         ok = bases[x].row_equal(coeffs @ bases[y])
         checks.extend(GridCheck(f"proportional[{x}|{y}]", i, i, bool(v))

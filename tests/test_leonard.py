@@ -1,6 +1,7 @@
 """Six bases, hypergeometric table, representation matrices, inner products,
 transition matrices, Leonard-triple recognizer."""
 
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -11,6 +12,7 @@ import pytest
 from conftest import (block_rows, get_bundles, get_ctx, get_phi,
                       oracle_inner, oracle_pattern, oracle_transition,
                       representation_matrix, series_2f1)
+from tcube import leonard
 from tcube.cube import build_context
 from tcube.decomposition import decompose
 from tcube.leonard import (_BASIS_SPEC, BASIS_LABELS, INNER_FORMULAS,
@@ -685,3 +687,42 @@ def test_module_report_shape():
         for cell in ops.values():
             assert cell["passed"] is True
     assert all(rep["inner_products"].values())
+
+
+# -- the closed-form tables -------------------------------------------------------------
+
+# sha256 of repr(list of items) of each table, recorded from the literal
+# tables.  The ordered tables are pinned in iteration order, since report
+# rows, basis blocks and the first P-shift message follow it; REP_FORMS and
+# TRANSITION_TABLE are read only by key and are pinned in sorted order.
+TABLE_DIGESTS = {
+    "BASIS_LABELS":
+        "3b4dd341d09f2de88144ce91895c0bdff40cae93f64047847b97b69ee84bc843",
+    "OPERATOR_LABELS":
+        "c7bfbd9f22ef77fb00571bfb6c672a0cf9c46f45eb4e5dc13ca84596c402603c",
+    "_BASIS_SPEC":
+        "a87c6cc269ca8b69d945c8ac86019177f10fd7ecd31a5cba009c299a6ed88d7e",
+    "_P_SHIFTS":
+        "ec890bda72c538385ffc3f9bb54210903d1897362f304d59985aef10d74f03a3",
+    "REP_FORMS":
+        "021babc92fbd8b397901e21bbdac6a2e8bd2fb92d1b39b0add9f7fc5e003060e",
+    "INNER_FORMULAS":
+        "76762710aaa5c16f40bcbb40f2396db26b0212d8875e42fcf9301b117b064c97",
+    "TRANSITION_TABLE":
+        "e26d4531e3dc05d926fd93cca737a381b10929e3cfcc750d2c39416d552bc869",
+    "_PROPORTIONAL_ROWS":
+        "0defb43d665a1d5d498ca2e80d36070ed8b3698b0328c0b0e6c9dfc4b7ad6781",
+}
+UNORDERED_TABLES = ("REP_FORMS", "TRANSITION_TABLE")
+
+
+def _table_items(name):
+    table = getattr(leonard, name)
+    items = list(table.items()) if isinstance(table, dict) else list(table)
+    return sorted(items) if name in UNORDERED_TABLES else items
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
+def test_table_digest(name):
+    digest = hashlib.sha256(repr(_table_items(name)).encode()).hexdigest()
+    assert digest == TABLE_DIGESTS[name]
