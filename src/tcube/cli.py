@@ -22,7 +22,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -49,14 +48,6 @@ VERIFY_ERRORS = (cube.ConstructionError, decomposition.InvariantViolation,
 Row = Tuple[str, Optional[int], Optional[int], bool, Optional[Tuple[int, int]]]
 
 
-@dataclass
-class RunConfig:
-    D: int
-    output_path: Optional[str]
-    format: str
-    d_limit: int
-
-
 def _progress(msg: str):
     print(msg, file=sys.stderr, flush=True)
 
@@ -80,7 +71,8 @@ def _module_suite_rows(ctx, m, suite) -> List[Row]:
     try:
         bases = leonard.build_six_bases(ctx, m)
         if suite in ("rep-matrices", "all"):
-            for cell in leonard.verify_rep_matrices(ctx, bases):
+            cells = leonard.verify_rep_matrices(ctx, bases)
+            for cell in cells:
                 rows.append((f"{tag}:rep[{cell.basis}][{cell.op}]",
                              None, None, cell.passed, None))
         phi = leonard.phi_matrix(m.d)
@@ -99,8 +91,7 @@ def _module_suite_rows(ctx, m, suite) -> List[Row]:
             for c in decomposition.verify_seed_norms(m):
                 rows.append((f"{tag}:{c.identity}", None, None, c.passed,
                              None))
-            verdict = leonard.is_leonard_triple(
-                *leonard.module_triple(ctx, bases))
+            verdict = leonard.is_leonard_triple(*leonard.module_triple(cells))
             rows.append((f"{tag}:leonard_triple", None, None,
                          verdict.verdict == "true", None))
     except VERIFY_ERRORS as exc:
@@ -199,25 +190,25 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _cmd_build(cfg: RunConfig, args) -> int:
+def _cmd_build(args) -> int:
     op = args.op
     if op in INDEXED_OPS and args.index is None:
         return _usage_error(f"--op {op} requires --index")
     if op not in INDEXED_OPS and args.index is not None:
         return _usage_error(f"--op {op} takes no --index")
-    ctx = build_context(cfg.D, cfg.d_limit)
+    ctx = build_context(args.D, args.d_limit)
     if op in INDEXED_OPS:
         if not 0 <= args.index <= ctx.D:
             return _usage_error(f"--index must be in 0..{ctx.D}")
         matrix = getattr(ctx, INDEXED_OPS[op])[args.index]
     else:
         matrix = getattr(ctx, PLAIN_OPS[op])
-    return _emit(_json_text(matrix.to_dump()), cfg.output_path)
+    return _emit(_json_text(matrix.to_dump()), args.output)
 
 
-def _cmd_verify(cfg: RunConfig, args) -> int:
+def _cmd_verify(args) -> int:
     try:
-        ctx = build_context(cfg.D, cfg.d_limit)
+        ctx = build_context(args.D, args.d_limit)
     except cube.ConstructionError as exc:
         rows = [_error_row("", exc)]
     else:
@@ -228,53 +219,53 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
             ctx = ctx.with_flipped_sign(name, *spot)
             _progress(f"  injected sign flip into {args.corrupt} at {spot}")
         rows = run_suite(ctx, args.suite)
-    header = {"D": cfg.D, "suite": args.suite}
-    code = _emit(_rows_to_text(rows, cfg.format, header), cfg.output_path)
+    header = {"D": args.D, "suite": args.suite}
+    code = _emit(_rows_to_text(rows, args.format, header), args.output)
     if code:
         return code
     return 0 if all(r[3] for r in rows) else 1
 
 
-def _cmd_decompose(cfg: RunConfig, args) -> int:
+def _cmd_decompose(args) -> int:
     if args.output_dir is not None and not args.emit_seeds:
         return _usage_error("--output-dir requires --emit-seeds")
-    ctx = build_context(cfg.D, cfg.d_limit)
+    ctx = build_context(args.D, args.d_limit)
     dec = decomposition.decompose(ctx)
     if args.emit_seeds:
         outdir = args.output_dir or "."
         try:
             os.makedirs(outdir, exist_ok=True)
             for m in dec.modules:
-                doc = {"D": cfg.D, "r": m.r, "index": m.index,
+                doc = {"D": args.D, "r": m.r, "index": m.index,
                        "u_star": m.u_star.to_dump(), "u": m.u.to_dump(),
                        "u_eps": m.u_eps.to_dump()}
                 path = os.path.join(outdir,
-                                    f"seeds_d{cfg.D}_r{m.r}_m{m.index}.json")
+                                    f"seeds_d{args.D}_r{m.r}_m{m.index}.json")
                 with open(path, "w") as fh:
                     fh.write(_json_text(doc))
         except OSError as exc:
             print(f"error: cannot write seed files: {exc}", file=sys.stderr)
             return 3
     doc = dec.to_json()
-    if cfg.format == "pretty":
-        lines = [f"D={cfg.D}: {len(dec.modules)} irreducible modules"]
+    if args.format == "pretty":
+        lines = [f"D={args.D}: {len(dec.modules)} irreducible modules"]
         for m in dec.modules:
             lines.append(f"  r={m.r} d={m.d} index={m.index} dim={m.dim}")
         lines.append("multiplicities: " + ", ".join(
             f"r={r}: {c}" for r, c in sorted(dec.multiplicities.items())))
-        return _emit("\n".join(lines) + "\n", cfg.output_path)
-    if cfg.format == "csv":
+        return _emit("\n".join(lines) + "\n", args.output)
+    if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["r", "d", "index", "dim"])
         for m in dec.modules:
             w.writerow([m.r, m.d, m.index, m.dim])
-        return _emit(buf.getvalue(), cfg.output_path)
-    return _emit(_json_text(doc), cfg.output_path)
+        return _emit(buf.getvalue(), args.output)
+    return _emit(_json_text(doc), args.output)
 
 
-def _cmd_module_report(cfg: RunConfig, args) -> int:
-    ctx = build_context(cfg.D, cfg.d_limit)
+def _cmd_module_report(args) -> int:
+    ctx = build_context(args.D, args.d_limit)
     selected = [m for m in decomposition.decompose(ctx).modules
                 if (args.r is None or m.r == args.r)
                 and (args.index is None or m.index == args.index)]
@@ -290,7 +281,7 @@ def _cmd_module_report(cfg: RunConfig, args) -> int:
               and all(rep["inner_products"].values())
               and not rep["transitions"]["failures"]
               and rep["leonard_triple"] == "true" for rep in reports]
-    if cfg.format == "pretty":
+    if args.format == "pretty":
         text = "".join(
             f"module r={rep['r']} index={rep['module_index']}: "
             f"{'all checks pass' if ok else 'FAILURES PRESENT'} "
@@ -298,33 +289,34 @@ def _cmd_module_report(cfg: RunConfig, args) -> int:
             for rep, ok in zip(reports, passed))
     else:
         text = _json_text(reports)
-    return _emit(text, cfg.output_path) or (0 if all(passed) else 1)
+    return _emit(text, args.output) or (0 if all(passed) else 1)
 
 
-def _cmd_leonard_check(cfg: RunConfig, args) -> int:
-    ctx = build_context(cfg.D, cfg.d_limit)
+def _cmd_leonard_check(args) -> int:
+    ctx = build_context(args.D, args.d_limit)
     results = []
     for m in decomposition.decompose(ctx).modules:
-        verdict = leonard.is_leonard_triple(
-            *leonard.module_triple(ctx, leonard.build_six_bases(ctx, m)))
+        bases = leonard.build_six_bases(ctx, m)
+        cells = leonard.verify_rep_matrices(ctx, bases)
+        verdict = leonard.is_leonard_triple(*leonard.module_triple(cells))
         results.append({"r": m.r, "index": m.index, "d": m.d,
                         "verdict": verdict.verdict,
                         "eigenvalue_order": list(verdict.eigenvalue_order)})
         _progress(f"  module r={m.r} index={m.index}: {verdict.verdict}")
-    if cfg.format == "pretty":
+    if args.format == "pretty":
         lines = [f"r={r['r']} index={r['index']} d={r['d']}: {r['verdict']}"
                  for r in results]
-        code = _emit("\n".join(lines) + "\n", cfg.output_path)
-    elif cfg.format == "csv":
+        code = _emit("\n".join(lines) + "\n", args.output)
+    elif args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["r", "index", "d", "verdict"])
         for r in results:
             w.writerow([r["r"], r["index"], r["d"], r["verdict"]])
-        code = _emit(buf.getvalue(), cfg.output_path)
+        code = _emit(buf.getvalue(), args.output)
     else:
-        code = _emit(_json_text({"D": cfg.D, "modules": results}),
-                     cfg.output_path)
+        code = _emit(_json_text({"D": args.D, "modules": results}),
+                     args.output)
     if code:
         return code
     return 0 if all(r["verdict"] == "true" for r in results) else 1
@@ -396,9 +388,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        cfg = RunConfig(D=args.D, output_path=args.output, format=args.format,
-                        d_limit=args.d_limit)
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

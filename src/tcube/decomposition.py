@@ -92,32 +92,42 @@ def proportional_rows(x: ExactMatrix, y: ExactMatrix):
     return same_line & (y_nonzero.any(axis=1) | ~x.nonzero().any(axis=1))
 
 
-# The seeds in the row order of IrreducibleModule.seed_gram
+# The seeds in the row order of IrreducibleModule.seeds
 SEED_NAMES = ("u", "u*", "ue")
 
 
 @dataclass(frozen=True)
 class IrreducibleModule:
-    """One irreducible T-module: endpoint r, diameter d = D - 2r, the three
-    seeds and its slice basis, a block with one vector per distance slice."""
+    """One irreducible T-module: endpoint r, diameter d = D - 2r, its three
+    seeds as the rows of one block in SEED_NAMES order, and its slice
+    basis, a block with one vector per distance slice."""
 
     r: int
     d: int
     index: int
-    u_star: ExactVector
-    u: ExactVector
-    u_eps: ExactVector
+    seeds: ExactMatrix
     slice_basis: ExactMatrix
 
     @property
     def dim(self) -> int:
         return self.d + 1
 
+    @property
+    def u(self) -> ExactVector:
+        return self.seeds.row(0)
+
+    @property
+    def u_star(self) -> ExactVector:
+        return self.seeds.row(1)
+
+    @property
+    def u_eps(self) -> ExactVector:
+        return self.seeds.row(2)
+
     @cached_property
     def seed_gram(self) -> ExactMatrix:
-        """S @ S^* for S = [u, u*, ue]: entry (a, b) is <seed a, seed b>."""
-        seeds = ExactMatrix.stack([self.u, self.u_star, self.u_eps])
-        return seeds @ seeds.adjoint()
+        """seeds @ seeds^*: entry (a, b) is <seed a, seed b>."""
+        return self.seeds @ self.seeds.adjoint()
 
     def seed_inner(self, first: str, second: str) -> GaussRat:
         return self.seed_gram[SEED_NAMES.index(first),
@@ -263,9 +273,10 @@ def _validate_module(ctx: CubeContext, mod: IrreducibleModule,
     for k, ok in enumerate(ctx.apply("Astar", block).row_equal(scaled)):
         if not ok:
             _fail(r, index, f"Astar does not scale slice {k}")
-    for seed, name in ((mod.u, "u"), (mod.u_eps, "ue")):
-        if seed.is_zero():
-            _fail(r, index, f"seed {name} is zero")
+    seed_nonzero = mod.seeds.nonzero().any(axis=1)
+    for k in (0, 2):
+        if not seed_nonzero[k]:
+            _fail(r, index, f"seed {SEED_NAMES[k]} is zero")
     for a, b in (("u*", "u"), ("u", "ue"), ("ue", "u*")):
         if not mod.seed_inner(a, b):
             _fail(r, index, f"<{a},{b}> vanished")
@@ -331,19 +342,19 @@ def decompose(ctx: CubeContext) -> Decomposition:
         seeds = ExactMatrix.from_numerators(numerators, 0 * numerators, 1)
         d = ctx.D - 2 * r
         for index in range(seeds.rows):
-            u_star = seeds.row(index)
-            ladder = [ExactMatrix.stack([u_star])]
+            ladder = [seeds.block([index], slice(None))]
             for _ in range(d + 1):
                 ladder.append(ctx.apply("R", ladder[-1]))
             block = ExactMatrix.stack(ladder[:-1])
             window = range(r, r + d + 1)
             e_parts = window_images(ctx, "E", block, window)
             eeps_parts = window_images(ctx, "Eeps", block, window)
+            # the seeds u = E_r u*, u*, ue = Eeps_r u*: row 0 of each block
+            seed_blocks = (e_parts[r], ladder[0], eeps_parts[r])
             mod = IrreducibleModule(
                 r=r, d=d, index=index,
-                u_star=u_star,
-                u=e_parts[r].row(0),
-                u_eps=eeps_parts[r].row(0),
+                seeds=ExactMatrix.stack([b.block([0], slice(None))
+                                         for b in seed_blocks]),
                 slice_basis=block,
             )
             _validate_module(ctx, mod, ladder[-1], e_parts, eeps_parts)
@@ -414,9 +425,7 @@ def normalize_seeds(mod: IrreducibleModule, a, b, c) -> IrreducibleModule:
     lam_eps = b.conj() * inv_root / mod.seed_inner("ue", "u*")
     out = replace(
         mod,
-        u=mod.u.scale(lam),
-        u_star=mod.u_star.scale(lam_star),
-        u_eps=mod.u_eps.scale(lam_eps),
+        seeds=ExactMatrix.diagonal([lam, lam_star, lam_eps]) @ mod.seeds,
         slice_basis=mod.slice_basis.scale(lam_star),
     )
     got = (out.seed_inner("u", "u*"), out.seed_inner("u*", "ue"),

@@ -7,7 +7,13 @@ which operator acts diagonally and which seed generates them:
     AeAs = (Eeps_{r+i} u*)_i      AAs  = (E_{r+i} u*)_i
     AAe  = (E_{r+i} ue)_i         AsAe = (Estar_{r+i} ue)_i
 
-with u, u*, ue the seeds in E_r W, Estar_r W, Eeps_r W.  The module provides:
+with u, u*, ue the seeds in E_r W, Estar_r W, Eeps_r W.  The triple is
+cyclic: conjugation by P takes A -> Astar -> Aeps -> A, and with it the
+families E -> Estar -> Eeps, the seeds u -> u* -> ue and the bases round the
+orbits AsA -> AeAs -> AAe and AeA -> AAs -> AsAe (`_P_CYCLES`).  Every
+closed-form table below is written for one representative per orbit of
+this P-cycle and completed by turning it twice (`_orbits`).  The module
+provides:
 
   * the terminating hypergeometric values 2F1(-i,-j;-d;2) (Krawtchouk values
     at p = 1/2) and the matrix Phi_ij = C(d,j) * 2F1(-i,-j;-d;2);
@@ -61,8 +67,40 @@ from .linalg import (ExactMatrix, ExactVector, SingularMatrixError,
 from .report import IdentityCheck, check_true
 from .scalar import GaussRat
 
-BASIS_LABELS = ("AsA", "AeA", "AeAs", "AAs", "AAe", "AsAe")
-OPERATOR_LABELS = ("A", "Astar", "Aeps")
+# The P-cycle of the module docstring; the seeds turn as u* = Pu and
+# ue = Pu* under the chained normalization.
+_P_CYCLES = (("A", "Astar", "Aeps"), ("E", "Estar", "Eeps"),
+             ("u", "u*", "ue"), ("AsA", "AeAs", "AAe"),
+             ("AeA", "AAs", "AsAe"))
+_NEXT = {x: cycle[(k + 1) % 3] for cycle in _P_CYCLES
+         for k, x in enumerate(cycle)}
+
+
+def _turn(x):
+    """x with each name of _P_CYCLES replaced by the next one in its cycle,
+    inside tuples and "a|b" seed keys; any other value is fixed."""
+    if isinstance(x, tuple):
+        return tuple(_turn(y) for y in x)
+    if isinstance(x, str) and "|" in x:
+        return "|".join(_turn(y) for y in x.split("|"))
+    return _NEXT.get(x, x)
+
+
+def _orbits(reps) -> tuple:
+    """The representatives, then each of them turned once, then twice."""
+    reps = tuple(reps)
+    once = tuple(_turn(x) for x in reps)
+    return reps + once + tuple(_turn(x) for x in once)
+
+
+def _orbit_table(*groups) -> dict:
+    """The dict of the _orbits of each group's items, group after group."""
+    return {key: value for group in groups
+            for key, value in _orbits(group.items())}
+
+
+BASIS_LABELS = _orbits(("AsA", "AeA"))
+OPERATOR_LABELS = _P_CYCLES[0]
 
 
 class BasisError(RuntimeError):
@@ -263,25 +301,22 @@ class SixBases:
                 for a in SEED_NAMES for b in SEED_NAMES}
 
 
-# Rows of the seed block of build_six_bases: the module's seeds u, u*, ue,
-# then the chained seeds Pu, P^2 u, P^3 u.
-_SEED_ROWS = {"u": 0, "u*": 1, "ue": 2, "Pu": 3, "P2u": 4, "P3u": 5}
-
 # basis label -> (idempotent family, seed); vector i is family_(r+i) seed
-_BASIS_SPEC = {"AsA": ("Estar", "u"), "AeA": ("Eeps", "u"),
-               "AeAs": ("Eeps", "u*"), "AAs": ("E", "u*"),
-               "AAe": ("E", "ue"), "AsAe": ("Estar", "ue")}
+_BASIS_SPEC = _orbit_table({"AsA": ("Estar", "u"), "AeA": ("Eeps", "u")})
 
 # With seeds chained by P (u* := Pu, ue := Pu*), each basis is the entrywise
-# P-image of its predecessor: P family_a(seed_a) = family_b(seed_b).
-_P_SHIFTS = (
-    ("AsA->AeAs", ("Estar", "u"), ("Eeps", "Pu")),
-    ("AeAs->AAe", ("Eeps", "Pu"), ("E", "P2u")),
-    ("AAe->AsA", ("E", "P2u"), ("Estar", "P3u")),
-    ("AeA->AAs", ("Eeps", "u"), ("E", "Pu")),
-    ("AAs->AsAe", ("E", "Pu"), ("Estar", "P2u")),
-    ("AsAe->AeA", ("Estar", "P2u"), ("Eeps", "P3u")),
-)
+# P-image of the one before it in its orbit: P family(x) = turn(family)(P x).
+# The pairs go once round each orbit over the chained seeds u, Pu, P^2 u,
+# P^3 u, orbit after orbit.
+_CHAINED = ("u", "Pu", "P2u", "P3u")
+_P_SHIFTS = tuple(
+    (f"{a}->{_turn(a)}", (_BASIS_SPEC[a][0], _CHAINED[k]),
+     (_BASIS_SPEC[_turn(a)][0], _CHAINED[k + 1]))
+    for rep in BASIS_LABELS[:2] for k, a in enumerate(_orbits((rep,))))
+
+# Rows of the seed block of build_six_bases: the module's seeds u, u*, ue,
+# then the chained seeds Pu, P^2 u, P^3 u.
+_SEED_ROWS = {name: k for k, name in enumerate(SEED_NAMES + _CHAINED[1:])}
 
 
 def build_six_bases(ctx: CubeContext, mod: IrreducibleModule) -> SixBases:
@@ -297,10 +332,10 @@ def build_six_bases(ctx: CubeContext, mod: IrreducibleModule) -> SixBases:
     or the P-shift check below."""
     r, d = mod.r, mod.d
     n = d + 1
-    chained = [ExactMatrix.stack([mod.u])]
+    chained = [mod.seeds.block([0], slice(None))]
     for _ in range(3):
         chained.append(ctx.apply("P", chained[-1]))
-    seeds = ExactMatrix.stack([mod.u, mod.u_star, mod.u_eps] + chained[1:])
+    seeds = ExactMatrix.stack([mod.seeds] + chained[1:])
     span = range(r, r + n)
     window = {}
     for family in ("E", "Estar", "Eeps"):
@@ -379,20 +414,13 @@ def itridiagonal_superneg_form(d: int) -> ExactMatrix:
     return _tridiag(d, +1, -1, imaginary=True)
 
 
-REP_FORMS = {
+# (operator, basis) -> closed form, from the six cells of A
+REP_FORMS = _orbit_table({
     ("A", "AAs"): "diagonal", ("A", "AAe"): "diagonal",
     ("A", "AsA"): "tridiagonal", ("A", "AeA"): "tridiagonal",
     ("A", "AeAs"): "itridiagonal_subneg",
     ("A", "AsAe"): "itridiagonal_superneg",
-    ("Astar", "AsA"): "diagonal", ("Astar", "AsAe"): "diagonal",
-    ("Astar", "AeAs"): "tridiagonal", ("Astar", "AAs"): "tridiagonal",
-    ("Astar", "AAe"): "itridiagonal_subneg",
-    ("Astar", "AeA"): "itridiagonal_superneg",
-    ("Aeps", "AeA"): "diagonal", ("Aeps", "AeAs"): "diagonal",
-    ("Aeps", "AAe"): "tridiagonal", ("Aeps", "AsAe"): "tridiagonal",
-    ("Aeps", "AsA"): "itridiagonal_subneg",
-    ("Aeps", "AAs"): "itridiagonal_superneg",
-}
+})
 
 _FORM_BUILDERS = {
     "diagonal": diagonal_form,
@@ -409,17 +437,6 @@ class RepCell:
     form: str
     passed: bool
     matrix: ExactMatrix
-
-
-def cube_representations(bases: SixBases, label: str,
-                         images) -> Tuple[ExactMatrix, ...]:
-    """The matrices of A, Astar and Aeps (OPERATOR_LABELS order) in basis
-    `label`, given `images`, the three operators applied to the rows of
-    the basis: one coordinate call on the stacked images."""
-    coeffs = bases.coords(label, ExactMatrix.stack(images))
-    n = bases.module.d + 1
-    return tuple(coeffs.block(slice(None), slice(k * n, (k + 1) * n))
-                 for k in range(len(OPERATOR_LABELS)))
 
 
 @lru_cache(maxsize=None)
@@ -575,29 +592,15 @@ class GridCheck:
 
 # (first basis, second basis) -> (formula kind, seed scalar key); the value of
 # <first[i], second[j]> is the kind evaluated at (i, j) times the seed scalar.
-INNER_FORMULAS = {
-    ("AsA", "AsA"): ("delta", "u|u"),
-    ("AeA", "AeA"): ("delta", "u|u"),
-    ("AeAs", "AeAs"): ("delta", "u*|u*"),
-    ("AAs", "AAs"): ("delta", "u*|u*"),
-    ("AAe", "AAe"): ("delta", "ue|ue"),
-    ("AsAe", "AsAe"): ("delta", "ue|ue"),
-    ("AAe", "AAs"): ("delta_ipow", "ue|u*"),
-    ("AsA", "AsAe"): ("delta_ipow", "u|ue"),
-    ("AeAs", "AeA"): ("delta_ipow", "u*|u"),
-    ("AAs", "AsA"): ("f", "u*|u"),
-    ("AsAe", "AeAs"): ("f", "ue|u*"),
-    ("AeA", "AAe"): ("f", "u|ue"),
-    ("AAs", "AsAe"): ("f_ipow_j", "u*|ue"),
-    ("AsAe", "AeA"): ("f_ipow_j", "ue|u"),
-    ("AeA", "AAs"): ("f_ipow_j", "u|u*"),
-    ("AAe", "AsA"): ("f_ipow_i", "ue|u"),
-    ("AsA", "AeAs"): ("f_ipow_i", "u|u*"),
-    ("AeAs", "AAe"): ("f_ipow_i", "u*|ue"),
-    ("AAs", "AeAs"): ("f_ipow_negij", "u*|u*"),
-    ("AsAe", "AAe"): ("f_ipow_negij", "ue|ue"),
-    ("AeA", "AsA"): ("f_ipow_negij", "u|u"),
-}
+# One kind after another, in the order of the report rows.
+INNER_FORMULAS = _orbit_table(
+    {("AsA", "AsA"): ("delta", "u|u"), ("AeA", "AeA"): ("delta", "u|u")},
+    {("AAe", "AAs"): ("delta_ipow", "ue|u*")},
+    {("AAs", "AsA"): ("f", "u*|u")},
+    {("AAs", "AsAe"): ("f_ipow_j", "u*|ue")},
+    {("AAe", "AsA"): ("f_ipow_i", "ue|u")},
+    {("AAs", "AeAs"): ("f_ipow_negij", "u*|u*")},
+)
 
 
 def verify_inner_products(bases: SixBases, phi: PhiMatrix) -> List[GridCheck]:
@@ -620,9 +623,7 @@ def verify_inner_products(bases: SixBases, phi: PhiMatrix) -> List[GridCheck]:
 
 # (x, y, seed scalar key, norm key): vector i of x is i^i (1-i)^d times
 # key / norm times vector i of y
-_PROPORTIONAL_ROWS = (("AAe", "AAs", "ue|u*", "u*|u*"),
-                      ("AsA", "AsAe", "u|ue", "ue|ue"),
-                      ("AeAs", "AeA", "u*|u", "u|u"))
+_PROPORTIONAL_ROWS = _orbits((("AAe", "AAs", "ue|u*", "u*|u*"),))
 
 
 def _verify_slice_proportionality(bases: SixBases) -> List[GridCheck]:
@@ -647,8 +648,9 @@ def _verify_slice_proportionality(bases: SixBases) -> List[GridCheck]:
 
 # (src, dst) -> (i-power pattern over the Phi grid | D1 | D2, prefactor kind)
 # Prefactor kinds: ("unit", sign_exp) for (1 -+ i)^(+-d) alone, or
-# (seed_key, norm_key, extra) with extra in {None, "omi", "opi"}.
-TRANSITION_TABLE = {
+# (seed_key, norm_key, extra) with extra in {None, "omi", "opi"}.  Written
+# for the sources AsA and AeA, one basis of each orbit.
+TRANSITION_TABLE = _orbit_table({
     ("AsA", "AeA"): ("neg_sum", ("unit", "omi_inv")),
     ("AsA", "AeAs"): ("neg_i", ("u*|u", "u|u", None)),
     ("AsA", "AAs"): ("zero", ("u*|u", "u|u", None)),
@@ -659,27 +661,7 @@ TRANSITION_TABLE = {
     ("AeA", "AAs"): ("neg_j", ("u*|u", "u|u", None)),
     ("AeA", "AAe"): ("zero", ("ue|u", "u|u", None)),
     ("AeA", "AsAe"): ("i", ("ue|u", "u|u", None)),
-    ("AeAs", "AsA"): ("j", ("u|u*", "u*|u*", None)),
-    ("AeAs", "AeA"): ("D2", ("u|u*", "u*|u*", "opi")),
-    ("AeAs", "AAs"): ("neg_sum", ("unit", "omi_inv")),
-    ("AeAs", "AAe"): ("neg_i", ("ue|u*", "u*|u*", None)),
-    ("AeAs", "AsAe"): ("zero", ("ue|u*", "u*|u*", None)),
-    ("AAs", "AsA"): ("zero", ("u|u*", "u*|u*", None)),
-    ("AAs", "AeA"): ("i", ("u|u*", "u*|u*", None)),
-    ("AAs", "AeAs"): ("sum", ("unit", "opi_inv")),
-    ("AAs", "AAe"): ("D1", ("ue|u*", "u*|u*", "omi")),
-    ("AAs", "AsAe"): ("neg_j", ("ue|u*", "u*|u*", None)),
-    ("AAe", "AsA"): ("neg_i", ("u|ue", "ue|ue", None)),
-    ("AAe", "AeA"): ("zero", ("u|ue", "ue|ue", None)),
-    ("AAe", "AeAs"): ("j", ("u*|ue", "ue|ue", None)),
-    ("AAe", "AAs"): ("D2", ("u*|ue", "ue|ue", "opi")),
-    ("AAe", "AsAe"): ("neg_sum", ("unit", "omi_inv")),
-    ("AsAe", "AsA"): ("D1", ("u|ue", "ue|ue", "omi")),
-    ("AsAe", "AeA"): ("neg_j", ("u|ue", "ue|ue", None)),
-    ("AsAe", "AeAs"): ("zero", ("u*|ue", "ue|ue", None)),
-    ("AsAe", "AAs"): ("i", ("u*|ue", "ue|ue", None)),
-    ("AsAe", "AAe"): ("sum", ("unit", "opi_inv")),
-}
+})
 
 _POWER_PATTERNS = {
     "zero": lambda i, j: 0, "i": lambda i, j: i, "j": lambda i, j: j,
@@ -865,12 +847,12 @@ def is_leonard_triple(b0: ExactMatrix, b1: ExactMatrix,
         rep_matrices=reps)
 
 
-def module_triple(ctx: CubeContext, bases: SixBases):
-    """The three operators restricted to the module, as matrices in the
-    basis diagonalizing the dual adjacency operator."""
-    basis = bases["AsA"]
-    return cube_representations(
-        bases, "AsA", [ctx.apply(op, basis) for op in OPERATOR_LABELS])
+def module_triple(cells: List[RepCell]) -> Tuple[ExactMatrix, ...]:
+    """The three operators restricted to the module, in OPERATOR_LABELS
+    order, as matrices in the basis AsA diagonalizing the dual adjacency
+    operator: the AsA cells of verify_rep_matrices."""
+    matrices = {c.op: c.matrix for c in cells if c.basis == "AsA"}
+    return tuple(matrices[op] for op in OPERATOR_LABELS)
 
 
 # -- per-module report ------------------------------------------------------------------------
@@ -889,7 +871,7 @@ def module_report(ctx: CubeContext, bases: SixBases) -> dict:
     for c in inner_checks:
         inner_json[c.check_id] = inner_json.get(c.check_id, True) and c.passed
     trans = transition_matrices(bases, phi)
-    verdict = is_leonard_triple(*module_triple(ctx, bases))
+    verdict = is_leonard_triple(*module_triple(rep_cells))
     return {
         "D": ctx.D,
         "r": mod.r,

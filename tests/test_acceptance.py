@@ -131,7 +131,8 @@ def test_criterion_08_leonard_verdicts(report):
     for D in D_FULL:
         ctx = get_ctx(D)
         for m, bases, _ in get_bundles(D):
-            verdict = is_leonard_triple(*module_triple(ctx, bases))
+            verdict = is_leonard_triple(
+                *module_triple(verify_rep_matrices(ctx, bases)))
             ok = ok and verdict.verdict == "true"
     diag = ExactMatrix.diagonal([1, -1])
     counterexample = is_leonard_triple(diag, diag,

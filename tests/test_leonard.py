@@ -15,9 +15,9 @@ from conftest import (block_rows, get_bundles, get_ctx, get_phi,
 from tcube import leonard
 from tcube.cube import build_context
 from tcube.decomposition import decompose
-from tcube.leonard import (_BASIS_SPEC, BASIS_LABELS, INNER_FORMULAS,
-                           OPERATOR_LABELS, TRANSITION_TABLE, BasisError,
-                           BasisSolver,
+from tcube.leonard import (_BASIS_SPEC, _P_CYCLES, _turn, BASIS_LABELS,
+                           INNER_FORMULAS, OPERATOR_LABELS, TRANSITION_TABLE,
+                           BasisError, BasisSolver,
                            PhiMatrix, REP_FORMS, SixBases,
                            _FORM_BUILDERS, _is_irreducible_tridiagonal,
                            build_six_bases, diagonal_form,
@@ -248,8 +248,10 @@ def test_seed_outside_the_window_does_not_sum_back(seed, label):
     # BASIS_LABELS order built from that seed by E or Eeps is named
     ctx = get_ctx(3)
     mod = next(m for m in get_bundles(3) if m[0].r == 1)[0]
-    vertex = ExactMatrix.identity(ctx.n).row(1)
-    bad = replace(mod, **{seed: getattr(mod, seed) + vertex})
+    k = ("u", "u_star", "u_eps").index(seed)
+    rows = block_rows(mod.seeds)
+    rows[k] = rows[k] + ExactMatrix.identity(ctx.n).row(1)
+    bad = replace(mod, seeds=ExactMatrix.stack(rows))
     with pytest.raises(BasisError, match=rf"^basis {label} does not sum back "
                                          rf"to its seed$"):
         build_six_bases(ctx, bad)
@@ -421,10 +423,9 @@ def test_module_gram_built_once_on_first_use():
     assert stacked == ExactMatrix.stack([bases[label]
                                          for label in BASIS_LABELS])
     assert gram == stacked @ stacked.adjoint()
-    verify_rep_matrices(ctx, bases)
+    module_triple(verify_rep_matrices(ctx, bases))
     verify_inner_products(bases, phi)
     transition_matrices(bases, phi)
-    module_triple(ctx, bases)
     assert bases.stacked is stacked and bases.gram is gram
 
 
@@ -484,6 +485,17 @@ def test_rep_cells_equal_the_per_label_coords(D):
                 assert (cell.basis, cell.op, cell.form) == (label, op, form)
                 assert cell.matrix == got
                 assert cell.passed == (got == _FORM_BUILDERS[form](m.d))
+
+
+@pytest.mark.parametrize("D", [2, 3, 4])
+def test_module_triple_is_the_asa_cells_in_operator_order(D):
+    # the matrices of A, Astar, Aeps in basis AsA by exact solving
+    ctx = get_ctx(D)
+    for m, bases, _ in get_bundles(D):
+        triple = module_triple(verify_rep_matrices(ctx, bases))
+        assert triple == tuple(
+            representation_matrix(getattr(ctx, op), block_rows(bases["AsA"]))
+            for op in OPERATOR_LABELS)
 
 
 def _first_coords_failure(ctx, bases):
@@ -596,7 +608,8 @@ def test_flipped_phi_entry_fails_the_same_cells():
 def test_modules_are_leonard_triples(D):
     ctx = get_ctx(D)
     for m, bases, _ in get_bundles(D):
-        verdict = is_leonard_triple(*module_triple(ctx, bases))
+        verdict = is_leonard_triple(
+            *module_triple(verify_rep_matrices(ctx, bases)))
         assert verdict.verdict == "true"
         assert verdict.eigenvalue_order == tuple(m.d - 2 * k
                                                  for k in range(m.d + 1))
@@ -634,7 +647,7 @@ def test_unverifiable_non_diagonalizable():
 def test_eigen_order_flip_and_permutation_sensitivity():
     ctx = get_ctx(4)
     (m, bases, _) = next(b for b in get_bundles(4) if b[0].d == 2)
-    b, bs, be = module_triple(ctx, bases)
+    b, bs, be = module_triple(verify_rep_matrices(ctx, bases))
     verdict = is_leonard_triple(b, bs, be)
     base = verdict.bases[0]
     rep = verdict.rep_matrices[(0, 1)]
@@ -726,3 +739,27 @@ def _table_items(name):
 def test_table_digest(name):
     digest = hashlib.sha256(repr(_table_items(name)).encode()).hexdigest()
     assert digest == TABLE_DIGESTS[name]
+
+
+# the representatives each table is written from; every other entry is one
+# of them turned once or twice round the P-cycle
+REPRESENTATIVES = {"BASIS_LABELS": 2, "OPERATOR_LABELS": 1, "_BASIS_SPEC": 2,
+                   "REP_FORMS": 6, "INNER_FORMULAS": 7, "TRANSITION_TABLE": 10,
+                   "_PROPORTIONAL_ROWS": 1}
+
+
+def test_turn_follows_the_p_cycles():
+    for cycle in _P_CYCLES:
+        assert [_turn(x) for x in cycle] == [*cycle[1:], cycle[0]]
+    assert _turn(("AsA", ("u*|ue", None, "delta"), 3)) == \
+        ("AeAs", ("ue|u", None, "delta"), 3)
+
+
+@pytest.mark.parametrize("name", sorted(REPRESENTATIVES))
+def test_table_is_closed_under_the_p_cycle(name):
+    items = _table_items(name)
+    assert {_turn(x) for x in items} == set(items)
+    orbits = {frozenset((x, _turn(x), _turn(_turn(x)))) for x in items}
+    assert all(len(orbit) == 3 for orbit in orbits)
+    assert len(orbits) == REPRESENTATIVES[name]
+    assert len(items) == 3 * REPRESENTATIVES[name]
