@@ -22,13 +22,12 @@ indicator of slice i; and Eeps_i = S^-1 E_i S with S = diag(i^dist), the
 same diagonal phase that takes A to Aeps.
 
 These dense matrices serve the whole-matrix suites.  The module layer uses
-the block operators instead (`CubeContext.apply` and `project`), which act
-on many vectors at once without a dense 2^D x 2^D product: A, Aeps and the
-ladder operators L, R are gathers over the D neighbours of each vertex,
-Astar is a diagonal scale, P is D butterfly passes of P1, and the images
-under E_i come from two fast Walsh-Hadamard transforms, computed and
-certified against A on every call only for the i that the caller asks for
-(a module's window).
+the block operators instead (`CubeContext.apply`), which act on many
+vectors at once without a dense 2^D x 2^D product: A, Aeps and the ladder
+operators L, R are gathers over the D neighbours of each vertex, Astar is
+a diagonal scale and P is D butterfly passes of P1.  The module layer
+needs no idempotent over 2^D: it certifies how these operators act on each
+module's slice basis and takes the idempotents there (`decomposition`).
 
 The three whole-matrix suites close the module: the commutator and
 quadratic relations, the idempotent families (whose `F_rank[i]` rows are
@@ -62,16 +61,6 @@ class ConstructionError(RuntimeError):
     """A self-check between two independent constructions disagreed."""
 
 
-class OutsideWindow(ValueError):
-    """The rows of a block have content outside the window asked of
-    `CubeContext.project`; `parts` holds all D + 1 of their parts, each
-    certified as the full projection certifies it."""
-
-    def __init__(self, parts):
-        super().__init__("block has content outside the window")
-        self.parts = parts
-
-
 def _require(cond: bool, msg: str):
     if not cond:
         raise ConstructionError(msg)
@@ -100,22 +89,6 @@ def _phase_conjugate(m: ExactMatrix, phase) -> ExactMatrix:
 # numerator arrays: the block's own int64 arrays when the caller has checked
 # a bound, and object copies, on which numpy computes with Python ints,
 # otherwise (`linalg._numerators`); the code is the same for both.
-
-
-def _walsh_hadamard(a):
-    """a @ H for H[x, z] = (-1)^popcount(x & z), on a copy of a: one
-    butterfly pass per bit, each at most doubling the largest entry."""
-    a = a.copy()
-    rows, n = a.shape
-    h = 1
-    while h < n:
-        v = a.reshape(rows, n // (2 * h), 2, h)
-        lo, hi = v[:, :, 0, :], v[:, :, 1, :]
-        diff = lo - hi
-        lo += hi
-        hi[...] = diff
-        h *= 2
-    return a
 
 
 def _p_butterflies(re, im):
@@ -172,16 +145,24 @@ class _Gather:
         """Numerators (over den) of every row x of re + i im times M:
         (M x)[y] = sum_k M[y, y ^ shifts[k]] x[y ^ shifts[k]].  int64
         arrays must satisfy fits_i64(len(shifts), self.max, max |x|); object
-        arrays make every product one of Python ints."""
+        arrays make every product one of Python ints.  An all-zero im (a
+        real block, such as every slice basis) costs no flip and no
+        product."""
         vr, vi = self.re, self.im
+        xi_zero = not im.any()
         out_re = out_im = 0
         for k, s in enumerate(self.shifts):
-            xr, xi = _flip_bit(re, s), _flip_bit(im, s)
+            xr = _flip_bit(re, s)
             out_re = out_re + xr * vr[:, k]
-            out_im = out_im + xi * vr[:, k]
             if vi is not None:
-                out_re = out_re - xi * vi[:, k]
                 out_im = out_im + xr * vi[:, k]
+            if not xi_zero:
+                xi = _flip_bit(im, s)
+                out_im = out_im + xi * vr[:, k]
+                if vi is not None:
+                    out_re = out_re - xi * vi[:, k]
+        if isinstance(out_im, int):
+            out_im = np.zeros_like(out_re)
         return out_re, out_im
 
 
@@ -225,7 +206,6 @@ class CubeContext:
         self.hamming = dist[idx[:, None] ^ idx[None, :]]
         self._phase = (dist[None, :] - dist[:, None]) % 4
         self._dist = dist
-        self._slice_masks = dist[None, :] == np.arange(D + 1)[:, None]
 
         self.A = self._build_adjacency()
         self.Astar = self._build_dual_adjacency()
@@ -387,90 +367,6 @@ class CubeContext:
         fits = fits_i64(len(table.shifts), table.max, block._max())
         re, im = table.apply(*_numerators(block, fits))
         return ExactMatrix.from_numerators(re, im, block._den * table.den)
-
-    def project(self, family: str, block: ExactMatrix, window: range):
-        """(F_i V for i in window) for the rows V of block and the family
-        F = E, Estar or Eeps, without building F; window = range(D + 1) is
-        the full projection.
-
-        Estar_i V masks slice i.  E_i V = 2^-D (V H) diag(wt = i) H with the
-        Walsh-Hadamard matrix H, since E_i = 2^-D H diag(wt = i) H; every
-        call is certified against this context's A: the window parts sum to
-        V, and A (E_i V) = theta_i E_i V for each i in the window.  These
-        force each part to be the exact theta_i-component of V and every
-        component outside the window to be zero: the second puts each part
-        in ker(A - theta_i), kernels for distinct theta_i are independent,
-        so the first is the unique split of V along them, and it has no
-        nonzero part outside the window.  Eeps_i V = S^-1 E_i (S V) with
-        S = diag(i^dist); it is certified through E on S V, not against
-        Aeps.
-
-        When the window parts do not sum to V, some row has content outside
-        the window: OutsideWindow then carries the full projection, with
-        the full certificate, so that the caller can name the part that
-        breaks its invariant.
-        """
-        if block.cols != self.n:
-            raise ValueError(f"block has {block.cols} columns, expected {self.n}")
-        full = range(self.D + 1)
-        if family == "Estar":
-            masks = self._slice_masks[list(window)]
-            if (block.nonzero() & ~masks.any(axis=0)).any():
-                raise OutsideWindow(self.project(family, block, full))
-            # a 0/1 mask leaves every numerator as it is stored
-            re, im = block._re, block._im
-            return tuple(ExactMatrix.from_numerators(re * mask, im * mask,
-                                                     block._den)
-                         for mask in masks)
-        if family not in ("E", "Eeps"):
-            raise ValueError(f"unknown idempotent family {family!r}")
-        re, im = block._re, block._im
-        if family == "Eeps":
-            re, im = _times_i_power(re, im, self._dist)
-        parts = self._spectral_parts(re, im, block._max(), window)
-        if parts is None:
-            raise OutsideWindow(self.project(family, block, full))
-        out = []
-        for zr, zi in parts:
-            if family == "Eeps":
-                zr, zi = _times_i_power(zr, zi, -self._dist)
-            out.append(ExactMatrix.from_numerators(zr, zi, block._den * self.n))
-        return tuple(out)
-
-    def _spectral_parts(self, re, im, m: int, window: range):
-        """Numerators, over 2^D, of E_i x for every row x of re + i im (stored
-        numerator arrays with entries bounded by m) and every i in window:
-        one Walsh-Hadamard pass for all of them, then one pass and one A
-        gather per part in the window.  Certified against A as `project`
-        says; None when the parts do not sum to every x.  The full window
-        always sums to x, unless the transforms are wrong, which the
-        certificate reports."""
-        n, D = self.n, self.D
-        a = self._gather_table("A")
-        # |x H| <= n m and each part is at most n^2 m; their sum, theta_i
-        # times one and A times one stay below (2D + 2) n^2 m a.max a.den
-        if m * n * n * (2 * D + 2) * a.max * a.den >= I64_LIMIT:
-            re = re.astype(object, copy=False)
-            im = im.astype(object, copy=False)
-        rows = re.shape[0]
-        masks = self._slice_masks[list(window)]
-        spectrum = _walsh_hadamard(np.concatenate([re, im]))
-        masked = spectrum[None, :, :] * masks[:, None, :]
-        parts = _walsh_hadamard(masked.reshape(-1, n)).reshape(
-            len(masks), 2, rows, n)
-        zr, zi = parts[:, 0], parts[:, 1]
-        sums = (np.array_equal(zr.sum(axis=0), n * re)
-                and np.array_equal(zi.sum(axis=0), n * im))
-        if not sums and len(masks) <= D:
-            return None
-        ar, ai = a.apply(zr.reshape(-1, n), zi.reshape(-1, n))
-        ar, ai = ar.reshape(zr.shape), ai.reshape(zi.shape)
-        self._certify(
-            sums,
-            ((i, np.array_equal(ar[k], self.theta[i] * a.den * zr[k])
-              and np.array_equal(ai[k], self.theta[i] * a.den * zi[k]))
-             for k, i in enumerate(window)))
-        return list(zip(zr, zi))
 
     # -- slices --------------------------------------------------------------------
 

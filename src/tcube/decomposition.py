@@ -23,26 +23,32 @@ dimension count) is re-verified on the constructed data against the
 context's operators, and `decompose` says why these checks prove that the
 seeds span the kernel of L on each slice.
 
-A module's slice basis is stored as one block, a (d+1) x 2^D matrix with
-one vector per row: the context's structured operators (`CubeContext.apply`,
-`project`) give L, R and Astar of the whole block and the images E_i W and
-Eeps_i W over the module's window r <= i <= r+d in one call each, and the
-checks compare rows of blocks at once.
+A module's slice basis B is stored as one block, a (d+1) x 2^D matrix with
+one vector b_k per row; the context's block operators (`CubeContext.apply`)
+give L, R, A, Astar, Aeps and P of the whole block in one call each.  Each
+module is certified once over the 2^D columns: its *frame* (`ModuleFrame`)
+is the exact (d+1) x (d+1) matrix of each of A, Astar, Aeps and P in the
+basis B, read off the images of B and certified by reconstructing them,
+with the diagonal Gram B B^*.  From then on the module is (d+1)-dimensional:
+its idempotents are the spectral idempotents of the frame's matrices
+(`spectral_parts`), and the six bases and every check on them are
+coordinates in B (`leonard`).  By the tensor structure the frame depends
+only on the module's endpoint, once the Gram is divided by <u*, u*>.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Dict, Tuple
 
 import numpy as np
 
-from .cube import CubeContext, OutsideWindow
+from .cube import CubeContext
 from .linalg import (ExactMatrix, ExactVector, _as_object, _fits, _max_abs,
-                     _numerators, fits_i64)
+                     _numerators, fits_i64, inverse_diagonal)
 from .report import check_true
 from .scalar import GaussRat
 
@@ -95,18 +101,48 @@ def proportional_rows(x: ExactMatrix, y: ExactMatrix):
 # The seeds in the row order of IrreducibleModule.seeds
 SEED_NAMES = ("u", "u*", "ue")
 
+# The operators of a frame, in the row-block order of its certification
+FRAME_OPS = ("A", "Astar", "Aeps", "P")
+
+
+@dataclass(frozen=True)
+class ModuleFrame:
+    """How A, Astar, Aeps and P act on a module W, in its slice basis B.
+
+    A vector of W is x B for a coordinate row x of length d + 1, and
+    op (x B) = (x M_op) B: row k of M_op holds the coordinates of op b_k.
+    `gram` is B B^*, diagonal with positive real entries, so
+    <x B, y B> = x gram y^*."""
+
+    A: ExactMatrix
+    Astar: ExactMatrix
+    Aeps: ExactMatrix
+    P: ExactMatrix
+    gram: ExactMatrix
+
+    def apply(self, op: str, block: ExactMatrix) -> ExactMatrix:
+        """op applied to every coordinate row of block: block @ M_op."""
+        return block @ getattr(self, op)
+
+    @cached_property
+    def normalized(self) -> "ModuleFrame":
+        """This frame with its Gram divided by <b_0, b_0> = <u*, u*>: what
+        remains when the scale of B is forgotten, which no verdict reads."""
+        return replace(self, gram=self.gram.scale(1 / self.gram[0, 0]))
+
 
 @dataclass(frozen=True)
 class IrreducibleModule:
     """One irreducible T-module: endpoint r, diameter d = D - 2r, its three
-    seeds as the rows of one block in SEED_NAMES order, and its slice
-    basis, a block with one vector per distance slice."""
+    seeds as the rows of one block in SEED_NAMES order, its slice basis, a
+    block with one vector per distance slice, and its certified frame."""
 
     r: int
     d: int
     index: int
     seeds: ExactMatrix
     slice_basis: ExactMatrix
+    frame: ModuleFrame
 
     @property
     def dim(self) -> int:
@@ -206,43 +242,65 @@ def closed_form_seeds(D: int):
     return seeds
 
 
-def window_images(ctx: CubeContext, family: str, block: ExactMatrix,
-                  window: range):
-    """{i: family_i V} for the rows V of block over the window, whose
-    certificate proves every part outside it zero; when V has content
-    outside the window, {i: family_i V} for every i = 0..D, so that the
-    caller's check on the parts names the one that breaks its invariant."""
-    try:
-        return dict(zip(window, ctx.project(family, block, window)))
-    except OutsideWindow as exc:
-        return dict(enumerate(exc.parts))
+def _lagrange_denominator(d: int, k: int) -> int:
+    """prod_(j != k) (theta_k - theta_j) for theta_j = d - 2j, that is
+    prod_(j != k) 2 (j - k) = 2^d (-1)^k k! (d - k)!."""
+    return 2 ** d * (-1) ** k * math.factorial(k) * math.factorial(d - k)
 
 
-def _check_images_thin(parts, r, d, index, label):
-    """dim(family_i W) <= 1 with the nonvanishing window r <= i <= r+d;
-    parts maps i to the images under family_i of the slice basis, one per
-    row, in ascending i."""
-    for i, images in parts.items():
-        nonzero = images.nonzero().any(axis=1)
-        in_window = r <= i <= r + d
-        if in_window and not nonzero.any():
-            _fail(r, index, f"{label}_{i} W vanished inside the window")
-        if not in_window and nonzero.any():
-            _fail(r, index, f"{label}_{i} W nonzero outside the window")
-        if nonzero.any():
-            p = int(nonzero.argmax())
-            first = images.block(slice(p, p + 1), slice(None))
-            if not proportional_rows(images, first).all():
-                _fail(r, index, f"dim({label}_{i} W) > 1 (not thin)")
+@lru_cache(maxsize=None)
+def spectral_parts(m: ExactMatrix):
+    """(parts, failure) for a frame matrix m, (d+1) x (d+1), and the
+    eigenvalues theta_k = d - 2k that A has on E_(r+k) W (and Aeps on
+    Eeps_(r+k) W).
+
+    parts[k] = prod_(j != k) (m - theta_j) / (theta_k - theta_j), by
+    prefix and suffix products.  failure is None when the certificate
+    holds: the parts sum to I, parts[k] m = theta_k parts[k], and every
+    part is nonzero.  Otherwise it names the first check that fails, as
+    ("sum", None), ("eigen", k) or ("zero", k).  Memoized on m's exact
+    entries: modules with equal frames share one computation."""
+    n = m.rows
+    d = n - 1
+    ident = ExactMatrix.identity(n)
+    factors = [m - ident.scale(d - 2 * j) for j in range(n)]
+    before, after = [ident], [ident]
+    for j in range(d):
+        before.append(before[-1] @ factors[j])
+        after.append(factors[d - j] @ after[-1])
+    parts = tuple((before[k] @ after[d - k]).scale(
+        Fraction(1, _lagrange_denominator(d, k))) for k in range(n))
+    total = parts[0]
+    for f in parts[1:]:
+        total = total + f
+    if total != ident:
+        return parts, ("sum", None)
+    for k, f in enumerate(parts):
+        if f @ m != f.scale(d - 2 * k):
+            return parts, ("eigen", k)
+        if f.is_zero():
+            return parts, ("zero", k)
+    return parts, None
 
 
-def _validate_module(ctx: CubeContext, mod: IrreducibleModule,
-                     raised_top: ExactMatrix, e_parts, eeps_parts) -> None:
-    """The invariants of one module; raised_top is R applied to the top
-    vector of its slice basis, and e_parts / eeps_parts are the images of
-    the slice basis under E_i and Eeps_i."""
-    r, d, index = mod.r, mod.d, mod.index
-    block = mod.slice_basis
+def _spectral_failure(failure, r: int, d: int, label: str, op: str) -> str:
+    """The message for a `spectral_parts` failure of operator op, whose
+    parts are the family `label` on a module with endpoint r."""
+    kind, k = failure
+    if kind == "sum":
+        return f"the {label}_i W do not sum to W"
+    i = r + k
+    if kind == "eigen":
+        return f"{op} {label}_{i} W != {d - 2 * k} {label}_{i} W"
+    return f"{label}_{i} W vanished inside the window"
+
+
+def _validate_ladder(ctx: CubeContext, r: int, index: int, ladder):
+    """The slice-ladder invariants of one module; ladder holds the seed u*
+    and its images under R, R^2, ..., R^(d+1), one row each.  Returns the
+    slice basis (the first d + 1 rows) and its image under Astar."""
+    d = len(ladder) - 2
+    block = ExactMatrix.stack(ladder[:-1])
     if d != ctx.D - 2 * r:
         _fail(r, index, "diameter is not D - 2r")
     nonzero = block.nonzero()
@@ -265,23 +323,78 @@ def _validate_module(ctx: CubeContext, mod: IrreducibleModule,
     for k in range(1, d + 1):
         if not lowered_nonzero[k] or not onto[k]:
             _fail(r, index, f"L does not map slice {k} onto slice {k - 1}")
-    if not raised_top.is_zero():
+    if not ladder[-1].is_zero():
         _fail(r, index, "raising the top slice does not vanish")
     # closure under Astar is automatic for slice-supported vectors; verify.
     scaled = ExactMatrix.diagonal([ctx.D - 2 * (r + k)
                                    for k in range(d + 1)]) @ block
-    for k, ok in enumerate(ctx.apply("Astar", block).row_equal(scaled)):
+    astar = ctx.apply("Astar", block)
+    for k, ok in enumerate(astar.row_equal(scaled)):
         if not ok:
             _fail(r, index, f"Astar does not scale slice {k}")
-    seed_nonzero = mod.seeds.nonzero().any(axis=1)
+    return block, astar
+
+
+def _certify_frame(ctx: CubeContext, r: int, index: int, block: ExactMatrix,
+                   astar: ExactMatrix) -> ModuleFrame:
+    """The frame of the module with slice basis `block`, whose image under
+    Astar is `astar`.  One A and one Aeps gather and one P pass on the
+    block; the coordinates of every image are read off images @ B^* times
+    the inverse norms and certified by the exact reconstruction
+    coords @ B == images, which proves that the operator maps W into W.
+    The Gram B B^* must be diagonal."""
+    n = block.rows
+    gram = block @ block.adjoint()
+    if (gram.nonzero() != np.eye(n, dtype=bool)).any():
+        _fail(r, index, "the slice basis is not orthogonal")
+    images = ExactMatrix.stack([ctx.apply("A", block), astar,
+                                ctx.apply("Aeps", block),
+                                ctx.apply("P", block)])
+    coords = (images @ block.adjoint()) @ inverse_diagonal(gram)
+    closed = (coords @ block).row_equal(images).reshape(len(FRAME_OPS), n)
+    for op, ok in zip(FRAME_OPS, closed.all(axis=1)):
+        if not ok:
+            _fail(r, index, f"{op} does not map W into W")
+    return ModuleFrame(*(coords.block(slice(k * n, (k + 1) * n), slice(None))
+                         for k in range(len(FRAME_OPS))), gram=gram)
+
+
+def seed_coordinates(frame: ModuleFrame) -> ExactMatrix:
+    """The seeds u = E_r u*, u* = b_0 and ue = Eeps_r u* in coordinates, in
+    SEED_NAMES order: row 0 of the parts for theta_r of the frame's A and
+    Aeps, and the unit row e_0.  Meaningful once the spectral certificates
+    of both hold, which `decompose` checks."""
+    return _seed_coordinates(frame.A, frame.Aeps)
+
+
+@lru_cache(maxsize=None)
+def _seed_coordinates(a: ExactMatrix, aeps: ExactMatrix) -> ExactMatrix:
+    rows = [spectral_parts(m)[0][0].block([0], slice(None)) for m in (a, aeps)]
+    unit = ExactMatrix.identity(a.rows).block([0], slice(None))
+    return ExactMatrix.stack([rows[0], unit, rows[1]])
+
+
+def _seeds(r: int, index: int, block: ExactMatrix,
+           frame: ModuleFrame) -> ExactMatrix:
+    """The seeds u, u* and ue over 2^D, after the spectral certificates of
+    the frame's A and Aeps: their coordinates mapped back through B."""
+    d = block.rows - 1
+    for op, label in (("A", "E"), ("Aeps", "Eeps")):
+        failure = spectral_parts(getattr(frame, op))[1]
+        if failure is not None:
+            _fail(r, index, _spectral_failure(failure, r, d, label, op))
+    seeds = seed_coordinates(frame) @ block
+    seed_nonzero = seeds.nonzero().any(axis=1)
     for k in (0, 2):
         if not seed_nonzero[k]:
             _fail(r, index, f"seed {SEED_NAMES[k]} is zero")
+    return seeds
+
+
+def _check_seed_pairings(mod: IrreducibleModule) -> None:
     for a, b in (("u*", "u"), ("u", "ue"), ("ue", "u*")):
         if not mod.seed_inner(a, b):
-            _fail(r, index, f"<{a},{b}> vanished")
-    _check_images_thin(e_parts, r, d, index, "E")
-    _check_images_thin(eeps_parts, r, d, index, "Eeps")
+            _fail(mod.r, mod.index, f"<{a},{b}> vanished")
 
 
 def _check_orthogonal_sum(ctx: CubeContext, modules) -> None:
@@ -329,9 +442,23 @@ def decompose(ctx: CubeContext) -> Decomposition:
     a multiple of that module's seed if its endpoint is r, and zero
     otherwise.  The count C(D,r) - C(D,r-1) per r is checked as well.
 
-    Per module: one R gather per ladder step, one E and one Eeps call on
-    the stacked slice basis over the window r..r+d (giving u = E_r u* and
-    ue = Eeps_r u* too)."""
+    Each module's frame is certified: W = span(b_k) is closed under A,
+    Astar, Aeps and P, with exact matrices M_A, ... in the basis B.  The
+    frame's spectral certificates then stand in for projections over 2^D.
+    The parts F_k of M_A (`spectral_parts`) sum to I, satisfy
+    F_k M_A = theta_(r+k) F_k and are nonzero, for the d + 1 distinct
+    eigenvalues theta_(r+k) = d - 2k, so W splits into d + 1 nonzero
+    eigenspaces of A, each of dimension 1.  E_i = p_i(A) for the Lagrange
+    polynomial p_i of theta_i over the spectrum of A, so on W it acts as
+    p_i(M_A) = sum_k p_i(theta_(r+k)) F_k: that is F_(i-r) inside the
+    window r <= i <= r+d and 0 outside it.  Hence dim E_i W is 1 on the
+    window and 0 off it (W is thin, with a nonvanishing window), and
+    u = E_r u* = (row 0 of F_0) B.  The same argument with Aeps, M_Aeps
+    and Eeps_i gives the same for Eeps, and ue = Eeps_r u*.
+
+    Per module: one R gather per ladder step, one L, Astar, A and Aeps
+    gather and one P pass on the slice basis, and the spectral parts of
+    its frame, computed once per distinct frame matrix."""
     modules = []
     mults = {}
     for r, numerators in closed_form_seeds(ctx.D).items():
@@ -345,19 +472,12 @@ def decompose(ctx: CubeContext) -> Decomposition:
             ladder = [seeds.block([index], slice(None))]
             for _ in range(d + 1):
                 ladder.append(ctx.apply("R", ladder[-1]))
-            block = ExactMatrix.stack(ladder[:-1])
-            window = range(r, r + d + 1)
-            e_parts = window_images(ctx, "E", block, window)
-            eeps_parts = window_images(ctx, "Eeps", block, window)
-            # the seeds u = E_r u*, u*, ue = Eeps_r u*: row 0 of each block
-            seed_blocks = (e_parts[r], ladder[0], eeps_parts[r])
+            block, astar = _validate_ladder(ctx, r, index, ladder)
+            frame = _certify_frame(ctx, r, index, block, astar)
             mod = IrreducibleModule(
-                r=r, d=d, index=index,
-                seeds=ExactMatrix.stack([b.block([0], slice(None))
-                                         for b in seed_blocks]),
-                slice_basis=block,
-            )
-            _validate_module(ctx, mod, ladder[-1], e_parts, eeps_parts)
+                r=r, d=d, index=index, seeds=_seeds(r, index, block, frame),
+                slice_basis=block, frame=frame)
+            _check_seed_pairings(mod)
             modules.append(mod)
         mults[r] = seeds.rows
     _check_orthogonal_sum(ctx, modules)
@@ -427,6 +547,7 @@ def normalize_seeds(mod: IrreducibleModule, a, b, c) -> IrreducibleModule:
         mod,
         seeds=ExactMatrix.diagonal([lam, lam_star, lam_eps]) @ mod.seeds,
         slice_basis=mod.slice_basis.scale(lam_star),
+        frame=replace(mod.frame, gram=mod.frame.gram.scale(root * root)),
     )
     got = (out.seed_inner("u", "u*"), out.seed_inner("u*", "ue"),
            out.seed_inner("ue", "u"))

@@ -27,33 +27,48 @@ provides:
     coherence;
   * a generic Leonard-triple recognizer working over Q(i).
 
-The six bases come from one call per idempotent family on the stacked seeds
-over the module's window (`CubeContext.project`) and are kept as one block,
-d + 1 rows per basis; every operator acts on all six bases at once
-(`CubeContext.apply`).  Each basis is the image of one seed under a family
-of Hermitian orthogonal idempotents, so it is orthogonal: coordinates are
-<t, b_k> / <b_k, b_k>, once the basis's Gram block is seen to be diagonal,
-and every solve is certified by exact reconstruction.  Only the Leonard recognizer, whose
-eigenbases need not be orthogonal, eliminates.
+Everything here is (d+1)-dimensional.  A module's certified frame
+(`decomposition.ModuleFrame`) holds the matrices of A, Astar, Aeps and P in
+its slice basis B and the diagonal Gram of B, and a vector of the module is
+a coordinate row x, standing for x B.  The six bases are one block of such
+coordinates, d + 1 rows per basis: E and Eeps act through the spectral
+idempotents of the frame's A and Aeps, Estar through the unit diagonals,
+and each operator through its frame matrix, on all six bases at once.
+Inner products go through the Gram: <x B, y B> = x gram(B) y^*.  B is a
+basis, so coordinates are equal exactly when the vectors are, and every
+verdict is the one that the vectors over 2^D columns give.  Each basis is
+the image of one seed under a family of Hermitian orthogonal idempotents,
+so it is orthogonal: coordinates are <t, b_k> / <b_k, b_k>, once the
+basis's Gram block is seen to be diagonal, and every solve is certified by
+exact reconstruction.  Only the Leonard recognizer, whose eigenbases need
+not be orthogonal, eliminates.
 
 Each module's checks are whole-matrix operations.  The closed forms are
 tables of Gaussian-integer numerators, built once per Phi matrix (one per
 inner-product kind and one per transition pattern) and scaled per module by
-one seed scalar, read off the module's 3 x 3 Gram matrix of the seeds.
+one seed scalar, read off the Gram matrix of the frame's seeds.
 The inner products are the blocks of one Gram matrix of the six stacked
 bases, each compared with its scaled table entry by entry.  The rep matrices
-are one gather per operator on the six stacked bases and one coordinate
+are one product per operator on the six stacked bases and one coordinate
 product for all six, certified by one reconstruction and compared with one
 closed-form table; the 36 transitions are one coordinate call per source
 basis on all six bases at once, and the inverse and composition rows are
 the blocks of one product per middle basis.
+
+Every result is a function of the module's normalized frame (its Gram
+divided by <u*, u*>, a scale that no verdict reads) and of the Phi matrix,
+and all modules of one endpoint share one normalized frame.  So the six
+bases, the rep cells, the inner products, the transitions and the
+recognizer are memoized on the exact entries of what they read
+(`_memoized`, and a cache on `is_leonard_triple`), and each is computed
+once per distinct frame.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
@@ -61,9 +76,11 @@ from typing import Dict, List, Mapping, Tuple
 import numpy as np
 
 from .cube import CubeContext
-from .decomposition import SEED_NAMES, IrreducibleModule, window_images
+from .decomposition import (SEED_NAMES, IrreducibleModule, ModuleFrame,
+                            _spectral_failure, seed_coordinates,
+                            spectral_parts)
 from .linalg import (ExactMatrix, ExactVector, SingularMatrixError,
-                     kernel_basis, pivot_inverse)
+                     inverse_diagonal, kernel_basis, pivot_inverse)
 from .report import IdentityCheck, check_true
 from .scalar import GaussRat
 
@@ -231,13 +248,42 @@ class BasisSolver:
         return coeffs
 
 
+# -- the memo on the frame -----------------------------------------------------------
+
+
+def _memoized(key):
+    """Decorator: the function's result is computed once per distinct
+    key(*args) and returned to every later call with an equal key.  Keys
+    compare by exact equality.  They are a module's normalized frame and
+    six-basis coordinates, and the Phi matrix, of which every
+    (d+1)-dimensional result below is a function, so modules with equal
+    frames share one computation.  A call that raises stores nothing, so
+    each failing call raises its own error, naming its own module.  The
+    memo lives as long as the process, with one entry per distinct key: a
+    few per dimension, since a dimension D has D // 2 + 1 frames."""
+    def decorate(fn):
+        memo = {}
+
+        @wraps(fn)
+        def cached(*args):
+            k = key(*args)
+            if k not in memo:
+                memo[k] = fn(*args)
+            return memo[k]
+        return cached
+    return decorate
+
+
 # -- the six bases ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SixBases:
     """The six bases of one module as the rows of one block, in BASIS_LABELS
-    order; `bases[label]` is the (d+1) x 2^D block of one basis."""
+    order, in coordinates: `stacked` is 6(d+1) x (d+1), and row k of
+    `bases[label]`, times the module's slice basis B, is vector k of basis
+    `label`.  Inner products go through the Gram of B, read off the
+    module's normalized frame."""
 
     module: IrreducibleModule
     stacked: ExactMatrix
@@ -251,9 +297,26 @@ class SixBases:
         return slice(k * n, (k + 1) * n)
 
     @cached_property
+    def frame(self) -> ModuleFrame:
+        """The module's normalized frame."""
+        return self.module.frame.normalized
+
+    @cached_property
+    def key(self):
+        """The exact data that every result on these bases is a function
+        of: the normalized frame and the coordinates."""
+        return (self.frame, self.stacked)
+
+    @cached_property
+    def weighted(self) -> ExactMatrix:
+        """gram(B) @ stacked^*: row x of X @ weighted holds <x, b> for each
+        row b of stacked, for coordinate rows X."""
+        return self.frame.gram @ self.stacked.adjoint()
+
+    @cached_property
     def gram(self) -> ExactMatrix:
-        """stacked @ stacked^*: entry (a, b) is <row a, row b>."""
-        return self.stacked @ self.stacked.adjoint()
+        """Entry (a, b) is <row a, row b>."""
+        return self.stacked @ self.weighted
 
     def orthogonal(self, label: str) -> bool:
         """Whether the Gram block of basis `label` is diagonal with a
@@ -267,38 +330,34 @@ class SixBases:
                           f"r={self.module.r} index={self.module.index})")
 
     def inverse_norms(self, rows: slice) -> ExactMatrix:
-        """diag(1 / <b_k, b_k>) over the rows b_k of stacked in `rows`, from
-        the integer Gram diagonal: <b_k, b_k> = re[k, k] / den is real and
-        positive, so its inverse is den * (l / re[k, k]) / l for l the lcm
-        of the re[k, k].  A zero norm, which only a basis that fails
-        `orthogonal` has, stands in as 1."""
-        norm = [int(x) or 1 for x in self.gram._re.diagonal()[rows]]
-        l = math.lcm(*norm)
-        inverse = np.diag(np.array([self.gram._den * (l // x) for x in norm],
-                                   dtype=object))
-        return ExactMatrix.from_numerators(inverse, 0 * inverse, l)
+        """diag(1 / <b_k, b_k>) over the rows b_k of stacked in `rows`.  A
+        zero norm, which only a basis that fails `orthogonal` has, stands
+        in as 1."""
+        return inverse_diagonal(self.gram.block(rows, rows))
 
     def coords(self, label: str, targets: ExactMatrix) -> ExactMatrix:
         """The matrix whose j-th column holds the coordinates of row j of
-        targets in basis `label`: coordinate k is <t, b_k> / <b_k, b_k>,
-        once the basis is seen to be `orthogonal`, certified by the one
-        product coords^T @ basis == targets."""
+        targets (coordinate rows) in basis `label`: coordinate k is
+        <t, b_k> / <b_k, b_k>, once the basis is seen to be `orthogonal`,
+        certified by the one product coords^T @ basis == targets."""
         if not self.orthogonal(label):
             raise self.not_orthogonal(label)
-        basis = self[label]
-        coeffs = self.inverse_norms(self.rows(label)) @ \
-            (targets @ basis.adjoint()).transpose()
-        if coeffs.transpose() @ basis != targets:
+        rows = self.rows(label)
+        coeffs = self.inverse_norms(rows) @ \
+            (targets @ self.weighted.block(slice(None), rows)).transpose()
+        if coeffs.transpose() @ self[label] != targets:
             raise BasisError("target is outside the span of the basis")
         return coeffs
 
     @cached_property
     def seed_scalars(self) -> Dict[str, GaussRat]:
-        """The nine seed inner products, keyed "a|b", from the module's seed
-        Gram matrix; the inner-product, proportionality and transition
-        checks share them."""
-        return {f"{a}|{b}": self.module.seed_inner(a, b)
-                for a in SEED_NAMES for b in SEED_NAMES}
+        """The nine inner products, keyed "a|b", of the frame's seeds
+        u = E_r u*, u* and ue = Eeps_r u*; the inner-product,
+        proportionality and transition checks share them."""
+        seeds = seed_coordinates(self.frame)
+        gram = seeds @ self.frame.gram @ seeds.adjoint()
+        return {f"{a}|{b}": gram[i, j] for i, a in enumerate(SEED_NAMES)
+                for j, b in enumerate(SEED_NAMES)}
 
 
 # basis label -> (idempotent family, seed); vector i is family_(r+i) seed
@@ -320,56 +379,72 @@ _SEED_ROWS = {name: k for k, name in enumerate(SEED_NAMES + _CHAINED[1:])}
 
 
 def build_six_bases(ctx: CubeContext, mod: IrreducibleModule) -> SixBases:
-    """Apply the idempotent families to the seeds; every vector must be
-    nonzero, the seeds must decompose as the sums of their slices, and the
-    bases must be P-images of each other under the chained normalization.
+    """The six bases of a module, in coordinates in its slice basis.  ctx is
+    not read: the module's certified frame holds all that they need."""
+    return SixBases(module=mod, stacked=_six_bases_block(mod))
 
-    One call per family on the block [u, u*, ue, Pu, P^2 u, P^3 u] over
-    the window r..r+d gives every vector of the six bases and of the P-shift
-    checks: row i*6 + k of the family's window is family_(r+i) applied to
-    seed row k, so the basis generated by seed row k is the strided row
-    slice k::6.  A seed with content outside the window fails the sum-back
-    or the P-shift check below."""
-    r, d = mod.r, mod.d
-    n = d + 1
-    chained = [mod.seeds.block([0], slice(None))]
+
+def _family_parts(mod: IrreducibleModule):
+    """{family: its parts on W}, as coordinate matrices x -> x @ part for
+    i = r..r+d: the spectral parts of the frame's A (E) and Aeps (Eeps),
+    and the unit diagonals (Estar, which masks slice r + i)."""
+    n = mod.d + 1
+    parts = {"Estar": tuple(ExactMatrix.diagonal([int(j == k)
+                                                  for j in range(n)])
+                            for k in range(n))}
+    for op, family in (("A", "E"), ("Aeps", "Eeps")):
+        parts[family], failure = spectral_parts(getattr(mod.frame, op))
+        if failure is not None:
+            raise BasisError(
+                f"{_spectral_failure(failure, mod.r, mod.d, family, op)} "
+                f"(module r={mod.r} index={mod.index})")
+    return parts
+
+
+@_memoized(lambda mod: mod.frame.normalized)
+def _six_bases_block(mod: IrreducibleModule) -> ExactMatrix:
+    """Apply the idempotent families to the seeds; every vector must be
+    nonzero, and the bases must be P-images of each other under the
+    chained normalization.
+
+    The family parts act on the coordinate block [u, u*, ue, Pu, P^2 u,
+    P^3 u] of the frame's seeds: row i*6 + k of a family's window is
+    family_(r+i) applied to seed row k, so the basis generated by seed row k
+    is the strided row slice k::6.  A basis sums back to its seed because
+    the parts sum to I."""
+    frame = mod.frame.normalized
+    n = mod.d + 1
+    seeds = seed_coordinates(frame)
+    chained = [seeds.block([0], slice(None))]
     for _ in range(3):
-        chained.append(ctx.apply("P", chained[-1]))
-    seeds = ExactMatrix.stack([mod.seeds] + chained[1:])
-    span = range(r, r + n)
-    window = {}
-    for family in ("E", "Estar", "Eeps"):
-        images = window_images(ctx, family, seeds, span)
-        window[family] = ExactMatrix.stack([images[i] for i in span])
+        chained.append(frame.apply("P", chained[-1]))
+    seeds = ExactMatrix.stack([seeds] + chained[1:])
+    window = {family: ExactMatrix.stack([seeds @ part for part in parts])
+              for family, parts in _family_parts(mod).items()}
 
     def basis(family, seed):
         k = _SEED_ROWS[seed]
         return window[family].block(slice(k, None, len(_SEED_ROWS)),
                                     slice(None))
 
-    bases = SixBases(module=mod, stacked=ExactMatrix.stack(
-        [basis(*_BASIS_SPEC[label]) for label in BASIS_LABELS]))
-    zero = ~bases.stacked.nonzero().any(axis=1)
+    stacked = ExactMatrix.stack([basis(*_BASIS_SPEC[label])
+                                 for label in BASIS_LABELS])
+    zero = ~stacked.nonzero().any(axis=1)
     if zero.any():
         z = int(zero.argmax())
         raise BasisError(f"basis {BASIS_LABELS[z // n]} vector {z % n} is "
-                         f"zero (module r={r} index={mod.index})")
-    ones = np.ones((1, n), dtype=np.int64)
-    ones = ExactMatrix.from_numerators(ones, 0 * ones, 1)
-    for label in BASIS_LABELS:
-        k = _SEED_ROWS[_BASIS_SPEC[label][1]]
-        if ones @ bases[label] != seeds.block(slice(k, k + 1), slice(None)):
-            raise BasisError(f"basis {label} does not sum back to its seed")
-    _check_p_shift(ctx, mod, basis)
-    return bases
+                         f"zero (module r={mod.r} index={mod.index})")
+    _check_p_shift(frame, mod, basis)
+    return stacked
 
 
-def _check_p_shift(ctx: CubeContext, mod: IrreducibleModule, basis) -> None:
+def _check_p_shift(frame: ModuleFrame, mod: IrreducibleModule,
+                   basis) -> None:
     """Each pair of _P_SHIFTS at each slice i, with one P pass over all the
     left-hand sides; basis(family, seed) is the block of family_(r+i) seed
     over i, so row (d+1)*k + i of the pass is pair k at slice i."""
-    shifted = ctx.apply("P", ExactMatrix.stack([basis(*lhs)
-                                                for _, lhs, _ in _P_SHIFTS]))
+    shifted = frame.apply("P", ExactMatrix.stack([basis(*lhs)
+                                                  for _, lhs, _ in _P_SHIFTS]))
     targets = ExactMatrix.stack([basis(*rhs) for _, _, rhs in _P_SHIFTS])
     failed = ~shifted.row_equal(targets).reshape(len(_P_SHIFTS), mod.d + 1)
     if failed.any():
@@ -458,7 +533,14 @@ def rep_form_table(d: int) -> ExactMatrix:
 
 def verify_rep_matrices(ctx: CubeContext, bases: SixBases) -> List[RepCell]:
     """The full 6 bases x 3 operators grid against the closed forms, with
-    one operator pass and one coordinate product per module.
+    one operator pass and one coordinate product per distinct frame (see
+    `_rep_cells`); ctx is not read."""
+    return list(_rep_cells(bases))
+
+
+@_memoized(lambda bases: bases.key)
+def _rep_cells(bases: SixBases) -> Tuple[RepCell, ...]:
+    """The 18 cells of `verify_rep_matrices`.
 
     Each operator is applied once to all six bases; row (o, b, j) of the
     stacked images is operator o applied to vector j of basis b, and its
@@ -470,13 +552,13 @@ def verify_rep_matrices(ctx: CubeContext, bases: SixBases) -> List[RepCell]:
     raises as SixBases.coords does, orthogonality first."""
     d = bases.module.d
     n, nb = d + 1, len(BASIS_LABELS)
-    images = ExactMatrix.stack([ctx.apply(op, bases.stacked)
+    images = ExactMatrix.stack([bases.frame.apply(op, bases.stacked)
                                 for op in OPERATOR_LABELS])
     # the basis of each column of coordinates and of each row of images
     col_basis = np.arange(nb * n) // n
     row_basis = np.tile(col_basis, len(OPERATOR_LABELS))
     own = row_basis[:, None] == col_basis[None, :]
-    products = images @ bases.stacked.adjoint()
+    products = images @ bases.weighted
     coeffs = ExactMatrix.from_numerators(
         products._re * own, products._im * own, products._den) \
         @ bases.inverse_norms(slice(None))
@@ -496,7 +578,7 @@ def verify_rep_matrices(ctx: CubeContext, bases: SixBases) -> List[RepCell]:
                                  form=REP_FORMS[(op_name, name)],
                                  passed=bool(agrees[rows, cols].all()),
                                  matrix=coeffs.block(rows, cols).transpose()))
-    return cells
+    return tuple(cells)
 
 
 # -- closed-form tables ----------------------------------------------------------------
@@ -604,9 +686,16 @@ INNER_FORMULAS = _orbit_table(
 
 
 def verify_inner_products(bases: SixBases, phi: PhiMatrix) -> List[GridCheck]:
-    """Every pairing of the closed-form inner-product theorems, all (i, j):
-    each block of the Gram matrix of the six stacked bases against its
-    table scaled by the seed scalar."""
+    """Every pairing of the closed-form inner-product theorems, all (i, j),
+    computed once per distinct frame and Phi (see `_inner_checks`)."""
+    return list(_inner_checks(bases, phi))
+
+
+@_memoized(lambda bases, phi: (bases.key, phi))
+def _inner_checks(bases: SixBases, phi: PhiMatrix) -> Tuple[GridCheck, ...]:
+    """The checks of `verify_inner_products`: each block of the Gram matrix
+    of the six stacked bases against its table scaled by the seed scalar,
+    then the slicewise proportionality."""
     n = bases.module.d + 1
     gram = bases.gram
     scal = bases.seed_scalars
@@ -618,7 +707,7 @@ def verify_inner_products(bases: SixBases, phi: PhiMatrix) -> List[GridCheck]:
         checks.extend(GridCheck(f"inner[{x}|{y}]", i, j, bool(ok[i, j]))
                       for i in range(n) for j in range(n))
     checks.extend(_verify_slice_proportionality(bases))
-    return checks
+    return tuple(checks)
 
 
 # (x, y, seed scalar key, norm key): vector i of x is i^i (1-i)^d times
@@ -732,13 +821,20 @@ class TransitionReport:
 
 def transition_matrices(bases: SixBases, phi: PhiMatrix) -> TransitionReport:
     """All 36 transitions: direct change-of-basis vs closed form, then
-    inverse and composition coherence on the computed matrices.
+    inverse and composition coherence on the computed matrices."""
+    cells, coherence = _transitions(bases, phi)
+    return TransitionReport(module=bases.module, cells=dict(cells),
+                            coherence=coherence)
+
+
+@_memoized(lambda bases, phi: (bases.key, phi))
+def _transitions(bases: SixBases, phi: PhiMatrix):
+    """The cells and coherence checks of `transition_matrices`.
 
     The coordinates of all six bases in one source basis are one coords
     call, so the transitions are the blocks of a 6(d+1) x 6(d+1) matrix T
     (row block src, column block dst); for each middle basis b, block (a, c)
     of T[:, b] @ T[b, :] is T(a,b) T(b,c)."""
-    mod = bases.module
     computed = ExactMatrix.stack([bases.coords(label, bases.stacked)
                                   for label in BASIS_LABELS])
     formulas = transition_formulas(bases.seed_scalars, phi)
@@ -755,7 +851,7 @@ def transition_matrices(bases: SixBases, phi: PhiMatrix) -> TransitionReport:
     through = {b: computed.block(every, rows[b])
                @ computed.block(rows[b], every) for b in BASIS_LABELS}
     agrees = {b: through[b].entries_equal(computed) for b in BASIS_LABELS}
-    ident = ExactMatrix.identity(mod.d + 1)
+    ident = ExactMatrix.identity(bases.module.d + 1)
     coherence = []
     for a in BASIS_LABELS:
         for b in BASIS_LABELS:
@@ -768,8 +864,7 @@ def transition_matrices(bases: SixBases, phi: PhiMatrix) -> TransitionReport:
                 ok = agrees[b][rows[a], rows[c]].all()
                 coherence.append(
                     check_true(f"transition_composition[{a}|{b}|{c}]", ok))
-    return TransitionReport(module=mod, cells=cells,
-                            coherence=tuple(coherence))
+    return cells, tuple(coherence)
 
 
 # -- Leonard triple recognizer --------------------------------------------------------------
@@ -794,6 +889,7 @@ class LeonardVerdict:
     rep_matrices: Dict[Tuple[int, int], ExactMatrix]
 
 
+@lru_cache(maxsize=None)
 def is_leonard_triple(b0: ExactMatrix, b1: ExactMatrix,
                       b2: ExactMatrix) -> LeonardVerdict:
     """Decide whether an ordered triple acts as a Leonard triple.
@@ -803,7 +899,7 @@ def is_leonard_triple(b0: ExactMatrix, b1: ExactMatrix,
     eigenvalue and the other two operators are represented in it and tested
     for irreducible tridiagonality.  If some operator's candidate eigenspaces
     do not span, the verdict is "unverifiable" (a field limitation, not a
-    disproof).
+    disproof).  Memoized on the exact entries of the three operators.
     """
     ops = (b0, b1, b2)
     n = b0.rows

@@ -6,7 +6,8 @@ denominator, in lowest terms (the gcd of every numerator and the
 denominator is 1).  The arrays are int64 exactly when every numerator is
 below 2^62 in magnitude, and object arrays of Python ints otherwise, so the
 storage is a function of the value.  Lowest terms are unique too, so
-equality compares arrays.  `ExactVector` and `ExactMatrix` share the body
+equality compares arrays, and the hash, of the same parts, lets exact
+values key a memo.  `ExactVector` and `ExactMatrix` share the body
 that stores, reduces, indexes, compares, adds, scales and conjugates these
 arrays; each adds only its shape, its grid constructor and its dump format.
 
@@ -264,7 +265,12 @@ class _NumeratorArray:
                 and np.array_equal(self._re, other._re)
                 and np.array_equal(self._im, other._im))
 
-    __hash__ = None
+    def __hash__(self):
+        # consistent with ==: the storage is a function of the value, so
+        # equal arrays have equal dtypes, and int64 ones equal bytes
+        def key(arr):
+            return arr.tobytes() if arr.dtype != object else tuple(arr.flat)
+        return hash((self._re.shape, self._den, key(self._re), key(self._im)))
 
     def _combine(self, other, sign):
         """self + sign * other on the lcm of the two denominators."""
@@ -534,6 +540,18 @@ def inner(u: ExactVector, v: ExactVector) -> GaussRat:
     if u.length != v.length:
         raise ValueError("vector length mismatch")
     return _entry_gauss(*_product(u, v.conj(), np.dot), u._den * v._den)
+
+
+def inverse_diagonal(m: ExactMatrix) -> ExactMatrix:
+    """diag(1 / m[k, k]) for a square matrix whose diagonal is real and
+    nonnegative, such as a Gram matrix: m[k, k] = re[k, k] / den, so its
+    inverse is den * (l / re[k, k]) / l for l the lcm of the re[k, k].  A
+    zero entry stands in as 1."""
+    norm = [int(x) or 1 for x in m._re.diagonal()]
+    l = math.lcm(*norm)
+    inverse = np.diag(np.array([m._den * (l // x) for x in norm],
+                               dtype=object))
+    return ExactMatrix.from_numerators(inverse, 0 * inverse, l)
 
 
 def first_discrepancy(a: ExactMatrix, b: ExactMatrix):

@@ -5,9 +5,12 @@ the whole session; building them once keeps the exact-arithmetic suites fast.
 
 The oracle helpers here deliberately avoid the library's own computational
 paths (no Bareiss elimination, no incremental series) so that derived
-expected values are confirmed through an independent route.  The one
-exception is `elimination_seeds`: the exact elimination and Gram-Schmidt
-that decompose's closed-form seeds replaced, kept as their oracle.
+expected values are confirmed through an independent route.  Two
+exceptions keep a path that the library replaced as the oracle of its
+replacement: `elimination_seeds`, the exact elimination and Gram-Schmidt
+behind decompose's closed-form seeds, and the module path over 2^D columns
+(`project`, `oracle_six_bases`, `oracle_verdicts`), behind the module
+frames.
 """
 
 from __future__ import annotations
@@ -18,10 +21,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tcube.cube import build_context
-from tcube.decomposition import InvariantViolation, decompose
-from tcube.leonard import (TRANSITION_TABLE, BasisSolver, build_six_bases,
-                           phi_matrix)
+from tcube.cube import _times_i_power, build_context
+from tcube.decomposition import (InvariantViolation, decompose,
+                                 proportional_rows)
+from tcube.leonard import (_BASIS_SPEC, _FORM_BUILDERS, _P_SHIFTS,
+                           _PROPORTIONAL_ROWS, _SEED_ROWS, BASIS_LABELS,
+                           INNER_FORMULAS, OPERATOR_LABELS, REP_FORMS,
+                           TRANSITION_TABLE, BasisError, BasisSolver,
+                           build_six_bases, is_leonard_triple, phi_matrix)
 from tcube.linalg import (I64_LIMIT, ExactMatrix, ExactVector, gram_schmidt,
                           kernel_basis)
 from tcube.scalar import GaussRat, I as IUNIT
@@ -87,6 +94,13 @@ def basis_vector(n, k):
 def block_rows(block):
     """The rows of a block, as a list of vectors."""
     return [block.row(k) for k in range(block.rows)]
+
+
+def in_space(bases, label=None):
+    """The vectors over 2^D of a SixBases, or of its basis `label`: their
+    coordinates times the module's slice basis."""
+    block = bases.stacked if label is None else bases[label]
+    return block @ bases.module.slice_basis
 
 
 def representation_matrix(op, basis):
@@ -343,3 +357,273 @@ def series_2f1(i: int, j: int, d: int) -> Fraction:
             continue
         total += Fraction(num, den)
     return total
+
+
+# -- the module path over 2^D columns, the oracle of the module frames ----------
+#
+# Before the frames, decompose projected every slice basis onto its window
+# with fast Walsh-Hadamard transforms, and the six bases, their rep
+# matrices, inner products and transitions were blocks over 2^D columns.
+# That path is kept here, as the independent route that the coordinates of
+# the frames are checked against.
+
+
+class OutsideWindow(ValueError):
+    """The rows of a block have content outside the window asked of
+    `project`; `parts` holds all D + 1 of their parts, each certified as
+    the full projection certifies it."""
+
+    def __init__(self, parts):
+        super().__init__("block has content outside the window")
+        self.parts = parts
+
+
+def walsh_hadamard(a):
+    """a @ H for H[x, z] = (-1)^popcount(x & z), on a copy of a: one
+    butterfly pass per bit, each at most doubling the largest entry."""
+    a = a.copy()
+    rows, n = a.shape
+    h = 1
+    while h < n:
+        v = a.reshape(rows, n // (2 * h), 2, h)
+        lo, hi = v[:, :, 0, :], v[:, :, 1, :]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+        h *= 2
+    return a
+
+
+def _slice_masks(ctx):
+    return ctx._dist[None, :] == np.arange(ctx.D + 1)[:, None]
+
+
+def _spectral_window(ctx, re, im, m, window):
+    """Numerators, over 2^D, of E_i x for every row x of re + i im (stored
+    numerator arrays with entries bounded by m) and every i in window: one
+    Walsh-Hadamard pass for all of them, then one pass and one A gather per
+    part in the window.  Certified against A as `project` says; None when
+    the parts do not sum to every x."""
+    n, D = ctx.n, ctx.D
+    a = ctx._gather_table("A")
+    # |x H| <= n m and each part is at most n^2 m; their sum, theta_i
+    # times one and A times one stay below (2D + 2) n^2 m a.max a.den
+    if m * n * n * (2 * D + 2) * a.max * a.den >= I64_LIMIT:
+        re = re.astype(object, copy=False)
+        im = im.astype(object, copy=False)
+    rows = re.shape[0]
+    masks = _slice_masks(ctx)[list(window)]
+    spectrum = walsh_hadamard(np.concatenate([re, im]))
+    masked = spectrum[None, :, :] * masks[:, None, :]
+    parts = walsh_hadamard(masked.reshape(-1, n)).reshape(
+        len(masks), 2, rows, n)
+    zr, zi = parts[:, 0], parts[:, 1]
+    sums = (np.array_equal(zr.sum(axis=0), n * re)
+            and np.array_equal(zi.sum(axis=0), n * im))
+    if not sums and len(masks) <= D:
+        return None
+    ar, ai = a.apply(zr.reshape(-1, n), zi.reshape(-1, n))
+    ar, ai = ar.reshape(zr.shape), ai.reshape(zi.shape)
+    ctx._certify(
+        sums,
+        ((i, np.array_equal(ar[k], ctx.theta[i] * a.den * zr[k])
+          and np.array_equal(ai[k], ctx.theta[i] * a.den * zi[k]))
+         for k, i in enumerate(window)))
+    return list(zip(zr, zi))
+
+
+def project(ctx, family, block, window):
+    """(F_i V for i in window) for the rows V of block and the family
+    F = E, Estar or Eeps of ctx, without building F; window = range(D + 1)
+    is the full projection.
+
+    Estar_i V masks slice i.  E_i V = 2^-D (V H) diag(wt = i) H with the
+    Walsh-Hadamard matrix H, since E_i = 2^-D H diag(wt = i) H; every call
+    is certified against ctx's A: the window parts sum to V, and
+    A (E_i V) = theta_i E_i V for each i in the window, which force each
+    part to be the exact theta_i-component of V and every component
+    outside the window to be zero.  Eeps_i V = S^-1 E_i (S V) with
+    S = diag(i^dist), certified through E on S V, not against Aeps.  When
+    the window parts do not sum to V, OutsideWindow carries the full
+    projection, with the full certificate."""
+    if block.cols != ctx.n:
+        raise ValueError(f"block has {block.cols} columns, expected {ctx.n}")
+    full = range(ctx.D + 1)
+    if family == "Estar":
+        masks = _slice_masks(ctx)[list(window)]
+        if (block.nonzero() & ~masks.any(axis=0)).any():
+            raise OutsideWindow(project(ctx, family, block, full))
+        re, im = block._re, block._im
+        return tuple(ExactMatrix.from_numerators(re * mask, im * mask,
+                                                 block._den)
+                     for mask in masks)
+    if family not in ("E", "Eeps"):
+        raise ValueError(f"unknown idempotent family {family!r}")
+    re, im = block._re, block._im
+    if family == "Eeps":
+        re, im = _times_i_power(re, im, ctx._dist)
+    parts = _spectral_window(ctx, re, im, block._max(), window)
+    if parts is None:
+        raise OutsideWindow(project(ctx, family, block, full))
+    out = []
+    for zr, zi in parts:
+        if family == "Eeps":
+            zr, zi = _times_i_power(zr, zi, -ctx._dist)
+        out.append(ExactMatrix.from_numerators(zr, zi, block._den * ctx.n))
+    return tuple(out)
+
+
+def window_images(ctx, family, block, window):
+    """{i: family_i V} for the rows V of block over the window, whose
+    certificate proves every part outside it zero; when V has content
+    outside the window, {i: family_i V} for every i = 0..D."""
+    try:
+        return dict(zip(window, project(ctx, family, block, window)))
+    except OutsideWindow as exc:
+        return dict(enumerate(exc.parts))
+
+
+def check_images_thin(parts, r, d, index, label):
+    """dim(family_i W) <= 1 with the nonvanishing window r <= i <= r+d;
+    parts maps i to the images under family_i of the slice basis, one per
+    row, in ascending i.  Raises InvariantViolation naming what fails."""
+    def fail(what):
+        raise InvariantViolation(f"module r={r} index={index}: {what}")
+    for i, images in parts.items():
+        nonzero = images.nonzero().any(axis=1)
+        in_window = r <= i <= r + d
+        if in_window and not nonzero.any():
+            fail(f"{label}_{i} W vanished inside the window")
+        if not in_window and nonzero.any():
+            fail(f"{label}_{i} W nonzero outside the window")
+        if nonzero.any():
+            p = int(nonzero.argmax())
+            first = images.block(slice(p, p + 1), slice(None))
+            if not proportional_rows(images, first).all():
+                fail(f"dim({label}_{i} W) > 1 (not thin)")
+
+
+def oracle_seeds(ctx, mod):
+    """[u, u*, ue] over 2^D by projection: u = E_r u* and ue = Eeps_r u*
+    for u* the first vector of the slice basis, after the thinness checks
+    of the slice basis under E and Eeps."""
+    window = range(mod.r, mod.r + mod.d + 1)
+    first = {}
+    for family in ("E", "Eeps"):
+        parts = window_images(ctx, family, mod.slice_basis, window)
+        check_images_thin(parts, mod.r, mod.d, mod.index, family)
+        first[family] = parts[mod.r].block([0], slice(None))
+    return ExactMatrix.stack([first["E"], mod.slice_basis.block(
+        [0], slice(None)), first["Eeps"]])
+
+
+def oracle_six_bases(ctx, mod, seeds=None):
+    """The six bases of a module over 2^D, (6(d+1)) x 2^D in BASIS_LABELS
+    order: the idempotent families projected onto the seeds over the
+    window, with the checks of the bases.  Every vector must be nonzero,
+    the bases must sum back to their seeds, and each must be the P-image
+    of the one before it in its orbit under the chained normalization.
+    The seeds are the module's own unless given (rows u, u*, ue)."""
+    r, d = mod.r, mod.d
+    n = d + 1
+    seeds = mod.seeds if seeds is None else seeds
+    chained = [seeds.block([0], slice(None))]
+    for _ in range(3):
+        chained.append(ctx.apply("P", chained[-1]))
+    seeds = ExactMatrix.stack([seeds] + chained[1:])
+    span = range(r, r + n)
+    window = {}
+    for family in ("E", "Estar", "Eeps"):
+        images = window_images(ctx, family, seeds, span)
+        window[family] = ExactMatrix.stack([images[i] for i in span])
+
+    def basis(family, seed):
+        k = _SEED_ROWS[seed]
+        return window[family].block(slice(k, None, len(_SEED_ROWS)),
+                                    slice(None))
+
+    stacked = ExactMatrix.stack([basis(*_BASIS_SPEC[label])
+                                 for label in BASIS_LABELS])
+    zero = ~stacked.nonzero().any(axis=1)
+    if zero.any():
+        z = int(zero.argmax())
+        raise BasisError(f"basis {BASIS_LABELS[z // n]} vector {z % n} is "
+                         f"zero (module r={r} index={mod.index})")
+    ones = np.ones((1, n), dtype=np.int64)
+    ones = ExactMatrix.from_numerators(ones, 0 * ones, 1)
+    for label in BASIS_LABELS:
+        k = _SEED_ROWS[_BASIS_SPEC[label][1]]
+        if ones @ basis(*_BASIS_SPEC[label]) != \
+                seeds.block(slice(k, k + 1), slice(None)):
+            raise BasisError(f"basis {label} does not sum back to its seed")
+    shifted = ctx.apply("P", ExactMatrix.stack([basis(*lhs)
+                                                for _, lhs, _ in _P_SHIFTS]))
+    targets = ExactMatrix.stack([basis(*rhs) for _, _, rhs in _P_SHIFTS])
+    failed = ~shifted.row_equal(targets).reshape(len(_P_SHIFTS), n)
+    if failed.any():
+        i, k = np.argwhere(failed.T)[0]
+        raise BasisError(f"P-shift {_P_SHIFTS[k][0]} failed at slice {i} "
+                         f"(module r={r} index={mod.index})")
+    return stacked
+
+
+def oracle_verdicts(ctx, mod, phi):
+    """Every verdict of a module over 2^D columns, by exact elimination
+    (BasisSolver) and cell-by-cell closed forms: (rep, inner, transitions,
+    coherence, leonard) with rep a list of (basis, op, passed) in the
+    order of verify_rep_matrices, inner a list of (check_id, i, j, passed)
+    in the order of verify_inner_products, transitions {(src, dst): passed},
+    coherence a list of (identity, passed) and leonard the recognizer's
+    verdict on the rep matrices in basis AsA."""
+    seeds = oracle_seeds(ctx, mod)
+    stacked = oracle_six_bases(ctx, mod, seeds)
+    n = mod.d + 1
+    rows = {label: block_rows(stacked.block(slice(k * n, (k + 1) * n),
+                                            slice(None)))
+            for k, label in enumerate(BASIS_LABELS)}
+    rep, triple = [], {}
+    for label in BASIS_LABELS:
+        for op in OPERATOR_LABELS:
+            matrix = representation_matrix(getattr(ctx, op), rows[label])
+            form = _FORM_BUILDERS[REP_FORMS[(op, label)]](mod.d)
+            rep.append((label, op, matrix == form))
+            if label == "AsA":
+                triple[op] = matrix
+    gram = stacked @ stacked.adjoint()
+    seed_gram = seeds @ seeds.adjoint()
+    names = ("u", "u*", "ue")
+    scal = {f"{a}|{b}": seed_gram[i, j] for i, a in enumerate(names)
+            for j, b in enumerate(names)}
+    where = {label: k * n for k, label in enumerate(BASIS_LABELS)}
+    inner_checks = []
+    for (x, y), (kind, key) in INNER_FORMULAS.items():
+        for i in range(n):
+            for j in range(n):
+                want = oracle_inner(kind, i, j, mod.d, scal[key], phi)
+                inner_checks.append((f"inner[{x}|{y}]", i, j,
+                                     gram[where[x] + i, where[y] + j] == want))
+    omi_d = GaussRat(1, -1) ** mod.d
+    for x, y, key, norm in _PROPORTIONAL_ROWS:
+        for i in range(n):
+            c = IUNIT ** i * omi_d * scal[key] / scal[norm]
+            inner_checks.append((f"proportional[{x}|{y}]", i, i,
+                                 rows[x][i] == rows[y][i].scale(c)))
+    blocks = {label: ExactMatrix.stack(rows[label]) for label in BASIS_LABELS}
+    T = {}
+    for src in BASIS_LABELS:
+        solver = BasisSolver(rows[src])
+        for dst in BASIS_LABELS:
+            T[(src, dst)] = solver.coords_matrix(blocks[dst])
+    transitions = {(s, t): T[(s, t)] == oracle_transition(s, t, scal, phi)
+                   for (s, t) in T}
+    ident = ExactMatrix.identity(n)
+    coherence = [(f"transition_inverse[{a}|{b}]",
+                  T[(a, b)] @ T[(b, a)] == ident)
+                 for a in BASIS_LABELS for b in BASIS_LABELS if a < b]
+    coherence += [(f"transition_composition[{a}|{b}|{c}]",
+                   T[(a, b)] @ T[(b, c)] == T[(a, c)])
+                  for a in BASIS_LABELS for b in BASIS_LABELS
+                  for c in BASIS_LABELS]
+    leonard = is_leonard_triple(*(triple[op]
+                                  for op in OPERATOR_LABELS)).verdict
+    return rep, inner_checks, transitions, coherence, leonard

@@ -557,16 +557,20 @@ def test_emitted_seed_files_golden_digest(tmp_path, capsys, D):
 # The row of the idempotent certificate when A has a flipped sign at D = 3.
 CERTIFICATE_ROW = "ConstructionError: idempotent closed form: A E_0 != 3 E_0"
 
-# The first invariant each --corrupt choice breaks at D = 3.  A flipped
-# adjacency entry first fails the certificate of the closed-form E, which
-# decompose reads before any module invariant.  The flipped Aeps entry
-# (0, 1) reads vertex 1: module r1m1 (seed e_2 + e_4 - 2 e_1) has support
-# there, module r1m0 (spanned by e_4 - e_2 and e_5 - e_3) has not.
+# The first invariant each --corrupt choice breaks at D = 3, all in the
+# first module, r0m0, whose slice basis is b_k = k! (slice k indicator).
+# A flipped entry (0, 1) of A or Aeps leaves that module closed, since
+# every b_k is constant on its slice, but it changes the images of b_1 at
+# vertex 0: the frame's A, or Aeps, no longer has the eigenvalues
+# 3, 1, -1, -3 on W (its characteristic polynomial becomes
+# x^4 - 8 x^2 + 3), and the spectral certificate of the frame fails at its
+# first part.  The flipped Astar entry fails the slice scaling before it.
 CORRUPT_FAILURES = {
-    "adjacency": CERTIFICATE_ROW,
+    "adjacency": "InvariantViolation: module r=0 index=0: A E_0 W != 3 E_0 W",
     "dual": "InvariantViolation: module r=0 index=0: "
             "Astar does not scale slice 0",
-    "imaginary": "r1m1:BasisError: target is outside the span of the basis",
+    "imaginary": "InvariantViolation: module r=0 index=0: "
+                 "Aeps Eeps_0 W != 3 Eeps_0 W",
 }
 
 
@@ -600,10 +604,9 @@ def test_verify_adjacency_certificate_row(capsys, suite, fmt):
 
 
 # Suites that read neither the flipped operator nor anything built from it,
-# and so rightly pass: the idempotent suite never reads Astar, and inner
-# products and transitions never read Aeps.
-UNREAD_BY_SUITE = {("dual", "idempotents"), ("imaginary", "inner-products"),
-                   ("imaginary", "transitions")}
+# and so rightly pass: the idempotent suite never reads Astar.  Every
+# module suite reads Aeps, through the frame that decompose certifies.
+UNREAD_BY_SUITE = {("dual", "idempotents")}
 
 
 @pytest.mark.parametrize("suite", cli.SUITES)

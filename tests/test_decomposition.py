@@ -6,18 +6,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (basis_vector, block_rows, dense_ladder,
-                      dense_orthogonal_sum, elimination_seeds, get_ctx,
-                      get_decomposition, naive_rank)
-from tcube import decomposition
+from conftest import (basis_vector, block_rows, check_images_thin,
+                      dense_ladder, dense_orthogonal_sum, elimination_seeds,
+                      get_ctx, get_decomposition, naive_rank, oracle_seeds,
+                      project, representation_matrix, window_images)
+from tcube import cube, decomposition
 from tcube.cube import build_context
-from tcube.decomposition import (FieldExtensionRequired, InfeasibleTargets,
-                                 InvariantViolation, _check_images_thin,
+from tcube.decomposition import (FRAME_OPS, FieldExtensionRequired,
+                                 InfeasibleTargets, InvariantViolation,
                                  _check_orthogonal_sum, _seed_step,
                                  closed_form_seeds, decompose,
                                  multiplicity, normalize_seeds,
-                                 proportional_rows, verify_seed_norms,
-                                 window_images)
+                                 proportional_rows, spectral_parts,
+                                 verify_seed_norms)
 from tcube.linalg import ExactMatrix, ExactVector, inner, rank
 from tcube.report import all_passed
 from tcube.scalar import GaussRat
@@ -193,14 +194,14 @@ def test_tridiagonal_action_on_slice_basis(D):
 @pytest.mark.parametrize("D", [3, 4])
 def test_module_p_cycle(D):
     # P maps E_i W -> Estar_i W -> Eeps_i W -> E_i W inside the window of
-    # the same module W; the six-bases P-shift checks chain the seeds, so
-    # they do not show this
+    # the same module W, by the projections over 2^D; decompose certifies
+    # P W in W for every module through its frame
     ctx = get_ctx(D)
     for m in get_decomposition(D).modules:
         window = range(m.r, m.r + m.d + 1)
         seed = ExactMatrix.stack([m.u_star])
         e_vecs, eps_vecs = ([part.row(0)
-                             for part in ctx.project(family, seed, window)]
+                             for part in project(ctx, family, seed, window)]
                             for family in ("E", "Eeps"))
         star_vecs = block_rows(m.slice_basis)
         shifted = ctx.apply("P", ExactMatrix.stack(e_vecs + star_vecs
@@ -358,8 +359,8 @@ def test_content_outside_the_window_is_named(family):
     window = range(m.r, m.r + m.d + 1)
     parts = window_images(ctx, family, m.slice_basis, window)
     assert list(parts) == list(window)
-    stray = ctx.project(family, ExactMatrix.identity(ctx.n),
-                        range(ctx.D + 1))[0]
+    stray = project(ctx, family, ExactMatrix.identity(ctx.n),
+                    range(ctx.D + 1))[0]
     block = ExactMatrix.stack([m.slice_basis.row(0) + stray.row(0),
                                m.slice_basis.row(1)])
     parts = window_images(ctx, family, block, window)
@@ -367,7 +368,7 @@ def test_content_outside_the_window_is_named(family):
     with pytest.raises(InvariantViolation, match=rf"^module r=1 index="
                        rf"{m.index}: {family}_0 W nonzero outside the "
                        rf"window$"):
-        _check_images_thin(parts, m.r, m.d, m.index, family)
+        check_images_thin(parts, m.r, m.d, m.index, family)
 
 
 def test_proportional_helper():
@@ -404,16 +405,16 @@ def test_thinness_check_on_blocks():
 
     def parts(*images):
         return dict(enumerate(images))
-    _check_images_thin(parts(zero, line, zero), 1, 0, 0, "E")
-    _check_images_thin({1: line}, 1, 0, 0, "E")
+    check_images_thin(parts(zero, line, zero), 1, 0, 0, "E")
+    check_images_thin({1: line}, 1, 0, 0, "E")
     with pytest.raises(InvariantViolation, match=r"dim\(E_1 W\) > 1"):
-        _check_images_thin(
+        check_images_thin(
             parts(zero, ExactMatrix([[1, 2, 0], [1, 0, 0]]), zero),
             1, 0, 0, "E")
     with pytest.raises(InvariantViolation, match="E_1 W vanished inside"):
-        _check_images_thin(parts(zero, zero, zero), 1, 0, 0, "E")
+        check_images_thin(parts(zero, zero, zero), 1, 0, 0, "E")
     with pytest.raises(InvariantViolation, match="Eeps_2 W nonzero outside"):
-        _check_images_thin(parts(zero, line, line), 1, 0, 0, "Eeps")
+        check_images_thin(parts(zero, line, line), 1, 0, 0, "Eeps")
 
 
 def test_decomposition_report_shape():
@@ -421,3 +422,78 @@ def test_decomposition_report_shape():
     assert doc["D"] == 3
     assert doc["multiplicities"] == {"0": 1, "1": 2}
     assert doc["modules"][0] == {"r": 0, "d": 3, "index": 0, "dim": 4}
+
+
+# -- module frames ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("D", range(1, 6))
+def test_frame_is_the_action_on_the_slice_basis(D):
+    # row k of M_op holds the coordinates of op b_k: the transpose of the
+    # representation matrix by exact elimination over 2^D
+    ctx = get_ctx(D)
+    for m in get_decomposition(D).modules:
+        basis = block_rows(m.slice_basis)
+        for op in FRAME_OPS:
+            assert getattr(m.frame, op) == representation_matrix(
+                getattr(ctx, op), basis).transpose(), (m.r, m.index, op)
+        assert m.frame.gram == m.slice_basis @ m.slice_basis.adjoint()
+        assert m.frame.normalized.gram[0, 0] == 1
+
+
+@pytest.mark.parametrize("D", range(1, 8))
+def test_frame_seeds_equal_the_window_projections(D):
+    # u = E_r u* and ue = Eeps_r u* from the frame's spectral parts, against
+    # the projections over 2^D, which also check that E and Eeps are thin
+    # on every module with the nonvanishing window
+    ctx = get_ctx(D)
+    for m in get_decomposition(D).modules:
+        assert m.seeds == oracle_seeds(ctx, m), (m.r, m.index)
+
+
+@pytest.mark.parametrize("D", [4, 6, 8])
+def test_modules_of_one_endpoint_share_one_normalized_frame(D):
+    frames = {}
+    for m in get_decomposition(D).modules:
+        frames.setdefault(m.r, set()).add(m.frame.normalized)
+    assert {r: len(f) for r, f in frames.items()} == \
+        {r: 1 for r in range(D // 2 + 1)}
+
+
+def test_spectral_parts_certificate_names_the_first_failure():
+    tri = ExactMatrix([[0, 1, 0], [2, 0, 2], [0, 1, 0]])
+    parts, failure = spectral_parts(tri)
+    assert failure is None
+    assert [p.trace() for p in parts] == [1, 1, 1]
+    # eigenvalues 1, 1, -1 instead of 2, 0, -2
+    assert spectral_parts(ExactMatrix.diagonal([1, 1, -1]))[1] == ("eigen", 0)
+    # eigenvalue 2 missing: its part is zero and the others hold
+    assert spectral_parts(ExactMatrix.diagonal([0, 0, -2]))[1] == ("zero", 0)
+
+
+def test_wrong_p_butterflies_fail_the_frame(monkeypatch):
+    # P followed by the transposition of vertices 1 and 3 (slices 1 and 2)
+    # takes u* = e_0 of the module r0m0 out of the span of the slice
+    # indicators: the frame certifies P W in W for every module
+    honest = cube._p_butterflies
+    swap = [0, 3, 2, 1, 4, 5, 6, 7]
+
+    def swapped(re, im):
+        re, im = honest(re, im)
+        return re[:, swap], im[:, swap]
+
+    monkeypatch.setattr(cube, "_p_butterflies", swapped)
+    with pytest.raises(InvariantViolation, match=r"^module r=0 index=0: "
+                                                 r"P does not map W into W$"):
+        decompose(build_context(3))
+
+
+@pytest.mark.parametrize("op, label", [("A", "E"), ("Aeps", "Eeps")])
+def test_flipped_operator_fails_the_spectral_certificate(op, label):
+    # the entry (0, 1) feeds b_1 into the image at vertex 0 of r0m0, whose
+    # W stays closed; its frame matrix loses the spectrum 3, 1, -1, -3
+    ctx = get_ctx(3).with_flipped_sign(op, 0, 1)
+    with pytest.raises(InvariantViolation,
+                       match=rf"^module r=0 index=0: {op} {label}_0 W != "
+                             rf"3 {label}_0 W$"):
+        decompose(ctx)

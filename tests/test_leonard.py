@@ -9,12 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (block_rows, get_bundles, get_ctx, get_phi,
-                      oracle_inner, oracle_pattern, oracle_transition,
-                      representation_matrix, series_2f1)
+from conftest import (block_rows, get_bundles, get_ctx, get_decomposition,
+                      get_phi, in_space, oracle_inner, oracle_pattern,
+                      oracle_seeds, oracle_six_bases, oracle_transition,
+                      oracle_verdicts, representation_matrix, series_2f1)
 from tcube import leonard
 from tcube.cube import build_context
-from tcube.decomposition import decompose
+from tcube.decomposition import ModuleFrame, decompose
 from tcube.leonard import (_BASIS_SPEC, _P_CYCLES, _turn, BASIS_LABELS,
                            INNER_FORMULAS, OPERATOR_LABELS, TRANSITION_TABLE,
                            BasisError, BasisSolver,
@@ -98,24 +99,27 @@ def test_six_bases_d1_structure():
     ctx = get_ctx(1)
     (m, bases, _), = get_bundles(1)
     # Estar_0 u and Estar_1 u are the coordinate vectors scaled by u's entries
-    assert bases["AsA"] == ExactMatrix([[m.u[0], GaussRat(0)],
-                                        [GaussRat(0), m.u[1]]])
+    assert in_space(bases, "AsA") == ExactMatrix([[m.u[0], GaussRat(0)],
+                                                  [GaussRat(0), m.u[1]]])
 
 
 @pytest.mark.parametrize("D", [2, 3, 4])
 def test_six_bases_nonzero_and_sizes(D):
     for m, bases, _ in get_bundles(D):
         for label in BASIS_LABELS:
-            assert bases[label].shape == (m.d + 1, 2 ** D)
-            assert all(not v.is_zero() for v in block_rows(bases[label]))
+            assert bases[label].shape == (m.d + 1, m.d + 1)
+            assert in_space(bases, label).shape == (m.d + 1, 2 ** D)
+            assert all(not v.is_zero()
+                       for v in block_rows(in_space(bases, label)))
 
 
 def test_basis_orthogonality_with_norms_d4():
     for m, bases, _ in get_bundles(4):
         norm_u = inner(m.u, m.u)
+        asa = in_space(bases, "AsA")
         for i in range(m.d + 1):
             for j in range(m.d + 1):
-                got = inner(bases["AsA"].row(i), bases["AsA"].row(j))
+                got = inner(asa.row(i), asa.row(j))
                 if i != j:
                     assert got.is_zero()
                 else:
@@ -128,7 +132,7 @@ def test_seed_decomposes_as_slice_sums_d3():
                             ("AeAs", m.u_star), ("AAs", m.u_star),
                             ("AAe", m.u_eps), ("AsAe", m.u_eps)):
             total = ExactVector.zeros(seed.length)
-            for v in block_rows(bases[label]):
+            for v in block_rows(in_space(bases, label)):
                 total = total + v
             assert total == seed
 
@@ -142,11 +146,80 @@ def test_six_bases_match_the_dense_idempotents(D):
         seeds = {"u": m.u, "u*": m.u_star, "ue": m.u_eps}
         for label in BASIS_LABELS:
             family, seed = _BASIS_SPEC[label]
-            block = bases[label]
+            block = in_space(bases, label)
             assert block.shape == (m.d + 1, 2 ** D)
             for i in range(m.d + 1):
                 want = getattr(ctx, family)[m.r + i].matvec(seeds[seed])
                 assert block.row(i) == want, (m.r, m.index, label, i)
+
+
+# -- the frame's coordinates against the path over 2^D -------------------------------
+
+
+@pytest.mark.parametrize("D", range(1, 8))
+def test_coordinate_six_bases_equal_the_oracle_over_2d(D):
+    # mapped back through the slice basis, the six bases of the frame are
+    # the projections over 2^D of the seeds that projections give
+    ctx = get_ctx(D)
+    for m, bases, _ in get_bundles(D):
+        assert in_space(bases) == oracle_six_bases(ctx, m,
+                                                   oracle_seeds(ctx, m))
+
+
+def _verdicts(ctx, bases, phi):
+    """The verdicts of the frame's path, laid out as oracle_verdicts lays
+    them out."""
+    cells = verify_rep_matrices(ctx, bases)
+    report = transition_matrices(bases, phi)
+    return ([(c.basis, c.op, c.passed) for c in cells],
+            [(c.check_id, c.i, c.j, c.passed)
+             for c in verify_inner_products(bases, phi)],
+            {key: cell.passed for key, cell in report.cells.items()},
+            [(c.identity, c.passed) for c in report.coherence],
+            is_leonard_triple(*module_triple(cells)).verdict)
+
+
+@pytest.mark.parametrize("D", range(1, 7))
+def test_verdicts_equal_the_oracle_over_2d(D):
+    # with the true Phi every verdict passes; with one hypergeometric value
+    # flipped, the inner products and transitions that read it fail, in
+    # both paths alike
+    ctx = get_ctx(D)
+    for m, bases, phi in get_bundles(D):
+        phis = [phi]
+        if m.d >= 1:
+            phis.append(phi.with_flipped_entry(1, m.d))
+        for p in phis:
+            assert _verdicts(ctx, bases, p) == oracle_verdicts(ctx, m, p), \
+                (m.r, m.index, p is phi)
+
+
+def _fails(ctx, mod):
+    """Whether the rep matrices of a module fail: a cell that does not
+    pass, or a BasisError on the way."""
+    try:
+        cells = verify_rep_matrices(ctx, build_six_bases(ctx, mod))
+    except BasisError:
+        return True
+    return not all(c.passed for c in cells)
+
+
+def test_memo_is_keyed_on_the_exact_frame():
+    # the two modules of Q_3 with r = 1 share one normalized frame and so
+    # one computation; a flipped entry of M_Aeps is another key and fails,
+    # although a healthy module of the same endpoint was verified first
+    ctx = get_ctx(3)
+    first, second = [m for m in get_decomposition(3).modules if m.r == 1]
+    assert not _fails(ctx, first)
+    assert build_six_bases(ctx, first).stacked is \
+        build_six_bases(ctx, second).stacked
+    aeps = second.frame.Aeps
+    re, im = aeps._re.copy(), aeps._im.copy()
+    re[0, 1], im[0, 1] = -re[0, 1], -im[0, 1]
+    flipped = ExactMatrix.from_numerators(re, im, aeps._den)
+    bad = replace(second, frame=replace(second.frame, Aeps=flipped))
+    assert _fails(ctx, bad)
+    assert not _fails(ctx, second)
 
 
 # -- representation matrices ----------------------------------------------------------
@@ -155,11 +228,13 @@ def test_six_bases_match_the_dense_idempotents(D):
 def test_rep_matrix_examples_d2():
     ctx = get_ctx(2)
     (m, bases, _) = next(b for b in get_bundles(2) if b[0].d == 2)
-    rep_a_aas = representation_matrix(ctx.A, block_rows(bases["AAs"]))
+    rep_a_aas = representation_matrix(ctx.A, block_rows(in_space(bases,
+                                                                 "AAs")))
     assert rep_a_aas == ExactMatrix.diagonal([2, 0, -2])
-    rep_a_asa = representation_matrix(ctx.A, block_rows(bases["AsA"]))
+    asa = block_rows(in_space(bases, "AsA"))
+    rep_a_asa = representation_matrix(ctx.A, asa)
     assert rep_a_asa == ExactMatrix([[0, 2, 0], [1, 0, 1], [0, 2, 0]])
-    rep_ae_asa = representation_matrix(ctx.Aeps, block_rows(bases["AsA"]))
+    rep_ae_asa = representation_matrix(ctx.Aeps, asa)
     assert rep_ae_asa == ExactMatrix(
         [[GaussRat(0), GaussRat(0, 2), GaussRat(0)],
          [GaussRat(0, -1), GaussRat(0), GaussRat(0, 1)],
@@ -219,22 +294,25 @@ def test_basis_solver_coords_matrix_is_one_certified_product():
 
 
 def test_p_shift_failure_names_pair_and_slice(monkeypatch):
-    # negate one row of the P pass over the left-hand sides: row (d+1)*k + i
-    # is pair k of the P-shift table at slice i
+    # negate one row of the frame's P pass over the left-hand sides: row
+    # (d+1)*k + i is pair k of the P-shift table at slice i; the memo of
+    # the six bases is bypassed, so that they are built with this pass
     ctx = build_context(3)
     mod = decompose(ctx).modules[0]
-    apply = ctx.apply
+    apply = ModuleFrame.apply
     k, i = 1, 1
 
-    def one_row_negated(op, block):
-        out = apply(op, block)
+    def one_row_negated(frame, op, block):
+        out = apply(frame, op, block)
         if op != "P" or block.rows == 1:
             return out
         rows = block_rows(out)
         rows[(mod.d + 1) * k + i] = -rows[(mod.d + 1) * k + i]
         return ExactMatrix.stack(rows)
 
-    monkeypatch.setattr(ctx, "apply", one_row_negated)
+    monkeypatch.setattr(ModuleFrame, "apply", one_row_negated)
+    monkeypatch.setattr(leonard, "_six_bases_block",
+                        leonard._six_bases_block.__wrapped__)
     with pytest.raises(BasisError, match=r"^P-shift AeAs->AAe failed at "
                                          r"slice 1 \(module r=0 index=0\)$"):
         build_six_bases(ctx, mod)
@@ -245,7 +323,9 @@ def test_p_shift_failure_names_pair_and_slice(monkeypatch):
 def test_seed_outside_the_window_does_not_sum_back(seed, label):
     # a vertex of slice 1 added to one seed of a module with r = 1 gives it
     # content outside the window 1..2 under E and Eeps; the first basis in
-    # BASIS_LABELS order built from that seed by E or Eeps is named
+    # BASIS_LABELS order built from that seed by E or Eeps is named.  Only
+    # the builder over 2^D, the oracle of the frames, reads seeds that can
+    # leave the module: the frame's six bases are built from its own.
     ctx = get_ctx(3)
     mod = next(m for m in get_bundles(3) if m[0].r == 1)[0]
     k = ("u", "u_star", "u_eps").index(seed)
@@ -254,12 +334,12 @@ def test_seed_outside_the_window_does_not_sum_back(seed, label):
     bad = replace(mod, seeds=ExactMatrix.stack(rows))
     with pytest.raises(BasisError, match=rf"^basis {label} does not sum back "
                                          rf"to its seed$"):
-        build_six_bases(ctx, bad)
+        oracle_six_bases(ctx, bad)
 
 
 def test_basis_solver_rejects_vector_of_another_module_d3():
     (m0, bases0, _), (m1, _, _) = get_bundles(3)[:2]
-    solver = BasisSolver(block_rows(bases0["AsA"]))
+    solver = BasisSolver(block_rows(in_space(bases0, "AsA")))
     assert solver.coords(m0.u) == ExactVector([1] * (m0.d + 1))
     with pytest.raises(BasisError):
         solver.coords(m1.u)
@@ -282,7 +362,7 @@ def test_rep_commutators_descend_d3():
     ctx = get_ctx(3)
     for m, bases, _ in get_bundles(3):
         for label in BASIS_LABELS:
-            vectors = block_rows(bases[label])
+            vectors = block_rows(in_space(bases, label))
             b = representation_matrix(ctx.A, vectors)
             bs = representation_matrix(ctx.Astar, vectors)
             be = representation_matrix(ctx.Aeps, vectors)
@@ -422,7 +502,10 @@ def test_module_gram_built_once_on_first_use():
     stacked, gram = bases.stacked, bases.gram
     assert stacked == ExactMatrix.stack([bases[label]
                                          for label in BASIS_LABELS])
-    assert gram == stacked @ stacked.adjoint()
+    # the Gram through the normalized frame, on which <u*, u*> = 1
+    vectors = in_space(bases)
+    assert gram == (vectors @ vectors.adjoint()).scale(
+        1 / inner(m.u_star, m.u_star))
     module_triple(verify_rep_matrices(ctx, bases))
     verify_inner_products(bases, phi)
     transition_matrices(bases, phi)
@@ -431,15 +514,16 @@ def test_module_gram_built_once_on_first_use():
 
 @pytest.mark.parametrize("D", range(1, 7))
 def test_orthogonal_coords_equal_the_elimination_solver(D):
-    # BasisSolver, which never assumes orthogonality, is the oracle
-    ctx = get_ctx(D)
+    # BasisSolver, which never assumes orthogonality, is the oracle, on the
+    # vectors over 2^D
     for m, bases, _ in get_bundles(D):
         targets = ExactMatrix.stack(
-            [bases.stacked] + [ctx.apply(op, bases.stacked)
+            [bases.stacked] + [bases.frame.apply(op, bases.stacked)
                                for op in OPERATOR_LABELS])
         for label in BASIS_LABELS:
+            solver = BasisSolver(block_rows(in_space(bases, label)))
             assert bases.coords(label, targets) == \
-                BasisSolver(block_rows(bases[label])).coords_matrix(targets)
+                solver.coords_matrix(targets @ m.slice_basis)
 
 
 def _with_basis(bases, label, vectors):
@@ -477,7 +561,8 @@ def test_rep_cells_equal_the_per_label_coords(D):
         cells = iter(cells)
         for label in BASIS_LABELS:
             coeffs = bases.coords(label, ExactMatrix.stack(
-                [ctx.apply(op, bases[label]) for op in OPERATOR_LABELS]))
+                [bases.frame.apply(op, bases[label])
+                 for op in OPERATOR_LABELS]))
             for k, op in enumerate(OPERATOR_LABELS):
                 cell = next(cells)
                 got = coeffs.block(slice(None), slice(k * n, (k + 1) * n))
@@ -493,52 +578,70 @@ def test_module_triple_is_the_asa_cells_in_operator_order(D):
     ctx = get_ctx(D)
     for m, bases, _ in get_bundles(D):
         triple = module_triple(verify_rep_matrices(ctx, bases))
-        assert triple == tuple(
-            representation_matrix(getattr(ctx, op), block_rows(bases["AsA"]))
-            for op in OPERATOR_LABELS)
+        asa = block_rows(in_space(bases, "AsA"))
+        assert triple == tuple(representation_matrix(getattr(ctx, op), asa)
+                               for op in OPERATOR_LABELS)
 
 
-def _first_coords_failure(ctx, bases):
+def _first_coords_failure(bases):
     """The message of the first BasisError of the per-label path: one
     coords call per basis, in BASIS_LABELS order, on its images."""
     for label in BASIS_LABELS:
         try:
             bases.coords(label, ExactMatrix.stack(
-                [ctx.apply(op, bases[label]) for op in OPERATOR_LABELS]))
+                [bases.frame.apply(op, bases[label])
+                 for op in OPERATOR_LABELS]))
         except BasisError as exc:
             return str(exc)
     return None
 
 
+def _wrong_solves(monkeypatch, labels):
+    """Double the inverse norms of the rows of the given bases.  In
+    coordinates an orthogonal basis spans every target, so a wrong solve is
+    the one thing that fails the reconstruction certificate; its Gram
+    blocks stay diagonal."""
+    honest = SixBases.inverse_norms
+
+    def doubled(self, rows):
+        wrong = set()
+        for label in labels:
+            wrong.update(range(self.stacked.rows)[self.rows(label)])
+        picked = range(self.stacked.rows)[rows]
+        return ExactMatrix.diagonal([2 if k in wrong else 1
+                                     for k in picked]) @ honest(self, rows)
+
+    monkeypatch.setattr(SixBases, "inverse_norms", doubled)
+
+
 @pytest.mark.parametrize("broken", [("AsA",), ("AsA", "AeA"), ("AeA", "AsA"),
                                     ("AeAs", "AAe")])
-def test_rep_matrices_raise_the_first_failing_basis(broken):
-    # a basis is broken either by a vector of another module on the same
-    # slice (orthogonal, but its images leave the span) or, in second
-    # place, by a shear (not orthogonal); verify_rep_matrices raises what
-    # the per-label path raises first, orthogonality before span
-    ctx = get_ctx(3)
-    (m, bases, _), (_, other, _) = [b for b in get_bundles(3)
-                                    if b[0].r == 1]
-    for k, label in enumerate(broken):
+def test_rep_matrices_raise_the_first_failing_basis(monkeypatch, broken):
+    # a basis is broken either by a wrong solve (orthogonal, but its
+    # coordinates do not reconstruct its images) or, in second place, by a
+    # shear (not orthogonal); verify_rep_matrices raises what the
+    # per-label path raises first, orthogonality before span.  The memo of
+    # the rep cells is bypassed, since the solve is broken, not the bases
+    (m, bases, _) = next(b for b in get_bundles(3) if b[0].r == 1)
+    for label in broken[1:]:
         v = block_rows(bases[label])
-        if k == 0:
-            v[0] = other[label].row(0)
-        else:
-            v[1] = v[1] + v[0]
+        v[1] = v[1] + v[0]
         bases = _with_basis(bases, label, v)
-    message = _first_coords_failure(ctx, bases)
+    _wrong_solves(monkeypatch, broken[:1])
+    monkeypatch.setattr(leonard, "_rep_cells", leonard._rep_cells.__wrapped__)
+    message = _first_coords_failure(bases)
     assert message is not None
     with pytest.raises(BasisError) as exc:
-        verify_rep_matrices(ctx, bases)
+        verify_rep_matrices(get_ctx(3), bases)
     assert str(exc.value) == message
 
 
-def test_target_outside_the_span_keeps_its_message():
-    (m0, bases0, _), (m1, _, _) = get_bundles(3)[:2]
+def test_target_outside_the_span_keeps_its_message(monkeypatch):
+    (m0, bases0, _) = get_bundles(3)[0]
+    _wrong_solves(monkeypatch, ("AsA",))
     with pytest.raises(BasisError,
                        match=r"^target is outside the span of the basis$"):
-        bases0.coords("AsA", ExactMatrix.stack([m0.u, m1.u]))
+        bases0.coords("AsA", bases0["AsA"])
 
 
 def test_one_wrong_transition_fails_its_cell_and_exactly_its_coherence(
@@ -558,6 +661,8 @@ def test_one_wrong_transition_fails_its_cell_and_exactly_its_coherence(
         return coeffs @ double_t if label == s else coeffs
 
     monkeypatch.setattr(SixBases, "coords", doubled)
+    monkeypatch.setattr(leonard, "_transitions",
+                        leonard._transitions.__wrapped__)
     report = transition_matrices(bases, phi)
     labels = BASIS_LABELS
     composition = ([(s, t, c) for c in labels if c != t]

@@ -1,9 +1,9 @@
 """Block operators of the module layer against the dense matrices.
 
-Every structured operator (`CubeContext.apply`) and every projection
-(`CubeContext.project`), over the full range of i and over a window of it,
-must equal, row for row, the stack of dense matvecs with the context's own
-matrices, on both sides of each int64 bound.
+Every structured operator (`CubeContext.apply`), and every projection of
+the 2^D oracle path (`conftest.project`), over the full range of i and over
+a window of it, must equal, row for row, the stack of dense matvecs with
+the context's own matrices, on both sides of each int64 bound.
 """
 
 import math
@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_canonical_storage, basis_vector, dense_ladder,
-                      get_ctx)
-from tcube.cube import ConstructionError, OutsideWindow
-from tcube.decomposition import window_images
+from conftest import (OutsideWindow, assert_canonical_storage, basis_vector,
+                      dense_ladder, get_ctx, project, window_images)
+from tcube.cube import ConstructionError
 from tcube.linalg import I64_LIMIT, ExactMatrix
 from tcube.scalar import GaussRat
 
@@ -70,7 +69,7 @@ def test_block_operators_equal_dense_matvecs(D, big):
     for op in OPERATORS:
         assert ctx.apply(op, block) == _dense_rows(_dense(ctx, op), block), op
     for family in FAMILIES:
-        parts = ctx.project(family, block, range(D + 1))
+        parts = project(ctx, family, block, range(D + 1))
         assert len(parts) == D + 1
         for i, part in enumerate(parts):
             assert part == _dense_rows(getattr(ctx, family)[i], block), \
@@ -82,14 +81,14 @@ def test_block_operators_equal_dense_matvecs(D, big):
                 # short of the full range leaves content outside it
                 if hi - lo <= D:
                     with pytest.raises(OutsideWindow) as exc:
-                        ctx.project(family, block, window)
+                        project(ctx, family, block, window)
                     assert exc.value.parts == parts
                 # the sum of the window parts is a block with content
                 # inside the window only, and these are its parts there
                 inside = parts[lo]
                 for part in parts[lo + 1:hi]:
                     inside = inside + part
-                assert ctx.project(family, inside, window) == parts[lo:hi], \
+                assert project(ctx, family, inside, window) == parts[lo:hi], \
                     (family, lo, hi)
 
 
@@ -143,7 +142,7 @@ def test_block_kernels_across_int64_bounds_equal_dense(case):
     D, op, block, window = case
     ctx = get_ctx(D)
     if op in FAMILIES:
-        for i, part in enumerate(ctx.project(op, block, range(D + 1))):
+        for i, part in enumerate(project(ctx, op, block, range(D + 1))):
             assert_canonical_storage(part)
             assert part == _dense_rows(getattr(ctx, op)[i], block)
         _assert_window_images_equal_dense(ctx, op, block, window)
@@ -165,7 +164,7 @@ def test_aligned_extremes_at_int64_bounds(op, D):
     for m in (2 ** bits - 1, 2 ** (bits + 1), 2 ** 61 - 1):
         block = ExactMatrix([[GaussRat(m, m)] * ctx.n, [m] * ctx.n])
         if op in FAMILIES:
-            for i, part in enumerate(ctx.project(op, block, range(D + 1))):
+            for i, part in enumerate(project(ctx, op, block, range(D + 1))):
                 assert part == _dense_rows(getattr(ctx, op)[i], block)
             # constant rows lie in E_0 W alone: the window path at the bound
             _assert_window_images_equal_dense(ctx, op, block, range(1))
@@ -187,26 +186,26 @@ def test_block_certificate_rejects_flipped_adjacency(family):
     flipped = get_ctx(3).with_flipped_sign("A", 0, 1)
     for window in (range(4), range(1), range(1, 3)):
         with pytest.raises(ConstructionError, match=r"A E_0 != 3 E_0"):
-            flipped.project(family, _base_vertex_block(flipped), window)
+            project(flipped, family, _base_vertex_block(flipped), window)
 
 
 @pytest.mark.parametrize("family", ["E", "Eeps"])
 def test_window_certificate_checks_each_part_against_adjacency(family):
     # content inside the window 1..2 only sums to the block, so each window
     # part must still be checked as an eigenvector of the flipped A
-    parts = get_ctx(3).project(family, _base_vertex_block(get_ctx(3)),
-                               range(4))
+    parts = project(get_ctx(3), family, _base_vertex_block(get_ctx(3)),
+                    range(4))
     flipped = get_ctx(3).with_flipped_sign("A", 0, 1)
     with pytest.raises(ConstructionError, match=r"A E_1 != 1 E_1"):
-        flipped.project(family, parts[1] + parts[2], range(1, 3))
+        project(flipped, family, parts[1] + parts[2], range(1, 3))
 
 
 def test_block_certificate_not_tied_to_imaginary_adjacency():
     # Eeps is certified through E against A, never against Aeps
     flipped = get_ctx(3).with_flipped_sign("Aeps", 0, 1)
     block = _base_vertex_block(flipped)
-    assert flipped.project("Eeps", block, range(4)) == \
-        get_ctx(3).project("Eeps", block, range(4))
+    assert project(flipped, "Eeps", block, range(4)) == \
+        project(get_ctx(3), "Eeps", block, range(4))
     every = ExactMatrix.identity(8)
     assert flipped.apply("Aeps", every) != get_ctx(3).apply("Aeps", every)
 
@@ -234,8 +233,22 @@ def test_block_shape_and_names_are_checked():
     with pytest.raises(ValueError):
         ctx.apply("A", ExactMatrix.identity(3))
     with pytest.raises(ValueError):
-        ctx.project("E", ExactMatrix.identity(3), range(3))
+        project(ctx, "E", ExactMatrix.identity(3), range(3))
     with pytest.raises(ValueError):
         ctx.apply("Estar", ExactMatrix.identity(4))
     with pytest.raises(ValueError):
-        ctx.project("A", ExactMatrix.identity(4), range(3))
+        project(ctx, "A", ExactMatrix.identity(4), range(3))
+
+
+@pytest.mark.parametrize("D", range(1, 7))
+def test_gathers_on_real_and_complex_blocks_equal_dense(D):
+    # a real block skips the flips and products of its zero imaginary part
+    ctx = get_ctx(D)
+    complex_block = _random_block(random.Random(100 + D), 3, ctx.n, False)
+    real_block = ExactMatrix.from_numerators(
+        complex_block._re, 0 * complex_block._re, complex_block._den)
+    for op in ("A", "Astar", "Aeps", "L", "R"):
+        for block in (real_block, complex_block):
+            image = ctx.apply(op, block)
+            assert_canonical_storage(image)
+            assert image == block @ _dense(ctx, op).transpose(), op
