@@ -8,9 +8,11 @@ paths (no Bareiss elimination, no incremental series) so that derived
 expected values are confirmed through an independent route.  Two
 exceptions keep a path that the library replaced as the oracle of its
 replacement: `elimination_seeds`, the exact elimination and Gram-Schmidt
-behind decompose's closed-form seeds, and the module path over 2^D columns
+behind decompose's closed-form seeds, the module path over 2^D columns
 (`project`, `oracle_six_bases`, `oracle_verdicts`), behind the module
-frames.
+frames, and the idempotent and conjugation suites by dense products
+(`dense_idempotent_families`, `dense_conjugation`), behind the suites on
+the Bose-Mesner structure.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from tcube.leonard import (_BASIS_SPEC, _FORM_BUILDERS, _P_SHIFTS,
                            build_six_bases, is_leonard_triple, phi_matrix)
 from tcube.linalg import (I64_LIMIT, ExactMatrix, ExactVector, gram_schmidt,
                           kernel_basis)
+from tcube.report import check_equal, check_true
 from tcube.scalar import GaussRat, I as IUNIT
 
 _CTX = {}
@@ -627,3 +630,71 @@ def oracle_verdicts(ctx, mod, phi):
     leonard = is_leonard_triple(*(triple[op]
                                   for op in OPERATOR_LABELS)).verdict
     return rep, inner_checks, transitions, coherence, leonard
+
+
+def dense_idempotent_families(ctx):
+    """cube.verify_idempotent_families by dense 2^D x 2^D products: every
+    identity of the suite on the full matrices, in the same order."""
+    n, D = ctx.n, ctx.D
+    ident = ExactMatrix.identity(n)
+    checks = []
+    ones = np.ones((n, n), dtype=np.int64)
+    allones = ExactMatrix.from_numerators(ones, 0 * ones, 1)
+    checks.append(check_equal("E_trivial_allones", ctx.E[0].scale(n), allones))
+    for label, family in (("E", ctx.E), ("Estar", ctx.Estar), ("Eeps", ctx.Eeps)):
+        total = ExactMatrix.zeros(n, n)
+        for e in family:
+            total = total + e
+        checks.append(check_equal(f"{label}_sum_identity", total, ident))
+        for i, e in enumerate(family):
+            if label == "Eeps":
+                checks.append(check_equal(f"{label}_adjoint[{i}]", e.adjoint(), e))
+            else:
+                checks.append(check_equal(f"{label}_transpose[{i}]",
+                                          e.transpose(), e))
+                checks.append(check_equal(f"{label}_conj[{i}]", e.conj(), e))
+        for i in range(D + 1):
+            for j in range(D + 1):
+                expected = family[i] if i == j else ExactMatrix.zeros(n, n)
+                checks.append(check_equal(f"{label}_product[{i},{j}]",
+                                          family[i] @ family[j], expected))
+    spectral = ExactMatrix.zeros(n, n)
+    for i, e in enumerate(ctx.Eeps):
+        spectral = spectral + e.scale(D - 2 * i)
+        checks.append(check_equal(f"Eeps_eigen[{i}]", ctx.Aeps @ e,
+                                  e.scale(D - 2 * i)))
+        checks.append(check_equal(f"Eeps_eigen_right[{i}]", e @ ctx.Aeps,
+                                  e.scale(D - 2 * i)))
+    checks.append(check_equal("Aeps_spectral_sum", spectral, ctx.Aeps))
+    proven = {c.identity: c.passed for c in checks}
+    for label, family in (("E", ctx.E), ("Estar", ctx.Estar),
+                          ("Eeps", ctx.Eeps)):
+        for i, e in enumerate(family):
+            checks.append(check_true(f"{label}_rank[{i}]",
+                                     proven[f"{label}_product[{i},{i}]"]
+                                     and e.trace() == math.comb(D, i)))
+    return checks
+
+
+def dense_conjugation(ctx):
+    """cube.verify_conjugation by dense 2^D x 2^D products."""
+    n, D = ctx.n, ctx.D
+    ident = ExactMatrix.identity(n)
+    scaled = ident.scale(n)
+    p3_scalar = GaussRat(1, -1) ** D * n
+    checks = [
+        check_equal("P_unitary_scaled", ctx.P @ ctx.P.adjoint(), scaled),
+        check_equal("P_unitary_scaled_right", ctx.P.adjoint() @ ctx.P, scaled),
+        check_equal("P_cubed", ctx.P @ ctx.P @ ctx.P, ident.scale(p3_scalar)),
+        check_equal("conj_A_to_Astar", ctx.P @ ctx.A @ ctx.Pinv, ctx.Astar),
+        check_equal("conj_Astar_to_Aeps", ctx.P @ ctx.Astar @ ctx.Pinv, ctx.Aeps),
+        check_equal("conj_Aeps_to_A", ctx.P @ ctx.Aeps @ ctx.Pinv, ctx.A),
+    ]
+    for i in range(D + 1):
+        checks.append(check_equal(f"conj_E_to_Estar[{i}]",
+                                  ctx.P @ ctx.E[i] @ ctx.Pinv, ctx.Estar[i]))
+        checks.append(check_equal(f"conj_Estar_to_Eeps[{i}]",
+                                  ctx.P @ ctx.Estar[i] @ ctx.Pinv, ctx.Eeps[i]))
+        checks.append(check_equal(f"conj_Eeps_to_E[{i}]",
+                                  ctx.P @ ctx.Eeps[i] @ ctx.Pinv, ctx.E[i]))
+    return checks

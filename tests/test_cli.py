@@ -621,6 +621,73 @@ def test_verify_every_corruption_reports(capsys, corrupt, suite):
         assert _failed_ids(out, "pretty")
 
 
+def _count_square_products(monkeypatch, n):
+    """Calls of ExactMatrix @ on two n x n operands after verify's context
+    is built, as a list that grows while the command runs."""
+    calls, built = [], []
+    honest = ExactMatrix.__matmul__
+
+    def counting(a, b):
+        square = isinstance(b, ExactMatrix) and a.shape == b.shape == (n, n)
+        if built and square:
+            calls.append(a.shape)
+        return honest(a, b)
+
+    def build(D, d_limit):
+        ctx = cli.cube.build_context(D, d_limit)
+        built.append(ctx)
+        return ctx
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counting)
+    monkeypatch.setattr(cli, "build_context", build)
+    return calls
+
+
+# The dense products each whole-matrix suite may form at D = 6: none in the
+# idempotent suite, and in the conjugation suite those of its six operator
+# rows, P P^*, P^* P, P P P and P X Pinv for X = A, Astar, Aeps.
+DENSE_PRODUCTS = {"idempotents": 0, "conjugation": 10}
+
+
+@pytest.mark.parametrize("suite", sorted(DENSE_PRODUCTS))
+def test_whole_matrix_suites_form_no_dense_family_product(capsys, monkeypatch,
+                                                          suite):
+    calls = _count_square_products(monkeypatch, 64)
+    code, _ = run(capsys, "verify", "--d", "6", "--suite", suite)
+    assert code == 0
+    assert len(calls) <= DENSE_PRODUCTS[suite]
+
+
+# The rows that Estar_1 + e_(1,2) breaks at D = 3, as the dense products
+# of tests/conftest.py find them.
+PERTURBED_FAILURES = {
+    "idempotents": ["Estar_sum_identity first_discrepancy=[1, 2]",
+                    "Estar_transpose[1] first_discrepancy=[1, 2]",
+                    "Estar_product[1,1] first_discrepancy=[1, 2]",
+                    "Estar_rank[1]"],
+    "conjugation": ["conj_E_to_Estar[1] first_discrepancy=[1, 2]",
+                    "conj_Estar_to_Eeps[1] first_discrepancy=[0, 0]"],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(PERTURBED_FAILURES))
+def test_perturbed_family_is_a_named_row(capsys, monkeypatch, suite):
+    # Estar_1 + e_(1,2) is not diagonal, so the suites compare it by dense
+    # products: the rows it breaks fail by name, and verify exits 1
+    def build(D, d_limit):
+        ctx = cli.cube.build_context(D, d_limit)
+        grid = ctx.Estar[1].to_rows()
+        grid[1][2] = GaussRat(1)
+        ctx._Estar = ctx.Estar[:1] + (ExactMatrix(grid),) + ctx.Estar[2:]
+        return ctx
+
+    monkeypatch.setattr(cli, "build_context", build)
+    code, out = run(capsys, "verify", "--d", "3", "--suite", suite)
+    assert code == 1
+    failed = _failed_ids(out, "pretty")
+    assert failed == PERTURBED_FAILURES[suite]
+
+
 @pytest.mark.parametrize("D", [3, 4, 5])
 def test_seed_with_wrong_diameter_is_a_named_row(capsys, monkeypatch, D):
     # The first branch-(b) seed of endpoint 1 with d' off by one,

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (brute_p_1j, get_ctx, interpolation_idempotents,
-                      naive_matrix_rank)
-from tcube.cube import (ConstructionError, build_context, krawtchouk_table,
-                        verify_commutators, verify_conjugation,
-                        verify_idempotent_families)
+from conftest import (brute_p_1j, dense_conjugation,
+                      dense_idempotent_families, get_ctx,
+                      interpolation_idempotents, naive_matrix_rank,
+                      walsh_hadamard)
+from tcube.cube import (ConstructionError, _walsh_hadamard, build_context,
+                        krawtchouk_table, verify_commutators,
+                        verify_conjugation, verify_idempotent_families)
 from tcube.leonard import phi_matrix
 from tcube.linalg import ExactMatrix, ExactVector, rank
 from tcube.report import all_passed
@@ -293,3 +295,94 @@ def test_construction_cross_checks_guard():
     flipped = ctx.with_flipped_sign("A", 0, 1)
     assert flipped.A != ctx.A
     assert isinstance(ConstructionError("x"), RuntimeError)
+
+
+# -- the suites on the Bose-Mesner structure against the dense oracles ----------
+
+
+def _outcome(suite, ctx):
+    """(identity, passed, first_discrepancy) per row, or the message of the
+    ConstructionError that stopped the suite."""
+    try:
+        return [(c.identity, c.passed, c.first_discrepancy)
+                for c in suite(ctx)]
+    except ConstructionError as exc:
+        return str(exc)
+
+
+def _corrupted(ctx, op):
+    """ctx with the sign of op's first nonzero entry flipped, as
+    `verify --corrupt` does; op None is ctx itself."""
+    if op is None:
+        return ctx
+    spot = tuple(np.argwhere(getattr(ctx, op).nonzero())[0].tolist())
+    return ctx.with_flipped_sign(op, *spot)
+
+
+@pytest.mark.parametrize("op", [None, "A", "Astar", "Aeps"])
+@pytest.mark.parametrize("D", range(1, 8))
+def test_structured_suites_equal_the_dense_oracles(D, op):
+    # every row, verdict and first discrepancy, clean and under each
+    # --corrupt op; a flipped A stops both at the E certificate
+    ctx = _corrupted(get_ctx(D), op)
+    for suite, oracle in ((verify_idempotent_families,
+                           dense_idempotent_families),
+                          (verify_conjugation, dense_conjugation)):
+        got = _outcome(suite, ctx)
+        assert got == _outcome(oracle, ctx)
+        assert (op == "A") == isinstance(got, str)
+
+
+def _perturbed(family, i, r, c, delta):
+    """family with entry (r, c) of member i raised by delta."""
+    m = family[i]
+    re = m._re.copy()
+    re[r, c] += delta * m._den
+    return family[:i] + (ExactMatrix.from_numerators(re, m._im, m._den),) + \
+        family[i + 1:]
+
+
+@pytest.mark.parametrize("label", ["E", "Estar", "Eeps"])
+@pytest.mark.parametrize("spot", [(1, 2), (2, 2), (0, 0)])
+def test_perturbed_family_rows_equal_the_dense_oracles(monkeypatch, label,
+                                                        spot):
+    # an entry off the diagonal of Estar, or any entry of one E_i, leaves
+    # the family without its certified structure, so its rows are dense
+    # products; an entry on the diagonal of Estar keeps it
+    ctx = build_context(3)
+    monkeypatch.setattr(ctx, f"_{label}",
+                        _perturbed(getattr(ctx, label), 1, *spot, 1))
+    for suite, oracle in ((verify_idempotent_families,
+                           dense_idempotent_families),
+                          (verify_conjugation, dense_conjugation)):
+        got = _outcome(suite, ctx)
+        assert got == _outcome(oracle, ctx)
+        assert not all(passed for _, passed, _ in got)
+
+
+@pytest.mark.parametrize("D", [2, 3])
+def test_family_products_past_the_int64_bound(monkeypatch, D):
+    # E scaled by 2^40 is still translation-invariant, but its second
+    # transform passes 2^62: the rows are convolved on Python ints, and
+    # E_i E_i = 2^40 E_i and the conjugation rows fail as the dense ones do
+    ctx = build_context(D)
+    big = tuple(e.scale(2 ** 40) for e in ctx.E)
+    monkeypatch.setattr(ctx, "_E", big)
+    for suite, oracle in ((verify_idempotent_families,
+                           dense_idempotent_families),
+                          (verify_conjugation, dense_conjugation)):
+        got = _outcome(suite, ctx)
+        assert got == _outcome(oracle, ctx)
+        assert not all(passed for _, passed, _ in got)
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_walsh_hadamard_equals_the_oracle(big):
+    rng = np.random.default_rng(7)
+    a = rng.integers(-99, 99, (3, 16))
+    if big:
+        a = a.astype(object) * 2 ** 70
+    got = _walsh_hadamard(a)
+    assert got.dtype == a.dtype
+    assert np.array_equal(got, walsh_hadamard(a))
+    assert np.array_equal(_walsh_hadamard(got), 16 * a)

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import (OutsideWindow, assert_canonical_storage, basis_vector,
                       dense_ladder, get_ctx, project, window_images)
-from tcube.cube import ConstructionError
-from tcube.linalg import I64_LIMIT, ExactMatrix
+from tcube.cube import ConstructionError, _combination
+from tcube.linalg import I64_LIMIT, ExactMatrix, first_discrepancy
 from tcube.scalar import GaussRat
 
 OPERATORS = ("A", "Astar", "Aeps", "L", "R", "P")
@@ -252,3 +252,38 @@ def test_gathers_on_real_and_complex_blocks_equal_dense(D):
             image = ctx.apply(op, block)
             assert_canonical_storage(image)
             assert image == block @ _dense(ctx, op).transpose(), op
+
+
+@pytest.mark.parametrize("big", [False, True])
+@pytest.mark.parametrize("flip", [None, "A", "Aeps"])
+def test_eigen_discrepancy_equals_dense(flip, big):
+    # op @ m and m @ op against theta m, by the edge gather, give the first
+    # discrepancy of the dense products, on both sides of the int64 bound
+    clean = get_ctx(3)
+    ctx = clean if flip is None else clean.with_flipped_sign(flip, 0, 1)
+    rng = random.Random(7)
+    for op, family in (("A", clean.E), ("Aeps", clean.Eeps)):
+        for i, member in enumerate(family):
+            for m in (member, _random_block(rng, 8, 8, big)):
+                theta = ctx.theta[i]
+                dense = getattr(ctx, op)
+                for right, product in ((False, dense @ m), (True, m @ dense)):
+                    want = m.scale(theta)
+                    expected = (None if product == want
+                                else first_discrepancy(product, want))
+                    assert ctx.eigen_discrepancy(op, m, theta, right) == \
+                        expected, (op, i, right)
+
+
+@pytest.mark.parametrize("top", [3, 2 ** 61])
+def test_combination_equals_repeated_sums(top):
+    rng = random.Random(top % 97)
+    terms = [_random_block(rng, 4, 4, False).scale(top) for _ in range(3)]
+    weights = [2, -1, 5]
+    total = ExactMatrix.zeros(4, 4)
+    for t, w in zip(terms, weights):
+        total = total + t.scale(w)
+    got = _combination(terms, weights)
+    assert_canonical_storage(got)
+    assert got == total
+    assert _combination(terms) == terms[0] + terms[1] + terms[2]
