@@ -202,24 +202,6 @@ class _Gather:
         return out_re, out_im
 
 
-def _combination(matrices, weights=None) -> ExactMatrix:
-    """sum_k weights[k] matrices[k] (every weight 1 by default), on the lcm
-    of the denominators: one scaled copy of each term, added in place, in
-    int64 when the sum of the terms' bounds is below 2^62."""
-    den = math.lcm(*(m._den for m in matrices))
-    weights = [1] * len(matrices) if weights is None else weights
-    factors = [w * (den // m._den) for m, w in zip(matrices, weights)]
-    fits = sum(m._max() * abs(f)
-               for m, f in zip(matrices, factors)) < I64_LIMIT
-    re, im = (np.zeros(matrices[0].shape, dtype=np.int64 if fits else object)
-              for _ in range(2))
-    for m, f in zip(matrices, factors):
-        mr, mi = _numerators(m, fits)
-        re += mr * f
-        im += mi * f
-    return ExactMatrix.from_numerators(re, im, den)
-
-
 def krawtchouk_table(D: int):
     """K[h, i] = K_i(h) = sum_j (-1)^j C(h, j) C(D - h, i - j), the i-th
     eigenvalue of the distance-h matrix of Q_D (object array of ints)."""
@@ -272,6 +254,7 @@ class CubeContext:
         self._Estar = None
         self._Eeps = None
         self._gathers = {}
+        self._structure = None
 
     # -- operator constructions ------------------------------------------------
 
@@ -336,7 +319,7 @@ class CubeContext:
 
     def _certify_idempotents(self, family) -> None:
         self._certify(
-            _combination(family) == ExactMatrix.identity(self.n),
+            ExactMatrix.combination(family) == ExactMatrix.identity(self.n),
             ((i, self.eigen_discrepancy("A", e, self.theta[i]) is None)
              for i, e in enumerate(family)))
 
@@ -372,6 +355,14 @@ class CubeContext:
             self._Eeps = tuple(_phase_conjugate(e, self._phase)
                                for e in self.E)
         return self._Eeps
+
+    @property
+    def structure(self) -> "_Structure":
+        """The Bose-Mesner structure of the families and P, certified once
+        and shared by the idempotent and conjugation suites."""
+        if self._structure is None:
+            self._structure = _Structure(self)
+        return self._structure
 
     # -- block operators -------------------------------------------------------------
     #
@@ -456,12 +447,12 @@ class CubeContext:
 
         Bypasses the construction cross-checks on purpose; used to confirm the
         verification suites actually detect corruption.  The idempotent
-        families and the block operators are rebuilt from the clone's
-        operators on first use.
+        families, their structure and the block operators are rebuilt from
+        the clone's operators on first use.
         """
         clone = object.__new__(CubeContext)
         clone.__dict__.update(self.__dict__)
-        clone._E = clone._Estar = clone._Eeps = None
+        clone._E = clone._Estar = clone._Eeps = clone._structure = None
         clone._gathers = {}
         m = getattr(clone, op)
         re, im = m._re.copy(), m._im.copy()
@@ -526,15 +517,6 @@ def _check_rows(name, lhs, rhs, diagonal=False) -> IdentityCheck:
         return IdentityCheck(name, True)
     _, k = first_discrepancy(lhs, rhs)
     return IdentityCheck(name, False, (k, k) if diagonal else (0, k))
-
-
-def _entrywise(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """The entrywise product of a and b, in int64 when fits_i64 bounds it."""
-    fits = fits_i64(1, a._max(), b._max())
-    ar, ai = _numerators(a, fits)
-    br, bi = _numerators(b, fits)
-    return ExactMatrix.from_numerators(ar * br - ai * bi, ar * bi + ai * br,
-                                       a._den * b._den)
 
 
 class _Structure:
@@ -608,13 +590,10 @@ class _Structure:
 
     @cached_property
     def E_spectra(self):
-        """(H r_i, H H r_i) numerators for the first rows r_i of E; the
-        second is at most n^2 m."""
-        n = self.n
+        """The numerators H r_i for the first rows r_i of E, at most n m."""
         m = max(r._max() for r in self.E)
-        spectra = _walsh_hadamard(_as_int64_below(
-            np.vstack([r._re for r in self.E]), n * n * m))
-        return spectra, _walsh_hadamard(spectra)
+        return _walsh_hadamard(_as_int64_below(
+            np.vstack([r._re for r in self.E]), self.n * m))
 
     def products(self, label: str):
         """(rows, products, diagonal) for the products F_i F_j of family
@@ -624,7 +603,7 @@ class _Structure:
         if label == "Estar":
             if self.Estar is None:
                 return None
-            return self.Estar, [[_entrywise(a, b) for b in self.Estar]
+            return self.Estar, [[a.entrywise(b) for b in self.Estar]
                                 for a in self.Estar], True
         if self.E is None or (label == "Eeps" and not self.Eeps):
             return None
@@ -640,13 +619,13 @@ class _Structure:
         if kind == "conj_E_to_Estar":
             if self.Estar is None:
                 return None
-            spectrum = self.E_spectra[0][i]
+            spectrum = self.E_spectra[i]
             return _row(spectrum, 0 * spectrum, r._den), self.Estar[i], True
         if not self.Eeps:
             return None
         if kind == "conj_Eeps_to_E":
-            twice = self.E_spectra[1][i]
-            return _row(twice, 0 * twice, n * r._den), r, False
+            # a theorem on this structure (see verify_conjugation)
+            return r, r, False
         if self.Estar is None:
             return None
         s = self.Estar[i]
@@ -662,7 +641,8 @@ def verify_idempotent_families(ctx: CubeContext):
     The sums, the transpose, conjugate and adjoint rows, E_0 n = J and the
     Aeps spectral sum compare every entry of the stored matrices.  The
     products F_i F_j = delta_ij F_i compare one row of n entries each, on
-    the structure that `_Structure` certifies first:
+    the structure that `_Structure` certifies first, once per context
+    (`CubeContext.structure`):
     - E_i E_j: the first row of the product, by Walsh-Hadamard transforms,
       against that of E_i or 0.  Both sides are translation-invariant, so
       the rest of the matrix follows;
@@ -683,10 +663,10 @@ def verify_idempotent_families(ctx: CubeContext):
     ones = np.ones((n, n), dtype=np.int64)
     allones = ExactMatrix.from_numerators(ones, 0 * ones, 1)
     checks.append(check_equal("E_trivial_allones", ctx.E[0].scale(n), allones))
-    structure = _Structure(ctx)
+    structure = ctx.structure
     for label, family in (("E", ctx.E), ("Estar", ctx.Estar), ("Eeps", ctx.Eeps)):
         checks.append(check_equal(f"{label}_sum_identity",
-                                  _combination(family), ident))
+                                  ExactMatrix.combination(family), ident))
         for i, e in enumerate(family):
             if label == "Eeps":
                 checks.append(check_equal(f"{label}_adjoint[{i}]", e.adjoint(), e))
@@ -713,7 +693,8 @@ def verify_idempotent_families(ctx: CubeContext):
             spot = ctx.eigen_discrepancy("Aeps", e, D - 2 * i, right)
             checks.append(IdentityCheck(name, spot is None, spot))
     checks.append(check_equal("Aeps_spectral_sum",
-                              _combination(ctx.Eeps, ctx.theta), ctx.Aeps))
+                              ExactMatrix.combination(ctx.Eeps, ctx.theta),
+                              ctx.Aeps))
     proven = {c.identity: c.passed for c in checks}
     for label, family in (("E", ctx.E), ("Estar", ctx.Estar),
                           ("Eeps", ctx.Eeps)):
@@ -731,7 +712,8 @@ def verify_conjugation(ctx: CubeContext):
     The six operator rows (P P^*, P^* P, P^3 and P X Pinv for X = A, Astar,
     Aeps) are dense products of the stored matrices.  The family rows
     compare one row or diagonal each, on the structure that `_Structure`
-    certifies: P = S^-1 H and Pinv = P^-1 = H S / n, with H H = n I and
+    certifies (`CubeContext.structure`, shared with the idempotent suite):
+    P = S^-1 H and Pinv = P^-1 = H S / n, with H H = n I and
     S = diag(i^dist) diagonal.  An invariant E_i = Inv(r_i) / den_i, with
     Inv(r)[x, y] = r[x ^ y], satisfies Inv(r) = H diag(H r) H / n, and
     H diag(s) H = n Inv(H s / n).  So
@@ -744,8 +726,10 @@ def verify_conjugation(ctx: CubeContext):
       (1-i)^D n I, since P1^3 = 2 (1-i) I, so conjugation by P has order
       3, and P D_i Pinv = S^-1 Inv(H H r_i / n) S / den_i = Eeps_i by the
       second case, as H H = n I.  So P Eeps_i Pinv = P^2 D_i P^-2 =
-      Pinv D_i P = H diag(H r_i) H / (n den_i) = Inv(H H r_i / n) / den_i:
-      the row H H r_i / n against r_i.
+      Pinv D_i P = H diag(H r_i) H / (n den_i) = Inv(H H r_i / n) / den_i
+      = Inv(r_i) / den_i = E_i.  This row follows from the certified
+      structure alone and cannot fail on it, so it compares r_i with
+      itself and costs no transform.
     The rest of each matrix follows as the note on the structure says.
     Family rows whose factors lack the structure (only a replaced family
     or P does) are dense products."""
@@ -761,7 +745,7 @@ def verify_conjugation(ctx: CubeContext):
         check_equal("conj_Astar_to_Aeps", ctx.P @ ctx.Astar @ ctx.Pinv, ctx.Aeps),
         check_equal("conj_Aeps_to_A", ctx.P @ ctx.Aeps @ ctx.Pinv, ctx.A),
     ]
-    structure = _Structure(ctx)
+    structure = ctx.structure
     E, Estar, Eeps = ctx.E, ctx.Estar, ctx.Eeps
     for i in range(D + 1):
         for kind, src, dst in (("conj_E_to_Estar", E, Estar),

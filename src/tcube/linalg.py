@@ -137,7 +137,7 @@ def _fits(m: int, f: int) -> bool:
 def _scaled(x, f: int):
     """x's numerator arrays times the integer f: on int64 when _fits(max, f)
     holds, else on object copies.  An int64 result stays below 2^62 in
-    magnitude, so the sum of two (`_combine`) stays within int64."""
+    magnitude."""
     re, im = _numerators(x, _fits(x._max(), f))
     return re * f, im * f
 
@@ -272,6 +272,27 @@ class _NumeratorArray:
             return arr.tobytes() if arr.dtype != object else tuple(arr.flat)
         return hash((self._re.shape, self._den, key(self._re), key(self._im)))
 
+    @classmethod
+    def combination(cls, items, weights=None):
+        """sum_k weights[k] items[k] (every integer weight 1 by default) on
+        the lcm of the denominators: one scaled copy of each term, added in
+        place, on int64 when the sum of the terms' bounds (`_fits`) is below
+        2^62, else on Python ints."""
+        den = math.lcm(*(x._den for x in items))
+        weights = [1] * len(items) if weights is None else weights
+        factors = [w * (den // x._den) for x, w in zip(items, weights)]
+        fits = sum(max(x._max(), 1) * abs(f)
+                   for x, f in zip(items, factors)) < I64_LIMIT
+        re = im = None
+        for x, f in zip(items, factors):
+            xr, xi = _numerators(x, fits)
+            if re is None:
+                re, im = xr * f, xi * f
+            else:
+                re += xr * f
+                im += xi * f
+        return cls._raw(re, im, den)
+
     def _combine(self, other, sign):
         """self + sign * other on the lcm of the two denominators."""
         if not isinstance(other, type(self)):
@@ -279,10 +300,16 @@ class _NumeratorArray:
         if self._re.shape != other._re.shape:
             raise ValueError(
                 f"shape mismatch {self._re.shape} vs {other._re.shape}")
-        l = math.lcm(self._den, other._den)
-        ar, ai = _scaled(self, l // self._den)
-        br, bi = _scaled(other, sign * (l // other._den))
-        return self._raw(ar + br, ai + bi, l)
+        return self.combination((self, other), (1, sign))
+
+    def entrywise(self, other):
+        """The entrywise product of self and other (of one shape), on int64
+        when fits_i64 bounds it."""
+        fits = fits_i64(1, self._max(), other._max())
+        ar, ai = _numerators(self, fits)
+        br, bi = _numerators(other, fits)
+        return self._raw(ar * br - ai * bi, ar * bi + ai * br,
+                         self._den * other._den)
 
     def __add__(self, other):
         return self._combine(other, 1)

@@ -10,6 +10,7 @@ from conftest import (brute_p_1j, dense_conjugation,
                       dense_idempotent_families, get_ctx,
                       interpolation_idempotents, naive_matrix_rank,
                       walsh_hadamard)
+from tcube import cube
 from tcube.cube import (ConstructionError, _walsh_hadamard, build_context,
                         krawtchouk_table, verify_commutators,
                         verify_conjugation, verify_idempotent_families)
@@ -374,6 +375,26 @@ def test_family_products_past_the_int64_bound(monkeypatch, D):
         got = _outcome(suite, ctx)
         assert got == _outcome(oracle, ctx)
         assert not all(passed for _, passed, _ in got)
+
+
+def test_structure_is_certified_once_per_context(monkeypatch):
+    # the idempotent and conjugation suites share one certificate; a
+    # corrupted clone certifies its own
+    built = []
+    honest = cube._Structure.__init__
+
+    def counting(self, ctx):
+        built.append(ctx)
+        honest(self, ctx)
+
+    monkeypatch.setattr(cube._Structure, "__init__", counting)
+    ctx = build_context(3)
+    verify_idempotent_families(ctx)
+    verify_conjugation(ctx)
+    assert built == [ctx]
+    flipped = ctx.with_flipped_sign("Astar", 0, 0)
+    verify_conjugation(flipped)
+    assert built == [ctx, flipped]
 
 
 @pytest.mark.parametrize("big", [False, True])

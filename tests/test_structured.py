@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import (OutsideWindow, assert_canonical_storage, basis_vector,
                       dense_ladder, get_ctx, project, window_images)
-from tcube.cube import ConstructionError, _combination
+from tcube.cube import ConstructionError
 from tcube.linalg import I64_LIMIT, ExactMatrix, first_discrepancy
 from tcube.scalar import GaussRat
 
@@ -283,7 +283,7 @@ def test_combination_equals_repeated_sums(top):
     total = ExactMatrix.zeros(4, 4)
     for t, w in zip(terms, weights):
         total = total + t.scale(w)
-    got = _combination(terms, weights)
+    got = ExactMatrix.combination(terms, weights)
     assert_canonical_storage(got)
     assert got == total
-    assert _combination(terms) == terms[0] + terms[1] + terms[2]
+    assert ExactMatrix.combination(terms) == terms[0] + terms[1] + terms[2]
