@@ -438,7 +438,7 @@ class CubeContext:
 
     def slice_indices(self, k: int):
         """Vertex indices at distance k from the base point, ascending."""
-        return [y for y in range(self.n) if int(self.dist[y]) == k]
+        return np.flatnonzero(self._dist == k).tolist()
 
     # -- testing hook ----------------------------------------------------------------
 

@@ -25,15 +25,21 @@ seeds span the kernel of L on each slice.
 
 A module's slice basis B is stored as one block, a (d+1) x 2^D matrix with
 one vector b_k per row; the context's block operators (`CubeContext.apply`)
-give L, R, A, Astar, Aeps and P of the whole block in one call each.  Each
-module is certified once over the 2^D columns: its *frame* (`ModuleFrame`)
-is the exact (d+1) x (d+1) matrix of each of A, Astar, Aeps and P in the
-basis B, read off the images of B and certified by reconstructing them,
-with the diagonal Gram B B^*.  From then on the module is (d+1)-dimensional:
-its idempotents are the spectral idempotents of the frame's matrices
-(`spectral_parts`), and the six bases and every check on them are
-coordinates in B (`leonard`).  By the tensor structure the frame depends
-only on the module's endpoint, once the Gram is divided by <u*, u*>.
+give L, R, A, Astar, Aeps and P of a whole block in one call each.  The
+modules with one endpoint r are isomorphic (Go), so `decompose` works one
+endpoint at a time: the slice bases of its m modules form one slice-major
+stack, row k m + j holding b_k of module j, built by d + 1 R gathers on the
+m seeds, and one call of each operator on the stack serves every module
+(A's images are L's plus R's, which the ladder holds).
+The endpoint is certified once over its m 2^D columns: its *frame*
+(`ModuleFrame`) is the exact (d+1) x (d+1) matrix of each of A, Astar,
+Aeps and P in the basis B, read off the images of its first module and
+certified on all of them at once by reconstructing their images, and each
+module keeps its own diagonal Gram B B^*.  From then on a module is
+(d+1)-dimensional: its idempotents are the spectral idempotents of the
+frame's matrices (`spectral_parts`), and the six bases and every check on
+them are coordinates in B (`leonard`).  By the tensor structure the frame
+depends only on the endpoint, once the Gram is divided by <u*, u*>.
 """
 
 from __future__ import annotations
@@ -295,68 +301,165 @@ def _spectral_failure(failure, r: int, d: int, label: str, op: str) -> str:
     return f"{label}_{i} W vanished inside the window"
 
 
-def _validate_ladder(ctx: CubeContext, r: int, index: int, ladder):
-    """The slice-ladder invariants of one module; ladder holds the seed u*
-    and its images under R, R^2, ..., R^(d+1), one row each.  Returns the
-    slice basis (the first d + 1 rows) and its image under Astar."""
-    d = len(ladder) - 2
-    block = ExactMatrix.stack(ladder[:-1])
-    if d != ctx.D - 2 * r:
-        _fail(r, index, "diameter is not D - 2r")
-    nonzero = block.nonzero()
-    slices = r + np.arange(d + 1)
-    outside = nonzero & (ctx.dist[None, :] != slices[:, None])
+def _note(failures, bad, what):
+    """Record `what` as the failure of each module j with bad[j] that has
+    none yet, so that checks noted in order keep each module's first."""
+    for j in np.flatnonzero(bad):
+        if failures[j] is None:
+            failures[j] = what
+
+
+def _scale_rows(block: ExactMatrix, factors) -> ExactMatrix:
+    """diag(factors) @ block for integer factors: row k times factors[k],
+    on int64 when _fits(max, max|factors|)."""
+    f = np.asarray(factors)[:, None]
+    re, im = _numerators(block, _fits(block._max(), int(abs(f).max())))
+    return ExactMatrix.from_numerators(re * f, im * f, block._den)
+
+
+def _row_norms(block: ExactMatrix):
+    """Numerators of <b, b> over den^2 for each row b of block: the sum of
+    re^2 + im^2, on int64 when fits_i64(cols, max, max) bounds it."""
+    re, im = _numerators(block, fits_i64(block.cols, block._max(),
+                                         block._max()))
+    return (re * re).sum(axis=1) + (im * im).sum(axis=1)
+
+
+def _read(image: ExactMatrix, basis: ExactMatrix,
+          inverse: ExactMatrix) -> ExactMatrix:
+    """The coordinates in an orthogonal basis B of the rows of image,
+    image @ B^* times the inverse norms; exact when the rows lie in W."""
+    return (image @ basis.adjoint()) @ inverse
+
+
+def _ladder_failures(ctx: CubeContext, r: int, stack: ExactMatrix,
+                     top: ExactMatrix, failures) -> ExactMatrix:
+    """Note the first failing slice-ladder check of each module with
+    endpoint r, and return L of the stack.  stack holds b_k of module j in
+    row k m + j, and top its image R b_d in row j."""
+    m = len(failures)
+    d = stack.rows // m - 1
+    nonzero = stack.nonzero()
+    slices = np.repeat(r + np.arange(d + 1), m)
+    leaves = (nonzero & (ctx._dist[None, :] != slices[:, None])).any(axis=1)
+    zero = ~nonzero.any(axis=1)
+    del nonzero
     for k in range(d + 1):
-        if not nonzero[k].any():
-            _fail(r, index, f"slice basis vector {k} is zero")
-        if outside[k].any():
-            _fail(r, index, f"slice basis vector {k} leaves slice {r + k}")
+        rows = slice(k * m, (k + 1) * m)
+        _note(failures, zero[rows], f"slice basis vector {k} is zero")
+        _note(failures, leaves[rows], f"slice basis vector {k} leaves slice "
+                                   f"{r + k}")
     # closure under A = L + R along the slice ladder: L b_k is a nonzero
     # multiple of b_(k-1), and of the zero vector for k = 0
-    lowered = ctx.apply("L", block)
-    below = ExactMatrix.stack([ExactMatrix.zeros(1, ctx.n),
-                               block.block(slice(0, d), slice(None))])
-    onto = proportional_rows(lowered, below)
-    if not onto[0]:
-        _fail(r, index, "seed not annihilated by the lowering operator")
+    lowered = ctx.apply("L", stack)
     lowered_nonzero = lowered.nonzero().any(axis=1)
-    for k in range(1, d + 1):
-        if not lowered_nonzero[k] or not onto[k]:
-            _fail(r, index, f"L does not map slice {k} onto slice {k - 1}")
-    if not ladder[-1].is_zero():
-        _fail(r, index, "raising the top slice does not vanish")
-    # closure under Astar is automatic for slice-supported vectors; verify.
-    scaled = ExactMatrix.diagonal([ctx.D - 2 * (r + k)
-                                   for k in range(d + 1)]) @ block
-    astar = ctx.apply("Astar", block)
-    for k, ok in enumerate(astar.row_equal(scaled)):
-        if not ok:
-            _fail(r, index, f"Astar does not scale slice {k}")
-    return block, astar
+    _note(failures, lowered_nonzero[:m],
+          "seed not annihilated by the lowering operator")
+    if d:
+        onto = lowered_nonzero[m:] & proportional_rows(
+            lowered.block(slice(m, None), slice(None)),
+            stack.block(slice(0, d * m), slice(None)))
+        for k in range(1, d + 1):
+            _note(failures, ~onto[(k - 1) * m:k * m],
+                  f"L does not map slice {k} onto slice {k - 1}")
+    _note(failures, top.nonzero().any(axis=1),
+          "raising the top slice does not vanish")
+    return lowered
 
 
-def _certify_frame(ctx: CubeContext, r: int, index: int, block: ExactMatrix,
-                   astar: ExactMatrix) -> ModuleFrame:
-    """The frame of the module with slice basis `block`, whose image under
-    Astar is `astar`.  One A and one Aeps gather and one P pass on the
-    block; the coordinates of every image are read off images @ B^* times
-    the inverse norms and certified by the exact reconstruction
-    coords @ B == images, which proves that the operator maps W into W.
-    The Gram B B^* must be diagonal."""
-    n = block.rows
-    gram = block @ block.adjoint()
-    if (gram.nonzero() != np.eye(n, dtype=bool)).any():
-        _fail(r, index, "the slice basis is not orthogonal")
-    images = ExactMatrix.stack([ctx.apply("A", block), astar,
-                                ctx.apply("Aeps", block),
-                                ctx.apply("P", block)])
-    coords = (images @ block.adjoint()) @ inverse_diagonal(gram)
-    closed = (coords @ block).row_equal(images).reshape(len(FRAME_OPS), n)
-    for op, ok in zip(FRAME_OPS, closed.all(axis=1)):
-        if not ok:
+def _own_frame(ctx: CubeContext, r: int, index: int, basis: ExactMatrix,
+               gram: ExactMatrix) -> ModuleFrame:
+    """The frame of one module read off the images of its own slice basis
+    and certified by their exact reconstruction, op by op in FRAME_OPS
+    order; for a module that the frame of its endpoint does not rebuild,
+    which a corrupted context alone makes."""
+    inverse = inverse_diagonal(gram)
+    coords = {}
+    for op in FRAME_OPS:
+        image = ctx.apply(op, basis)
+        coords[op] = _read(image, basis, inverse)
+        if not (coords[op] @ basis).entries_equal(image).all():
             _fail(r, index, f"{op} does not map W into W")
-    return ModuleFrame(*(coords.block(slice(k * n, (k + 1) * n), slice(None))
-                         for k in range(len(FRAME_OPS))), gram=gram)
+    return ModuleFrame(**coords, gram=gram)
+
+
+def _endpoint_modules(ctx: CubeContext, r: int, numerators):
+    """The modules with endpoint r, one per seed row of `numerators`,
+    certified together (see `decompose`)."""
+    m, d, n = len(numerators), ctx.D - 2 * r, ctx.n
+    steps = [ExactMatrix.from_numerators(numerators, 0 * numerators, 1)]
+    for _ in range(d + 1):
+        steps.append(ctx.apply("R", steps[-1]))
+    top = steps.pop()
+    # slice-major: row k m + j of stack is b_k of module j, and in the free
+    # view (d+1) x (m 2^D) module j owns the columns j 2^D ... (j+1) 2^D - 1
+    stack = ExactMatrix.stack(steps)
+    del steps
+    view = stack.reshape(d + 1, m * n)
+
+    def owned(block: ExactMatrix, j: int) -> ExactMatrix:
+        return block.block(slice(None), slice(j * n, (j + 1) * n))
+
+    failures = [None] * m
+    lowered = _ladder_failures(ctx, r, stack, top, failures)
+    # A's images need no gather: the block operators L and R split A's
+    # gather between them, and R b_k is b_(k+1), or top for k = d
+    images = {"A": lowered + ExactMatrix.stack(
+        [stack.block(slice(m, None), slice(None)), top])}
+    del lowered
+    norms = _row_norms(stack).reshape(d + 1, m)
+    grams = [ExactMatrix.from_numerators(np.diag(norms[:, j]),
+                                         np.zeros((d + 1, d + 1), np.int64),
+                                         stack._den ** 2) for j in range(m)]
+    basis = owned(view, 0)
+    inverse = inverse_diagonal(grams[0])
+    scaled_by = np.repeat(ctx.D - 2 * (r + np.arange(d + 1)), m)
+    # the frame read off module 0, and for each op the modules whose images
+    # it rebuilds: one product over the whole view, one operator at a time.
+    # A module whose Astar images pass the scale check has the frame matrix
+    # diag(theta) for Astar, as module 0 then has, so Astar needs none.
+    shared, rebuilt = {}, np.ones(m, dtype=bool)
+    for op in FRAME_OPS:
+        image = images.pop(op) if op in images else ctx.apply(op, stack)
+        if op == "Astar":
+            same = image.entries_equal(_scale_rows(stack, scaled_by))
+            for k in range(d + 1):
+                _note(failures, ~same[k * m:(k + 1) * m].all(axis=1),
+                      f"Astar does not scale slice {k}")
+            del same
+        image = image.reshape(d + 1, m * n)
+        shared[op] = _read(owned(image, 0), basis, inverse)
+        if op != "Astar":
+            rebuilt &= (shared[op] @ view).entries_equal(image).reshape(
+                d + 1, m, n).all(axis=(0, 2))
+        del image
+    seeds = _seed_coordinates(shared["A"], shared["Aeps"]) @ view
+    modules = []
+    for j in range(m):
+        if failures[j] is not None:
+            _fail(r, j, failures[j])
+        basis = owned(view, j)
+        if rebuilt[j]:
+            frame = ModuleFrame(**shared, gram=grams[j])
+        else:
+            frame = _own_frame(ctx, r, j, basis, grams[j])
+        for op, label in (("A", "E"), ("Aeps", "Eeps")):
+            failure = spectral_parts(getattr(frame, op))[1]
+            if failure is not None:
+                _fail(r, j, _spectral_failure(failure, r, d, label, op))
+        # a copy of the module's columns, so that the endpoint's product is
+        # freed once every module holds its own
+        own = (seeds.columns(np.arange(j * n, (j + 1) * n)) if rebuilt[j]
+               else seed_coordinates(frame) @ basis)
+        seed_nonzero = own.nonzero().any(axis=1)
+        for k in (0, 2):
+            if not seed_nonzero[k]:
+                _fail(r, j, f"seed {SEED_NAMES[k]} is zero")
+        mod = IrreducibleModule(r=r, d=d, index=j, seeds=own,
+                                slice_basis=basis, frame=frame)
+        _check_seed_pairings(mod)
+        modules.append(mod)
+    return modules
 
 
 def seed_coordinates(frame: ModuleFrame) -> ExactMatrix:
@@ -374,23 +477,6 @@ def _seed_coordinates(a: ExactMatrix, aeps: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.stack([rows[0], unit, rows[1]])
 
 
-def _seeds(r: int, index: int, block: ExactMatrix,
-           frame: ModuleFrame) -> ExactMatrix:
-    """The seeds u, u* and ue over 2^D, after the spectral certificates of
-    the frame's A and Aeps: their coordinates mapped back through B."""
-    d = block.rows - 1
-    for op, label in (("A", "E"), ("Aeps", "Eeps")):
-        failure = spectral_parts(getattr(frame, op))[1]
-        if failure is not None:
-            _fail(r, index, _spectral_failure(failure, r, d, label, op))
-    seeds = seed_coordinates(frame) @ block
-    seed_nonzero = seeds.nonzero().any(axis=1)
-    for k in (0, 2):
-        if not seed_nonzero[k]:
-            _fail(r, index, f"seed {SEED_NAMES[k]} is zero")
-    return seeds
-
-
 def _check_seed_pairings(mod: IrreducibleModule) -> None:
     for a, b in (("u*", "u"), ("u", "ue"), ("ue", "u*")):
         if not mod.seed_inner(a, b):
@@ -400,23 +486,26 @@ def _check_seed_pairings(mod: IrreducibleModule) -> None:
 def _check_orthogonal_sum(ctx: CubeContext, modules) -> None:
     """The dimensions sum to 2^D and the modules are pairwise orthogonal.
 
-    Rests on _validate_module's slice-support check: vector k of a module
-    with endpoint r lies on slice r + k.  So vectors on different slices are
+    Rests on decompose's slice-support check: vector k of a module with
+    endpoint r lies on slice r + k.  So vectors on different slices are
     orthogonal without any product, and the check is one Gram per slice s,
     of the vectors on slice s restricted to the slice's C(D, s) columns,
-    which must vanish off the pairs of one module.  The pair named is the
-    first in the row-major order of the Gram of all the vectors."""
+    which must vanish off the pairs of one module.  Only those vectors are
+    gathered for it.  The pair named is the first in the row-major order of
+    the Gram of all the vectors."""
     owner = np.repeat(np.arange(len(modules)), [m.dim for m in modules])
     if len(owner) != ctx.n:
         raise InvariantViolation(
             f"module dimensions sum to {len(owner)}, expected {ctx.n}")
-    stacked = ExactMatrix.stack([m.slice_basis for m in modules])
     on_slice = np.concatenate([m.r + np.arange(m.dim) for m in modules])
     crossing = []
     for s in range(ctx.D + 1):
         rows = np.flatnonzero(on_slice == s)
-        vectors = stacked.block(rows, slice(None)).columns(
-            ctx.slice_indices(s))
+        cols = ctx.slice_indices(s)
+        vectors = ExactMatrix.stack([
+            modules[j].slice_basis.block(slice(s - modules[j].r,
+                                               s - modules[j].r + 1), cols)
+            for j in owner[rows]])
         gram = vectors @ vectors.adjoint()
         cross = gram.nonzero() & (owner[rows][:, None] != owner[rows][None, :])
         if cross.any():
@@ -456,9 +545,29 @@ def decompose(ctx: CubeContext) -> Decomposition:
     u = E_r u* = (row 0 of F_0) B.  The same argument with Aeps, M_Aeps
     and Eeps_i gives the same for Eeps, and ue = Eeps_r u*.
 
-    Per module: one R gather per ladder step, one L, Astar, A and Aeps
-    gather and one P pass on the slice basis, and the spectral parts of
-    its frame, computed once per distinct frame matrix."""
+    The work is done one endpoint at a time, on the slice-major stack of
+    the endpoint's m slice bases (row k m + j is b_k of module j): d + 1 R
+    gathers on the m seeds build it, and one L, Astar and Aeps gather and
+    one P pass on it cover every module; A's images are those of L plus
+    those of R, which the ladder holds, since the block operators split
+    A's gather between L and R.  The ladder and slice checks run on the
+    stack.  The frame is read off module 0 and certifies every module at
+    once, by the exact reconstruction M_op B_j = op B_j for all j as one
+    (d+1) x (d+1) by (d+1) x (m 2^D) product for each of A, Aeps and P;
+    Astar's is diag(theta) on every module that passes the slice scale
+    check.  Since the coordinates in an orthogonal basis are unique, a
+    module the frame rebuilds has exactly that frame.  Such modules share
+    the four frame matrices, each with its own diagonal Gram B B^* read off
+    its row norms: the slice support check puts b_k on slice r + k, so the
+    vectors are orthogonal and nonzero, and "the slice basis is not
+    orthogonal" is implied rather than tested.  A module that the shared
+    frame does not rebuild (only on a corrupted context) has its frame read
+    off its own images.  The seeds are seed_coordinates(frame) times the
+    view, once per endpoint, and the spectral parts are computed once per
+    distinct frame matrix.  Every check is made for all modules of an
+    endpoint; the error names the first module in index order, at its first
+    failing check in the order ladder, Astar, frame, spectral, seed
+    nonzero, seed pairings."""
     modules = []
     mults = {}
     for r, numerators in closed_form_seeds(ctx.D).items():
@@ -466,20 +575,8 @@ def decompose(ctx: CubeContext) -> Decomposition:
             raise InvariantViolation(
                 f"endpoint {r}: {len(numerators)} seeds, expected "
                 f"C(D,r) - C(D,r-1) = {multiplicity(ctx.D, r)}")
-        seeds = ExactMatrix.from_numerators(numerators, 0 * numerators, 1)
-        d = ctx.D - 2 * r
-        for index in range(seeds.rows):
-            ladder = [seeds.block([index], slice(None))]
-            for _ in range(d + 1):
-                ladder.append(ctx.apply("R", ladder[-1]))
-            block, astar = _validate_ladder(ctx, r, index, ladder)
-            frame = _certify_frame(ctx, r, index, block, astar)
-            mod = IrreducibleModule(
-                r=r, d=d, index=index, seeds=_seeds(r, index, block, frame),
-                slice_basis=block, frame=frame)
-            _check_seed_pairings(mod)
-            modules.append(mod)
-        mults[r] = seeds.rows
+        modules.extend(_endpoint_modules(ctx, r, numerators))
+        mults[r] = len(numerators)
     _check_orthogonal_sum(ctx, modules)
     return Decomposition(D=ctx.D, modules=tuple(modules), multiplicities=mults)
 

@@ -137,7 +137,9 @@ def _fits(m: int, f: int) -> bool:
 def _scaled(x, f: int):
     """x's numerator arrays times the integer f: on int64 when _fits(max, f)
     holds, else on object copies.  An int64 result stays below 2^62 in
-    magnitude."""
+    magnitude.  For f = 1 they are x's own (read-only) arrays."""
+    if f == 1:
+        return x._re, x._im
     re, im = _numerators(x, _fits(x._max(), f))
     return re * f, im * f
 
@@ -460,6 +462,12 @@ class ExactMatrix(_NumeratorArray):
     @property
     def cols(self) -> int:
         return self._re.shape[1]
+
+    def reshape(self, rows: int, cols: int) -> "ExactMatrix":
+        """The same entries in row-major order as a rows x cols matrix: a
+        view of self's arrays when they are contiguous, else a copy."""
+        return self._like(self._re.reshape(rows, cols),
+                          self._im.reshape(rows, cols))
 
     def row(self, r) -> ExactVector:
         return ExactVector._raw(self._re[r].copy(), self._im[r].copy(), self._den)

@@ -5,11 +5,12 @@ the whole session; building them once keeps the exact-arithmetic suites fast.
 
 The oracle helpers here deliberately avoid the library's own computational
 paths (no Bareiss elimination, no incremental series) so that derived
-expected values are confirmed through an independent route.  Two
+expected values are confirmed through an independent route.  The
 exceptions keep a path that the library replaced as the oracle of its
 replacement: `elimination_seeds`, the exact elimination and Gram-Schmidt
-behind decompose's closed-form seeds, the module path over 2^D columns
-(`project`, `oracle_six_bases`, `oracle_verdicts`), behind the module
+behind decompose's closed-form seeds, `oracle_decompose`, the module by
+module decomposition behind its endpoint stacks, the module path over 2^D
+columns (`project`, `oracle_six_bases`, `oracle_verdicts`), behind the module
 frames, and the idempotent and conjugation suites by dense products
 (`dense_idempotent_families`, `dense_conjugation`), behind the suites on
 the Bose-Mesner structure.
@@ -24,15 +25,19 @@ import numpy as np
 import pytest
 
 from tcube.cube import _times_i_power, build_context
-from tcube.decomposition import (InvariantViolation, decompose,
-                                 proportional_rows)
+from tcube.decomposition import (FRAME_OPS, SEED_NAMES, Decomposition,
+                                 InvariantViolation, IrreducibleModule,
+                                 ModuleFrame, _check_seed_pairings, _fail,
+                                 _spectral_failure, closed_form_seeds,
+                                 decompose, multiplicity, proportional_rows,
+                                 seed_coordinates, spectral_parts)
 from tcube.leonard import (_BASIS_SPEC, _FORM_BUILDERS, _P_SHIFTS,
                            _PROPORTIONAL_ROWS, _SEED_ROWS, BASIS_LABELS,
                            INNER_FORMULAS, OPERATOR_LABELS, REP_FORMS,
                            TRANSITION_TABLE, BasisError, BasisSolver,
                            build_six_bases, is_leonard_triple, phi_matrix)
 from tcube.linalg import (I64_LIMIT, ExactMatrix, ExactVector, gram_schmidt,
-                          kernel_basis)
+                          inverse_diagonal, kernel_basis)
 from tcube.report import check_equal, check_true
 from tcube.scalar import GaussRat, I as IUNIT
 
@@ -292,6 +297,124 @@ def dense_orthogonal_sum(ctx, modules):
         a, b = np.argwhere(cross)[0]
         raise InvariantViolation(
             f"modules {owner[a]} and {owner[b]} are not orthogonal")
+
+
+def _validate_ladder(ctx, r, index, ladder):
+    """The slice-ladder invariants of one module; ladder holds the seed u*
+    and its images under R, R^2, ..., R^(d+1), one row each.  Returns the
+    slice basis (the first d + 1 rows) and its image under Astar."""
+    d = len(ladder) - 2
+    block = ExactMatrix.stack(ladder[:-1])
+    if d != ctx.D - 2 * r:
+        _fail(r, index, "diameter is not D - 2r")
+    nonzero = block.nonzero()
+    slices = r + np.arange(d + 1)
+    outside = nonzero & (ctx.dist[None, :] != slices[:, None])
+    for k in range(d + 1):
+        if not nonzero[k].any():
+            _fail(r, index, f"slice basis vector {k} is zero")
+        if outside[k].any():
+            _fail(r, index, f"slice basis vector {k} leaves slice {r + k}")
+    # closure under A = L + R along the slice ladder: L b_k is a nonzero
+    # multiple of b_(k-1), and of the zero vector for k = 0
+    lowered = ctx.apply("L", block)
+    below = ExactMatrix.stack([ExactMatrix.zeros(1, ctx.n),
+                               block.block(slice(0, d), slice(None))])
+    onto = proportional_rows(lowered, below)
+    if not onto[0]:
+        _fail(r, index, "seed not annihilated by the lowering operator")
+    lowered_nonzero = lowered.nonzero().any(axis=1)
+    for k in range(1, d + 1):
+        if not lowered_nonzero[k] or not onto[k]:
+            _fail(r, index, f"L does not map slice {k} onto slice {k - 1}")
+    if not ladder[-1].is_zero():
+        _fail(r, index, "raising the top slice does not vanish")
+    # closure under Astar is automatic for slice-supported vectors; verify.
+    scaled = ExactMatrix.diagonal([ctx.D - 2 * (r + k)
+                                   for k in range(d + 1)]) @ block
+    astar = ctx.apply("Astar", block)
+    for k, ok in enumerate(astar.row_equal(scaled)):
+        if not ok:
+            _fail(r, index, f"Astar does not scale slice {k}")
+    return block, astar
+
+
+def _certify_frame(ctx, r, index, block, astar):
+    """The frame of the module with slice basis `block`, whose image under
+    Astar is `astar`.  One A and one Aeps gather and one P pass on the
+    block; the coordinates of every image are read off images @ B^* times
+    the inverse norms and certified by the exact reconstruction
+    coords @ B == images, which proves that the operator maps W into W.
+    The Gram B B^* must be diagonal."""
+    n = block.rows
+    gram = block @ block.adjoint()
+    if (gram.nonzero() != np.eye(n, dtype=bool)).any():
+        _fail(r, index, "the slice basis is not orthogonal")
+    images = ExactMatrix.stack([ctx.apply("A", block), astar,
+                                ctx.apply("Aeps", block),
+                                ctx.apply("P", block)])
+    coords = (images @ block.adjoint()) @ inverse_diagonal(gram)
+    closed = (coords @ block).row_equal(images).reshape(len(FRAME_OPS), n)
+    for op, ok in zip(FRAME_OPS, closed.all(axis=1)):
+        if not ok:
+            _fail(r, index, f"{op} does not map W into W")
+    return ModuleFrame(*(coords.block(slice(k * n, (k + 1) * n), slice(None))
+                         for k in range(len(FRAME_OPS))), gram=gram)
+
+
+def _frame_seeds(r, index, block, frame):
+    """The seeds u, u* and ue over 2^D, after the spectral certificates of
+    the frame's A and Aeps: their coordinates mapped back through B."""
+    d = block.rows - 1
+    for op, label in (("A", "E"), ("Aeps", "Eeps")):
+        failure = spectral_parts(getattr(frame, op))[1]
+        if failure is not None:
+            _fail(r, index, _spectral_failure(failure, r, d, label, op))
+    seeds = seed_coordinates(frame) @ block
+    seed_nonzero = seeds.nonzero().any(axis=1)
+    for k in (0, 2):
+        if not seed_nonzero[k]:
+            _fail(r, index, f"seed {SEED_NAMES[k]} is zero")
+    return seeds
+
+
+def oracle_endpoint_modules(ctx, r, numerators):
+    """The modules with endpoint r one at a time: each seed up its own slice
+    ladder, one R gather per step, and each module's frame read off and
+    certified on its own images, every module checked in full before the
+    next.  The oracle for the endpoint stacks of decompose."""
+    seeds = ExactMatrix.from_numerators(numerators, 0 * numerators, 1)
+    d = ctx.D - 2 * r
+    modules = []
+    for index in range(seeds.rows):
+        ladder = [seeds.block([index], slice(None))]
+        for _ in range(d + 1):
+            ladder.append(ctx.apply("R", ladder[-1]))
+        block, astar = _validate_ladder(ctx, r, index, ladder)
+        frame = _certify_frame(ctx, r, index, block, astar)
+        mod = IrreducibleModule(r=r, d=d, index=index,
+                                seeds=_frame_seeds(r, index, block, frame),
+                                slice_basis=block, frame=frame)
+        _check_seed_pairings(mod)
+        modules.append(mod)
+    return modules
+
+
+def oracle_decompose(ctx):
+    """decompose module by module (`oracle_endpoint_modules`), with the
+    modules' orthogonality by the dense Gram: the oracle of decompose,
+    module for module and failure for failure."""
+    modules = []
+    mults = {}
+    for r, numerators in closed_form_seeds(ctx.D).items():
+        if len(numerators) != multiplicity(ctx.D, r):
+            raise InvariantViolation(
+                f"endpoint {r}: {len(numerators)} seeds, expected "
+                f"C(D,r) - C(D,r-1) = {multiplicity(ctx.D, r)}")
+        modules.extend(oracle_endpoint_modules(ctx, r, numerators))
+        mults[r] = len(numerators)
+    dense_orthogonal_sum(ctx, modules)
+    return Decomposition(D=ctx.D, modules=tuple(modules), multiplicities=mults)
 
 
 def elimination_seeds(ctx, r):

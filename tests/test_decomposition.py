@@ -8,13 +8,15 @@ import pytest
 
 from conftest import (basis_vector, block_rows, check_images_thin,
                       dense_ladder, dense_orthogonal_sum, elimination_seeds,
-                      get_ctx, get_decomposition, naive_rank, oracle_seeds,
+                      get_ctx, get_decomposition, naive_rank,
+                      oracle_decompose, oracle_endpoint_modules, oracle_seeds,
                       project, representation_matrix, window_images)
 from tcube import cube, decomposition
 from tcube.cube import build_context
 from tcube.decomposition import (FRAME_OPS, FieldExtensionRequired,
                                  InfeasibleTargets, InvariantViolation,
-                                 _check_orthogonal_sum, _seed_step,
+                                 _check_orthogonal_sum, _endpoint_modules,
+                                 _seed_step,
                                  closed_form_seeds, decompose,
                                  multiplicity, normalize_seeds,
                                  proportional_rows, spectral_parts,
@@ -497,3 +499,57 @@ def test_flipped_operator_fails_the_spectral_certificate(op, label):
                        match=rf"^module r=0 index=0: {op} {label}_0 W != "
                              rf"3 {label}_0 W$"):
         decompose(ctx)
+
+
+# -- endpoint stacks ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("D", range(1, 9))
+def test_decompose_equals_the_module_by_module_oracle(D):
+    ctx = get_ctx(D)
+    got, want = get_decomposition(D), oracle_decompose(ctx)
+    assert got.multiplicities == want.multiplicities
+    assert len(got.modules) == len(want.modules)
+    for m, o in zip(got.modules, want.modules):
+        where = (m.r, m.index)
+        assert (m.r, m.d, m.index) == (o.r, o.d, o.index)
+        assert m.seeds == o.seeds, where
+        assert m.slice_basis == o.slice_basis, where
+        for op in FRAME_OPS + ("gram",):
+            assert getattr(m.frame, op) == getattr(o.frame, op), (where, op)
+
+
+def _verdict(build, *args):
+    try:
+        build(*args)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("D", [3, 4])
+def test_flipped_entry_names_the_oracle_failure(D):
+    # every edge entry (x, y), x < y, of A and Aeps and every diagonal entry
+    # of Astar flipped in turn: decompose names the failure the module by
+    # module oracle names, or both pass.  The module r=0 spans every vertex
+    # and so fails first for almost every flip; each endpoint on its own
+    # also meets flips that spare its module 0 and break a later one, whose
+    # images the endpoint's frame does not rebuild, so its own frame is read
+    ctx = get_ctx(D)
+    seeds = closed_form_seeds(D)
+    edges = [(x, y) for x, y in np.argwhere(ctx.hamming == 1) if x < y]
+    spots = ([("A", x, y) for x, y in edges]
+             + [("Aeps", x, y) for x, y in edges]
+             + [("Astar", x, x) for x in range(ctx.n)])
+    own_reads = 0
+    for op, x, y in spots:
+        flipped = ctx.with_flipped_sign(op, x, y)
+        assert _verdict(decompose, flipped) == \
+            _verdict(oracle_decompose, flipped), (op, x, y)
+        for r, w in seeds.items():
+            got = _verdict(_endpoint_modules, flipped, r, w)
+            assert got == _verdict(oracle_endpoint_modules, flipped, r, w), \
+                (op, x, y, r)
+            own_reads += (got is not None and "index=0:" not in got
+                          and got.endswith("does not map W into W"))
+    assert own_reads

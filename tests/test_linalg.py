@@ -279,6 +279,16 @@ def test_block_matches_the_grid(m, r0, r1, c0, c1):
     assert m.block(rows, cols) == ExactMatrix(grid)
 
 
+@given(mat_strategy(4, 6), st.sampled_from([(1, 24), (2, 12), (8, 3)]))
+def test_reshape_is_a_row_major_view(m, shape):
+    flat = [e for row in m.to_rows() for e in row]
+    out = m.reshape(*shape)
+    assert out == ExactMatrix([flat[k * shape[1]:(k + 1) * shape[1]]
+                               for k in range(shape[0])])
+    assert np.shares_memory(out._re, m._re)
+    assert_canonical_storage(out)
+
+
 @given(mat_strategy(3, 3), mat_strategy(3, 3), st.sampled_from(
     [1, Fraction(1, 3), GaussRat(2, -1), GaussRat(Fraction(1, 2), 3)]))
 def test_entries_equal_compares_each_entry_by_value(a, b, c):
