@@ -37,9 +37,10 @@ Aeps and P in the basis B, read off the images of its first module and
 certified on all of them at once by reconstructing their images, and each
 module keeps its own diagonal Gram B B^*.  From then on a module is
 (d+1)-dimensional: its idempotents are the spectral idempotents of the
-frame's matrices (`spectral_parts`), and the six bases and every check on
-them are coordinates in B (`leonard`).  By the tensor structure the frame
-depends only on the endpoint, once the Gram is divided by <u*, u*>.
+frame's matrices (`spectral_parts`), and its seeds, the six bases and
+every check on them are coordinates in B (`leonard`); only --emit-seeds
+maps the seeds back over 2^D.  By the tensor structure the frame depends
+only on the endpoint, once the Gram is divided by <u*, u*>.
 """
 
 from __future__ import annotations
@@ -130,6 +131,10 @@ class ModuleFrame:
         """op applied to every coordinate row of block: block @ M_op."""
         return block @ getattr(self, op)
 
+    def gram_of(self, coords: ExactMatrix) -> ExactMatrix:
+        """Entry (a, b) is <x_a B, x_b B> for the rows x_a of coords."""
+        return coords @ self.gram @ coords.adjoint()
+
     @cached_property
     def normalized(self) -> "ModuleFrame":
         """This frame with its Gram divided by <b_0, b_0> = <u*, u*>: what
@@ -139,20 +144,25 @@ class ModuleFrame:
 
 @dataclass(frozen=True)
 class IrreducibleModule:
-    """One irreducible T-module: endpoint r, diameter d = D - 2r, its three
-    seeds as the rows of one block in SEED_NAMES order, its slice basis, a
-    block with one vector per distance slice, and its certified frame."""
+    """One irreducible T-module: endpoint r, diameter d = D - 2r, the
+    coordinates in B of its three seeds in SEED_NAMES order, its slice basis
+    B, a block with one vector per distance slice, and its certified frame."""
 
     r: int
     d: int
     index: int
-    seeds: ExactMatrix
+    seed_coords: ExactMatrix
     slice_basis: ExactMatrix
     frame: ModuleFrame
 
     @property
     def dim(self) -> int:
         return self.d + 1
+
+    @property
+    def seeds(self) -> ExactMatrix:
+        """The seeds over 2^D, which no check reads: 3 x 2^D."""
+        return self.seed_coords @ self.slice_basis
 
     @property
     def u(self) -> ExactVector:
@@ -168,8 +178,8 @@ class IrreducibleModule:
 
     @cached_property
     def seed_gram(self) -> ExactMatrix:
-        """seeds @ seeds^*: entry (a, b) is <seed a, seed b>."""
-        return self.seeds @ self.seeds.adjoint()
+        """Entry (a, b) is <seed a, seed b>."""
+        return self.frame.gram_of(self.seed_coords)
 
     def seed_inner(self, first: str, second: str) -> GaussRat:
         return self.seed_gram[SEED_NAMES.index(first),
@@ -433,7 +443,6 @@ def _endpoint_modules(ctx: CubeContext, r: int, numerators):
             rebuilt &= (shared[op] @ view).entries_equal(image).reshape(
                 d + 1, m, n).all(axis=(0, 2))
         del image
-    seeds = _seed_coordinates(shared["A"], shared["Aeps"]) @ view
     modules = []
     for j in range(m):
         if failures[j] is not None:
@@ -447,15 +456,12 @@ def _endpoint_modules(ctx: CubeContext, r: int, numerators):
             failure = spectral_parts(getattr(frame, op))[1]
             if failure is not None:
                 _fail(r, j, _spectral_failure(failure, r, d, label, op))
-        # a copy of the module's columns, so that the endpoint's product is
-        # freed once every module holds its own
-        own = (seeds.columns(np.arange(j * n, (j + 1) * n)) if rebuilt[j]
-               else seed_coordinates(frame) @ basis)
-        seed_nonzero = own.nonzero().any(axis=1)
+        coords = seed_coordinates(frame)
+        seed_nonzero = coords.nonzero().any(axis=1)
         for k in (0, 2):
             if not seed_nonzero[k]:
                 _fail(r, j, f"seed {SEED_NAMES[k]} is zero")
-        mod = IrreducibleModule(r=r, d=d, index=j, seeds=own,
+        mod = IrreducibleModule(r=r, d=d, index=j, seed_coords=coords,
                                 slice_basis=basis, frame=frame)
         _check_seed_pairings(mod)
         modules.append(mod)
@@ -562,12 +568,12 @@ def decompose(ctx: CubeContext) -> Decomposition:
     vectors are orthogonal and nonzero, and "the slice basis is not
     orthogonal" is implied rather than tested.  A module that the shared
     frame does not rebuild (only on a corrupted context) has its frame read
-    off its own images.  The seeds are seed_coordinates(frame) times the
-    view, once per endpoint, and the spectral parts are computed once per
-    distinct frame matrix.  Every check is made for all modules of an
-    endpoint; the error names the first module in index order, at its first
-    failing check in the order ladder, Astar, frame, spectral, seed
-    nonzero, seed pairings."""
+    off its own images.  The seeds are their coordinates in B,
+    seed_coordinates(frame), checked there, as the ladder checks make B
+    injective.  The spectral parts are computed once per distinct frame
+    matrix.  Every check is made for all modules of an endpoint; the error
+    names the first module in index order, at its first failing check in
+    the order ladder, Astar, frame, spectral, seed nonzero, seed pairings."""
     modules = []
     mults = {}
     for r, numerators in closed_form_seeds(ctx.D).items():
@@ -591,17 +597,14 @@ def verify_seed_norms(mod: IrreducibleModule):
     a = mod.seed_inner("u", "u*")
     b = mod.seed_inner("u*", "ue")
     c = mod.seed_inner("ue", "u")
-    nu = mod.seed_inner("u", "u")
-    nus = mod.seed_inner("u*", "u*")
-    nue = mod.seed_inner("ue", "ue")
     scalar = a * b * c * one_plus_i_d
     return [
-        check_true("seed_norm_u",
-                   nu == one_plus_i_d * a * c / mod.seed_inner("ue", "u*")),
-        check_true("seed_norm_ustar",
-                   nus == one_plus_i_d * b * a / mod.seed_inner("u", "ue")),
-        check_true("seed_norm_ueps",
-                   nue == one_plus_i_d * c * b / mod.seed_inner("u*", "u")),
+        check_true("seed_norm_u", mod.seed_inner("u", "u")
+                   == one_plus_i_d * a * c / mod.seed_inner("ue", "u*")),
+        check_true("seed_norm_ustar", mod.seed_inner("u*", "u*")
+                   == one_plus_i_d * b * a / mod.seed_inner("u", "ue")),
+        check_true("seed_norm_ueps", mod.seed_inner("ue", "ue")
+                   == one_plus_i_d * c * b / mod.seed_inner("u*", "u")),
         check_true("seed_product_positive",
                    scalar.is_real() and scalar.re > 0),
     ]
@@ -640,12 +643,8 @@ def normalize_seeds(mod: IrreducibleModule, a, b, c) -> IrreducibleModule:
     lam = a * inv_root / mod.seed_inner("u", "u*")
     lam_star = GaussRat(root)
     lam_eps = b.conj() * inv_root / mod.seed_inner("ue", "u*")
-    out = replace(
-        mod,
-        seeds=ExactMatrix.diagonal([lam, lam_star, lam_eps]) @ mod.seeds,
-        slice_basis=mod.slice_basis.scale(lam_star),
-        frame=replace(mod.frame, gram=mod.frame.gram.scale(root * root)),
-    )
+    out = replace(mod, seed_coords=ExactMatrix.diagonal(
+        [lam, lam_star, lam_eps]) @ mod.seed_coords)
     got = (out.seed_inner("u", "u*"), out.seed_inner("u*", "ue"),
            out.seed_inner("ue", "u"))
     if got != (a, b, c):

@@ -352,10 +352,9 @@ class SixBases:
     @cached_property
     def seed_scalars(self) -> Dict[str, GaussRat]:
         """The nine inner products, keyed "a|b", of the frame's seeds
-        u = E_r u*, u* and ue = Eeps_r u*; the inner-product,
-        proportionality and transition checks share them."""
-        seeds = seed_coordinates(self.frame)
-        gram = seeds @ self.frame.gram @ seeds.adjoint()
+        u = E_r u*, u* and ue = Eeps_r u*, by `ModuleFrame.gram_of`; the
+        inner-product, proportionality and transition checks share them."""
+        gram = self.frame.gram_of(seed_coordinates(self.frame))
         return {f"{a}|{b}": gram[i, j] for i, a in enumerate(SEED_NAMES)
                 for j, b in enumerate(SEED_NAMES)}
 

@@ -27,10 +27,10 @@ import pytest
 from tcube.cube import _times_i_power, build_context
 from tcube.decomposition import (FRAME_OPS, SEED_NAMES, Decomposition,
                                  InvariantViolation, IrreducibleModule,
-                                 ModuleFrame, _check_seed_pairings, _fail,
-                                 _spectral_failure, closed_form_seeds,
-                                 decompose, multiplicity, proportional_rows,
-                                 seed_coordinates, spectral_parts)
+                                 ModuleFrame, _fail, _spectral_failure,
+                                 closed_form_seeds, decompose, multiplicity,
+                                 proportional_rows, seed_coordinates,
+                                 spectral_parts)
 from tcube.leonard import (_BASIS_SPEC, _FORM_BUILDERS, _P_SHIFTS,
                            _PROPORTIONAL_ROWS, _SEED_ROWS, BASIS_LABELS,
                            INNER_FORMULAS, OPERATOR_LABELS, REP_FORMS,
@@ -382,7 +382,8 @@ def oracle_endpoint_modules(ctx, r, numerators):
     """The modules with endpoint r one at a time: each seed up its own slice
     ladder, one R gather per step, and each module's frame read off and
     certified on its own images, every module checked in full before the
-    next.  The oracle for the endpoint stacks of decompose."""
+    next, its seed pairings on its seeds over 2^D.  The oracle for the
+    endpoint stacks of decompose."""
     seeds = ExactMatrix.from_numerators(numerators, 0 * numerators, 1)
     d = ctx.D - 2 * r
     modules = []
@@ -392,11 +393,14 @@ def oracle_endpoint_modules(ctx, r, numerators):
             ladder.append(ctx.apply("R", ladder[-1]))
         block, astar = _validate_ladder(ctx, r, index, ladder)
         frame = _certify_frame(ctx, r, index, block, astar)
-        mod = IrreducibleModule(r=r, d=d, index=index,
-                                seeds=_frame_seeds(r, index, block, frame),
-                                slice_basis=block, frame=frame)
-        _check_seed_pairings(mod)
-        modules.append(mod)
+        own = _frame_seeds(r, index, block, frame)
+        gram = own @ own.adjoint()
+        for a, b in (("u*", "u"), ("u", "ue"), ("ue", "u*")):
+            if not gram[SEED_NAMES.index(a), SEED_NAMES.index(b)]:
+                _fail(r, index, f"<{a},{b}> vanished")
+        modules.append(IrreducibleModule(
+            r=r, d=d, index=index, seed_coords=seed_coordinates(frame),
+            slice_basis=block, frame=frame))
     return modules
 
 

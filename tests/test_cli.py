@@ -15,8 +15,8 @@ import tcube
 from tcube import cli
 from tcube.cli import main
 from tcube.cube import ConstructionError
-from tcube.decomposition import (InvariantViolation, closed_form_seeds,
-                                 multiplicity)
+from tcube.decomposition import (InvariantViolation, IrreducibleModule,
+                                 closed_form_seeds, multiplicity)
 from tcube.leonard import BasisError
 from tcube.linalg import ExactMatrix
 from tcube.scalar import GaussRat
@@ -118,6 +118,22 @@ def test_decompose_emit_seeds_d5(tmp_path, capsys):
     assert len(files) == 10  # multiplicities 1 + 4 + 5
     doc = json.loads((outdir / files[0]).read_text())
     assert set(doc) == {"D", "r", "index", "u_star", "u", "u_eps"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--d", "5", "--suite", "all"],
+    ["decompose", "--d", "5"],
+])
+def test_no_report_maps_the_seeds_over_2d(capsys, monkeypatch, argv):
+    # a module holds its seeds as coordinates in its slice basis; only
+    # --emit-seeds maps them back over 2^D
+    want = run(capsys, *argv)
+    assert want[0] == 0
+
+    def over_2d(self):
+        raise AssertionError("seeds mapped back over 2^D")
+    monkeypatch.setattr(IrreducibleModule, "seeds", property(over_2d))
+    assert run(capsys, *argv) == want
 
 
 def test_decompose_above_limit(capsys):
