@@ -236,9 +236,11 @@ def _cmd_decompose(args) -> int:
         try:
             os.makedirs(outdir, exist_ok=True)
             for m in dec.modules:
+                seeds = m.seeds
                 doc = {"D": args.D, "r": m.r, "index": m.index,
-                       "u_star": m.u_star.to_dump(), "u": m.u.to_dump(),
-                       "u_eps": m.u_eps.to_dump()}
+                       "u": seeds.row(0).to_dump(),
+                       "u_star": seeds.row(1).to_dump(),
+                       "u_eps": seeds.row(2).to_dump()}
                 path = os.path.join(outdir,
                                     f"seeds_d{args.D}_r{m.r}_m{m.index}.json")
                 with open(path, "w") as fh:

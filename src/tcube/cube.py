@@ -36,14 +36,13 @@ of the stored families and of P, but multiply no two of them densely: the
 families lie in the Bose-Mesner algebra of Q_D, the group algebra of
 Z_2^D, where every E_i is translation-invariant, every Estar_i is
 diagonal, Eeps_i is S^-1 E_i S and P is S^-1 H for the +-1 Walsh-Hadamard
-matrix H.  Each suite certifies that structure on the stored matrices
-entrywise, then compares each family identity on one row or one diagonal,
-computed by Walsh-Hadamard transforms (`_Structure`); a family without the
-structure, which only a replaced one lacks, is multiplied densely.  The
-operators whose signs `verify --corrupt` flips (A, Astar, Aeps) are not
-certified: A and Aeps act on the families by edge gathers
-(`CubeContext.eigen_discrepancy`), and the operator rows of the
-conjugation suite stay dense products.
+matrix H.  Each suite requires the part of that structure that it reads,
+certified on the stored matrices entrywise (`_Structure`, which names the
+clause that fails), then compares each family identity on one row or one
+diagonal, computed by Walsh-Hadamard transforms.  The operators whose signs
+`verify --corrupt` flips (A, Astar, Aeps) are not certified: A and Aeps
+act on the families by edge gathers (`CubeContext.eigen_discrepancy`),
+and the operator rows of the conjugation suite stay dense products.
 """
 
 from __future__ import annotations
@@ -358,8 +357,8 @@ class CubeContext:
 
     @property
     def structure(self) -> "_Structure":
-        """The Bose-Mesner structure of the families and P, certified once
-        and shared by the idempotent and conjugation suites."""
+        """The Bose-Mesner structure of the families, certified once and
+        shared by the idempotent and conjugation suites."""
         if self._structure is None:
             self._structure = _Structure(self)
         return self._structure
@@ -521,18 +520,16 @@ def _check_rows(name, lhs, rhs, diagonal=False) -> IdentityCheck:
 
 class _Structure:
     """The Bose-Mesner structure of a context's stored families and P,
-    certified entrywise, in O(n^2) per matrix.
+    certified entrywise, in O(n^2) per matrix; a clause that fails raises
+    ConstructionError naming it.
 
-    E       the first rows r_i / den_i of the E_i (1 x n) when every E_i
-            is real and translation-invariant, else None;
-    Estar   the diagonals of the Estar_i when every one is supported on
-            its diagonal, else None;
-    Eeps    True when E is certified and every Eeps_i equals
-            S^-1 E_i S (`_phase_conjugate`), so that S Eeps_i S^-1 has
-            the first row r_i / den_i;
-    P       True when the stored P is S^-1 H entrywise,
-            P[x, y] = (-i)^dist(x) (-1)^|x AND y|, and Pinv is P^* / n,
-            so Pinv = H S / n = P^-1.
+    E       the first rows r_i / den_i of the E_i (1 x n), every E_i being
+            real and translation-invariant;
+    Estar   the diagonals of the Estar_i, every one supported on its
+            diagonal;
+    and every Eeps_i equals S^-1 E_i S (`_phase_conjugate`), so that
+    S Eeps_i S^-1 has the first row r_i / den_i.  The clause on P, which
+    only the conjugation suite reads, is `certify_p`.
     """
 
     def __init__(self, ctx: CubeContext):
@@ -540,36 +537,39 @@ class _Structure:
         self.n = n
         idx = np.arange(n)
         xor = idx[:, None] ^ idx[None, :]
+        for i, e in enumerate(ctx.E):
+            _require(not e._im.any() and np.array_equal(e._re, e._re[0][xor]),
+                     f"Bose-Mesner structure: E_{i} is not real and "
+                     f"translation-invariant")
         self.E = [e.block(slice(0, 1), slice(None)) for e in ctx.E]
-        if not all(not e._im.any() and np.array_equal(e._re, e._re[0][xor])
-                   for e in ctx.E):
-            self.E = None
         self.Estar = [_row(f._re.diagonal(), f._im.diagonal(), f._den)
                       for f in ctx.Estar]
-        if not all(np.count_nonzero(f._re) == np.count_nonzero(r._re)
-                   and np.count_nonzero(f._im) == np.count_nonzero(r._im)
-                   for f, r in zip(ctx.Estar, self.Estar)):
-            self.Estar = None
+        for i, (f, r) in enumerate(zip(ctx.Estar, self.Estar)):
+            _require(np.count_nonzero(f._re) == np.count_nonzero(r._re)
+                     and np.count_nonzero(f._im) == np.count_nonzero(r._im),
+                     f"Bose-Mesner structure: Estar_{i} is not diagonal")
         # a unit factor per entry keeps lowest terms: f = S^-1 e S exactly
         # when f has e's denominator and e's real numerators times
         # i^phase = cos + i sin, with the phase dist(y) - dist(x) mod 4
-        self.Eeps = self.E is not None
-        if self.Eeps:
-            cos = np.array([1, 0, -1, 0])[ctx._phase]
-            sin = np.array([0, 1, 0, -1])[ctx._phase]
-            self.Eeps = all(f._den == e._den
-                            and np.array_equal(f._re, e._re * cos)
-                            and np.array_equal(f._im, e._re * sin)
-                            for e, f in zip(ctx.E, ctx.Eeps))
+        cos = np.array([1, 0, -1, 0])[ctx._phase]
+        sin = np.array([0, 1, 0, -1])[ctx._phase]
+        for i, (e, f) in enumerate(zip(ctx.E, ctx.Eeps)):
+            _require(f._den == e._den and np.array_equal(f._re, e._re * cos)
+                     and np.array_equal(f._im, e._re * sin),
+                     f"Bose-Mesner structure: Eeps_{i} is not S^-1 E_{i} S")
         self._ctx = ctx
 
-    @cached_property
-    def P(self) -> bool:
+    def certify_p(self) -> None:
+        """The stored P is S^-1 H entrywise,
+        P[x, y] = (-i)^dist(x) (-1)^|x AND y|, and Pinv is P^* / n, so
+        Pinv = H S / n = P^-1."""
         ctx, idx = self._ctx, np.arange(self.n)
         sign = 1 - 2 * (ctx._dist[idx[:, None] & idx[None, :]] % 2)
         re, im = _times_i_power(sign, 0 * sign, -ctx._dist[:, None])
-        return (ctx.P == ExactMatrix.from_numerators(re, im, 1)
-                and ctx.Pinv == ctx.P.adjoint().scale(Fraction(1, self.n)))
+        _require(ctx.P == ExactMatrix.from_numerators(re, im, 1),
+                 "Bose-Mesner structure: P is not S^-1 H")
+        _require(ctx.Pinv == ctx.P.adjoint().scale(Fraction(1, self.n)),
+                 "Bose-Mesner structure: Pinv is not P^* / n")
 
     @cached_property
     def E_products(self):
@@ -597,37 +597,25 @@ class _Structure:
 
     def products(self, label: str):
         """(rows, products, diagonal) for the products F_i F_j of family
-        F = E, Estar or Eeps on its certified rows, or None.
+        F = E, Estar or Eeps on its certified rows.
         Eeps_i Eeps_j = S^-1 E_i E_j S compares the rows of E_i E_j, and
         Estar_i Estar_j is the entrywise product of the diagonals."""
         if label == "Estar":
-            if self.Estar is None:
-                return None
             return self.Estar, [[a.entrywise(b) for b in self.Estar]
                                 for a in self.Estar], True
-        if self.E is None or (label == "Eeps" and not self.Eeps):
-            return None
         return self.E, self.E_products, False
 
     def conjugation(self, kind: str, i: int):
         """(row of P F_i Pinv, row of its expected value, diagonal) for the
-        family row `kind`[i] of `verify_conjugation`, or None without the
-        structure that it needs."""
-        if self.E is None or not self.P:
-            return None
+        family row `kind`[i] of `verify_conjugation`, once `certify_p`
+        has passed."""
         n, r = self.n, self.E[i]
         if kind == "conj_E_to_Estar":
-            if self.Estar is None:
-                return None
             spectrum = self.E_spectra[i]
             return _row(spectrum, 0 * spectrum, r._den), self.Estar[i], True
-        if not self.Eeps:
-            return None
         if kind == "conj_Eeps_to_E":
             # a theorem on this structure (see verify_conjugation)
             return r, r, False
-        if self.Estar is None:
-            return None
         s = self.Estar[i]
         re, im = (_walsh_hadamard(_as_int64_below(x, n * s._max()))
                   for x in (s._re, s._im))
@@ -650,9 +638,9 @@ def verify_idempotent_families(ctx: CubeContext):
       S^-1 E_i S;
     - Estar_i Estar_j: the diagonal of the entrywise product against that
       of Estar_i or 0, every other entry being 0 on both sides.
-    A family without that structure (it has none only when replaced) is
-    compared by dense products.  Aeps Eeps_i and Eeps_i Aeps are full
-    products by Aeps's edge gather, which reads a flipped sign
+    A family without that structure stops the suite with the
+    ConstructionError that names the clause.  Aeps Eeps_i and Eeps_i Aeps
+    are full products by Aeps's edge gather, which reads a flipped sign
     (`CubeContext.eigen_discrepancy`).
 
     The rank of an idempotent is its trace, so F_rank[i] passes when
@@ -674,19 +662,12 @@ def verify_idempotent_families(ctx: CubeContext):
                 checks.append(check_equal(f"{label}_transpose[{i}]",
                                           e.transpose(), e))
                 checks.append(check_equal(f"{label}_conj[{i}]", e.conj(), e))
-        rows = structure.products(label)
+        first, products, diagonal = structure.products(label)
         for i in range(D + 1):
             for j in range(D + 1):
-                name = f"{label}_product[{i},{j}]"
-                if rows is None:
-                    expected = family[i] if i == j else ExactMatrix.zeros(n, n)
-                    checks.append(check_equal(name, family[i] @ family[j],
-                                              expected))
-                else:
-                    first, products, diagonal = rows
-                    expected = first[i] if i == j else ExactMatrix.zeros(1, n)
-                    checks.append(_check_rows(name, products[i][j], expected,
-                                              diagonal))
+                expected = first[i] if i == j else ExactMatrix.zeros(1, n)
+                checks.append(_check_rows(f"{label}_product[{i},{j}]",
+                                          products[i][j], expected, diagonal))
     for i, e in enumerate(ctx.Eeps):
         for name, right in ((f"Eeps_eigen[{i}]", False),
                             (f"Eeps_eigen_right[{i}]", True)):
@@ -731,8 +712,9 @@ def verify_conjugation(ctx: CubeContext):
       structure alone and cannot fail on it, so it compares r_i with
       itself and costs no transform.
     The rest of each matrix follows as the note on the structure says.
-    Family rows whose factors lack the structure (only a replaced family
-    or P does) are dense products."""
+    The family rows need the structure, P's clause included
+    (`_Structure.certify_p`): without it the suite stops with the
+    ConstructionError that names the clause."""
     n, D = ctx.n, ctx.D
     ident = ExactMatrix.identity(n)
     scaled = ident.scale(n)
@@ -746,17 +728,11 @@ def verify_conjugation(ctx: CubeContext):
         check_equal("conj_Aeps_to_A", ctx.P @ ctx.Aeps @ ctx.Pinv, ctx.A),
     ]
     structure = ctx.structure
-    E, Estar, Eeps = ctx.E, ctx.Estar, ctx.Eeps
+    structure.certify_p()
     for i in range(D + 1):
-        for kind, src, dst in (("conj_E_to_Estar", E, Estar),
-                               ("conj_Estar_to_Eeps", Estar, Eeps),
-                               ("conj_Eeps_to_E", Eeps, E)):
-            name = f"{kind}[{i}]"
-            rows = structure.conjugation(kind, i)
-            if rows is None:
-                checks.append(check_equal(name, ctx.P @ src[i] @ ctx.Pinv,
-                                          dst[i]))
-            else:
-                checks.append(_check_rows(name, *rows))
+        for kind in ("conj_E_to_Estar", "conj_Estar_to_Eeps",
+                     "conj_Eeps_to_E"):
+            checks.append(_check_rows(f"{kind}[{i}]",
+                                      *structure.conjugation(kind, i)))
     return checks
 

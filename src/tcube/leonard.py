@@ -48,12 +48,13 @@ tables of Gaussian-integer numerators, built once per Phi matrix (one per
 inner-product kind and one per transition pattern) and scaled per module by
 one seed scalar, read off the Gram matrix of the frame's seeds.
 The inner products are the blocks of one Gram matrix of the six stacked
-bases, each compared with its scaled table entry by entry.  The rep matrices
-are one product per operator on the six stacked bases and one coordinate
-product for all six, certified by one reconstruction and compared with one
-closed-form table; the 36 transitions are one coordinate call per source
-basis on all six bases at once, and the inverse and composition rows are
-the blocks of one product per middle basis.
+bases, each compared with its scaled table entry by entry.  Coordinates
+have one certified read, in all six bases at once (`SixBases.coords`).
+The rep matrices read it on the images of the six stacked bases, one
+product per operator, each image in its own basis, and are compared with
+one closed-form table; the 36 transitions read it on the six bases
+themselves, whose products are the cached Gram, and the inverse and
+composition rows are the blocks of one product per middle basis.
 
 Every result is a function of the module's normalized frame (its Gram
 divided by <u*, u*>, a scale that no verdict reads) and of the Phi matrix,
@@ -248,6 +249,12 @@ class BasisSolver:
         return coeffs
 
 
+def _tiled(m: ExactMatrix, k: int, mask=True) -> ExactMatrix:
+    """k copies of m side by side, entrywise times mask."""
+    return ExactMatrix.from_numerators(np.tile(m._re, k) * mask,
+                                       np.tile(m._im, k) * mask, m._den)
+
+
 # -- the memo on the frame -----------------------------------------------------------
 
 
@@ -318,35 +325,40 @@ class SixBases:
         """Entry (a, b) is <row a, row b>."""
         return self.stacked @ self.weighted
 
-    def orthogonal(self, label: str) -> bool:
-        """Whether the Gram block of basis `label` is diagonal with a
-        nonzero diagonal."""
-        rows = self.rows(label)
-        norms = self.gram.block(rows, rows)
-        return np.array_equal(norms.nonzero(), np.eye(norms.rows, dtype=bool))
+    @cached_property
+    def inverse_norms(self) -> ExactMatrix:
+        """diag(1 / <b_k, b_k>) over the rows b_k of stacked.  A zero norm,
+        which only a basis that is not orthogonal has, stands in as 1."""
+        return inverse_diagonal(self.gram)
 
-    def not_orthogonal(self, label: str) -> BasisError:
-        return BasisError(f"basis {label} is not orthogonal (module "
-                          f"r={self.module.r} index={self.module.index})")
-
-    def inverse_norms(self, rows: slice) -> ExactMatrix:
-        """diag(1 / <b_k, b_k>) over the rows b_k of stacked in `rows`.  A
-        zero norm, which only a basis that fails `orthogonal` has, stands
-        in as 1."""
-        return inverse_diagonal(self.gram.block(rows, rows))
-
-    def coords(self, label: str, targets: ExactMatrix) -> ExactMatrix:
-        """The matrix whose j-th column holds the coordinates of row j of
-        targets (coordinate rows) in basis `label`: coordinate k is
-        <t, b_k> / <b_k, b_k>, once the basis is seen to be `orthogonal`,
-        certified by the one product coords^T @ basis == targets."""
-        if not self.orthogonal(label):
-            raise self.not_orthogonal(label)
-        rows = self.rows(label)
-        coeffs = self.inverse_norms(rows) @ \
-            (targets @ self.weighted.block(slice(None), rows)).transpose()
-        if coeffs.transpose() @ self[label] != targets:
-            raise BasisError("target is outside the span of the basis")
+    def coords(self, targets: ExactMatrix, spans: np.ndarray,
+               product: ExactMatrix = None) -> ExactMatrix:
+        """Row t holds the coordinates of row t of targets (coordinate rows)
+        in all six bases, column block b in basis b: coordinate k is
+        <t, b_k> / <b_k, b_k>, i.e. `product` = targets @ weighted (formed
+        here when not given) times the inverse norms.  They are certified
+        basis by basis in BASIS_LABELS order: the Gram block of the basis
+        is diagonal with a nonzero diagonal, then its coordinates rebuild
+        exactly the target rows that it must span, those t with
+        spans[t, b]."""
+        n, nb = self.module.d + 1, len(BASIS_LABELS)
+        if product is None:
+            product = targets @ self.weighted
+        coeffs = product @ self.inverse_norms
+        # spread holds basis b in its diagonal block (b, b), so column
+        # block b of coeffs @ spread rebuilds every target from basis b
+        own = np.kron(np.eye(nb, dtype=bool), np.ones((n, n), dtype=bool))
+        spread = _tiled(self.stacked, nb, own)
+        rebuilt = (coeffs @ spread).entries_equal(_tiled(targets, nb))
+        nonzero = self.gram.nonzero()
+        for b, label in enumerate(BASIS_LABELS):
+            rows = self.rows(label)
+            if not np.array_equal(nonzero[rows, rows], np.eye(n, dtype=bool)):
+                raise BasisError(f"basis {label} is not orthogonal (module "
+                                 f"r={self.module.r} "
+                                 f"index={self.module.index})")
+            if not rebuilt[spans[:, b], rows].all():
+                raise BasisError("target is outside the span of the basis")
         return coeffs
 
     @cached_property
@@ -543,30 +555,16 @@ def _rep_cells(bases: SixBases) -> Tuple[RepCell, ...]:
 
     Each operator is applied once to all six bases; row (o, b, j) of the
     stacked images is operator o applied to vector j of basis b, and its
-    coordinates in basis b are <t, b_k> / <b_k, b_k>: the own column block
-    of images @ stacked^*, scaled by the inverse norms.  One product
-    coeffs @ stacked == images certifies all 18 cells, and one comparison
-    with `rep_form_table` gives their verdicts.  The first basis, in
-    BASIS_LABELS order, that is not orthogonal or does not span its images
-    raises as SixBases.coords does, orthogonality first."""
+    coordinates in basis b, which must span it (`SixBases.coords`), are
+    column j of cell (o, b).  One comparison with `rep_form_table`, read
+    on these blocks, gives the verdicts of all 18."""
     d = bases.module.d
     n, nb = d + 1, len(BASIS_LABELS)
     images = ExactMatrix.stack([bases.frame.apply(op, bases.stacked)
                                 for op in OPERATOR_LABELS])
-    # the basis of each column of coordinates and of each row of images
-    col_basis = np.arange(nb * n) // n
-    row_basis = np.tile(col_basis, len(OPERATOR_LABELS))
-    own = row_basis[:, None] == col_basis[None, :]
-    products = images @ bases.weighted
-    coeffs = ExactMatrix.from_numerators(
-        products._re * own, products._im * own, products._den) \
-        @ bases.inverse_norms(slice(None))
-    spans = (coeffs @ bases.stacked).row_equal(images)
-    for b, name in enumerate(BASIS_LABELS):
-        if not bases.orthogonal(name):
-            raise bases.not_orthogonal(name)
-        if not spans[row_basis == b].all():
-            raise BasisError("target is outside the span of the basis")
+    # the basis of each row of images
+    row_basis = np.tile(np.arange(nb * n) // n, len(OPERATOR_LABELS))
+    coeffs = bases.coords(images, row_basis[:, None] == np.arange(nb))
     agrees = coeffs.entries_equal(rep_form_table(d))
     cells = []
     for b, name in enumerate(BASIS_LABELS):
@@ -830,12 +828,13 @@ def transition_matrices(bases: SixBases, phi: PhiMatrix) -> TransitionReport:
 def _transitions(bases: SixBases, phi: PhiMatrix):
     """The cells and coherence checks of `transition_matrices`.
 
-    The coordinates of all six bases in one source basis are one coords
-    call, so the transitions are the blocks of a 6(d+1) x 6(d+1) matrix T
-    (row block src, column block dst); for each middle basis b, block (a, c)
-    of T[:, b] @ T[b, :] is T(a,b) T(b,c)."""
-    computed = ExactMatrix.stack([bases.coords(label, bases.stacked)
-                                  for label in BASIS_LABELS])
+    Every basis spans every vector of the six, and their products with
+    `weighted` are the cached Gram, so the transitions are the blocks of
+    the 6(d+1) x 6(d+1) matrix T = (gram @ inverse_norms)^T
+    (`SixBases.coords`; row block src, column block dst); for each middle
+    basis b, block (a, c) of T[:, b] @ T[b, :] is T(a,b) T(b,c)."""
+    every = np.ones((bases.stacked.rows, len(BASIS_LABELS)), dtype=bool)
+    computed = bases.coords(bases.stacked, every, bases.gram).transpose()
     formulas = transition_formulas(bases.seed_scalars, phi)
     rows = {label: bases.rows(label) for label in BASIS_LABELS}
     cells = {}

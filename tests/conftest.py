@@ -13,7 +13,8 @@ module decomposition behind its endpoint stacks, the module path over 2^D
 columns (`project`, `oracle_six_bases`, `oracle_verdicts`), behind the module
 frames, and the idempotent and conjugation suites by dense products
 (`dense_idempotent_families`, `dense_conjugation`), behind the suites on
-the Bose-Mesner structure.
+the Bose-Mesner structure, which the library requires of every family and
+no longer multiplies densely itself.
 """
 
 from __future__ import annotations

@@ -136,6 +136,21 @@ def test_no_report_maps_the_seeds_over_2d(capsys, monkeypatch, argv):
     assert run(capsys, *argv) == want
 
 
+def test_emit_seeds_maps_each_module_once(tmp_path, capsys, monkeypatch):
+    # one seeds product per module, whose rows are u, u* and ue
+    mapped = []
+    honest = IrreducibleModule.seeds.fget
+
+    def counting(self):
+        mapped.append(self)
+        return honest(self)
+    monkeypatch.setattr(IrreducibleModule, "seeds", property(counting))
+    code, _ = run(capsys, "decompose", "--d", "4", "--emit-seeds",
+                  "--output-dir", str(tmp_path))
+    assert code == 0
+    assert len(mapped) == len(set(map(id, mapped))) == len(os.listdir(tmp_path))
+
+
 def test_decompose_above_limit(capsys):
     assert run(capsys, "decompose", "--d", "11")[0] == 2
 
@@ -637,9 +652,10 @@ def test_verify_every_corruption_reports(capsys, corrupt, suite):
         assert _failed_ids(out, "pretty")
 
 
-def _count_square_products(monkeypatch, n):
+def _count_square_products(monkeypatch, n, replace):
     """Calls of ExactMatrix @ on two n x n operands after verify's context
-    is built, as a list that grows while the command runs."""
+    is built and `replace` has changed it, as a list that grows while the
+    command runs."""
     calls, built = [], []
     honest = ExactMatrix.__matmul__
 
@@ -651,12 +667,25 @@ def _count_square_products(monkeypatch, n):
 
     def build(D, d_limit):
         ctx = cli.cube.build_context(D, d_limit)
+        replace(ctx)
         built.append(ctx)
         return ctx
 
     monkeypatch.setattr(ExactMatrix, "__matmul__", counting)
     monkeypatch.setattr(cli, "build_context", build)
     return calls
+
+
+def _swap_estar(ctx):
+    """Estar_0 and Estar_1 traded: the structure holds, the ranks fail."""
+    ctx._Estar = (ctx.Estar[1], ctx.Estar[0]) + ctx.Estar[2:]
+
+
+def _raise_estar_entry(ctx):
+    """Estar_1 + e_(1,2): no longer diagonal, so the structure fails."""
+    grid = ctx.Estar[1].to_rows()
+    grid[1][2] = GaussRat(1)
+    ctx._Estar = ctx.Estar[:1] + (ExactMatrix(grid),) + ctx.Estar[2:]
 
 
 # The dense products each whole-matrix suite may form at D = 6: none in the
@@ -668,40 +697,36 @@ DENSE_PRODUCTS = {"idempotents": 0, "conjugation": 10}
 @pytest.mark.parametrize("suite", sorted(DENSE_PRODUCTS))
 def test_whole_matrix_suites_form_no_dense_family_product(capsys, monkeypatch,
                                                           suite):
-    calls = _count_square_products(monkeypatch, 64)
-    code, _ = run(capsys, "verify", "--d", "6", "--suite", suite)
-    assert code == 0
-    assert len(calls) <= DENSE_PRODUCTS[suite]
+    # on the built families, on families that keep their structure and on
+    # families that break it
+    for replace, code in ((lambda ctx: None, 0), (_swap_estar, 1),
+                          (_raise_estar_entry, 1)):
+        with monkeypatch.context() as patch:
+            calls = _count_square_products(patch, 64, replace)
+            assert run(capsys, "verify", "--d", "6",
+                       "--suite", suite)[0] == code
+        assert len(calls) <= DENSE_PRODUCTS[suite]
 
 
-# The rows that Estar_1 + e_(1,2) breaks at D = 3, as the dense products
-# of tests/conftest.py find them.
+# The one row of each suite when Estar_1 + e_(1,2) breaks the structure.
 PERTURBED_FAILURES = {
-    "idempotents": ["Estar_sum_identity first_discrepancy=[1, 2]",
-                    "Estar_transpose[1] first_discrepancy=[1, 2]",
-                    "Estar_product[1,1] first_discrepancy=[1, 2]",
-                    "Estar_rank[1]"],
-    "conjugation": ["conj_E_to_Estar[1] first_discrepancy=[1, 2]",
-                    "conj_Estar_to_Eeps[1] first_discrepancy=[0, 0]"],
-}
+    suite: ["ConstructionError: Bose-Mesner structure: Estar_1 is not diagonal"]
+    for suite in ("idempotents", "conjugation")}
 
 
 @pytest.mark.parametrize("suite", sorted(PERTURBED_FAILURES))
 def test_perturbed_family_is_a_named_row(capsys, monkeypatch, suite):
-    # Estar_1 + e_(1,2) is not diagonal, so the suites compare it by dense
-    # products: the rows it breaks fail by name, and verify exits 1
+    # Estar_1 + e_(1,2) is not diagonal: the suite is one row naming the
+    # structure clause, and verify exits 1
     def build(D, d_limit):
         ctx = cli.cube.build_context(D, d_limit)
-        grid = ctx.Estar[1].to_rows()
-        grid[1][2] = GaussRat(1)
-        ctx._Estar = ctx.Estar[:1] + (ExactMatrix(grid),) + ctx.Estar[2:]
+        _raise_estar_entry(ctx)
         return ctx
 
     monkeypatch.setattr(cli, "build_context", build)
     code, out = run(capsys, "verify", "--d", "3", "--suite", suite)
     assert code == 1
-    failed = _failed_ids(out, "pretty")
-    assert failed == PERTURBED_FAILURES[suite]
+    assert _failed_ids(out, "pretty") == PERTURBED_FAILURES[suite]
 
 
 @pytest.mark.parametrize("D", [3, 4, 5])

@@ -158,13 +158,14 @@ def test_idempotent_families_suite(D):
 
 
 def test_rank_row_needs_the_idempotent_product(monkeypatch):
-    # Estar_1 + N with N nilpotent inside slice 1 keeps trace and rank 3 but
-    # is not idempotent; the rank is read off the trace only for a proven
+    # the diagonal (2, 2, -1) on slice 1 has trace and rank 3 but is not
+    # idempotent; the rank is read off the trace only for a proven
     # idempotent, so Estar_rank[1] fails along with Estar_product[1,1]
     ctx = build_context(3)
-    grid = ctx.Estar[1].to_rows()
-    grid[1][2] = GaussRat(1)
-    perturbed = ExactMatrix(grid)
+    diagonal = [0] * ctx.n
+    for v, x in zip(ctx.slice_indices(1), (2, 2, -1)):
+        diagonal[v] = x
+    perturbed = ExactMatrix.diagonal(diagonal)
     assert perturbed.trace() == 3 and rank(perturbed) == 3
     family = ctx.Estar[:1] + (perturbed,) + ctx.Estar[2:]
     monkeypatch.setattr(ctx, "_Estar", family)
@@ -343,22 +344,85 @@ def _perturbed(family, i, r, c, delta):
         family[i + 1:]
 
 
+# The structure clause that an entry raised in member 1 breaks, by family:
+# any entry of E_1 or Eeps_1, and an entry off the diagonal of Estar_1.
+PERTURBED_CLAUSE = {"E": "E_1 is not real and translation-invariant",
+                    "Estar": "Estar_1 is not diagonal",
+                    "Eeps": "Eeps_1 is not S^-1 E_1 S"}
+
+
 @pytest.mark.parametrize("label", ["E", "Estar", "Eeps"])
 @pytest.mark.parametrize("spot", [(1, 2), (2, 2), (0, 0)])
 def test_perturbed_family_rows_equal_the_dense_oracles(monkeypatch, label,
                                                         spot):
-    # an entry off the diagonal of Estar, or any entry of one E_i, leaves
-    # the family without its certified structure, so its rows are dense
-    # products; an entry on the diagonal of Estar keeps it
+    # an entry on the diagonal of Estar keeps the certified structure, and
+    # every row equals the dense oracle's; any other perturbation stops both
+    # suites at the clause that it breaks
     ctx = build_context(3)
     monkeypatch.setattr(ctx, f"_{label}",
                         _perturbed(getattr(ctx, label), 1, *spot, 1))
+    keeps = label == "Estar" and spot[0] == spot[1]
     for suite, oracle in ((verify_idempotent_families,
                            dense_idempotent_families),
                           (verify_conjugation, dense_conjugation)):
         got = _outcome(suite, ctx)
-        assert got == _outcome(oracle, ctx)
-        assert not all(passed for _, passed, _ in got)
+        if keeps:
+            assert got == _outcome(oracle, ctx)
+            assert not all(passed for _, passed, _ in got)
+        else:
+            assert got == f"Bose-Mesner structure: {PERTURBED_CLAUSE[label]}"
+
+
+def _imaginary_e(ctx):
+    ctx._E = ctx.E[:1] + (ctx.E[1].scale(GaussRat(0, 1)),) + ctx.E[2:]
+
+
+def _off_diagonal_estar(ctx):
+    ctx._Estar = _perturbed(ctx.Estar, 1, 0, 1, 1)
+
+
+def _conjugate_eeps(ctx):
+    ctx._Eeps = ctx.Eeps[:1] + (ctx.Eeps[1].conj(),) + ctx.Eeps[2:]
+
+
+def _flipped_p(ctx):
+    re = ctx.P._re.copy()
+    re[0, 0] = -re[0, 0]
+    ctx.P = ExactMatrix.from_numerators(re, ctx.P._im, ctx.P._den)
+
+
+def _unscaled_pinv(ctx):
+    ctx.Pinv = ctx.P.adjoint()
+
+
+# One replacement per clause of the structure: the suites that read the
+# clause, and its message.
+STRUCTURE_CLAUSES = {
+    "E": (_imaginary_e, ("idempotents", "conjugation"),
+          "E_1 is not real and translation-invariant"),
+    "Estar": (_off_diagonal_estar, ("idempotents", "conjugation"),
+              "Estar_1 is not diagonal"),
+    "Eeps": (_conjugate_eeps, ("idempotents", "conjugation"),
+             "Eeps_1 is not S^-1 E_1 S"),
+    "P": (_flipped_p, ("conjugation",), "P is not S^-1 H"),
+    "Pinv": (_unscaled_pinv, ("conjugation",), "Pinv is not P^* / n"),
+}
+
+
+@pytest.mark.parametrize("clause", sorted(STRUCTURE_CLAUSES))
+def test_structure_clause_is_named(clause):
+    # each clause that fails stops the suites that read it with its own
+    # message; the idempotent suite never reads P, and passes without it
+    replace, readers, message = STRUCTURE_CLAUSES[clause]
+    ctx = build_context(3)
+    replace(ctx)
+    for name, suite in (("idempotents", verify_idempotent_families),
+                        ("conjugation", verify_conjugation)):
+        got = _outcome(suite, ctx)
+        if name in readers:
+            assert got == f"Bose-Mesner structure: {message}"
+        else:
+            assert all(passed for _, passed, _ in got)
 
 
 @pytest.mark.parametrize("D", [2, 3])

@@ -7,6 +7,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import (block_rows, get_bundles, get_ctx, get_decomposition,
@@ -511,18 +512,31 @@ def test_module_gram_built_once_on_first_use():
     assert bases.stacked is stacked and bases.gram is gram
 
 
+def _every(targets):
+    """The spans of `SixBases.coords` by which every basis spans every
+    target row."""
+    return np.ones((targets.rows, len(BASIS_LABELS)), dtype=bool)
+
+
 @pytest.mark.parametrize("D", range(1, 7))
 def test_orthogonal_coords_equal_the_elimination_solver(D):
     # BasisSolver, which never assumes orthogonality, is the oracle, on the
-    # vectors over 2^D
-    for m, bases, _ in get_bundles(D):
+    # vectors over 2^D, for the coordinate read and for the transitions
+    # that it reads off the cached Gram
+    for m, bases, phi in get_bundles(D):
         targets = ExactMatrix.stack(
             [bases.stacked] + [bases.frame.apply(op, bases.stacked)
                                for op in OPERATOR_LABELS])
+        got = bases.coords(targets, _every(targets))
+        cells = transition_matrices(bases, phi).cells
         for label in BASIS_LABELS:
             solver = BasisSolver(block_rows(in_space(bases, label)))
-            assert bases.coords(label, targets) == \
-                solver.coords_matrix(targets @ m.slice_basis)
+            want = solver.coords_matrix(targets @ m.slice_basis)
+            assert got.block(slice(None), bases.rows(label)) == \
+                want.transpose()
+            for dst in BASIS_LABELS:
+                assert cells[(label, dst)].computed == \
+                    want.block(slice(None), bases.rows(dst))
 
 
 def _with_basis(bases, label, vectors):
@@ -540,7 +554,7 @@ def test_non_orthogonal_basis_is_named(change):
     broken = _with_basis(bases, "AeA", v)
     message = r"^basis AeA is not orthogonal \(module r=0 index=0\)$"
     with pytest.raises(BasisError, match=message):
-        broken.coords("AeA", bases.stacked)
+        broken.coords(bases.stacked, _every(bases.stacked))
     with pytest.raises(BasisError, match=message):
         verify_rep_matrices(ctx, broken)
     with pytest.raises(BasisError, match=message):
@@ -549,8 +563,9 @@ def test_non_orthogonal_basis_is_named(change):
 
 @pytest.mark.parametrize("D", range(1, 7))
 def test_rep_cells_equal_the_per_label_coords(D):
-    # the one coordinate product per module against one coords call per
-    # basis on that basis's images: the same 18 matrices and verdicts
+    # the one coordinate read per module against the elimination solver of
+    # each basis on that basis's images over 2^D: the same 18 matrices and
+    # verdicts
     ctx = get_ctx(D)
     n_ops = len(OPERATOR_LABELS)
     for m, bases, _ in get_bundles(D):
@@ -559,9 +574,10 @@ def test_rep_cells_equal_the_per_label_coords(D):
         assert len(cells) == len(BASIS_LABELS) * n_ops
         cells = iter(cells)
         for label in BASIS_LABELS:
-            coeffs = bases.coords(label, ExactMatrix.stack(
+            solver = BasisSolver(block_rows(in_space(bases, label)))
+            coeffs = solver.coords_matrix(ExactMatrix.stack(
                 [bases.frame.apply(op, bases[label])
-                 for op in OPERATOR_LABELS]))
+                 for op in OPERATOR_LABELS]) @ m.slice_basis)
             for k, op in enumerate(OPERATOR_LABELS):
                 cell = next(cells)
                 got = coeffs.block(slice(None), slice(k * n, (k + 1) * n))
@@ -582,35 +598,22 @@ def test_module_triple_is_the_asa_cells_in_operator_order(D):
                                for op in OPERATOR_LABELS)
 
 
-def _first_coords_failure(bases):
-    """The message of the first BasisError of the per-label path: one
-    coords call per basis, in BASIS_LABELS order, on its images."""
-    for label in BASIS_LABELS:
-        try:
-            bases.coords(label, ExactMatrix.stack(
-                [bases.frame.apply(op, bases[label])
-                 for op in OPERATOR_LABELS]))
-        except BasisError as exc:
-            return str(exc)
-    return None
-
-
 def _wrong_solves(monkeypatch, labels):
     """Double the inverse norms of the rows of the given bases.  In
     coordinates an orthogonal basis spans every target, so a wrong solve is
     the one thing that fails the reconstruction certificate; its Gram
     blocks stay diagonal."""
-    honest = SixBases.inverse_norms
+    honest = SixBases.inverse_norms.func
 
-    def doubled(self, rows):
+    def doubled(self):
         wrong = set()
         for label in labels:
             wrong.update(range(self.stacked.rows)[self.rows(label)])
-        picked = range(self.stacked.rows)[rows]
         return ExactMatrix.diagonal([2 if k in wrong else 1
-                                     for k in picked]) @ honest(self, rows)
+                                     for k in range(self.stacked.rows)]) \
+            @ honest(self)
 
-    monkeypatch.setattr(SixBases, "inverse_norms", doubled)
+    monkeypatch.setattr(SixBases, "inverse_norms", property(doubled))
 
 
 @pytest.mark.parametrize("broken", [("AsA",), ("AsA", "AeA"), ("AeA", "AsA"),
@@ -618,9 +621,10 @@ def _wrong_solves(monkeypatch, labels):
 def test_rep_matrices_raise_the_first_failing_basis(monkeypatch, broken):
     # a basis is broken either by a wrong solve (orthogonal, but its
     # coordinates do not reconstruct its images) or, in second place, by a
-    # shear (not orthogonal); verify_rep_matrices raises what the
-    # per-label path raises first, orthogonality before span.  The memo of
-    # the rep cells is bypassed, since the solve is broken, not the bases
+    # shear (not orthogonal); verify_rep_matrices raises for the first
+    # broken basis in BASIS_LABELS order, orthogonality before span.  The
+    # memo of the rep cells is bypassed, since the solve is broken, not the
+    # bases
     (m, bases, _) = next(b for b in get_bundles(3) if b[0].r == 1)
     for label in broken[1:]:
         v = block_rows(bases[label])
@@ -628,8 +632,9 @@ def test_rep_matrices_raise_the_first_failing_basis(monkeypatch, broken):
         bases = _with_basis(bases, label, v)
     _wrong_solves(monkeypatch, broken[:1])
     monkeypatch.setattr(leonard, "_rep_cells", leonard._rep_cells.__wrapped__)
-    message = _first_coords_failure(bases)
-    assert message is not None
+    first = min(broken, key=BASIS_LABELS.index)
+    message = ("target is outside the span of the basis" if first == broken[0]
+               else f"basis {first} is not orthogonal (module r=1 index=0)")
     with pytest.raises(BasisError) as exc:
         verify_rep_matrices(get_ctx(3), bases)
     assert str(exc.value) == message
@@ -640,7 +645,7 @@ def test_target_outside_the_span_keeps_its_message(monkeypatch):
     _wrong_solves(monkeypatch, ("AsA",))
     with pytest.raises(BasisError,
                        match=r"^target is outside the span of the basis$"):
-        bases0.coords("AsA", bases0["AsA"])
+        bases0.coords(bases0.stacked, _every(bases0.stacked))
 
 
 def test_one_wrong_transition_fails_its_cell_and_exactly_its_coherence(
@@ -651,13 +656,15 @@ def test_one_wrong_transition_fails_its_cell_and_exactly_its_coherence(
     (m, bases, phi) = next(b for b in get_bundles(3) if b[0].d == 3)
     s, t = "AeA", "AAs"
     honest = SixBases.coords
-    block = bases.rows(t)
-    double_t = ExactMatrix.diagonal([2 if block.start <= k < block.stop else 1
+
+    def only(label):
+        block = bases.rows(label)
+        return ExactMatrix.diagonal([int(block.start <= k < block.stop)
                                      for k in range(6 * (m.d + 1))])
 
-    def doubled(self, label, targets):
-        coeffs = honest(self, label, targets)
-        return coeffs @ double_t if label == s else coeffs
+    def doubled(self, targets, spans, product=None):
+        coeffs = honest(self, targets, spans, product)
+        return coeffs + only(t) @ coeffs @ only(s)
 
     monkeypatch.setattr(SixBases, "coords", doubled)
     monkeypatch.setattr(leonard, "_transitions",
