@@ -2,16 +2,17 @@
 
 Vertices are bit strings (t_1, ..., t_D) indexed by sum(t_k * 2^(D-k)), i.e.
 the first coordinate is the most significant bit.  With that convention every
-operator factors through Kronecker products of its Q_1 counterpart, and each
-operator that admits two independent constructions (combinatorial definition
-vs. Kronecker identity) is built both ways with exact agreement enforced.
+operator factors through Kronecker products of its Q_1 counterpart.  A,
+Astar and Aeps are stored once, as gather tables built from their vertex by
+vertex definitions and certified against a second construction
+(`CubeContext._certify_tables`); every dense matrix is derived on first use.
 
 Operators:
   A      adjacency matrix (vertices differing in one coordinate)
   Astar  diagonal with (y,y)-entry D - 2*dist(y)
   Aeps   -i(A Astar - Astar A)/2, supported on edges with entries +-i
-  P      kron_power(P1, D) with P1 = [[1, 1], [-i, i]]; conjugation by P
-         cycles A -> Astar -> Aeps -> A
+  P      kron_power(P1, D) = S^-1 H with P1 = [[1, 1], [-i, i]] (see below);
+         conjugation by P cycles A -> Astar -> Aeps -> A
   A_k    distance-k indicator matrices
   E, Estar, Eeps   the three idempotent families (spectral projections)
 
@@ -24,7 +25,7 @@ same diagonal phase that takes A to Aeps.
 The block operators (`CubeContext.apply`) act on many vectors at once
 without a dense 2^D x 2^D product: A, Aeps and the ladder operators L, R
 are gathers over the D neighbours of each vertex, Astar is a diagonal
-scale and P is D butterfly passes of P1.  The module layer needs no
+scale and P = S^-1 H is a Walsh-Hadamard pass.  The module layer needs no
 idempotent over 2^D: it certifies how these operators act on each module's
 slice basis and takes the idempotents there (`decomposition`).
 
@@ -54,7 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (I64_LIMIT, ExactMatrix, _numerators, _scaled,
-                     first_discrepancy, fits_i64, kron, kron_power)
+                     first_discrepancy, fits_i64, kron_power)
 from .report import IdentityCheck, check_equal, check_true
 from .scalar import GaussRat
 
@@ -62,9 +63,6 @@ DEFAULT_D_LIMIT = 10
 
 P1 = ExactMatrix([[GaussRat(1), GaussRat(1)],
                   [GaussRat(0, -1), GaussRat(0, 1)]])
-A1 = ExactMatrix([[0, 1], [1, 0]])
-ASTAR1 = ExactMatrix.diagonal([1, -1])
-I1 = ExactMatrix.identity(2)
 
 
 class ConstructionError(RuntimeError):
@@ -101,27 +99,6 @@ def _phase_conjugate(m: ExactMatrix, phase) -> ExactMatrix:
 # otherwise (`linalg._numerators`); the code is the same for both.
 
 
-def _p_butterflies(re, im):
-    """Each row v of re + i im replaced by P v, P = kron_power(P1, D), on
-    copies: per bit, (v0, v1) -> (v0 + v1, i (v1 - v0)); each pass at most
-    doubles the largest entry."""
-    re, im = re.copy(), im.copy()
-    rows, n = re.shape
-    h = 1
-    while h < n:
-        vr = re.reshape(rows, n // (2 * h), 2, h)
-        vi = im.reshape(rows, n // (2 * h), 2, h)
-        r0, r1 = vr[:, :, 0, :], vr[:, :, 1, :]
-        i0, i1 = vi[:, :, 0, :], vi[:, :, 1, :]
-        # i (v1 - v0) = (i0 - i1) + i (r1 - r0)
-        new_r1, new_i1 = i0 - i1, r1 - r0
-        r0 += r1
-        i0 += i1
-        r1[...], i1[...] = new_r1, new_i1
-        h *= 2
-    return re, im
-
-
 def _walsh_hadamard(a):
     """Each row v of a replaced by H v, H[x, z] = (-1)^|x AND z|, on a copy:
     per bit, (v0, v1) -> (v0 + v1, v0 - v1).  Each pass at most doubles the
@@ -151,32 +128,37 @@ def _flip_bit(a, s):
 
 
 class _Gather:
-    """A matrix M supported on the pairs (y, y ^ shifts[k]), with
-    M[y, y ^ shifts[k]] = (re + i im)[y, k] / den: its values, stored as
-    M's numerators are, and its largest numerator."""
+    """A matrix M over the Gaussian integers supported on the pairs
+    (y, y ^ shifts[k]), with M[y, y ^ shifts[k]] = (re + i im)[y, k]: its
+    int64 values and their largest magnitude."""
 
-    def __init__(self, shifts, re, im, den):
-        self.shifts, self.re, self.im, self.den = shifts, re, im, den
+    def __init__(self, shifts, re, im):
+        self.shifts, self.re, self.im = shifts, re, im
         self.max = max(int(abs(re).max()), int(abs(im).max()))
 
-    @classmethod
-    def of(cls, m: ExactMatrix, shifts) -> "_Gather":
-        rows = np.arange(m.rows)[:, None]
-        cols = rows ^ np.array(shifts)
-        return cls(shifts, m._re[rows, cols], m._im[rows, cols], m._den)
+    def columns(self):
+        """The column y ^ shifts[k] of each entry (y, k)."""
+        return np.arange(len(self.re))[:, None] ^ np.array(self.shifts)
 
-    def masked(self, keep) -> "_Gather":
-        return _Gather(self.shifts, self.re * keep, self.im * keep, self.den)
+    def dense(self) -> ExactMatrix:
+        """M as a dense matrix: one scatter of the table."""
+        n = len(self.re)
+        re, im = np.zeros((n, n), np.int64), np.zeros((n, n), np.int64)
+        rows, cols = np.arange(n)[:, None], self.columns()
+        re[rows, cols], im[rows, cols] = self.re, self.im
+        return ExactMatrix.from_numerators(re, im, 1)
+
+    def scaled(self, factor) -> "_Gather":
+        """The gather of M with entry (y, k) times factor[y, k]."""
+        return _Gather(self.shifts, self.re * factor, self.im * factor)
 
     def transposed(self) -> "_Gather":
         """The gather of M^T: M^T[y, y ^ s] = M[y ^ s, y]."""
-        rows = np.arange(len(self.re))[:, None] ^ np.array(self.shifts)
-        cols = np.arange(len(self.shifts))
-        return _Gather(self.shifts, self.re[rows, cols], self.im[rows, cols],
-                       self.den)
+        rows, cols = self.columns(), np.arange(len(self.shifts))
+        return _Gather(self.shifts, self.re[rows, cols], self.im[rows, cols])
 
     def apply(self, re, im):
-        """Numerators (over den) of every row x of re + i im times M:
+        """Numerators of every row x of re + i im times M:
         (M x)[y] = sum_k M[y, y ^ shifts[k]] x[y ^ shifts[k]].  int64
         arrays must satisfy fits_i64(len(shifts), self.max, max |x|); object
         arrays make every product one of Python ints.  An all-zero part of
@@ -210,21 +192,32 @@ def krawtchouk_table(D: int):
                      for h in range(D + 1)], dtype=object)
 
 
-def _kron_sum(factor: ExactMatrix, D: int) -> ExactMatrix:
-    """sum over positions of I1^(x i) (x) factor (x) I1^(x (D-1-i)), by the
-    recursion K_1 = factor, K_(k+1) = K_k (x) I1 + I_(2^k) (x) factor."""
-    total = factor
-    for k in range(1, D):
-        total = kron(total, I1) + kron(ExactMatrix.identity(2 ** k), factor)
-    return total
+# The operators stored as gather tables, with their Q_1 factors as (re, im)
+# numerators: [[0, 1], [1, 0]], diag(1, -1) and [[0, i], [-i, 0]].
+KRON_FACTORS = {"A": ([[0, 1], [1, 0]], [[0, 0], [0, 0]]),
+                "Astar": ([[1, 0], [0, -1]], [[0, 0], [0, 0]]),
+                "Aeps": ([[0, 0], [0, 0]], [[0, 1], [-1, 0]])}
+
+
+def _kron_sum_agrees(table: _Gather, factor, bits) -> bool:
+    """Whether the table holds the Kronecker sum of the Q_1 factor F over
+    the D positions: sum_k F[b, b] at (y, y) and F[b, 1 - b] at
+    (y, y ^ e_k), for b = bits[y, k], bit k of y, and nothing else."""
+    on_edges = table.shifts != [0]
+    for part, f in zip((table.re, table.im), map(np.array, factor)):
+        kron = f[bits, bits].sum(axis=1)[:, None], f[bits, 1 - bits]
+        if kron[not on_edges].any() or \
+                not np.array_equal(part, kron[on_edges]):
+            return False
+    return True
 
 
 class CubeContext:
-    """All operators of Q_D for one dimension; immutable after construction.
+    """All operators of Q_D for one dimension.
 
-    The idempotent families and the distance matrices are built lazily and
-    cached; the operators are constructed eagerly with the dual-construction
-    cross-checks.
+    A, Astar and Aeps are their gather tables, certified at construction.
+    Every dense 2^D x 2^D matrix (the operators, P, the distance tables,
+    the idempotent families) is derived on first use and cached.
     """
 
     def __init__(self, D: int, d_limit: int = DEFAULT_D_LIMIT):
@@ -235,27 +228,62 @@ class CubeContext:
         self.dist = np.array([bin(v).count("1") for v in range(self.n)],
                              dtype=object)
         self.theta = [D - 2 * i for i in range(D + 1)]
-        dist = self.dist.astype(int)
-        idx = np.arange(self.n)
-        # distance between vertices x and y, and dist(y) - dist(x) mod 4
-        self.hamming = dist[idx[:, None] ^ idx[None, :]]
-        self._phase = (dist[None, :] - dist[:, None]) % 4
-        self._dist = dist
-
-        self.A = self._build_adjacency()
-        self.Astar = self._build_dual_adjacency()
-        self.Aeps = self._build_imaginary_adjacency()
-        self.P = kron_power(P1, D)
-        self.Pinv = self.P.adjoint().scale(Fraction(1, self.n))
-        _require(self.P @ self.Pinv == ExactMatrix.identity(self.n),
-                 "P inverse construction failed")
+        self._dist = dist = self.dist.astype(int)
+        # A[y, y ^ e_k] = 1, Aeps[y, y ^ e_k] = i (dist(y ^ e_k) - dist(y))
+        # and Astar[y, y] = D - 2 dist(y)
+        a = _Gather([1 << k for k in range(D)], np.ones((self.n, D), np.int64),
+                    np.zeros((self.n, D), np.int64))
+        astar = (D - 2 * dist)[:, None]
+        self._gathers = {"A": a, "Astar": _Gather([0], astar, 0 * astar),
+                         "Aeps": _Gather(a.shifts, a.im,
+                                         dist[a.columns()] - dist[:, None])}
+        self._certify_tables()
         self._E = None
         self._Estar = None
         self._Eeps = None
-        self._gathers = {}
         self._structure = None
 
     # -- operator constructions ------------------------------------------------
+
+    def _certify_tables(self) -> None:
+        """Each table against a second construction, in O(nD): the
+        Kronecker sum of its Q_1 factor, and for Aeps, on each edge,
+        -i [A, Astar] / 2 (its entry (y, z) is
+        -i A[y, z] (Astar[z, z] - Astar[y, y]) / 2) and S^-1 A S (its
+        entry is A[y, z] i^(dist(z) - dist(y)))."""
+        a, astar, aeps = (self._gathers[op] for op in KRON_FACTORS)
+        bits = (np.arange(self.n)[:, None] >> np.arange(self.D)) & 1
+        _require(_kron_sum_agrees(a, KRON_FACTORS["A"], bits),
+                 "adjacency: Hamming and Kronecker constructions disagree")
+        _require(_kron_sum_agrees(astar, KRON_FACTORS["Astar"], bits),
+                 "dual adjacency: distance and Kronecker constructions disagree")
+        cols = a.columns()
+        sr, si = astar.re[:, 0], astar.im[:, 0]
+        dr, di = sr[cols] - sr[:, None], si[cols] - si[:, None]
+        cr, ci = a.re * dr - a.im * di, a.re * di + a.im * dr
+        # -i (cr + i ci) / 2 = (ci - i cr) / 2
+        _require(np.array_equal(2 * aeps.re, ci)
+                 and np.array_equal(2 * aeps.im, -cr),
+                 "imaginary adjacency: commutator and entry formula disagree")
+        _require(_kron_sum_agrees(aeps, KRON_FACTORS["Aeps"], bits),
+                 "imaginary adjacency: Kronecker construction disagrees")
+        pr, pi = _times_i_power(a.re, a.im,
+                                self._dist[cols] - self._dist[:, None])
+        _require(np.array_equal(aeps.re, pr) and np.array_equal(aeps.im, pi),
+                 "imaginary adjacency: diagonal phase conjugate of A disagrees")
+
+    A = cached_property(lambda self: self._gathers["A"].dense())
+    Astar = cached_property(lambda self: self._gathers["Astar"].dense())
+    Aeps = cached_property(lambda self: self._gathers["Aeps"].dense())
+    # certified equal to apply("P"), S^-1 H, by `_Structure.certify_p`
+    P = cached_property(lambda self: kron_power(P1, self.D))
+    Pinv = cached_property(
+        lambda self: self.P.adjoint().scale(Fraction(1, self.n)))
+    # distance between vertices x and y, and dist(y) - dist(x) mod 4
+    hamming = cached_property(lambda self: self._dist[
+        np.arange(self.n)[:, None] ^ np.arange(self.n)])
+    _phase = cached_property(
+        lambda self: (self._dist[None, :] - self._dist[:, None]) % 4)
 
     @cached_property
     def dist_matrices(self):
@@ -263,35 +291,6 @@ class CubeContext:
         return tuple(ExactMatrix.from_numerators(ones, 0 * ones, 1)
                      for ones in ((self.hamming == k).astype(np.int64)
                                   for k in range(self.D + 1)))
-
-    def _build_adjacency(self) -> ExactMatrix:
-        ones = (self.hamming == 1).astype(np.int64)
-        a = ExactMatrix.from_numerators(ones, 0 * ones, 1)
-        _require(a == _kron_sum(A1, self.D),
-                 "adjacency: Hamming and Kronecker constructions disagree")
-        return a
-
-    def _build_dual_adjacency(self) -> ExactMatrix:
-        values = np.diag(self.D - 2 * self._dist).astype(np.int64)
-        astar = ExactMatrix.from_numerators(values, 0 * values, 1)
-        _require(astar == _kron_sum(ASTAR1, self.D),
-                 "dual adjacency: distance and Kronecker constructions disagree")
-        return astar
-
-    def _build_imaginary_adjacency(self) -> ExactMatrix:
-        by_def = (self.A @ self.Astar - self.Astar @ self.A).scale(
-            GaussRat(0, Fraction(-1, 2)))
-        # entrywise: i * (dist(z) - dist(y)) on edges
-        im = self.A._re * (self._dist[None, :] - self._dist[:, None])
-        by_entries = ExactMatrix.from_numerators(0 * im, im, 1)
-        _require(by_def == by_entries,
-                 "imaginary adjacency: commutator and entry formula disagree")
-        aeps1 = (A1 @ ASTAR1 - ASTAR1 @ A1).scale(GaussRat(0, Fraction(-1, 2)))
-        _require(by_def == _kron_sum(aeps1, self.D),
-                 "imaginary adjacency: Kronecker construction disagrees")
-        _require(by_def == _phase_conjugate(self.A, self._phase),
-                 "imaginary adjacency: diagonal phase conjugate of A disagrees")
-        return by_def
 
     # -- idempotent families ------------------------------------------------------
 
@@ -366,50 +365,41 @@ class CubeContext:
     # -- block operators -------------------------------------------------------------
     #
     # The module layer applies operators to blocks, one vector per row, and
-    # never builds a dense 2^D x 2^D matrix for them.  The gathers read their
-    # values off this context's own matrices, so a flipped sign shows.
+    # never builds a dense 2^D x 2^D matrix for them.  The gathers are this
+    # context's operators, so a flipped sign shows in every reader.
 
     def _gather_table(self, op: str) -> _Gather:
-        """A, Aeps, L or R as a gather over the D neighbours y ^ (1 << k), or
-        Astar over the diagonal, after checking that the support allows it."""
+        """A, Astar, Aeps, or L or R: A's table on the edges towards the
+        slice above (bit k of y clear) and on the rest."""
         table = self._gathers.get(op)
-        if table is not None:
-            return table
-        if op in ("A", "Aeps"):
-            m = getattr(self, op)
-            _require(not (m.nonzero() & (self.hamming != 1)).any(),
-                     f"{op}: support leaves the cube edges")
-            table = _Gather.of(m, [1 << k for k in range(self.D)])
-        elif op == "Astar":
-            _require(not (self.Astar.nonzero() & (self.hamming != 0)).any(),
-                     "Astar: support leaves the diagonal")
-            table = _Gather.of(self.Astar, [0])
-        elif op in ("L", "R"):
-            # L = A towards the slice above (bit k of y clear), R the rest
+        if table is None:
+            if op not in ("L", "R"):
+                raise ValueError(f"unknown block operator {op!r}")
             up = (np.arange(self.n)[:, None] >> np.arange(self.D)) & 1 == 0
-            table = self._gather_table("A").masked(up if op == "L" else ~up)
-        else:
-            raise ValueError(f"unknown block operator {op!r}")
-        self._gathers[op] = table
+            table = self._gathers["A"].scaled(up if op == "L" else ~up)
+            self._gathers[op] = table
         return table
 
     def apply(self, op: str, block: ExactMatrix) -> ExactMatrix:
         """op applied to every row of block, i.e. the rows of block @ op^T.
 
         op is A, Astar, Aeps, L or R (gathers, see `_gather_table`) or P
-        (D butterfly passes of P1).  The kernels run in int64 when a bound
-        on the block's and the operator's numerators shows that they fit.
+        (S^-1 H: one Walsh-Hadamard pass, then (-i)^dist(y) on column y).
+        The kernels run in int64 when a bound on the block's and the
+        operator's numerators shows that they fit.
         """
         if block.cols != self.n:
             raise ValueError(f"block has {block.cols} columns, expected {self.n}")
         if op == "P":
-            re, im = _p_butterflies(
-                *_numerators(block, block._max() * self.n < I64_LIMIT))
+            re, im = _numerators(block, block._max() * self.n < I64_LIMIT)
+            both = _walsh_hadamard(np.vstack([re, im]))
+            re, im = _times_i_power(both[:block.rows], both[block.rows:],
+                                    -self._dist)
             return ExactMatrix.from_numerators(re, im, block._den)
         table = self._gather_table(op)
         fits = fits_i64(len(table.shifts), table.max, block._max())
         re, im = table.apply(*_numerators(block, fits))
-        return ExactMatrix.from_numerators(re, im, block._den * table.den)
+        return ExactMatrix.from_numerators(re, im, block._den)
 
     def eigen_discrepancy(self, op: str, m: ExactMatrix, theta: int,
                           right: bool = False):
@@ -427,7 +417,7 @@ class CubeContext:
             block = m.transpose()
         fits = fits_i64(len(table.shifts), table.max, block._max())
         re, im = table.apply(*_numerators(block, fits))
-        want_re, want_im = _scaled(block, theta * table.den)
+        want_re, want_im = _scaled(block, theta)
         differ = np.not_equal(re, want_re) | np.not_equal(im, want_im)
         if not differ.any():
             return None
@@ -442,21 +432,22 @@ class CubeContext:
     # -- testing hook ----------------------------------------------------------------
 
     def with_flipped_sign(self, op: str, r: int, c: int) -> "CubeContext":
-        """Copy of this context with one entry of an operator sign-flipped.
+        """Copy of this context with entry (r, c) of A, Astar or Aeps
+        sign-flipped in its table (an entry off the table is 0).
 
         Bypasses the construction cross-checks on purpose; used to confirm the
-        verification suites actually detect corruption.  The idempotent
-        families, their structure and the block operators are rebuilt from
-        the clone's operators on first use.
+        verification suites actually detect corruption.  Every matrix,
+        family and block operator built from the tables is rebuilt from the
+        clone's on first use, so every reader sees the same flip.
         """
         clone = object.__new__(CubeContext)
-        clone.__dict__.update(self.__dict__)
+        clone.__dict__.update((k, v) for k, v in self.__dict__.items()
+                              if k not in KRON_FACTORS)
         clone._E = clone._Estar = clone._Eeps = clone._structure = None
-        clone._gathers = {}
-        m = getattr(clone, op)
-        re, im = m._re.copy(), m._im.copy()
-        re[r, c], im[r, c] = -re[r, c], -im[r, c]
-        setattr(clone, op, ExactMatrix.from_numerators(re, im, m._den))
+        clone._gathers = {name: self._gathers[name] for name in KRON_FACTORS}
+        table = self._gathers[op]
+        at = (np.arange(self.n)[:, None] == r) & (table.columns() == c)
+        clone._gathers[op] = table.scaled(1 - 2 * at)
         return clone
 
 

@@ -497,8 +497,10 @@ def _check_orthogonal_sum(ctx: CubeContext, modules) -> None:
     orthogonal without any product, and the check is one Gram per slice s,
     of the vectors on slice s restricted to the slice's C(D, s) columns,
     which must vanish off the pairs of one module.  Only those vectors are
-    gathered for it.  The pair named is the first in the row-major order of
-    the Gram of all the vectors."""
+    gathered for it, as one matrix of their numerators: each numerator row
+    is its vector times its module's positive denominator, which leaves the
+    zero pattern of the Gram as it is.  The pair named is the first in the
+    row-major order of the Gram of all the vectors."""
     owner = np.repeat(np.arange(len(modules)), [m.dim for m in modules])
     if len(owner) != ctx.n:
         raise InvariantViolation(
@@ -507,11 +509,12 @@ def _check_orthogonal_sum(ctx: CubeContext, modules) -> None:
     crossing = []
     for s in range(ctx.D + 1):
         rows = np.flatnonzero(on_slice == s)
-        cols = ctx.slice_indices(s)
-        vectors = ExactMatrix.stack([
-            modules[j].slice_basis.block(slice(s - modules[j].r,
-                                               s - modules[j].r + 1), cols)
-            for j in owner[rows]])
+        cols = np.array(ctx.slice_indices(s))
+        picked = [(modules[j].slice_basis, s - modules[j].r)
+                  for j in owner[rows]]
+        vectors = ExactMatrix.from_numerators(
+            np.stack([b._re[k, cols] for b, k in picked]),
+            np.stack([b._im[k, cols] for b, k in picked]), 1)
         gram = vectors @ vectors.adjoint()
         cross = gram.nonzero() & (owner[rows][:, None] != owner[rows][None, :])
         if cross.any():

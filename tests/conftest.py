@@ -11,10 +11,12 @@ replacement: `elimination_seeds`, the exact elimination and Gram-Schmidt
 behind decompose's closed-form seeds, `oracle_decompose`, the module by
 module decomposition behind its endpoint stacks, the module path over 2^D
 columns (`project`, `oracle_six_bases`, `oracle_verdicts`), behind the module
-frames, and the idempotent and conjugation suites by dense products
+frames, the idempotent and conjugation suites by dense products
 (`dense_idempotent_families`, `dense_conjugation`), behind the suites on
 the Bose-Mesner structure, which the library requires of every family and
-no longer multiplies densely itself.
+no longer multiplies densely itself, and the dense constructions of A,
+Astar and Aeps (`kron_sum`, `commutator_aeps`, `phase_conjugate`), behind
+their gather tables.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from tcube.leonard import (_BASIS_SPEC, _FORM_BUILDERS, _P_SHIFTS,
                            TRANSITION_TABLE, BasisError, BasisSolver,
                            build_six_bases, is_leonard_triple, phi_matrix)
 from tcube.linalg import (I64_LIMIT, ExactMatrix, ExactVector, gram_schmidt,
-                          inverse_diagonal, kernel_basis)
+                          inverse_diagonal, kernel_basis, kron)
 from tcube.report import check_equal, check_true
 from tcube.scalar import GaussRat, I as IUNIT
 
@@ -441,6 +443,53 @@ def elimination_seeds(ctx, r):
     return ExactMatrix.from_numerators(re, im, seeds._den)
 
 
+# -- the dense constructions of the operators ----------------------------------
+#
+# The context stores A, Astar and Aeps as gather tables and scatters each
+# into a dense matrix on first use.  Their dense constructions, by the
+# definitions, Kronecker sums and dense products, are the oracles of those
+# matrices.
+
+A1 = ExactMatrix([[0, 1], [1, 0]])
+ASTAR1 = ExactMatrix.diagonal([1, -1])
+AEPS1 = ExactMatrix([[0, IUNIT], [-IUNIT, 0]])
+
+
+def kron_sum(factor, D):
+    """sum over positions k of I_2^(x k) (x) factor (x) I_2^(x (D-1-k)), by
+    the recursion K_1 = factor, K_(k+1) = K_k (x) I_2 + I_(2^k) (x) factor."""
+    total = factor
+    for k in range(1, D):
+        total = (kron(total, ExactMatrix.identity(2))
+                 + kron(ExactMatrix.identity(2 ** k), factor))
+    return total
+
+
+def hamming_adjacency(D):
+    """A by its definition: 1 at (x, y) when x and y differ in one bit."""
+    n = 2 ** D
+    return ExactMatrix([[int(hamming_weight(x ^ y) == 1) for y in range(n)]
+                        for x in range(n)])
+
+
+def dual_adjacency(D):
+    """Astar by its definition: D - 2 dist(y) at (y, y)."""
+    return ExactMatrix.diagonal([D - 2 * hamming_weight(y)
+                                 for y in range(2 ** D)])
+
+
+def commutator_aeps(a, astar):
+    """-i (A Astar - Astar A) / 2, by dense products."""
+    return (a @ astar - astar @ a).scale(GaussRat(0, Fraction(-1, 2)))
+
+
+def phase_conjugate(a, D):
+    """S^-1 a S for S = diag(i^dist), by dense products."""
+    weights = [hamming_weight(y) for y in range(2 ** D)]
+    return (ExactMatrix.diagonal([(-IUNIT) ** w for w in weights]) @ a
+            @ ExactMatrix.diagonal([IUNIT ** w for w in weights]))
+
+
 def dense_ladder(ctx):
     """(L, R): the entries of A towards the slice below and above, masked
     densely from A by the slice index.  The oracle for the block L and R."""
@@ -538,8 +587,8 @@ def _spectral_window(ctx, re, im, m, window):
     n, D = ctx.n, ctx.D
     a = ctx._gather_table("A")
     # |x H| <= n m and each part is at most n^2 m; their sum, theta_i
-    # times one and A times one stay below (2D + 2) n^2 m a.max a.den
-    if m * n * n * (2 * D + 2) * a.max * a.den >= I64_LIMIT:
+    # times one and A times one stay below (2D + 2) n^2 m a.max
+    if m * n * n * (2 * D + 2) * a.max >= I64_LIMIT:
         re = re.astype(object, copy=False)
         im = im.astype(object, copy=False)
     rows = re.shape[0]
@@ -557,8 +606,8 @@ def _spectral_window(ctx, re, im, m, window):
     ar, ai = ar.reshape(zr.shape), ai.reshape(zi.shape)
     ctx._certify(
         sums,
-        ((i, np.array_equal(ar[k], ctx.theta[i] * a.den * zr[k])
-          and np.array_equal(ai[k], ctx.theta[i] * a.den * zi[k]))
+        ((i, np.array_equal(ar[k], ctx.theta[i] * zr[k])
+          and np.array_equal(ai[k], ctx.theta[i] * zi[k]))
          for k, i in enumerate(window)))
     return list(zip(zr, zi))
 

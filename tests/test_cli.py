@@ -9,12 +9,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import tcube
 from tcube import cli
 from tcube.cli import main
-from tcube.cube import ConstructionError
+from tcube.cube import ConstructionError, build_context
 from tcube.decomposition import (InvariantViolation, IrreducibleModule,
                                  closed_form_seeds, multiplicity)
 from tcube.leonard import BasisError
@@ -706,6 +707,26 @@ def test_whole_matrix_suites_form_no_dense_family_product(capsys, monkeypatch,
             assert run(capsys, "verify", "--d", "6",
                        "--suite", suite)[0] == code
         assert len(calls) <= DENSE_PRODUCTS[suite]
+
+
+# The dense 2^D x 2^D attributes of a context, each derived on first use.
+DENSE_ATTRIBUTES = {"A", "Astar", "Aeps", "P", "Pinv", "hamming", "_phase",
+                    "dist_matrices"}
+
+
+@pytest.mark.parametrize("suite", ["rep-matrices", "inner-products",
+                                   "transitions"])
+def test_module_suites_build_no_dense_matrix(suite):
+    # the module layer reads the gather tables alone: after a module suite
+    # the context holds no dense matrix, no family, and no array with more
+    # than n D entries
+    ctx = build_context(6)
+    assert all(passed for _, _, _, passed, _ in cli.run_suite(ctx, suite))
+    assert not DENSE_ATTRIBUTES & set(vars(ctx))
+    assert ctx._E is ctx._Estar is ctx._Eeps is ctx._structure is None
+    arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
+    arrays += [a for t in ctx._gathers.values() for a in (t.re, t.im)]
+    assert max(a.size for a in arrays) <= ctx.n * ctx.D
 
 
 # The one row of each suite when Estar_1 + e_(1,2) breaks the structure.

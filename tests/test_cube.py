@@ -2,20 +2,22 @@
 idempotent families and their traces, conjugation by P, slice structure."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import (brute_p_1j, dense_conjugation,
-                      dense_idempotent_families, get_ctx,
-                      interpolation_idempotents, naive_matrix_rank,
-                      walsh_hadamard)
+from conftest import (A1, AEPS1, ASTAR1, brute_p_1j, commutator_aeps,
+                      dense_conjugation, dense_idempotent_families,
+                      dual_adjacency, get_ctx, hamming_adjacency,
+                      interpolation_idempotents, kron_sum, naive_matrix_rank,
+                      phase_conjugate, walsh_hadamard)
 from tcube import cube
-from tcube.cube import (ConstructionError, _walsh_hadamard, build_context,
+from tcube.cube import (P1, ConstructionError, _walsh_hadamard, build_context,
                         krawtchouk_table, verify_commutators,
                         verify_conjugation, verify_idempotent_families)
 from tcube.leonard import phi_matrix
-from tcube.linalg import ExactMatrix, ExactVector, rank
+from tcube.linalg import ExactMatrix, ExactVector, kron_power, rank
 from tcube.report import all_passed
 from tcube.scalar import GaussRat
 
@@ -72,6 +74,94 @@ def test_d1_operators_literal():
                                     [GaussRat(0, -1), GaussRat(0)]])
     assert ctx.P == ExactMatrix([[GaussRat(1), GaussRat(1)],
                                  [GaussRat(0, -1), GaussRat(0, 1)]])
+
+
+@pytest.mark.parametrize("D", range(1, 8))
+def test_operators_equal_their_dense_constructions(D):
+    # the matrices scattered from the gather tables against the dense
+    # constructions of the operators, and P = S^-1 H against
+    # kron_power(P1, D): the rows of I P^T
+    ctx = get_ctx(D)
+    a, astar = hamming_adjacency(D), dual_adjacency(D)
+    assert ctx.A == a == kron_sum(A1, D)
+    assert ctx.Astar == astar == kron_sum(ASTAR1, D)
+    assert ctx.Aeps == kron_sum(AEPS1, D) == commutator_aeps(a, astar) == \
+        phase_conjugate(a, D)
+    assert ctx.apply("P", ExactMatrix.identity(ctx.n)) == \
+        kron_power(P1, D).transpose()
+
+
+def _flip(op, r, c):
+    return lambda monkeypatch: get_ctx(3).with_flipped_sign(op, r, c)
+
+
+def _negated_aeps_factor(monkeypatch):
+    re_part, im_part = cube.KRON_FACTORS["Aeps"]
+    monkeypatch.setitem(cube.KRON_FACTORS, "Aeps",
+                        (re_part, [[-x for x in row] for row in im_part]))
+    return get_ctx(3)
+
+
+def _conjugated_phase(monkeypatch):
+    honest = cube._times_i_power
+
+    def conjugated(re_part, im_part, k):
+        re_part, im_part = honest(re_part, im_part, k)
+        return re_part, -im_part
+
+    monkeypatch.setattr(cube, "_times_i_power", conjugated)
+    return get_ctx(3)
+
+
+# One broken side per clause of the table certificate, and its message: a
+# flipped table entry breaks the first clause that reads the table, and a
+# changed second construction its own clause alone.
+CERTIFICATE_CLAUSES = [
+    (_flip("A", 0, 1),
+     "adjacency: Hamming and Kronecker constructions disagree"),
+    (_flip("Astar", 0, 0),
+     "dual adjacency: distance and Kronecker constructions disagree"),
+    (_flip("Aeps", 0, 1),
+     "imaginary adjacency: commutator and entry formula disagree"),
+    (_negated_aeps_factor,
+     "imaginary adjacency: Kronecker construction disagrees"),
+    (_conjugated_phase,
+     "imaginary adjacency: diagonal phase conjugate of A disagrees"),
+]
+
+
+@pytest.mark.parametrize("breaks, message", CERTIFICATE_CLAUSES,
+                         ids=["A", "Astar", "commutator", "Aeps", "phase"])
+def test_table_certificate_clause_is_named(monkeypatch, breaks, message):
+    get_ctx(3)._certify_tables()
+    ctx = breaks(monkeypatch)
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        ctx._certify_tables()
+
+
+def test_flipped_sign_changes_one_entry_for_every_reader():
+    # every edge entry of A and Aeps and every diagonal entry of Astar: the
+    # dense matrix changes in entry (r, c) alone, and the gather applies the
+    # flipped matrix; an (r, c) off the table changes nothing
+    ctx = get_ctx(3)
+    every = ExactMatrix.identity(ctx.n)
+    edges = np.argwhere(hamming_adjacency(3).nonzero()).tolist()
+    spots = ([("A", r, c) for r, c in edges]
+             + [("Aeps", r, c) for r, c in edges]
+             + [("Astar", y, y) for y in range(ctx.n)])
+    for op, r, c in spots:
+        before, flipped = getattr(ctx, op), ctx.with_flipped_sign(op, r, c)
+        after = getattr(flipped, op)
+        changed = np.zeros((ctx.n, ctx.n), dtype=bool)
+        changed[r, c] = True
+        assert np.array_equal(~after.entries_equal(before), changed)
+        assert after[r, c] == -before[r, c]
+        assert flipped.apply(op, every) == after.transpose(), (op, r, c)
+    for op, r, c in (("A", 0, 0), ("A", 0, 3), ("Aeps", 1, 6),
+                     ("Astar", 0, 1)):
+        flipped = ctx.with_flipped_sign(op, r, c)
+        assert getattr(flipped, op) == getattr(ctx, op)
+        assert flipped.apply(op, every) == ctx.apply(op, every)
 
 
 def test_d2_dual_adjacency_diagonal():

@@ -476,17 +476,16 @@ def test_spectral_parts_certificate_names_the_first_failure():
 
 
 def test_wrong_p_butterflies_fail_the_frame(monkeypatch):
-    # P followed by the transposition of vertices 1 and 3 (slices 1 and 2)
-    # takes u* = e_0 of the module r0m0 out of the span of the slice
-    # indicators: the frame certifies P W in W for every module
-    honest = cube._p_butterflies
+    # H followed by the transposition of vertices 1 and 3 (slices 1 and 2)
+    # in P = S^-1 H takes u* = e_0 of the module r0m0 out of the span of
+    # the slice indicators: the frame certifies P W in W for every module
+    honest = cube._walsh_hadamard
     swap = [0, 3, 2, 1, 4, 5, 6, 7]
 
-    def swapped(re, im):
-        re, im = honest(re, im)
-        return re[:, swap], im[:, swap]
+    def swapped(a):
+        return honest(a)[:, swap]
 
-    monkeypatch.setattr(cube, "_p_butterflies", swapped)
+    monkeypatch.setattr(cube, "_walsh_hadamard", swapped)
     with pytest.raises(InvariantViolation, match=r"^module r=0 index=0: "
                                                  r"P does not map W into W$"):
         decompose(build_context(3))

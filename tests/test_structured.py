@@ -218,16 +218,6 @@ def test_flipped_sign_resets_block_operators():
     assert flipped.apply("Astar", block) == ctx.apply("Astar", block).scale(-1)
 
 
-@pytest.mark.parametrize("op", ["A", "Aeps", "Astar"])
-def test_support_off_the_gather_pattern_is_rejected(op):
-    ctx = get_ctx(2).with_flipped_sign(op, 0, 0 if op == "Astar" else 1)
-    grid = getattr(ctx, op).to_rows()
-    grid[0][3] = GaussRat(1)  # vertices 0 and 3 are two steps apart
-    setattr(ctx, op, ExactMatrix(grid))
-    with pytest.raises(ConstructionError, match=f"^{op}: support leaves"):
-        ctx.apply(op, _base_vertex_block(ctx))
-
-
 def test_block_shape_and_names_are_checked():
     ctx = get_ctx(2)
     with pytest.raises(ValueError):
