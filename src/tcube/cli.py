@@ -24,8 +24,6 @@ import os
 import sys
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from . import cube, decomposition, leonard
 from .cube import CubeContext, build_context
 
@@ -214,8 +212,7 @@ def _cmd_verify(args) -> int:
     else:
         if args.corrupt:
             name = CORRUPT_OPS[args.corrupt]
-            target = getattr(ctx, name)
-            spot = tuple(np.argwhere(target.nonzero())[0].tolist())
+            spot = ctx.first_nonzero(name)
             ctx = ctx.with_flipped_sign(name, *spot)
             _progress(f"  injected sign flip into {args.corrupt} at {spot}")
         rows = run_suite(ctx, args.suite)

@@ -41,9 +41,14 @@ matrix H.  Each suite requires the part of that structure that it reads,
 certified on the stored matrices entrywise (`_Structure`, which names the
 clause that fails), then compares each family identity on one row or one
 diagonal, computed by Walsh-Hadamard transforms.  The operators whose signs
-`verify --corrupt` flips (A, Astar, Aeps) are not certified: A and Aeps
-act on the families by edge gathers (`CubeContext.eigen_discrepancy`),
-and the operator rows of the conjugation suite stay dense products.
+`verify --corrupt` flips (A, Astar, Aeps) are read from their stored
+tables.  The commutator suite multiplies the tables themselves: a product
+of two tables M[y, y ^ s] is one over the shifts s1 ^ s2
+(`_Gather.__matmul__`).  A and Aeps act on the families as their clean
+tables, certified at construction, plus the sparse defect that a flipped
+sign makes: the clean part by one first row, the defect's rows or columns
+in full (`CubeContext.family_eigen_discrepancy`).  The operator rows of
+the conjugation suite stay dense products.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import (I64_LIMIT, ExactMatrix, _numerators, _scaled,
+from .linalg import (I64_LIMIT, ExactMatrix, _fits, _numerators,
                      first_discrepancy, fits_i64, kron_power)
 from .report import IdentityCheck, check_equal, check_true
 from .scalar import GaussRat
@@ -130,7 +135,8 @@ def _flip_bit(a, s):
 class _Gather:
     """A matrix M over the Gaussian integers supported on the pairs
     (y, y ^ shifts[k]), with M[y, y ^ shifts[k]] = (re + i im)[y, k]: its
-    int64 values and their largest magnitude."""
+    integer values, int64 for the stored operators, and their largest
+    magnitude."""
 
     def __init__(self, shifts, re, im):
         self.shifts, self.re, self.im = shifts, re, im
@@ -152,10 +158,54 @@ class _Gather:
         """The gather of M with entry (y, k) times factor[y, k]."""
         return _Gather(self.shifts, self.re * factor, self.im * factor)
 
-    def transposed(self) -> "_Gather":
-        """The gather of M^T: M^T[y, y ^ s] = M[y ^ s, y]."""
-        rows, cols = self.columns(), np.arange(len(self.shifts))
-        return _Gather(self.shifts, self.re[rows, cols], self.im[rows, cols])
+    def times_i(self) -> "_Gather":
+        """The gather of i M."""
+        return _Gather(self.shifts, -self.im, self.re)
+
+    def __matmul__(self, other: "_Gather") -> "_Gather":
+        """The table of M N over the shifts s ^ t, for s of M and t of N:
+        (M N)[y, y ^ s ^ t] sums M[y, y ^ s] N[y ^ s, y ^ s ^ t] over the
+        pairs (s, t) with that s ^ t, at most one per s.  int64 when
+        fits_i64(len(self.shifts), self.max, other.max), else Python ints."""
+        shifts = sorted({s ^ t for s in self.shifts for t in other.shifts})
+        dtype = (np.int64 if fits_i64(len(self.shifts), self.max, other.max)
+                 else object)
+        n = len(self.re)
+        re, im = (np.zeros((n, len(shifts)), dtype) for _ in "ri")
+        y = np.arange(n)
+        for k, s in enumerate(self.shifts):
+            ar, ai = (a[:, k:k + 1].astype(dtype) for a in (self.re, self.im))
+            br, bi = (b[y ^ s].astype(dtype) for b in (other.re, other.im))
+            # s ^ t is distinct over t, so the columns are too
+            cols = [shifts.index(s ^ t) for t in other.shifts]
+            re[:, cols] += ar * br - ai * bi
+            im[:, cols] += ar * bi + ai * br
+        return _Gather(shifts, re, im)
+
+    @staticmethod
+    def combination(terms) -> "_Gather":
+        """sum_k w_k M_k over the pairs (M_k, w_k), integer weights w_k,
+        over the union of their shifts."""
+        shifts = sorted({s for table, _ in terms for s in table.shifts})
+        bound = sum(abs(w) * table.max for table, w in terms)
+        dtype = np.int64 if bound < I64_LIMIT else object
+        n = len(terms[0][0].re)
+        re, im = (np.zeros((n, len(shifts)), dtype) for _ in "ri")
+        for table, w in terms:
+            cols = [shifts.index(s) for s in table.shifts]
+            re[:, cols] += table.re.astype(dtype) * w
+            im[:, cols] += table.im.astype(dtype) * w
+        return _Gather(shifts, re, im)
+
+    def first_nonzero(self):
+        """(y, y ^ s) of M's first nonzero entry in row-major order: the
+        first row with one, at its least column; None when M is 0."""
+        nonzero = (self.re != 0) | (self.im != 0)
+        rows = np.flatnonzero(nonzero.any(axis=1))
+        if not len(rows):
+            return None
+        y = int(rows[0])
+        return y, min(y ^ s for s, hit in zip(self.shifts, nonzero[y]) if hit)
 
     def apply(self, re, im):
         """Numerators of every row x of re + i im times M:
@@ -181,6 +231,42 @@ class _Gather:
                 if xi is not None:
                     out_re -= np.multiply(xi, vi[:, k], out=term)
         return out_re, out_im
+
+
+def _first_spot(n, W, lines, differ, right):
+    """The first row-major (x, y) where an n x n product differs from its
+    expected value, or None: off the defect lines it differs exactly at the
+    (x, y) with x ^ y in W, and on them as `differ` says, whose row j holds
+    line lines[j], a row of the product, or a column when `right`.
+
+    Every row x off the lines differs at x ^ W when W is not empty, so on
+    the left the first of them is the least row off the lines.  On the
+    right, row x differs off the lines at the y in x ^ W that are not
+    lines; for one w in W, x ^ w is a line for at most len(lines) rows x,
+    so one of the first len(lines) + 1 rows has such a y."""
+    on_lines = np.zeros(n, bool)
+    on_lines[lines] = True
+
+    def off_lines(x):
+        return (x ^ W)[~on_lines[x ^ W]]
+
+    rows = (np.flatnonzero(differ.any(axis=0)) if right
+            else lines[differ.any(axis=1)]).tolist()
+    if len(W):
+        for x in range(min(n, len(lines) + 1)):
+            if off_lines(x).size if right else not on_lines[x]:
+                rows.append(x)
+                break
+    if not rows:
+        return None
+    x = min(rows)
+    if right:
+        cols = np.concatenate([off_lines(x), lines[differ[:, x]]])
+    elif on_lines[x]:
+        cols = np.flatnonzero(differ[np.searchsorted(lines, x)])
+    else:
+        cols = x ^ W
+    return x, int(cols.min())
 
 
 def krawtchouk_table(D: int):
@@ -238,6 +324,8 @@ class CubeContext:
                          "Aeps": _Gather(a.shifts, a.im,
                                          dist[a.columns()] - dist[:, None])}
         self._certify_tables()
+        # the certified tables; `with_flipped_sign` replaces only _gathers'
+        self._clean = dict(self._gathers)
         self._E = None
         self._Estar = None
         self._Eeps = None
@@ -299,11 +387,14 @@ class CubeContext:
         """Primitive idempotents of A: E_i = 2^-D sum_h K_i(h) A_h.
 
         Certified on the first build against this context's A: sum_i E_i = I
-        and A E_i = theta_i E_i, the latter by A's edge gather.  These force
-        E_i = p_i(A) for the Lagrange polynomial p_i with
-        p_i(theta_k) = [i = k], since
-        p_i(A) = p_i(A) sum_k E_k = sum_k p_i(theta_k) E_k = E_i.  The
-        numerators |K_i(h)| <= C(D, i) are int64.
+        and A E_i = theta_i E_i.  These force E_i = p_i(A) for the Lagrange
+        polynomial p_i with p_i(theta_k) = [i = k], since
+        p_i(A) = p_i(A) sum_k E_k = sum_k p_i(theta_k) E_k = E_i.  Each E_i
+        is translation-invariant by construction, its entry (x, y) being
+        K_i(dist(x ^ y)) / 2^D, so A E_i is compared on E_i's first row and
+        on the rows that a flipped sign of A touches
+        (`family_eigen_discrepancy`).  The numerators |K_i(h)| <= C(D, i)
+        are int64.
         """
         if self._E is None:
             K = krawtchouk_table(self.D).astype(np.int64)
@@ -316,9 +407,13 @@ class CubeContext:
         return self._E
 
     def _certify_idempotents(self, family) -> None:
+        """The certificate of `E` on a family of translation-invariant
+        matrices."""
         self._certify(
             ExactMatrix.combination(family) == ExactMatrix.identity(self.n),
-            ((i, self.eigen_discrepancy("A", e, self.theta[i]) is None)
+            ((i, self.family_eigen_discrepancy(
+                "A", e, e.block(slice(0, 1), slice(None)),
+                self.theta[i]) is None)
              for i, e in enumerate(family)))
 
     def _certify(self, sums_to_identity: bool, eigen) -> None:
@@ -401,27 +496,73 @@ class CubeContext:
         re, im = table.apply(*_numerators(block, fits))
         return ExactMatrix.from_numerators(re, im, block._den)
 
-    def eigen_discrepancy(self, op: str, m: ExactMatrix, theta: int,
-                          right: bool = False):
+    def first_nonzero(self, op: str):
+        """(row, col) of the first nonzero entry of A, Astar or Aeps in
+        row-major order, read off its table."""
+        return self._gathers[op].first_nonzero()
+
+    def family_eigen_discrepancy(self, op: str, m: ExactMatrix,
+                                 first: ExactMatrix, theta: int,
+                                 right: bool = False):
         """None when op @ m, or m @ op when right, equals theta m, else the
-        (row, col) of its first differing entry, row-major; op = A or
-        Aeps.  The product is the full one, by the edge gather of this
-        context's op, so a flipped sign shows: op @ m = (m^T op^T)^T is
-        the rows of m^T through op's gather, and m @ op the rows of m
-        through the gather of op^T.  It is compared with theta m on
-        numerators over one denominator, with no matrix built."""
-        table = self._gather_table(op)
-        if right:
-            table, block = table.transposed(), m
-        else:
-            block = m.transpose()
-        fits = fits_i64(len(table.shifts), table.max, block._max())
-        re, im = table.apply(*_numerators(block, fits))
-        want_re, want_im = _scaled(block, theta)
-        differ = np.not_equal(re, want_re) | np.not_equal(im, want_im)
-        if not differ.any():
-            return None
-        return tuple(np.argwhere(differ if right else differ.T)[0].tolist())
+        (row, col) of its first differing entry, row-major.  Either op = A
+        and m = E_i = Inv(r) / den, or op = Aeps and m = S^-1 E_i S, for a
+        translation-invariant E_i, Inv(r)[x, y] = r[x ^ y], with first row
+        `first` = r / den; the caller certifies that structure.
+
+        The stored op is its clean table, certified at construction, plus
+        the defect that `with_flipped_sign` makes (`_defect`).  The clean
+        A times E_i, on either side, is Inv(q) / den with
+        q[w] = sum_k r[w ^ e_k], since the group algebra of Z_2^D is
+        commutative; the clean Aeps = S^-1 A S times S^-1 E_i S is
+        S^-1 Inv(q) S / den, whose entries are those of Inv(q) / den times
+        units.  So the clean product differs from theta m exactly at the
+        (x, y) with x ^ y in W = {w : q[w] != theta r[w]}, found in O(nD).
+        The defect changes only the product's rows that hold a defect
+        entry, or for m @ op its columns, and each of them is computed in
+        full, in O(nD), from the stored table and m."""
+        table, n = self._gathers[op], self.n
+        shifts = np.array(table.shifts)
+        dtype = np.int64 if (fits_i64(len(shifts), 1, first._max())
+                             and _fits(first._max(), theta)) else object
+        rr, ri = (a[0].astype(dtype) for a in (first._re, first._im))
+        nbrs = np.arange(n)[:, None] ^ shifts
+        W = np.flatnonzero((rr[nbrs].sum(axis=1) != theta * rr)
+                           | (ri[nbrs].sum(axis=1) != theta * ri))
+        rows, ks = self._defect(op)
+        on_lines = np.zeros(n, bool)
+        on_lines[rows ^ shifts[ks] if right else rows] = True
+        lines = np.flatnonzero(on_lines)
+        differ = np.zeros((len(lines), n), bool)
+        if len(lines):
+            dtype = np.int64 if (fits_i64(len(shifts), table.max, m._max())
+                                 and _fits(m._max(), theta)) else object
+            mr, mi = m._re, m._im
+            nbrs = lines[:, None] ^ shifts
+            if right:
+                # column z of m @ op: sum_k m[:, z ^ e_k] op[z ^ e_k, z]
+                k = np.arange(len(shifts))
+                vr, vi = (a[nbrs, k].astype(dtype) for a in (table.re,
+                                                             table.im))
+                xr, xi = (a.T[nbrs].astype(dtype) for a in (mr, mi))
+                want = (a.T[lines].astype(dtype) for a in (mr, mi))
+            else:
+                # row x of op @ m: sum_k op[x, x ^ e_k] m[x ^ e_k, :]
+                vr, vi = (a[lines].astype(dtype) for a in (table.re,
+                                                           table.im))
+                xr, xi = (a[nbrs].astype(dtype) for a in (mr, mi))
+                want = (a[lines].astype(dtype) for a in (mr, mi))
+            vr, vi = vr[:, :, None], vi[:, :, None]
+            want_r, want_i = want
+            differ = (((vr * xr - vi * xi).sum(axis=1) != theta * want_r)
+                      | ((vr * xi + vi * xr).sum(axis=1) != theta * want_i))
+        return _first_spot(n, W, lines, differ, right)
+
+    def _defect(self, op: str):
+        """(rows, k) of the entries (y, y ^ shifts[k]) where op's stored
+        table differs from the one certified at construction."""
+        table, clean = self._gathers[op], self._clean[op]
+        return np.nonzero((table.re != clean.re) | (table.im != clean.im))
 
     # -- slices --------------------------------------------------------------------
 
@@ -438,7 +579,9 @@ class CubeContext:
         Bypasses the construction cross-checks on purpose; used to confirm the
         verification suites actually detect corruption.  Every matrix,
         family and block operator built from the tables is rebuilt from the
-        clone's on first use, so every reader sees the same flip.
+        clone's on first use, so every reader sees the same flip.  The
+        tables certified at construction stay the clean reference against
+        which `_defect` finds the flips.
         """
         clone = object.__new__(CubeContext)
         clone.__dict__.update((k, v) for k, v in self.__dict__.items()
@@ -458,22 +601,35 @@ def build_context(D: int, d_limit: int = DEFAULT_D_LIMIT) -> CubeContext:
 # -- verification suites ----------------------------------------------------------------
 
 
+def _check_tables(name, *terms) -> IdentityCheck:
+    """check_equal of lhs and rhs, given the pairs (table, weight) of
+    lhs - rhs: they differ where that sum is nonzero, first at its first
+    nonzero entry (y, y ^ s)."""
+    spot = _Gather.combination(terms).first_nonzero()
+    return IdentityCheck(name, spot is None, spot)
+
+
 def verify_commutators(ctx: CubeContext):
-    """The three commutator identities and the two quadratic relations."""
-    A, As, Ae = ctx.A, ctx.Astar, ctx.Aeps
-    two_i = GaussRat(0, 2)
-    checks = [
-        check_equal("commutator_A_Astar", A @ As - As @ A, Ae.scale(two_i)),
-        check_equal("commutator_Astar_Aeps", As @ Ae - Ae @ As, A.scale(two_i)),
-        check_equal("commutator_Aeps_A", Ae @ A - A @ Ae, As.scale(two_i)),
-        check_equal("quadratic_dual",
-                    As @ As @ A - (As @ A @ As).scale(2) + A @ As @ As,
-                    A.scale(4)),
-        check_equal("quadratic_adjacency",
-                    A @ A @ As - (A @ As @ A).scale(2) + As @ A @ A,
-                    As.scale(4)),
+    """The three commutator identities and the two quadratic relations.
+
+    A, Astar and Aeps are this context's stored tables M[y, y ^ s], so a
+    flipped sign shows, and every product is one of tables
+    (`_Gather.__matmul__`), over at most 1 + D + C(D, 2) shifts: each row
+    is a table identity, in O(n D^2), with no 2^D x 2^D matrix."""
+    A, As, Ae = (ctx._gathers[op] for op in KRON_FACTORS)
+    A_As, As_A = A @ As, As @ A
+    return [
+        _check_tables("commutator_A_Astar",
+                      (A_As, 1), (As_A, -1), (Ae.times_i(), -2)),
+        _check_tables("commutator_Astar_Aeps",
+                      (As @ Ae, 1), (Ae @ As, -1), (A.times_i(), -2)),
+        _check_tables("commutator_Aeps_A",
+                      (Ae @ A, 1), (A @ Ae, -1), (As.times_i(), -2)),
+        _check_tables("quadratic_dual",
+                      (As @ As_A, 1), (As_A @ As, -2), (A_As @ As, 1), (A, -4)),
+        _check_tables("quadratic_adjacency",
+                      (A @ A_As, 1), (A_As @ A, -2), (As_A @ A, 1), (As, -4)),
     ]
-    return checks
 
 
 # -- Bose-Mesner structure of the families ----------------------------------------------
@@ -631,8 +787,10 @@ def verify_idempotent_families(ctx: CubeContext):
       of Estar_i or 0, every other entry being 0 on both sides.
     A family without that structure stops the suite with the
     ConstructionError that names the clause.  Aeps Eeps_i and Eeps_i Aeps
-    are full products by Aeps's edge gather, which reads a flipped sign
-    (`CubeContext.eigen_discrepancy`).
+    are compared with theta_i Eeps_i on the same structure: the part of
+    the clean Aeps on the first row of E_i, and the rows or columns that a
+    flipped sign of the stored Aeps touches in full
+    (`CubeContext.family_eigen_discrepancy`).
 
     The rank of an idempotent is its trace, so F_rank[i] passes when
     F_product[i,i] proved F_i idempotent and its trace is C(D, i)."""
@@ -659,10 +817,11 @@ def verify_idempotent_families(ctx: CubeContext):
                 expected = first[i] if i == j else ExactMatrix.zeros(1, n)
                 checks.append(_check_rows(f"{label}_product[{i},{j}]",
                                           products[i][j], expected, diagonal))
-    for i, e in enumerate(ctx.Eeps):
+    for i, (e, row) in enumerate(zip(ctx.Eeps, structure.E)):
         for name, right in ((f"Eeps_eigen[{i}]", False),
                             (f"Eeps_eigen_right[{i}]", True)):
-            spot = ctx.eigen_discrepancy("Aeps", e, D - 2 * i, right)
+            spot = ctx.family_eigen_discrepancy("Aeps", e, row, D - 2 * i,
+                                                right)
             checks.append(IdentityCheck(name, spot is None, spot))
     checks.append(check_equal("Aeps_spectral_sum",
                               ExactMatrix.combination(ctx.Eeps, ctx.theta),

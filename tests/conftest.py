@@ -11,12 +11,15 @@ replacement: `elimination_seeds`, the exact elimination and Gram-Schmidt
 behind decompose's closed-form seeds, `oracle_decompose`, the module by
 module decomposition behind its endpoint stacks, the module path over 2^D
 columns (`project`, `oracle_six_bases`, `oracle_verdicts`), behind the module
-frames, the idempotent and conjugation suites by dense products
-(`dense_idempotent_families`, `dense_conjugation`), behind the suites on
-the Bose-Mesner structure, which the library requires of every family and
-no longer multiplies densely itself, and the dense constructions of A,
-Astar and Aeps (`kron_sum`, `commutator_aeps`, `phase_conjugate`), behind
-their gather tables.
+frames, the three whole-matrix suites by dense products
+(`dense_commutators`, `dense_idempotent_families`, `dense_conjugation`),
+behind the suites on the Bose-Mesner structure and on the operator tables,
+which the library requires of every family and no longer multiplies
+densely itself, the full edge gather of an operator on a whole family
+member (`gather_eigen_discrepancy`), behind the clean part plus sparse
+defect of `CubeContext.family_eigen_discrepancy`, and the dense
+constructions of A, Astar and Aeps (`kron_sum`, `commutator_aeps`,
+`phase_conjugate`), behind their gather tables.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tcube.cube import _times_i_power, build_context
+from tcube.cube import _Gather, _times_i_power, build_context
 from tcube.decomposition import (FRAME_OPS, SEED_NAMES, Decomposition,
                                  InvariantViolation, IrreducibleModule,
                                  ModuleFrame, _fail, _spectral_failure,
@@ -39,8 +42,9 @@ from tcube.leonard import (_BASIS_SPEC, _FORM_BUILDERS, _P_SHIFTS,
                            INNER_FORMULAS, OPERATOR_LABELS, REP_FORMS,
                            TRANSITION_TABLE, BasisError, BasisSolver,
                            build_six_bases, is_leonard_triple, phi_matrix)
-from tcube.linalg import (I64_LIMIT, ExactMatrix, ExactVector, gram_schmidt,
-                          inverse_diagonal, kernel_basis, kron)
+from tcube.linalg import (I64_LIMIT, ExactMatrix, ExactVector, _numerators,
+                          _scaled, fits_i64, gram_schmidt, inverse_diagonal,
+                          kernel_basis, kron)
 from tcube.report import check_equal, check_true
 from tcube.scalar import GaussRat, I as IUNIT
 
@@ -875,3 +879,51 @@ def dense_conjugation(ctx):
         checks.append(check_equal(f"conj_Eeps_to_E[{i}]",
                                   ctx.P @ ctx.Eeps[i] @ ctx.Pinv, ctx.E[i]))
     return checks
+
+
+def gather_eigen_discrepancy(ctx, op, m, theta, right=False):
+    """None when op @ m, or m @ op when right, equals theta m, else the
+    (row, col) of its first differing entry, row-major; op = A or Aeps, m
+    any n x n matrix.  The product is the full one, by the edge gather of
+    ctx's stored op: op @ m = (m^T op^T)^T is the rows of m^T through op's
+    gather, and m @ op the rows of m through the gather of op^T, with
+    op^T[y, y ^ s] = op[y ^ s, y]."""
+    table = ctx._gather_table(op)
+    if right:
+        rows, k = table.columns(), np.arange(len(table.shifts))
+        table = _Gather(table.shifts, table.re[rows, k], table.im[rows, k])
+        block = m
+    else:
+        block = m.transpose()
+    fits = fits_i64(len(table.shifts), table.max, block._max())
+    re, im = table.apply(*_numerators(block, fits))
+    want_re, want_im = _scaled(block, theta)
+    differ = np.not_equal(re, want_re) | np.not_equal(im, want_im)
+    if not differ.any():
+        return None
+    return tuple(np.argwhere(differ if right else differ.T)[0].tolist())
+
+
+def dense_commutators(ctx):
+    """cube.verify_commutators by dense 2^D x 2^D products."""
+    A, As, Ae = ctx.A, ctx.Astar, ctx.Aeps
+    two_i = GaussRat(0, 2)
+    return [
+        check_equal("commutator_A_Astar", A @ As - As @ A, Ae.scale(two_i)),
+        check_equal("commutator_Astar_Aeps", As @ Ae - Ae @ As, A.scale(two_i)),
+        check_equal("commutator_Aeps_A", Ae @ A - A @ Ae, As.scale(two_i)),
+        check_equal("quadratic_dual",
+                    As @ As @ A - (As @ A @ As).scale(2) + A @ As @ As,
+                    A.scale(4)),
+        check_equal("quadratic_adjacency",
+                    A @ A @ As - (A @ As @ A).scale(2) + As @ A @ A,
+                    As.scale(4)),
+    ]
+
+
+def dense_certify_idempotents(ctx, family):
+    """CubeContext._certify_idempotents by dense products: the parts sum
+    to I, then A E_i = theta_i E_i for each part, with ctx's stored A."""
+    ctx._certify(ExactMatrix.combination(family) == ExactMatrix.identity(ctx.n),
+                 ((i, ctx.A @ e == e.scale(ctx.theta[i]))
+                  for i, e in enumerate(family)))

@@ -690,23 +690,46 @@ def _raise_estar_entry(ctx):
 
 
 # The dense products each whole-matrix suite may form at D = 6: none in the
+# commutator suite, which multiplies the operator tables, none in the
 # idempotent suite, and in the conjugation suite those of its six operator
 # rows, P P^*, P^* P, P P P and P X Pinv for X = A, Astar, Aeps.
-DENSE_PRODUCTS = {"idempotents": 0, "conjugation": 10}
+DENSE_PRODUCTS = {"commutators": 0, "idempotents": 0, "conjugation": 10}
 
 
 @pytest.mark.parametrize("suite", sorted(DENSE_PRODUCTS))
 def test_whole_matrix_suites_form_no_dense_family_product(capsys, monkeypatch,
                                                           suite):
     # on the built families, on families that keep their structure and on
-    # families that break it
-    for replace, code in ((lambda ctx: None, 0), (_swap_estar, 1),
-                          (_raise_estar_entry, 1)):
+    # families that break it, which the commutator suite never reads
+    for replace, breaks in ((lambda ctx: None, False), (_swap_estar, True),
+                            (_raise_estar_entry, True)):
         with monkeypatch.context() as patch:
             calls = _count_square_products(patch, 64, replace)
-            assert run(capsys, "verify", "--d", "6",
-                       "--suite", suite)[0] == code
+            assert run(capsys, "verify", "--d", "6", "--suite", suite)[0] == \
+                int(breaks and suite != "commutators")
         assert len(calls) <= DENSE_PRODUCTS[suite]
+
+
+@pytest.mark.parametrize("corrupt", [None, *sorted(cli.CORRUPT_OPS)])
+@pytest.mark.parametrize("suite", ["commutators", "idempotents"])
+def test_whole_matrix_suites_gather_no_full_block(capsys, monkeypatch, suite,
+                                                  corrupt):
+    # the operators act on the tables and on the families' rows, never by
+    # a gather over a block of n rows, clean and under each --corrupt op
+    n, full = 64, []
+    honest = cli.cube._Gather.apply
+
+    def counting(self, re, im):
+        if len(re) == n:
+            full.append(self.shifts)
+        return honest(self, re, im)
+
+    monkeypatch.setattr(cli.cube._Gather, "apply", counting)
+    argv = ["verify", "--d", "6", "--suite", suite]
+    code = run(capsys, *argv, *(["--corrupt", corrupt] if corrupt else []))[0]
+    assert code == int(corrupt is not None
+                       and (corrupt, suite) not in UNREAD_BY_SUITE)
+    assert full == []
 
 
 # The dense 2^D x 2^D attributes of a context, each derived on first use.
@@ -716,17 +739,39 @@ DENSE_ATTRIBUTES = {"A", "Astar", "Aeps", "P", "Pinv", "hamming", "_phase",
 
 @pytest.mark.parametrize("suite", ["rep-matrices", "inner-products",
                                    "transitions"])
-def test_module_suites_build_no_dense_matrix(suite):
+def test_module_suites_build_no_dense_matrix(capsys, monkeypatch, suite):
     # the module layer reads the gather tables alone: after a module suite
     # the context holds no dense matrix, no family, and no array with more
-    # than n D entries
+    # than n D entries; and so does a `--corrupt adjacency` run, which
+    # reads its spot off the table, on the built context and on its clone
+    def holds_no_dense_matrix(ctx):
+        assert not DENSE_ATTRIBUTES & set(vars(ctx))
+        assert ctx._E is ctx._Estar is ctx._Eeps is ctx._structure is None
+        arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
+        arrays += [a for t in ctx._gathers.values() for a in (t.re, t.im)]
+        assert max(a.size for a in arrays) <= ctx.n * ctx.D
+
     ctx = build_context(6)
     assert all(passed for _, _, _, passed, _ in cli.run_suite(ctx, suite))
-    assert not DENSE_ATTRIBUTES & set(vars(ctx))
-    assert ctx._E is ctx._Estar is ctx._Eeps is ctx._structure is None
-    arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
-    arrays += [a for t in ctx._gathers.values() for a in (t.re, t.im)]
-    assert max(a.size for a in arrays) <= ctx.n * ctx.D
+    holds_no_dense_matrix(ctx)
+    seen = []
+    honest_build, honest_run = cli.build_context, cli.run_suite
+
+    def build(D, d_limit):
+        seen.append(honest_build(D, d_limit))
+        return seen[-1]
+
+    def run_suite(ctx, suite):
+        seen.append(ctx)
+        return honest_run(ctx, suite)
+
+    monkeypatch.setattr(cli, "build_context", build)
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+    assert run(capsys, "verify", "--d", "6", "--suite", suite,
+               "--corrupt", "adjacency")[0] == 1
+    assert len(seen) == 2
+    for ctx in seen:
+        holds_no_dense_matrix(ctx)
 
 
 # The one row of each suite when Estar_1 + e_(1,2) breaks the structure.

@@ -2,19 +2,21 @@
 idempotent families and their traces, conjugation by P, slice structure."""
 
 import math
+import random
 import re
 
 import numpy as np
 import pytest
 
 from conftest import (A1, AEPS1, ASTAR1, brute_p_1j, commutator_aeps,
+                      dense_certify_idempotents, dense_commutators,
                       dense_conjugation, dense_idempotent_families,
-                      dual_adjacency, get_ctx, hamming_adjacency,
-                      interpolation_idempotents, kron_sum, naive_matrix_rank,
-                      phase_conjugate, walsh_hadamard)
+                      dual_adjacency, gather_eigen_discrepancy, get_ctx,
+                      hamming_adjacency, interpolation_idempotents, kron_sum,
+                      naive_matrix_rank, phase_conjugate, walsh_hadamard)
 from tcube import cube
-from tcube.cube import (P1, ConstructionError, _walsh_hadamard, build_context,
-                        krawtchouk_table, verify_commutators,
+from tcube.cube import (P1, ConstructionError, _first_spot, _walsh_hadamard,
+                        build_context, krawtchouk_table, verify_commutators,
                         verify_conjugation, verify_idempotent_families)
 from tcube.leonard import phi_matrix
 from tcube.linalg import ExactMatrix, ExactVector, kron_power, rank
@@ -411,18 +413,105 @@ def _corrupted(ctx, op):
     return ctx.with_flipped_sign(op, *spot)
 
 
+# The suites on the certified structure and on the operator tables, each
+# with its dense oracle.
+SUITE_ORACLES = ((verify_commutators, dense_commutators),
+                 (verify_idempotent_families, dense_idempotent_families),
+                 (verify_conjugation, dense_conjugation))
+
+
 @pytest.mark.parametrize("op", [None, "A", "Astar", "Aeps"])
 @pytest.mark.parametrize("D", range(1, 8))
 def test_structured_suites_equal_the_dense_oracles(D, op):
     # every row, verdict and first discrepancy, clean and under each
-    # --corrupt op; a flipped A stops both at the E certificate
+    # --corrupt op; a flipped A stops the family suites at the E certificate
     ctx = _corrupted(get_ctx(D), op)
-    for suite, oracle in ((verify_idempotent_families,
-                           dense_idempotent_families),
-                          (verify_conjugation, dense_conjugation)):
+    for suite, oracle in SUITE_ORACLES:
         got = _outcome(suite, ctx)
         assert got == _outcome(oracle, ctx)
-        assert (op == "A") == isinstance(got, str)
+        assert (op == "A" and suite is not verify_commutators) == \
+            isinstance(got, str)
+
+
+@pytest.mark.parametrize("D", range(1, 7))
+def test_first_nonzero_is_the_dense_first_nonzero(D):
+    # the --corrupt spot, read off the table: (0, 1) for A and Aeps and
+    # (0, 0) for Astar, before and after a flip there
+    ctx = get_ctx(D)
+    for op, spot in (("A", (0, 1)), ("Astar", (0, 0)), ("Aeps", (0, 1))):
+        assert ctx.first_nonzero(op) == spot
+        assert tuple(np.argwhere(getattr(ctx, op).nonzero())[0]) == spot
+        assert ctx.with_flipped_sign(op, *spot).first_nonzero(op) == spot
+
+
+@pytest.mark.parametrize("right", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 8, 16])
+def test_first_spot_is_the_first_row_major_spot(n, right):
+    # on random masks of the form _first_spot reads: x ^ y in W off the
+    # lines, anything on them; W and the lines from empty to full
+    rng = np.random.default_rng(n + 100 * right)
+    idx = np.arange(n)
+    for _ in range(300):
+        W = np.flatnonzero(rng.random(n) < rng.choice([0, 0.1, 0.5, 1]))
+        lines = np.flatnonzero(rng.random(n) < rng.choice([0, 0.2, 0.6, 1]))
+        differ = rng.random((len(lines), n)) < rng.choice([0, 0.05, 0.5])
+        mask = np.isin(idx[:, None] ^ idx, W)
+        if right:
+            mask[:, lines] = differ.T
+        else:
+            mask[lines] = differ
+        hits = np.argwhere(mask)
+        want = tuple(hits[0].tolist()) if len(hits) else None
+        assert _first_spot(n, W, lines, differ, right) == want
+
+
+def _raised(certify, *args):
+    """The message of the ConstructionError that certify raises, or None."""
+    try:
+        certify(*args)
+    except ConstructionError as exc:
+        return str(exc)
+    return None
+
+
+def _random_flips(ctx, rng, ops):
+    """ctx with 1 to 3 signs flipped, each at a random nonzero entry of a
+    random op of ops."""
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(ops)
+        spots = np.argwhere(getattr(ctx, op).nonzero())
+        ctx = ctx.with_flipped_sign(op, *spots[rng.randrange(len(spots))])
+    return ctx
+
+
+@pytest.mark.parametrize("ops", [("A", "Astar", "Aeps"), ("Astar", "Aeps")],
+                         ids=["any", "no-A"])
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("D", range(1, 8))
+def test_random_flips_equal_the_dense_oracles(D, seed, ops):
+    # every row, verdict, first discrepancy and ConstructionError text of
+    # the table suites against the dense oracles, after 1 to 3 seeded sign
+    # flips; the E certificate on the closed form and on two wrong families
+    # (one not summing to I, one with every theta wrong) against its dense
+    # oracle; and each member's eigen discrepancy, with its own and a wrong
+    # theta on both sides, against the full edge gather
+    rng = random.Random(f"{D}-{seed}-{len(ops)}")
+    clean = get_ctx(D)
+    ctx = _random_flips(clean, rng, ops)
+    for suite, oracle in SUITE_ORACLES[:2]:
+        assert _outcome(suite, ctx) == _outcome(oracle, ctx)
+    for family in (clean.E, tuple(e.scale(2) for e in clean.E),
+                   clean.E[::-1]):
+        assert _raised(ctx._certify_idempotents, family) == \
+            _raised(dense_certify_idempotents, ctx, family)
+    for op, family in (("A", clean.E), ("Aeps", clean.Eeps)):
+        for i, (e, member) in enumerate(zip(clean.E, family)):
+            first = e.block(slice(0, 1), slice(None))
+            for theta in (ctx.theta[i], ctx.theta[i] - 2):
+                for right in (False, True):
+                    assert ctx.family_eigen_discrepancy(
+                        op, member, first, theta, right) == \
+                        gather_eigen_discrepancy(ctx, op, member, theta, right)
 
 
 def _perturbed(family, i, r, c, delta):

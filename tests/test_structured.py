@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (OutsideWindow, assert_canonical_storage, basis_vector,
-                      dense_ladder, get_ctx, project, window_images)
+                      dense_ladder, gather_eigen_discrepancy, get_ctx,
+                      project, window_images)
 from tcube.cube import ConstructionError
 from tcube.linalg import I64_LIMIT, ExactMatrix, first_discrepancy
 from tcube.scalar import GaussRat
@@ -247,22 +248,30 @@ def test_gathers_on_real_and_complex_blocks_equal_dense(D):
 @pytest.mark.parametrize("big", [False, True])
 @pytest.mark.parametrize("flip", [None, "A", "Aeps"])
 def test_eigen_discrepancy_equals_dense(flip, big):
-    # op @ m and m @ op against theta m, by the edge gather, give the first
-    # discrepancy of the dense products, on both sides of the int64 bound
+    # op @ m and m @ op against theta m on a family member, by the clean
+    # part on its first row plus the lines of the flipped entry, give the
+    # first discrepancy of the dense products and of the full edge gather,
+    # with the true and a wrong theta, on both sides of the int64 bound
     clean = get_ctx(3)
     ctx = clean if flip is None else clean.with_flipped_sign(flip, 0, 1)
-    rng = random.Random(7)
+    scale = 2 ** 70 if big else 1
     for op, family in (("A", clean.E), ("Aeps", clean.Eeps)):
-        for i, member in enumerate(family):
-            for m in (member, _random_block(rng, 8, 8, big)):
-                theta = ctx.theta[i]
-                dense = getattr(ctx, op)
-                for right, product in ((False, dense @ m), (True, m @ dense)):
-                    want = m.scale(theta)
+        dense = getattr(ctx, op)
+        for i, (e, member) in enumerate(zip(clean.E, family)):
+            e, member = e.scale(scale), member.scale(scale)
+            assert (member._max() >= I64_LIMIT) == big
+            first = e.block(slice(0, 1), slice(None))
+            for theta in (ctx.theta[i], ctx.theta[i] + 2):
+                for right, product in ((False, dense @ member),
+                                       (True, member @ dense)):
+                    want = member.scale(theta)
                     expected = (None if product == want
                                 else first_discrepancy(product, want))
-                    assert ctx.eigen_discrepancy(op, m, theta, right) == \
-                        expected, (op, i, right)
+                    assert ctx.family_eigen_discrepancy(
+                        op, member, first, theta, right) == expected, \
+                        (op, i, theta, right)
+                    assert gather_eigen_discrepancy(
+                        ctx, op, member, theta, right) == expected
 
 
 @pytest.mark.parametrize("top", [3, 2 ** 61])
