@@ -386,6 +386,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    if args.d_limit < 1:
+        return _usage_error(f"--d-limit must be at least 1, got {args.d_limit}")
     try:
         return _COMMANDS[args.command](args)
     except ValueError as exc:

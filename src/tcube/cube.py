@@ -5,7 +5,7 @@ the first coordinate is the most significant bit.  With that convention every
 operator factors through Kronecker products of its Q_1 counterpart.  A,
 Astar and Aeps are stored once, as gather tables built from their vertex by
 vertex definitions and certified against a second construction
-(`CubeContext._certify_tables`); every dense matrix is derived on first use.
+(`CubeContext._certify_tables`); every dense matrix is derived on demand.
 
 Operators:
   A      adjacency matrix (vertices differing in one coordinate)
@@ -16,11 +16,12 @@ Operators:
   A_k    distance-k indicator matrices
   E, Estar, Eeps   the three idempotent families (spectral projections)
 
-The idempotent families come from closed forms, with no interpolation
-products: E_i = 2^-D sum_h K_i(h) A_h with the Krawtchouk numbers K_i(h),
-certified against A (sum to I, A E_i = theta_i E_i); Estar_i is the
-indicator of slice i; and Eeps_i = S^-1 E_i S with S = diag(i^dist), the
-same diagonal phase that takes A to Aeps.
+The idempotent families are stored as one row each, from closed forms
+(`_Structure`): E_i[x, y] = K_i(dist(x ^ y)) / 2^D with the Krawtchouk
+numbers K_i(h), certified against A (sum to I, A E_i = theta_i E_i), by its
+first row; Estar_i, the indicator of slice i, by its diagonal; and
+Eeps_i = S^-1 E_i S with S = diag(i^dist), the same diagonal phase that
+takes A to Aeps, by the row of E_i.
 
 The block operators (`CubeContext.apply`) act on many vectors at once
 without a dense 2^D x 2^D product: A, Aeps and the ladder operators L, R
@@ -32,23 +33,18 @@ slice basis and takes the idempotents there (`decomposition`).
 The three whole-matrix suites close the module: the commutator and
 quadratic relations, the idempotent families (whose `F_rank[i]` rows are
 the eigenvalue multiplicities: F_i idempotent with trace C(D, i)), and
-conjugation by P.  The idempotent and conjugation suites read every entry
-of the stored families and of P, but multiply no two of them densely: the
-families lie in the Bose-Mesner algebra of Q_D, the group algebra of
-Z_2^D, where every E_i is translation-invariant, every Estar_i is
-diagonal, Eeps_i is S^-1 E_i S and P is S^-1 H for the +-1 Walsh-Hadamard
-matrix H.  Each suite requires the part of that structure that it reads,
-certified on the stored matrices entrywise (`_Structure`, which names the
-clause that fails), then compares each family identity on one row or one
-diagonal, computed by Walsh-Hadamard transforms.  The operators whose signs
+conjugation by P, with no 2^D x 2^D matrix.  The families lie in the
+Bose-Mesner algebra of Q_D, the group algebra of Z_2^D, so every family
+identity is compared on one row or one diagonal, computed by Walsh-Hadamard
+transforms, and the rest of the matrix follows.  The operators whose signs
 `verify --corrupt` flips (A, Astar, Aeps) are read from their stored
 tables.  The commutator suite multiplies the tables themselves: a product
 of two tables M[y, y ^ s] is one over the shifts s1 ^ s2
 (`_Gather.__matmul__`).  A and Aeps act on the families as their clean
 tables, certified at construction, plus the sparse defect that a flipped
 sign makes: the clean part by one first row, the defect's rows or columns
-in full (`CubeContext.family_eigen_discrepancy`).  The operator rows of
-the conjugation suite stay dense products.
+in full (`CubeContext.family_eigen_discrepancy`).  P is certified by its
+2 x 2 factor P1, and conjugation compares only the defects of the tables.
 """
 
 from __future__ import annotations
@@ -61,7 +57,7 @@ import numpy as np
 
 from .linalg import (I64_LIMIT, ExactMatrix, _fits, _numerators,
                      first_discrepancy, fits_i64, kron_power)
-from .report import IdentityCheck, check_equal, check_true
+from .report import IdentityCheck, check_true
 from .scalar import GaussRat
 
 DEFAULT_D_LIMIT = 10
@@ -87,13 +83,6 @@ def _times_i_power(re, im, k):
     sign = np.where(k >= 2, -1, 1)
     # i^k (re + i im) is (re, im), (-im, re), (-re, -im), (im, -re) for k = 0..3
     return np.where(odd, -im, re) * sign, np.where(odd, re, im) * sign
-
-
-def _phase_conjugate(m: ExactMatrix, phase) -> ExactMatrix:
-    """S^-1 m S for S = diag(i^dist): entry (x, y) times i^phase[x, y],
-    where `phase` holds dist(y) - dist(x) mod 4."""
-    re, im = _times_i_power(m._re, m._im, phase)
-    return ExactMatrix.from_numerators(re, im, m._den)
 
 
 # -- kernels of the block operators ------------------------------------------------
@@ -136,11 +125,11 @@ class _Gather:
     """A matrix M over the Gaussian integers supported on the pairs
     (y, y ^ shifts[k]), with M[y, y ^ shifts[k]] = (re + i im)[y, k]: its
     integer values, int64 for the stored operators, and their largest
-    magnitude."""
+    magnitude (0 for no shifts)."""
 
     def __init__(self, shifts, re, im):
         self.shifts, self.re, self.im = shifts, re, im
-        self.max = max(int(abs(re).max()), int(abs(im).max()))
+        self.max = int(max(abs(re).max(initial=0), abs(im).max(initial=0)))
 
     def columns(self):
         """The column y ^ shifts[k] of each entry (y, k)."""
@@ -301,9 +290,11 @@ def _kron_sum_agrees(table: _Gather, factor, bits) -> bool:
 class CubeContext:
     """All operators of Q_D for one dimension.
 
-    A, Astar and Aeps are their gather tables, certified at construction.
-    Every dense 2^D x 2^D matrix (the operators, P, the distance tables,
-    the idempotent families) is derived on first use and cached.
+    A, Astar and Aeps are their gather tables, certified at construction,
+    and the idempotent families their rows (`structure`).  The dense
+    2^D x 2^D matrices are views for `build` and the tests, derived on
+    demand: the operators, P and the distance tables are cached, the
+    families built on each call.
     """
 
     def __init__(self, D: int, d_limit: int = DEFAULT_D_LIMIT):
@@ -326,9 +317,6 @@ class CubeContext:
         self._certify_tables()
         # the certified tables; `with_flipped_sign` replaces only _gathers'
         self._clean = dict(self._gathers)
-        self._E = None
-        self._Estar = None
-        self._Eeps = None
         self._structure = None
 
     # -- operator constructions ------------------------------------------------
@@ -363,15 +351,11 @@ class CubeContext:
     A = cached_property(lambda self: self._gathers["A"].dense())
     Astar = cached_property(lambda self: self._gathers["Astar"].dense())
     Aeps = cached_property(lambda self: self._gathers["Aeps"].dense())
-    # certified equal to apply("P"), S^-1 H, by `_Structure.certify_p`
+    # S^-1 H by its factor, P1 = S1^-1 H1 (`_certify_p_factor`)
     P = cached_property(lambda self: kron_power(P1, self.D))
-    Pinv = cached_property(
-        lambda self: self.P.adjoint().scale(Fraction(1, self.n)))
-    # distance between vertices x and y, and dist(y) - dist(x) mod 4
+    # distance between vertices x and y
     hamming = cached_property(lambda self: self._dist[
         np.arange(self.n)[:, None] ^ np.arange(self.n)])
-    _phase = cached_property(
-        lambda self: (self._dist[None, :] - self._dist[:, None]) % 4)
 
     @cached_property
     def dist_matrices(self):
@@ -384,37 +368,49 @@ class CubeContext:
 
     @property
     def E(self):
-        """Primitive idempotents of A: E_i = 2^-D sum_h K_i(h) A_h.
+        """Primitive idempotents of A: E_i = Inv(r_i) / den_i,
+        Inv(r)[x, y] = r[x ^ y], for the certified first rows r_i / den_i."""
+        xor = np.arange(self.n)[:, None] ^ np.arange(self.n)
+        return tuple(ExactMatrix.from_numerators(r._re[0][xor], r._im[0][xor],
+                                                 r._den)
+                     for r in self.structure.E)
 
-        Certified on the first build against this context's A: sum_i E_i = I
-        and A E_i = theta_i E_i.  These force E_i = p_i(A) for the Lagrange
-        polynomial p_i with p_i(theta_k) = [i = k], since
-        p_i(A) = p_i(A) sum_k E_k = sum_k p_i(theta_k) E_k = E_i.  Each E_i
-        is translation-invariant by construction, its entry (x, y) being
-        K_i(dist(x ^ y)) / 2^D, so A E_i is compared on E_i's first row and
-        on the rows that a flipped sign of A touches
-        (`family_eigen_discrepancy`).  The numerators |K_i(h)| <= C(D, i)
-        are int64.
+    @property
+    def Estar(self):
+        """Dual idempotents: diagonal indicators of the distance slices."""
+        return tuple(ExactMatrix.from_numerators(np.diag(r._re[0]),
+                                                 np.diag(r._im[0]), r._den)
+                     for r in self.structure.Estar)
+
+    @property
+    def Eeps(self):
+        """Imaginary idempotents S^-1 E_i S with S = diag(i^dist).
+
+        Aeps = S^-1 A S is a construction check and Aeps = Pinv A P is
+        verified by the conjugation suite, so these equal Pinv E_i P.
         """
-        if self._E is None:
-            K = krawtchouk_table(self.D).astype(np.int64)
-            zeros = np.zeros((self.n, self.n), dtype=np.int64)
-            family = tuple(ExactMatrix.from_numerators(K[:, i][self.hamming],
-                                                       zeros, self.n)
-                           for i in range(self.D + 1))
-            self._certify_idempotents(family)
-            self._E = family
-        return self._E
+        phase = self._dist[None, :] - self._dist[:, None]
+        return tuple(ExactMatrix.from_numerators(
+            *_times_i_power(e._re, e._im, phase), e._den) for e in self.E)
 
-    def _certify_idempotents(self, family) -> None:
-        """The certificate of `E` on a family of translation-invariant
-        matrices."""
+    @property
+    def structure(self) -> "_Structure":
+        """The families as their rows, certified once (`_Structure`)."""
+        if self._structure is None:
+            self._structure = _Structure(self)
+        return self._structure
+
+    def _certify_idempotents(self, rows) -> None:
+        """The certificate of `E` on the first rows of the invariant E_i:
+        they sum to that of I, and A E_i = theta_i E_i.  These force
+        E_i = p_i(A) for the Lagrange polynomial p_i with
+        p_i(theta_k) = [i = k], since
+        p_i(A) = p_i(A) sum_k E_k = sum_k p_i(theta_k) E_k = E_i."""
         self._certify(
-            ExactMatrix.combination(family) == ExactMatrix.identity(self.n),
-            ((i, self.family_eigen_discrepancy(
-                "A", e, e.block(slice(0, 1), slice(None)),
-                self.theta[i]) is None)
-             for i, e in enumerate(family)))
+            ExactMatrix.combination(rows) == _indicator(
+                np.arange(self.n) == 0),
+            ((i, self.family_eigen_discrepancy("A", r, self.theta[i]) is None)
+             for i, r in enumerate(rows)))
 
     def _certify(self, sums_to_identity: bool, eigen) -> None:
         """The certificate of the closed-form E: the parts sum to the
@@ -426,36 +422,6 @@ class CubeContext:
         for i, ok in eigen:
             _require(ok, f"idempotent closed form: "
                          f"A E_{i} != {self.theta[i]} E_{i}")
-
-    @property
-    def Estar(self):
-        """Dual idempotents: diagonal indicators of the distance slices."""
-        if self._Estar is None:
-            self._Estar = tuple(
-                ExactMatrix.from_numerators(ones, 0 * ones, 1)
-                for ones in (np.diag(self._dist == i).astype(np.int64)
-                             for i in range(self.D + 1)))
-        return self._Estar
-
-    @property
-    def Eeps(self):
-        """Imaginary idempotents S^-1 E_i S with S = diag(i^dist).
-
-        Aeps = S^-1 A S is a construction check and Aeps = Pinv A P is
-        verified by the conjugation suite, so these equal Pinv E_i P.
-        """
-        if self._Eeps is None:
-            self._Eeps = tuple(_phase_conjugate(e, self._phase)
-                               for e in self.E)
-        return self._Eeps
-
-    @property
-    def structure(self) -> "_Structure":
-        """The Bose-Mesner structure of the families, certified once and
-        shared by the idempotent and conjugation suites."""
-        if self._structure is None:
-            self._structure = _Structure(self)
-        return self._structure
 
     # -- block operators -------------------------------------------------------------
     #
@@ -501,14 +467,13 @@ class CubeContext:
         row-major order, read off its table."""
         return self._gathers[op].first_nonzero()
 
-    def family_eigen_discrepancy(self, op: str, m: ExactMatrix,
-                                 first: ExactMatrix, theta: int,
-                                 right: bool = False):
+    def family_eigen_discrepancy(self, op: str, first: ExactMatrix,
+                                 theta: int, right: bool = False):
         """None when op @ m, or m @ op when right, equals theta m, else the
         (row, col) of its first differing entry, row-major.  Either op = A
         and m = E_i = Inv(r) / den, or op = Aeps and m = S^-1 E_i S, for a
-        translation-invariant E_i, Inv(r)[x, y] = r[x ^ y], with first row
-        `first` = r / den; the caller certifies that structure.
+        translation-invariant E_i, Inv(r)[x, y] = r[x ^ y], given by its
+        first row `first` = r / den alone.
 
         The stored op is its clean table, certified at construction, plus
         the defect that `with_flipped_sign` makes (`_defect`).  The clean
@@ -520,49 +485,55 @@ class CubeContext:
         (x, y) with x ^ y in W = {w : q[w] != theta r[w]}, found in O(nD).
         The defect changes only the product's rows that hold a defect
         entry, or for m @ op its columns, and each of them is computed in
-        full, in O(nD), from the stored table and m."""
+        full, in O(nD), from the stored table and m's entries (`member`)."""
         table, n = self._gathers[op], self.n
         shifts = np.array(table.shifts)
-        dtype = np.int64 if (fits_i64(len(shifts), 1, first._max())
-                             and _fits(first._max(), theta)) else object
+        m = first._max()
+        dtype = np.int64 if (fits_i64(len(shifts), max(table.max, 1), m)
+                             and _fits(m, theta)) else object
         rr, ri = (a[0].astype(dtype) for a in (first._re, first._im))
+
+        def member(x, y):
+            """The numerators of m[x, y] = r[x ^ y] / den, times
+            i^(dist(y) - dist(x)) for Aeps, for index arrays x and y."""
+            phase = self._dist[y] - self._dist[x] if op == "Aeps" else 0
+            return _times_i_power(rr[x ^ y], ri[x ^ y], phase)
+
         nbrs = np.arange(n)[:, None] ^ shifts
         W = np.flatnonzero((rr[nbrs].sum(axis=1) != theta * rr)
                            | (ri[nbrs].sum(axis=1) != theta * ri))
-        rows, ks = self._defect(op)
-        on_lines = np.zeros(n, bool)
-        on_lines[rows ^ shifts[ks] if right else rows] = True
-        lines = np.flatnonzero(on_lines)
+        rows, cols, _, _ = self._defect(op)
+        lines = np.unique(cols if right else rows)
         differ = np.zeros((len(lines), n), bool)
         if len(lines):
-            dtype = np.int64 if (fits_i64(len(shifts), table.max, m._max())
-                                 and _fits(m._max(), theta)) else object
-            mr, mi = m._re, m._im
+            y = np.arange(n)
             nbrs = lines[:, None] ^ shifts
             if right:
                 # column z of m @ op: sum_k m[:, z ^ e_k] op[z ^ e_k, z]
                 k = np.arange(len(shifts))
                 vr, vi = (a[nbrs, k].astype(dtype) for a in (table.re,
                                                              table.im))
-                xr, xi = (a.T[nbrs].astype(dtype) for a in (mr, mi))
-                want = (a.T[lines].astype(dtype) for a in (mr, mi))
+                xr, xi = member(y, nbrs[:, :, None])
+                want_r, want_i = member(y, lines[:, None])
             else:
                 # row x of op @ m: sum_k op[x, x ^ e_k] m[x ^ e_k, :]
                 vr, vi = (a[lines].astype(dtype) for a in (table.re,
                                                            table.im))
-                xr, xi = (a[nbrs].astype(dtype) for a in (mr, mi))
-                want = (a[lines].astype(dtype) for a in (mr, mi))
+                xr, xi = member(nbrs[:, :, None], y)
+                want_r, want_i = member(lines[:, None], y)
             vr, vi = vr[:, :, None], vi[:, :, None]
-            want_r, want_i = want
             differ = (((vr * xr - vi * xi).sum(axis=1) != theta * want_r)
                       | ((vr * xi + vi * xr).sum(axis=1) != theta * want_i))
         return _first_spot(n, W, lines, differ, right)
 
     def _defect(self, op: str):
-        """(rows, k) of the entries (y, y ^ shifts[k]) where op's stored
-        table differs from the one certified at construction."""
+        """(rows, cols, re, im): the entries where op's stored table differs
+        from the one certified at construction, and stored - clean there."""
         table, clean = self._gathers[op], self._clean[op]
-        return np.nonzero((table.re != clean.re) | (table.im != clean.im))
+        rows, ks = np.nonzero((table.re != clean.re) | (table.im != clean.im))
+        cols = rows ^ np.array(table.shifts, dtype=rows.dtype)[ks]
+        return (rows, cols, table.re[rows, ks] - clean.re[rows, ks],
+                table.im[rows, ks] - clean.im[rows, ks])
 
     # -- slices --------------------------------------------------------------------
 
@@ -586,7 +557,7 @@ class CubeContext:
         clone = object.__new__(CubeContext)
         clone.__dict__.update((k, v) for k, v in self.__dict__.items()
                               if k not in KRON_FACTORS)
-        clone._E = clone._Estar = clone._Eeps = clone._structure = None
+        clone._structure = None
         clone._gathers = {name: self._gathers[name] for name in KRON_FACTORS}
         table = self._gathers[op]
         at = (np.arange(self.n)[:, None] == r) & (table.columns() == c)
@@ -635,13 +606,14 @@ def verify_commutators(ctx: CubeContext):
 # -- Bose-Mesner structure of the families ----------------------------------------------
 #
 # A matrix M is translation-invariant when M[x, y] = M[0, x ^ y]: it is the
-# XOR convolution by its first row r, and H M H = n diag(H r).  The product
-# of two such matrices is one again, and its first row is the convolution of
-# theirs.  So two invariant matrices are equal exactly when their first rows
-# are, and the first entry k where the rows differ is their first row-major
-# difference, (0, k).  The same holds for S^-1 M S with S = diag(i^dist),
-# whose entries are M's times powers of i, and for two diagonal matrices on
-# their diagonals, with (k, k).
+# XOR convolution by its first row r, Inv(r), and H M H = n diag(H r).
+# Such a matrix is symmetric, and its conjugate, or adjoint, is Inv(conj r).
+# The product of two such matrices is one again, and its first row is the
+# convolution of theirs.  So two invariant matrices are equal exactly when
+# their first rows are, and the first entry k where the rows differ is
+# their first row-major difference, (0, k).  The same holds for S^-1 M S
+# with S = diag(i^dist), whose entries are M's times powers of i, and for
+# two diagonal matrices on their diagonals, with (k, k).
 
 
 def _as_int64_below(arr, bound):
@@ -655,6 +627,12 @@ def _row(re, im, den) -> ExactMatrix:
     return ExactMatrix.from_numerators(re[None, :], im[None, :], den)
 
 
+def _indicator(mask) -> ExactMatrix:
+    """The 1 x n row that is 1 where the boolean mask holds, else 0."""
+    ones = mask.astype(np.int64)
+    return _row(ones, 0 * ones, 1)
+
+
 def _check_rows(name, lhs, rhs, diagonal=False) -> IdentityCheck:
     """check_equal of two matrices that are both translation-invariant,
     both S^-1 conjugates of such, or both diagonal, given by their first
@@ -666,100 +644,61 @@ def _check_rows(name, lhs, rhs, diagonal=False) -> IdentityCheck:
 
 
 class _Structure:
-    """The Bose-Mesner structure of a context's stored families and P,
-    certified entrywise, in O(n^2) per matrix; a clause that fails raises
-    ConstructionError naming it.
+    """The three idempotent families of a context as rows (1 x n), built
+    from their closed forms in O(nD):
 
-    E       the first rows r_i / den_i of the E_i (1 x n), every E_i being
-            real and translation-invariant;
-    Estar   the diagonals of the Estar_i, every one supported on its
-            diagonal;
-    and every Eeps_i equals S^-1 E_i S (`_phase_conjugate`), so that
-    S Eeps_i S^-1 has the first row r_i / den_i.  The clause on P, which
-    only the conjugation suite reads, is `certify_p`.
+    E       the first rows r_i / den_i of the E_i = Inv(r_i) / den_i,
+            r_i[w] = K_i(dist(w)) / n, certified against the context's A
+            (`CubeContext._certify_idempotents`, which raises
+            ConstructionError naming the clause that fails);
+    Estar   the diagonals of the Estar_i, the indicators of the slices;
+    and Eeps_i = S^-1 E_i S, whose rows are those of E.
     """
 
     def __init__(self, ctx: CubeContext):
-        n = ctx.n
+        n, D = ctx.n, ctx.D
         self.n = n
-        idx = np.arange(n)
-        xor = idx[:, None] ^ idx[None, :]
-        for i, e in enumerate(ctx.E):
-            _require(not e._im.any() and np.array_equal(e._re, e._re[0][xor]),
-                     f"Bose-Mesner structure: E_{i} is not real and "
-                     f"translation-invariant")
-        self.E = [e.block(slice(0, 1), slice(None)) for e in ctx.E]
-        self.Estar = [_row(f._re.diagonal(), f._im.diagonal(), f._den)
-                      for f in ctx.Estar]
-        for i, (f, r) in enumerate(zip(ctx.Estar, self.Estar)):
-            _require(np.count_nonzero(f._re) == np.count_nonzero(r._re)
-                     and np.count_nonzero(f._im) == np.count_nonzero(r._im),
-                     f"Bose-Mesner structure: Estar_{i} is not diagonal")
-        # a unit factor per entry keeps lowest terms: f = S^-1 e S exactly
-        # when f has e's denominator and e's real numerators times
-        # i^phase = cos + i sin, with the phase dist(y) - dist(x) mod 4
-        cos = np.array([1, 0, -1, 0])[ctx._phase]
-        sin = np.array([0, 1, 0, -1])[ctx._phase]
-        for i, (e, f) in enumerate(zip(ctx.E, ctx.Eeps)):
-            _require(f._den == e._den and np.array_equal(f._re, e._re * cos)
-                     and np.array_equal(f._im, e._re * sin),
-                     f"Bose-Mesner structure: Eeps_{i} is not S^-1 E_{i} S")
-        self._ctx = ctx
+        K = krawtchouk_table(D).astype(np.int64)
+        zeros = np.zeros(n, np.int64)
+        self.E = [_row(K[:, i][ctx._dist], zeros, n) for i in range(D + 1)]
+        ctx._certify_idempotents(self.E)
+        self.Estar = [_indicator(ctx._dist == i) for i in range(D + 1)]
 
-    def certify_p(self) -> None:
-        """The stored P is S^-1 H entrywise,
-        P[x, y] = (-i)^dist(x) (-1)^|x AND y|, and Pinv is P^* / n, so
-        Pinv = H S / n = P^-1."""
-        ctx, idx = self._ctx, np.arange(self.n)
-        sign = 1 - 2 * (ctx._dist[idx[:, None] & idx[None, :]] % 2)
-        re, im = _times_i_power(sign, 0 * sign, -ctx._dist[:, None])
-        _require(ctx.P == ExactMatrix.from_numerators(re, im, 1),
-                 "Bose-Mesner structure: P is not S^-1 H")
-        _require(ctx.Pinv == ctx.P.adjoint().scale(Fraction(1, self.n)),
-                 "Bose-Mesner structure: Pinv is not P^* / n")
+    @cached_property
+    def E_spectra(self):
+        """(re, im): the numerators H r_i for the first rows r_i of E, at
+        most n m for the largest numerator m."""
+        m = max(r._max() for r in self.E)
+        return tuple(_walsh_hadamard(_as_int64_below(
+            np.vstack([getattr(r, part) for r in self.E]), self.n * m))
+            for part in ("_re", "_im"))
 
     @cached_property
     def E_products(self):
         """E_products[i][j]: the first row of E_i E_j, the XOR convolution
         sum_z r_i[z] r_j[z ^ k] = (H (H r_i o H r_j))[k] / n, with o
-        entrywise, over n den_i den_j.  With m the largest numerator,
-        |H r| <= n m and the second transform stays within n^3 m^2."""
+        entrywise, over n den_i den_j.  |H r| <= n m, and the second
+        transform of the complex products stays within 2 n^3 m^2."""
         n, rows = self.n, self.E
         m = max(r._max() for r in rows)
-        spectra = _walsh_hadamard(_as_int64_below(
-            np.vstack([r._re for r in rows]), n ** 3 * m * m))
-        conv = _walsh_hadamard(
-            (spectra[:, None, :] * spectra[None, :, :]).reshape(-1, n))
-        return [[_row(conv[i * len(rows) + j], 0 * conv[0],
+        sr, si = (_as_int64_below(a, 2 * n ** 3 * m * m)[:, None, :]
+                  for a in self.E_spectra)
+        tr, ti = (a.transpose(1, 0, 2) for a in (sr, si))
+        conv_r, conv_i = (_walsh_hadamard(a.reshape(-1, n))
+                          for a in (sr * tr - si * ti, sr * ti + si * tr))
+        k = len(rows)
+        return [[_row(conv_r[i * k + j], conv_i[i * k + j],
                       n * a._den * b._den)
                  for j, b in enumerate(rows)]
                 for i, a in enumerate(rows)]
 
-    @cached_property
-    def E_spectra(self):
-        """The numerators H r_i for the first rows r_i of E, at most n m."""
-        m = max(r._max() for r in self.E)
-        return _walsh_hadamard(_as_int64_below(
-            np.vstack([r._re for r in self.E]), self.n * m))
-
-    def products(self, label: str):
-        """(rows, products, diagonal) for the products F_i F_j of family
-        F = E, Estar or Eeps on its certified rows.
-        Eeps_i Eeps_j = S^-1 E_i E_j S compares the rows of E_i E_j, and
-        Estar_i Estar_j is the entrywise product of the diagonals."""
-        if label == "Estar":
-            return self.Estar, [[a.entrywise(b) for b in self.Estar]
-                                for a in self.Estar], True
-        return self.E, self.E_products, False
-
     def conjugation(self, kind: str, i: int):
         """(row of P F_i Pinv, row of its expected value, diagonal) for the
-        family row `kind`[i] of `verify_conjugation`, once `certify_p`
-        has passed."""
+        family row `kind`[i] of `verify_conjugation`."""
         n, r = self.n, self.E[i]
         if kind == "conj_E_to_Estar":
-            spectrum = self.E_spectra[i]
-            return _row(spectrum, 0 * spectrum, r._den), self.Estar[i], True
+            sr, si = (a[i] for a in self.E_spectra)
+            return _row(sr, si, r._den), self.Estar[i], True
         if kind == "conj_Eeps_to_E":
             # a theorem on this structure (see verify_conjugation)
             return r, r, False
@@ -771,118 +710,175 @@ class _Structure:
 
 def verify_idempotent_families(ctx: CubeContext):
     """Sum-to-identity, symmetry/reality, orthogonal idempotence and ranks
-    for all three families.
+    for all three families, on their rows (`CubeContext.structure`).
 
-    The sums, the transpose, conjugate and adjoint rows, E_0 n = J and the
-    Aeps spectral sum compare every entry of the stored matrices.  The
-    products F_i F_j = delta_ij F_i compare one row of n entries each, on
-    the structure that `_Structure` certifies first, once per context
-    (`CubeContext.structure`):
-    - E_i E_j: the first row of the product, by Walsh-Hadamard transforms,
-      against that of E_i or 0.  Both sides are translation-invariant, so
-      the rest of the matrix follows;
-    - Eeps_i Eeps_j = S^-1 E_i E_j S: the same row, since the Eeps_i are
-      S^-1 E_i S;
-    - Estar_i Estar_j: the diagonal of the entrywise product against that
-      of Estar_i or 0, every other entry being 0 on both sides.
-    A family without that structure stops the suite with the
-    ConstructionError that names the clause.  Aeps Eeps_i and Eeps_i Aeps
-    are compared with theta_i Eeps_i on the same structure: the part of
-    the clean Aeps on the first row of E_i, and the rows or columns that a
-    flipped sign of the stored Aeps touches in full
-    (`CubeContext.family_eigen_discrepancy`).
-
+    Each side of every row is translation-invariant, an S^-1 conjugate of
+    such, or diagonal, so each row compares one first row or diagonal and
+    the rest of the matrix follows (see the note above):
+    - E_0 n = J and the sums against I: the rows of the two sides;
+    - F_conj[i] and Eeps_adjoint[i]: conj(r_i) against r_i; F_transpose[i]
+      follows from invariance, or diagonality, and passes on it;
+    - E_i E_j and Eeps_i Eeps_j = S^-1 E_i E_j S: the first row of E_i E_j,
+      by Walsh-Hadamard transforms (`_Structure.E_products`);
+      Estar_i Estar_j: the entrywise product of the diagonals;
+    - Aeps Eeps_i and Eeps_i Aeps against theta_i Eeps_i: the clean Aeps on
+      the row of E_i, and in full the rows or columns that a flipped sign
+      of the stored Aeps touches (`CubeContext.family_eigen_discrepancy`);
+    - sum_i theta_i Eeps_i = S^-1 Inv(q) S / den, for the row q / den of
+      sum_i theta_i E_i, as a table over the shifts where q is nonzero,
+      against the stored table of Aeps.
     The rank of an idempotent is its trace, so F_rank[i] passes when
-    F_product[i,i] proved F_i idempotent and its trace is C(D, i)."""
+    F_product[i,i] proved F_i idempotent and its trace, n r_i[0] / den_i or
+    the sum of Estar_i's diagonal, is C(D, i)."""
     n, D = ctx.n, ctx.D
-    ident = ExactMatrix.identity(n)
-    checks = []
-    ones = np.ones((n, n), dtype=np.int64)
-    allones = ExactMatrix.from_numerators(ones, 0 * ones, 1)
-    checks.append(check_equal("E_trivial_allones", ctx.E[0].scale(n), allones))
-    structure = ctx.structure
-    for label, family in (("E", ctx.E), ("Estar", ctx.Estar), ("Eeps", ctx.Eeps)):
-        checks.append(check_equal(f"{label}_sum_identity",
-                                  ExactMatrix.combination(family), ident))
-        for i, e in enumerate(family):
-            if label == "Eeps":
-                checks.append(check_equal(f"{label}_adjoint[{i}]", e.adjoint(), e))
-            else:
-                checks.append(check_equal(f"{label}_transpose[{i}]",
-                                          e.transpose(), e))
-                checks.append(check_equal(f"{label}_conj[{i}]", e.conj(), e))
-        first, products, diagonal = structure.products(label)
+    s = ctx.structure
+    families = (("E", s.E, False), ("Estar", s.Estar, True),
+                ("Eeps", s.E, False))
+    ones = _indicator(np.ones(n, bool))
+    checks = [_check_rows("E_trivial_allones", s.E[0].scale(n), ones)]
+    for label, rows, diagonal in families:
+        identity = ones if diagonal else _indicator(np.arange(n) == 0)
+        checks.append(_check_rows(f"{label}_sum_identity",
+                                  ExactMatrix.combination(rows), identity,
+                                  diagonal))
+        for i, r in enumerate(rows):
+            if label != "Eeps":
+                checks.append(IdentityCheck(f"{label}_transpose[{i}]", True))
+            name = "adjoint" if label == "Eeps" else "conj"
+            checks.append(_check_rows(f"{label}_{name}[{i}]", r.conj(), r,
+                                      diagonal))
+        products = ([[a.entrywise(b) for b in rows] for a in rows]
+                    if diagonal else s.E_products)
         for i in range(D + 1):
             for j in range(D + 1):
-                expected = first[i] if i == j else ExactMatrix.zeros(1, n)
+                expected = rows[i] if i == j else ExactMatrix.zeros(1, n)
                 checks.append(_check_rows(f"{label}_product[{i},{j}]",
                                           products[i][j], expected, diagonal))
-    for i, (e, row) in enumerate(zip(ctx.Eeps, structure.E)):
+    for i, r in enumerate(s.E):
         for name, right in ((f"Eeps_eigen[{i}]", False),
                             (f"Eeps_eigen_right[{i}]", True)):
-            spot = ctx.family_eigen_discrepancy("Aeps", e, row, D - 2 * i,
-                                                right)
+            spot = ctx.family_eigen_discrepancy("Aeps", r, ctx.theta[i], right)
             checks.append(IdentityCheck(name, spot is None, spot))
-    checks.append(check_equal("Aeps_spectral_sum",
-                              ExactMatrix.combination(ctx.Eeps, ctx.theta),
-                              ctx.Aeps))
+    q = ExactMatrix.combination(s.E, ctx.theta)
+    shifts = np.flatnonzero(q.nonzero()[0])
+    phase = ctx._dist[np.arange(n)[:, None] ^ shifts] - ctx._dist[:, None]
+    spectral = _Gather(shifts.tolist(), *_times_i_power(
+        q._re[0][shifts], q._im[0][shifts], phase))
+    checks.append(_check_tables("Aeps_spectral_sum", (spectral, 1),
+                                (ctx._gathers["Aeps"], -q._den)))
     proven = {c.identity: c.passed for c in checks}
-    for label, family in (("E", ctx.E), ("Estar", ctx.Estar),
-                          ("Eeps", ctx.Eeps)):
-        for i, e in enumerate(family):
+    for label, rows, diagonal in families:
+        for i, r in enumerate(rows):
+            trace = (r @ ones.transpose())[0, 0] if diagonal else r[0, 0] * n
             checks.append(check_true(f"{label}_rank[{i}]",
                                      proven[f"{label}_product[{i},{i}]"]
-                                     and e.trace() == math.comb(D, i)))
+                                     and trace == math.comb(D, i)))
     return checks
+
+
+# The conjugation cycle X -> Y = P X Pinv on the operators.
+_P_CYCLE = (("A", "Astar"), ("Astar", "Aeps"), ("Aeps", "A"))
+
+
+def _certify_p_factor() -> None:
+    """The factor of P = kron_power(P1, D), in exact 2 x 2 arithmetic:
+    P1 P1^* = 2 I, P1^3 = 2 (1 - i) I, P1 X1 P1^-1 = Y1 on each step X -> Y
+    of the cycle for the Q_1 factors of KRON_FACTORS, and P1 = S1^-1 H1 by
+    the kernels of `CubeContext.apply` (a Walsh-Hadamard pass, then
+    (-i)^dist).  A clause that fails raises ConstructionError naming it."""
+    two = ExactMatrix.identity(2).scale(2)
+    _require(P1 @ P1.adjoint() == two, "P factor: P1 P1^* != 2 I")
+    _require(P1 @ P1 @ P1 == two.scale(GaussRat(1, -1)),
+             "P factor: P1^3 != 2 (1 - i) I")
+    factor = {op: ExactMatrix.from_numerators(*map(np.array, parts), 1)
+              for op, parts in KRON_FACTORS.items()}
+    p1_inv = P1.adjoint().scale(Fraction(1, 2))
+    for x, y in _P_CYCLE:
+        _require(P1 @ factor[x] @ p1_inv == factor[y],
+                 f"P factor: P1 {x}1 P1^-1 != {y}1")
+    h1 = _walsh_hadamard(np.identity(2, dtype=np.int64))
+    s1h1 = _times_i_power(h1, 0 * h1, -np.array([[0], [1]]))
+    _require(P1 == ExactMatrix.from_numerators(*s1h1, 1),
+             "P factor: P1 != S1^-1 H1")
+
+
+def _conjugation_spot(ctx: CubeContext, x: str, y: str):
+    """None when P X Pinv equals Y for the stored X and Y, else the
+    (row, col) of its first differing entry, row-major.
+
+    With the factor certified, P X Pinv = Y on the clean tables, so
+    P X Pinv - Y = P dX Pinv - dY for the defects of the stored tables
+    (`CubeContext._defect`).  Without dX the spot is dY's first entry.
+    Else, for dX = sum_j v_j at (r_j, c_j), P = S^-1 H and Pinv = H S / n,
+    row x of n P dX Pinv is (-i)^dist(x) sum_j H[x, r_j] v_j H[c_j, .]
+    i^dist(.), whose entries are at most |dX| times the largest defect
+    entry: the rows are computed a block at a time, in order, up to the
+    first that differs from n dY's."""
+    n, dist = ctx.n, ctx._dist
+    rx, cx, vr, vi = ctx._defect(x)
+    if not len(rx):
+        return _Gather.combination([(ctx._gathers[y], 1),
+                                    (ctx._clean[y], -1)]).first_nonzero()
+    ry, cy, ur, ui = ctx._defect(y)
+    bound = max(len(rx), n) * max(ctx._gathers[op].max + ctx._clean[op].max
+                                  for op in (x, y))
+    vr, vi, ur, ui = (_as_int64_below(a, bound) for a in (vr, vi, ur, ui))
+    h = 1 - 2 * (dist[cx[:, None] & np.arange(n)] % 2)
+    right_r, right_i = _times_i_power(vr[:, None] * h, vi[:, None] * h, dist)
+    step = max(1, 2 ** 16 // n)
+    for start in range(0, n, step):
+        xs = np.arange(start, min(n, start + step))
+        h = 1 - 2 * (dist[xs[:, None] & rx] % 2)
+        got_r, got_i = _times_i_power(h @ right_r, h @ right_i,
+                                      -dist[xs][:, None])
+        want_r, want_i = np.zeros_like(got_r), np.zeros_like(got_i)
+        on = (ry >= start) & (ry < start + len(xs))
+        want_r[ry[on] - start, cy[on]] = n * ur[on]
+        want_i[ry[on] - start, cy[on]] = n * ui[on]
+        differ = np.argwhere((got_r != want_r) | (got_i != want_i))
+        if len(differ):
+            return start + int(differ[0][0]), int(differ[0][1])
+    return None
 
 
 def verify_conjugation(ctx: CubeContext):
     """Scaled unitarity and cube of P, and the conjugation cycle on the
     operators and on the idempotent families.
 
-    The six operator rows (P P^*, P^* P, P^3 and P X Pinv for X = A, Astar,
-    Aeps) are dense products of the stored matrices.  The family rows
-    compare one row or diagonal each, on the structure that `_Structure`
-    certifies (`CubeContext.structure`, shared with the idempotent suite):
-    P = S^-1 H and Pinv = P^-1 = H S / n, with H H = n I and
-    S = diag(i^dist) diagonal.  An invariant E_i = Inv(r_i) / den_i, with
-    Inv(r)[x, y] = r[x ^ y], satisfies Inv(r) = H diag(H r) H / n, and
-    H diag(s) H = n Inv(H s / n).  So
+    P = kron_power(P1, D), and the clean tables of A, Astar and Aeps are
+    certified Kronecker sums of their Q_1 factors, so the certificate of P1
+    (`_certify_p_factor`) gives P P^* = P^* P = n I, P^3 = (1 - i)^D n I
+    and P X Pinv = Y on the clean tables: P_unitary_scaled,
+    P_unitary_scaled_right and P_cubed pass on it alone, and a clause that
+    fails stops the suite with the ConstructionError that names it.  The
+    rows conj_X_to_Y compare the defects of the tables
+    (`_conjugation_spot`).
+
+    The family rows compare one row or diagonal each, on the rows of
+    `CubeContext.structure`, with P = S^-1 H and Pinv = H S / n, H H = n I
+    and S = diag(i^dist).  An invariant E_i = Inv(r_i) / den_i satisfies
+    Inv(r) = H diag(H r) H / n, and H diag(s) H = n Inv(H s / n).  So
     - P E_i Pinv = S^-1 H Inv(r_i) H S / (n den_i) = diag(H r_i) / den_i:
       its diagonal against that of Estar_i;
     - P Estar_i Pinv = S^-1 H diag(s_i) H S / n = S^-1 Inv(H s_i / n) S:
-      the row H s_i / n against the first row of S Eeps_i S^-1, which is
-      r_i / den_i;
-    - P Eeps_i Pinv = Pinv D_i P for D_i = diag(H r_i) / den_i: P^3 is
-      (1-i)^D n I, since P1^3 = 2 (1-i) I, so conjugation by P has order
-      3, and P D_i Pinv = S^-1 Inv(H H r_i / n) S / den_i = Eeps_i by the
-      second case, as H H = n I.  So P Eeps_i Pinv = P^2 D_i P^-2 =
-      Pinv D_i P = H diag(H r_i) H / (n den_i) = Inv(H H r_i / n) / den_i
-      = Inv(r_i) / den_i = E_i.  This row follows from the certified
-      structure alone and cannot fail on it, so it compares r_i with
-      itself and costs no transform.
-    The rest of each matrix follows as the note on the structure says.
-    The family rows need the structure, P's clause included
-    (`_Structure.certify_p`): without it the suite stops with the
-    ConstructionError that names the clause."""
-    n, D = ctx.n, ctx.D
-    ident = ExactMatrix.identity(n)
-    scaled = ident.scale(n)
-    p3_scalar = GaussRat(1, -1) ** D * n
-    checks = [
-        check_equal("P_unitary_scaled", ctx.P @ ctx.P.adjoint(), scaled),
-        check_equal("P_unitary_scaled_right", ctx.P.adjoint() @ ctx.P, scaled),
-        check_equal("P_cubed", ctx.P @ ctx.P @ ctx.P, ident.scale(p3_scalar)),
-        check_equal("conj_A_to_Astar", ctx.P @ ctx.A @ ctx.Pinv, ctx.Astar),
-        check_equal("conj_Astar_to_Aeps", ctx.P @ ctx.Astar @ ctx.Pinv, ctx.Aeps),
-        check_equal("conj_Aeps_to_A", ctx.P @ ctx.Aeps @ ctx.Pinv, ctx.A),
-    ]
+      the row H s_i / n against r_i / den_i, the first row of
+      S Eeps_i S^-1;
+    - P Eeps_i Pinv = E_i follows: with D_i = P E_i Pinv = diag(H r_i) /
+      den_i, P D_i Pinv = Eeps_i by the second case, as H H = n I, and P^3
+      is scalar, so P Eeps_i Pinv = P^2 D_i P^-2 = Pinv D_i P =
+      H diag(H r_i) H / (n den_i) = Inv(r_i) / den_i.  This row cannot
+      fail, so it compares r_i with itself and costs no transform.
+    The rest of each matrix follows as the note on the structure says."""
+    _certify_p_factor()
+    checks = [IdentityCheck(name, True) for name in (
+        "P_unitary_scaled", "P_unitary_scaled_right", "P_cubed")]
+    for x, y in _P_CYCLE:
+        spot = _conjugation_spot(ctx, x, y)
+        checks.append(IdentityCheck(f"conj_{x}_to_{y}", spot is None, spot))
     structure = ctx.structure
-    structure.certify_p()
-    for i in range(D + 1):
+    for i in range(ctx.D + 1):
         for kind in ("conj_E_to_Estar", "conj_Estar_to_Eeps",
                      "conj_Eeps_to_E"):
             checks.append(_check_rows(f"{kind}[{i}]",
                                       *structure.conjugation(kind, i)))
     return checks
-

@@ -13,9 +13,9 @@ module decomposition behind its endpoint stacks, the module path over 2^D
 columns (`project`, `oracle_six_bases`, `oracle_verdicts`), behind the module
 frames, the three whole-matrix suites by dense products
 (`dense_commutators`, `dense_idempotent_families`, `dense_conjugation`),
-behind the suites on the Bose-Mesner structure and on the operator tables,
-which the library requires of every family and no longer multiplies
-densely itself, the full edge gather of an operator on a whole family
+on the dense views of the families and of P, behind the suites on the
+families' rows, on the operator tables and on the factor of P, which form
+no dense matrix themselves, the full edge gather of an operator on a whole family
 member (`gather_eigen_discrepancy`), behind the clean part plus sparse
 defect of `CubeContext.family_eigen_discrepancy`, and the dense
 constructions of A, Astar and Aeps (`kron_sum`, `commutator_aeps`,
@@ -821,8 +821,10 @@ def dense_idempotent_families(ctx):
     checks = []
     ones = np.ones((n, n), dtype=np.int64)
     allones = ExactMatrix.from_numerators(ones, 0 * ones, 1)
-    checks.append(check_equal("E_trivial_allones", ctx.E[0].scale(n), allones))
-    for label, family in (("E", ctx.E), ("Estar", ctx.Estar), ("Eeps", ctx.Eeps)):
+    families = (("E", ctx.E), ("Estar", ctx.Estar), ("Eeps", ctx.Eeps))
+    checks.append(check_equal("E_trivial_allones", families[0][1][0].scale(n),
+                              allones))
+    for label, family in families:
         total = ExactMatrix.zeros(n, n)
         for e in family:
             total = total + e
@@ -840,7 +842,7 @@ def dense_idempotent_families(ctx):
                 checks.append(check_equal(f"{label}_product[{i},{j}]",
                                           family[i] @ family[j], expected))
     spectral = ExactMatrix.zeros(n, n)
-    for i, e in enumerate(ctx.Eeps):
+    for i, e in enumerate(families[2][1]):
         spectral = spectral + e.scale(D - 2 * i)
         checks.append(check_equal(f"Eeps_eigen[{i}]", ctx.Aeps @ e,
                                   e.scale(D - 2 * i)))
@@ -848,8 +850,7 @@ def dense_idempotent_families(ctx):
                                   e.scale(D - 2 * i)))
     checks.append(check_equal("Aeps_spectral_sum", spectral, ctx.Aeps))
     proven = {c.identity: c.passed for c in checks}
-    for label, family in (("E", ctx.E), ("Estar", ctx.Estar),
-                          ("Eeps", ctx.Eeps)):
+    for label, family in families:
         for i, e in enumerate(family):
             checks.append(check_true(f"{label}_rank[{i}]",
                                      proven[f"{label}_product[{i},{i}]"]
@@ -857,9 +858,15 @@ def dense_idempotent_families(ctx):
     return checks
 
 
+def p_inverse(ctx):
+    """P^-1 = P^* / n, densely."""
+    return ctx.P.adjoint().scale(Fraction(1, ctx.n))
+
+
 def dense_conjugation(ctx):
     """cube.verify_conjugation by dense 2^D x 2^D products."""
     n, D = ctx.n, ctx.D
+    pinv = p_inverse(ctx)
     ident = ExactMatrix.identity(n)
     scaled = ident.scale(n)
     p3_scalar = GaussRat(1, -1) ** D * n
@@ -867,17 +874,18 @@ def dense_conjugation(ctx):
         check_equal("P_unitary_scaled", ctx.P @ ctx.P.adjoint(), scaled),
         check_equal("P_unitary_scaled_right", ctx.P.adjoint() @ ctx.P, scaled),
         check_equal("P_cubed", ctx.P @ ctx.P @ ctx.P, ident.scale(p3_scalar)),
-        check_equal("conj_A_to_Astar", ctx.P @ ctx.A @ ctx.Pinv, ctx.Astar),
-        check_equal("conj_Astar_to_Aeps", ctx.P @ ctx.Astar @ ctx.Pinv, ctx.Aeps),
-        check_equal("conj_Aeps_to_A", ctx.P @ ctx.Aeps @ ctx.Pinv, ctx.A),
+        check_equal("conj_A_to_Astar", ctx.P @ ctx.A @ pinv, ctx.Astar),
+        check_equal("conj_Astar_to_Aeps", ctx.P @ ctx.Astar @ pinv, ctx.Aeps),
+        check_equal("conj_Aeps_to_A", ctx.P @ ctx.Aeps @ pinv, ctx.A),
     ]
+    E, Estar, Eeps = ctx.E, ctx.Estar, ctx.Eeps
     for i in range(D + 1):
         checks.append(check_equal(f"conj_E_to_Estar[{i}]",
-                                  ctx.P @ ctx.E[i] @ ctx.Pinv, ctx.Estar[i]))
+                                  ctx.P @ E[i] @ pinv, Estar[i]))
         checks.append(check_equal(f"conj_Estar_to_Eeps[{i}]",
-                                  ctx.P @ ctx.Estar[i] @ ctx.Pinv, ctx.Eeps[i]))
+                                  ctx.P @ Estar[i] @ pinv, Eeps[i]))
         checks.append(check_equal(f"conj_Eeps_to_E[{i}]",
-                                  ctx.P @ ctx.Eeps[i] @ ctx.Pinv, ctx.E[i]))
+                                  ctx.P @ Eeps[i] @ pinv, E[i]))
     return checks
 
 

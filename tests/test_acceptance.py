@@ -12,7 +12,7 @@ import time
 import pytest
 
 from conftest import (get_bundles, get_ctx, get_decomposition, get_phi,
-                      naive_rank)
+                      naive_rank, p_inverse)
 from tcube.cube import (build_context, verify_commutators,
                         verify_idempotent_families)
 from tcube.decomposition import multiplicity, verify_seed_norms
@@ -57,9 +57,10 @@ def test_criterion_02_p_structure(report):
         ok = ok and ctx.P.adjoint() @ ctx.P == ident.scale(ctx.n)
         ok = ok and ctx.P @ ctx.P @ ctx.P == \
             ident.scale(GaussRat(1, -1) ** D * ctx.n)
-        ok = ok and ctx.P @ ctx.A @ ctx.Pinv == ctx.Astar
-        ok = ok and ctx.P @ ctx.Astar @ ctx.Pinv == ctx.Aeps
-        ok = ok and ctx.P @ ctx.Aeps @ ctx.Pinv == ctx.A
+        pinv = p_inverse(ctx)
+        ok = ok and ctx.P @ ctx.A @ pinv == ctx.Astar
+        ok = ok and ctx.P @ ctx.Astar @ pinv == ctx.Aeps
+        ok = ok and ctx.P @ ctx.Aeps @ pinv == ctx.A
     report(2, "P structure and conjugation cycle D=1..8", ok)
 
 
@@ -84,12 +85,13 @@ def test_criterion_04_decomposition(report):
             kernel_dim = len(cols) - naive_rank(rows)
             ok = ok and dec.multiplicities[r] == multiplicity(D, r)
             ok = ok and kernel_dim == multiplicity(D, r)
+        E, Eeps = ctx.E, ctx.Eeps
         for m in dec.modules:
             for i in range(D + 1):
                 in_window = m.r <= i <= m.r + m.d
-                ok = ok and (not ctx.E[i].matvec(m.u_star).is_zero()) \
+                ok = ok and (not E[i].matvec(m.u_star).is_zero()) \
                     == in_window
-                ok = ok and (not ctx.Eeps[i].matvec(m.u_star).is_zero()) \
+                ok = ok and (not Eeps[i].matvec(m.u_star).is_zero()) \
                     == in_window
     report(4, "decomposition counts, dimensions and windows D=1..8", ok)
 

@@ -15,7 +15,7 @@ import pytest
 import tcube
 from tcube import cli
 from tcube.cli import main
-from tcube.cube import ConstructionError, build_context
+from tcube.cube import ConstructionError
 from tcube.decomposition import (InvariantViolation, IrreducibleModule,
                                  closed_form_seeds, multiplicity)
 from tcube.leonard import BasisError
@@ -164,6 +164,14 @@ def test_d_limit_flag(capsys):
     assert captured.err == "error: D must satisfy 1 <= D <= 2, got 3\n"
     assert run(capsys, "verify", "--d", "3", "--d-limit", "3",
                "--suite", "commutators")[0] == 0
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_d_limit_below_one_is_a_usage_error(capsys, limit):
+    assert main(["verify", "--d", "3", "--d-limit", limit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --d-limit must be at least 1, got {limit}\n"
 
 
 def test_output_file_and_io_error(tmp_path, capsys):
@@ -678,31 +686,23 @@ def _count_square_products(monkeypatch, n, replace):
 
 
 def _swap_estar(ctx):
-    """Estar_0 and Estar_1 traded: the structure holds, the ranks fail."""
-    ctx._Estar = (ctx.Estar[1], ctx.Estar[0]) + ctx.Estar[2:]
+    """The rows of Estar_0 and Estar_1 traded: the ranks fail."""
+    rows = ctx.structure.Estar
+    ctx.structure.Estar = [rows[1], rows[0]] + rows[2:]
 
 
-def _raise_estar_entry(ctx):
-    """Estar_1 + e_(1,2): no longer diagonal, so the structure fails."""
-    grid = ctx.Estar[1].to_rows()
-    grid[1][2] = GaussRat(1)
-    ctx._Estar = ctx.Estar[:1] + (ExactMatrix(grid),) + ctx.Estar[2:]
-
-
-# The dense products each whole-matrix suite may form at D = 6: none in the
-# commutator suite, which multiplies the operator tables, none in the
-# idempotent suite, and in the conjugation suite those of its six operator
-# rows, P P^*, P^* P, P P P and P X Pinv for X = A, Astar, Aeps.
-DENSE_PRODUCTS = {"commutators": 0, "idempotents": 0, "conjugation": 10}
+# No whole-matrix suite forms a dense product at D = 6: the commutator
+# suite multiplies the operator tables, and the idempotent and conjugation
+# suites compare rows, the defects of the tables and the factor of P.
+DENSE_PRODUCTS = {"commutators": 0, "idempotents": 0, "conjugation": 0}
 
 
 @pytest.mark.parametrize("suite", sorted(DENSE_PRODUCTS))
 def test_whole_matrix_suites_form_no_dense_family_product(capsys, monkeypatch,
                                                           suite):
-    # on the built families, on families that keep their structure and on
-    # families that break it, which the commutator suite never reads
-    for replace, breaks in ((lambda ctx: None, False), (_swap_estar, True),
-                            (_raise_estar_entry, True)):
+    # on the built families and on rows that fail, which the commutator
+    # suite never reads
+    for replace, breaks in ((lambda ctx: None, False), (_swap_estar, True)):
         with monkeypatch.context() as patch:
             calls = _count_square_products(patch, 64, replace)
             assert run(capsys, "verify", "--d", "6", "--suite", suite)[0] == \
@@ -733,66 +733,61 @@ def test_whole_matrix_suites_gather_no_full_block(capsys, monkeypatch, suite,
 
 
 # The dense 2^D x 2^D attributes of a context, each derived on first use.
-DENSE_ATTRIBUTES = {"A", "Astar", "Aeps", "P", "Pinv", "hamming", "_phase",
-                    "dist_matrices"}
+DENSE_ATTRIBUTES = {"A", "Astar", "Aeps", "P", "hamming", "dist_matrices"}
 
 
-@pytest.mark.parametrize("suite", ["rep-matrices", "inner-products",
-                                   "transitions"])
+def _arrays(x, seen):
+    """Every numpy array reachable from x through attributes, containers
+    and the numerators of exact matrices."""
+    if id(x) in seen:
+        return
+    seen.add(id(x))
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, ExactMatrix):
+        yield x._re
+        yield x._im
+    elif isinstance(x, (list, tuple)):
+        for v in x:
+            yield from _arrays(v, seen)
+    elif isinstance(x, dict):
+        for v in x.values():
+            yield from _arrays(v, seen)
+    elif hasattr(x, "__dict__"):
+        yield from _arrays(vars(x), seen)
+
+
+@pytest.mark.parametrize("suite", cli.SUITES)
 def test_module_suites_build_no_dense_matrix(capsys, monkeypatch, suite):
-    # the module layer reads the gather tables alone: after a module suite
-    # the context holds no dense matrix, no family, and no array with more
-    # than n D entries; and so does a `--corrupt adjacency` run, which
-    # reads its spot off the table, on the built context and on its clone
-    def holds_no_dense_matrix(ctx):
-        assert not DENSE_ATTRIBUTES & set(vars(ctx))
-        assert ctx._E is ctx._Estar is ctx._Eeps is ctx._structure is None
-        arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
-        arrays += [a for t in ctx._gathers.values() for a in (t.re, t.im)]
-        assert max(a.size for a in arrays) <= ctx.n * ctx.D
-
-    ctx = build_context(6)
-    assert all(passed for _, _, _, passed, _ in cli.run_suite(ctx, suite))
-    holds_no_dense_matrix(ctx)
-    seen = []
+    # every suite, the whole-matrix ones included, reads the gather tables,
+    # the families' rows and the factor of P alone: after it, neither the
+    # context it ran on, clone or not, nor its families hold a dense matrix
+    # or any array with more than n (D + 1) entries, clean and under each
+    # --corrupt op
     honest_build, honest_run = cli.build_context, cli.run_suite
+    for corrupt in (None, *sorted(cli.CORRUPT_OPS)):
+        seen = []
 
-    def build(D, d_limit):
-        seen.append(honest_build(D, d_limit))
-        return seen[-1]
+        def build(D, d_limit):
+            seen.append(honest_build(D, d_limit))
+            return seen[-1]
 
-    def run_suite(ctx, suite):
-        seen.append(ctx)
-        return honest_run(ctx, suite)
+        def run_suite(ctx, suite):
+            seen.append(ctx)
+            return honest_run(ctx, suite)
 
-    monkeypatch.setattr(cli, "build_context", build)
-    monkeypatch.setattr(cli, "run_suite", run_suite)
-    assert run(capsys, "verify", "--d", "6", "--suite", suite,
-               "--corrupt", "adjacency")[0] == 1
-    assert len(seen) == 2
-    for ctx in seen:
-        holds_no_dense_matrix(ctx)
-
-
-# The one row of each suite when Estar_1 + e_(1,2) breaks the structure.
-PERTURBED_FAILURES = {
-    suite: ["ConstructionError: Bose-Mesner structure: Estar_1 is not diagonal"]
-    for suite in ("idempotents", "conjugation")}
-
-
-@pytest.mark.parametrize("suite", sorted(PERTURBED_FAILURES))
-def test_perturbed_family_is_a_named_row(capsys, monkeypatch, suite):
-    # Estar_1 + e_(1,2) is not diagonal: the suite is one row naming the
-    # structure clause, and verify exits 1
-    def build(D, d_limit):
-        ctx = cli.cube.build_context(D, d_limit)
-        _raise_estar_entry(ctx)
-        return ctx
-
-    monkeypatch.setattr(cli, "build_context", build)
-    code, out = run(capsys, "verify", "--d", "3", "--suite", suite)
-    assert code == 1
-    assert _failed_ids(out, "pretty") == PERTURBED_FAILURES[suite]
+        monkeypatch.setattr(cli, "build_context", build)
+        monkeypatch.setattr(cli, "run_suite", run_suite)
+        argv = ["verify", "--d", "6", "--suite", suite]
+        code = run(capsys, *argv,
+                   *(["--corrupt", corrupt] if corrupt else []))[0]
+        assert code == int(corrupt is not None
+                           and (corrupt, suite) not in UNREAD_BY_SUITE)
+        assert len(seen) == 2
+        for ctx in seen:
+            assert not DENSE_ATTRIBUTES & set(vars(ctx))
+            arrays = list(_arrays(ctx, set()))
+            assert max(a.size for a in arrays) <= ctx.n * (ctx.D + 1)
 
 
 @pytest.mark.parametrize("D", [3, 4, 5])

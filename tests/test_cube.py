@@ -13,7 +13,8 @@ from conftest import (A1, AEPS1, ASTAR1, brute_p_1j, commutator_aeps,
                       dense_conjugation, dense_idempotent_families,
                       dual_adjacency, gather_eigen_discrepancy, get_ctx,
                       hamming_adjacency, interpolation_idempotents, kron_sum,
-                      naive_matrix_rank, phase_conjugate, walsh_hadamard)
+                      naive_matrix_rank, p_inverse, phase_conjugate,
+                      walsh_hadamard)
 from tcube import cube
 from tcube.cube import (P1, ConstructionError, _first_spot, _walsh_hadamard,
                         build_context, krawtchouk_table, verify_commutators,
@@ -259,8 +260,9 @@ def test_rank_row_needs_the_idempotent_product(monkeypatch):
         diagonal[v] = x
     perturbed = ExactMatrix.diagonal(diagonal)
     assert perturbed.trace() == 3 and rank(perturbed) == 3
-    family = ctx.Estar[:1] + (perturbed,) + ctx.Estar[2:]
-    monkeypatch.setattr(ctx, "_Estar", family)
+    rows = ctx.structure.Estar
+    monkeypatch.setattr(ctx.structure, "Estar",
+                        rows[:1] + [ExactMatrix([diagonal])] + rows[2:])
     passed = {c.identity: c.passed for c in verify_idempotent_families(ctx)}
     assert not passed["Estar_product[1,1]"]
     assert not passed["Estar_rank[1]"]
@@ -273,8 +275,8 @@ def test_rank_row_reads_the_trace(monkeypatch):
     # Estar_0 and Estar_1 swapped are still orthogonal idempotents summing
     # to I; only their ranks 3 and 1 against C(3,0) and C(3,1) give it away
     ctx = build_context(3)
-    family = (ctx.Estar[1], ctx.Estar[0]) + ctx.Estar[2:]
-    monkeypatch.setattr(ctx, "_Estar", family)
+    rows = ctx.structure.Estar
+    monkeypatch.setattr(ctx.structure, "Estar", [rows[1], rows[0]] + rows[2:])
     failed = [c.identity for c in verify_idempotent_families(ctx)
               if not c.passed]
     assert failed == ["Estar_rank[0]", "Estar_rank[1]"]
@@ -288,7 +290,7 @@ def test_closed_form_idempotents_match_interpolation(D):
     assert ctx.E == interpolation_idempotents(ctx.A, ctx.theta)
     assert ctx.Eeps == interpolation_idempotents(ctx.Aeps, ctx.theta)
     for e, e_eps in zip(ctx.E, ctx.Eeps):
-        assert e_eps == ctx.Pinv @ e @ ctx.P
+        assert e_eps == p_inverse(ctx) @ e @ ctx.P
 
 
 @pytest.mark.parametrize("D", range(1, 11))
@@ -304,10 +306,11 @@ def test_krawtchouk_table_matches_phi(D):
 def test_idempotent_certificate_rejects_wrong_families():
     # eigenrelations alone allow any scaling, the sum alone any reordering
     ctx = get_ctx(3)
+    rows = ctx.structure.E
     with pytest.raises(ConstructionError, match="do not sum to I"):
-        ctx._certify_idempotents(tuple(e.scale(2) for e in ctx.E))
+        ctx._certify_idempotents([r.scale(2) for r in rows])
     with pytest.raises(ConstructionError, match=r"A E_0 != 3 E_0"):
-        ctx._certify_idempotents(ctx.E[::-1])
+        ctx._certify_idempotents(rows[::-1])
 
 
 def test_idempotent_certificate_rejects_flipped_adjacency():
@@ -490,128 +493,110 @@ def _random_flips(ctx, rng, ops):
 @pytest.mark.parametrize("D", range(1, 8))
 def test_random_flips_equal_the_dense_oracles(D, seed, ops):
     # every row, verdict, first discrepancy and ConstructionError text of
-    # the table suites against the dense oracles, after 1 to 3 seeded sign
-    # flips; the E certificate on the closed form and on two wrong families
-    # (one not summing to I, one with every theta wrong) against its dense
-    # oracle; and each member's eigen discrepancy, with its own and a wrong
+    # the suites on tables, rows and the factor of P against the dense
+    # oracles, after 1 to 3 seeded sign flips; the E certificate on the
+    # closed form's rows and on two wrong families (one not summing to I,
+    # one with every theta wrong) against its dense oracle; and each
+    # member's eigen discrepancy, from its row, with its own and a wrong
     # theta on both sides, against the full edge gather
     rng = random.Random(f"{D}-{seed}-{len(ops)}")
     clean = get_ctx(D)
     ctx = _random_flips(clean, rng, ops)
-    for suite, oracle in SUITE_ORACLES[:2]:
+    for suite, oracle in SUITE_ORACLES:
         assert _outcome(suite, ctx) == _outcome(oracle, ctx)
-    for family in (clean.E, tuple(e.scale(2) for e in clean.E),
-                   clean.E[::-1]):
+    rows, dense = clean.structure.E, clean.E
+    for family, members in ((rows, dense),
+                            ([r.scale(2) for r in rows],
+                             tuple(e.scale(2) for e in dense)),
+                            (rows[::-1], dense[::-1])):
         assert _raised(ctx._certify_idempotents, family) == \
-            _raised(dense_certify_idempotents, ctx, family)
-    for op, family in (("A", clean.E), ("Aeps", clean.Eeps)):
-        for i, (e, member) in enumerate(zip(clean.E, family)):
-            first = e.block(slice(0, 1), slice(None))
+            _raised(dense_certify_idempotents, ctx, members)
+    for op, family in (("A", dense), ("Aeps", clean.Eeps)):
+        for i, (first, member) in enumerate(zip(rows, family)):
             for theta in (ctx.theta[i], ctx.theta[i] - 2):
                 for right in (False, True):
                     assert ctx.family_eigen_discrepancy(
-                        op, member, first, theta, right) == \
+                        op, first, theta, right) == \
                         gather_eigen_discrepancy(ctx, op, member, theta, right)
 
 
-def _perturbed(family, i, r, c, delta):
-    """family with entry (r, c) of member i raised by delta."""
-    m = family[i]
-    re = m._re.copy()
-    re[r, c] += delta * m._den
-    return family[:i] + (ExactMatrix.from_numerators(re, m._im, m._den),) + \
-        family[i + 1:]
-
-
-# The structure clause that an entry raised in member 1 breaks, by family:
-# any entry of E_1 or Eeps_1, and an entry off the diagonal of Estar_1.
-PERTURBED_CLAUSE = {"E": "E_1 is not real and translation-invariant",
-                    "Estar": "Estar_1 is not diagonal",
-                    "Eeps": "Eeps_1 is not S^-1 E_1 S"}
+# Raised entries of the stored rows, by family: for E (whose row Eeps
+# shares) and Estar, entry k of member i's row or diagonal raised by 1; for
+# Eeps, entry k of that shared row raised by i, which makes E_i and Eeps_i
+# complex.
+PERTURBATIONS = {"E": 1, "Estar": 1, "Eeps": GaussRat(0, 1)}
 
 
 @pytest.mark.parametrize("label", ["E", "Estar", "Eeps"])
 @pytest.mark.parametrize("spot", [(1, 2), (2, 2), (0, 0)])
 def test_perturbed_family_rows_equal_the_dense_oracles(monkeypatch, label,
                                                         spot):
-    # an entry on the diagonal of Estar keeps the certified structure, and
-    # every row equals the dense oracle's; any other perturbation stops both
-    # suites at the clause that it breaks
+    # spot (i, k): member i's entry k raised; every row of both suites
+    # equals the dense oracle's on the views of the same rows, and one fails
     ctx = build_context(3)
-    monkeypatch.setattr(ctx, f"_{label}",
-                        _perturbed(getattr(ctx, label), 1, *spot, 1))
-    keeps = label == "Estar" and spot[0] == spot[1]
+    structure = ctx.structure
+    attr = "Estar" if label == "Estar" else "E"
+    rows = list(getattr(structure, attr))
+    i, k = spot
+    raised = [0] * ctx.n
+    raised[k] = PERTURBATIONS[label]
+    rows[i] = rows[i] + ExactMatrix([raised])
+    monkeypatch.setattr(structure, attr, rows)
     for suite, oracle in ((verify_idempotent_families,
                            dense_idempotent_families),
                           (verify_conjugation, dense_conjugation)):
         got = _outcome(suite, ctx)
-        if keeps:
-            assert got == _outcome(oracle, ctx)
-            assert not all(passed for _, passed, _ in got)
-        else:
-            assert got == f"Bose-Mesner structure: {PERTURBED_CLAUSE[label]}"
+        assert got == _outcome(oracle, ctx)
+        assert not all(passed for _, passed, _ in got)
 
 
-def _imaginary_e(ctx):
-    ctx._E = ctx.E[:1] + (ctx.E[1].scale(GaussRat(0, 1)),) + ctx.E[2:]
+def _scaled_p1(factor):
+    def replace(monkeypatch):
+        monkeypatch.setattr(cube, "P1", cube.P1.scale(factor))
+        return get_ctx(3)
+    return replace
 
 
-def _off_diagonal_estar(ctx):
-    ctx._Estar = _perturbed(ctx.Estar, 1, 0, 1, 1)
+def _negated_factor(op):
+    def replace(monkeypatch):
+        ctx = get_ctx(3)
+        re_part, im_part = cube.KRON_FACTORS[op]
+        monkeypatch.setitem(cube.KRON_FACTORS, op,
+                            ([[-x for x in row] for row in re_part],
+                             [[-x for x in row] for row in im_part]))
+        return ctx
+    return replace
 
 
-def _conjugate_eeps(ctx):
-    ctx._Eeps = ctx.Eeps[:1] + (ctx.Eeps[1].conj(),) + ctx.Eeps[2:]
+# One broken side per clause of the certificate of P's factor, and its
+# message.  The step Aeps -> A follows from the two steps before it and
+# P1^3 = 2 (1 - i) I, so no single replacement reaches it alone.
+P_FACTOR_CLAUSES = [
+    (_scaled_p1(2), "P factor: P1 P1^* != 2 I"),
+    (_scaled_p1(GaussRat(0, 1)), "P factor: P1^3 != 2 (1 - i) I"),
+    (_negated_factor("Astar"), "P factor: P1 A1 P1^-1 != Astar1"),
+    (_negated_factor("Aeps"), "P factor: P1 Astar1 P1^-1 != Aeps1"),
+    (_conjugated_phase, "P factor: P1 != S1^-1 H1"),
+]
 
 
-def _flipped_p(ctx):
-    re = ctx.P._re.copy()
-    re[0, 0] = -re[0, 0]
-    ctx.P = ExactMatrix.from_numerators(re, ctx.P._im, ctx.P._den)
-
-
-def _unscaled_pinv(ctx):
-    ctx.Pinv = ctx.P.adjoint()
-
-
-# One replacement per clause of the structure: the suites that read the
-# clause, and its message.
-STRUCTURE_CLAUSES = {
-    "E": (_imaginary_e, ("idempotents", "conjugation"),
-          "E_1 is not real and translation-invariant"),
-    "Estar": (_off_diagonal_estar, ("idempotents", "conjugation"),
-              "Estar_1 is not diagonal"),
-    "Eeps": (_conjugate_eeps, ("idempotents", "conjugation"),
-             "Eeps_1 is not S^-1 E_1 S"),
-    "P": (_flipped_p, ("conjugation",), "P is not S^-1 H"),
-    "Pinv": (_unscaled_pinv, ("conjugation",), "Pinv is not P^* / n"),
-}
-
-
-@pytest.mark.parametrize("clause", sorted(STRUCTURE_CLAUSES))
-def test_structure_clause_is_named(clause):
-    # each clause that fails stops the suites that read it with its own
-    # message; the idempotent suite never reads P, and passes without it
-    replace, readers, message = STRUCTURE_CLAUSES[clause]
-    ctx = build_context(3)
-    replace(ctx)
-    for name, suite in (("idempotents", verify_idempotent_families),
-                        ("conjugation", verify_conjugation)):
-        got = _outcome(suite, ctx)
-        if name in readers:
-            assert got == f"Bose-Mesner structure: {message}"
-        else:
-            assert all(passed for _, passed, _ in got)
+@pytest.mark.parametrize("breaks, message", P_FACTOR_CLAUSES,
+                         ids=["unitary", "cube", "A-Astar", "Astar-Aeps",
+                              "butterfly"])
+def test_p_factor_clause_is_named(monkeypatch, breaks, message):
+    # a clause that fails stops the conjugation suite with its own message
+    ctx = breaks(monkeypatch)
+    assert _outcome(verify_conjugation, ctx) == message
 
 
 @pytest.mark.parametrize("D", [2, 3])
 def test_family_products_past_the_int64_bound(monkeypatch, D):
-    # E scaled by 2^40 is still translation-invariant, but its second
-    # transform passes 2^62: the rows are convolved on Python ints, and
+    # the rows of E scaled by 2^40: their second transform passes 2^62, so
+    # they are convolved on Python ints, and
     # E_i E_i = 2^40 E_i and the conjugation rows fail as the dense ones do
     ctx = build_context(D)
-    big = tuple(e.scale(2 ** 40) for e in ctx.E)
-    monkeypatch.setattr(ctx, "_E", big)
+    monkeypatch.setattr(ctx.structure, "E",
+                        [r.scale(2 ** 40) for r in ctx.structure.E])
     for suite, oracle in ((verify_idempotent_families,
                            dense_idempotent_families),
                           (verify_conjugation, dense_conjugation)):

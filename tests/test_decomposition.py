@@ -221,11 +221,12 @@ def test_seed_norm_relations(D):
 
 def test_seed_window_nonvanishing_d4():
     ctx = get_ctx(4)
+    E, Eeps = ctx.E, ctx.Eeps
     for m in get_decomposition(4).modules:
         for i in range(5):
             in_window = m.r <= i <= m.r + m.d
-            assert (not ctx.E[i].matvec(m.u_star).is_zero()) == in_window
-            assert (not ctx.Eeps[i].matvec(m.u_star).is_zero()) == in_window
+            assert (not E[i].matvec(m.u_star).is_zero()) == in_window
+            assert (not Eeps[i].matvec(m.u_star).is_zero()) == in_window
 
 
 def test_normalize_seeds_round_trip():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (assert_canonical_storage, basis_vector, get_ctx,
                       naive_first_discrepancy, naive_inverse,
-                      naive_matrix_rank, naive_rank)
+                      naive_matrix_rank, naive_rank, p_inverse)
 from tcube.linalg import (ExactMatrix, ExactVector, SingularMatrixError,
                           _product, first_discrepancy, fits_f64, gram_schmidt,
                           inner, kernel_basis, kron, kron_power, pivot_inverse,
@@ -682,12 +682,13 @@ def test_float_tier_equals_python_int_dots_on_cube_matrices(D):
     # the whole-matrix products of the paper's identities: real (E_i E_j,
     # A A*), complex (Ee_i Ee_j, P P^-1) and mixed (A Ae, E_i Ee_i)
     ctx = get_ctx(D)
-    pairs = [(ctx.A, ctx.Astar), (ctx.P, ctx.Pinv), (ctx.A, ctx.Aeps)]
+    pairs = [(ctx.A, ctx.Astar), (ctx.P, p_inverse(ctx)), (ctx.A, ctx.Aeps)]
+    E, Eeps = ctx.E, ctx.Eeps
     for i in range(D + 1):
-        pairs.append((ctx.E[i], ctx.Eeps[i]))
+        pairs.append((E[i], Eeps[i]))
         for j in range(D + 1):
-            pairs.append((ctx.E[i], ctx.E[j]))
-            pairs.append((ctx.Eeps[i], ctx.Eeps[j]))
+            pairs.append((E[i], E[j]))
+            pairs.append((Eeps[i], Eeps[j]))
     for a, b in pairs:
         assert fits_f64(ctx.n, a._max(), b._max())
         cr, ci = _product(a, b, np.dot)

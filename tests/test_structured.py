@@ -52,8 +52,9 @@ def _assert_window_images_equal_dense(ctx, family, block, window):
     has content outside it) equal the dense ones, in canonical storage, and
     every image left out is zero."""
     got = window_images(ctx, family, block, window)
+    members = getattr(ctx, family)
     for i in range(ctx.D + 1):
-        dense = _dense_rows(getattr(ctx, family)[i], block)
+        dense = _dense_rows(members[i], block)
         if i in got:
             assert_canonical_storage(got[i])
             assert got[i] == dense, (family, i)
@@ -72,8 +73,8 @@ def test_block_operators_equal_dense_matvecs(D, big):
     for family in FAMILIES:
         parts = project(ctx, family, block, range(D + 1))
         assert len(parts) == D + 1
-        for i, part in enumerate(parts):
-            assert part == _dense_rows(getattr(ctx, family)[i], block), \
+        for i, (part, member) in enumerate(zip(parts, getattr(ctx, family))):
+            assert part == _dense_rows(member, block), \
                 (family, i)
         for lo in range(D + 1):
             for hi in range(lo + 1, D + 2):
@@ -268,7 +269,7 @@ def test_eigen_discrepancy_equals_dense(flip, big):
                     expected = (None if product == want
                                 else first_discrepancy(product, want))
                     assert ctx.family_eigen_discrepancy(
-                        op, member, first, theta, right) == expected, \
+                        op, first, theta, right) == expected, \
                         (op, i, theta, right)
                     assert gather_eigen_discrepancy(
                         ctx, op, member, theta, right) == expected
