@@ -647,8 +647,8 @@ class _Structure:
     """The three idempotent families of a context as rows (1 x n), built
     from their closed forms in O(nD):
 
-    E       the first rows r_i / den_i of the E_i = Inv(r_i) / den_i,
-            r_i[w] = K_i(dist(w)) / n, certified against the context's A
+    E       the first rows r_i / den_i = K_i(dist(.)) / n of the
+            E_i = Inv(r_i) / den_i, certified against the context's A
             (`CubeContext._certify_idempotents`, which raises
             ConstructionError naming the clause that fails);
     Estar   the diagonals of the Estar_i, the indicators of the slices;
