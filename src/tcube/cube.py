@@ -503,7 +503,11 @@ class CubeContext:
         W = np.flatnonzero((rr[nbrs].sum(axis=1) != theta * rr)
                            | (ri[nbrs].sum(axis=1) != theta * ri))
         rows, cols, _, _ = self._defect(op)
-        lines = np.unique(cols if right else rows)
+        # the sorted distinct lines, from a mask: np.unique would import
+        # numpy.ma on its first call, about 14 ms per process
+        on_lines = np.zeros(n, bool)
+        on_lines[cols if right else rows] = True
+        lines = np.flatnonzero(on_lines)
         differ = np.zeros((len(lines), n), bool)
         if len(lines):
             y = np.arange(n)
@@ -734,7 +738,7 @@ def verify_idempotent_families(ctx: CubeContext):
     s = ctx.structure
     families = (("E", s.E, False), ("Estar", s.Estar, True),
                 ("Eeps", s.E, False))
-    ones = _indicator(np.ones(n, bool))
+    ones, zero = _indicator(np.ones(n, bool)), ExactMatrix.zeros(1, n)
     checks = [_check_rows("E_trivial_allones", s.E[0].scale(n), ones)]
     for label, rows, diagonal in families:
         identity = ones if diagonal else _indicator(np.arange(n) == 0)
@@ -751,7 +755,7 @@ def verify_idempotent_families(ctx: CubeContext):
                     if diagonal else s.E_products)
         for i in range(D + 1):
             for j in range(D + 1):
-                expected = rows[i] if i == j else ExactMatrix.zeros(1, n)
+                expected = rows[i] if i == j else zero
                 checks.append(_check_rows(f"{label}_product[{i},{j}]",
                                           products[i][j], expected, diagonal))
     for i, r in enumerate(s.E):

@@ -62,7 +62,8 @@ def _max_abs(arr) -> int:
         return 0
     if arr.dtype == object:
         return int(abs(arr).max())
-    return max(int(arr.max()), -int(arr.min()))
+    return max(int(np.maximum.reduce(arr, None)),
+               -int(np.minimum.reduce(arr, None)))
 
 
 def _stored(re, im):
@@ -207,18 +208,25 @@ class _NumeratorArray:
 
     __slots__ = ("_re", "_im", "_den", "_mx")
 
-    def _init(self, re, im, den, reduce=True):
-        re, im, mx = _stored(re, im)
+    def _init(self, re, im, den, reduce=True, part=False):
+        """part: re and im are parts (slices or index selections) of a
+        stored int64 pair, so int64 and below 2^62 already; they are kept
+        as they are, with no scan, and their largest numerator is read on
+        demand (`_max`)."""
+        re, im, mx = (re, im, None) if part else _stored(re, im)
         if reduce and den > 1:
             g = _content(den, re, im)
-            # with every numerator zero g is den, which may have no int64
-            # value; only den is divided then
             if g > 1:
                 den //= g
-                if mx != 0:
+                # with every numerator zero g is den, which may have no
+                # int64 value; only den is divided then.  An object array
+                # has a nonzero numerator, and a nonzero int64 one keeps g
+                # below 2^62
+                if re.dtype == object:
+                    re, im, mx = _stored(re // g, im // g)
+                elif g < I64_LIMIT:
                     re, im = re // g, im // g
-                    re, im, mx = (_stored(re, im) if re.dtype == object
-                                  else (re, im, mx // g))
+                    mx = None if mx is None else mx // g
         object.__setattr__(self, "_re", _freeze(re))
         object.__setattr__(self, "_im", _freeze(im))
         object.__setattr__(self, "_den", den)
@@ -237,6 +245,15 @@ class _NumeratorArray:
         """(re + i im) / den from integer arrays, int64 or object, in lowest
         terms."""
         return cls._raw(re, im, den)
+
+    def _part(self, cls, re, im):
+        """re + i im over self's denominator, as a cls, for re and im taken
+        from self's arrays: int64 parts of int64 arrays are kept without a
+        scan; object ones go through the storage rule, since a part may
+        fit int64."""
+        x = cls.__new__(cls)
+        x._init(re, im, self._den, part=self._re.dtype != object)
+        return x
 
     @classmethod
     def zeros(cls, *shape):
@@ -356,12 +373,18 @@ class _NumeratorArray:
         """[*index, "p/q", "p/q"] for each nonzero entry, row-major, with
         the real and imaginary parts in lowest terms."""
         nonzero = np.not_equal(self._re, 0) | np.not_equal(self._im, 0)
-        out = []
-        for index in np.argwhere(nonzero).tolist():
-            g = self[tuple(index)]
-            out.append(index + [f"{g.re.numerator}/{g.re.denominator}",
-                                f"{g.im.numerator}/{g.im.denominator}"])
-        return out
+        den = self._den
+        parts = []
+        for arr in (self._re[nonzero], self._im[nonzero]):
+            # each part over its own denominator den / gcd(part, den), on
+            # Python ints when den is too large for int64
+            if den >= I64_LIMIT:
+                arr = _as_object(arr)
+            g = np.gcd(arr, den)
+            parts.append([f"{p}/{q}" for p, q in zip((arr // g).tolist(),
+                                                      (den // g).tolist())])
+        index = [axis.tolist() for axis in np.nonzero(nonzero)]
+        return list(map(list, zip(*index, *parts)))
 
     @classmethod
     def _from_dump_entries(cls, shape, entries):
@@ -394,8 +417,8 @@ class ExactVector(_NumeratorArray):
 
     def take(self, positions) -> "ExactVector":
         """The entries at the given positions, in that order."""
-        return ExactVector._raw(self._re[positions], self._im[positions],
-                                self._den)
+        return self._part(ExactVector, self._re[positions],
+                          self._im[positions])
 
     def primitive(self) -> "ExactVector":
         """Same line, scaled so entries are Gaussian integers with content 1."""
@@ -470,22 +493,22 @@ class ExactMatrix(_NumeratorArray):
                           self._im.reshape(rows, cols))
 
     def row(self, r) -> ExactVector:
-        return ExactVector._raw(self._re[r].copy(), self._im[r].copy(), self._den)
+        return self._part(ExactVector, self._re[r].copy(), self._im[r].copy())
 
     def column(self, c) -> ExactVector:
-        return ExactVector._raw(self._re[:, c].copy(), self._im[:, c].copy(),
-                                self._den)
+        return self._part(ExactVector, self._re[:, c].copy(),
+                          self._im[:, c].copy())
 
     def columns(self, positions) -> "ExactMatrix":
         """The columns at the given positions, in that order."""
-        return ExactMatrix._raw(self._re[:, positions], self._im[:, positions],
-                                self._den)
+        return self._part(ExactMatrix, self._re[:, positions],
+                          self._im[:, positions])
 
     def block(self, rows, cols) -> "ExactMatrix":
         """The submatrix on the given row and column slices; one of the two
         may be an index array instead."""
-        return ExactMatrix._raw(self._re[rows, cols], self._im[rows, cols],
-                                self._den)
+        return self._part(ExactMatrix, self._re[rows, cols],
+                          self._im[rows, cols])
 
     def to_rows(self):
         return [[self[r, c] for c in range(self.cols)] for r in range(self.rows)]

@@ -902,3 +902,43 @@ def test_perfbench_tracer_installs_on_the_current_tree(capsys):
     assert metrics["cube.verify_idempotent_families.calls"] == 1
     assert metrics["leonard.build_six_bases.calls"] == 3
     assert metrics["leonard.is_leonard_triple.calls"] == 3
+
+
+_LATE_IMPORTS = """
+import contextlib, io, json, sys
+from tcube import cli
+build, built = cli.build_context, []
+
+
+def recording_build(*args):
+    ctx = build(*args)
+    built.append(set(sys.modules))
+    return ctx
+
+
+cli.build_context = recording_build
+codes, late = {}, {}
+for suite in cli.SUITES:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        codes[suite] = cli.main(["verify", "--d", "4", "--suite", suite])
+    late[suite] = sorted(set(sys.modules) - built[-1])
+print(json.dumps({"codes": codes, "late": late,
+                  "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_verify_imports_nothing_after_the_context():
+    # a module first imported inside a suite is a fixed cost of every run
+    # (numpy.ma, which np.unique imports, is about 14 ms); a fresh process,
+    # since this one may have loaded it already
+    src = os.path.dirname(os.path.dirname(tcube.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _LATE_IMPORTS],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == {suite: 0 for suite in cli.SUITES}
+    assert result["late"] == {suite: [] for suite in cli.SUITES}
+    assert not result["numpy.ma"]

@@ -2,6 +2,7 @@
 Kronecker structure, adjoints, inner products, kernels, inverses,
 orthogonalization, dump round-trips, first discrepancies."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -214,6 +215,30 @@ def test_matrix_dump_round_trip():
     assert ExactMatrix.from_dump(d) == m
 
 
+def _naive_dump_entries(x, shape):
+    """The dump entries of x read one entry at a time through Fraction."""
+    out = []
+    for index in np.ndindex(*shape):
+        g = x[index]
+        if g:
+            out.append(list(index) + [f"{g.re.numerator}/{g.re.denominator}",
+                                      f"{g.im.numerator}/{g.im.denominator}"])
+    return out
+
+
+@given(st.lists(st.lists(mixed_scalar, min_size=3, max_size=3),
+                min_size=1, max_size=3),
+       st.sampled_from([1, Fraction(1, 2 ** 70), 2 ** 70,
+                        GaussRat(Fraction(1, 3), 2)]))
+def test_dump_entries_match_the_entrywise_format(grid, c):
+    # the scales give int64 arrays over a denominator beyond int64 and
+    # object arrays, besides small ones
+    m = ExactMatrix(grid).scale(c)
+    assert m.to_dump()["entries"] == _naive_dump_entries(m, m.shape)
+    v = m.row(0)
+    assert v.to_dump()["entries"] == _naive_dump_entries(v, (v.length,))
+
+
 def test_vector_dump_round_trip():
     v = ExactVector([GaussRat(0), GaussRat(Fraction(2, 3), 1)])
     d = v.to_dump()
@@ -390,6 +415,86 @@ def test_content_reduction_moves_storage_across_2_62():
     zeros = np.zeros(2, dtype=np.int64)
     zero = ExactVector.from_numerators(zeros, zeros, 2 ** 70)
     assert zero == ExactVector([0, 0]) and zero._den == 1
+
+
+# Each selector takes a part of a 3 x 4 matrix by one of the methods that
+# keep an int64 part without a scan, and names the numerator arrays of that
+# part; none of them reads entry (0, 0).
+PARTS = {
+    "block_slices": (lambda m: m.block(slice(1, 3), slice(0, 2)),
+                     lambda a: a[1:3, 0:2]),
+    "block_rows_index": (lambda m: m.block([2, 0], slice(1, None)),
+                         lambda a: a[[2, 0], 1:]),
+    "columns": (lambda m: m.columns([3, 1]), lambda a: a[:, [3, 1]]),
+    "row": (lambda m: m.row(1), lambda a: a[1]),
+    "column": (lambda m: m.column(2), lambda a: a[:, 2]),
+    "take": (lambda m: m.row(0).take([3, 1, 1]), lambda a: a[0, [3, 1, 1]]),
+}
+
+
+def _assert_part_of(part, parent, arrays):
+    """part equals, hashes as and is stored as `from_numerators` of the
+    same numerator arrays over parent's denominator, is in lowest terms,
+    and reads its largest numerator on demand when parent is int64."""
+    ref = type(part).from_numerators(*(arrays(a) for a in (parent._re,
+                                                          parent._im)),
+                                     parent._den)
+    if parent._re.dtype == np.int64:
+        assert part._mx is None
+    assert part == ref and hash(part) == hash(ref)
+    assert part._re.dtype == ref._re.dtype and part._im.dtype == ref._im.dtype
+    assert part._max() == ref._max()
+    assert_canonical_storage(part)
+    assert math.gcd(part._den, *map(int, part._re.flat),
+                    *map(int, part._im.flat)) == 1
+
+
+@given(st.lists(st.lists(mixed_scalar, min_size=4, max_size=4),
+                min_size=3, max_size=3), st.sampled_from(sorted(PARTS)))
+def test_int64_parts_match_from_numerators(grid, name):
+    take, arrays = PARTS[name]
+    m = ExactMatrix(grid)
+    assert m._re.dtype == np.int64
+    _assert_part_of(take(m), m, arrays)
+
+
+@pytest.mark.parametrize("name", sorted(PARTS))
+def test_parts_reduce_to_lowest_terms(name):
+    # over den 6 every numerator but that of (0, 0) is even, so every part
+    # has a smaller denominator than its parent
+    grid = [[Fraction(1, 6), 1, Fraction(2, 3), Fraction(2, 3)],
+            [Fraction(1, 3), 0, Fraction(2, 3), GaussRat(0, 2)],
+            [0, Fraction(1, 3), Fraction(4, 3), GaussRat(1, 1)]]
+    m = ExactMatrix(grid)
+    assert m._den == 6
+    take, arrays = PARTS[name]
+    part = take(m)
+    assert part._den < m._den
+    _assert_part_of(part, m, arrays)
+
+
+def test_zero_int64_part_over_a_denominator_beyond_int64():
+    # the content of an all-zero part is the denominator, which here has no
+    # int64 value; the part is the zero vector over 1
+    tiny = ExactVector([Fraction(1, 2 ** 70), 0, 0])
+    assert tiny._re.dtype == np.int64
+    zero = tiny.take([2, 1])
+    assert zero == ExactVector([0, 0]) and zero._den == 1
+    assert_canonical_storage(zero)
+
+
+@pytest.mark.parametrize("name", sorted(PARTS))
+def test_object_parent_parts_that_fit_int64_are_int64(name):
+    # only entry (0, 0) is beyond int64, and no part reads it
+    grid = [[Fraction(3 * 2 ** 70, 5), Fraction(2, 5), 1, GaussRat(0, 3)],
+            [Fraction(1, 5), GaussRat(0, 2), Fraction(4, 5), 0],
+            [2, Fraction(-3, 5), 0, Fraction(6, 5)]]
+    m = ExactMatrix(grid)
+    assert m._re.dtype == object
+    take, arrays = PARTS[name]
+    part = take(m)
+    assert part._re.dtype == np.int64
+    _assert_part_of(part, m, arrays)
 
 
 def test_zero_operands_take_factors_beyond_int64():
