@@ -55,8 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import (I64_LIMIT, ExactMatrix, _fits, _numerators,
-                     first_discrepancy, fits_i64, kron_power)
+from .linalg import ExactMatrix, first_discrepancy, ints, kron_power
 from .report import IdentityCheck, check_true
 from .scalar import GaussRat
 
@@ -88,18 +87,18 @@ def _times_i_power(re, im, k):
 # -- kernels of the block operators ------------------------------------------------
 #
 # A block holds one vector per row.  The kernels below act on the rows of its
-# numerator arrays: the block's own int64 arrays when the caller has checked
-# a bound, and object copies, on which numpy computes with Python ints,
-# otherwise (`linalg._numerators`); the code is the same for both.
+# numerator arrays, given with a bound m on their entries.  Each kernel
+# bounds the values it forms from m and hands that bound to `linalg.ints`,
+# which keeps int64 arrays below 2^62 and gives object arrays, on which
+# numpy computes with Python ints, otherwise; the code is the same for both.
 
 
-def _walsh_hadamard(a):
-    """Each row v of a replaced by H v, H[x, z] = (-1)^|x AND z|, on a copy:
-    per bit, (v0, v1) -> (v0 + v1, v0 - v1).  Each pass at most doubles the
-    largest entry, so an int64 a needs 2^D max|a| < 2^62, which the caller
-    checks; on an object a numpy computes with Python ints.  H is symmetric
-    and H H = 2^D I."""
-    a = a.copy()
+def _walsh_hadamard(a, m):
+    """Each row v of a replaced by H v, H[x, z] = (-1)^|x AND z|, on a copy,
+    for entries of a bounded by m: per bit, (v0, v1) -> (v0 + v1, v0 - v1).
+    Each pass at most doubles the largest entry, so the result is bounded
+    by 2^D m.  H is symmetric and H H = 2^D I."""
+    a = ints(a.shape[1] * m, a)[0].copy()
     rows, n = a.shape
     h = 1
     while h < n:
@@ -154,17 +153,18 @@ class _Gather:
     def __matmul__(self, other: "_Gather") -> "_Gather":
         """The table of M N over the shifts s ^ t, for s of M and t of N:
         (M N)[y, y ^ s ^ t] sums M[y, y ^ s] N[y ^ s, y ^ s ^ t] over the
-        pairs (s, t) with that s ^ t, at most one per s.  int64 when
-        fits_i64(len(self.shifts), self.max, other.max), else Python ints."""
+        pairs (s, t) with that s ^ t, at most one per s: complex dots of
+        length len(self.shifts)."""
         shifts = sorted({s ^ t for s in self.shifts for t in other.shifts})
-        dtype = (np.int64 if fits_i64(len(self.shifts), self.max, other.max)
-                 else object)
+        sr, si, tr, ti = ints(2 * len(self.shifts) * max(self.max, 1)
+                              * max(other.max, 1),
+                              self.re, self.im, other.re, other.im)
         n = len(self.re)
-        re, im = (np.zeros((n, len(shifts)), dtype) for _ in "ri")
+        re, im = (np.zeros_like(sr, shape=(n, len(shifts))) for _ in "ri")
         y = np.arange(n)
         for k, s in enumerate(self.shifts):
-            ar, ai = (a[:, k:k + 1].astype(dtype) for a in (self.re, self.im))
-            br, bi = (b[y ^ s].astype(dtype) for b in (other.re, other.im))
+            ar, ai = sr[:, k:k + 1], si[:, k:k + 1]
+            br, bi = tr[y ^ s], ti[y ^ s]
             # s ^ t is distinct over t, so the columns are too
             cols = [shifts.index(s ^ t) for t in other.shifts]
             re[:, cols] += ar * br - ai * bi
@@ -176,14 +176,15 @@ class _Gather:
         """sum_k w_k M_k over the pairs (M_k, w_k), integer weights w_k,
         over the union of their shifts."""
         shifts = sorted({s for table, _ in terms for s in table.shifts})
-        bound = sum(abs(w) * table.max for table, w in terms)
-        dtype = np.int64 if bound < I64_LIMIT else object
+        bound = sum(max(abs(w), 1) * table.max for table, w in terms)
+        parts = [ints(bound, table.re, table.im) for table, _ in terms]
         n = len(terms[0][0].re)
-        re, im = (np.zeros((n, len(shifts)), dtype) for _ in "ri")
-        for table, w in terms:
+        re, im = (np.zeros_like(parts[0][0], shape=(n, len(shifts)))
+                  for _ in "ri")
+        for (table, w), (tr, ti) in zip(terms, parts):
             cols = [shifts.index(s) for s in table.shifts]
-            re[:, cols] += table.re.astype(dtype) * w
-            im[:, cols] += table.im.astype(dtype) * w
+            re[:, cols] += tr * w
+            im[:, cols] += ti * w
         return _Gather(shifts, re, im)
 
     def first_nonzero(self):
@@ -196,15 +197,16 @@ class _Gather:
         y = int(rows[0])
         return y, min(y ^ s for s, hit in zip(self.shifts, nonzero[y]) if hit)
 
-    def apply(self, re, im):
-        """Numerators of every row x of re + i im times M:
-        (M x)[y] = sum_k M[y, y ^ shifts[k]] x[y ^ shifts[k]].  int64
-        arrays must satisfy fits_i64(len(shifts), self.max, max |x|); object
-        arrays make every product one of Python ints.  An all-zero part of
-        x (a real block, such as every slice basis) or of M (A is real, Aeps
+    def apply(self, re, im, m):
+        """Numerators of every row x of re + i im times M, for entries of x
+        bounded by m: (M x)[y] = sum_k M[y, y ^ shifts[k]] x[y ^ shifts[k]],
+        a complex dot of length len(shifts).  An all-zero part of x (a real
+        block, such as every slice basis) or of M (A is real, Aeps
         imaginary) costs no flip and no product."""
-        vr = self.re if self.re.any() else None
-        vi = self.im if self.im.any() else None
+        re, im, vr, vi = ints(2 * len(self.shifts) * max(self.max, 1)
+                              * max(m, 1), re, im, self.re, self.im)
+        vr = vr if vr.any() else None
+        vi = vi if vi.any() else None
         xi_zero = not im.any()
         out_re, out_im, term = (np.zeros_like(re), np.zeros_like(re),
                                 np.empty_like(re))
@@ -446,20 +448,19 @@ class CubeContext:
 
         op is A, Astar, Aeps, L or R (gathers, see `_gather_table`) or P
         (S^-1 H: one Walsh-Hadamard pass, then (-i)^dist(y) on column y).
-        The kernels run in int64 when a bound on the block's and the
-        operator's numerators shows that they fit.
+        The kernels bound what they compute from the block's and the
+        operator's numerators and run on int64 when `ints` admits it.
         """
         if block.cols != self.n:
             raise ValueError(f"block has {block.cols} columns, expected {self.n}")
         if op == "P":
-            re, im = _numerators(block, block._max() * self.n < I64_LIMIT)
-            both = _walsh_hadamard(np.vstack([re, im]))
+            both = _walsh_hadamard(np.vstack([block._re, block._im]),
+                                   block._max())
             re, im = _times_i_power(both[:block.rows], both[block.rows:],
                                     -self._dist)
-            return ExactMatrix.from_numerators(re, im, block._den)
-        table = self._gather_table(op)
-        fits = fits_i64(len(table.shifts), table.max, block._max())
-        re, im = table.apply(*_numerators(block, fits))
+        else:
+            re, im = self._gather_table(op).apply(block._re, block._im,
+                                                  block._max())
         return ExactMatrix.from_numerators(re, im, block._den)
 
     def first_nonzero(self, op: str):
@@ -488,10 +489,12 @@ class CubeContext:
         full, in O(nD), from the stored table and m's entries (`member`)."""
         table, n = self._gathers[op], self.n
         shifts = np.array(table.shifts)
-        m = first._max()
-        dtype = np.int64 if (fits_i64(len(shifts), max(table.max, 1), m)
-                             and _fits(m, theta)) else object
-        rr, ri = (a[0].astype(dtype) for a in (first._re, first._im))
+        # the row sums over the shifts and the products with the table are
+        # dots of length len(shifts), the expected values theta times m
+        bound = max(2 * len(shifts) * max(table.max, 1),
+                    abs(theta)) * max(first._max(), 1)
+        rr, ri = (a[0] for a in first.ints(bound))
+        tr, ti = ints(bound, table.re, table.im)
 
         def member(x, y):
             """The numerators of m[x, y] = r[x ^ y] / den, times
@@ -515,14 +518,12 @@ class CubeContext:
             if right:
                 # column z of m @ op: sum_k m[:, z ^ e_k] op[z ^ e_k, z]
                 k = np.arange(len(shifts))
-                vr, vi = (a[nbrs, k].astype(dtype) for a in (table.re,
-                                                             table.im))
+                vr, vi = tr[nbrs, k], ti[nbrs, k]
                 xr, xi = member(y, nbrs[:, :, None])
                 want_r, want_i = member(y, lines[:, None])
             else:
                 # row x of op @ m: sum_k op[x, x ^ e_k] m[x ^ e_k, :]
-                vr, vi = (a[lines].astype(dtype) for a in (table.re,
-                                                           table.im))
+                vr, vi = tr[lines], ti[lines]
                 xr, xi = member(nbrs[:, :, None], y)
                 want_r, want_i = member(lines[:, None], y)
             vr, vi = vr[:, :, None], vi[:, :, None]
@@ -620,12 +621,6 @@ def verify_commutators(ctx: CubeContext):
 # two diagonal matrices on their diagonals, with (k, k).
 
 
-def _as_int64_below(arr, bound):
-    """arr as int64 when `bound`, a bound on every value computed from it,
-    is below 2^62, else as Python ints."""
-    return arr.astype(np.int64 if bound < I64_LIMIT else object)
-
-
 def _row(re, im, den) -> ExactMatrix:
     """The 1 x n matrix (re + i im) / den, in lowest terms."""
     return ExactMatrix.from_numerators(re[None, :], im[None, :], den)
@@ -662,7 +657,8 @@ class _Structure:
     def __init__(self, ctx: CubeContext):
         n, D = ctx.n, ctx.D
         self.n = n
-        K = krawtchouk_table(D).astype(np.int64)
+        # |K_i(h)| <= C(D, i) <= n
+        K = ints(n, krawtchouk_table(D))[0]
         zeros = np.zeros(n, np.int64)
         self.E = [_row(K[:, i][ctx._dist], zeros, n) for i in range(D + 1)]
         ctx._certify_idempotents(self.E)
@@ -673,22 +669,22 @@ class _Structure:
         """(re, im): the numerators H r_i for the first rows r_i of E, at
         most n m for the largest numerator m."""
         m = max(r._max() for r in self.E)
-        return tuple(_walsh_hadamard(_as_int64_below(
-            np.vstack([getattr(r, part) for r in self.E]), self.n * m))
-            for part in ("_re", "_im"))
+        return tuple(_walsh_hadamard(np.vstack([getattr(r, part)
+                                                for r in self.E]), m)
+                     for part in ("_re", "_im"))
 
     @cached_property
     def E_products(self):
         """E_products[i][j]: the first row of E_i E_j, the XOR convolution
         sum_z r_i[z] r_j[z ^ k] = (H (H r_i o H r_j))[k] / n, with o
-        entrywise, over n den_i den_j.  |H r| <= n m, and the second
-        transform of the complex products stays within 2 n^3 m^2."""
+        entrywise, over n den_i den_j.  |H r| <= n m, so the complex
+        products stay within 2 n^2 m^2 and the second transform within
+        2 n^3 m^2."""
         n, rows = self.n, self.E
-        m = max(r._max() for r in rows)
-        sr, si = (_as_int64_below(a, 2 * n ** 3 * m * m)[:, None, :]
-                  for a in self.E_spectra)
+        bound = 2 * (n * max(r._max() for r in rows)) ** 2
+        sr, si = (a[:, None, :] for a in ints(bound, *self.E_spectra))
         tr, ti = (a.transpose(1, 0, 2) for a in (sr, si))
-        conv_r, conv_i = (_walsh_hadamard(a.reshape(-1, n))
+        conv_r, conv_i = (_walsh_hadamard(a.reshape(-1, n), bound)
                           for a in (sr * tr - si * ti, sr * ti + si * tr))
         k = len(rows)
         return [[_row(conv_r[i * k + j], conv_i[i * k + j],
@@ -707,8 +703,7 @@ class _Structure:
             # a theorem on this structure (see verify_conjugation)
             return r, r, False
         s = self.Estar[i]
-        re, im = (_walsh_hadamard(_as_int64_below(x, n * s._max()))
-                  for x in (s._re, s._im))
+        re, im = (_walsh_hadamard(x, s._max()) for x in (s._re, s._im))
         return _row(re[0], im[0], n * s._den), r, False
 
 
@@ -800,7 +795,7 @@ def _certify_p_factor() -> None:
     for x, y in _P_CYCLE:
         _require(P1 @ factor[x] @ p1_inv == factor[y],
                  f"P factor: P1 {x}1 P1^-1 != {y}1")
-    h1 = _walsh_hadamard(np.identity(2, dtype=np.int64))
+    h1 = _walsh_hadamard(np.identity(2, dtype=np.int64), 1)
     s1h1 = _times_i_power(h1, 0 * h1, -np.array([[0], [1]]))
     _require(P1 == ExactMatrix.from_numerators(*s1h1, 1),
              "P factor: P1 != S1^-1 H1")
@@ -826,7 +821,7 @@ def _conjugation_spot(ctx: CubeContext, x: str, y: str):
     ry, cy, ur, ui = ctx._defect(y)
     bound = max(len(rx), n) * max(ctx._gathers[op].max + ctx._clean[op].max
                                   for op in (x, y))
-    vr, vi, ur, ui = (_as_int64_below(a, bound) for a in (vr, vi, ur, ui))
+    vr, vi, ur, ui = ints(bound, vr, vi, ur, ui)
     h = 1 - 2 * (dist[cx[:, None] & np.arange(n)] % 2)
     right_r, right_i = _times_i_power(vr[:, None] * h, vi[:, None] * h, dist)
     step = max(1, 2 ** 16 // n)

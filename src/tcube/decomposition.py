@@ -54,8 +54,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .cube import CubeContext
-from .linalg import (ExactMatrix, ExactVector, _as_object, _fits, _max_abs,
-                     _numerators, fits_i64, inverse_diagonal)
+from .linalg import ExactMatrix, ExactVector, ints, inverse_diagonal
 from .report import check_true
 from .scalar import GaussRat
 
@@ -88,10 +87,10 @@ def proportional_rows(x: ExactMatrix, y: ExactMatrix):
     Cross-multiplies at the first nonzero entry p of y's row: x = c y
     exactly when x * y[p] = x[p] * y.  The denominators are common to a
     block's rows and do not matter.  Each cross entry sums four products
-    of numerators, so int64 holds it when fits_i64(2, max|x|, max|y|).
+    of numerators, so 4 max|x| max|y| bounds it (`ints`).
     """
-    fits = fits_i64(2, x._max(), y._max())
-    (xr, xi), (yr, yi) = _numerators(x, fits), _numerators(y, fits)
+    bound = 4 * max(x._max(), 1) * max(y._max(), 1)
+    (xr, xi), (yr, yi) = x.ints(bound), y.ints(bound)
     y_nonzero = y.nonzero()
     p = y_nonzero.argmax(axis=1)[:, None]
     ypr = np.take_along_axis(yr, p, axis=1)
@@ -232,10 +231,9 @@ def _seed_step(prev, D: int):
     """The seeds of Q_D, {r: one seed per row}, from those of Q_(D-1) by the
     recursion (a), (b) of the module docstring, the (a) seeds first.  An
     entry of R w' sums r entries of w' and d' <= D, so every new entry is at
-    most D times the largest old one: int64 when _fits(max, D), else on
-    Python ints."""
-    if not all(_fits(_max_abs(w), D) for w in prev.values()):
-        prev = {r: _as_object(w) for r, w in prev.items()}
+    most D times the largest old one, the bound handed to `ints`."""
+    bound = D * max(int(abs(w).max()) for w in prev.values())
+    prev = {r: ints(bound, w)[0] for r, w in prev.items()}
     out = {}
     for r in range(D // 2 + 1):
         parts = []
@@ -321,17 +319,17 @@ def _note(failures, bad, what):
 
 def _scale_rows(block: ExactMatrix, factors) -> ExactMatrix:
     """diag(factors) @ block for integer factors: row k times factors[k],
-    on int64 when _fits(max, max|factors|)."""
+    bounded by max|block| max|factors|."""
     f = np.asarray(factors)[:, None]
-    re, im = _numerators(block, _fits(block._max(), int(abs(f).max())))
+    re, im = block.ints(max(block._max(), 1) * max(int(abs(f).max()), 1))
     return ExactMatrix.from_numerators(re * f, im * f, block._den)
 
 
 def _row_norms(block: ExactMatrix):
     """Numerators of <b, b> over den^2 for each row b of block: the sum of
-    re^2 + im^2, on int64 when fits_i64(cols, max, max) bounds it."""
-    re, im = _numerators(block, fits_i64(block.cols, block._max(),
-                                         block._max()))
+    re^2 + im^2, a complex dot of length cols, bounded by
+    2 cols max|block|^2."""
+    re, im = block.ints(2 * block.cols * max(block._max(), 1) ** 2)
     return (re * re).sum(axis=1) + (im * im).sum(axis=1)
 
 

@@ -11,9 +11,11 @@ values key a memo.  `ExactVector` and `ExactMatrix` share the body
 that stores, reduces, indexes, compares, adds, scales and conjugates these
 arrays; each adds only its shape, its grid constructor and its dump format.
 
-numpy wraps int64 overflow silently, so every operation that multiplies
-int64 numerators by an integer factor first checks a bound below 2^62 and
-otherwise runs on Python-int copies (`_numerators`).
+numpy wraps int64 overflow silently, so one rule, `ints(bound, *arrays)`,
+decides where integer arithmetic runs: on int64 when the caller's bound on
+every value it computes, and on the operands' own entries, is below 2^62,
+and on Python ints otherwise.  Each caller states its own bound; the
+numerator arrays reach the rule through `ints` on the exact array.
 
 Integer arrays, int64 or object, enter through one constructor,
 `from_numerators`; scalars only through the grid constructors and
@@ -21,11 +23,11 @@ Integer arrays, int64 or object, enter through one constructor,
 Kronecker product, the inner product) is one kernel, `_product`, with three
 tiers: a dot runs on float64 BLAS when `fits_f64` keeps every value it forms
 an integer of magnitude at most 2^53, so nothing rounds; a Kronecker product,
-or a dot past that bound, runs on the int64 numerators when `fits_i64`
-bounds every result entry below 2^62; anything else runs on Python ints.
-The results are identical.  Entrywise equality (`entries_equal`) compares
-numerators across the two denominators, so blocks on different
-denominators compare without being brought to lowest terms.
+or a dot past that bound, runs on int64 when the rule admits its bound;
+anything else runs on Python ints.  The results are identical.
+Entrywise equality (`entries_equal`) compares numerators across the two
+denominators, so blocks on different denominators compare without being
+brought to lowest terms.
 
 Elimination is one fraction-free Gauss-Jordan pass on Python ints: rows
 are combined over the Gaussian integers and divided by their integer
@@ -47,14 +49,23 @@ from .scalar import GaussRat, as_gauss
 
 I64_LIMIT = 2 ** 62
 F64_LIMIT = 2 ** 53
+_INT64, _OBJECT = np.dtype(np.int64), np.dtype(object)
 
 
 def _obj_zeros(shape):
     return np.zeros(shape, dtype=object)
 
 
-def _as_object(arr):
-    return arr if arr.dtype == object else arr.astype(object)
+def ints(bound: int, *arrays):
+    """The integer arrays as int64 when `bound` is below 2^62, else as
+    object arrays of Python ints; an array already stored that way is
+    returned as it is, with no copy.  The one rule for int64 arithmetic:
+    `bound` bounds in magnitude every value the caller computes from the
+    arrays, and their own entries, so that numpy's silent int64 overflow
+    cannot happen."""
+    dtype = _INT64 if bound < I64_LIMIT else _OBJECT
+    return [a if a.dtype is dtype else a.astype(dtype, copy=False)
+            for a in arrays]
 
 
 def _max_abs(arr) -> int:
@@ -73,14 +84,12 @@ def _stored(re, im):
     value."""
     re, im = np.asarray(re), np.asarray(im)
     try:
-        re64, im64 = re.astype(np.int64, copy=False), im.astype(np.int64,
-                                                                copy=False)
+        re, im = re.astype(np.int64, copy=False), im.astype(np.int64,
+                                                            copy=False)
     except OverflowError:
-        return _as_object(re), _as_object(im), None
-    m = max(_max_abs(re64), _max_abs(im64))
-    if m < I64_LIMIT:
-        return re64, im64, m
-    return _as_object(re), _as_object(im), m
+        return *ints(I64_LIMIT, re, im), None
+    m = max(_max_abs(re), _max_abs(im))
+    return *ints(m, re, im), m
 
 
 def _content(den: int, *arrays) -> int:
@@ -119,37 +128,13 @@ def _numerators_of(scalars):
     return re, im, den
 
 
-def _numerators(x, i64: bool):
-    """The numerator arrays (re, im) of x: its own arrays when `i64` (the
-    caller has checked that a bound below 2^62 holds, so they are int64),
-    else object copies, on which numpy computes with Python ints."""
-    if i64:
-        return x._re, x._im
-    return _as_object(x._re), _as_object(x._im)
-
-
-def _fits(m: int, f: int) -> bool:
-    """True when entries of magnitude at most m times an integer of
-    magnitude at most |f| stay below 2^62.  An array of zeros counts as
-    m = 1, since numpy rejects a factor without an int64 value even then."""
-    return max(m, 1) * abs(f) < I64_LIMIT
-
-
 def _scaled(x, f: int):
-    """x's numerator arrays times the integer f: on int64 when _fits(max, f)
-    holds, else on object copies.  An int64 result stays below 2^62 in
-    magnitude.  For f = 1 they are x's own (read-only) arrays."""
+    """x's numerator arrays times the integer f.  For f = 1 they are x's
+    own (read-only) arrays."""
     if f == 1:
         return x._re, x._im
-    re, im = _numerators(x, _fits(x._max(), f))
+    re, im = x.ints(max(x._max(), 1) * abs(f))
     return re * f, im * f
-
-
-def fits_i64(length: int, ma: int, mb: int) -> bool:
-    """True when both operands are stored as int64 and every complex dot of
-    the given length over entries bounded by ma and mb stays below 2^62."""
-    return (ma < I64_LIMIT and mb < I64_LIMIT
-            and 2 * length * ma * mb < I64_LIMIT)
 
 
 def fits_f64(length: int, ma: int, mb: int) -> bool:
@@ -163,23 +148,28 @@ def _product(a, b, dot):
     """(re, im) numerator arrays, over a._den * b._den, of the complex
     product of a and b under the bilinear `dot` (np.dot or np.kron).
 
-    Three tiers, by the length of a's last axis (an entry of a dot sums
-    that many complex products, an entry of a Kronecker product is one):
-    - float64: a dot for which fits_i64 and fits_f64 hold runs on float64
-      copies of the int64 numerators, so on BLAS, which numpy has not for
-      int64.  Every value it forms is an integer of magnitude at most 2^53,
-      so none rounds, whatever BLAS's summation order, FMA use or thread
-      count, and the result is cast back to int64 exactly;
-    - int64: otherwise, when fits_i64 holds, on the stored arrays;
+    Every entry of a dot sums as many complex products as a's last axis
+    is long (an entry of a Kronecker product is one), so
+    2 length max(|a|, 1) max(|b|, 1) bounds the result and both operands.
+    Three tiers:
+    - float64: a dot under that bound which fits_f64 also admits runs on
+      float64 copies of the int64 numerators, so on BLAS, which numpy has
+      not for int64.  Every value it forms is an integer of magnitude at
+      most 2^53, so none rounds, whatever BLAS's summation order, FMA use
+      or thread count, and the result is cast back to int64 exactly.  It
+      serves the large dots with small entries: `decompose`'s per-slice
+      Grams (`_check_orthogonal_sum`) take 0.07 s on it at D = 12 and
+      2.2 s on int64;
+    - int64: otherwise, when `ints` admits the bound, on the stored arrays;
     - Python ints: otherwise, on object copies.
     The results are identical.  A zero imaginary part costs no dot.
     """
     length, ma, mb = a._re.shape[-1], a._max(), b._max()
-    fits = fits_i64(length, ma, mb)
-    ar, ai = _numerators(a, fits)
-    br, bi = _numerators(b, fits)
+    bound = 2 * length * max(ma, 1) * max(mb, 1)
+    ar, ai, br, bi = ints(bound, a._re, a._im, b._re, b._im)
     a_im, b_im = ai.any(), bi.any()
-    on_float = fits and dot is np.dot and fits_f64(length, ma, mb)
+    on_float = (bound < I64_LIMIT and dot is np.dot
+                and fits_f64(length, ma, mb))
     if on_float:
         ar, br = ar.astype(np.float64), br.astype(np.float64)
         ai = ai.astype(np.float64) if a_im else None
@@ -208,12 +198,13 @@ class _NumeratorArray:
 
     __slots__ = ("_re", "_im", "_den", "_mx")
 
-    def _init(self, re, im, den, reduce=True, part=False):
-        """part: re and im are parts (slices or index selections) of a
-        stored int64 pair, so int64 and below 2^62 already; they are kept
-        as they are, with no scan, and their largest numerator is read on
-        demand (`_max`)."""
-        re, im, mx = (re, im, None) if part else _stored(re, im)
+    def _init(self, re, im, den, reduce=True, bounded=False):
+        """bounded: re and im are int64 arrays whose entries are known to
+        be below 2^62 (parts of a stored int64 pair, or products from the
+        int64 and float64 tiers of `_product`); they are kept as they are,
+        with no scan, and their largest numerator is read on demand
+        (`_max`)."""
+        re, im, mx = (re, im, None) if bounded else _stored(re, im)
         if reduce and den > 1:
             g = _content(den, re, im)
             if g > 1:
@@ -233,12 +224,21 @@ class _NumeratorArray:
         object.__setattr__(self, "_mx", mx)
 
     @classmethod
-    def _raw(cls, re, im, den, reduce=True):
+    def _raw(cls, re, im, den, reduce=True, bounded=False):
         """From numerator arrays; reduce=False only for arrays already in
         lowest terms."""
         x = cls.__new__(cls)
-        x._init(re, im, den, reduce)
+        x._init(re, im, den, reduce, bounded)
         return x
+
+    @classmethod
+    def _product_of(cls, a, b, dot):
+        """The product of a and b under `dot` (`_product`), as a cls.  The
+        int64 and float64 tiers bound every entry below 2^62, so their
+        results need no scan; a Python-int result may fit int64 and goes
+        through the storage rule."""
+        re, im = _product(a, b, dot)
+        return cls._raw(re, im, a._den * b._den, bounded=re.dtype != object)
 
     @classmethod
     def from_numerators(cls, re, im, den):
@@ -251,9 +251,7 @@ class _NumeratorArray:
         from self's arrays: int64 parts of int64 arrays are kept without a
         scan; object ones go through the storage rule, since a part may
         fit int64."""
-        x = cls.__new__(cls)
-        x._init(re, im, self._den, part=self._re.dtype != object)
-        return x
+        return cls._raw(re, im, self._den, bounded=self._re.dtype != object)
 
     @classmethod
     def zeros(cls, *shape):
@@ -270,6 +268,11 @@ class _NumeratorArray:
             m = max(_max_abs(self._re), _max_abs(self._im))
             object.__setattr__(self, "_mx", m)
         return m
+
+    def ints(self, bound: int):
+        """(re, im): the numerator arrays under the rule of `ints`, for a
+        bound on every value computed from them and on their entries."""
+        return ints(bound, self._re, self._im)
 
     def __getitem__(self, index) -> GaussRat:
         return _entry_gauss(self._re[index], self._im[index], self._den)
@@ -295,16 +298,15 @@ class _NumeratorArray:
     def combination(cls, items, weights=None):
         """sum_k weights[k] items[k] (every integer weight 1 by default) on
         the lcm of the denominators: one scaled copy of each term, added in
-        place, on int64 when the sum of the terms' bounds (`_fits`) is below
-        2^62, else on Python ints."""
+        place, under the sum of the terms' bounds (`ints`)."""
         den = math.lcm(*(x._den for x in items))
         weights = [1] * len(items) if weights is None else weights
         factors = [w * (den // x._den) for x, w in zip(items, weights)]
-        fits = sum(max(x._max(), 1) * abs(f)
-                   for x, f in zip(items, factors)) < I64_LIMIT
+        bound = sum(max(x._max(), 1) * max(abs(f), 1)
+                    for x, f in zip(items, factors))
         re = im = None
         for x, f in zip(items, factors):
-            xr, xi = _numerators(x, fits)
+            xr, xi = x.ints(bound)
             if re is None:
                 re, im = xr * f, xi * f
             else:
@@ -322,11 +324,10 @@ class _NumeratorArray:
         return self.combination((self, other), (1, sign))
 
     def entrywise(self, other):
-        """The entrywise product of self and other (of one shape), on int64
-        when fits_i64 bounds it."""
-        fits = fits_i64(1, self._max(), other._max())
-        ar, ai = _numerators(self, fits)
-        br, bi = _numerators(other, fits)
+        """The entrywise product of self and other (of one shape)."""
+        bound = 2 * max(self._max(), 1) * max(other._max(), 1)
+        ar, ai, br, bi = ints(bound, self._re, self._im, other._re,
+                              other._im)
         return self._raw(ar * br - ai * bi, ar * bi + ai * br,
                          self._den * other._den)
 
@@ -356,7 +357,7 @@ class _NumeratorArray:
         cr = c.re.numerator * c.im.denominator
         ci = c.im.numerator * c.re.denominator
         cd = c.re.denominator * c.im.denominator
-        re, im = _numerators(self, _fits(self._max(), abs(cr) + abs(ci)))
+        re, im = self.ints(max(self._max(), 1) * max(abs(cr) + abs(ci), 1))
         return self._raw(re * cr - im * ci, re * ci + im * cr, self._den * cd)
 
     def __mul__(self, c):
@@ -375,11 +376,10 @@ class _NumeratorArray:
         nonzero = np.not_equal(self._re, 0) | np.not_equal(self._im, 0)
         den = self._den
         parts = []
-        for arr in (self._re[nonzero], self._im[nonzero]):
-            # each part over its own denominator den / gcd(part, den), on
-            # Python ints when den is too large for int64
-            if den >= I64_LIMIT:
-                arr = _as_object(arr)
+        # each part over its own denominator den / gcd(part, den), on
+        # Python ints when den is too large for int64
+        for arr in self.ints(max(den, self._max())):
+            arr = arr[nonzero]
             g = np.gcd(arr, den)
             parts.append([f"{p}/{q}" for p, q in zip((arr // g).tolist(),
                                                       (den // g).tolist())])
@@ -538,8 +538,7 @@ class ExactMatrix(_NumeratorArray):
         if self.cols != other.rows:
             raise ValueError(
                 f"inner dimensions disagree: {self.shape} @ {other.shape}")
-        return ExactMatrix.from_numerators(*_product(self, other, np.dot),
-                                           self._den * other._den)
+        return ExactMatrix._product_of(self, other, np.dot)
 
     def matvec(self, v: ExactVector) -> ExactVector:
         if not isinstance(v, ExactVector):
@@ -547,8 +546,7 @@ class ExactMatrix(_NumeratorArray):
         if self.cols != v.length:
             raise ValueError(
                 f"inner dimensions disagree: {self.shape} @ ({v.length},)")
-        return ExactVector.from_numerators(*_product(self, v, np.dot),
-                                           self._den * v._den)
+        return ExactVector._product_of(self, v, np.dot)
 
     def transpose(self) -> "ExactMatrix":
         return self._like(self._re.T.copy(), self._im.T.copy())
@@ -581,7 +579,7 @@ class ExactMatrix(_NumeratorArray):
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product; result row index = u * b.rows + u' (first factor
     most significant)."""
-    return ExactMatrix._raw(*_product(a, b, np.kron), a._den * b._den)
+    return ExactMatrix._product_of(a, b, np.kron)
 
 
 def kron_power(a: ExactMatrix, k: int) -> ExactMatrix:

@@ -42,9 +42,8 @@ from tcube.leonard import (_BASIS_SPEC, _FORM_BUILDERS, _P_SHIFTS,
                            INNER_FORMULAS, OPERATOR_LABELS, REP_FORMS,
                            TRANSITION_TABLE, BasisError, BasisSolver,
                            build_six_bases, is_leonard_triple, phi_matrix)
-from tcube.linalg import (I64_LIMIT, ExactMatrix, ExactVector, _numerators,
-                          _scaled, fits_i64, gram_schmidt, inverse_diagonal,
-                          kernel_basis, kron)
+from tcube.linalg import (I64_LIMIT, ExactMatrix, ExactVector, gram_schmidt,
+                          ints, inverse_diagonal, kernel_basis, kron)
 from tcube.report import check_equal, check_true
 from tcube.scalar import GaussRat, I as IUNIT
 
@@ -592,9 +591,7 @@ def _spectral_window(ctx, re, im, m, window):
     a = ctx._gather_table("A")
     # |x H| <= n m and each part is at most n^2 m; their sum, theta_i
     # times one and A times one stay below (2D + 2) n^2 m a.max
-    if m * n * n * (2 * D + 2) * a.max >= I64_LIMIT:
-        re = re.astype(object, copy=False)
-        im = im.astype(object, copy=False)
+    re, im = ints(m * n * n * (2 * D + 2) * a.max, re, im)
     rows = re.shape[0]
     masks = _slice_masks(ctx)[list(window)]
     spectrum = walsh_hadamard(np.concatenate([re, im]))
@@ -606,7 +603,7 @@ def _spectral_window(ctx, re, im, m, window):
             and np.array_equal(zi.sum(axis=0), n * im))
     if not sums and len(masks) <= D:
         return None
-    ar, ai = a.apply(zr.reshape(-1, n), zi.reshape(-1, n))
+    ar, ai = a.apply(zr.reshape(-1, n), zi.reshape(-1, n), n * n * m)
     ar, ai = ar.reshape(zr.shape), ai.reshape(zi.shape)
     ctx._certify(
         sums,
@@ -903,9 +900,10 @@ def gather_eigen_discrepancy(ctx, op, m, theta, right=False):
         block = m
     else:
         block = m.transpose()
-    fits = fits_i64(len(table.shifts), table.max, block._max())
-    re, im = table.apply(*_numerators(block, fits))
-    want_re, want_im = _scaled(block, theta)
+    top = block._max()
+    re, im = table.apply(block._re, block._im, top)
+    want_re, want_im = (a * theta for a in block.ints(
+        max(top, 1) * max(abs(theta), 1)))
     differ = np.not_equal(re, want_re) | np.not_equal(im, want_im)
     if not differ.any():
         return None

@@ -631,7 +631,8 @@ def test_walsh_hadamard_equals_the_oracle(big):
     a = rng.integers(-99, 99, (3, 16))
     if big:
         a = a.astype(object) * 2 ** 70
-    got = _walsh_hadamard(a)
+    m = 99 * 2 ** 70 if big else 99
+    got = _walsh_hadamard(a, m)
     assert got.dtype == a.dtype
     assert np.array_equal(got, walsh_hadamard(a))
-    assert np.array_equal(_walsh_hadamard(got), 16 * a)
+    assert np.array_equal(_walsh_hadamard(got, 16 * m), 16 * a)

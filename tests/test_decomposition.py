@@ -483,8 +483,8 @@ def test_wrong_p_butterflies_fail_the_frame(monkeypatch):
     honest = cube._walsh_hadamard
     swap = [0, 3, 2, 1, 4, 5, 6, 7]
 
-    def swapped(a):
-        return honest(a)[:, swap]
+    def swapped(a, m):
+        return honest(a, m)[:, swap]
 
     monkeypatch.setattr(cube, "_walsh_hadamard", swapped)
     with pytest.raises(InvariantViolation, match=r"^module r=0 index=0: "

@@ -2,8 +2,10 @@
 Kronecker structure, adjoints, inner products, kernels, inverses,
 orthogonalization, dump round-trips, first discrepancies."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +15,11 @@ from hypothesis import strategies as st
 from conftest import (assert_canonical_storage, basis_vector, get_ctx,
                       naive_first_discrepancy, naive_inverse,
                       naive_matrix_rank, naive_rank, p_inverse)
+import tcube
 from tcube.linalg import (ExactMatrix, ExactVector, SingularMatrixError,
                           _product, first_discrepancy, fits_f64, gram_schmidt,
-                          inner, kernel_basis, kron, kron_power, pivot_inverse,
-                          rank)
+                          inner, ints, kernel_basis, kron, kron_power,
+                          pivot_inverse, rank)
 from tcube.scalar import GaussRat
 
 small = st.integers(min_value=-6, max_value=6)
@@ -341,6 +344,59 @@ def test_entries_equal_across_denominators():
 
 
 # -- storage ------------------------------------------------------------------------
+
+
+def test_ints_is_int64_exactly_below_2_62():
+    a = np.array([2 ** 62 - 1, -(2 ** 62 - 1)], dtype=np.int64)
+    b = np.array([[1, -2]], dtype=np.int64)
+    same_a, same_b = ints(2 ** 62 - 1, a, b)
+    assert same_a is a and same_b is b
+    wide = ints(2 ** 62, a)[0]
+    assert wide.dtype == object and wide.tolist() == a.tolist()
+    assert all(type(v) is int for v in wide)
+    assert ints(2 ** 62, wide)[0] is wide
+    narrow = ints(2 ** 62 - 1, np.array([5, -7], dtype=object))[0]
+    assert narrow.dtype == np.int64 and narrow.tolist() == [5, -7]
+    m = ExactMatrix([[1, GaussRat(2, -3)]])
+    re, im = m.ints(2 ** 62 - 1)
+    assert re is m._re and im is m._im
+    re, im = m.ints(2 ** 62)
+    assert re.dtype == im.dtype == object
+    assert re.tolist() == [[1, 2]] and im.tolist() == [[0, -3]]
+
+
+@pytest.mark.parametrize("module",
+                         ["cube.py", "decomposition.py", "leonard.py"])
+def test_module_reaches_linalg_only_through_public_names(module):
+    # the int64-or-Python-int rule lives in linalg alone: these modules
+    # import no private name and no I64_LIMIT from it
+    tree = ast.parse((Path(tcube.__file__).parent / module).read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[-1] == "linalg"
+             for alias in node.names]
+    names += [node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "linalg"]
+    assert names
+    assert [n for n in names if n.startswith("_") or n == "I64_LIMIT"] == []
+
+
+@pytest.mark.parametrize("top", [3, 2 ** 26, 2 ** 60, 2 ** 70])
+def test_products_on_both_sides_of_the_bound_are_canonical(top):
+    # top = 3 runs on float64 and 2^26 on int64 (c @ [1, -1] on float64),
+    # whose results are kept without a scan; 2^60 and 2^70 run on Python
+    # ints, and c @ [1, -1] = -1 then fits int64 again
+    a = ExactMatrix([[top, GaussRat(0, 1)], [Fraction(1, 2), -top]])
+    b = ExactMatrix([[1, -1], [GaussRat(0, top), Fraction(1, 3)]])
+    c = ExactMatrix([[top, top + 1]])
+    for x in (a @ b, a @ a, a.matvec(b.row(1)), kron(a, b),
+              c @ c.transpose(), c @ ExactMatrix([[1], [-1]]),
+              c.matvec(ExactVector([1, -1]))):
+        if top < 2 ** 60:
+            assert x._mx is None
+        assert_canonical_storage(x)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
