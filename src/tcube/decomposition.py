@@ -297,7 +297,7 @@ def spectral_parts(m: ExactMatrix):
     return parts, None
 
 
-def _spectral_failure(failure, r: int, d: int, label: str, op: str) -> str:
+def spectral_failure(failure, r: int, d: int, label: str, op: str) -> str:
     """The message for a `spectral_parts` failure of operator op, whose
     parts are the family `label` on a module with endpoint r."""
     kind, k = failure
@@ -453,7 +453,7 @@ def _endpoint_modules(ctx: CubeContext, r: int, numerators):
         for op, label in (("A", "E"), ("Aeps", "Eeps")):
             failure = spectral_parts(getattr(frame, op))[1]
             if failure is not None:
-                _fail(r, j, _spectral_failure(failure, r, d, label, op))
+                _fail(r, j, spectral_failure(failure, r, d, label, op))
         coords = seed_coordinates(frame)
         seed_nonzero = coords.nonzero().any(axis=1)
         for k in (0, 2):

@@ -39,9 +39,8 @@ basis, so coordinates are equal exactly when the vectors are, and every
 verdict is the one that the vectors over 2^D columns give.  Each basis is
 the image of one seed under a family of Hermitian orthogonal idempotents,
 so it is orthogonal: coordinates are <t, b_k> / <b_k, b_k>, once the
-basis's Gram block is seen to be diagonal, and every solve is certified by
-exact reconstruction.  Only the Leonard recognizer, whose eigenbases need
-not be orthogonal, eliminates.
+basis's Gram block is seen to be diagonal.  Only the Leonard recognizer,
+whose eigenbases need not be orthogonal, eliminates.
 
 Each module's checks are whole-matrix operations.  The closed forms are
 tables of Gaussian-integer numerators, built once per Phi matrix (one per
@@ -49,12 +48,16 @@ inner-product kind and one per transition pattern) and scaled per module by
 one seed scalar, read off the Gram matrix of the frame's seeds.
 The inner products are the blocks of one Gram matrix of the six stacked
 bases, each compared with its scaled table entry by entry.  Coordinates
-have one certified read, in all six bases at once (`SixBases.coords`).
-The rep matrices read it on the images of the six stacked bases, one
-product per operator, each image in its own basis, and are compared with
-one closed-form table; the 36 transitions read it on the six bases
-themselves, whose products are the cached Gram, and the inverse and
-composition rows are the blocks of one product per middle basis.
+have one read, reads = gram(B) stacked^* diag(1 / <b_k, b_k>), in all six
+bases at once (`SixBases.coords`).  It is certified once per call, not per
+target: with reads_b its column block of basis b and X_b the basis's
+square block of rows, reads_b X_b = I, so the read inverts each basis and
+every coordinate row is rebuilt exactly from its coordinates.  The rep
+matrices read the images of the six stacked bases, one product per
+operator, each image in its own basis, and compare each cell with its
+closed form; the 36 transitions read the six bases themselves, and the
+inverse and composition rows are the blocks of one product per middle
+basis.
 
 Every result is a function of the module's normalized frame (its Gram
 divided by <u*, u*>, a scale that no verdict reads) and of the Phi matrix,
@@ -78,7 +81,7 @@ import numpy as np
 
 from .cube import CubeContext
 from .decomposition import (SEED_NAMES, IrreducibleModule, ModuleFrame,
-                            _spectral_failure, seed_coordinates,
+                            seed_coordinates, spectral_failure,
                             spectral_parts)
 from .linalg import (ExactMatrix, ExactVector, SingularMatrixError,
                      inverse_diagonal, kernel_basis, pivot_inverse)
@@ -249,12 +252,6 @@ class BasisSolver:
         return coeffs
 
 
-def _tiled(m: ExactMatrix, k: int, mask=True) -> ExactMatrix:
-    """k copies of m side by side, entrywise times mask."""
-    return ExactMatrix.from_numerators(np.tile(m._re, k) * mask,
-                                       np.tile(m._im, k) * mask, m._den)
-
-
 # -- the memo on the frame -----------------------------------------------------------
 
 
@@ -331,35 +328,31 @@ class SixBases:
         which only a basis that is not orthogonal has, stands in as 1."""
         return inverse_diagonal(self.gram)
 
-    def coords(self, targets: ExactMatrix, spans: np.ndarray,
-               product: ExactMatrix = None) -> ExactMatrix:
+    def coords(self, targets: ExactMatrix) -> ExactMatrix:
         """Row t holds the coordinates of row t of targets (coordinate rows)
         in all six bases, column block b in basis b: coordinate k is
-        <t, b_k> / <b_k, b_k>, i.e. `product` = targets @ weighted (formed
-        here when not given) times the inverse norms.  They are certified
-        basis by basis in BASIS_LABELS order: the Gram block of the basis
-        is diagonal with a nonzero diagonal, then its coordinates rebuild
-        exactly the target rows that it must span, those t with
-        spans[t, b]."""
-        n, nb = self.module.d + 1, len(BASIS_LABELS)
-        if product is None:
-            product = targets @ self.weighted
-        coeffs = product @ self.inverse_norms
-        # spread holds basis b in its diagonal block (b, b), so column
-        # block b of coeffs @ spread rebuilds every target from basis b
-        own = np.kron(np.eye(nb, dtype=bool), np.ones((n, n), dtype=bool))
-        spread = _tiled(self.stacked, nb, own)
-        rebuilt = (coeffs @ spread).entries_equal(_tiled(targets, nb))
+        <t, b_k> / <b_k, b_k>, so the coordinates are targets @ reads, with
+        reads = weighted @ inverse_norms.  The read is certified basis by
+        basis in BASIS_LABELS order: the Gram block of basis b is diagonal
+        with a nonzero diagonal, then reads_b X_b = I, for reads_b its
+        column block and X_b its (d+1) x (d+1) block of rows.  X_b is
+        square, so reads_b inverts it, and every coordinate row, whatever
+        the targets, is rebuilt exactly from its coordinates in basis b.
+        The read is formed on each call, from the inverse norms as they
+        stand."""
+        n = self.module.d + 1
+        reads = self.weighted @ self.inverse_norms
         nonzero = self.gram.nonzero()
-        for b, label in enumerate(BASIS_LABELS):
+        ident = ExactMatrix.identity(n)
+        for label in BASIS_LABELS:
             rows = self.rows(label)
             if not np.array_equal(nonzero[rows, rows], np.eye(n, dtype=bool)):
                 raise BasisError(f"basis {label} is not orthogonal (module "
                                  f"r={self.module.r} "
                                  f"index={self.module.index})")
-            if not rebuilt[spans[:, b], rows].all():
+            if reads.block(slice(None), rows) @ self[label] != ident:
                 raise BasisError("target is outside the span of the basis")
-        return coeffs
+        return targets @ reads
 
     @cached_property
     def seed_scalars(self) -> Dict[str, GaussRat]:
@@ -407,7 +400,7 @@ def _family_parts(mod: IrreducibleModule):
         parts[family], failure = spectral_parts(getattr(mod.frame, op))
         if failure is not None:
             raise BasisError(
-                f"{_spectral_failure(failure, mod.r, mod.d, family, op)} "
+                f"{spectral_failure(failure, mod.r, mod.d, family, op)} "
                 f"(module r={mod.r} index={mod.index})")
     return parts
 
@@ -525,26 +518,9 @@ class RepCell:
     matrix: ExactMatrix
 
 
-@lru_cache(maxsize=None)
-def rep_form_table(d: int) -> ExactMatrix:
-    """The closed forms of the 18 cells laid out as verify_rep_matrices lays
-    out its coordinates: row block (operator o, basis b) and column block b
-    hold form(o, b)^T, zero elsewhere (every form is an integer matrix)."""
-    n, nb = d + 1, len(BASIS_LABELS)
-    shape = (len(OPERATOR_LABELS) * nb * n, nb * n)
-    re, im = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
-    for o, op_name in enumerate(OPERATOR_LABELS):
-        for b, label in enumerate(BASIS_LABELS):
-            form = _FORM_BUILDERS[REP_FORMS[(op_name, label)]](d)
-            rows = slice((o * nb + b) * n, (o * nb + b + 1) * n)
-            cols = slice(b * n, (b + 1) * n)
-            re[rows, cols], im[rows, cols] = form._re.T, form._im.T
-    return ExactMatrix.from_numerators(re, im, 1)
-
-
 def verify_rep_matrices(ctx: CubeContext, bases: SixBases) -> List[RepCell]:
     """The full 6 bases x 3 operators grid against the closed forms, with
-    one operator pass and one coordinate product per distinct frame (see
+    one operator pass and one coordinate read per distinct frame (see
     `_rep_cells`); ctx is not read."""
     return list(_rep_cells(bases))
 
@@ -555,26 +531,24 @@ def _rep_cells(bases: SixBases) -> Tuple[RepCell, ...]:
 
     Each operator is applied once to all six bases; row (o, b, j) of the
     stacked images is operator o applied to vector j of basis b, and its
-    coordinates in basis b, which must span it (`SixBases.coords`), are
-    column j of cell (o, b).  One comparison with `rep_form_table`, read
-    on these blocks, gives the verdicts of all 18."""
+    coordinates in basis b (`SixBases.coords`, whose certificate
+    reads_b X_b = I makes them rebuild it exactly) are column j of cell
+    (o, b), which is compared with its closed form."""
     d = bases.module.d
     n, nb = d + 1, len(BASIS_LABELS)
     images = ExactMatrix.stack([bases.frame.apply(op, bases.stacked)
                                 for op in OPERATOR_LABELS])
-    # the basis of each row of images
-    row_basis = np.tile(np.arange(nb * n) // n, len(OPERATOR_LABELS))
-    coeffs = bases.coords(images, row_basis[:, None] == np.arange(nb))
-    agrees = coeffs.entries_equal(rep_form_table(d))
+    coeffs = bases.coords(images)
     cells = []
     for b, name in enumerate(BASIS_LABELS):
         cols = slice(b * n, (b + 1) * n)
         for o, op_name in enumerate(OPERATOR_LABELS):
             rows = slice((o * nb + b) * n, (o * nb + b + 1) * n)
-            cells.append(RepCell(basis=name, op=op_name,
-                                 form=REP_FORMS[(op_name, name)],
-                                 passed=bool(agrees[rows, cols].all()),
-                                 matrix=coeffs.block(rows, cols).transpose()))
+            form = REP_FORMS[(op_name, name)]
+            matrix = coeffs.block(rows, cols).transpose()
+            cells.append(RepCell(basis=name, op=op_name, form=form,
+                                 passed=matrix == _FORM_BUILDERS[form](d),
+                                 matrix=matrix))
     return tuple(cells)
 
 
@@ -828,13 +802,11 @@ def transition_matrices(bases: SixBases, phi: PhiMatrix) -> TransitionReport:
 def _transitions(bases: SixBases, phi: PhiMatrix):
     """The cells and coherence checks of `transition_matrices`.
 
-    Every basis spans every vector of the six, and their products with
-    `weighted` are the cached Gram, so the transitions are the blocks of
-    the 6(d+1) x 6(d+1) matrix T = (gram @ inverse_norms)^T
+    The transitions are the blocks of the 6(d+1) x 6(d+1) matrix
+    T = (stacked @ reads)^T, the coordinates of the six bases in each other
     (`SixBases.coords`; row block src, column block dst); for each middle
     basis b, block (a, c) of T[:, b] @ T[b, :] is T(a,b) T(b,c)."""
-    every = np.ones((bases.stacked.rows, len(BASIS_LABELS)), dtype=bool)
-    computed = bases.coords(bases.stacked, every, bases.gram).transpose()
+    computed = bases.coords(bases.stacked).transpose()
     formulas = transition_formulas(bases.seed_scalars, phi)
     rows = {label: bases.rows(label) for label in BASIS_LABELS}
     cells = {}

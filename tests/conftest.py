@@ -33,9 +33,9 @@ import pytest
 from tcube.cube import _Gather, _times_i_power, build_context
 from tcube.decomposition import (FRAME_OPS, SEED_NAMES, Decomposition,
                                  InvariantViolation, IrreducibleModule,
-                                 ModuleFrame, _fail, _spectral_failure,
-                                 closed_form_seeds, decompose, multiplicity,
-                                 proportional_rows, seed_coordinates,
+                                 ModuleFrame, _fail, closed_form_seeds,
+                                 decompose, multiplicity, proportional_rows,
+                                 seed_coordinates, spectral_failure,
                                  spectral_parts)
 from tcube.leonard import (_BASIS_SPEC, _FORM_BUILDERS, _P_SHIFTS,
                            _PROPORTIONAL_ROWS, _SEED_ROWS, BASIS_LABELS,
@@ -375,7 +375,7 @@ def _frame_seeds(r, index, block, frame):
     for op, label in (("A", "E"), ("Aeps", "Eeps")):
         failure = spectral_parts(getattr(frame, op))[1]
         if failure is not None:
-            _fail(r, index, _spectral_failure(failure, r, d, label, op))
+            _fail(r, index, spectral_failure(failure, r, d, label, op))
     seeds = seed_coordinates(frame) @ block
     seed_nonzero = seeds.nonzero().any(axis=1)
     for k in (0, 2):

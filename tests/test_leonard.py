@@ -7,7 +7,6 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from conftest import (block_rows, get_bundles, get_ctx, get_decomposition,
@@ -512,12 +511,6 @@ def test_module_gram_built_once_on_first_use():
     assert bases.stacked is stacked and bases.gram is gram
 
 
-def _every(targets):
-    """The spans of `SixBases.coords` by which every basis spans every
-    target row."""
-    return np.ones((targets.rows, len(BASIS_LABELS)), dtype=bool)
-
-
 @pytest.mark.parametrize("D", range(1, 7))
 def test_orthogonal_coords_equal_the_elimination_solver(D):
     # BasisSolver, which never assumes orthogonality, is the oracle, on the
@@ -527,7 +520,7 @@ def test_orthogonal_coords_equal_the_elimination_solver(D):
         targets = ExactMatrix.stack(
             [bases.stacked] + [bases.frame.apply(op, bases.stacked)
                                for op in OPERATOR_LABELS])
-        got = bases.coords(targets, _every(targets))
+        got = bases.coords(targets)
         cells = transition_matrices(bases, phi).cells
         for label in BASIS_LABELS:
             solver = BasisSolver(block_rows(in_space(bases, label)))
@@ -554,7 +547,7 @@ def test_non_orthogonal_basis_is_named(change):
     broken = _with_basis(bases, "AeA", v)
     message = r"^basis AeA is not orthogonal \(module r=0 index=0\)$"
     with pytest.raises(BasisError, match=message):
-        broken.coords(bases.stacked, _every(bases.stacked))
+        broken.coords(bases.stacked)
     with pytest.raises(BasisError, match=message):
         verify_rep_matrices(ctx, broken)
     with pytest.raises(BasisError, match=message):
@@ -645,7 +638,17 @@ def test_target_outside_the_span_keeps_its_message(monkeypatch):
     _wrong_solves(monkeypatch, ("AsA",))
     with pytest.raises(BasisError,
                        match=r"^target is outside the span of the basis$"):
-        bases0.coords(bases0.stacked, _every(bases0.stacked))
+        bases0.coords(bases0.stacked)
+
+
+def test_wrong_read_fails_even_on_a_zero_target(monkeypatch):
+    # the certificate is on the read itself, not on what it reads: a zero
+    # row rebuilds from any coordinates, and still a wrong read raises
+    (m0, bases0, _) = get_bundles(3)[0]
+    _wrong_solves(monkeypatch, ("AsA",))
+    with pytest.raises(BasisError,
+                       match=r"^target is outside the span of the basis$"):
+        bases0.coords(ExactMatrix([[0] * (m0.d + 1)]))
 
 
 def test_one_wrong_transition_fails_its_cell_and_exactly_its_coherence(
@@ -662,8 +665,8 @@ def test_one_wrong_transition_fails_its_cell_and_exactly_its_coherence(
         return ExactMatrix.diagonal([int(block.start <= k < block.stop)
                                      for k in range(6 * (m.d + 1))])
 
-    def doubled(self, targets, spans, product=None):
-        coeffs = honest(self, targets, spans, product)
+    def doubled(self, targets):
+        coeffs = honest(self, targets)
         return coeffs + only(t) @ coeffs @ only(s)
 
     monkeypatch.setattr(SixBases, "coords", doubled)

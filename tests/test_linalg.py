@@ -383,6 +383,21 @@ def test_module_reaches_linalg_only_through_public_names(module):
     assert [n for n in names if n.startswith("_") or n == "I64_LIMIT"] == []
 
 
+def test_leonard_reads_no_storage_and_no_private_decomposition_name():
+    # leonard works on ExactMatrix values: it reads none of their numerator
+    # arrays, denominator or bound, and imports only public names from
+    # decomposition
+    tree = ast.parse((Path(tcube.__file__).parent / "leonard.py").read_text())
+    storage = [node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)
+               and node.attr in ("_re", "_im", "_den", "_max")]
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[-1] == "decomposition"
+               for alias in node.names if alias.name.startswith("_")]
+    assert (storage, private) == ([], [])
+
+
 @pytest.mark.parametrize("top", [3, 2 ** 26, 2 ** 60, 2 ** 70])
 def test_products_on_both_sides_of_the_bound_are_canonical(top):
     # top = 3 runs on float64 and 2^26 on int64 (c @ [1, -1] on float64),
