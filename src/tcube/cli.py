@@ -135,24 +135,30 @@ def run_suite(ctx: CubeContext, suite: str) -> List[Row]:
 # -- output formatting -------------------------------------------------------------
 
 
+def _json_text(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _csv_text(header, rows) -> str:
+    """A header line, then one line per row; None is written as empty."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
 def _rows_to_text(rows: List[Row], fmt: str, header: dict) -> str:
     if fmt == "json":
-        doc = dict(header)
-        doc["passed"] = all(r[3] for r in rows)
-        doc["checks"] = [
-            {"identity": r[0], "i": r[1], "j": r[2], "passed": r[3],
-             "first_discrepancy": None if r[4] is None else list(r[4])}
-            for r in rows]
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        checks = [{"identity": r[0], "i": r[1], "j": r[2], "passed": r[3],
+                   "first_discrepancy": None if r[4] is None else list(r[4])}
+                  for r in rows]
+        return _json_text(dict(header, passed=all(r[3] for r in rows),
+                               checks=checks))
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["check_id", "i", "j", "passed"])
-        for r in rows:
-            w.writerow([r[0], "" if r[1] is None else r[1],
-                        "" if r[2] is None else r[2],
-                        "true" if r[3] else "false"])
-        return buf.getvalue()
+        return _csv_text(["check_id", "i", "j", "passed"],
+                         ([r[0], r[1], r[2], "true" if r[3] else "false"]
+                          for r in rows))
     lines = []
     for r in rows:
         where = "" if r[1] is None else f" ({r[1]},{r[2]})"
@@ -174,10 +180,6 @@ def _emit(text: str, path: Optional[str]) -> int:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 3
     return 0
-
-
-def _json_text(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -254,12 +256,9 @@ def _cmd_decompose(args) -> int:
             f"r={r}: {c}" for r, c in sorted(dec.multiplicities.items())))
         return _emit("\n".join(lines) + "\n", args.output)
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["r", "d", "index", "dim"])
-        for m in dec.modules:
-            w.writerow([m.r, m.d, m.index, m.dim])
-        return _emit(buf.getvalue(), args.output)
+        return _emit(_csv_text(["r", "d", "index", "dim"],
+                               ([m.r, m.d, m.index, m.dim]
+                                for m in dec.modules)), args.output)
     return _emit(_json_text(doc), args.output)
 
 
@@ -307,12 +306,9 @@ def _cmd_leonard_check(args) -> int:
                  for r in results]
         code = _emit("\n".join(lines) + "\n", args.output)
     elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["r", "index", "d", "verdict"])
-        for r in results:
-            w.writerow([r["r"], r["index"], r["d"], r["verdict"]])
-        code = _emit(buf.getvalue(), args.output)
+        code = _emit(_csv_text(["r", "index", "d", "verdict"],
+                               ([r["r"], r["index"], r["d"], r["verdict"]]
+                                for r in results)), args.output)
     else:
         code = _emit(_json_text({"D": args.D, "modules": results}),
                      args.output)

@@ -42,9 +42,10 @@ tables.  The commutator suite multiplies the tables themselves: a product
 of two tables M[y, y ^ s] is one over the shifts s1 ^ s2
 (`_Gather.__matmul__`).  A and Aeps act on the families as their clean
 tables, certified at construction, plus the sparse defect that a flipped
-sign makes: the clean part by one first row, the defect's rows or columns
-in full (`CubeContext.family_eigen_discrepancy`).  P is certified by its
-2 x 2 factor P1, and conjugation compares only the defects of the tables.
+sign makes: with no defect a test on one first row decides, and otherwise
+a row scan of the stored product locates the first discrepancy
+(`CubeContext.family_eigen_discrepancy`).  P is certified by its 2 x 2
+factor P1, and conjugation compares only the defects of the tables.
 """
 
 from __future__ import annotations
@@ -224,40 +225,20 @@ class _Gather:
         return out_re, out_im
 
 
-def _first_spot(n, W, lines, differ, right):
-    """The first row-major (x, y) where an n x n product differs from its
-    expected value, or None: off the defect lines it differs exactly at the
-    (x, y) with x ^ y in W, and on them as `differ` says, whose row j holds
-    line lines[j], a row of the product, or a column when `right`.
-
-    Every row x off the lines differs at x ^ W when W is not empty, so on
-    the left the first of them is the least row off the lines.  On the
-    right, row x differs off the lines at the y in x ^ W that are not
-    lines; for one w in W, x ^ w is a line for at most len(lines) rows x,
-    so one of the first len(lines) + 1 rows has such a y."""
-    on_lines = np.zeros(n, bool)
-    on_lines[lines] = True
-
-    def off_lines(x):
-        return (x ^ W)[~on_lines[x ^ W]]
-
-    rows = (np.flatnonzero(differ.any(axis=0)) if right
-            else lines[differ.any(axis=1)]).tolist()
-    if len(W):
-        for x in range(min(n, len(lines) + 1)):
-            if off_lines(x).size if right else not on_lines[x]:
-                rows.append(x)
-                break
-    if not rows:
-        return None
-    x = min(rows)
-    if right:
-        cols = np.concatenate([off_lines(x), lines[differ[:, x]]])
-    elif on_lines[x]:
-        cols = np.flatnonzero(differ[np.searchsorted(lines, x)])
-    else:
-        cols = x ^ W
-    return x, int(cols.min())
+def _first_spot(n, differ, start, width):
+    """The first row-major (x, y) where an n x n comparison differs, or
+    None, given that its rows above `start` agree: differ(xs) is the
+    boolean block of rows xs, each entry formed from `width` terms.  The
+    rows are scanned in order up to the first block with a difference;
+    blocks double from one row up to about 2^16 terms."""
+    most = max(1, 2 ** 16 // (n * width))
+    lo, step = start, 1
+    while lo < n:
+        hits = np.argwhere(differ(np.arange(lo, min(n, lo + step))))
+        if len(hits):
+            return lo + int(hits[0][0]), int(hits[0][1])
+        lo, step = lo + step, min(2 * step, most)
+    return None
 
 
 def krawtchouk_table(D: int):
@@ -477,16 +458,18 @@ class CubeContext:
         first row `first` = r / den alone.
 
         The stored op is its clean table, certified at construction, plus
-        the defect that `with_flipped_sign` makes (`_defect`).  The clean
-        A times E_i, on either side, is Inv(q) / den with
-        q[w] = sum_k r[w ^ e_k], since the group algebra of Z_2^D is
-        commutative; the clean Aeps = S^-1 A S times S^-1 E_i S is
-        S^-1 Inv(q) S / den, whose entries are those of Inv(q) / den times
-        units.  So the clean product differs from theta m exactly at the
-        (x, y) with x ^ y in W = {w : q[w] != theta r[w]}, found in O(nD).
-        The defect changes only the product's rows that hold a defect
-        entry, or for m @ op its columns, and each of them is computed in
-        full, in O(nD), from the stored table and m's entries (`member`)."""
+        the defect that `with_flipped_sign` makes (`_defect`).  Let T = op
+        for A and T = S op S^-1 for Aeps, whose clean table is A's.  Then
+        op @ m - theta m is T E_i - theta E_i for A and
+        S^-1 (T E_i - theta E_i) S for Aeps, likewise on the right, so
+        both are zero at the same entries.  The clean T times E_i, on
+        either side, is Inv(q) / den with q[w] = sum_k r[w ^ e_k], since
+        the group algebra of Z_2^D is commutative.  So with no defect the
+        first-row test q = theta r, in O(nD), decides.  Otherwise a row
+        scan (`_first_spot`) locates the spot, on the rows of T E_i, or
+        E_i T, from T's table and r.  On the left, with q = theta r, only
+        the defect's rows can differ, and the scan starts at the first of
+        them."""
         table, n = self._gathers[op], self.n
         shifts = np.array(table.shifts)
         # the row sums over the shifts and the products with the table are
@@ -494,42 +477,36 @@ class CubeContext:
         bound = max(2 * len(shifts) * max(table.max, 1),
                     abs(theta)) * max(first._max(), 1)
         rr, ri = (a[0] for a in first.ints(bound))
+        y = np.arange(n)
+        nbrs = y[:, None] ^ shifts
+        clean = (np.array_equal(rr[nbrs].sum(axis=1), theta * rr)
+                 and np.array_equal(ri[nbrs].sum(axis=1), theta * ri))
+        rows = self._defect(op)[0]
+        if clean and not len(rows):
+            return None
         tr, ti = ints(bound, table.re, table.im)
+        if op == "Aeps":
+            # T[y, y ^ s] = op[y, y ^ s] i^-delta = -i delta op[y, y ^ s]
+            # for delta = dist(y ^ s) - dist(y), +-1 on an edge
+            delta = self._dist[nbrs] - self._dist[:, None]
+            tr, ti = delta * ti, -delta * tr
+        # entry (x, z) of T E_i sums T[x, x ^ s] r[x ^ s ^ z], and of E_i T
+        # sums r[x ^ z ^ s] T[z ^ s, z], over the shifts s
+        if right:
+            k = np.arange(len(shifts))
+            tr, ti = tr[nbrs, k].T, ti[nbrs, k].T
 
-        def member(x, y):
-            """The numerators of m[x, y] = r[x ^ y] / den, times
-            i^(dist(y) - dist(x)) for Aeps, for index arrays x and y."""
-            phase = self._dist[y] - self._dist[x] if op == "Aeps" else 0
-            return _times_i_power(rr[x ^ y], ri[x ^ y], phase)
+        def differ(xs):
+            terms = xs[:, None, None] ^ nbrs.T
+            xr, xi = rr[terms], ri[terms]
+            vr, vi = ((tr, ti) if right
+                      else (tr[xs][:, :, None], ti[xs][:, :, None]))
+            want = xs[:, None] ^ y
+            return (((vr * xr - vi * xi).sum(axis=1) != theta * rr[want])
+                    | ((vr * xi + vi * xr).sum(axis=1) != theta * ri[want]))
 
-        nbrs = np.arange(n)[:, None] ^ shifts
-        W = np.flatnonzero((rr[nbrs].sum(axis=1) != theta * rr)
-                           | (ri[nbrs].sum(axis=1) != theta * ri))
-        rows, cols, _, _ = self._defect(op)
-        # the sorted distinct lines, from a mask: np.unique would import
-        # numpy.ma on its first call, about 14 ms per process
-        on_lines = np.zeros(n, bool)
-        on_lines[cols if right else rows] = True
-        lines = np.flatnonzero(on_lines)
-        differ = np.zeros((len(lines), n), bool)
-        if len(lines):
-            y = np.arange(n)
-            nbrs = lines[:, None] ^ shifts
-            if right:
-                # column z of m @ op: sum_k m[:, z ^ e_k] op[z ^ e_k, z]
-                k = np.arange(len(shifts))
-                vr, vi = tr[nbrs, k], ti[nbrs, k]
-                xr, xi = member(y, nbrs[:, :, None])
-                want_r, want_i = member(y, lines[:, None])
-            else:
-                # row x of op @ m: sum_k op[x, x ^ e_k] m[x ^ e_k, :]
-                vr, vi = tr[lines], ti[lines]
-                xr, xi = member(nbrs[:, :, None], y)
-                want_r, want_i = member(lines[:, None], y)
-            vr, vi = vr[:, :, None], vi[:, :, None]
-            differ = (((vr * xr - vi * xi).sum(axis=1) != theta * want_r)
-                      | ((vr * xi + vi * xr).sum(axis=1) != theta * want_i))
-        return _first_spot(n, W, lines, differ, right)
+        start = int(rows.min()) if clean and not right else 0
+        return _first_spot(n, differ, start, len(shifts))
 
     def _defect(self, op: str):
         """(rows, cols, re, im): the entries where op's stored table differs
@@ -721,8 +698,9 @@ def verify_idempotent_families(ctx: CubeContext):
       by Walsh-Hadamard transforms (`_Structure.E_products`);
       Estar_i Estar_j: the entrywise product of the diagonals;
     - Aeps Eeps_i and Eeps_i Aeps against theta_i Eeps_i: the clean Aeps on
-      the row of E_i, and in full the rows or columns that a flipped sign
-      of the stored Aeps touches (`CubeContext.family_eigen_discrepancy`);
+      the row of E_i, and a row scan of the stored product when that fails
+      or a flipped sign makes a defect
+      (`CubeContext.family_eigen_discrepancy`);
     - sum_i theta_i Eeps_i = S^-1 Inv(q) S / den, for the row q / den of
       sum_i theta_i E_i, as a table over the shifts where q is nonzero,
       against the stored table of Aeps.
@@ -811,7 +789,7 @@ def _conjugation_spot(ctx: CubeContext, x: str, y: str):
     Else, for dX = sum_j v_j at (r_j, c_j), P = S^-1 H and Pinv = H S / n,
     row x of n P dX Pinv is (-i)^dist(x) sum_j H[x, r_j] v_j H[c_j, .]
     i^dist(.), whose entries are at most |dX| times the largest defect
-    entry: the rows are computed a block at a time, in order, up to the
+    entry: a row scan (`_first_spot`) computes them in order, up to the
     first that differs from n dY's."""
     n, dist = ctx.n, ctx._dist
     rx, cx, vr, vi = ctx._defect(x)
@@ -824,20 +802,18 @@ def _conjugation_spot(ctx: CubeContext, x: str, y: str):
     vr, vi, ur, ui = ints(bound, vr, vi, ur, ui)
     h = 1 - 2 * (dist[cx[:, None] & np.arange(n)] % 2)
     right_r, right_i = _times_i_power(vr[:, None] * h, vi[:, None] * h, dist)
-    step = max(1, 2 ** 16 // n)
-    for start in range(0, n, step):
-        xs = np.arange(start, min(n, start + step))
+
+    def differ(xs):
         h = 1 - 2 * (dist[xs[:, None] & rx] % 2)
         got_r, got_i = _times_i_power(h @ right_r, h @ right_i,
                                       -dist[xs][:, None])
         want_r, want_i = np.zeros_like(got_r), np.zeros_like(got_i)
-        on = (ry >= start) & (ry < start + len(xs))
-        want_r[ry[on] - start, cy[on]] = n * ur[on]
-        want_i[ry[on] - start, cy[on]] = n * ui[on]
-        differ = np.argwhere((got_r != want_r) | (got_i != want_i))
-        if len(differ):
-            return start + int(differ[0][0]), int(differ[0][1])
-    return None
+        on = (ry >= xs[0]) & (ry <= xs[-1])
+        want_r[ry[on] - xs[0], cy[on]] = n * ur[on]
+        want_i[ry[on] - xs[0], cy[on]] = n * ui[on]
+        return (got_r != want_r) | (got_i != want_i)
+
+    return _first_spot(n, differ, 0, len(rx))
 
 
 def verify_conjugation(ctx: CubeContext):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import tcube
-from tcube import cli
+from tcube import cli, cube
 from tcube.cli import main
 from tcube.cube import ConstructionError
 from tcube.decomposition import (InvariantViolation, IrreducibleModule,
@@ -135,6 +135,19 @@ def test_no_report_maps_the_seeds_over_2d(capsys, monkeypatch, argv):
         raise AssertionError("seeds mapped back over 2^D")
     monkeypatch.setattr(IrreducibleModule, "seeds", property(over_2d))
     assert run(capsys, *argv) == want
+
+
+@pytest.mark.parametrize("D", range(1, 6))
+def test_clean_verify_runs_no_row_scan(capsys, monkeypatch, D):
+    # on a clean context the first-row tests decide every eigen row and no
+    # table has a defect, so no suite reaches the row scan
+    want = run(capsys, "verify", "--d", str(D), "--suite", "all")
+    assert want[0] == 0
+
+    def scan(*args):
+        raise AssertionError("row scan on a clean context")
+    monkeypatch.setattr(cube, "_first_spot", scan)
+    assert run(capsys, "verify", "--d", str(D), "--suite", "all") == want
 
 
 def test_emit_seeds_maps_each_module_once(tmp_path, capsys, monkeypatch):

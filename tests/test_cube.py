@@ -16,8 +16,8 @@ from conftest import (A1, AEPS1, ASTAR1, brute_p_1j, commutator_aeps,
                       naive_matrix_rank, p_inverse, phase_conjugate,
                       walsh_hadamard)
 from tcube import cube
-from tcube.cube import (P1, ConstructionError, _first_spot, _walsh_hadamard,
-                        build_context, krawtchouk_table, verify_commutators,
+from tcube.cube import (P1, ConstructionError, _walsh_hadamard, build_context,
+                        krawtchouk_table, verify_commutators,
                         verify_conjugation, verify_idempotent_families)
 from tcube.leonard import phi_matrix
 from tcube.linalg import ExactMatrix, ExactVector, kron_power, rank
@@ -447,25 +447,40 @@ def test_first_nonzero_is_the_dense_first_nonzero(D):
         assert ctx.with_flipped_sign(op, *spot).first_nonzero(op) == spot
 
 
-@pytest.mark.parametrize("right", [False, True])
-@pytest.mark.parametrize("n", [1, 2, 8, 16])
-def test_first_spot_is_the_first_row_major_spot(n, right):
-    # on random masks of the form _first_spot reads: x ^ y in W off the
-    # lines, anything on them; W and the lines from empty to full
-    rng = np.random.default_rng(n + 100 * right)
-    idx = np.arange(n)
-    for _ in range(300):
-        W = np.flatnonzero(rng.random(n) < rng.choice([0, 0.1, 0.5, 1]))
-        lines = np.flatnonzero(rng.random(n) < rng.choice([0, 0.2, 0.6, 1]))
-        differ = rng.random((len(lines), n)) < rng.choice([0, 0.05, 0.5])
-        mask = np.isin(idx[:, None] ^ idx, W)
-        if right:
-            mask[:, lines] = differ.T
-        else:
-            mask[lines] = differ
+@pytest.mark.parametrize("width", [1, 3, 1000])
+@pytest.mark.parametrize("n", [1, 2, 8, 48, 300])
+def test_first_spot_scans_rows_in_order_from_start(n, width):
+    # random n x n masks, all-False to dense, clean above a random start.
+    # The scanner returns the first row-major True and asks only for rows
+    # start, start + 1, ... in order, in blocks that double from one row up
+    # to 2^16 // (n width) rows (one row for width 1000 and n >= 48; for
+    # n = 48 and 300 the last block is cut short), up to the block that
+    # holds the spot
+    rng = np.random.default_rng(n + 7 * width)
+    most = max(1, 2 ** 16 // (n * width))
+    for trial in range(60):
+        start = 0 if trial < 2 else int(rng.integers(n))
+        density = 0 if trial == 0 else rng.choice([0, 1e-4, 0.01, 0.5])
+        mask = rng.random((n, n)) < density
+        mask[:start] = False
+        blocks = []
+
+        def differ(xs):
+            blocks.append(xs.tolist())
+            return mask[xs]
+
         hits = np.argwhere(mask)
         want = tuple(hits[0].tolist()) if len(hits) else None
-        assert _first_spot(n, W, lines, differ, right) == want
+        assert cube._first_spot(n, differ, start, width) == want
+        asked = sum(blocks, [])
+        assert asked == list(range(start, start + len(asked)))
+        sizes = [len(b) for b in blocks]
+        assert sizes[0] == 1 and max(sizes) <= most
+        assert all(b <= 2 * a for a, b in zip(sizes, sizes[1:]))
+        if want is None:
+            assert len(asked) == n - start
+        else:
+            assert want[0] in blocks[-1]
 
 
 def _raised(certify, *args):
@@ -518,6 +533,35 @@ def test_random_flips_equal_the_dense_oracles(D, seed, ops):
                     assert ctx.family_eigen_discrepancy(
                         op, first, theta, right) == \
                         gather_eigen_discrepancy(ctx, op, member, theta, right)
+
+
+@pytest.mark.parametrize("D", [5, 6, 7])
+def test_deep_flip_scan_starts_at_the_defect_row(monkeypatch, D):
+    # A or Aeps flipped at its last edge (n - 2, n - 1): each member's eigen
+    # discrepancy, on both sides, with its own and a wrong theta, equals the
+    # full edge gather's.  With its own theta the first row passes, so the
+    # left scan starts at the defect row n - 2, and the right one at row 0;
+    # at D = 7 a left scan from row 0 would take seven blocks to reach it
+    clean = get_ctx(D)
+    n = clean.n
+    starts = []
+    scan = cube._first_spot
+
+    def spy(n, differ, start, width):
+        starts.append(start)
+        return scan(n, differ, start, width)
+    monkeypatch.setattr(cube, "_first_spot", spy)
+    for op, family in (("A", clean.E), ("Aeps", clean.Eeps)):
+        ctx = clean.with_flipped_sign(op, n - 2, n - 1)
+        for i, (first, member) in enumerate(zip(clean.structure.E, family)):
+            for theta, wrong in ((ctx.theta[i], False),
+                                 (ctx.theta[i] - 2, True)):
+                for right in (False, True):
+                    starts.clear()
+                    assert ctx.family_eigen_discrepancy(
+                        op, first, theta, right) == \
+                        gather_eigen_discrepancy(ctx, op, member, theta, right)
+                    assert starts == [0 if wrong or right else n - 2]
 
 
 # Raised entries of the stored rows, by family: for E (whose row Eeps
