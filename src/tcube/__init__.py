@@ -8,8 +8,7 @@ compared with exact equality.
 
 from .scalar import GaussRat
 from .linalg import (ExactMatrix, ExactVector, SingularMatrixError,
-                     gram_schmidt, inner, kernel_basis, kron, kron_power,
-                     pivot_inverse, rank)
+                     gram_schmidt, inner, kernel_basis, pivot_inverse, rank)
 from .cube import (CubeContext, build_context, verify_commutators,
                    verify_conjugation, verify_idempotent_families)
 from .decomposition import (Decomposition, IrreducibleModule, decompose,
@@ -22,8 +21,7 @@ from .leonard import (BASIS_LABELS, LeonardVerdict, PhiMatrix, SixBases,
 
 __all__ = [
     "GaussRat", "ExactMatrix", "ExactVector", "SingularMatrixError",
-    "gram_schmidt", "inner", "kernel_basis", "kron", "kron_power",
-    "pivot_inverse", "rank",
+    "gram_schmidt", "inner", "kernel_basis", "pivot_inverse", "rank",
     "CubeContext", "build_context", "verify_commutators",
     "verify_conjugation", "verify_idempotent_families",
     "Decomposition", "IrreducibleModule", "decompose", "multiplicity",

@@ -11,8 +11,9 @@ Operators:
   A      adjacency matrix (vertices differing in one coordinate)
   Astar  diagonal with (y,y)-entry D - 2*dist(y)
   Aeps   -i(A Astar - Astar A)/2, supported on edges with entries +-i
-  P      kron_power(P1, D) = S^-1 H with P1 = [[1, 1], [-i, i]] (see below);
-         conjugation by P cycles A -> Astar -> Aeps -> A
+  P      S^-1 H, which realizes the Kronecker power P1^(x D) of
+         P1 = [[1, 1], [-i, i]] (see below); conjugation by P cycles
+         A -> Astar -> Aeps -> A
   A_k    distance-k indicator matrices
   E, Estar, Eeps   the three idempotent families (spectral projections)
 
@@ -56,7 +57,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import ExactMatrix, first_discrepancy, ints, kron_power
+from .linalg import ExactMatrix, first_discrepancy, ints
 from .report import IdentityCheck, check_true
 from .scalar import GaussRat
 
@@ -110,6 +111,13 @@ def _walsh_hadamard(a, m):
         hi[...] = diff
         h *= 2
     return a
+
+
+def _hadamard(re, im, m):
+    """(H re, H im) for the parts of a block with entries bounded by m
+    (`_walsh_hadamard`); an all-zero part, such as that of a real block,
+    is returned as it is, with no transform and no copy."""
+    return tuple(_walsh_hadamard(a, m) if a.any() else a for a in (re, im))
 
 
 def _flip_bit(a, s):
@@ -187,6 +195,14 @@ class _Gather:
             re[:, cols] += tr * w
             im[:, cols] += ti * w
         return _Gather(shifts, re, im)
+
+    def defect(self, clean: "_Gather"):
+        """(rows, cols, re, im): the entries (y, y ^ s) where M differs from
+        `clean`, a table over the same shifts, and M - clean there."""
+        rows, ks = np.nonzero((self.re != clean.re) | (self.im != clean.im))
+        cols = rows ^ np.array(self.shifts, dtype=rows.dtype)[ks]
+        return (rows, cols, self.re[rows, ks] - clean.re[rows, ks],
+                self.im[rows, ks] - clean.im[rows, ks])
 
     def first_nonzero(self):
         """(y, y ^ s) of M's first nonzero entry in row-major order: the
@@ -298,8 +314,10 @@ class CubeContext:
                          "Aeps": _Gather(a.shifts, a.im,
                                          dist[a.columns()] - dist[:, None])}
         self._certify_tables()
-        # the certified tables; `with_flipped_sign` replaces only _gathers'
+        # the certified tables; `with_flipped_sign` replaces only _gathers',
+        # each with its defect against them (`_Gather.defect`)
         self._clean = dict(self._gathers)
+        self._defects = dict.fromkeys(KRON_FACTORS, (np.zeros(0, int),) * 4)
         self._structure = None
 
     # -- operator constructions ------------------------------------------------
@@ -334,8 +352,9 @@ class CubeContext:
     A = cached_property(lambda self: self._gathers["A"].dense())
     Astar = cached_property(lambda self: self._gathers["Astar"].dense())
     Aeps = cached_property(lambda self: self._gathers["Aeps"].dense())
-    # S^-1 H by its factor, P1 = S1^-1 H1 (`_certify_p_factor`)
-    P = cached_property(lambda self: kron_power(P1, self.D))
+    # the rows of I P^T by the block operator P = S^-1 H (`apply`)
+    P = cached_property(lambda self: self.apply(
+        "P", ExactMatrix.identity(self.n)).transpose())
     # distance between vertices x and y
     hamming = cached_property(lambda self: self._dist[
         np.arange(self.n)[:, None] ^ np.arange(self.n)])
@@ -435,10 +454,8 @@ class CubeContext:
         if block.cols != self.n:
             raise ValueError(f"block has {block.cols} columns, expected {self.n}")
         if op == "P":
-            both = _walsh_hadamard(np.vstack([block._re, block._im]),
-                                   block._max())
-            re, im = _times_i_power(both[:block.rows], both[block.rows:],
-                                    -self._dist)
+            re, im = _times_i_power(*_hadamard(block._re, block._im,
+                                               block._max()), -self._dist)
         else:
             re, im = self._gather_table(op).apply(block._re, block._im,
                                                   block._max())
@@ -458,7 +475,7 @@ class CubeContext:
         first row `first` = r / den alone.
 
         The stored op is its clean table, certified at construction, plus
-        the defect that `with_flipped_sign` makes (`_defect`).  Let T = op
+        the defect that `with_flipped_sign` makes (`_defects`).  Let T = op
         for A and T = S op S^-1 for Aeps, whose clean table is A's.  Then
         op @ m - theta m is T E_i - theta E_i for A and
         S^-1 (T E_i - theta E_i) S for Aeps, likewise on the right, so
@@ -481,7 +498,7 @@ class CubeContext:
         nbrs = y[:, None] ^ shifts
         clean = (np.array_equal(rr[nbrs].sum(axis=1), theta * rr)
                  and np.array_equal(ri[nbrs].sum(axis=1), theta * ri))
-        rows = self._defect(op)[0]
+        rows = self._defects[op][0]
         if clean and not len(rows):
             return None
         tr, ti = ints(bound, table.re, table.im)
@@ -508,15 +525,6 @@ class CubeContext:
         start = int(rows.min()) if clean and not right else 0
         return _first_spot(n, differ, start, len(shifts))
 
-    def _defect(self, op: str):
-        """(rows, cols, re, im): the entries where op's stored table differs
-        from the one certified at construction, and stored - clean there."""
-        table, clean = self._gathers[op], self._clean[op]
-        rows, ks = np.nonzero((table.re != clean.re) | (table.im != clean.im))
-        cols = rows ^ np.array(table.shifts, dtype=rows.dtype)[ks]
-        return (rows, cols, table.re[rows, ks] - clean.re[rows, ks],
-                table.im[rows, ks] - clean.im[rows, ks])
-
     # -- slices --------------------------------------------------------------------
 
     def slice_indices(self, k: int):
@@ -533,8 +541,10 @@ class CubeContext:
         verification suites actually detect corruption.  Every matrix,
         family and block operator built from the tables is rebuilt from the
         clone's on first use, so every reader sees the same flip.  The
-        tables certified at construction stay the clean reference against
-        which `_defect` finds the flips.
+        tables certified at construction stay the clean reference: the
+        flipped table's defect against its clean one is computed here,
+        once, so flips compose and a second flip of an entry undoes the
+        first.
         """
         clone = object.__new__(CubeContext)
         clone.__dict__.update((k, v) for k, v in self.__dict__.items()
@@ -544,6 +554,8 @@ class CubeContext:
         table = self._gathers[op]
         at = (np.arange(self.n)[:, None] == r) & (table.columns() == c)
         clone._gathers[op] = table.scaled(1 - 2 * at)
+        clone._defects = {**self._defects,
+                          op: clone._gathers[op].defect(self._clean[op])}
         return clone
 
 
@@ -646,9 +658,8 @@ class _Structure:
         """(re, im): the numerators H r_i for the first rows r_i of E, at
         most n m for the largest numerator m."""
         m = max(r._max() for r in self.E)
-        return tuple(_walsh_hadamard(np.vstack([getattr(r, part)
-                                                for r in self.E]), m)
-                     for part in ("_re", "_im"))
+        return _hadamard(np.vstack([r._re for r in self.E]),
+                         np.vstack([r._im for r in self.E]), m)
 
     @cached_property
     def E_products(self):
@@ -661,8 +672,8 @@ class _Structure:
         bound = 2 * (n * max(r._max() for r in rows)) ** 2
         sr, si = (a[:, None, :] for a in ints(bound, *self.E_spectra))
         tr, ti = (a.transpose(1, 0, 2) for a in (sr, si))
-        conv_r, conv_i = (_walsh_hadamard(a.reshape(-1, n), bound)
-                          for a in (sr * tr - si * ti, sr * ti + si * tr))
+        conv_r, conv_i = _hadamard((sr * tr - si * ti).reshape(-1, n),
+                                   (sr * ti + si * tr).reshape(-1, n), bound)
         k = len(rows)
         return [[_row(conv_r[i * k + j], conv_i[i * k + j],
                       n * a._den * b._den)
@@ -680,7 +691,7 @@ class _Structure:
             # a theorem on this structure (see verify_conjugation)
             return r, r, False
         s = self.Estar[i]
-        re, im = (_walsh_hadamard(x, s._max()) for x in (s._re, s._im))
+        re, im = _hadamard(s._re, s._im, s._max())
         return _row(re[0], im[0], n * s._den), r, False
 
 
@@ -758,11 +769,13 @@ _P_CYCLE = (("A", "Astar"), ("Astar", "Aeps"), ("Aeps", "A"))
 
 
 def _certify_p_factor() -> None:
-    """The factor of P = kron_power(P1, D), in exact 2 x 2 arithmetic:
-    P1 P1^* = 2 I, P1^3 = 2 (1 - i) I, P1 X1 P1^-1 = Y1 on each step X -> Y
-    of the cycle for the Q_1 factors of KRON_FACTORS, and P1 = S1^-1 H1 by
-    the kernels of `CubeContext.apply` (a Walsh-Hadamard pass, then
-    (-i)^dist).  A clause that fails raises ConstructionError naming it."""
+    """The factor of P = S^-1 H, in exact 2 x 2 arithmetic: H and S^-1
+    are the Kronecker powers of H1 and S1^-1, so P = P1^(x D) for
+    P1 = S1^-1 H1, which the kernels of `CubeContext.apply` (a
+    Walsh-Hadamard pass, then (-i)^dist) are checked to give.  With it,
+    P1 P1^* = 2 I, P1^3 = 2 (1 - i) I and P1 X1 P1^-1 = Y1 on each step
+    X -> Y of the cycle for the Q_1 factors of KRON_FACTORS.  A clause
+    that fails raises ConstructionError naming it."""
     two = ExactMatrix.identity(2).scale(2)
     _require(P1 @ P1.adjoint() == two, "P factor: P1 P1^* != 2 I")
     _require(P1 @ P1 @ P1 == two.scale(GaussRat(1, -1)),
@@ -785,18 +798,18 @@ def _conjugation_spot(ctx: CubeContext, x: str, y: str):
 
     With the factor certified, P X Pinv = Y on the clean tables, so
     P X Pinv - Y = P dX Pinv - dY for the defects of the stored tables
-    (`CubeContext._defect`).  Without dX the spot is dY's first entry.
+    (`CubeContext._defects`).  Without dX the spot is dY's first entry.
     Else, for dX = sum_j v_j at (r_j, c_j), P = S^-1 H and Pinv = H S / n,
     row x of n P dX Pinv is (-i)^dist(x) sum_j H[x, r_j] v_j H[c_j, .]
     i^dist(.), whose entries are at most |dX| times the largest defect
     entry: a row scan (`_first_spot`) computes them in order, up to the
     first that differs from n dY's."""
     n, dist = ctx.n, ctx._dist
-    rx, cx, vr, vi = ctx._defect(x)
+    rx, cx, vr, vi = ctx._defects[x]
+    ry, cy, ur, ui = ctx._defects[y]
     if not len(rx):
-        return _Gather.combination([(ctx._gathers[y], 1),
-                                    (ctx._clean[y], -1)]).first_nonzero()
-    ry, cy, ur, ui = ctx._defect(y)
+        # the defect is in row-major order of its rows
+        return (int(ry[0]), int(cy[ry == ry[0]].min())) if len(ry) else None
     bound = max(len(rx), n) * max(ctx._gathers[op].max + ctx._clean[op].max
                                   for op in (x, y))
     vr, vi, ur, ui = ints(bound, vr, vi, ur, ui)
@@ -820,13 +833,13 @@ def verify_conjugation(ctx: CubeContext):
     """Scaled unitarity and cube of P, and the conjugation cycle on the
     operators and on the idempotent families.
 
-    P = kron_power(P1, D), and the clean tables of A, Astar and Aeps are
-    certified Kronecker sums of their Q_1 factors, so the certificate of P1
-    (`_certify_p_factor`) gives P P^* = P^* P = n I, P^3 = (1 - i)^D n I
-    and P X Pinv = Y on the clean tables: P_unitary_scaled,
-    P_unitary_scaled_right and P_cubed pass on it alone, and a clause that
-    fails stops the suite with the ConstructionError that names it.  The
-    rows conj_X_to_Y compare the defects of the tables
+    P = S^-1 H realizes P1^(x D), and the clean tables of A, Astar and
+    Aeps are certified Kronecker sums of their Q_1 factors, so the
+    certificate of P1 (`_certify_p_factor`) gives P P^* = P^* P = n I,
+    P^3 = (1 - i)^D n I and P X Pinv = Y on the clean tables:
+    P_unitary_scaled, P_unitary_scaled_right and P_cubed pass on it alone,
+    and a clause that fails stops the suite with the ConstructionError that
+    names it.  The rows conj_X_to_Y compare the defects of the tables
     (`_conjugation_spot`).
 
     The family rows compare one row or diagonal each, on the rows of

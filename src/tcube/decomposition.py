@@ -341,26 +341,28 @@ def _read(image: ExactMatrix, basis: ExactMatrix,
 
 
 def _ladder_failures(ctx: CubeContext, r: int, stack: ExactMatrix,
-                     top: ExactMatrix, failures) -> ExactMatrix:
+                     top: ExactMatrix, norms, failures) -> ExactMatrix:
     """Note the first failing slice-ladder check of each module with
     endpoint r, and return L of the stack.  stack holds b_k of module j in
-    row k m + j, and top its image R b_d in row j."""
-    m = len(failures)
-    d = stack.rows // m - 1
-    nonzero = stack.nonzero()
-    slices = np.repeat(r + np.arange(d + 1), m)
-    leaves = (nonzero & (ctx._dist[None, :] != slices[:, None])).any(axis=1)
-    zero = ~nonzero.any(axis=1)
-    del nonzero
-    for k in range(d + 1):
-        rows = slice(k * m, (k + 1) * m)
-        _note(failures, zero[rows], f"slice basis vector {k} is zero")
-        _note(failures, leaves[rows], f"slice basis vector {k} leaves slice "
-                                   f"{r + k}")
+    row k m + j, norms[k, j] its norm (`_row_norms`), and top its image
+    R b_d in row j.
+
+    R's table joins each vertex y only to the y ^ e_k one slice below it
+    (`CubeContext._gather_table`), whatever signs a flip changes, so
+    b_k = R^k b_0 lies on slice r + k once the seed b_0 lies on slice r:
+    only the seeds can leave their slice."""
+    m, d = len(failures), len(norms) - 1
+    seeds_off = stack.block(slice(0, m), np.flatnonzero(ctx._dist != r))
+    _note(failures, norms[0] == 0, "slice basis vector 0 is zero")
+    _note(failures, seeds_off.nonzero().any(axis=1),
+          f"slice basis vector 0 leaves slice {r}")
+    for k in range(1, d + 1):
+        _note(failures, norms[k] == 0, f"slice basis vector {k} is zero")
     # closure under A = L + R along the slice ladder: L b_k is a nonzero
-    # multiple of b_(k-1), and of the zero vector for k = 0
+    # multiple of b_(k-1), and of the zero vector for k = 0; the rows are
+    # tested part by part, with no stack-sized mask
     lowered = ctx.apply("L", stack)
-    lowered_nonzero = lowered.nonzero().any(axis=1)
+    lowered_nonzero = lowered._re.any(axis=1) | lowered._im.any(axis=1)
     _note(failures, lowered_nonzero[:m],
           "seed not annihilated by the lowering operator")
     if d:
@@ -409,13 +411,13 @@ def _endpoint_modules(ctx: CubeContext, r: int, numerators):
         return block.block(slice(None), slice(j * n, (j + 1) * n))
 
     failures = [None] * m
-    lowered = _ladder_failures(ctx, r, stack, top, failures)
+    norms = _row_norms(stack).reshape(d + 1, m)
+    lowered = _ladder_failures(ctx, r, stack, top, norms, failures)
     # A's images need no gather: the block operators L and R split A's
     # gather between them, and R b_k is b_(k+1), or top for k = d
     images = {"A": lowered + ExactMatrix.stack(
         [stack.block(slice(m, None), slice(None)), top])}
     del lowered
-    norms = _row_norms(stack).reshape(d + 1, m)
     grams = [ExactMatrix.from_numerators(np.diag(norms[:, j]),
                                          np.zeros((d + 1, d + 1), np.int64),
                                          stack._den ** 2) for j in range(m)]

@@ -20,11 +20,11 @@ numerator arrays reach the rule through `ints` on the exact array.
 Integer arrays, int64 or object, enter through one constructor,
 `from_numerators`; scalars only through the grid constructors and
 `diagonal`.  Every complex product (matrix times matrix or vector, the
-Kronecker product, the inner product) is one kernel, `_product`, with three
-tiers: a dot runs on float64 BLAS when `fits_f64` keeps every value it forms
-an integer of magnitude at most 2^53, so nothing rounds; a Kronecker product,
-or a dot past that bound, runs on int64 when the rule admits its bound;
-anything else runs on Python ints.  The results are identical.
+inner product) is a dot in one kernel, `_product`, with three tiers: it runs
+on float64 BLAS when `fits_f64` keeps every value it forms an integer of
+magnitude at most 2^53, so nothing rounds; past that bound, on int64 when
+the rule admits its bound; and otherwise on Python ints.  The results are
+identical.
 Entrywise equality (`entries_equal`) compares numerators across the two
 denominators, so blocks on different denominators compare without being
 brought to lowest terms.
@@ -144,14 +144,13 @@ def fits_f64(length: int, ma: int, mb: int) -> bool:
     return 2 * length * ma * mb <= F64_LIMIT
 
 
-def _product(a, b, dot):
-    """(re, im) numerator arrays, over a._den * b._den, of the complex
-    product of a and b under the bilinear `dot` (np.dot or np.kron).
+def _product(a, b):
+    """(re, im) numerator arrays, over a._den * b._den, of the complex dot
+    of a and b.
 
-    Every entry of a dot sums as many complex products as a's last axis
-    is long (an entry of a Kronecker product is one), so
-    2 length max(|a|, 1) max(|b|, 1) bounds the result and both operands.
-    Three tiers:
+    Every entry sums as many complex products as a's last axis is long,
+    so 2 length max(|a|, 1) max(|b|, 1) bounds the result and both
+    operands.  Three tiers:
     - float64: a dot under that bound which fits_f64 also admits runs on
       float64 copies of the int64 numerators, so on BLAS, which numpy has
       not for int64.  Every value it forms is an integer of magnitude at
@@ -168,20 +167,19 @@ def _product(a, b, dot):
     bound = 2 * length * max(ma, 1) * max(mb, 1)
     ar, ai, br, bi = ints(bound, a._re, a._im, b._re, b._im)
     a_im, b_im = ai.any(), bi.any()
-    on_float = (bound < I64_LIMIT and dot is np.dot
-                and fits_f64(length, ma, mb))
+    on_float = bound < I64_LIMIT and fits_f64(length, ma, mb)
     if on_float:
         ar, br = ar.astype(np.float64), br.astype(np.float64)
         ai = ai.astype(np.float64) if a_im else None
         bi = bi.astype(np.float64) if b_im else None
-    cr = dot(ar, br)
+    cr = np.dot(ar, br)
     if a_im and b_im:
-        cr = cr - dot(ai, bi)
+        cr = cr - np.dot(ai, bi)
     ci = None
     if b_im:
-        ci = dot(ar, bi)
+        ci = np.dot(ar, bi)
     if a_im:
-        t = dot(ai, br)
+        t = np.dot(ai, br)
         ci = t if ci is None else ci + t
     ci = np.zeros_like(cr) if ci is None else ci
     if on_float:
@@ -232,12 +230,12 @@ class _NumeratorArray:
         return x
 
     @classmethod
-    def _product_of(cls, a, b, dot):
-        """The product of a and b under `dot` (`_product`), as a cls.  The
+    def _product_of(cls, a, b):
+        """The product of a and b (`_product`), as a cls.  The
         int64 and float64 tiers bound every entry below 2^62, so their
         results need no scan; a Python-int result may fit int64 and goes
         through the storage rule."""
-        re, im = _product(a, b, dot)
+        re, im = _product(a, b)
         return cls._raw(re, im, a._den * b._den, bounded=re.dtype != object)
 
     @classmethod
@@ -538,7 +536,7 @@ class ExactMatrix(_NumeratorArray):
         if self.cols != other.rows:
             raise ValueError(
                 f"inner dimensions disagree: {self.shape} @ {other.shape}")
-        return ExactMatrix._product_of(self, other, np.dot)
+        return ExactMatrix._product_of(self, other)
 
     def matvec(self, v: ExactVector) -> ExactVector:
         if not isinstance(v, ExactVector):
@@ -546,7 +544,7 @@ class ExactMatrix(_NumeratorArray):
         if self.cols != v.length:
             raise ValueError(
                 f"inner dimensions disagree: {self.shape} @ ({v.length},)")
-        return ExactVector._product_of(self, v, np.dot)
+        return ExactVector._product_of(self, v)
 
     def transpose(self) -> "ExactMatrix":
         return self._like(self._re.T.copy(), self._im.T.copy())
@@ -576,26 +574,11 @@ class ExactMatrix(_NumeratorArray):
 # -- free functions -------------------------------------------------------------
 
 
-def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Kronecker product; result row index = u * b.rows + u' (first factor
-    most significant)."""
-    return ExactMatrix._product_of(a, b, np.kron)
-
-
-def kron_power(a: ExactMatrix, k: int) -> ExactMatrix:
-    if k < 0:
-        raise ValueError("kron_power needs k >= 0")
-    result = ExactMatrix.identity(1)
-    for _ in range(k):
-        result = kron(result, a)
-    return result
-
-
 def inner(u: ExactVector, v: ExactVector) -> GaussRat:
     """Hermitian inner product; the second argument is conjugated."""
     if u.length != v.length:
         raise ValueError("vector length mismatch")
-    return _entry_gauss(*_product(u, v.conj(), np.dot), u._den * v._den)
+    return _entry_gauss(*_product(u, v.conj()), u._den * v._den)
 
 
 def inverse_diagonal(m: ExactMatrix) -> ExactMatrix:

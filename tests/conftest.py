@@ -19,7 +19,8 @@ no dense matrix themselves, the full edge gather of an operator on a whole famil
 member (`gather_eigen_discrepancy`), behind the clean part plus sparse
 defect of `CubeContext.family_eigen_discrepancy`, and the dense
 constructions of A, Astar and Aeps (`kron_sum`, `commutator_aeps`,
-`phase_conjugate`), behind their gather tables.
+`phase_conjugate`), behind their gather tables, and of P (`kron_power`),
+behind the Walsh-Hadamard pass that builds it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from tcube.leonard import (_BASIS_SPEC, _FORM_BUILDERS, _P_SHIFTS,
                            TRANSITION_TABLE, BasisError, BasisSolver,
                            build_six_bases, is_leonard_triple, phi_matrix)
 from tcube.linalg import (I64_LIMIT, ExactMatrix, ExactVector, gram_schmidt,
-                          ints, inverse_diagonal, kernel_basis, kron)
+                          ints, inverse_diagonal, kernel_basis)
 from tcube.report import check_equal, check_true
 from tcube.scalar import GaussRat, I as IUNIT
 
@@ -449,9 +450,27 @@ def elimination_seeds(ctx, r):
 # -- the dense constructions of the operators ----------------------------------
 #
 # The context stores A, Astar and Aeps as gather tables and scatters each
-# into a dense matrix on first use.  Their dense constructions, by the
-# definitions, Kronecker sums and dense products, are the oracles of those
-# matrices.
+# into a dense matrix on first use, and builds P by its Walsh-Hadamard pass.
+# Their dense constructions, by the definitions, Kronecker sums and powers
+# and dense products, are the oracles of those matrices.
+
+
+def kron(a, b):
+    """The Kronecker product, with row index u * b.rows + u' (the first
+    factor most significant), by np.kron on Python-int numerators."""
+    ar, ai, br, bi = (x.astype(object) for x in (a._re, a._im, b._re, b._im))
+    return ExactMatrix.from_numerators(np.kron(ar, br) - np.kron(ai, bi),
+                                       np.kron(ar, bi) + np.kron(ai, br),
+                                       a._den * b._den)
+
+
+def kron_power(a, k):
+    """a (x) ... (x) a with k factors; the 1 x 1 identity for k = 0."""
+    result = ExactMatrix.identity(1)
+    for _ in range(k):
+        result = kron(result, a)
+    return result
+
 
 A1 = ExactMatrix([[0, 1], [1, 0]])
 ASTAR1 = ExactMatrix.diagonal([1, -1])

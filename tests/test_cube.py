@@ -8,11 +8,12 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (A1, AEPS1, ASTAR1, brute_p_1j, commutator_aeps,
-                      dense_certify_idempotents, dense_commutators,
-                      dense_conjugation, dense_idempotent_families,
-                      dual_adjacency, gather_eigen_discrepancy, get_ctx,
-                      hamming_adjacency, interpolation_idempotents, kron_sum,
+from conftest import (A1, AEPS1, ASTAR1, assert_canonical_storage,
+                      brute_p_1j, commutator_aeps, dense_certify_idempotents,
+                      dense_commutators, dense_conjugation,
+                      dense_idempotent_families, dual_adjacency,
+                      gather_eigen_discrepancy, get_ctx, hamming_adjacency,
+                      interpolation_idempotents, kron_power, kron_sum,
                       naive_matrix_rank, p_inverse, phase_conjugate,
                       walsh_hadamard)
 from tcube import cube
@@ -20,7 +21,7 @@ from tcube.cube import (P1, ConstructionError, _walsh_hadamard, build_context,
                         krawtchouk_table, verify_commutators,
                         verify_conjugation, verify_idempotent_families)
 from tcube.leonard import phi_matrix
-from tcube.linalg import ExactMatrix, ExactVector, kron_power, rank
+from tcube.linalg import ExactMatrix, ExactVector, rank
 from tcube.report import all_passed
 from tcube.scalar import GaussRat
 
@@ -79,19 +80,21 @@ def test_d1_operators_literal():
                                  [GaussRat(0, -1), GaussRat(0, 1)]])
 
 
-@pytest.mark.parametrize("D", range(1, 8))
+@pytest.mark.parametrize("D", range(1, 9))
 def test_operators_equal_their_dense_constructions(D):
     # the matrices scattered from the gather tables against the dense
-    # constructions of the operators, and P = S^-1 H against
-    # kron_power(P1, D): the rows of I P^T
+    # constructions of the operators, and P = S^-1 H, built by the
+    # Walsh-Hadamard pass, against the Kronecker power P1^(x D), int64
+    # storage and denominator 1 included
     ctx = get_ctx(D)
+    assert ctx.P == kron_power(P1, D)
+    assert ctx.P._den == 1 and ctx.P._re.dtype == np.int64
+    assert_canonical_storage(ctx.P)
     a, astar = hamming_adjacency(D), dual_adjacency(D)
     assert ctx.A == a == kron_sum(A1, D)
     assert ctx.Astar == astar == kron_sum(ASTAR1, D)
     assert ctx.Aeps == kron_sum(AEPS1, D) == commutator_aeps(a, astar) == \
         phase_conjugate(a, D)
-    assert ctx.apply("P", ExactMatrix.identity(ctx.n)) == \
-        kron_power(P1, D).transpose()
 
 
 def _flip(op, r, c):
@@ -680,3 +683,88 @@ def test_walsh_hadamard_equals_the_oracle(big):
     assert got.dtype == a.dtype
     assert np.array_equal(got, walsh_hadamard(a))
     assert np.array_equal(_walsh_hadamard(got, 16 * m), 16 * a)
+
+
+def test_hadamard_passes_skip_all_zero_parts(monkeypatch):
+    # the pair kernel hands the Walsh-Hadamard pass no all-zero part: P of
+    # a real or an imaginary block is one pass over the block's own rows,
+    # and the family transforms, whose rows are real, transform no
+    # imaginary part
+    passes = []
+    honest = cube._walsh_hadamard
+
+    def spy(a, m):
+        passes.append((a.shape[0], bool(a.any())))
+        return honest(a, m)
+
+    monkeypatch.setattr(cube, "_walsh_hadamard", spy)
+    ctx = build_context(4)
+    real = get_ctx(4).A.block(slice(0, 3), slice(None))
+    for block in (real, real.scale(GaussRat(0, 1))):
+        passes.clear()
+        got = ctx.apply("P", block)
+        assert got == block @ kron_power(P1, 4).transpose()
+        assert_canonical_storage(got)
+        assert passes == [(block.rows, True)]
+    structure = ctx.structure
+    passes.clear()
+    structure.E_spectra
+    assert passes == [(ctx.D + 1, True)]
+    passes.clear()
+    structure.E_products
+    for i in range(ctx.D + 1):
+        structure.conjugation("conj_Estar_to_Eeps", i)
+    assert passes == [((ctx.D + 1) ** 2, True)] + [(1, True)] * (ctx.D + 1)
+
+
+def test_table_defects_are_compared_once_per_flip(monkeypatch):
+    # a constructed context has no defect and compares no table; a flip
+    # compares its op's table with the clean one once, and every suite
+    # reads that.  Flips compose, and a second flip of an entry undoes it
+    compared = []
+    honest = cube._Gather.defect
+
+    def spy(table, clean):
+        compared.append(table)
+        return honest(table, clean)
+
+    monkeypatch.setattr(cube._Gather, "defect", spy)
+    ctx = build_context(4)
+    for suite in (verify_idempotent_families, verify_conjugation):
+        assert all_passed(suite(ctx))
+    assert compared == []
+    once = ctx.with_flipped_sign("Aeps", 1, 3)
+    for suite in (verify_idempotent_families, verify_conjugation):
+        assert not all_passed(suite(once))
+    assert len(compared) == 1
+    # Aeps[1, 3] = i (dist(3) - dist(1)) = i, flipped to -i
+    assert [a.tolist() for a in once._defects["Aeps"]] == [[1], [3], [0],
+                                                           [-2]]
+    twice = once.with_flipped_sign("A", 0, 1)
+    assert [len(twice._defects[op][0]) for op in ("A", "Astar", "Aeps")] \
+        == [1, 0, 1]
+    undone = twice.with_flipped_sign("Aeps", 1, 3)
+    assert len(compared) == 3
+    assert len(undone._defects["Aeps"][0]) == 0
+    only_a = ctx.with_flipped_sign("A", 0, 1)
+    for suite in (verify_idempotent_families, verify_conjugation):
+        assert _outcome(suite, undone) == _outcome(suite, only_a)
+
+
+@pytest.mark.parametrize("D", range(1, 7))
+def test_ladder_tables_join_adjacent_slices(D):
+    # every nonzero entry (y, y ^ s) of R's table has
+    # dist(y) = dist(y ^ s) + 1, and of L's dist(y) + 1 = dist(y ^ s),
+    # clean and under every single flip, so R^k of a vector on slice r lies
+    # on slice r + k: decompose checks the slice of the seeds alone
+    clean = get_ctx(D)
+    spots = [(op, y, z) for op in ("A", "Astar", "Aeps")
+             for y, z in np.argwhere(getattr(clean, op).nonzero())]
+    contexts = [clean] + [clean.with_flipped_sign(*spot) for spot in spots]
+    for ctx in contexts:
+        for op, step in (("R", 1), ("L", -1)):
+            table = ctx._gather_table(op)
+            y, k = np.nonzero((table.re != 0) | (table.im != 0))
+            assert len(y)
+            assert np.array_equal(ctx._dist[y],
+                                  ctx._dist[table.columns()[y, k]] + step)

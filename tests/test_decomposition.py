@@ -529,6 +529,29 @@ def _verdict(build, *args):
     return None
 
 
+@pytest.mark.parametrize("D", [4, 5])
+def test_broken_seeds_name_the_oracle_failure(D):
+    # a last seed that is zero, that reaches off its slice, or that is one
+    # entry off its slice alone: each endpoint names the failure that the
+    # module by module oracle, which checks the slice of every ladder
+    # vector, names
+    ctx = get_ctx(D)
+    seen = set()
+    for r, w in closed_form_seeds(D).items():
+        off = [0] if r else [ctx.n - 1]
+        for zero, outside in ((True, []), (False, off), (True, off)):
+            bad = w.copy()
+            if zero:
+                bad[-1] = 0
+            bad[-1, outside] = 7
+            got = _verdict(_endpoint_modules, ctx, r, bad)
+            assert got == _verdict(oracle_endpoint_modules, ctx, r, bad), \
+                (r, zero, outside)
+            seen.add(got.split(": ")[1])
+    assert seen >= {"slice basis vector 0 is zero",
+                    "slice basis vector 0 leaves slice 1"}
+
+
 @pytest.mark.parametrize("D", [3, 4])
 def test_flipped_entry_names_the_oracle_failure(D):
     # every edge entry (x, y), x < y, of A and Aeps and every diagonal entry

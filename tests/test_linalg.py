@@ -1,6 +1,6 @@
 """Exact matrix/vector algebra: the shared vector/matrix body, products,
-Kronecker structure, adjoints, inner products, kernels, inverses,
-orthogonalization, dump round-trips, first discrepancies."""
+adjoints, inner products, kernels, inverses, orthogonalization, dump
+round-trips, first discrepancies."""
 
 import ast
 import math
@@ -18,8 +18,7 @@ from conftest import (assert_canonical_storage, basis_vector, get_ctx,
 import tcube
 from tcube.linalg import (ExactMatrix, ExactVector, SingularMatrixError,
                           _product, first_discrepancy, fits_f64, gram_schmidt,
-                          inner, ints, kernel_basis, kron, kron_power,
-                          pivot_inverse, rank)
+                          inner, ints, kernel_basis, pivot_inverse, rank)
 from tcube.scalar import GaussRat
 
 small = st.integers(min_value=-6, max_value=6)
@@ -89,44 +88,17 @@ def test_dimension_mismatch():
         inner(ExactVector([1]), ExactVector([1, 2]))
 
 
-@given(mat_strategy(2, 2), mat_strategy(2, 2), mat_strategy(2, 2),
-       mat_strategy(2, 2))
-def test_kron_mixed_product(b1, b1p, b2, b2p):
-    assert kron(b1, b1p) @ kron(b2, b2p) == kron(b1 @ b2, b1p @ b2p)
-
-
-@given(mat_strategy(2, 3), mat_strategy(3, 2))
-def test_kron_transpose(b, bp):
-    assert kron(b, bp).transpose() == kron(b.transpose(), bp.transpose())
-
-
-@given(mat_strategy(2, 2), mat_strategy(2, 2))
-def test_kron_adjoint(b, bp):
-    assert kron(b, bp).adjoint() == kron(b.adjoint(), bp.adjoint())
-
-
-@given(mat_strategy(2, 2), mat_strategy(2, 2), mat_strategy(2, 2), gauss_small,
-       gauss_small)
-def test_kron_bilinearity(b, b1, b2, c1, c2):
-    lhs = kron(b, b1.scale(c1) + b2.scale(c2))
-    assert lhs == kron(b, b1).scale(c1) + kron(b, b2).scale(c2)
-
-
-def test_kron_identity():
-    assert kron(ExactMatrix.identity(2), ExactMatrix.identity(2)) \
-        == ExactMatrix.identity(4)
-
-
 def test_kron_power_matches_entry_formula():
-    # oracle: (P1 (x) P1)_{yz} = prod_k (P1)_{y_k z_k} with the first bit
-    # most significant
-    p = kron_power(P1, 2)
-    for y in range(4):
-        for z in range(4):
-            expect = GaussRat(1)
-            for bits in ((y >> 1 & 1, z >> 1 & 1), (y & 1, z & 1)):
-                expect = expect * P1[bits[0], bits[1]]
-            assert p[y, z] == expect
+    # the context's P is the Kronecker power P1^(x D):
+    # P_{yz} = prod_k (P1)_{y_k z_k} with the first bit most significant
+    for D in (2, 3):
+        p = get_ctx(D).P
+        for y in range(2 ** D):
+            for z in range(2 ** D):
+                expect = GaussRat(1)
+                for k in reversed(range(D)):
+                    expect = expect * P1[y >> k & 1, z >> k & 1]
+                assert p[y, z] == expect
 
 
 @given(mat_strategy(2, 3), mat_strategy(3, 2), mat_strategy(2, 2))
@@ -406,9 +378,8 @@ def test_products_on_both_sides_of_the_bound_are_canonical(top):
     a = ExactMatrix([[top, GaussRat(0, 1)], [Fraction(1, 2), -top]])
     b = ExactMatrix([[1, -1], [GaussRat(0, top), Fraction(1, 3)]])
     c = ExactMatrix([[top, top + 1]])
-    for x in (a @ b, a @ a, a.matvec(b.row(1)), kron(a, b),
-              c @ c.transpose(), c @ ExactMatrix([[1], [-1]]),
-              c.matvec(ExactVector([1, -1]))):
+    for x in (a @ b, a @ a, a.matvec(b.row(1)), c @ c.transpose(),
+              c @ ExactMatrix([[1], [-1]]), c.matvec(ExactVector([1, -1]))):
         if top < 2 ** 60:
             assert x._mx is None
         assert_canonical_storage(x)
@@ -436,7 +407,7 @@ def test_storage_is_int64_exactly_below_2_62(top, sign):
               m.block(slice(0, 1), slice(None)), m.columns([1, 0]),
               v.take([1, 0]), v.primitive(), m + m, m - m, m + m.scale(-1),
               m.scale(GaussRat(0, Fraction(1, 2))), m @ m, m.matvec(v),
-              kron(m, m), ExactMatrix.stack([m, v]),
+              ExactMatrix.stack([m, v]),
               ExactMatrix.diagonal([big, GaussRat(0, 1)], 1),
               ExactMatrix.from_dump(m.to_dump()),
               ExactVector.from_dump(v.to_dump()), pivot_inverse(m)[1],
@@ -818,33 +789,6 @@ def test_inner_is_the_product_with_the_adjoint(uv):
     assert inner(u, v) == oracle
 
 
-@settings(max_examples=150)
-@given(straddling_operands())
-def test_kron_across_int64_bound_matches_python_ints(ops):
-    n, rows, cols, a, b, da, db = ops
-    am = _as_matrix(a, rows, n, da)
-    bm = _as_matrix(b, n, cols, db)
-    k = kron(am, bm)
-    assert_canonical_storage(k)
-    assert k.shape == (rows * n, n * cols)
-    for r in range(rows):
-        for c in range(n):
-            for rr in range(n):
-                for cc in range(cols):
-                    want = _cmul(a[r * n + c], b[rr * cols + cc])
-                    assert k[r * n + rr, c * cols + cc] == _gauss(want,
-                                                                  da * db)
-
-
-def test_kron_of_extremes_on_both_sides_of_the_bound():
-    # the entry is 2^(e+1), as is the bound 2 * max|a| * max|b|: 2^61 on
-    # the int64 path, then 2^62 and 2^63 on the Python-int path
-    for e in (60, 61, 62):
-        a = ExactMatrix([[GaussRat(2 ** 30, 2 ** 30)]])
-        b = ExactMatrix([[GaussRat(2 ** (e - 30), -2 ** (e - 30))]])
-        assert kron(a, b)[0, 0] == GaussRat(2 ** (e + 1), 0)
-
-
 def _object_dots(a, b):
     """The complex product's numerator arrays by np.dot on object copies of
     a's and b's numerators, so on Python ints."""
@@ -867,7 +811,7 @@ def test_float_tier_equals_python_int_dots_on_cube_matrices(D):
             pairs.append((Eeps[i], Eeps[j]))
     for a, b in pairs:
         assert fits_f64(ctx.n, a._max(), b._max())
-        cr, ci = _product(a, b, np.dot)
+        cr, ci = _product(a, b)
         assert cr.dtype == ci.dtype == np.int64
         want_r, want_i = _object_dots(a, b)
         assert np.array_equal(cr, want_r) and np.array_equal(ci, want_i)

@@ -3,7 +3,8 @@
 Every structured operator (`CubeContext.apply`), and every projection of
 the 2^D oracle path (`conftest.project`), over the full range of i and over
 a window of it, must equal, row for row, the stack of dense matvecs with
-the context's own matrices, on both sides of each int64 bound.
+the context's own matrices, or for P with the Kronecker power of its
+factor, on both sides of each int64 bound.
 """
 
 import math
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 
 from conftest import (OutsideWindow, assert_canonical_storage, basis_vector,
                       dense_ladder, gather_eigen_discrepancy, get_ctx,
-                      project, window_images)
-from tcube.cube import ConstructionError
+                      kron_power, project, window_images)
+from tcube.cube import P1, ConstructionError
 from tcube.linalg import I64_LIMIT, ExactMatrix, first_discrepancy
 from tcube.scalar import GaussRat
 
@@ -28,6 +29,9 @@ FAMILIES = ("E", "Estar", "Eeps")
 def _dense(ctx, op):
     if op in ("L", "R"):
         return dense_ladder(ctx)[op == "R"]
+    if op == "P":
+        # ctx.P is the block operator's own image of I
+        return kron_power(P1, ctx.D)
     return getattr(ctx, op)
 
 
@@ -234,12 +238,13 @@ def test_block_shape_and_names_are_checked():
 
 @pytest.mark.parametrize("D", range(1, 7))
 def test_gathers_on_real_and_complex_blocks_equal_dense(D):
-    # a real block skips the flips and products of its zero imaginary part
+    # a real block skips the flips and products of its zero imaginary part,
+    # and P's transform of it
     ctx = get_ctx(D)
     complex_block = _random_block(random.Random(100 + D), 3, ctx.n, False)
     real_block = ExactMatrix.from_numerators(
         complex_block._re, 0 * complex_block._re, complex_block._den)
-    for op in ("A", "Astar", "Aeps", "L", "R"):
+    for op in ("A", "Astar", "Aeps", "L", "R", "P"):
         for block in (real_block, complex_block):
             image = ctx.apply(op, block)
             assert_canonical_storage(image)
