@@ -30,7 +30,8 @@ from .cube import CubeContext, build_context
 SUITES = ("commutators", "idempotents", "conjugation", "rep-matrices",
           "inner-products", "transitions", "all")
 # build's --op choice -> the CubeContext attribute it dumps; the indexed
-# ones are families, read at --index
+# ones are families, of which build makes member --index alone
+# (`CubeContext.member`)
 PLAIN_OPS = {"adjacency": "A", "dual": "Astar", "imaginary": "Aeps", "P": "P"}
 INDEXED_OPS = {"distance": "dist_matrices", "E": "E", "Estar": "Estar",
                "Eeps": "Eeps"}
@@ -73,7 +74,8 @@ def _module_suite_rows(ctx, m, suite) -> List[Row]:
             for cell in cells:
                 rows.append((f"{tag}:rep[{cell.basis}][{cell.op}]",
                              None, None, cell.passed, None))
-        phi = leonard.phi_matrix(m.d)
+        if suite in ("inner-products", "transitions", "all"):
+            phi = leonard.phi_matrix(m.d)
         if suite in ("inner-products", "all"):
             for g in leonard.verify_inner_products(bases, phi):
                 rows.append((f"{tag}:{g.check_id}", g.i, g.j, g.passed, None))
@@ -200,7 +202,7 @@ def _cmd_build(args) -> int:
     if op in INDEXED_OPS:
         if not 0 <= args.index <= ctx.D:
             return _usage_error(f"--index must be in 0..{ctx.D}")
-        matrix = getattr(ctx, INDEXED_OPS[op])[args.index]
+        matrix = ctx.member(INDEXED_OPS[op], args.index)
     else:
         matrix = getattr(ctx, PLAIN_OPS[op])
     return _emit(_json_text(matrix.to_dump()), args.output)

@@ -362,9 +362,7 @@ class CubeContext:
     @cached_property
     def dist_matrices(self):
         """The distance-k indicator matrices A_k, k = 0..D."""
-        return tuple(ExactMatrix.from_numerators(ones, 0 * ones, 1)
-                     for ones in ((self.hamming == k).astype(np.int64)
-                                  for k in range(self.D + 1)))
+        return self._family("dist_matrices")
 
     # -- idempotent families ------------------------------------------------------
 
@@ -372,17 +370,12 @@ class CubeContext:
     def E(self):
         """Primitive idempotents of A: E_i = Inv(r_i) / den_i,
         Inv(r)[x, y] = r[x ^ y], for the certified first rows r_i / den_i."""
-        xor = np.arange(self.n)[:, None] ^ np.arange(self.n)
-        return tuple(ExactMatrix.from_numerators(r._re[0][xor], r._im[0][xor],
-                                                 r._den)
-                     for r in self.structure.E)
+        return self._family("E")
 
     @property
     def Estar(self):
         """Dual idempotents: diagonal indicators of the distance slices."""
-        return tuple(ExactMatrix.from_numerators(np.diag(r._re[0]),
-                                                 np.diag(r._im[0]), r._den)
-                     for r in self.structure.Estar)
+        return self._family("Estar")
 
     @property
     def Eeps(self):
@@ -391,9 +384,31 @@ class CubeContext:
         Aeps = S^-1 A S is a construction check and Aeps = Pinv A P is
         verified by the conjugation suite, so these equal Pinv E_i P.
         """
-        phase = self._dist[None, :] - self._dist[:, None]
-        return tuple(ExactMatrix.from_numerators(
-            *_times_i_power(e._re, e._im, phase), e._den) for e in self.E)
+        return self._family("Eeps")
+
+    def _family(self, family: str):
+        return tuple(self.member(family, i) for i in range(self.D + 1))
+
+    def member(self, family: str, i: int) -> ExactMatrix:
+        """Member i of the family E, Estar, Eeps or dist_matrices as a dense
+        2^D x 2^D matrix, built alone: the families above are these members
+        for i = 0..D."""
+        if family == "dist_matrices":
+            ones = (self.hamming == i).astype(np.int64)
+            return ExactMatrix.from_numerators(ones, 0 * ones, 1)
+        if family == "Estar":
+            r = self.structure.Estar[i]
+            return ExactMatrix.from_numerators(np.diag(r._re[0]),
+                                               np.diag(r._im[0]), r._den)
+        if family not in ("E", "Eeps"):
+            raise ValueError(f"unknown family {family!r}")
+        r = self.structure.E[i]
+        xor = np.arange(self.n)[:, None] ^ np.arange(self.n)
+        re, im = r._re[0][xor], r._im[0][xor]
+        if family == "Eeps":
+            re, im = _times_i_power(re, im, self._dist[None, :]
+                                    - self._dist[:, None])
+        return ExactMatrix.from_numerators(re, im, r._den)
 
     @property
     def structure(self) -> "_Structure":

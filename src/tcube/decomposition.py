@@ -35,12 +35,16 @@ The endpoint is certified once over its m 2^D columns: its *frame*
 (`ModuleFrame`) is the exact (d+1) x (d+1) matrix of each of A, Astar,
 Aeps and P in the basis B, read off the images of its first module and
 certified on all of them at once by reconstructing their images, and each
-module keeps its own diagonal Gram B B^*.  From then on a module is
-(d+1)-dimensional: its idempotents are the spectral idempotents of the
-frame's matrices (`spectral_parts`), and its seeds, the six bases and
-every check on them are coordinates in B (`leonard`); only --emit-seeds
-maps the seeds back over 2^D.  By the tensor structure the frame depends
-only on the endpoint, once the Gram is divided by <u*, u*>.
+module keeps its own diagonal Gram B B^*.  By the tensor structure these
+Grams are positive multiples of one another, which one cross-multiplication
+of the row norms certifies, so the modules of an endpoint hold one
+normalized frame (`ModuleFrame.normalized`, the Gram divided by
+<u*, u*>), one object, and the checks that are a function of it run once
+per endpoint.  From then on a module is (d+1)-dimensional: its
+idempotents are the spectral idempotents of the frame's matrices
+(`spectral_parts`), and its seeds, the six bases and every check on them
+are coordinates in B (`leonard`); only --emit-seeds maps the seeds back
+over 2^D.
 """
 
 from __future__ import annotations
@@ -137,8 +141,21 @@ class ModuleFrame:
     @cached_property
     def normalized(self) -> "ModuleFrame":
         """This frame with its Gram divided by <b_0, b_0> = <u*, u*>: what
-        remains when the scale of B is forgotten, which no verdict reads."""
+        remains when the scale of B is forgotten, which no verdict reads.
+        The modules of one endpoint hold one such object (`sharing`)."""
         return replace(self, gram=self.gram.scale(1 / self.gram[0, 0]))
+
+    @classmethod
+    def sharing(cls, normalized: "ModuleFrame",
+                gram: ExactMatrix) -> "ModuleFrame":
+        """The frame with the matrices of `normalized` and the Gram `gram`,
+        whose `normalized` is that very object: for a gram that the caller
+        has certified to be a positive multiple of normalized.gram."""
+        frame = cls(normalized.A, normalized.Astar, normalized.Aeps,
+                    normalized.P, gram)
+        # the slot in which cached_property keeps its value
+        frame.__dict__["normalized"] = normalized
+        return frame
 
 
 @dataclass(frozen=True)
@@ -443,29 +460,55 @@ def _endpoint_modules(ctx: CubeContext, r: int, numerators):
             rebuilt &= (shared[op] @ view).entries_equal(image).reshape(
                 d + 1, m, n).all(axis=(0, 2))
         del image
+    # the rebuilt modules whose Grams are positive multiples of module 0's
+    # share one normalized frame and its checks (see decompose); every
+    # product is at most max(norms)^2
+    nn = ints(max(int(norms.max()), 1) ** 2, norms)[0]
+    shares = rebuilt & (nn * nn[0, 0] == nn[:, :1] * nn[0]).all(axis=0)
+    normalized = shared_seeds = None
     modules = []
     for j in range(m):
         if failures[j] is not None:
             _fail(r, j, failures[j])
         basis = owned(view, j)
-        if rebuilt[j]:
-            frame = ModuleFrame(**shared, gram=grams[j])
+        if shares[j] and normalized is not None:
+            frame = ModuleFrame.sharing(normalized, grams[j])
+            seeds = shared_seeds
         else:
-            frame = _own_frame(ctx, r, j, basis, grams[j])
-        for op, label in (("A", "E"), ("Aeps", "Eeps")):
-            failure = spectral_parts(getattr(frame, op))[1]
-            if failure is not None:
-                _fail(r, j, spectral_failure(failure, r, d, label, op))
-        coords = seed_coordinates(frame)
-        seed_nonzero = coords.nonzero().any(axis=1)
-        for k in (0, 2):
-            if not seed_nonzero[k]:
-                _fail(r, j, f"seed {SEED_NAMES[k]} is zero")
-        mod = IrreducibleModule(r=r, d=d, index=j, seed_coords=coords,
-                                slice_basis=basis, frame=frame)
-        _check_seed_pairings(mod)
-        modules.append(mod)
+            if rebuilt[j]:
+                frame = ModuleFrame(**shared, gram=grams[j])
+            else:
+                frame = _own_frame(ctx, r, j, basis, grams[j])
+            seeds = _checked_seed_coords(r, j, frame)
+            if shares[j]:
+                normalized, shared_seeds = frame.normalized, seeds
+        modules.append(IrreducibleModule(r=r, d=d, index=j, seed_coords=seeds,
+                                         slice_basis=basis, frame=frame))
     return modules
+
+
+def _checked_seed_coords(r: int, index: int,
+                         frame: ModuleFrame) -> ExactMatrix:
+    """The seed coordinates of a certified frame, after its checks in
+    order: the spectral certificates of A and Aeps, the seeds u and ue
+    nonzero, and the pairings <u*,u>, <u,ue>, <ue,u*> nonzero.  Each is a
+    function of the normalized frame: a positive scale of the Gram leaves
+    whether a pairing vanishes as it is."""
+    d = frame.A.rows - 1
+    for op, label in (("A", "E"), ("Aeps", "Eeps")):
+        failure = spectral_parts(getattr(frame, op))[1]
+        if failure is not None:
+            _fail(r, index, spectral_failure(failure, r, d, label, op))
+    coords = seed_coordinates(frame)
+    seed_nonzero = coords.nonzero().any(axis=1)
+    for k in (0, 2):
+        if not seed_nonzero[k]:
+            _fail(r, index, f"seed {SEED_NAMES[k]} is zero")
+    pairings = frame.gram_of(coords)
+    for a, b in (("u*", "u"), ("u", "ue"), ("ue", "u*")):
+        if not pairings[SEED_NAMES.index(a), SEED_NAMES.index(b)]:
+            _fail(r, index, f"<{a},{b}> vanished")
+    return coords
 
 
 def seed_coordinates(frame: ModuleFrame) -> ExactMatrix:
@@ -481,12 +524,6 @@ def _seed_coordinates(a: ExactMatrix, aeps: ExactMatrix) -> ExactMatrix:
     rows = [spectral_parts(m)[0][0].block([0], slice(None)) for m in (a, aeps)]
     unit = ExactMatrix.identity(a.rows).block([0], slice(None))
     return ExactMatrix.stack([rows[0], unit, rows[1]])
-
-
-def _check_seed_pairings(mod: IrreducibleModule) -> None:
-    for a, b in (("u*", "u"), ("u", "ue"), ("ue", "u*")):
-        if not mod.seed_inner(a, b):
-            _fail(mod.r, mod.index, f"<{a},{b}> vanished")
 
 
 def _check_orthogonal_sum(ctx: CubeContext, modules) -> None:
@@ -573,10 +610,20 @@ def decompose(ctx: CubeContext) -> Decomposition:
     frame does not rebuild (only on a corrupted context) has its frame read
     off its own images.  The seeds are their coordinates in B,
     seed_coordinates(frame), checked there, as the ladder checks make B
-    injective.  The spectral parts are computed once per distinct frame
-    matrix.  Every check is made for all modules of an endpoint; the error
-    names the first module in index order, at its first failing check in
-    the order ladder, Astar, frame, spectral, seed nonzero, seed pairings."""
+    injective.
+
+    The rebuilt modules whose norms are positive multiples of module 0's,
+    norms[k, j] norms[0, 0] = norms[k, 0] norms[0, j] for every k, hold
+    one normalized frame object.  The spectral certificates, the seeds
+    nonzero and the seed pairings nonzero are functions of it (a positive
+    scale of the Gram leaves whether a pairing vanishes), so they run on
+    the first such module, and the others take its verdict and its seed
+    coordinates.  Every other module, which a corrupted context alone
+    makes, runs them on its own frame.  Every check is made for all
+    modules of an endpoint; the error names the first module in index
+    order, at its first failing check in the order ladder, Astar, frame,
+    spectral, seed nonzero, seed pairings: a shared verdict that fails
+    fails at the first module that shares it."""
     modules = []
     mults = {}
     for r, numerators in closed_form_seeds(ctx.D).items():
@@ -595,22 +642,37 @@ def decompose(ctx: CubeContext) -> Decomposition:
 
 def verify_seed_norms(mod: IrreducibleModule):
     """Norms of the three seeds against the product of their mutual inner
-    products, plus positivity of the invariant scalar."""
-    one_plus_i_d = GaussRat(1, 1) ** mod.d
-    a = mod.seed_inner("u", "u*")
-    b = mod.seed_inner("u*", "ue")
-    c = mod.seed_inner("ue", "u")
+    products, plus positivity of the invariant scalar.
+
+    Each identity is homogeneous of degree 1 in the scale of the Gram, and
+    the scalar scales by its positive cube, so the verdicts are a function
+    of the normalized frame and the seed coordinates, and are computed once
+    per distinct pair of them."""
+    return list(_seed_norm_checks(mod.frame.normalized, mod.seed_coords))
+
+
+@lru_cache(maxsize=None)
+def _seed_norm_checks(frame: ModuleFrame, coords: ExactMatrix):
+    gram = frame.gram_of(coords)
+
+    def inner(first, second):
+        return gram[SEED_NAMES.index(first), SEED_NAMES.index(second)]
+
+    one_plus_i_d = GaussRat(1, 1) ** (frame.A.rows - 1)
+    a = inner("u", "u*")
+    b = inner("u*", "ue")
+    c = inner("ue", "u")
     scalar = a * b * c * one_plus_i_d
-    return [
-        check_true("seed_norm_u", mod.seed_inner("u", "u")
-                   == one_plus_i_d * a * c / mod.seed_inner("ue", "u*")),
-        check_true("seed_norm_ustar", mod.seed_inner("u*", "u*")
-                   == one_plus_i_d * b * a / mod.seed_inner("u", "ue")),
-        check_true("seed_norm_ueps", mod.seed_inner("ue", "ue")
-                   == one_plus_i_d * c * b / mod.seed_inner("u*", "u")),
+    return (
+        check_true("seed_norm_u", inner("u", "u")
+                   == one_plus_i_d * a * c / inner("ue", "u*")),
+        check_true("seed_norm_ustar", inner("u*", "u*")
+                   == one_plus_i_d * b * a / inner("u", "ue")),
+        check_true("seed_norm_ueps", inner("ue", "ue")
+                   == one_plus_i_d * c * b / inner("u*", "u")),
         check_true("seed_product_positive",
                    scalar.is_real() and scalar.re > 0),
-    ]
+    )
 
 
 def _rational_sqrt(q: Fraction):

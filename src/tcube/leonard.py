@@ -61,11 +61,14 @@ basis.
 
 Every result is a function of the module's normalized frame (its Gram
 divided by <u*, u*>, a scale that no verdict reads) and of the Phi matrix,
-and all modules of one endpoint share one normalized frame.  So the six
-bases, the rep cells, the inner products, the transitions and the
-recognizer are memoized on the exact entries of what they read
-(`_memoized`, and a cache on `is_leonard_triple`), and each is computed
-once per distinct frame.
+and all modules of one endpoint hold one normalized frame, the very object
+that `decompose` certified for the endpoint.  So the six bases, the rep
+cells, the inner products, the transitions and the recognizer are
+memoized on the exact entries of what they read (`_memoized`, and a cache
+on `is_leonard_triple`), and each is computed once per distinct frame.
+The keys are that shared object and the coordinates computed from it, so
+a lookup for a later module of an endpoint finds its entry by identity,
+with no comparison of matrices.
 """
 
 from __future__ import annotations

@@ -823,6 +823,71 @@ def test_seed_with_wrong_diameter_is_a_named_row(capsys, monkeypatch, D):
         "1 checks, 1 failures"]
 
 
+def test_non_proportional_norms_take_the_per_module_path(capsys,
+                                                        monkeypatch):
+    # b_1 of module r=1 index=1 at D = 4 with its norm doubled: its Gram is
+    # no positive multiple of module 0's, so its frame checks run on its
+    # own frame, and the six bases of that wrong Gram fail as they did when
+    # every module was checked on its own
+    honest = cli.decomposition._row_norms
+    checked = []
+
+    def doubled(block):
+        norms = honest(block)
+        if block.rows == 3 * 3:  # the stack of r = 1: 3 modules, d = 2
+            norms = norms.copy()
+            norms[3 + 1] *= 2
+        return norms
+
+    def spied(r, index, frame):
+        checked.append((r, index))
+        return own(r, index, frame)
+
+    own = cli.decomposition._checked_seed_coords
+    monkeypatch.setattr(cli.decomposition, "_row_norms", doubled)
+    monkeypatch.setattr(cli.decomposition, "_checked_seed_coords", spied)
+    code, out = run(capsys, "verify", "--d", "4", "--suite", "rep-matrices")
+    assert code == 1
+    assert checked == [(0, 0), (1, 0), (1, 1), (2, 0)]
+    assert _failed_ids(out, "pretty") == [
+        "r1m1:BasisError: basis AeA is not orthogonal (module r=1 index=1)"]
+    assert out.splitlines()[-1] == "91 checks, 1 failures"
+
+
+@pytest.mark.parametrize("suite, reads_phi", [
+    ("rep-matrices", False), ("inner-products", True),
+    ("transitions", True), ("all", True)])
+def test_phi_is_built_only_for_the_suites_that_read_it(capsys, monkeypatch,
+                                                       suite, reads_phi):
+    honest = cli.leonard.phi_matrix
+    calls = []
+
+    def spied(d):
+        calls.append(d)
+        return honest(d)
+
+    monkeypatch.setattr(cli.leonard, "phi_matrix", spied)
+    assert run(capsys, "verify", "--d", "3", "--suite", suite)[0] == 0
+    assert bool(calls) == reads_phi
+
+
+@pytest.mark.parametrize("op, family", sorted(cli.INDEXED_OPS.items()))
+def test_build_makes_the_indexed_member_alone(capsys, monkeypatch, op,
+                                              family):
+    ctx = cube.build_context(3)
+    want = [getattr(ctx, family)[i].to_dump() for i in range(4)]
+
+    def whole_family(self, name):
+        raise AssertionError(f"built the whole family {name}")
+
+    monkeypatch.setattr(cube.CubeContext, "_family", whole_family)
+    for i in range(4):
+        code, out = run(capsys, "build", "--d", "3", "--op", op,
+                        "--index", str(i))
+        assert code == 0
+        assert json.loads(out) == want[i]
+
+
 def test_verify_construction_error_reports(capsys, monkeypatch):
     def broken(D, d_limit):
         raise ConstructionError("P inverse construction failed")

@@ -456,13 +456,18 @@ def test_frame_seeds_equal_the_window_projections(D):
         assert m.seeds == oracle_seeds(ctx, m), (m.r, m.index)
 
 
-@pytest.mark.parametrize("D", [4, 6, 8])
+@pytest.mark.parametrize("D", range(1, 9))
 def test_modules_of_one_endpoint_share_one_normalized_frame(D):
-    frames = {}
+    # one object per endpoint, equal to each module's frame with its own
+    # Gram divided by <u*, u*>
+    first = {}
     for m in get_decomposition(D).modules:
-        frames.setdefault(m.r, set()).add(m.frame.normalized)
-    assert {r: len(f) for r, f in frames.items()} == \
-        {r: 1 for r in range(D // 2 + 1)}
+        frame = m.frame
+        assert frame.normalized == replace(
+            frame, gram=frame.gram.scale(1 / frame.gram[0, 0])), m.index
+        assert first.setdefault(m.r, frame.normalized) is frame.normalized, \
+            (m.r, m.index)
+    assert sorted(first) == list(range(D // 2 + 1))
 
 
 def test_spectral_parts_certificate_names_the_first_failure():
@@ -519,6 +524,32 @@ def test_decompose_equals_the_module_by_module_oracle(D):
         assert m.slice_basis == o.slice_basis, where
         for op in FRAME_OPS + ("gram",):
             assert getattr(m.frame, op) == getattr(o.frame, op), (where, op)
+
+
+def _products(monkeypatch, build, *args):
+    """The number of ExactMatrix products that build(*args) makes."""
+    calls = []
+    product = ExactMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ExactMatrix, "__matmul__", counted)
+        build(*args)
+    return len(calls)
+
+
+def test_decompose_products_grow_with_the_endpoints(monkeypatch):
+    # at D = 8 (70 modules, 5 endpoints) an endpoint makes as many products
+    # for all of its modules as for its first alone, once the memos on the
+    # frame matrices are warm: the frame checks run once per endpoint
+    ctx = get_ctx(8)
+    decompose(ctx)
+    for r, w in closed_form_seeds(8).items():
+        assert _products(monkeypatch, _endpoint_modules, ctx, r, w) == \
+            _products(monkeypatch, _endpoint_modules, ctx, r, w[:1]), r
 
 
 def _verdict(build, *args):

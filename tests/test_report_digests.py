@@ -4,7 +4,8 @@ fixed sweep, against digests recorded in `report_digests.json`.
 The sweep runs `tcube.cli.main` in-process:
   - `verify` for every suite in json, csv and pretty at D = 1..5;
   - `verify --corrupt` of each corruptible operator for every suite at
-    D = 3, 4;
+    D = 3, 4, and for `--suite all` at D = 6, where an endpoint has up to
+    9 modules;
   - `decompose` and `leonard-check` in json, csv and pretty, and
     `module-report` in json and pretty, at D = 1..5.
 
@@ -39,6 +40,9 @@ def sweep():
             for suite in cli.SUITES:
                 commands.append(["verify", "--d", str(D), "--suite", suite,
                                  "--corrupt", corrupt])
+    for corrupt in sorted(cli.CORRUPT_OPS):
+        commands.append(["verify", "--d", "6", "--suite", "all",
+                         "--corrupt", corrupt])
     for D in range(1, 6):
         for command, formats in (("decompose", FORMATS),
                                  ("leonard-check", FORMATS),
