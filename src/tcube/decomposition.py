@@ -34,17 +34,16 @@ m seeds, and one call of each operator on the stack serves every module
 The endpoint is certified once over its m 2^D columns: its *frame*
 (`ModuleFrame`) is the exact (d+1) x (d+1) matrix of each of A, Astar,
 Aeps and P in the basis B, read off the images of its first module and
-certified on all of them at once by reconstructing their images, and each
-module keeps its own diagonal Gram B B^*.  By the tensor structure these
-Grams are positive multiples of one another, which one cross-multiplication
-of the row norms certifies, so the modules of an endpoint hold one
-normalized frame (`ModuleFrame.normalized`, the Gram divided by
-<u*, u*>), one object, and the checks that are a function of it run once
-per endpoint.  From then on a module is (d+1)-dimensional: its
-idempotents are the spectral idempotents of the frame's matrices
-(`spectral_parts`), and its seeds, the six bases and every check on them
-are coordinates in B (`leonard`); only --emit-seeds maps the seeds back
-over 2^D.
+certified on all of them at once by reconstructing their images, with the
+diagonal Gram B B^* divided by <u*, u*>, which the module keeps as its
+`norm`.  By the tensor structure these Grams are positive multiples of one
+another, which one cross-multiplication of the row norms certifies, so the
+modules of an endpoint hold one frame, the very object that `decompose`
+certified, and the checks that are a function of it run once per
+endpoint.  From then on a module is (d+1)-dimensional: its idempotents are
+the spectral idempotents of the frame's matrices (`spectral_parts`), and
+its seeds, the six bases and every check on them are coordinates in B
+(`leonard`); only --emit-seeds maps the seeds back over 2^D.
 """
 
 from __future__ import annotations
@@ -115,14 +114,18 @@ SEED_NAMES = ("u", "u*", "ue")
 FRAME_OPS = ("A", "Astar", "Aeps", "P")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModuleFrame:
     """How A, Astar, Aeps and P act on a module W, in its slice basis B.
 
     A vector of W is x B for a coordinate row x of length d + 1, and
     op (x B) = (x M_op) B: row k of M_op holds the coordinates of op b_k.
-    `gram` is B B^*, diagonal with positive real entries, so
-    <x B, y B> = x gram y^*."""
+    `gram` is B B^* / <u*, u*>, diagonal with positive real entries and
+    gram[0, 0] = 1, so <x B, y B> = <u*, u*> x gram y^*; the scale
+    <u*, u*> = <b_0, b_0>, which no verdict reads, is the module's `norm`.
+    A frame compares and hashes by identity: the modules of one endpoint
+    hold the one frame that `decompose` certified, and a memo keyed on it
+    finds their entry with no hash of its matrices."""
 
     A: ExactMatrix
     Astar: ExactMatrix
@@ -135,34 +138,17 @@ class ModuleFrame:
         return block @ getattr(self, op)
 
     def gram_of(self, coords: ExactMatrix) -> ExactMatrix:
-        """Entry (a, b) is <x_a B, x_b B> for the rows x_a of coords."""
+        """Entry (a, b) is <x_a B, x_b B> / <u*, u*> for the rows x_a of
+        coords."""
         return coords @ self.gram @ coords.adjoint()
-
-    @cached_property
-    def normalized(self) -> "ModuleFrame":
-        """This frame with its Gram divided by <b_0, b_0> = <u*, u*>: what
-        remains when the scale of B is forgotten, which no verdict reads.
-        The modules of one endpoint hold one such object (`sharing`)."""
-        return replace(self, gram=self.gram.scale(1 / self.gram[0, 0]))
-
-    @classmethod
-    def sharing(cls, normalized: "ModuleFrame",
-                gram: ExactMatrix) -> "ModuleFrame":
-        """The frame with the matrices of `normalized` and the Gram `gram`,
-        whose `normalized` is that very object: for a gram that the caller
-        has certified to be a positive multiple of normalized.gram."""
-        frame = cls(normalized.A, normalized.Astar, normalized.Aeps,
-                    normalized.P, gram)
-        # the slot in which cached_property keeps its value
-        frame.__dict__["normalized"] = normalized
-        return frame
 
 
 @dataclass(frozen=True)
 class IrreducibleModule:
     """One irreducible T-module: endpoint r, diameter d = D - 2r, the
     coordinates in B of its three seeds in SEED_NAMES order, its slice basis
-    B, a block with one vector per distance slice, and its certified frame."""
+    B, a block with one vector per distance slice, its certified frame, and
+    norm = <u*, u*>, the scale that the frame's Gram leaves out."""
 
     r: int
     d: int
@@ -170,6 +156,7 @@ class IrreducibleModule:
     seed_coords: ExactMatrix
     slice_basis: ExactMatrix
     frame: ModuleFrame
+    norm: Fraction
 
     @property
     def dim(self) -> int:
@@ -195,7 +182,7 @@ class IrreducibleModule:
     @cached_property
     def seed_gram(self) -> ExactMatrix:
         """Entry (a, b) is <seed a, seed b>."""
-        return self.frame.gram_of(self.seed_coords)
+        return self.frame.gram_of(self.seed_coords).scale(self.norm)
 
     def seed_inner(self, first: str, second: str) -> GaussRat:
         return self.seed_gram[SEED_NAMES.index(first),
@@ -394,20 +381,27 @@ def _ladder_failures(ctx: CubeContext, r: int, stack: ExactMatrix,
     return lowered
 
 
+def _diagonal(norms, den) -> ExactMatrix:
+    """diag(norms) / den for a column of integer row norms."""
+    diag = np.diag(norms)
+    return ExactMatrix.from_numerators(diag, 0 * diag, int(den))
+
+
 def _own_frame(ctx: CubeContext, r: int, index: int, basis: ExactMatrix,
-               gram: ExactMatrix) -> ModuleFrame:
-    """The frame of one module read off the images of its own slice basis
-    and certified by their exact reconstruction, op by op in FRAME_OPS
-    order; for a module that the frame of its endpoint does not rebuild,
-    which a corrupted context alone makes."""
-    inverse = inverse_diagonal(gram)
+               norms, den: int) -> ModuleFrame:
+    """The frame of one module read off the images of its own slice basis,
+    whose row norms are norms / den, and certified by their exact
+    reconstruction, op by op in FRAME_OPS order; for a module that the
+    frame of its endpoint does not rebuild, which a corrupted context
+    alone makes."""
+    inverse = inverse_diagonal(_diagonal(norms, den))
     coords = {}
     for op in FRAME_OPS:
         image = ctx.apply(op, basis)
         coords[op] = _read(image, basis, inverse)
         if not (coords[op] @ basis).entries_equal(image).all():
             _fail(r, index, f"{op} does not map W into W")
-    return ModuleFrame(**coords, gram=gram)
+    return ModuleFrame(**coords, gram=_diagonal(norms, norms[0]))
 
 
 def _endpoint_modules(ctx: CubeContext, r: int, numerators):
@@ -435,11 +429,9 @@ def _endpoint_modules(ctx: CubeContext, r: int, numerators):
     images = {"A": lowered + ExactMatrix.stack(
         [stack.block(slice(m, None), slice(None)), top])}
     del lowered
-    grams = [ExactMatrix.from_numerators(np.diag(norms[:, j]),
-                                         np.zeros((d + 1, d + 1), np.int64),
-                                         stack._den ** 2) for j in range(m)]
+    den = stack._den ** 2
     basis = owned(view, 0)
-    inverse = inverse_diagonal(grams[0])
+    inverse = inverse_diagonal(_diagonal(norms[:, 0], den))
     scaled_by = np.repeat(ctx.D - 2 * (r + np.arange(d + 1)), m)
     # the frame read off module 0, and for each op the modules whose images
     # it rebuilds: one product over the whole view, one operator at a time.
@@ -461,29 +453,30 @@ def _endpoint_modules(ctx: CubeContext, r: int, numerators):
                 d + 1, m, n).all(axis=(0, 2))
         del image
     # the rebuilt modules whose Grams are positive multiples of module 0's
-    # share one normalized frame and its checks (see decompose); every
-    # product is at most max(norms)^2
+    # hold one frame, the group's, and share its checks (see decompose);
+    # every product is at most max(norms)^2
     nn = ints(max(int(norms.max()), 1) ** 2, norms)[0]
     shares = rebuilt & (nn * nn[0, 0] == nn[:, :1] * nn[0]).all(axis=0)
-    normalized = shared_seeds = None
+    group = None
     modules = []
     for j in range(m):
         if failures[j] is not None:
             _fail(r, j, failures[j])
         basis = owned(view, j)
-        if shares[j] and normalized is not None:
-            frame = ModuleFrame.sharing(normalized, grams[j])
-            seeds = shared_seeds
+        if shares[j] and group:
+            frame, seeds = group
         else:
             if rebuilt[j]:
-                frame = ModuleFrame(**shared, gram=grams[j])
+                frame = ModuleFrame(**shared,
+                                    gram=_diagonal(norms[:, j], norms[0, j]))
             else:
-                frame = _own_frame(ctx, r, j, basis, grams[j])
+                frame = _own_frame(ctx, r, j, basis, norms[:, j], den)
             seeds = _checked_seed_coords(r, j, frame)
             if shares[j]:
-                normalized, shared_seeds = frame.normalized, seeds
-        modules.append(IrreducibleModule(r=r, d=d, index=j, seed_coords=seeds,
-                                         slice_basis=basis, frame=frame))
+                group = frame, seeds
+        modules.append(IrreducibleModule(
+            r=r, d=d, index=j, seed_coords=seeds, slice_basis=basis,
+            frame=frame, norm=Fraction(int(norms[0, j]), den)))
     return modules
 
 
@@ -492,8 +485,8 @@ def _checked_seed_coords(r: int, index: int,
     """The seed coordinates of a certified frame, after its checks in
     order: the spectral certificates of A and Aeps, the seeds u and ue
     nonzero, and the pairings <u*,u>, <u,ue>, <ue,u*> nonzero.  Each is a
-    function of the normalized frame: a positive scale of the Gram leaves
-    whether a pairing vanishes as it is."""
+    function of the frame: the norm of B, which its Gram leaves out, is
+    positive and does not change whether a pairing vanishes."""
     d = frame.A.rows - 1
     for op, label in (("A", "E"), ("Aeps", "Eeps")):
         failure = spectral_parts(getattr(frame, op))[1]
@@ -602,24 +595,24 @@ def decompose(ctx: CubeContext) -> Decomposition:
     (d+1) x (d+1) by (d+1) x (m 2^D) product for each of A, Aeps and P;
     Astar's is diag(theta) on every module that passes the slice scale
     check.  Since the coordinates in an orthogonal basis are unique, a
-    module the frame rebuilds has exactly that frame.  Such modules share
-    the four frame matrices, each with its own diagonal Gram B B^* read off
-    its row norms: the slice support check puts b_k on slice r + k, so the
-    vectors are orthogonal and nonzero, and "the slice basis is not
-    orthogonal" is implied rather than tested.  A module that the shared
-    frame does not rebuild (only on a corrupted context) has its frame read
-    off its own images.  The seeds are their coordinates in B,
-    seed_coordinates(frame), checked there, as the ladder checks make B
-    injective.
+    module the frame rebuilds has exactly that frame's four matrices.  Each
+    module's diagonal Gram B B^* is read off its row norms: the slice
+    support check puts b_k on slice r + k, so the vectors are orthogonal and
+    nonzero, and "the slice basis is not orthogonal" is implied rather than
+    tested.  A module that the shared frame does not rebuild (only on a
+    corrupted context) has its frame read off its own images.  The seeds
+    are their coordinates in B, seed_coordinates(frame), checked there, as
+    the ladder checks make B injective.
 
     The rebuilt modules whose norms are positive multiples of module 0's,
-    norms[k, j] norms[0, 0] = norms[k, 0] norms[0, j] for every k, hold
-    one normalized frame object.  The spectral certificates, the seeds
-    nonzero and the seed pairings nonzero are functions of it (a positive
-    scale of the Gram leaves whether a pairing vanishes), so they run on
-    the first such module, and the others take its verdict and its seed
-    coordinates.  Every other module, which a corrupted context alone
-    makes, runs them on its own frame.  Every check is made for all
+    norms[k, j] norms[0, 0] = norms[k, 0] norms[0, j] for every k, have
+    equal normalized Grams and hold one frame object, the group's.  The
+    spectral certificates, the seeds nonzero and the seed pairings nonzero
+    are functions of it (a positive scale of the Gram leaves whether a
+    pairing vanishes), so they run on the first module of the group, and
+    the others take its verdict and its seed coordinates.  Every other
+    module, which a corrupted context alone makes, holds a frame of its
+    own and runs them on it.  Every check is made for all
     modules of an endpoint; the error names the first module in index
     order, at its first failing check in the order ladder, Astar, frame,
     spectral, seed nonzero, seed pairings: a shared verdict that fails
@@ -646,9 +639,9 @@ def verify_seed_norms(mod: IrreducibleModule):
 
     Each identity is homogeneous of degree 1 in the scale of the Gram, and
     the scalar scales by its positive cube, so the verdicts are a function
-    of the normalized frame and the seed coordinates, and are computed once
-    per distinct pair of them."""
-    return list(_seed_norm_checks(mod.frame.normalized, mod.seed_coords))
+    of the frame, whose Gram leaves the module's norm out, and the seed
+    coordinates, and are computed once per distinct pair of them."""
+    return list(_seed_norm_checks(mod.frame, mod.seed_coords))
 
 
 @lru_cache(maxsize=None)

@@ -29,18 +29,20 @@ provides:
 
 Everything here is (d+1)-dimensional.  A module's certified frame
 (`decomposition.ModuleFrame`) holds the matrices of A, Astar, Aeps and P in
-its slice basis B and the diagonal Gram of B, and a vector of the module is
-a coordinate row x, standing for x B.  The six bases are one block of such
-coordinates, d + 1 rows per basis: E and Eeps act through the spectral
-idempotents of the frame's A and Aeps, Estar through the unit diagonals,
-and each operator through its frame matrix, on all six bases at once.
-Inner products go through the Gram: <x B, y B> = x gram(B) y^*.  B is a
-basis, so coordinates are equal exactly when the vectors are, and every
-verdict is the one that the vectors over 2^D columns give.  Each basis is
-the image of one seed under a family of Hermitian orthogonal idempotents,
-so it is orthogonal: coordinates are <t, b_k> / <b_k, b_k>, once the
-basis's Gram block is seen to be diagonal.  Only the Leonard recognizer,
-whose eigenbases need not be orthogonal, eliminates.
+its slice basis B and the diagonal Gram of B divided by <u*, u*>, and a
+vector of the module is a coordinate row x, standing for x B.  The six
+bases are one block of such coordinates, d + 1 rows per basis: E and Eeps
+act through the spectral idempotents of the frame's A and Aeps, Estar
+through the unit diagonals, and each operator through its frame matrix, on
+all six bases at once.  Inner products go through the Gram:
+<x B, y B> = <u*, u*> x gram y^*, and every check reads them with the
+positive scale <u*, u*> left out.  B is a basis, so coordinates are equal
+exactly when the vectors are, and every verdict is the one that the
+vectors over 2^D columns give.  Each basis is the image of one seed under a
+family of Hermitian orthogonal idempotents, so it is orthogonal:
+coordinates are <t, b_k> / <b_k, b_k>, once the basis's Gram block is seen
+to be diagonal.  Only the Leonard recognizer, whose eigenbases need not be
+orthogonal, eliminates.
 
 Each module's checks are whole-matrix operations.  The closed forms are
 tables of Gaussian-integer numerators, built once per Phi matrix (one per
@@ -59,16 +61,15 @@ closed form; the 36 transitions read the six bases themselves, and the
 inverse and composition rows are the blocks of one product per middle
 basis.
 
-Every result is a function of the module's normalized frame (its Gram
-divided by <u*, u*>, a scale that no verdict reads) and of the Phi matrix,
-and all modules of one endpoint hold one normalized frame, the very object
-that `decompose` certified for the endpoint.  So the six bases, the rep
-cells, the inner products, the transitions and the recognizer are
-memoized on the exact entries of what they read (`_memoized`, and a cache
-on `is_leonard_triple`), and each is computed once per distinct frame.
-The keys are that shared object and the coordinates computed from it, so
-a lookup for a later module of an endpoint finds its entry by identity,
-with no comparison of matrices.
+Every result is a function of the module's frame (whose Gram leaves out
+<u*, u*>, a scale that no verdict reads) and of the Phi matrix, and all
+modules of one endpoint hold one frame, the very object that `decompose`
+certified for the endpoint.  So the six bases, the rep cells, the inner
+products, the transitions and the recognizer are memoized on what they
+read (`_memoized`, and a cache on `is_leonard_triple`), and each is
+computed once per frame.  A frame compares and hashes by identity, so a
+lookup for a later module of an endpoint finds its entry with no hash or
+comparison of the frame's matrices.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from .cube import CubeContext
+from .cube import CubeContext, _times_i_power
 from .decomposition import (SEED_NAMES, IrreducibleModule, ModuleFrame,
                             seed_coordinates, spectral_failure,
                             spectral_parts)
@@ -258,13 +259,16 @@ class BasisSolver:
 # -- the memo on the frame -----------------------------------------------------------
 
 
+_MISSING = object()
+
+
 def _memoized(key):
     """Decorator: the function's result is computed once per distinct
-    key(*args) and returned to every later call with an equal key.  Keys
-    compare by exact equality.  They are a module's normalized frame and
-    six-basis coordinates, and the Phi matrix, of which every
-    (d+1)-dimensional result below is a function, so modules with equal
-    frames share one computation.  A call that raises stores nothing, so
+    key(*args) and returned, by one lookup, to every later call with an
+    equal key.  The keys are a module's frame, which compares by identity,
+    its six-basis coordinates and the Phi matrix, of which every
+    (d+1)-dimensional result below is a function, so the modules that hold
+    one frame share one computation.  A call that raises stores nothing, so
     each failing call raises its own error, naming its own module.  The
     memo lives as long as the process, with one entry per distinct key: a
     few per dimension, since a dimension D has D // 2 + 1 frames."""
@@ -274,9 +278,10 @@ def _memoized(key):
         @wraps(fn)
         def cached(*args):
             k = key(*args)
-            if k not in memo:
-                memo[k] = fn(*args)
-            return memo[k]
+            result = memo.get(k, _MISSING)
+            if result is _MISSING:
+                result = memo[k] = fn(*args)
+            return result
         return cached
     return decorate
 
@@ -289,8 +294,7 @@ class SixBases:
     """The six bases of one module as the rows of one block, in BASIS_LABELS
     order, in coordinates: `stacked` is 6(d+1) x (d+1), and row k of
     `bases[label]`, times the module's slice basis B, is vector k of basis
-    `label`.  Inner products go through the Gram of B, read off the
-    module's normalized frame."""
+    `label`.  Inner products go through the Gram of the module's frame."""
 
     module: IrreducibleModule
     stacked: ExactMatrix
@@ -304,21 +308,16 @@ class SixBases:
         return slice(k * n, (k + 1) * n)
 
     @cached_property
-    def frame(self) -> ModuleFrame:
-        """The module's normalized frame."""
-        return self.module.frame.normalized
-
-    @cached_property
     def key(self):
-        """The exact data that every result on these bases is a function
-        of: the normalized frame and the coordinates."""
-        return (self.frame, self.stacked)
+        """The data that every result on these bases is a function of: the
+        module's frame and the coordinates."""
+        return (self.module.frame, self.stacked)
 
     @cached_property
     def weighted(self) -> ExactMatrix:
         """gram(B) @ stacked^*: row x of X @ weighted holds <x, b> for each
         row b of stacked, for coordinate rows X."""
-        return self.frame.gram @ self.stacked.adjoint()
+        return self.module.frame.gram @ self.stacked.adjoint()
 
     @cached_property
     def gram(self) -> ExactMatrix:
@@ -362,7 +361,8 @@ class SixBases:
         """The nine inner products, keyed "a|b", of the frame's seeds
         u = E_r u*, u* and ue = Eeps_r u*, by `ModuleFrame.gram_of`; the
         inner-product, proportionality and transition checks share them."""
-        gram = self.frame.gram_of(seed_coordinates(self.frame))
+        frame = self.module.frame
+        gram = frame.gram_of(seed_coordinates(frame))
         return {f"{a}|{b}": gram[i, j] for i, a in enumerate(SEED_NAMES)
                 for j, b in enumerate(SEED_NAMES)}
 
@@ -408,7 +408,7 @@ def _family_parts(mod: IrreducibleModule):
     return parts
 
 
-@_memoized(lambda mod: mod.frame.normalized)
+@_memoized(lambda mod: mod.frame)
 def _six_bases_block(mod: IrreducibleModule) -> ExactMatrix:
     """Apply the idempotent families to the seeds; every vector must be
     nonzero, and the bases must be P-images of each other under the
@@ -419,7 +419,7 @@ def _six_bases_block(mod: IrreducibleModule) -> ExactMatrix:
     family_(r+i) applied to seed row k, so the basis generated by seed row k
     is the strided row slice k::6.  A basis sums back to its seed because
     the parts sum to I."""
-    frame = mod.frame.normalized
+    frame = mod.frame
     n = mod.d + 1
     seeds = seed_coordinates(frame)
     chained = [seeds.block([0], slice(None))]
@@ -539,7 +539,7 @@ def _rep_cells(bases: SixBases) -> Tuple[RepCell, ...]:
     (o, b), which is compared with its closed form."""
     d = bases.module.d
     n, nb = d + 1, len(BASIS_LABELS)
-    images = ExactMatrix.stack([bases.frame.apply(op, bases.stacked)
+    images = ExactMatrix.stack([bases.module.frame.apply(op, bases.stacked)
                                 for op in OPERATOR_LABELS])
     coeffs = bases.coords(images)
     cells = []
@@ -557,10 +557,6 @@ def _rep_cells(bases: SixBases) -> Tuple[RepCell, ...]:
 
 # -- closed-form tables ----------------------------------------------------------------
 
-# i ** k for k mod 4, as real and imaginary parts
-_IPOW_RE = np.array([1, 0, -1, 0], dtype=object)
-_IPOW_IM = np.array([0, 1, 0, -1], dtype=object)
-
 
 def _unit_power(sign: int, d: int) -> Tuple[int, int]:
     """(1 + sign i) ** d as (real part, imaginary part)."""
@@ -574,11 +570,9 @@ def _gauss_table(weights, power, unit: Tuple[int, int],
                  den: int) -> ExactMatrix:
     """The matrix weights * i ** power * unit / den from integer arrays
     (weights, power) and a Gaussian integer unit."""
-    k = np.mod(power, 4)
-    pr, pi = _IPOW_RE[k], _IPOW_IM[k]
     ur, ui = unit
-    return ExactMatrix.from_numerators(weights * (pr * ur - pi * ui),
-                                       weights * (pr * ui + pi * ur), den)
+    return ExactMatrix.from_numerators(
+        *_times_i_power(weights * ur, weights * ui, power), den)
 
 
 @lru_cache(maxsize=None)

@@ -127,9 +127,6 @@ class GaussRat:
         """x * conj(x) as a rational; positive unless x = 0."""
         return self.re * self.re + self.im * self.im
 
-    def inverse(self) -> "GaussRat":
-        return ONE / self
-
     # -- equality / hashing -------------------------------------------------
 
     def __eq__(self, other):

@@ -352,7 +352,8 @@ def _certify_frame(ctx, r, index, block, astar):
     block; the coordinates of every image are read off images @ B^* times
     the inverse norms and certified by the exact reconstruction
     coords @ B == images, which proves that the operator maps W into W.
-    The Gram B B^* must be diagonal."""
+    The Gram B B^* must be diagonal.  Returns the frame, whose Gram is
+    B B^* / <b_0, b_0>, and the norm <b_0, b_0>."""
     n = block.rows
     gram = block @ block.adjoint()
     if (gram.nonzero() != np.eye(n, dtype=bool)).any():
@@ -365,8 +366,11 @@ def _certify_frame(ctx, r, index, block, astar):
     for op, ok in zip(FRAME_OPS, closed.all(axis=1)):
         if not ok:
             _fail(r, index, f"{op} does not map W into W")
-    return ModuleFrame(*(coords.block(slice(k * n, (k + 1) * n), slice(None))
-                         for k in range(len(FRAME_OPS))), gram=gram)
+    norm = gram[0, 0].re
+    frame = ModuleFrame(*(coords.block(slice(k * n, (k + 1) * n), slice(None))
+                          for k in range(len(FRAME_OPS))),
+                        gram=gram.scale(1 / norm))
+    return frame, norm
 
 
 def _frame_seeds(r, index, block, frame):
@@ -399,7 +403,7 @@ def oracle_endpoint_modules(ctx, r, numerators):
         for _ in range(d + 1):
             ladder.append(ctx.apply("R", ladder[-1]))
         block, astar = _validate_ladder(ctx, r, index, ladder)
-        frame = _certify_frame(ctx, r, index, block, astar)
+        frame, norm = _certify_frame(ctx, r, index, block, astar)
         own = _frame_seeds(r, index, block, frame)
         gram = own @ own.adjoint()
         for a, b in (("u*", "u"), ("u", "ue"), ("ue", "u*")):
@@ -407,7 +411,7 @@ def oracle_endpoint_modules(ctx, r, numerators):
                 _fail(r, index, f"<{a},{b}> vanished")
         modules.append(IrreducibleModule(
             r=r, d=d, index=index, seed_coords=seed_coordinates(frame),
-            slice_basis=block, frame=frame))
+            slice_basis=block, frame=frame, norm=norm))
     return modules
 
 

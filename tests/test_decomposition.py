@@ -442,8 +442,9 @@ def test_frame_is_the_action_on_the_slice_basis(D):
         for op in FRAME_OPS:
             assert getattr(m.frame, op) == representation_matrix(
                 getattr(ctx, op), basis).transpose(), (m.r, m.index, op)
-        assert m.frame.gram == m.slice_basis @ m.slice_basis.adjoint()
-        assert m.frame.normalized.gram[0, 0] == 1
+        assert m.frame.gram.scale(m.norm) == \
+            m.slice_basis @ m.slice_basis.adjoint()
+        assert m.frame.gram[0, 0] == 1
 
 
 @pytest.mark.parametrize("D", range(1, 8))
@@ -458,16 +459,40 @@ def test_frame_seeds_equal_the_window_projections(D):
 
 @pytest.mark.parametrize("D", range(1, 9))
 def test_modules_of_one_endpoint_share_one_normalized_frame(D):
-    # one object per endpoint, equal to each module's frame with its own
-    # Gram divided by <u*, u*>
+    # one object per endpoint, whose Gram is each module's own B B^*
+    # divided by <b_0, b_0>
     first = {}
     for m in get_decomposition(D).modules:
-        frame = m.frame
-        assert frame.normalized == replace(
-            frame, gram=frame.gram.scale(1 / frame.gram[0, 0])), m.index
-        assert first.setdefault(m.r, frame.normalized) is frame.normalized, \
-            (m.r, m.index)
+        gram = m.slice_basis @ m.slice_basis.adjoint()
+        assert m.frame.gram == gram.scale(1 / gram[0, 0]), m.index
+        assert m.norm == gram[0, 0], m.index
+        assert first.setdefault(m.r, m.frame) is m.frame, (m.r, m.index)
     assert sorted(first) == list(range(D // 2 + 1))
+
+
+def test_non_proportional_norms_hold_a_frame_of_their_own(monkeypatch):
+    # b_1 of module r=1 index=1 at D = 4 with its norm doubled, as in
+    # test_cli.py::test_non_proportional_norms_take_the_per_module_path:
+    # its Gram is no positive multiple of module 0's, so it holds a frame
+    # object of its own, with the group's four operator matrices
+    honest = decomposition._row_norms
+
+    def doubled(block):
+        norms = honest(block)
+        if block.rows == 3 * 3:  # the stack of r = 1: 3 modules, d = 2
+            norms = norms.copy()
+            norms[3 + 1] *= 2
+        return norms
+
+    monkeypatch.setattr(decomposition, "_row_norms", doubled)
+    first, second, third = [m for m in decompose(get_ctx(4)).modules
+                            if m.r == 1]
+    assert third.frame is first.frame
+    assert second.frame is not first.frame
+    for op in FRAME_OPS:
+        assert getattr(second.frame, op) == getattr(first.frame, op), op
+    assert second.frame.gram == ExactMatrix.diagonal([1, 2, 1]) @ \
+        first.frame.gram
 
 
 def test_spectral_parts_certificate_names_the_first_failure():

@@ -205,7 +205,7 @@ def _fails(ctx, mod):
 
 
 def test_memo_is_keyed_on_the_exact_frame():
-    # the two modules of Q_3 with r = 1 share one normalized frame and so
+    # the two modules of Q_3 with r = 1 hold one frame object and so
     # one computation; a flipped entry of M_Aeps is another key and fails,
     # although a healthy module of the same endpoint was verified first
     ctx = get_ctx(3)
@@ -501,7 +501,7 @@ def test_module_gram_built_once_on_first_use():
     stacked, gram = bases.stacked, bases.gram
     assert stacked == ExactMatrix.stack([bases[label]
                                          for label in BASIS_LABELS])
-    # the Gram through the normalized frame, on which <u*, u*> = 1
+    # the Gram through the frame, which leaves out <u*, u*>
     vectors = in_space(bases)
     assert gram == (vectors @ vectors.adjoint()).scale(
         1 / inner(m.u_star, m.u_star))
@@ -518,7 +518,7 @@ def test_orthogonal_coords_equal_the_elimination_solver(D):
     # that it reads off the cached Gram
     for m, bases, phi in get_bundles(D):
         targets = ExactMatrix.stack(
-            [bases.stacked] + [bases.frame.apply(op, bases.stacked)
+            [bases.stacked] + [m.frame.apply(op, bases.stacked)
                                for op in OPERATOR_LABELS])
         got = bases.coords(targets)
         cells = transition_matrices(bases, phi).cells
@@ -569,7 +569,7 @@ def test_rep_cells_equal_the_per_label_coords(D):
         for label in BASIS_LABELS:
             solver = BasisSolver(block_rows(in_space(bases, label)))
             coeffs = solver.coords_matrix(ExactMatrix.stack(
-                [bases.frame.apply(op, bases[label])
+                [m.frame.apply(op, bases[label])
                  for op in OPERATOR_LABELS]) @ m.slice_basis)
             for k, op in enumerate(OPERATOR_LABELS):
                 cell = next(cells)
