@@ -12,7 +12,7 @@ from .linalg import (ExactMatrix, ExactVector, SingularMatrixError,
 from .cube import (CubeContext, build_context, verify_commutators,
                    verify_conjugation, verify_idempotent_families)
 from .decomposition import (Decomposition, IrreducibleModule, decompose,
-                            multiplicity, normalize_seeds, verify_seed_norms)
+                            multiplicity, verify_seed_norms)
 from .leonard import (BASIS_LABELS, LeonardVerdict, PhiMatrix, SixBases,
                       build_six_bases, hypergeometric_2f1, is_leonard_triple,
                       module_report, module_triple, phi_matrix,
@@ -25,7 +25,7 @@ __all__ = [
     "CubeContext", "build_context", "verify_commutators",
     "verify_conjugation", "verify_idempotent_families",
     "Decomposition", "IrreducibleModule", "decompose", "multiplicity",
-    "normalize_seeds", "verify_seed_norms", "BASIS_LABELS", "LeonardVerdict",
+    "verify_seed_norms", "BASIS_LABELS", "LeonardVerdict",
     "PhiMatrix",
     "SixBases", "build_six_bases", "hypergeometric_2f1", "is_leonard_triple",
     "module_report", "module_triple", "phi_matrix", "transition_matrices",

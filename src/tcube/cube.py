@@ -582,9 +582,9 @@ def build_context(D: int, d_limit: int = DEFAULT_D_LIMIT) -> CubeContext:
 
 
 def _check_tables(name, *terms) -> IdentityCheck:
-    """check_equal of lhs and rhs, given the pairs (table, weight) of
-    lhs - rhs: they differ where that sum is nonzero, first at its first
-    nonzero entry (y, y ^ s)."""
+    """The check lhs == rhs, with its first discrepancy, given the pairs
+    (table, weight) of lhs - rhs: they differ where that sum is nonzero,
+    first at its first nonzero entry (y, y ^ s)."""
     spot = _Gather.combination(terms).first_nonzero()
     return IdentityCheck(name, spot is None, spot)
 
@@ -637,9 +637,10 @@ def _indicator(mask) -> ExactMatrix:
 
 
 def _check_rows(name, lhs, rhs, diagonal=False) -> IdentityCheck:
-    """check_equal of two matrices that are both translation-invariant,
-    both S^-1 conjugates of such, or both diagonal, given by their first
-    rows, or diagonals, lhs and rhs (1 x n): see the note above."""
+    """The check that two matrices are equal, with its first discrepancy,
+    for two that are both translation-invariant, both S^-1 conjugates of
+    such, or both diagonal, given by their first rows, or diagonals, lhs
+    and rhs (1 x n): see the note above."""
     if lhs == rhs:
         return IdentityCheck(name, True)
     _, k = first_discrepancy(lhs, rhs)

@@ -49,7 +49,7 @@ its seeds, the six bases and every check on them are coordinates in B
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Dict, Tuple
@@ -64,14 +64,6 @@ from .scalar import GaussRat
 
 class InvariantViolation(RuntimeError):
     """A constructed module failed one of its structural invariants."""
-
-
-class InfeasibleTargets(ValueError):
-    """Requested seed inner products cannot be realized at all."""
-
-
-class FieldExtensionRequired(ValueError):
-    """Targets are feasible over C but need a square root outside Q(i)."""
 
 
 def multiplicity(D: int, r: int) -> int:
@@ -145,15 +137,15 @@ class ModuleFrame:
 
 @dataclass(frozen=True)
 class IrreducibleModule:
-    """One irreducible T-module: endpoint r, diameter d = D - 2r, the
-    coordinates in B of its three seeds in SEED_NAMES order, its slice basis
-    B, a block with one vector per distance slice, its certified frame, and
-    norm = <u*, u*>, the scale that the frame's Gram leaves out."""
+    """One irreducible T-module: endpoint r, diameter d = D - 2r, its slice
+    basis B, a block with one vector per distance slice, its certified
+    frame, which holds the coordinates in B of its three seeds
+    (`seed_coordinates`), and norm = <u*, u*>, the scale that the frame's
+    Gram leaves out."""
 
     r: int
     d: int
     index: int
-    seed_coords: ExactMatrix
     slice_basis: ExactMatrix
     frame: ModuleFrame
     norm: Fraction
@@ -165,7 +157,7 @@ class IrreducibleModule:
     @property
     def seeds(self) -> ExactMatrix:
         """The seeds over 2^D, which no check reads: 3 x 2^D."""
-        return self.seed_coords @ self.slice_basis
+        return seed_coordinates(self.frame) @ self.slice_basis
 
     @property
     def u(self) -> ExactVector:
@@ -182,7 +174,8 @@ class IrreducibleModule:
     @cached_property
     def seed_gram(self) -> ExactMatrix:
         """Entry (a, b) is <seed a, seed b>."""
-        return self.frame.gram_of(self.seed_coords).scale(self.norm)
+        return self.frame.gram_of(seed_coordinates(self.frame)).scale(
+            self.norm)
 
     def seed_inner(self, first: str, second: str) -> GaussRat:
         return self.seed_gram[SEED_NAMES.index(first),
@@ -463,30 +456,29 @@ def _endpoint_modules(ctx: CubeContext, r: int, numerators):
         if failures[j] is not None:
             _fail(r, j, failures[j])
         basis = owned(view, j)
-        if shares[j] and group:
-            frame, seeds = group
+        if shares[j] and group is not None:
+            frame = group
         else:
             if rebuilt[j]:
                 frame = ModuleFrame(**shared,
                                     gram=_diagonal(norms[:, j], norms[0, j]))
             else:
                 frame = _own_frame(ctx, r, j, basis, norms[:, j], den)
-            seeds = _checked_seed_coords(r, j, frame)
+            _check_seeds(r, j, frame)
             if shares[j]:
-                group = frame, seeds
+                group = frame
         modules.append(IrreducibleModule(
-            r=r, d=d, index=j, seed_coords=seeds, slice_basis=basis,
-            frame=frame, norm=Fraction(int(norms[0, j]), den)))
+            r=r, d=d, index=j, slice_basis=basis, frame=frame,
+            norm=Fraction(int(norms[0, j]), den)))
     return modules
 
 
-def _checked_seed_coords(r: int, index: int,
-                         frame: ModuleFrame) -> ExactMatrix:
-    """The seed coordinates of a certified frame, after its checks in
-    order: the spectral certificates of A and Aeps, the seeds u and ue
-    nonzero, and the pairings <u*,u>, <u,ue>, <ue,u*> nonzero.  Each is a
-    function of the frame: the norm of B, which its Gram leaves out, is
-    positive and does not change whether a pairing vanishes."""
+def _check_seeds(r: int, index: int, frame: ModuleFrame) -> None:
+    """The checks of a certified frame's seeds, in order: the spectral
+    certificates of A and Aeps, the seeds u and ue nonzero, and the
+    pairings <u*,u>, <u,ue>, <ue,u*> nonzero.  Each is a function of the
+    frame: the norm of B, which its Gram leaves out, is positive and does
+    not change whether a pairing vanishes."""
     d = frame.A.rows - 1
     for op, label in (("A", "E"), ("Aeps", "Eeps")):
         failure = spectral_parts(getattr(frame, op))[1]
@@ -501,21 +493,18 @@ def _checked_seed_coords(r: int, index: int,
     for a, b in (("u*", "u"), ("u", "ue"), ("ue", "u*")):
         if not pairings[SEED_NAMES.index(a), SEED_NAMES.index(b)]:
             _fail(r, index, f"<{a},{b}> vanished")
-    return coords
 
 
+@lru_cache(maxsize=None)
 def seed_coordinates(frame: ModuleFrame) -> ExactMatrix:
     """The seeds u = E_r u*, u* = b_0 and ue = Eeps_r u* in coordinates, in
     SEED_NAMES order: row 0 of the parts for theta_r of the frame's A and
     Aeps, and the unit row e_0.  Meaningful once the spectral certificates
-    of both hold, which `decompose` checks."""
-    return _seed_coordinates(frame.A, frame.Aeps)
-
-
-@lru_cache(maxsize=None)
-def _seed_coordinates(a: ExactMatrix, aeps: ExactMatrix) -> ExactMatrix:
-    rows = [spectral_parts(m)[0][0].block([0], slice(None)) for m in (a, aeps)]
-    unit = ExactMatrix.identity(a.rows).block([0], slice(None))
+    of both hold, which `decompose` checks.  The frame is the one owner of
+    a module's seeds; memoized on it, by identity."""
+    rows = [spectral_parts(getattr(frame, op))[0][0].block([0], slice(None))
+            for op in ("A", "Aeps")]
+    unit = ExactMatrix.identity(frame.A.rows).block([0], slice(None))
     return ExactMatrix.stack([rows[0], unit, rows[1]])
 
 
@@ -601,8 +590,9 @@ def decompose(ctx: CubeContext) -> Decomposition:
     nonzero, and "the slice basis is not orthogonal" is implied rather than
     tested.  A module that the shared frame does not rebuild (only on a
     corrupted context) has its frame read off its own images.  The seeds
-    are their coordinates in B, seed_coordinates(frame), checked there, as
-    the ladder checks make B injective.
+    are their coordinates in B, which the frame holds
+    (`seed_coordinates`), checked on the frame (`_check_seeds`), as the
+    ladder checks make B injective.
 
     The rebuilt modules whose norms are positive multiples of module 0's,
     norms[k, j] norms[0, 0] = norms[k, 0] norms[0, j] for every k, have
@@ -610,7 +600,7 @@ def decompose(ctx: CubeContext) -> Decomposition:
     spectral certificates, the seeds nonzero and the seed pairings nonzero
     are functions of it (a positive scale of the Gram leaves whether a
     pairing vanishes), so they run on the first module of the group, and
-    the others take its verdict and its seed coordinates.  Every other
+    the others take its verdict with its frame.  Every other
     module, which a corrupted context alone makes, holds a frame of its
     own and runs them on it.  Every check is made for all
     modules of an endpoint; the error names the first module in index
@@ -639,14 +629,14 @@ def verify_seed_norms(mod: IrreducibleModule):
 
     Each identity is homogeneous of degree 1 in the scale of the Gram, and
     the scalar scales by its positive cube, so the verdicts are a function
-    of the frame, whose Gram leaves the module's norm out, and the seed
-    coordinates, and are computed once per distinct pair of them."""
-    return list(_seed_norm_checks(mod.frame, mod.seed_coords))
+    of the frame, which holds the seed coordinates and whose Gram leaves the
+    module's norm out, and are computed once per frame."""
+    return list(_seed_norm_checks(mod.frame))
 
 
 @lru_cache(maxsize=None)
-def _seed_norm_checks(frame: ModuleFrame, coords: ExactMatrix):
-    gram = frame.gram_of(coords)
+def _seed_norm_checks(frame: ModuleFrame):
+    gram = frame.gram_of(seed_coordinates(frame))
 
     def inner(first, second):
         return gram[SEED_NAMES.index(first), SEED_NAMES.index(second)]
@@ -666,46 +656,3 @@ def _seed_norm_checks(frame: ModuleFrame, coords: ExactMatrix):
         check_true("seed_product_positive",
                    scalar.is_real() and scalar.re > 0),
     )
-
-
-def _rational_sqrt(q: Fraction):
-    if q <= 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-def normalize_seeds(mod: IrreducibleModule, a, b, c) -> IrreducibleModule:
-    """Rescale the seeds so that <u,u*> = a, <u*,ue> = b, <ue,u> = c.
-
-    The rescaling follows the existence construction: with delta =
-    a*b*c*(1+i)^d / ||c*u*||^2 the three scale factors involve delta^(1/2),
-    so the targets are realizable over Q(i) exactly when delta is the square
-    of a rational.
-    """
-    a, b, c = GaussRat._coerce(a), GaussRat._coerce(b), GaussRat._coerce(c)
-    if a is None or b is None or c is None:
-        raise TypeError("targets must be elements of Q(i)")
-    product = a * b * c * GaussRat(1, 1) ** mod.d
-    if not product.is_real() or product.re <= 0:
-        raise InfeasibleTargets("infeasible targets")
-    nus = mod.seed_inner("u*", "u*").re
-    delta = product.re / (c.abs_sq() * nus)
-    root = _rational_sqrt(delta)
-    if root is None:
-        raise FieldExtensionRequired("targets require field extension")
-    inv_root = GaussRat(1 / root)
-    lam = a * inv_root / mod.seed_inner("u", "u*")
-    lam_star = GaussRat(root)
-    lam_eps = b.conj() * inv_root / mod.seed_inner("ue", "u*")
-    out = replace(mod, seed_coords=ExactMatrix.diagonal(
-        [lam, lam_star, lam_eps]) @ mod.seed_coords)
-    got = (out.seed_inner("u", "u*"), out.seed_inner("u*", "ue"),
-           out.seed_inner("ue", "u"))
-    if got != (a, b, c):
-        raise InvariantViolation(f"normalization produced {got} instead of "
-                                 f"the requested targets")
-    return out

@@ -150,9 +150,13 @@ def hypergeometric_2f1(i: int, j: int, d: int) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhiMatrix:
-    """Phi_ij = C(d,j) * 2F1(-i,-j;-d;2); self-inverse up to 2^d."""
+    """Phi_ij = C(d,j) * 2F1(-i,-j;-d;2); self-inverse up to 2^d.
+
+    Compares and hashes by identity: `phi_matrix(d)` hands one object per
+    d, so the memos keyed on it find their entry with no hash of its
+    values."""
 
     d: int
     hyper: Tuple[Tuple[Fraction, ...], ...]
@@ -176,13 +180,6 @@ class PhiMatrix:
     def matrix(self) -> ExactMatrix:
         num, den = self.numerators()
         return ExactMatrix.from_numerators(num, np.zeros_like(num), den)
-
-    def with_flipped_entry(self, i: int, j: int) -> "PhiMatrix":
-        """Sign-flip one hypergeometric value (testing hook; the flipped
-        Phi entry is C(d,j) times it)."""
-        grid = [list(row) for row in self.hyper]
-        grid[i][j] = -grid[i][j]
-        return PhiMatrix(self.d, tuple(tuple(row) for row in grid))
 
 
 @lru_cache(maxsize=None)
@@ -776,10 +773,6 @@ class TransitionReport:
     module: IrreducibleModule
     cells: Dict[Tuple[str, str], TransitionCell]
     coherence: Tuple[IdentityCheck, ...]
-
-    def all_passed(self) -> bool:
-        return (all(c.passed for c in self.cells.values())
-                and all(c.passed for c in self.coherence))
 
     def failures(self) -> List[str]:
         out = [f"{s}->{t}" for (s, t), c in self.cells.items() if not c.passed]

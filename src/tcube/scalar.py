@@ -8,10 +8,7 @@ No floating point is accepted anywhere.
 
 from __future__ import annotations
 
-import re as _re
 from fractions import Fraction
-
-_SER_RE = _re.compile(r"^(-?\d+)/([1-9]\d*)([+-])(\d+)/([1-9]\d*)\*i$")
 
 
 def _as_fraction(x) -> Fraction:
@@ -136,32 +133,14 @@ class GaussRat:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
+        """A real value hashes as its Fraction, so that it hashes as the int
+        or Fraction it equals."""
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
-
-    # -- serialization ------------------------------------------------------
-
-    def to_string(self) -> str:
-        """Canonical form "a/b+c/d*i", e.g. "-1/2+0/1*i"."""
-        sign = "-" if self.im < 0 else "+"
-        return (f"{self.re.numerator}/{self.re.denominator}"
-                f"{sign}{abs(self.im.numerator)}/{self.im.denominator}*i")
-
-    @staticmethod
-    def from_string(s: str) -> "GaussRat":
-        m = _SER_RE.match(s)
-        if m is None:
-            raise ValueError(f"not a serialized Q(i) value: {s!r}")
-        re_ = Fraction(int(m.group(1)), int(m.group(2)))
-        im = Fraction(int(m.group(4)), int(m.group(5)))
-        if m.group(3) == "-":
-            im = -im
-        return GaussRat(re_, im)
 
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        return self.to_string()
 
 
 def as_gauss(x) -> GaussRat:

@@ -21,6 +21,10 @@ defect of `CubeContext.family_eigen_discrepancy`, and the dense
 constructions of A, Astar and Aeps (`kron_sum`, `commutator_aeps`,
 `phase_conjugate`), behind their gather tables, and of P (`kron_power`),
 behind the Walsh-Hadamard pass that builds it.
+
+It also holds what only tests use and no command reaches: `check_equal` and
+`all_passed` over checks, `flipped_phi`, the one-entry mutation of a Phi
+table, and `normalize_seeds`, the paper's seed normalization.
 """
 
 from __future__ import annotations
@@ -42,10 +46,12 @@ from tcube.leonard import (_BASIS_SPEC, _FORM_BUILDERS, _P_SHIFTS,
                            _PROPORTIONAL_ROWS, _SEED_ROWS, BASIS_LABELS,
                            INNER_FORMULAS, OPERATOR_LABELS, REP_FORMS,
                            TRANSITION_TABLE, BasisError, BasisSolver,
-                           build_six_bases, is_leonard_triple, phi_matrix)
-from tcube.linalg import (I64_LIMIT, ExactMatrix, ExactVector, gram_schmidt,
-                          ints, inverse_diagonal, kernel_basis)
-from tcube.report import check_equal, check_true
+                           PhiMatrix, build_six_bases, is_leonard_triple,
+                           phi_matrix)
+from tcube.linalg import (I64_LIMIT, ExactMatrix, ExactVector,
+                          first_discrepancy, gram_schmidt, ints,
+                          inverse_diagonal, kernel_basis)
+from tcube.report import IdentityCheck, check_true
 from tcube.scalar import GaussRat, I as IUNIT
 
 _CTX = {}
@@ -123,6 +129,83 @@ def representation_matrix(op, basis):
     by exact solving (the recognizer's route, on any basis)."""
     solver = BasisSolver(list(basis))
     return solver.coords_matrix(solver.stacked @ op.transpose())
+
+
+# -- checks and mutations that only tests make -------------------------------------
+
+
+def check_equal(name, lhs, rhs):
+    """The check lhs == rhs, with its first discrepancy."""
+    if lhs == rhs:
+        return IdentityCheck(name, True)
+    return IdentityCheck(name, False, first_discrepancy(lhs, rhs))
+
+
+def all_passed(checks) -> bool:
+    return all(c.passed for c in checks)
+
+
+def flipped_phi(phi, i, j):
+    """phi with the sign of one hypergeometric value flipped; the flipped
+    Phi entry is C(d,j) times it."""
+    grid = [list(row) for row in phi.hyper]
+    grid[i][j] = -grid[i][j]
+    return PhiMatrix(phi.d, tuple(tuple(row) for row in grid))
+
+
+# -- the paper's seed normalization -------------------------------------------------
+
+
+class InfeasibleTargets(ValueError):
+    """Requested seed inner products cannot be realized at all."""
+
+
+class FieldExtensionRequired(ValueError):
+    """Targets are feasible over C but need a square root outside Q(i)."""
+
+
+def _rational_sqrt(q: Fraction):
+    if q <= 0:
+        return None
+    num, den = q.numerator, q.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return Fraction(rn, rd)
+    return None
+
+
+def normalize_seeds(mod, a, b, c) -> ExactMatrix:
+    """The coordinates in B, 3 x (d+1) in SEED_NAMES order, of the module's
+    seeds rescaled so that <u,u*> = a, <u*,ue> = b, <ue,u> = c.
+
+    The rescaling follows the existence construction: with delta =
+    a*b*c*(1+i)^d / ||c*u*||^2 the three scale factors involve delta^(1/2),
+    so the targets are realizable over Q(i) exactly when delta is the square
+    of a rational.
+    """
+    a, b, c = GaussRat._coerce(a), GaussRat._coerce(b), GaussRat._coerce(c)
+    if a is None or b is None or c is None:
+        raise TypeError("targets must be elements of Q(i)")
+    product = a * b * c * GaussRat(1, 1) ** mod.d
+    if not product.is_real() or product.re <= 0:
+        raise InfeasibleTargets("infeasible targets")
+    nus = mod.seed_inner("u*", "u*").re
+    delta = product.re / (c.abs_sq() * nus)
+    root = _rational_sqrt(delta)
+    if root is None:
+        raise FieldExtensionRequired("targets require field extension")
+    inv_root = GaussRat(1 / root)
+    lam = a * inv_root / mod.seed_inner("u", "u*")
+    lam_star = GaussRat(root)
+    lam_eps = b.conj() * inv_root / mod.seed_inner("ue", "u*")
+    seeds = ExactMatrix.diagonal([lam, lam_star, lam_eps]) @ \
+        seed_coordinates(mod.frame)
+    gram = mod.frame.gram_of(seeds).scale(mod.norm)
+    got = (gram[0, 1], gram[1, 2], gram[2, 0])
+    if got != (a, b, c):
+        raise InvariantViolation(f"normalization produced {got} instead of "
+                                 f"the requested targets")
+    return seeds
 
 
 # -- independent oracles ----------------------------------------------------------
@@ -410,8 +493,8 @@ def oracle_endpoint_modules(ctx, r, numerators):
             if not gram[SEED_NAMES.index(a), SEED_NAMES.index(b)]:
                 _fail(r, index, f"<{a},{b}> vanished")
         modules.append(IrreducibleModule(
-            r=r, d=d, index=index, seed_coords=seed_coordinates(frame),
-            slice_basis=block, frame=frame, norm=norm))
+            r=r, d=d, index=index, slice_basis=block, frame=frame,
+            norm=norm))
     return modules
 
 

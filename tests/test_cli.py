@@ -843,9 +843,9 @@ def test_non_proportional_norms_take_the_per_module_path(capsys,
         checked.append((r, index))
         return own(r, index, frame)
 
-    own = cli.decomposition._checked_seed_coords
+    own = cli.decomposition._check_seeds
     monkeypatch.setattr(cli.decomposition, "_row_norms", doubled)
-    monkeypatch.setattr(cli.decomposition, "_checked_seed_coords", spied)
+    monkeypatch.setattr(cli.decomposition, "_check_seeds", spied)
     code, out = run(capsys, "verify", "--d", "4", "--suite", "rep-matrices")
     assert code == 1
     assert checked == [(0, 0), (1, 0), (1, 1), (2, 0)]
@@ -1020,3 +1020,56 @@ def test_verify_imports_nothing_after_the_context():
     assert result["codes"] == {suite: 0 for suite in cli.SUITES}
     assert result["late"] == {suite: [] for suite in cli.SUITES}
     assert not result["numpy.ma"]
+
+
+_TRACED_COMMANDS = """
+import contextlib, inspect, io, json, sys
+import tcube
+from tcube import cli
+
+entered = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+
+
+commands = [["verify", "--suite", "all"],
+            ["decompose", "--emit-seeds", "--output-dir", sys.argv[1]],
+            ["module-report"], ["leonard-check"]]
+commands += [["build", "--op", op, *(["--index", "0"]
+                                     if op in cli.INDEXED_OPS else [])]
+             for op in cli.BUILD_OPS]
+codes = []
+sys.setprofile(profile)
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main([argv[0], "--d", "3", *argv[1:]]))
+sys.setprofile(None)
+exported = {name: inspect.unwrap(getattr(tcube, name)) for name in tcube.__all__}
+missed = sorted(name for name, fn in exported.items()
+                if inspect.isfunction(fn) and fn.__code__ not in entered)
+print(json.dumps({"codes": codes, "missed": missed}))
+"""
+
+# Exported functions that no command reaches.  perfbench/tracer.py binds
+# them by name, so they leave together with the benchmark change that
+# retires the elimination core (ROADMAP.md).
+UNREACHED_EXPORTS = ["gram_schmidt", "inner", "rank"]
+
+
+def test_every_exported_function_is_reached_by_a_command(tmp_path):
+    # a public function that only tests call belongs in the tests; a fresh
+    # process, so that no cache of this one skips a function's body
+    src = os.path.dirname(os.path.dirname(tcube.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _TRACED_COMMANDS,
+                           str(tmp_path)], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * (4 + len(cli.BUILD_OPS))
+    assert result["missed"] == UNREACHED_EXPORTS
+    assert os.listdir(tmp_path)  # the seed files of --emit-seeds

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (A1, AEPS1, ASTAR1, assert_canonical_storage,
+from conftest import (A1, AEPS1, ASTAR1, all_passed, assert_canonical_storage,
                       brute_p_1j, commutator_aeps, dense_certify_idempotents,
                       dense_commutators, dense_conjugation,
                       dense_idempotent_families, dual_adjacency,
@@ -22,7 +22,6 @@ from tcube.cube import (P1, ConstructionError, _walsh_hadamard, build_context,
                         verify_conjugation, verify_idempotent_families)
 from tcube.leonard import phi_matrix
 from tcube.linalg import ExactMatrix, ExactVector, rank
-from tcube.report import all_passed
 from tcube.scalar import GaussRat
 
 

@@ -6,23 +6,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (basis_vector, block_rows, check_images_thin,
+from conftest import (FieldExtensionRequired, InfeasibleTargets, all_passed,
+                      basis_vector, block_rows, check_images_thin,
                       dense_ladder, dense_orthogonal_sum, elimination_seeds,
-                      get_ctx, get_decomposition, naive_rank,
+                      get_ctx, get_decomposition, naive_rank, normalize_seeds,
                       oracle_decompose, oracle_endpoint_modules, oracle_seeds,
                       project, representation_matrix, window_images)
 from tcube import cube, decomposition
 from tcube.cube import build_context
-from tcube.decomposition import (FRAME_OPS, FieldExtensionRequired,
-                                 InfeasibleTargets, InvariantViolation,
+from tcube.decomposition import (FRAME_OPS, SEED_NAMES, InvariantViolation,
                                  _check_orthogonal_sum, _endpoint_modules,
-                                 _seed_step,
-                                 closed_form_seeds, decompose,
-                                 multiplicity, normalize_seeds,
-                                 proportional_rows, spectral_parts,
-                                 verify_seed_norms)
+                                 _seed_step, closed_form_seeds, decompose,
+                                 multiplicity, proportional_rows,
+                                 spectral_parts, verify_seed_norms)
 from tcube.linalg import ExactMatrix, ExactVector, inner, rank
-from tcube.report import all_passed
 from tcube.scalar import GaussRat
 
 
@@ -240,12 +237,26 @@ def test_normalize_seeds_round_trip():
     prod = (a0 * b0 * c0 * GaussRat(1, 1) ** m.d).re
     q = prod / (c0.abs_sq() * inner(m.u_star, m.u_star).re)
     targets = (a0 * q, b0 * q, c0 * q)
-    out = normalize_seeds(m, *targets)
-    assert out.seed_inner("u", "u*") == targets[0]
-    assert out.seed_inner("u*", "ue") == targets[1]
-    assert out.seed_inner("ue", "u") == targets[2]
-    # the rescaled module still satisfies the norm relations
-    assert all_passed(verify_seed_norms(out))
+    seeds = normalize_seeds(m, *targets)
+    gram = m.frame.gram_of(seeds).scale(m.norm)
+
+    def seed_inner(first, second):
+        return gram[SEED_NAMES.index(first), SEED_NAMES.index(second)]
+
+    assert seed_inner("u", "u*") == targets[0]
+    assert seed_inner("u*", "ue") == targets[1]
+    assert seed_inner("ue", "u") == targets[2]
+    # the rescaled seeds still satisfy the norm relations, and the invariant
+    # scalar is positive (verify_seed_norms on them)
+    a, b, c = targets
+    one_plus_i_d = GaussRat(1, 1) ** m.d
+    assert seed_inner("u", "u") == one_plus_i_d * a * c / seed_inner("ue", "u*")
+    assert seed_inner("u*", "u*") == \
+        one_plus_i_d * b * a / seed_inner("u", "ue")
+    assert seed_inner("ue", "ue") == \
+        one_plus_i_d * c * b / seed_inner("u*", "u")
+    scalar = a * b * c * one_plus_i_d
+    assert scalar.is_real() and scalar.re > 0
 
 
 def test_normalize_seeds_rejects_zero_target():
