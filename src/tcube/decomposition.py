@@ -260,36 +260,66 @@ def _lagrange_denominator(d: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _lagrange_table(d: int) -> ExactMatrix:
+    """Row k holds the coefficients of the Lagrange polynomial
+    prod_(j != k) (x - theta_j) / (theta_k - theta_j) of theta_k over
+    theta_j = d - 2j, that of x^i in column i: integers over
+    `_lagrange_denominator`, each of which divides 2^d d!."""
+    common = 2 ** d * math.factorial(d)
+    rows = []
+    for k in range(d + 1):
+        coeffs = [1]
+        for j in range(d + 1):
+            if j != k:
+                # times (x - theta_j)
+                coeffs = [low - (d - 2 * j) * high for low, high
+                          in zip([0] + coeffs, coeffs + [0])]
+        rows.append([c * (common // _lagrange_denominator(d, k))
+                     for c in coeffs])
+    rows = np.array(rows, dtype=object)
+    return ExactMatrix.from_numerators(rows, 0 * rows, common)
+
+
+@lru_cache(maxsize=None)
 def spectral_parts(m: ExactMatrix):
     """(parts, failure) for a frame matrix m, (d+1) x (d+1), and the
     eigenvalues theta_k = d - 2k that A has on E_(r+k) W (and Aeps on
     Eeps_(r+k) W).
 
-    parts[k] = prod_(j != k) (m - theta_j) / (theta_k - theta_j), by
-    prefix and suffix products.  failure is None when the certificate
-    holds: the parts sum to I, parts[k] m = theta_k parts[k], and every
-    part is nonzero.  Otherwise it names the first check that fails, as
-    ("sum", None), ("eigen", k) or ("zero", k).  Memoized on m's exact
-    entries: modules with equal frames share one computation."""
+    parts[k] = prod_(j != k) (m - theta_j) / (theta_k - theta_j)
+    = sum_i W[k, i] m^i, for W the coefficients of the Lagrange
+    polynomials (`_lagrange_table`): the powers m^0 .. m^d, each flattened
+    to one row, and one product W @ powers, whose row k is part k
+    flattened, so that reshaped to (d+1)^2 x (d+1) it is the parts stacked,
+    part k in rows k (d+1) .. (k+1) (d+1) - 1.  failure is None when the certificate holds: the parts sum to I (one
+    product of a ones row with the flattened parts), parts[k] m =
+    theta_k parts[k] (one product of the stacked parts with m, against the
+    stack with block k scaled by theta_k), and every part is nonzero.
+    Otherwise it names the first check that fails, as ("sum", None), else
+    ("eigen", k) or ("zero", k), by k and for each k in that order.
+    Memoized on m's exact entries: modules with equal frames share one
+    computation."""
     n = m.rows
     d = n - 1
-    ident = ExactMatrix.identity(n)
-    factors = [m - ident.scale(d - 2 * j) for j in range(n)]
-    before, after = [ident], [ident]
-    for j in range(d):
-        before.append(before[-1] @ factors[j])
-        after.append(factors[d - j] @ after[-1])
-    parts = tuple((before[k] @ after[d - k]).scale(
-        Fraction(1, _lagrange_denominator(d, k))) for k in range(n))
-    total = parts[0]
-    for f in parts[1:]:
-        total = total + f
-    if total != ident:
+    powers = [ExactMatrix.identity(n), m]
+    while len(powers) < n:
+        powers.append(powers[-1] @ m)
+    flat = _lagrange_table(d) @ ExactMatrix.stack(
+        [p.reshape(1, n * n) for p in powers[:n]])
+    stacked = flat.reshape(n * n, n)
+    parts = tuple(stacked.block(slice(k * n, (k + 1) * n), slice(None))
+                  for k in range(n))
+    ones = np.ones((1, n), dtype=np.int64)
+    total = ExactMatrix.from_numerators(ones, 0 * ones, 1) @ flat
+    if total != ExactMatrix.identity(n).reshape(1, n * n):
         return parts, ("sum", None)
-    for k, f in enumerate(parts):
-        if f @ m != f.scale(d - 2 * k):
+    scaled = _scale_rows(stacked, np.repeat(d - 2 * np.arange(n), n))
+    eigen = (stacked @ m).entries_equal(scaled).reshape(n, n * n).all(axis=1)
+    nonzero = flat.nonzero().any(axis=1)
+    for k in range(n):
+        if not eigen[k]:
             return parts, ("eigen", k)
-        if f.is_zero():
+        if not nonzero[k]:
             return parts, ("zero", k)
     return parts, None
 

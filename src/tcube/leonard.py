@@ -337,19 +337,22 @@ class SixBases:
         column block and X_b its (d+1) x (d+1) block of rows.  X_b is
         square, so reads_b inverts it, and every coordinate row, whatever
         the targets, is rebuilt exactly from its coordinates in basis b.
-        The read is formed on each call, from the inverse norms as they
-        stand."""
+        As X_b is square, reads_b X_b = I holds exactly when
+        X_b reads_b = I, and the six X_b reads_b are the diagonal blocks of
+        one product, stacked @ reads.  The read is formed on each call, from
+        the inverse norms as they stand."""
         n = self.module.d + 1
         reads = self.weighted @ self.inverse_norms
         nonzero = self.gram.nonzero()
-        ident = ExactMatrix.identity(n)
+        inverts = (self.stacked @ reads).entries_equal(
+            ExactMatrix.identity(self.stacked.rows))
         for label in BASIS_LABELS:
             rows = self.rows(label)
             if not np.array_equal(nonzero[rows, rows], np.eye(n, dtype=bool)):
                 raise BasisError(f"basis {label} is not orthogonal (module "
                                  f"r={self.module.r} "
                                  f"index={self.module.index})")
-            if reads.block(slice(None), rows) @ self[label] != ident:
+            if not inverts[rows, rows].all():
                 raise BasisError("target is outside the span of the basis")
         return targets @ reads
 
@@ -388,21 +391,29 @@ def build_six_bases(ctx: CubeContext, mod: IrreducibleModule) -> SixBases:
     return SixBases(module=mod, stacked=_six_bases_block(mod))
 
 
-def _family_parts(mod: IrreducibleModule):
-    """{family: its parts on W}, as coordinate matrices x -> x @ part for
-    i = r..r+d: the spectral parts of the frame's A (E) and Aeps (Eeps),
-    and the unit diagonals (Estar, which masks slice r + i)."""
-    n = mod.d + 1
-    parts = {"Estar": tuple(ExactMatrix.diagonal([int(j == k)
-                                                  for j in range(n)])
-                            for k in range(n))}
+@lru_cache(maxsize=None)
+def _unit_window(n: int) -> ExactMatrix:
+    """[U_0 | ... | U_(n-1)] for the unit diagonals U_k = e_k^T e_k, the
+    parts of Estar on a module of dimension n: entry (k, k n + k) is 1."""
+    units = np.zeros((n, n * n), dtype=np.int64)
+    units[np.arange(n), np.arange(n) * (n + 1)] = 1
+    return ExactMatrix.from_numerators(units, 0 * units, 1)
+
+
+def _family_windows(mod: IrreducibleModule):
+    """{family: [F_r | ... | F_(r+d)]}, its parts on W side by side, as
+    coordinate matrices x -> x @ F_i: the spectral parts of the frame's A
+    (E) and Aeps (Eeps), and the unit diagonals (Estar, which masks slice
+    r + i)."""
+    windows = {"Estar": _unit_window(mod.d + 1)}
     for op, family in (("A", "E"), ("Aeps", "Eeps")):
-        parts[family], failure = spectral_parts(getattr(mod.frame, op))
+        parts, failure = spectral_parts(getattr(mod.frame, op))
         if failure is not None:
             raise BasisError(
                 f"{spectral_failure(failure, mod.r, mod.d, family, op)} "
                 f"(module r={mod.r} index={mod.index})")
-    return parts
+        windows[family] = ExactMatrix.beside(parts)
+    return windows
 
 
 @_memoized(lambda mod: mod.frame)
@@ -412,10 +423,13 @@ def _six_bases_block(mod: IrreducibleModule) -> ExactMatrix:
     chained normalization.
 
     The family parts act on the coordinate block [u, u*, ue, Pu, P^2 u,
-    P^3 u] of the frame's seeds: row i*6 + k of a family's window is
-    family_(r+i) applied to seed row k, so the basis generated by seed row k
-    is the strided row slice k::6.  A basis sums back to its seed because
-    the parts sum to I."""
+    P^3 u] of the frame's seeds, one product per family with its parts
+    side by side: seeds @ [F_r | ... | F_(r+d)] holds family_(r+i) applied
+    to seed row k in columns i (d+1) .. (i+1) (d+1) - 1 of row k, so
+    reshaped to 6(d+1) x (d+1) its row k (d+1) + i is that vector, and the
+    basis generated by seed row k is the contiguous block of rows
+    k (d+1) .. (k+1) (d+1) - 1.  A basis sums back to its seed because the
+    parts sum to I."""
     frame = mod.frame
     n = mod.d + 1
     seeds = seed_coordinates(frame)
@@ -423,13 +437,12 @@ def _six_bases_block(mod: IrreducibleModule) -> ExactMatrix:
     for _ in range(3):
         chained.append(frame.apply("P", chained[-1]))
     seeds = ExactMatrix.stack([seeds] + chained[1:])
-    window = {family: ExactMatrix.stack([seeds @ part for part in parts])
-              for family, parts in _family_parts(mod).items()}
+    window = {family: (seeds @ parts).reshape(len(_SEED_ROWS) * n, n)
+              for family, parts in _family_windows(mod).items()}
 
     def basis(family, seed):
         k = _SEED_ROWS[seed]
-        return window[family].block(slice(k, None, len(_SEED_ROWS)),
-                                    slice(None))
+        return window[family].block(slice(k * n, (k + 1) * n), slice(None))
 
     stacked = ExactMatrix.stack([basis(*_BASIS_SPEC[label])
                                  for label in BASIS_LABELS])
@@ -687,7 +700,7 @@ def _verify_slice_proportionality(bases: SixBases) -> List[GridCheck]:
     scalars."""
     d = bases.module.d
     scal = bases.seed_scalars
-    omi_d = GaussRat(1, -1) ** d
+    omi_d = GaussRat(*_unit_power(-1, d))
     checks = []
     for x, y, key, norm in _PROPORTIONAL_ROWS:
         coeffs = _ipow_diagonal(d, +1).scale(omi_d * scal[key] / scal[norm])
@@ -725,15 +738,17 @@ _POWER_PATTERNS = {
 
 
 def _prefactor(spec, d: int, scal: Dict[str, GaussRat]) -> GaussRat:
-    opi, omi = GaussRat(1, 1), GaussRat(1, -1)
+    """The prefactor of a TRANSITION_TABLE spec, with its powers of 1 +- i
+    on integers (`_unit_power`): (1 + i)^-d = (1 - i)^d / 2^d and
+    (1 - i)^-d = (1 + i)^d / 2^d."""
     if spec[0] == "unit":
-        return opi ** (-d) if spec[1] == "opi_inv" else omi ** (-d)
+        re, im = _unit_power(-1 if spec[1] == "opi_inv" else +1, d)
+        return GaussRat(Fraction(re, 2 ** d), Fraction(im, 2 ** d))
     key, norm, extra = spec
     scale = scal[key] / scal[norm]
-    if extra == "omi":
-        scale = scale * omi ** d
-    elif extra == "opi":
-        scale = scale * opi ** d
+    if extra is not None:
+        scale = scale * GaussRat(*_unit_power(+1 if extra == "opi" else -1,
+                                               d))
     return scale
 
 

@@ -198,10 +198,10 @@ class _NumeratorArray:
 
     def _init(self, re, im, den, reduce=True, bounded=False):
         """bounded: re and im are int64 arrays whose entries are known to
-        be below 2^62 (parts of a stored int64 pair, or products from the
-        int64 and float64 tiers of `_product`); they are kept as they are,
-        with no scan, and their largest numerator is read on demand
-        (`_max`)."""
+        be below 2^62 (parts of a stored int64 pair, or results of int64
+        arithmetic under a bound that `ints` admitted, `_bounded`); they
+        are kept as they are, with no scan, and their largest numerator is
+        read on demand (`_max`)."""
         re, im, mx = (re, im, None) if bounded else _stored(re, im)
         if reduce and den > 1:
             g = _content(den, re, im)
@@ -230,13 +230,19 @@ class _NumeratorArray:
         return x
 
     @classmethod
+    def _bounded(cls, re, im, den):
+        """(re + i im) / den for arrays computed under a bound that `ints`
+        was given: int64 arrays are the results of its int64 tier, below
+        2^62 by that bound, and need no scan; a Python-int result may fit
+        int64 and goes through the storage rule."""
+        return cls._raw(re, im, den, bounded=re.dtype != object)
+
+    @classmethod
     def _product_of(cls, a, b):
-        """The product of a and b (`_product`), as a cls.  The
-        int64 and float64 tiers bound every entry below 2^62, so their
-        results need no scan; a Python-int result may fit int64 and goes
-        through the storage rule."""
+        """The product of a and b (`_product`), as a cls; the int64 and
+        float64 tiers bound every entry below 2^62 (`_bounded`)."""
         re, im = _product(a, b)
-        return cls._raw(re, im, a._den * b._den, bounded=re.dtype != object)
+        return cls._bounded(re, im, a._den * b._den)
 
     @classmethod
     def from_numerators(cls, re, im, den):
@@ -310,7 +316,7 @@ class _NumeratorArray:
             else:
                 re += xr * f
                 im += xi * f
-        return cls._raw(re, im, den)
+        return cls._bounded(re, im, den)
 
     def _combine(self, other, sign):
         """self + sign * other on the lcm of the two denominators."""
@@ -326,8 +332,8 @@ class _NumeratorArray:
         bound = 2 * max(self._max(), 1) * max(other._max(), 1)
         ar, ai, br, bi = ints(bound, self._re, self._im, other._re,
                               other._im)
-        return self._raw(ar * br - ai * bi, ar * bi + ai * br,
-                         self._den * other._den)
+        return self._bounded(ar * br - ai * bi, ar * bi + ai * br,
+                             self._den * other._den)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -356,7 +362,8 @@ class _NumeratorArray:
         ci = c.im.numerator * c.re.denominator
         cd = c.re.denominator * c.im.denominator
         re, im = self.ints(max(self._max(), 1) * max(abs(cr) + abs(ci), 1))
-        return self._raw(re * cr - im * ci, re * ci + im * cr, self._den * cd)
+        return self._bounded(re * cr - im * ci, re * ci + im * cr,
+                             self._den * cd)
 
     def __mul__(self, c):
         return self.scale(c)
@@ -463,14 +470,27 @@ class ExactMatrix(_NumeratorArray):
                         reduce=False)
 
     @classmethod
+    def _joined(cls, items, join):
+        """The numerator arrays of items, on their common denominator,
+        joined by the numpy function join."""
+        den = math.lcm(*(x._den for x in items))
+        parts = [_scaled(x, den // x._den) for x in items]
+        return cls._raw(join([re for re, _ in parts]),
+                        join([im for _, im in parts]), den)
+
+    @classmethod
     def stack(cls, items):
         """The matrix whose rows are the given vectors, or the rows of the
         given matrices in turn, on their common denominator; ValueError for
         no items or unequal lengths."""
-        den = math.lcm(*(x._den for x in items))
-        parts = [_scaled(x, den // x._den) for x in items]
-        return cls._raw(np.vstack([re for re, _ in parts]),
-                        np.vstack([im for _, im in parts]), den)
+        return cls._joined(items, np.vstack)
+
+    @classmethod
+    def beside(cls, items):
+        """The matrix whose columns are those of the given matrices in
+        turn, on their common denominator; ValueError for no items or
+        unequal row counts."""
+        return cls._joined(items, np.hstack)
 
     @property
     def shape(self):

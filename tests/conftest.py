@@ -35,6 +35,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tcube import linalg
 from tcube.cube import _Gather, _times_i_power, build_context
 from tcube.decomposition import (FRAME_OPS, SEED_NAMES, Decomposition,
                                  InvariantViolation, IrreducibleModule,
@@ -300,6 +301,44 @@ def interpolation_idempotents(m, theta):
                 scale /= t_i - t_j
         family.append(prod.scale(scale))
     return tuple(family)
+
+
+def naive_spectral_parts(m):
+    """(parts, failure) of `decomposition.spectral_parts` by the oracle
+    route: the parts by `interpolation_idempotents` over theta_k = d - 2k,
+    and the certificate part by part, each a product or sum of its own:
+    the parts summed against I, then for each k in turn
+    parts[k] m against theta_k parts[k] and parts[k] against zero."""
+    n = m.rows
+    theta = [n - 1 - 2 * k for k in range(n)]
+    parts = interpolation_idempotents(m, theta)
+    total = parts[0]
+    for f in parts[1:]:
+        total = total + f
+    if total != ExactMatrix.identity(n):
+        return parts, ("sum", None)
+    for k, f in enumerate(parts):
+        if f @ m != f.scale(theta[k]):
+            return parts, ("eigen", k)
+        if f.is_zero():
+            return parts, ("zero", k)
+    return parts, None
+
+
+def product_calls(monkeypatch, build, *args):
+    """The number of calls of `linalg._product`, the one kernel behind
+    every complex product, that build(*args) makes."""
+    calls = []
+    product = linalg._product
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_product", counted)
+        build(*args)
+    return len(calls)
 
 
 def oracle_inner(kind: str, i: int, j: int, d: int, scalar: GaussRat,

@@ -5,14 +5,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (FieldExtensionRequired, InfeasibleTargets, all_passed,
                       basis_vector, block_rows, check_images_thin,
                       dense_ladder, dense_orthogonal_sum, elimination_seeds,
-                      get_ctx, get_decomposition, naive_rank, normalize_seeds,
+                      get_ctx, get_decomposition, naive_rank,
+                      naive_spectral_parts, normalize_seeds,
                       oracle_decompose, oracle_endpoint_modules, oracle_seeds,
-                      project, representation_matrix, window_images)
-from tcube import cube, decomposition
+                      product_calls, project, representation_matrix,
+                      window_images)
+from tcube import cli, cube, decomposition
 from tcube.cube import build_context
 from tcube.decomposition import (FRAME_OPS, SEED_NAMES, InvariantViolation,
                                  _check_orthogonal_sum, _endpoint_modules,
@@ -517,6 +521,115 @@ def test_spectral_parts_certificate_names_the_first_failure():
     assert spectral_parts(ExactMatrix.diagonal([0, 0, -2]))[1] == ("zero", 0)
 
 
+@pytest.mark.parametrize("D", range(1, 9))
+def test_spectral_parts_equal_the_oracle_on_every_frame(D):
+    # the parts from one power table and the certificate in whole-table
+    # products against the Lagrange products and the certificate part by
+    # part, on the frame matrices of A and Aeps of every endpoint
+    for frame in {m.frame for m in get_decomposition(D).modules}:
+        for op in ("A", "Aeps"):
+            m = getattr(frame, op)
+            assert spectral_parts(m) == naive_spectral_parts(m), op
+
+
+def _reads_under_corruption(monkeypatch, D):
+    """Every frame matrix that the endpoints of Q_D read (`_read`) with one
+    entry of a --corrupt operator flipped, for a sample of about 16 entries
+    per operator, as (whether `_own_frame` read it, the matrix)."""
+    reads, owning = [], []
+    read, own_frame = decomposition._read, decomposition._own_frame
+
+    def spied_read(*args):
+        out = read(*args)
+        reads.append((bool(owning), out))
+        return out
+
+    def spied_own_frame(*args):
+        owning.append(True)
+        try:
+            return own_frame(*args)
+        finally:
+            owning.pop()
+
+    monkeypatch.setattr(decomposition, "_read", spied_read)
+    monkeypatch.setattr(decomposition, "_own_frame", spied_own_frame)
+    ctx = get_ctx(D)
+    edges = [(x, y) for x, y in np.argwhere(ctx.hamming == 1) if x < y]
+    for op in cli.CORRUPT_OPS.values():
+        spots = [(x, x) for x in range(ctx.n)] if op == "Astar" else edges
+        for x, y in spots[::max(1, len(spots) // 16)]:
+            flipped = ctx.with_flipped_sign(op, x, y)
+            for r, w in closed_form_seeds(D).items():
+                _verdict(_endpoint_modules, flipped, r, w)
+    return reads
+
+
+@pytest.mark.parametrize("D", range(3, 7))
+def test_spectral_parts_equal_the_oracle_on_corrupted_frames(monkeypatch, D):
+    # every frame matrix read under a flip, those of the modules that hold
+    # a frame of their own among them: passing certificates, a wrong
+    # spectrum and a vanishing part
+    reads = _reads_under_corruption(monkeypatch, D)
+    assert any(own for own, _ in reads)
+    kinds = set()
+    for m in {m for _, m in reads}:
+        got = spectral_parts(m)
+        assert got == naive_spectral_parts(m)
+        kinds.add(got[1] and got[1][0])
+    assert kinds == {None, "eigen", "zero"}
+
+
+_gauss = st.builds(GaussRat, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def _square_matrices(draw):
+    """A Gaussian-integer matrix of size 1 to 5: entries drawn at random,
+    or P J P^-1 for a Jordan matrix J with P = I + N and N strictly upper
+    triangular.  J's eigenvalues are the candidates d - 2k, or a draw from
+    them and d + 2, so repeated, missing or foreign, and a superdiagonal 1
+    joins equal neighbours at random."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return ExactMatrix(draw(st.lists(
+            st.lists(_gauss, min_size=n, max_size=n), min_size=n,
+            max_size=n)))
+    d = n - 1
+    theta = list(range(-d, d + 1, 2))
+    eig = sorted(draw(st.one_of(st.just(theta), st.lists(
+        st.sampled_from(theta + [d + 2]), min_size=n, max_size=n))))
+    joins = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    jordan = [[eig[r] if c == r else
+               int(c == r + 1 and joins[r] and eig[r] == eig[c])
+               for c in range(n)] for r in range(n)]
+    upper = draw(st.lists(_gauss, min_size=n * n, max_size=n * n))
+    nil = ExactMatrix([[upper[r * n + c] if c > r else 0 for c in range(n)]
+                       for r in range(n)])
+    ident = ExactMatrix.identity(n)
+    inverse = power = ident
+    for _ in range(d):
+        power = power @ -nil
+        inverse = inverse + power
+    return (ident + nil) @ ExactMatrix(jordan) @ inverse
+
+
+@settings(max_examples=150, deadline=None)
+@given(_square_matrices())
+def test_spectral_parts_equal_the_oracle_on_any_matrix(m):
+    assert spectral_parts(m) == naive_spectral_parts(m)
+
+
+def test_spectral_parts_makes_one_product_per_power(monkeypatch):
+    # the powers m^2 .. m^d, one product with the table of Lagrange
+    # coefficients, one for the sum and one for the eigen checks: 3 for
+    # n = 1, where no power needs a product, and n + 1 from n = 2 on
+    frames = {m.r: m.frame for m in get_decomposition(8).modules}
+    counts = {frames[r].A.rows: product_calls(
+        monkeypatch, spectral_parts.__wrapped__, frames[r].A)
+        for r in (4, 2, 0)}
+    assert counts == {1: 3, 5: 6, 9: 10}
+
+
 def test_wrong_p_butterflies_fail_the_frame(monkeypatch):
     # H followed by the transposition of vertices 1 and 3 (slices 1 and 2)
     # in P = S^-1 H takes u* = e_0 of the module r0m0 out of the span of
@@ -562,21 +675,6 @@ def test_decompose_equals_the_module_by_module_oracle(D):
             assert getattr(m.frame, op) == getattr(o.frame, op), (where, op)
 
 
-def _products(monkeypatch, build, *args):
-    """The number of ExactMatrix products that build(*args) makes."""
-    calls = []
-    product = ExactMatrix.__matmul__
-
-    def counted(a, b):
-        calls.append(1)
-        return product(a, b)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(ExactMatrix, "__matmul__", counted)
-        build(*args)
-    return len(calls)
-
-
 def test_decompose_products_grow_with_the_endpoints(monkeypatch):
     # at D = 8 (70 modules, 5 endpoints) an endpoint makes as many products
     # for all of its modules as for its first alone, once the memos on the
@@ -584,8 +682,8 @@ def test_decompose_products_grow_with_the_endpoints(monkeypatch):
     ctx = get_ctx(8)
     decompose(ctx)
     for r, w in closed_form_seeds(8).items():
-        assert _products(monkeypatch, _endpoint_modules, ctx, r, w) == \
-            _products(monkeypatch, _endpoint_modules, ctx, r, w[:1]), r
+        assert product_calls(monkeypatch, _endpoint_modules, ctx, r, w) == \
+            product_calls(monkeypatch, _endpoint_modules, ctx, r, w[:1]), r
 
 
 def _verdict(build, *args):

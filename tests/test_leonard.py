@@ -12,7 +12,7 @@ import pytest
 from conftest import (block_rows, flipped_phi, get_bundles, get_ctx,
                       get_decomposition, get_phi, in_space, oracle_inner,
                       oracle_pattern, oracle_seeds, oracle_six_bases,
-                      oracle_transition, oracle_verdicts,
+                      oracle_transition, oracle_verdicts, product_calls,
                       representation_matrix, series_2f1)
 from tcube import leonard
 from tcube.cube import build_context
@@ -487,6 +487,26 @@ def test_transition_tables_match_cell_oracle(d):
             assert formula == oracle_transition(src, dst, scal, phi)
 
 
+@pytest.mark.parametrize("d", range(0, 11))
+def test_prefactors_equal_the_gauss_powers(d):
+    # every prefactor spec of TRANSITION_TABLE, with its powers of 1 +- i
+    # on integers, against the same powers of GaussRat
+    rng = random.Random(200 + d)
+    scal = {key: random_gauss(rng, nonzero=True) for key in SEED_KEYS}
+    opi, omi = GaussRat(1, 1), GaussRat(1, -1)
+    extras = {None: 1, "omi": omi ** d, "opi": opi ** d}
+    specs = {spec for _, spec in TRANSITION_TABLE.values()}
+    assert {spec[1] for spec in specs if spec[0] == "unit"} == {"opi_inv",
+                                                                "omi_inv"}
+    for spec in specs:
+        if spec[0] == "unit":
+            want = (opi if spec[1] == "opi_inv" else omi) ** -d
+        else:
+            key, norm, extra = spec
+            want = scal[key] / scal[norm] * extras[extra]
+        assert leonard._prefactor(spec, d, scal) == want, spec
+
+
 def test_phi_matrix_from_integer_arrays():
     for d in range(0, 7):
         for phi in phis_to_check(d):
@@ -531,6 +551,25 @@ def test_orthogonal_coords_equal_the_elimination_solver(D):
             for dst in BASIS_LABELS:
                 assert cells[(label, dst)].computed == \
                     want.block(slice(None), bases.rows(dst))
+
+
+@pytest.mark.parametrize("D", [2, 5, 8])
+def test_coords_make_one_certificate_product(monkeypatch, D):
+    # on bases whose Gram is built: the read, one certificate product for
+    # all six bases and the targets through the read
+    for m, bases, _ in get_bundles(D):
+        bases.gram
+        assert product_calls(monkeypatch, bases.coords, bases.stacked) == 3
+
+
+@pytest.mark.parametrize("D", [2, 5, 8])
+def test_six_bases_make_one_window_product_per_family(monkeypatch, D):
+    # on a frame whose spectral parts are memoized: three P products for
+    # the chained seeds, one window product for each of E, Estar and Eeps
+    # and one P pass for the P-shift checks, whatever d
+    for m, _, _ in get_bundles(D):
+        assert product_calls(monkeypatch,
+                             leonard._six_bases_block.__wrapped__, m) == 7
 
 
 def _with_basis(bases, label, vectors):

@@ -271,6 +271,15 @@ def test_stack_of_matrices_is_the_stack_of_their_rows(rows, cut):
         == ExactMatrix(rows[:cut + 1])
 
 
+@given(st.lists(st.lists(mixed_scalar, min_size=5, max_size=5),
+                min_size=1, max_size=4), st.integers(1, 4))
+def test_beside_is_the_matrix_of_their_columns(rows, cut):
+    left = ExactMatrix([row[:cut] for row in rows])
+    right = ExactMatrix([row[cut:] for row in rows])
+    assert ExactMatrix.beside([left, right]) == ExactMatrix(rows)
+    assert ExactMatrix.beside([left]) == left
+
+
 @given(mat_strategy(4, 5), st.integers(0, 3), st.integers(1, 4),
        st.integers(0, 4), st.integers(1, 5))
 def test_block_matches_the_grid(m, r0, r1, c0, c1):
@@ -355,6 +364,29 @@ def test_module_reaches_linalg_only_through_public_names(module):
     assert [n for n in names if n.startswith("_") or n == "I64_LIMIT"] == []
 
 
+@pytest.mark.parametrize("top", [3, 2 ** 30, 2 ** 31, 2 ** 60, 2 ** 61,
+                                 2 ** 70])
+def test_sums_scales_and_entrywise_products_are_canonical(top):
+    # each result beside the bound that its operands give `ints`: below
+    # 2^62 the int64 tier runs, its result is below 2^62 by that bound and
+    # is kept without a scan; past it the tier is Python ints, and a result
+    # that fits int64 again (a - a) is stored so
+    a = ExactMatrix([[top, GaussRat(0, top)], [1, -1]])
+    b = ExactMatrix([[top, GaussRat(top, 1)], [3, -2]])
+    results = [
+        (2 * top + 1, a + b), (2 * top, a - a),
+        (4 * top + 1, ExactMatrix.combination((a, b, a), (2, -1, 1))),
+        (3 * top, a.scale(GaussRat(2, 1))), (top, a.scale(Fraction(1, 3))),
+        (2 * top * (top + 1), a.entrywise(b)),
+        (2 * top * top, a.entrywise(a.conj()))]
+    for bound, x in results:
+        if bound < 2 ** 62:
+            assert x._mx is None
+        assert_canonical_storage(x)
+    assert (a - a).is_zero() and (a - a)._re.dtype == np.int64
+    assert a.entrywise(b)[0, 0] == top * top
+
+
 def test_leonard_reads_no_storage_and_no_private_decomposition_name():
     # leonard works on ExactMatrix values: it reads none of their numerator
     # arrays, denominator or bound, and imports only public names from
@@ -407,7 +439,7 @@ def test_storage_is_int64_exactly_below_2_62(top, sign):
               m.block(slice(0, 1), slice(None)), m.columns([1, 0]),
               v.take([1, 0]), v.primitive(), m + m, m - m, m + m.scale(-1),
               m.scale(GaussRat(0, Fraction(1, 2))), m @ m, m.matvec(v),
-              ExactMatrix.stack([m, v]),
+              ExactMatrix.stack([m, v]), ExactMatrix.beside([m, m.conj()]),
               ExactMatrix.diagonal([big, GaussRat(0, 1)], 1),
               ExactMatrix.from_dump(m.to_dump()),
               ExactVector.from_dump(v.to_dump()), pivot_inverse(m)[1],
