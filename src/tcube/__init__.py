@@ -7,8 +7,8 @@ compared with exact equality.
 """
 
 from .scalar import GaussRat
-from .linalg import (ExactMatrix, ExactVector, SingularMatrixError,
-                     gram_schmidt, inner, kernel_basis, pivot_inverse, rank)
+from .linalg import (ExactMatrix, ExactVector, gram_schmidt, inner,
+                     kernel_basis, rank)
 from .cube import (CubeContext, build_context, verify_commutators,
                    verify_conjugation, verify_idempotent_families)
 from .decomposition import (Decomposition, IrreducibleModule, decompose,
@@ -20,8 +20,8 @@ from .leonard import (BASIS_LABELS, LeonardVerdict, PhiMatrix, SixBases,
                       verify_rep_matrices)
 
 __all__ = [
-    "GaussRat", "ExactMatrix", "ExactVector", "SingularMatrixError",
-    "gram_schmidt", "inner", "kernel_basis", "pivot_inverse", "rank",
+    "GaussRat", "ExactMatrix", "ExactVector",
+    "gram_schmidt", "inner", "kernel_basis", "rank",
     "CubeContext", "build_context", "verify_commutators",
     "verify_conjugation", "verify_idempotent_families",
     "Decomposition", "IrreducibleModule", "decompose", "multiplicity",

@@ -25,7 +25,8 @@ provides:
   * the 36 transition matrices, computed by exact change of basis and
     compared to the closed-form tables, including inverse and composition
     coherence;
-  * a generic Leonard-triple recognizer working over Q(i).
+  * a generic Leonard-triple recognizer working over Q(i), on the spectral
+    parts that `decomposition.spectral_parts` certifies.
 
 Everything here is (d+1)-dimensional.  A module's certified frame
 (`decomposition.ModuleFrame`) holds the matrices of A, Astar, Aeps and P in
@@ -41,8 +42,9 @@ exactly when the vectors are, and every verdict is the one that the
 vectors over 2^D columns give.  Each basis is the image of one seed under a
 family of Hermitian orthogonal idempotents, so it is orthogonal:
 coordinates are <t, b_k> / <b_k, b_k>, once the basis's Gram block is seen
-to be diagonal.  Only the Leonard recognizer, whose eigenbases need not be
-orthogonal, eliminates.
+to be diagonal.  Nothing here eliminates: the Leonard recognizer, whose
+eigenbases need not be orthogonal, reads each coordinate off a rank-one
+spectral part instead (`is_leonard_triple`).
 
 Each module's checks are whole-matrix operations.  The closed forms are
 tables of Gaussian-integer numerators, built once per Phi matrix (one per
@@ -88,7 +90,7 @@ from .decomposition import (SEED_NAMES, IrreducibleModule, ModuleFrame,
                             seed_coordinates, spectral_failure,
                             spectral_parts)
 from .linalg import (ExactMatrix, ExactVector, SingularMatrixError,
-                     inverse_diagonal, kernel_basis, pivot_inverse)
+                     inverse_diagonal, pivot_inverse)
 from .report import IdentityCheck, check_true
 from .scalar import GaussRat
 
@@ -222,7 +224,8 @@ def verify_phi(phi: PhiMatrix) -> List[IdentityCheck]:
 
 class BasisSolver:
     """Exact coordinates with respect to a fixed independent list of vectors
-    that need not be orthogonal (the Leonard recognizer's eigenbases).
+    that need not be orthogonal.  No command uses it: it is the tests'
+    oracle of every coordinate read, and `perfbench/tracer.py` binds it.
 
     Elimination locates coordinate positions whose square submatrix is
     invertible; that inverse is computed once, and every solve is certified
@@ -339,13 +342,14 @@ class SixBases:
         the targets, is rebuilt exactly from its coordinates in basis b.
         As X_b is square, reads_b X_b = I holds exactly when
         X_b reads_b = I, and the six X_b reads_b are the diagonal blocks of
-        one product, stacked @ reads.  The read is formed on each call, from
-        the inverse norms as they stand."""
+        one product, stacked @ reads, which is also the result when the
+        targets are the bases themselves (`_transitions`).  The read is
+        formed on each call, from the inverse norms as they stand."""
         n = self.module.d + 1
         reads = self.weighted @ self.inverse_norms
         nonzero = self.gram.nonzero()
-        inverts = (self.stacked @ reads).entries_equal(
-            ExactMatrix.identity(self.stacked.rows))
+        own = self.stacked @ reads
+        inverts = own.entries_equal(ExactMatrix.identity(self.stacked.rows))
         for label in BASIS_LABELS:
             rows = self.rows(label)
             if not np.array_equal(nonzero[rows, rows], np.eye(n, dtype=bool)):
@@ -354,7 +358,7 @@ class SixBases:
                                  f"index={self.module.index})")
             if not inverts[rows, rows].all():
                 raise BasisError("target is outside the span of the basis")
-        return targets @ reads
+        return own if targets is self.stacked else targets @ reads
 
     @cached_property
     def seed_scalars(self) -> Dict[str, GaussRat]:
@@ -864,58 +868,92 @@ class LeonardVerdict:
     rep_matrices: Dict[Tuple[int, int], ExactMatrix]
 
 
+def _eigen_representations(parts, table: ExactMatrix):
+    """(X, reps) for the certified spectral parts F_0 .. F_d of an operator,
+    all nonzero, and table = [I | m_0 | m_1 | m_2]: column k of the
+    eigenbasis X is column p_k of F_k, and block o of reps is
+    X^-1 (block o of table) X, so block 0 is I.
+
+    With d + 1 nonzero parts each F_k is the rank-one projection onto the
+    eigenspace of theta_k along the others, so coordinate k of any w is
+    (F_k w)[p_k] / F_k[p_k, p_k], and p_k is the first nonzero diagonal
+    entry of F_k (its trace is 1).  For R the rows p_k of the F_k,
+    R X = diag(F_k[p_k, p_k]) =: Delta.  So R table, reshaped so that row
+    4 i + o is row i of R times block o, times X and reshaped back is
+    Delta [I | X^-1 m_0 X | ...], and a third product divides out Delta.
+    Its first block certifies the read: R X is diagonal with a nonzero
+    diagonal, so Delta^-1 R inverts X."""
+    n = len(parts)
+    stacked = ExactMatrix.stack(parts)
+    k = np.arange(n)
+    pivot = np.diagonal(stacked.nonzero().reshape(n, n, n),
+                        axis1=1, axis2=2).argmax(axis=1)
+    rows = stacked.block(k * n + pivot, slice(None))
+    eigenbasis = stacked.block(k * n + k[:, None], pivot)
+    scaled = ((rows @ table).reshape(table.cols, n) @ eigenbasis).reshape(
+        n, table.cols)
+    delta = scaled.columns(k)
+    if not np.array_equal(delta.nonzero(), np.eye(n, dtype=bool)):
+        raise BasisError("the eigenvector read does not invert the "
+                         "eigenbasis")
+    return eigenbasis, inverse_diagonal(delta) @ scaled
+
+
 @lru_cache(maxsize=None)
 def is_leonard_triple(b0: ExactMatrix, b1: ExactMatrix,
                       b2: ExactMatrix) -> LeonardVerdict:
     """Decide whether an ordered triple acts as a Leonard triple.
 
     Eigenvalues are searched in the integer candidate set {d, d-2, ..., -d}
-    (d = size - 1); each operator's eigenbasis is ordered by descending
-    eigenvalue and the other two operators are represented in it and tested
-    for irreducible tridiagonality.  If some operator's candidate eigenspaces
-    do not span, the verdict is "unverifiable" (a field limitation, not a
-    disproof).  Memoized on the exact entries of the three operators.
-    """
+    (d = size - 1) through the certified Lagrange idempotents F_k of each
+    operator (`decomposition.spectral_parts`); each operator's eigenbasis
+    is ordered by descending eigenvalue and the other two operators are
+    represented in it and tested for irreducible tridiagonality.  If some
+    operator fails the eigen certificate F_k (m - theta_k) = 0, its
+    candidate eigenspaces do not span, and the verdict is "unverifiable"
+    (a field limitation, not a disproof); all three are checked for this
+    first.  Otherwise every operator is diagonalizable, and one with a zero
+    part has a repeated eigenvalue, so no eigenbasis of another makes it
+    irreducible tridiagonal, whose eigenspaces have dimension 1: the
+    verdict is "false", and the `tridiagonal`, `bases` and `rep_matrices`
+    entries (t, o) are kept for the operators t with d + 1 distinct
+    eigenvalues alone.  Their eigenbases are unique up to the scale of
+    each vector, which moves no zero of a representation
+    (`_eigen_representations`).  Memoized on the exact entries of the
+    three operators."""
     ops = (b0, b1, b2)
     n = b0.rows
     if any(m.rows != n or m.cols != n for m in ops):
         raise ValueError("operators must be square and of equal size")
-    d = n - 1
-    candidates = tuple(d - 2 * k for k in range(d + 1))
-    bases = {}
-    for t, m in enumerate(ops):
-        vecs = []
-        for theta in candidates:
-            shifted = m - ExactMatrix.identity(n).scale(theta)
-            vecs.extend(kernel_basis(shifted))
-        if len(vecs) != n:
+    candidates = tuple(range(n - 1, -n, -2))
+    spectra = [spectral_parts(m) for m in ops]
+    for t, (_, failure) in enumerate(spectra):
+        # a zero part makes the minimal polynomial divide a product of
+        # distinct candidate factors, so every eigen check then holds
+        if failure and failure[0] != "zero":
             return LeonardVerdict(
-                verdict="unverifiable",
-                reason=f"operator {t}: eigenspaces over the candidate set "
-                       f"span dimension {len(vecs)} of {n}",
-                eigenvalue_order=candidates, tridiagonal={}, bases={},
-                rep_matrices={})
-        bases[t] = tuple(vecs)
-    tri = {}
-    reps = {}
-    for t in range(3):
-        solver = BasisSolver(list(bases[t]))
+                "unverifiable", f"operator {t}: its eigenspaces over the "
+                "candidate set do not span", candidates, {}, {}, {})
+    table = ExactMatrix.beside([ExactMatrix.identity(n), *ops])
+    tri, bases, reps, failed = {}, {}, {}, []
+    for t, (parts, failure) in enumerate(spectra):
+        if failure:
+            failed.append(f"op{t} has a repeated eigenvalue")
+            continue
+        eigenbasis, rep = _eigen_representations(parts, table)
+        bases[t] = tuple(eigenbasis.column(j) for j in range(n))
         for o in range(3):
-            if o == t:
-                continue
-            # column j holds the coordinates of ops[o] applied to vector j
-            rep = solver.coords_matrix(solver.stacked @ ops[o].transpose())
-            reps[(t, o)] = rep
-            tri[(t, o)] = _is_irreducible_tridiagonal(rep)
-    ok = all(tri.values())
+            if o != t:
+                reps[t, o] = rep.block(slice(None),
+                                       slice((o + 1) * n, (o + 2) * n))
+                tri[t, o] = _is_irreducible_tridiagonal(reps[t, o])
+                if not tri[t, o]:
+                    failed.append(f"op{o} in eigenbasis of op{t}")
     return LeonardVerdict(
-        verdict="true" if ok else "false",
-        reason="all six off-diagonal representations are irreducible "
-               "tridiagonal" if ok else
-               "failed: " + ", ".join(f"op{o} in eigenbasis of op{t}"
-                                      for (t, o), v in tri.items() if not v),
-        eigenvalue_order=candidates, tridiagonal=tri, bases=bases,
-        rep_matrices=reps)
+        "false" if failed else "true",
+        "failed: " + ", ".join(failed) if failed else
+        "all six off-diagonal representations are irreducible tridiagonal",
+        candidates, tri, bases, reps)
 
 
 def module_triple(cells: List[RepCell]) -> Tuple[ExactMatrix, ...]:

@@ -35,7 +35,11 @@ content after each step, which bounds coefficient growth without ever
 leaving Z[i].  Its pivot count is the rank; its pivot columns, each cleared
 above and below the pivot, give kernel vectors and, on [m | I], the exact
 inverse `pivot_inverse`: the pivot columns of a matrix with independent
-rows and the inverse of its square submatrix on them.
+rows and the inverse of its square submatrix on them.  No command runs it:
+the Leonard recognizer reads its eigenbases off the certified spectral
+parts (`leonard.is_leonard_triple`).  It stays for the names that
+`perfbench/tracer.py` binds (`rank`, `kernel_basis`, and `pivot_inverse`
+behind `leonard.BasisSolver`) and for the tests' oracles.
 """
 
 from __future__ import annotations
@@ -524,7 +528,9 @@ class ExactMatrix(_NumeratorArray):
 
     def block(self, rows, cols) -> "ExactMatrix":
         """The submatrix on the given row and column slices; one of the two
-        may be an index array instead."""
+        may be an index array instead, or both index arrays that broadcast
+        to the shape of the result, entry (i, j) taken at
+        (rows[i, j], cols[i, j])."""
         return self._part(ExactMatrix, self._re[rows, cols],
                           self._im[rows, cols])
 
@@ -602,15 +608,20 @@ def inner(u: ExactVector, v: ExactVector) -> GaussRat:
 
 
 def inverse_diagonal(m: ExactMatrix) -> ExactMatrix:
-    """diag(1 / m[k, k]) for a square matrix whose diagonal is real and
-    nonnegative, such as a Gram matrix: m[k, k] = re[k, k] / den, so its
-    inverse is den * (l / re[k, k]) / l for l the lcm of the re[k, k].  A
-    zero entry stands in as 1."""
-    norm = [int(x) or 1 for x in m._re.diagonal()]
-    l = math.lcm(*norm)
-    inverse = np.diag(np.array([m._den * (l // x) for x in norm],
-                               dtype=object))
-    return ExactMatrix.from_numerators(inverse, 0 * inverse, l)
+    """diag(1 / m[k, k]) for a square matrix m.  Entry k is z / den for a
+    Gaussian integer z = a + b i, whose inverse den / z is den / a when
+    z is real, as on the diagonal of a Gram matrix, and
+    den (a - b i) / (a^2 + b^2) otherwise: den w / q, put over the lcm l of
+    the q.  A zero entry stands in as 1."""
+    inverses = [(a, -b, a * a + b * b) if b else (1, 0, a or 1)
+                for a, b in zip(m._re.diagonal().tolist(),
+                                m._im.diagonal().tolist())]
+    l = math.lcm(*(q for _, _, q in inverses))
+    re = np.diag(np.array([m._den * x * (l // q) for x, _, q in inverses],
+                          dtype=object))
+    im = np.diag(np.array([m._den * y * (l // q) for _, y, q in inverses],
+                          dtype=object))
+    return ExactMatrix.from_numerators(re, im, l)
 
 
 def first_discrepancy(a: ExactMatrix, b: ExactMatrix):

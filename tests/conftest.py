@@ -19,8 +19,10 @@ no dense matrix themselves, the full edge gather of an operator on a whole famil
 member (`gather_eigen_discrepancy`), behind the clean part plus sparse
 defect of `CubeContext.family_eigen_discrepancy`, and the dense
 constructions of A, Astar and Aeps (`kron_sum`, `commutator_aeps`,
-`phase_conjugate`), behind their gather tables, and of P (`kron_power`),
-behind the Walsh-Hadamard pass that builds it.
+`phase_conjugate`), behind their gather tables, of P (`kron_power`),
+behind the Walsh-Hadamard pass that builds it, and the Leonard recognizer
+by per-candidate elimination (`naive_is_leonard_triple`), behind the one
+on the spectral parts.
 
 It also holds what only tests use and no command reaches: `check_equal` and
 `all_passed` over checks, `flipped_phi`, the one-entry mutation of a Phi
@@ -47,7 +49,7 @@ from tcube.leonard import (_BASIS_SPEC, _FORM_BUILDERS, _P_SHIFTS,
                            _PROPORTIONAL_ROWS, _SEED_ROWS, BASIS_LABELS,
                            INNER_FORMULAS, OPERATOR_LABELS, REP_FORMS,
                            TRANSITION_TABLE, BasisError, BasisSolver,
-                           PhiMatrix, build_six_bases, is_leonard_triple,
+                           LeonardVerdict, PhiMatrix, build_six_bases,
                            phi_matrix)
 from tcube.linalg import (I64_LIMIT, ExactMatrix, ExactVector,
                           first_discrepancy, gram_schmidt, ints,
@@ -323,6 +325,58 @@ def naive_spectral_parts(m):
         if f.is_zero():
             return parts, ("zero", k)
     return parts, None
+
+
+def naive_irreducible_tridiagonal(m) -> bool:
+    """Whether m is zero off the three central diagonals and nonzero on
+    the sub- and superdiagonal, entry by entry."""
+    return all(bool(m[i, j]) == (abs(i - j) == 1) or i == j
+               for i in range(m.rows) for j in range(m.cols))
+
+
+def naive_is_leonard_triple(b0, b1, b2):
+    """`leonard.is_leonard_triple` by per-candidate elimination, the
+    recognizer that the spectral path replaced: each operator's eigenbasis
+    is the union of the kernels of m - theta over the candidates
+    theta = d, d-2, ..., -d (`kernel_basis`), "unverifiable" when it has
+    fewer than d + 1 vectors, and the other operators are represented in
+    it by exact solving (`BasisSolver`).  Every operator with d + 1
+    vectors has a representation entry here, one with a repeated
+    eigenvalue too, whose kernel basis is one of many."""
+    ops = (b0, b1, b2)
+    n = b0.rows
+    if any(m.rows != n or m.cols != n for m in ops):
+        raise ValueError("operators must be square and of equal size")
+    d = n - 1
+    candidates = tuple(d - 2 * k for k in range(d + 1))
+    bases = {}
+    for t, m in enumerate(ops):
+        vecs = []
+        for theta in candidates:
+            vecs.extend(kernel_basis(m - ExactMatrix.identity(n).scale(theta)))
+        if len(vecs) != n:
+            return LeonardVerdict(
+                verdict="unverifiable",
+                reason=f"operator {t}: eigenspaces over the candidate set "
+                       f"span dimension {len(vecs)} of {n}",
+                eigenvalue_order=candidates, tridiagonal={}, bases={},
+                rep_matrices={})
+        bases[t] = tuple(vecs)
+    tri, reps = {}, {}
+    for t in range(3):
+        for o in range(3):
+            if o != t:
+                reps[(t, o)] = representation_matrix(ops[o], bases[t])
+                tri[(t, o)] = naive_irreducible_tridiagonal(reps[(t, o)])
+    ok = all(tri.values())
+    return LeonardVerdict(
+        verdict="true" if ok else "false",
+        reason="all six off-diagonal representations are irreducible "
+               "tridiagonal" if ok else
+               "failed: " + ", ".join(f"op{o} in eigenbasis of op{t}"
+                                      for (t, o), v in tri.items() if not v),
+        eigenvalue_order=candidates, tridiagonal=tri, bases=bases,
+        rep_matrices=reps)
 
 
 def product_calls(monkeypatch, build, *args):
@@ -950,8 +1004,8 @@ def oracle_verdicts(ctx, mod, phi):
                    T[(a, b)] @ T[(b, c)] == T[(a, c)])
                   for a in BASIS_LABELS for b in BASIS_LABELS
                   for c in BASIS_LABELS]
-    leonard = is_leonard_triple(*(triple[op]
-                                  for op in OPERATOR_LABELS)).verdict
+    leonard = naive_is_leonard_triple(*(triple[op]
+                                        for op in OPERATOR_LABELS)).verdict
     return rep, inner_checks, transitions, coherence, leonard
 
 

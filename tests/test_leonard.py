@@ -2,19 +2,22 @@
 transition matrices, Leonard-triple recognizer."""
 
 import hashlib
+import itertools
 import math
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from conftest import (block_rows, flipped_phi, get_bundles, get_ctx,
-                      get_decomposition, get_phi, in_space, oracle_inner,
+                      get_decomposition, get_phi, in_space,
+                      naive_is_leonard_triple, oracle_inner,
                       oracle_pattern, oracle_seeds, oracle_six_bases,
                       oracle_transition, oracle_verdicts, product_calls,
                       representation_matrix, series_2f1)
-from tcube import leonard
+from tcube import cli, decomposition, leonard, linalg
 from tcube.cube import build_context
 from tcube.decomposition import ModuleFrame, decompose
 from tcube.leonard import (_BASIS_SPEC, _P_CYCLES, _turn, BASIS_LABELS,
@@ -29,7 +32,7 @@ from tcube.leonard import (_BASIS_SPEC, _P_CYCLES, _turn, BASIS_LABELS,
                            module_triple, transition_formulas, transition_matrices,
                            transition_tables, tridiagonal_form, verify_phi,
                            verify_inner_products, verify_rep_matrices)
-from tcube.linalg import ExactMatrix, ExactVector, inner
+from tcube.linalg import ExactMatrix, ExactVector, inner, kernel_basis
 from tcube.scalar import GaussRat
 
 I_ = GaussRat(0, 1)
@@ -556,10 +559,15 @@ def test_orthogonal_coords_equal_the_elimination_solver(D):
 @pytest.mark.parametrize("D", [2, 5, 8])
 def test_coords_make_one_certificate_product(monkeypatch, D):
     # on bases whose Gram is built: the read, one certificate product for
-    # all six bases and the targets through the read
+    # all six bases and the targets through the read; the bases themselves
+    # (the transitions) are read by the certificate product alone
     for m, bases, _ in get_bundles(D):
         bases.gram
-        assert product_calls(monkeypatch, bases.coords, bases.stacked) == 3
+        images = m.frame.apply("A", bases.stacked)
+        assert product_calls(monkeypatch, bases.coords, images) == 3
+        assert product_calls(monkeypatch, bases.coords, bases.stacked) == 2
+        assert bases.coords(bases.stacked) == \
+            bases.coords(ExactMatrix.stack([bases.stacked]))
 
 
 @pytest.mark.parametrize("D", [2, 5, 8])
@@ -836,6 +844,192 @@ def test_recognizer_rejects_mismatched_sizes():
     with pytest.raises(ValueError):
         is_leonard_triple(ExactMatrix.identity(2), ExactMatrix.identity(3),
                           ExactMatrix.identity(2))
+
+
+def _distinct_eigenvalues(m):
+    """Whether each candidate d - 2k has a kernel of dimension 1 in m, by
+    elimination."""
+    n = m.rows
+    return all(len(kernel_basis(m - ExactMatrix.identity(n).scale(theta))) == 1
+               for theta in range(n - 1, -n, -2))
+
+
+def assert_agrees_with_elimination(triple):
+    """The spectral recognizer against the elimination oracle: the same
+    verdict, and a reason that names the same operator when it is
+    unverifiable.  Otherwise the tridiagonal map is the oracle's on the
+    operators with d + 1 distinct eigenvalues, all of them when there is no
+    repeated one, each basis is an eigenbasis in candidate order and each
+    representation holds exactly.  Returns the verdict."""
+    got, want = is_leonard_triple(*triple), naive_is_leonard_triple(*triple)
+    assert got.verdict == want.verdict
+    assert got.eigenvalue_order == want.eigenvalue_order
+    if got.verdict == "unverifiable":
+        assert got.reason.split(":")[0] == want.reason.split(":")[0]
+        return got.verdict
+    distinct = [t for t, m in enumerate(triple) if _distinct_eigenvalues(m)]
+    assert got.tridiagonal == {(t, o): v for (t, o), v
+                               in want.tridiagonal.items() if t in distinct}
+    assert sorted(got.bases) == distinct
+    for t in range(3):
+        if t not in distinct:
+            assert f"op{t} has a repeated eigenvalue" in got.reason
+    for t in distinct:
+        x = ExactMatrix.stack(list(got.bases[t])).transpose()
+        assert triple[t] @ x == x @ ExactMatrix.diagonal(got.eigenvalue_order)
+        for o in range(3):
+            if o != t:
+                assert triple[o] @ x == x @ got.rep_matrices[(t, o)]
+    return got.verdict
+
+
+def _module_triples(D):
+    ctx = get_ctx(D)
+    return [module_triple(verify_rep_matrices(ctx, bases))
+            for m, bases, _ in get_bundles(D) if m.index == 0]
+
+
+@pytest.mark.parametrize("D", range(1, 9))
+def test_recognizer_agrees_with_elimination_on_module_triples(D):
+    for triple in _module_triples(D):
+        assert assert_agrees_with_elimination(triple) == "true"
+
+
+_UNIT_TRIPLES = {
+    "commuting_diagonal_pair": (ExactMatrix.diagonal([1, -1]),
+                                ExactMatrix.diagonal([1, -1]),
+                                ExactMatrix([[0, 1], [1, 0]])),
+    "d1_closed_forms": (tridiagonal_form(1), diagonal_form(1),
+                        itridiagonal_subneg_form(1)),
+    "eigenvalue_outside_candidates": (ExactMatrix.diagonal([3, -1]),) * 3,
+    "non_diagonalizable": (ExactMatrix([[0, 1], [0, 0]]),) * 3,
+    "repeated_eigenvalue": (ExactMatrix.diagonal([1, 1]),
+                            ExactMatrix([[0, 1], [1, 0]]),
+                            ExactMatrix.diagonal([1, -1])),
+    "size_one": (ExactMatrix([[0]]),) * 3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNIT_TRIPLES))
+def test_recognizer_agrees_with_elimination_on_unit_cases(name):
+    assert_agrees_with_elimination(_UNIT_TRIPLES[name])
+
+
+def test_recognizer_agrees_with_elimination_on_perturbed_module_triples():
+    # one entry of one operator moved by 1 or by i: every entry of every
+    # operator of each frame's triple at D = 1..5, among them triples that
+    # stay Leonard, that lose it and that lose the eigenbasis
+    verdicts = set()
+    for D in range(1, 6):
+        for triple in _module_triples(D):
+            n = triple[0].rows
+            for t, i, j in itertools.product(range(3), range(n), range(n)):
+                for step in (GaussRat(1), I_):
+                    bump = ExactMatrix.zeros(n, n).to_rows()
+                    bump[i][j] = step
+                    ops = list(triple)
+                    ops[t] = ops[t] + ExactMatrix(bump)
+                    verdicts.add(assert_agrees_with_elimination(tuple(ops)))
+    assert verdicts == {"true", "false", "unverifiable"}
+
+
+_small_gauss = st.builds(GaussRat, st.integers(-2, 2), st.integers(-1, 1))
+
+
+@st.composite
+def _triples(draw):
+    """A triple of size 1 to 5 over Z[i], in one of three shapes:
+    the closed-form AsA triple of a module, its operators in a drawn order,
+    conjugated by one P = I + N with N strictly upper triangular (a Leonard
+    triple); each operator P diag(theta) P^-1 of its own, theta drawn from
+    the candidates with repeats (diagonalizable, often with a repeated
+    eigenvalue); or each operator with entries drawn at random (mostly no
+    eigenbasis over the candidates)."""
+    n = draw(st.integers(1, 5))
+    d = n - 1
+    shape = draw(st.sampled_from(["leonard", "diagonalizable", "random"]))
+
+    def conjugator():
+        upper = draw(st.lists(_small_gauss, min_size=n * n, max_size=n * n))
+        nil = ExactMatrix([[upper[r * n + c] if c > r else 0
+                            for c in range(n)] for r in range(n)])
+        ident = ExactMatrix.identity(n)
+        inverse = power = ident
+        for _ in range(d):
+            power = power @ -nil
+            inverse = inverse + power
+        return ident + nil, inverse
+
+    if shape == "leonard":
+        p, p_inv = conjugator()
+        forms = [tridiagonal_form(d), diagonal_form(d),
+                 itridiagonal_subneg_form(d)]
+        order = draw(st.permutations(range(3)))
+        return tuple(p @ forms[k] @ p_inv for k in order)
+    ops = []
+    for _ in range(3):
+        if shape == "random":
+            ops.append(ExactMatrix(draw(st.lists(
+                st.lists(_small_gauss, min_size=n, max_size=n),
+                min_size=n, max_size=n))))
+        else:
+            p, p_inv = conjugator()
+            theta = draw(st.lists(st.sampled_from(range(-d, d + 1, 2)),
+                                  min_size=n, max_size=n))
+            ops.append(p @ ExactMatrix.diagonal(theta) @ p_inv)
+    return tuple(ops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_triples())
+def test_recognizer_agrees_with_elimination_on_any_triple(triple):
+    event(assert_agrees_with_elimination(triple))
+
+
+def test_recognizer_reads_each_operator_once_in_fixed_products(monkeypatch):
+    # the one spectral path: one spectral_parts call per operator, then
+    # three products per operator, whatever d; with the parts computed
+    # afresh, each operator adds the products of spectral_parts (3 for
+    # n = 1, n + 1 from n = 2 on)
+    calls = []
+    for spectral, fresh in ((decomposition.spectral_parts, False),
+                            (decomposition.spectral_parts.__wrapped__, True)):
+        def counted(m, spectral=spectral):
+            calls.append(m)
+            return spectral(m)
+
+        monkeypatch.setattr(leonard, "spectral_parts", counted)
+        for triple in _module_triples(8):
+            n = triple[0].rows
+            for m in triple:
+                decomposition.spectral_parts(m)
+            calls.clear()
+            extra = (3 if n == 1 else n + 1) if fresh else 0
+            assert product_calls(monkeypatch, is_leonard_triple.__wrapped__,
+                                 *triple) == 9 + 3 * extra
+            assert calls == list(triple)
+
+
+def _refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} entered")
+    return refused
+
+
+@pytest.mark.parametrize("D", range(1, 7))
+def test_no_command_eliminates(monkeypatch, capsys, D):
+    # verify --suite all and leonard-check run the recognizer's body (its
+    # memo is bypassed, so no earlier test's verdict stands in) and never
+    # enter the elimination core
+    for name in ("kernel_basis", "pivot_inverse", "_echelon"):
+        monkeypatch.setattr(linalg, name, _refuse(name))
+    monkeypatch.setattr(leonard, "BasisSolver", _refuse("BasisSolver"))
+    monkeypatch.setattr(leonard, "pivot_inverse", _refuse("pivot_inverse"))
+    monkeypatch.setattr(leonard, "is_leonard_triple",
+                        is_leonard_triple.__wrapped__)
+    for argv in (["verify", "--suite", "all"], ["leonard-check"]):
+        assert cli.main([argv[0], "--d", str(D), *argv[1:]]) == 0, argv
+    capsys.readouterr()
 
 
 # -- per-module report ------------------------------------------------------------------------

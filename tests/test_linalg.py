@@ -18,7 +18,8 @@ from conftest import (assert_canonical_storage, basis_vector, get_ctx,
 import tcube
 from tcube.linalg import (ExactMatrix, ExactVector, SingularMatrixError,
                           _product, first_discrepancy, fits_f64, gram_schmidt,
-                          inner, ints, kernel_basis, pivot_inverse, rank)
+                          inner, ints, inverse_diagonal, kernel_basis,
+                          pivot_inverse, rank)
 from tcube.scalar import GaussRat
 
 small = st.integers(min_value=-6, max_value=6)
@@ -252,6 +253,19 @@ def test_diagonal_matches_grid_constructor(values, offset):
         r, c = (k, k + offset) if offset >= 0 else (k - offset, k)
         grid[r][c] = v
     assert ExactMatrix.diagonal(values, offset) == ExactMatrix(grid)
+
+
+@given(st.lists(mixed_scalar, min_size=1, max_size=5), mixed_scalar)
+def test_inverse_diagonal_inverts_each_diagonal_entry(values, off):
+    # real and complex entries alike, whatever lies off the diagonal
+    n = len(values)
+    m = ExactMatrix([[values[r] if r == c else off for c in range(n)]
+                     for r in range(n)])
+    got = inverse_diagonal(m)
+    assert got == ExactMatrix.diagonal([got[k, k] for k in range(n)])
+    for k in range(n):
+        if m[k, k]:
+            assert got[k, k] * m[k, k] == 1
 
 
 @given(st.lists(st.lists(mixed_scalar, min_size=3, max_size=3),
