@@ -15,7 +15,7 @@ from .decomposition import (Decomposition, IrreducibleModule, decompose,
                             multiplicity, verify_seed_norms)
 from .leonard import (BASIS_LABELS, LeonardVerdict, PhiMatrix, SixBases,
                       build_six_bases, hypergeometric_2f1, is_leonard_triple,
-                      module_report, module_triple, phi_matrix,
+                      module_report, phi_matrix,
                       transition_matrices, verify_phi, verify_inner_products,
                       verify_rep_matrices)
 
@@ -28,7 +28,7 @@ __all__ = [
     "verify_seed_norms", "BASIS_LABELS", "LeonardVerdict",
     "PhiMatrix",
     "SixBases", "build_six_bases", "hypergeometric_2f1", "is_leonard_triple",
-    "module_report", "module_triple", "phi_matrix", "transition_matrices",
+    "module_report", "phi_matrix", "transition_matrices",
     "verify_phi", "verify_inner_products", "verify_rep_matrices",
 ]
 

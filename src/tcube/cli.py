@@ -63,15 +63,14 @@ def _error_row(prefix: str, exc: Exception) -> Row:
     return (f"{prefix}{type(exc).__name__}: {exc}", None, None, False, None)
 
 
-def _module_suite_rows(ctx, m, suite) -> List[Row]:
+def _module_suite_rows(m, suite) -> List[Row]:
     """Rows of one module, whose six bases live only as long as its rows."""
     tag = f"r{m.r}m{m.index}"
     rows: List[Row] = []
     try:
-        bases = leonard.build_six_bases(ctx, m)
+        bases = leonard.build_six_bases(m)
         if suite in ("rep-matrices", "all"):
-            cells = leonard.verify_rep_matrices(ctx, bases)
-            for cell in cells:
+            for cell in leonard.verify_rep_matrices(bases):
                 rows.append((f"{tag}:rep[{cell.basis}][{cell.op}]",
                              None, None, cell.passed, None))
         if suite in ("inner-products", "transitions", "all"):
@@ -91,7 +90,8 @@ def _module_suite_rows(ctx, m, suite) -> List[Row]:
             for c in decomposition.verify_seed_norms(m):
                 rows.append((f"{tag}:{c.identity}", None, None, c.passed,
                              None))
-            verdict = leonard.is_leonard_triple(*leonard.module_triple(cells))
+            f = m.frame
+            verdict = leonard.is_leonard_triple(f.A, f.Astar, f.Aeps)
             rows.append((f"{tag}:leonard_triple", None, None,
                          verdict.verdict == "true", None))
     except VERIFY_ERRORS as exc:
@@ -128,7 +128,7 @@ def run_suite(ctx: CubeContext, suite: str) -> List[Row]:
             rows.append(_error_row("", exc))
         else:
             for k, m in enumerate(modules):
-                rows.extend(_module_suite_rows(ctx, m, suite))
+                rows.extend(_module_suite_rows(m, suite))
                 _progress(f"  verified module r={m.r} index={m.index} "
                           f"({k + 1}/{len(modules)})")
     return rows
@@ -273,8 +273,7 @@ def _cmd_module_report(args) -> int:
         return _usage_error("no module matches the given --r/--index")
     reports = []
     for m in selected:
-        reports.append(leonard.module_report(
-            ctx, leonard.build_six_bases(ctx, m)))
+        reports.append(leonard.module_report(leonard.build_six_bases(m)))
         _progress(f"  reported module r={m.r} index={m.index}")
     passed = [all(v["passed"] for ops in rep["rep_matrices"].values()
                   for v in ops.values())
@@ -296,9 +295,8 @@ def _cmd_leonard_check(args) -> int:
     ctx = build_context(args.D, args.d_limit)
     results = []
     for m in decomposition.decompose(ctx).modules:
-        bases = leonard.build_six_bases(ctx, m)
-        cells = leonard.verify_rep_matrices(ctx, bases)
-        verdict = leonard.is_leonard_triple(*leonard.module_triple(cells))
+        f = m.frame
+        verdict = leonard.is_leonard_triple(f.A, f.Astar, f.Aeps)
         results.append({"r": m.r, "index": m.index, "d": m.d,
                         "verdict": verdict.verdict,
                         "eigenvalue_order": list(verdict.eigenvalue_order)})

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, Tuple
 
@@ -170,16 +170,6 @@ class IrreducibleModule:
     @property
     def u_eps(self) -> ExactVector:
         return self.seeds.row(2)
-
-    @cached_property
-    def seed_gram(self) -> ExactMatrix:
-        """Entry (a, b) is <seed a, seed b>."""
-        return self.frame.gram_of(seed_coordinates(self.frame)).scale(
-            self.norm)
-
-    def seed_inner(self, first: str, second: str) -> GaussRat:
-        return self.seed_gram[SEED_NAMES.index(first),
-                              SEED_NAMES.index(second)]
 
     def to_json(self) -> dict:
         return {"r": self.r, "d": self.d, "index": self.index, "dim": self.dim}
@@ -410,21 +400,14 @@ def _diagonal(norms, den) -> ExactMatrix:
     return ExactMatrix.from_numerators(diag, 0 * diag, int(den))
 
 
-def _own_frame(ctx: CubeContext, r: int, index: int, basis: ExactMatrix,
-               norms, den: int) -> ModuleFrame:
-    """The frame of one module read off the images of its own slice basis,
-    whose row norms are norms / den, and certified by their exact
-    reconstruction, op by op in FRAME_OPS order; for a module that the
-    frame of its endpoint does not rebuild, which a corrupted context
+def _own_read(image: ExactMatrix, basis: ExactMatrix, norms, den: int):
+    """The matrix of an op on one module read off its own images, for a
+    slice basis whose row norms are norms / den, or None when it does not
+    rebuild them exactly: the op does not map W into W.  For a module that
+    the matrix of its endpoint does not rebuild, which a corrupted context
     alone makes."""
-    inverse = inverse_diagonal(_diagonal(norms, den))
-    coords = {}
-    for op in FRAME_OPS:
-        image = ctx.apply(op, basis)
-        coords[op] = _read(image, basis, inverse)
-        if not (coords[op] @ basis).entries_equal(image).all():
-            _fail(r, index, f"{op} does not map W into W")
-    return ModuleFrame(**coords, gram=_diagonal(norms, norms[0]))
+    coords = _read(image, basis, inverse_diagonal(_diagonal(norms, den)))
+    return coords if (coords @ basis).entries_equal(image).all() else None
 
 
 def _endpoint_modules(ctx: CubeContext, r: int, numerators):
@@ -458,9 +441,11 @@ def _endpoint_modules(ctx: CubeContext, r: int, numerators):
     scaled_by = np.repeat(ctx.D - 2 * (r + np.arange(d + 1)), m)
     # the frame read off module 0, and for each op the modules whose images
     # it rebuilds: one product over the whole view, one operator at a time.
-    # A module whose Astar images pass the scale check has the frame matrix
+    # A module that it does not rebuild has its own matrix for that op read
+    # off its part of the image, None if it escapes W under the op.  A
+    # module whose Astar images pass the scale check has the frame matrix
     # diag(theta) for Astar, as module 0 then has, so Astar needs none.
-    shared, rebuilt = {}, np.ones(m, dtype=bool)
+    shared, own = {}, [{} for _ in range(m)]
     for op in FRAME_OPS:
         image = images.pop(op) if op in images else ctx.apply(op, stack)
         if op == "Astar":
@@ -472,13 +457,23 @@ def _endpoint_modules(ctx: CubeContext, r: int, numerators):
         image = image.reshape(d + 1, m * n)
         shared[op] = _read(owned(image, 0), basis, inverse)
         if op != "Astar":
-            rebuilt &= (shared[op] @ view).entries_equal(image).reshape(
+            fits = (shared[op] @ view).entries_equal(image).reshape(
                 d + 1, m, n).all(axis=(0, 2))
+            for j in np.flatnonzero(~fits):
+                own[j][op] = _own_read(owned(image, j), owned(view, j),
+                                       norms[:, j], den)
         del image
-    # the rebuilt modules whose Grams are positive multiples of module 0's
-    # hold one frame, the group's, and share its checks (see decompose);
-    # every product is at most max(norms)^2
+    # after the ladder and Astar checks, the first op in FRAME_OPS order
+    # under which a module leaves W
+    for op in FRAME_OPS:
+        _note(failures, [op in o and o[op] is None for o in own],
+              f"{op} does not map W into W")
+    # the rebuilt modules, with no matrix of their own, whose Grams are
+    # positive multiples of module 0's hold one frame, the group's, and
+    # share its checks (see decompose); every product is at most
+    # max(norms)^2
     nn = ints(max(int(norms.max()), 1) ** 2, norms)[0]
+    rebuilt = np.array([not o for o in own])
     shares = rebuilt & (nn * nn[0, 0] == nn[:, :1] * nn[0]).all(axis=0)
     group = None
     modules = []
@@ -489,11 +484,8 @@ def _endpoint_modules(ctx: CubeContext, r: int, numerators):
         if shares[j] and group is not None:
             frame = group
         else:
-            if rebuilt[j]:
-                frame = ModuleFrame(**shared,
-                                    gram=_diagonal(norms[:, j], norms[0, j]))
-            else:
-                frame = _own_frame(ctx, r, j, basis, norms[:, j], den)
+            frame = ModuleFrame(**{**shared, **own[j]},
+                                gram=_diagonal(norms[:, j], norms[0, j]))
             _check_seeds(r, j, frame)
             if shares[j]:
                 group = frame
@@ -618,8 +610,10 @@ def decompose(ctx: CubeContext) -> Decomposition:
     module's diagonal Gram B B^* is read off its row norms: the slice
     support check puts b_k on slice r + k, so the vectors are orthogonal and
     nonzero, and "the slice basis is not orthogonal" is implied rather than
-    tested.  A module that the shared frame does not rebuild (only on a
-    corrupted context) has its frame read off its own images.  The seeds
+    tested.  A module that the shared frame does not rebuild under an op
+    (only on a corrupted context) has its matrix for that op read off its
+    own columns of the same image, and the shared matrices for the others,
+    which are its own as well.  The seeds
     are their coordinates in B, which the frame holds
     (`seed_coordinates`), checked on the frame (`_check_seeds`), as the
     ladder checks make B injective.

@@ -26,7 +26,8 @@ provides:
     compared to the closed-form tables, including inverse and composition
     coherence;
   * a generic Leonard-triple recognizer working over Q(i), on the spectral
-    parts that `decomposition.spectral_parts` certifies.
+    parts that `decomposition.spectral_parts` certifies, whose verdict on
+    a module is read on its frame's matrices of A, Astar and Aeps.
 
 Everything here is (d+1)-dimensional.  A module's certified frame
 (`decomposition.ModuleFrame`) holds the matrices of A, Astar, Aeps and P in
@@ -44,7 +45,12 @@ family of Hermitian orthogonal idempotents, so it is orthogonal:
 coordinates are <t, b_k> / <b_k, b_k>, once the basis's Gram block is seen
 to be diagonal.  Nothing here eliminates: the Leonard recognizer, whose
 eigenbases need not be orthogonal, reads each coordinate off a rank-one
-spectral part instead (`is_leonard_triple`).
+spectral part instead (`is_leonard_triple`).  Its operands are the frame's
+M_A, M_Astar and M_Aeps: their transposes are the matrices of A, Astar and
+Aeps on W in the basis B, and those in any other basis of W, such as AsA,
+are similar to them.  A Leonard triple stays one under transposition and
+similarity (Terwilliger, Linear Algebra Appl. 330 (2001)), so the verdict
+on the frame is the verdict on the action on W, with no six bases.
 
 Each module's checks are whole-matrix operations.  The closed forms are
 tables of Gaussian-integer numerators, built once per Phi matrix (one per
@@ -85,7 +91,7 @@ from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from .cube import CubeContext, _times_i_power
+from .cube import _times_i_power
 from .decomposition import (SEED_NAMES, IrreducibleModule, ModuleFrame,
                             seed_coordinates, spectral_failure,
                             spectral_parts)
@@ -389,9 +395,9 @@ _P_SHIFTS = tuple(
 _SEED_ROWS = {name: k for k, name in enumerate(SEED_NAMES + _CHAINED[1:])}
 
 
-def build_six_bases(ctx: CubeContext, mod: IrreducibleModule) -> SixBases:
-    """The six bases of a module, in coordinates in its slice basis.  ctx is
-    not read: the module's certified frame holds all that they need."""
+def build_six_bases(mod: IrreducibleModule) -> SixBases:
+    """The six bases of a module, in coordinates in its slice basis, from
+    its certified frame alone."""
     return SixBases(module=mod, stacked=_six_bases_block(mod))
 
 
@@ -535,10 +541,10 @@ class RepCell:
     matrix: ExactMatrix
 
 
-def verify_rep_matrices(ctx: CubeContext, bases: SixBases) -> List[RepCell]:
+def verify_rep_matrices(bases: SixBases) -> List[RepCell]:
     """The full 6 bases x 3 operators grid against the closed forms, with
     one operator pass and one coordinate read per distinct frame (see
-    `_rep_cells`); ctx is not read."""
+    `_rep_cells`)."""
     return list(_rep_cells(bases))
 
 
@@ -956,21 +962,13 @@ def is_leonard_triple(b0: ExactMatrix, b1: ExactMatrix,
         candidates, tri, bases, reps)
 
 
-def module_triple(cells: List[RepCell]) -> Tuple[ExactMatrix, ...]:
-    """The three operators restricted to the module, in OPERATOR_LABELS
-    order, as matrices in the basis AsA diagonalizing the dual adjacency
-    operator: the AsA cells of verify_rep_matrices."""
-    matrices = {c.op: c.matrix for c in cells if c.basis == "AsA"}
-    return tuple(matrices[op] for op in OPERATOR_LABELS)
-
-
 # -- per-module report ------------------------------------------------------------------------
 
 
-def module_report(ctx: CubeContext, bases: SixBases) -> dict:
+def module_report(bases: SixBases) -> dict:
     mod = bases.module
     phi = phi_matrix(mod.d)
-    rep_cells = verify_rep_matrices(ctx, bases)
+    rep_cells = verify_rep_matrices(bases)
     rep_json: Dict[str, dict] = {}
     for cell in rep_cells:
         rep_json.setdefault(cell.basis, {})[cell.op] = {
@@ -980,9 +978,10 @@ def module_report(ctx: CubeContext, bases: SixBases) -> dict:
     for c in inner_checks:
         inner_json[c.check_id] = inner_json.get(c.check_id, True) and c.passed
     trans = transition_matrices(bases, phi)
-    verdict = is_leonard_triple(*module_triple(rep_cells))
+    frame = mod.frame
+    verdict = is_leonard_triple(frame.A, frame.Astar, frame.Aeps)
     return {
-        "D": ctx.D,
+        "D": mod.d + 2 * mod.r,
         "r": mod.r,
         "module_index": mod.index,
         "rep_matrices": rep_json,

@@ -236,9 +236,10 @@ class _NumeratorArray:
     @classmethod
     def _bounded(cls, re, im, den):
         """(re + i im) / den for arrays computed under a bound that `ints`
-        was given: int64 arrays are the results of its int64 tier, below
-        2^62 by that bound, and need no scan; a Python-int result may fit
-        int64 and goes through the storage rule."""
+        was given, or taken from a stored pair: int64 arrays are the
+        results of its int64 tier or parts of int64 storage, below 2^62,
+        and need no scan; a Python-int one may fit int64 and goes through
+        the storage rule."""
         return cls._raw(re, im, den, bounded=re.dtype != object)
 
     @classmethod
@@ -253,13 +254,6 @@ class _NumeratorArray:
         """(re + i im) / den from integer arrays, int64 or object, in lowest
         terms."""
         return cls._raw(re, im, den)
-
-    def _part(self, cls, re, im):
-        """re + i im over self's denominator, as a cls, for re and im taken
-        from self's arrays: int64 parts of int64 arrays are kept without a
-        scan; object ones go through the storage rule, since a part may
-        fit int64."""
-        return cls._raw(re, im, self._den, bounded=self._re.dtype != object)
 
     @classmethod
     def zeros(cls, *shape):
@@ -426,8 +420,8 @@ class ExactVector(_NumeratorArray):
 
     def take(self, positions) -> "ExactVector":
         """The entries at the given positions, in that order."""
-        return self._part(ExactVector, self._re[positions],
-                          self._im[positions])
+        return ExactVector._bounded(self._re[positions], self._im[positions],
+                                    self._den)
 
     def primitive(self) -> "ExactVector":
         """Same line, scaled so entries are Gaussian integers with content 1."""
@@ -515,24 +509,25 @@ class ExactMatrix(_NumeratorArray):
                           self._im.reshape(rows, cols))
 
     def row(self, r) -> ExactVector:
-        return self._part(ExactVector, self._re[r].copy(), self._im[r].copy())
+        return ExactVector._bounded(self._re[r].copy(), self._im[r].copy(),
+                                    self._den)
 
     def column(self, c) -> ExactVector:
-        return self._part(ExactVector, self._re[:, c].copy(),
-                          self._im[:, c].copy())
+        return ExactVector._bounded(self._re[:, c].copy(),
+                                    self._im[:, c].copy(), self._den)
 
     def columns(self, positions) -> "ExactMatrix":
         """The columns at the given positions, in that order."""
-        return self._part(ExactMatrix, self._re[:, positions],
-                          self._im[:, positions])
+        return ExactMatrix._bounded(self._re[:, positions],
+                                    self._im[:, positions], self._den)
 
     def block(self, rows, cols) -> "ExactMatrix":
         """The submatrix on the given row and column slices; one of the two
         may be an index array instead, or both index arrays that broadcast
         to the shape of the result, entry (i, j) taken at
         (rows[i, j], cols[i, j])."""
-        return self._part(ExactMatrix, self._re[rows, cols],
-                          self._im[rows, cols])
+        return ExactMatrix._bounded(self._re[rows, cols],
+                                    self._im[rows, cols], self._den)
 
     def to_rows(self):
         return [[self[r, c] for c in range(self.cols)] for r in range(self.rows)]

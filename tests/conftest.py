@@ -26,7 +26,10 @@ on the spectral parts.
 
 It also holds what only tests use and no command reaches: `check_equal` and
 `all_passed` over checks, `flipped_phi`, the one-entry mutation of a Phi
-table, and `normalize_seeds`, the paper's seed normalization.
+table, `seed_gram` and `seed_inner`, the seeds' inner products,
+`normalize_seeds`, the paper's seed normalization, and `asa_triple`, a
+module's operators in its basis AsA, which the recognizer's tests take as
+inputs beside the frame's matrices that the commands hand it.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from tcube.leonard import (_BASIS_SPEC, _FORM_BUILDERS, _P_SHIFTS,
                            INNER_FORMULAS, OPERATOR_LABELS, REP_FORMS,
                            TRANSITION_TABLE, BasisError, BasisSolver,
                            LeonardVerdict, PhiMatrix, build_six_bases,
-                           phi_matrix)
+                           phi_matrix, verify_rep_matrices)
 from tcube.linalg import (I64_LIMIT, ExactMatrix, ExactVector,
                           first_discrepancy, gram_schmidt, ints,
                           inverse_diagonal, kernel_basis)
@@ -84,8 +87,7 @@ def get_phi(d):
 def get_bundles(D):
     """List of (module, six_bases, phi) for every module of dimension D."""
     if D not in _BUNDLES:
-        ctx = get_ctx(D)
-        _BUNDLES[D] = [(m, build_six_bases(ctx, m), get_phi(m.d))
+        _BUNDLES[D] = [(m, build_six_bases(m), get_phi(m.d))
                        for m in get_decomposition(D).modules]
     return _BUNDLES[D]
 
@@ -125,6 +127,14 @@ def in_space(bases, label=None):
     coordinates times the module's slice basis."""
     block = bases.stacked if label is None else bases[label]
     return block @ bases.module.slice_basis
+
+
+def asa_triple(bases):
+    """The module's A, Astar and Aeps, in OPERATOR_LABELS order, as matrices
+    in its basis AsA: the AsA cells of verify_rep_matrices."""
+    matrices = {c.op: c.matrix for c in verify_rep_matrices(bases)
+                if c.basis == "AsA"}
+    return tuple(matrices[op] for op in OPERATOR_LABELS)
 
 
 def representation_matrix(op, basis):
@@ -177,6 +187,16 @@ def _rational_sqrt(q: Fraction):
     return None
 
 
+def seed_gram(mod) -> ExactMatrix:
+    """Entry (a, b) is <seed a, seed b>, in SEED_NAMES order: the Gram of
+    the seed coordinates through the frame, times the module's norm."""
+    return mod.frame.gram_of(seed_coordinates(mod.frame)).scale(mod.norm)
+
+
+def seed_inner(mod, first: str, second: str) -> GaussRat:
+    return seed_gram(mod)[SEED_NAMES.index(first), SEED_NAMES.index(second)]
+
+
 def normalize_seeds(mod, a, b, c) -> ExactMatrix:
     """The coordinates in B, 3 x (d+1) in SEED_NAMES order, of the module's
     seeds rescaled so that <u,u*> = a, <u*,ue> = b, <ue,u> = c.
@@ -192,15 +212,15 @@ def normalize_seeds(mod, a, b, c) -> ExactMatrix:
     product = a * b * c * GaussRat(1, 1) ** mod.d
     if not product.is_real() or product.re <= 0:
         raise InfeasibleTargets("infeasible targets")
-    nus = mod.seed_inner("u*", "u*").re
+    nus = seed_inner(mod, "u*", "u*").re
     delta = product.re / (c.abs_sq() * nus)
     root = _rational_sqrt(delta)
     if root is None:
         raise FieldExtensionRequired("targets require field extension")
     inv_root = GaussRat(1 / root)
-    lam = a * inv_root / mod.seed_inner("u", "u*")
+    lam = a * inv_root / seed_inner(mod, "u", "u*")
     lam_star = GaussRat(root)
-    lam_eps = b.conj() * inv_root / mod.seed_inner("ue", "u*")
+    lam_eps = b.conj() * inv_root / seed_inner(mod, "ue", "u*")
     seeds = ExactMatrix.diagonal([lam, lam_star, lam_eps]) @ \
         seed_coordinates(mod.frame)
     gram = mod.frame.gram_of(seeds).scale(mod.norm)

@@ -11,12 +11,14 @@ import time
 
 import pytest
 
-from conftest import (all_passed, flipped_phi, get_bundles, get_ctx,
-                      get_decomposition, get_phi, naive_rank, p_inverse)
+from conftest import (all_passed, block_rows, flipped_phi, get_bundles,
+                      get_ctx, get_decomposition, get_phi, in_space,
+                      naive_is_leonard_triple, naive_rank, p_inverse,
+                      representation_matrix)
 from tcube.cube import (build_context, verify_commutators,
                         verify_idempotent_families)
 from tcube.decomposition import multiplicity, verify_seed_norms
-from tcube.leonard import (is_leonard_triple, module_triple,
+from tcube.leonard import (OPERATOR_LABELS, is_leonard_triple,
                            transition_matrices, verify_inner_products,
                            verify_phi, verify_rep_matrices)
 from tcube.linalg import ExactMatrix
@@ -98,9 +100,8 @@ def test_criterion_04_decomposition(report):
 def test_criterion_05_representation_matrices(report):
     ok = True
     for D in D_FULL:
-        ctx = get_ctx(D)
         for m, bases, _ in get_bundles(D):
-            cells = verify_rep_matrices(ctx, bases)
+            cells = verify_rep_matrices(bases)
             ok = ok and len(cells) == 18 and all(c.passed for c in cells)
     report(5, "6 bases x 3 operators grid D=1..8, zero tolerance", ok)
 
@@ -129,12 +130,18 @@ def test_criterion_07_transition_matrices(report):
 
 def test_criterion_08_leonard_verdicts(report):
     ok = True
+    # the verdict on each frame, as the commands take it, against the
+    # elimination recognizer on the operators over 2^D in basis AsA
     for D in D_FULL:
         ctx = get_ctx(D)
         for m, bases, _ in get_bundles(D):
-            verdict = is_leonard_triple(
-                *module_triple(verify_rep_matrices(ctx, bases)))
-            ok = ok and verdict.verdict == "true"
+            f = m.frame
+            verdict = is_leonard_triple(f.A, f.Astar, f.Aeps).verdict
+            asa = block_rows(in_space(bases, "AsA"))
+            oracle = naive_is_leonard_triple(
+                *(representation_matrix(getattr(ctx, op), asa)
+                  for op in OPERATOR_LABELS)).verdict
+            ok = ok and verdict == oracle == "true"
     diag = ExactMatrix.diagonal([1, -1])
     counterexample = is_leonard_triple(diag, diag,
                                        ExactMatrix([[0, 1], [1, 0]]))

@@ -904,11 +904,11 @@ def test_six_bases_error_is_that_modules_row(capsys, monkeypatch):
     # costs that module its rows and the other modules still report
     honest = cli.leonard.build_six_bases
 
-    def broken(ctx, m):
+    def broken(m):
         if (m.r, m.index) == (1, 1):
             raise BasisError("basis AsA vector 0 is zero "
                              "(module r=1 index=1)")
-        return honest(ctx, m)
+        return honest(m)
 
     monkeypatch.setattr(cli.leonard, "build_six_bases", broken)
     code, out = run(capsys, "verify", "--d", "3", "--suite", "rep-matrices")

@@ -15,7 +15,7 @@ from conftest import (FieldExtensionRequired, InfeasibleTargets, all_passed,
                       naive_spectral_parts, normalize_seeds,
                       oracle_decompose, oracle_endpoint_modules, oracle_seeds,
                       product_calls, project, representation_matrix,
-                      window_images)
+                      seed_gram, seed_inner, window_images)
 from tcube import cli, cube, decomposition
 from tcube.cube import build_context
 from tcube.decomposition import (FRAME_OPS, SEED_NAMES, InvariantViolation,
@@ -233,9 +233,9 @@ def test_seed_window_nonvanishing_d4():
 def test_normalize_seeds_round_trip():
     dec = get_decomposition(3)
     m = dec.modules[1]
-    a0 = m.seed_inner("u", "u*")
-    b0 = m.seed_inner("u*", "ue")
-    c0 = m.seed_inner("ue", "u")
+    a0 = seed_inner(m, "u", "u*")
+    b0 = seed_inner(m, "u*", "ue")
+    c0 = seed_inner(m, "ue", "u")
     # scaling the current products by the positive rational q = delta_0 makes
     # delta = q^2, a perfect square, so these targets are always realizable
     prod = (a0 * b0 * c0 * GaussRat(1, 1) ** m.d).re
@@ -244,21 +244,21 @@ def test_normalize_seeds_round_trip():
     seeds = normalize_seeds(m, *targets)
     gram = m.frame.gram_of(seeds).scale(m.norm)
 
-    def seed_inner(first, second):
+    def rescaled(first, second):
         return gram[SEED_NAMES.index(first), SEED_NAMES.index(second)]
 
-    assert seed_inner("u", "u*") == targets[0]
-    assert seed_inner("u*", "ue") == targets[1]
-    assert seed_inner("ue", "u") == targets[2]
+    assert rescaled("u", "u*") == targets[0]
+    assert rescaled("u*", "ue") == targets[1]
+    assert rescaled("ue", "u") == targets[2]
     # the rescaled seeds still satisfy the norm relations, and the invariant
     # scalar is positive (verify_seed_norms on them)
     a, b, c = targets
     one_plus_i_d = GaussRat(1, 1) ** m.d
-    assert seed_inner("u", "u") == one_plus_i_d * a * c / seed_inner("ue", "u*")
-    assert seed_inner("u*", "u*") == \
-        one_plus_i_d * b * a / seed_inner("u", "ue")
-    assert seed_inner("ue", "ue") == \
-        one_plus_i_d * c * b / seed_inner("u*", "u")
+    assert rescaled("u", "u") == one_plus_i_d * a * c / rescaled("ue", "u*")
+    assert rescaled("u*", "u*") == \
+        one_plus_i_d * b * a / rescaled("u", "ue")
+    assert rescaled("ue", "ue") == \
+        one_plus_i_d * c * b / rescaled("u*", "u")
     scalar = a * b * c * one_plus_i_d
     assert scalar.is_real() and scalar.re > 0
 
@@ -277,9 +277,9 @@ def test_normalize_seeds_rejects_nonpositive_product():
 
 def test_normalize_seeds_field_extension():
     m = get_decomposition(3).modules[1]
-    a0 = m.seed_inner("u", "u*")
-    b0 = m.seed_inner("u*", "ue")
-    c0 = m.seed_inner("ue", "u")
+    a0 = seed_inner(m, "u", "u*")
+    b0 = seed_inner(m, "u*", "ue")
+    c0 = seed_inner(m, "ue", "u")
     prod = (a0 * b0 * c0 * GaussRat(1, 1) ** m.d).re
     q = prod / (c0.abs_sq() * inner(m.u_star, m.u_star).re)
     # scaling all three targets by 2q makes delta = 2q^2: never a square in Q
@@ -291,21 +291,17 @@ def test_scaling_seeds_by_i_preserves_inner_products():
     m = get_decomposition(2).modules[0]
     i_unit = GaussRat(0, 1)
     u, us, ue = m.u.scale(i_unit), m.u_star.scale(i_unit), m.u_eps.scale(i_unit)
-    assert inner(u, us) == m.seed_inner("u", "u*")
-    assert inner(us, ue) == m.seed_inner("u*", "ue")
-    assert inner(ue, u) == m.seed_inner("ue", "u")
+    assert inner(u, us) == seed_inner(m, "u", "u*")
+    assert inner(us, ue) == seed_inner(m, "u*", "ue")
+    assert inner(ue, u) == seed_inner(m, "ue", "u")
 
 
 @pytest.mark.parametrize("D", range(1, 9))
 def test_seed_gram_holds_the_nine_inner_products(D):
-    # the Gram of the seed coordinates through the frame's Gram, against
-    # the inner products of the seeds mapped back over 2^D
+    # the Gram of the seed coordinates through the frame's Gram, times the
+    # module's norm, against the Gram of the seeds mapped back over 2^D
     for m in get_decomposition(D).modules:
-        seeds = {"u": m.u, "u*": m.u_star, "ue": m.u_eps}
-        assert m.seed_gram.shape == (3, 3)
-        for a, va in seeds.items():
-            for b, vb in seeds.items():
-                assert m.seed_inner(a, b) == inner(va, vb), (a, b)
+        assert seed_gram(m) == m.seeds @ m.seeds.adjoint()
 
 
 def test_cross_module_orthogonality_d4():
@@ -535,24 +531,24 @@ def test_spectral_parts_equal_the_oracle_on_every_frame(D):
 def _reads_under_corruption(monkeypatch, D):
     """Every frame matrix that the endpoints of Q_D read (`_read`) with one
     entry of a --corrupt operator flipped, for a sample of about 16 entries
-    per operator, as (whether `_own_frame` read it, the matrix)."""
+    per operator, as (whether `_own_read` read it, the matrix)."""
     reads, owning = [], []
-    read, own_frame = decomposition._read, decomposition._own_frame
+    read, own_read = decomposition._read, decomposition._own_read
 
     def spied_read(*args):
         out = read(*args)
         reads.append((bool(owning), out))
         return out
 
-    def spied_own_frame(*args):
+    def spied_own_read(*args):
         owning.append(True)
         try:
-            return own_frame(*args)
+            return own_read(*args)
         finally:
             owning.pop()
 
     monkeypatch.setattr(decomposition, "_read", spied_read)
-    monkeypatch.setattr(decomposition, "_own_frame", spied_own_frame)
+    monkeypatch.setattr(decomposition, "_own_read", spied_own_read)
     ctx = get_ctx(D)
     edges = [(x, y) for x, y in np.argwhere(ctx.hamming == 1) if x < y]
     for op in cli.CORRUPT_OPS.values():

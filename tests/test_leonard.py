@@ -3,6 +3,7 @@ transition matrices, Leonard-triple recognizer."""
 
 import hashlib
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
@@ -11,12 +12,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from conftest import (block_rows, flipped_phi, get_bundles, get_ctx,
-                      get_decomposition, get_phi, in_space,
+from conftest import (asa_triple, block_rows, flipped_phi, get_bundles,
+                      get_ctx, get_decomposition, get_phi, in_space,
                       naive_is_leonard_triple, oracle_inner,
                       oracle_pattern, oracle_seeds, oracle_six_bases,
                       oracle_transition, oracle_verdicts, product_calls,
                       representation_matrix, series_2f1)
+from test_report_digests import DIGESTS, run
 from tcube import cli, decomposition, leonard, linalg
 from tcube.cube import build_context
 from tcube.decomposition import ModuleFrame, decompose
@@ -29,7 +31,7 @@ from tcube.leonard import (_BASIS_SPEC, _P_CYCLES, _turn, BASIS_LABELS,
                            hypergeometric_2f1, inner_tables,
                            is_leonard_triple, itridiagonal_subneg_form,
                            itridiagonal_superneg_form, module_report,
-                           module_triple, transition_formulas, transition_matrices,
+                           transition_formulas, transition_matrices,
                            transition_tables, tridiagonal_form, verify_phi,
                            verify_inner_products, verify_rep_matrices)
 from tcube.linalg import ExactMatrix, ExactVector, inner, kernel_basis
@@ -170,17 +172,23 @@ def test_coordinate_six_bases_equal_the_oracle_over_2d(D):
                                                    oracle_seeds(ctx, m))
 
 
-def _verdicts(ctx, bases, phi):
+def _frame_verdict(mod):
+    """The recognizer's verdict on the module's frame, as the commands
+    take it."""
+    f = mod.frame
+    return is_leonard_triple(f.A, f.Astar, f.Aeps)
+
+
+def _verdicts(bases, phi):
     """The verdicts of the frame's path, laid out as oracle_verdicts lays
     them out."""
-    cells = verify_rep_matrices(ctx, bases)
     report = transition_matrices(bases, phi)
-    return ([(c.basis, c.op, c.passed) for c in cells],
+    return ([(c.basis, c.op, c.passed) for c in verify_rep_matrices(bases)],
             [(c.check_id, c.i, c.j, c.passed)
              for c in verify_inner_products(bases, phi)],
             {key: cell.passed for key, cell in report.cells.items()},
             [(c.identity, c.passed) for c in report.coherence],
-            is_leonard_triple(*module_triple(cells)).verdict)
+            _frame_verdict(bases.module).verdict)
 
 
 @pytest.mark.parametrize("D", range(1, 7))
@@ -194,15 +202,15 @@ def test_verdicts_equal_the_oracle_over_2d(D):
         if m.d >= 1:
             phis.append(flipped_phi(phi, 1, m.d))
         for p in phis:
-            assert _verdicts(ctx, bases, p) == oracle_verdicts(ctx, m, p), \
+            assert _verdicts(bases, p) == oracle_verdicts(ctx, m, p), \
                 (m.r, m.index, p is phi)
 
 
-def _fails(ctx, mod):
+def _fails(mod):
     """Whether the rep matrices of a module fail: a cell that does not
     pass, or a BasisError on the way."""
     try:
-        cells = verify_rep_matrices(ctx, build_six_bases(ctx, mod))
+        cells = verify_rep_matrices(build_six_bases(mod))
     except BasisError:
         return True
     return not all(c.passed for c in cells)
@@ -212,18 +220,17 @@ def test_memo_is_keyed_on_the_exact_frame():
     # the two modules of Q_3 with r = 1 hold one frame object and so
     # one computation; a flipped entry of M_Aeps is another key and fails,
     # although a healthy module of the same endpoint was verified first
-    ctx = get_ctx(3)
     first, second = [m for m in get_decomposition(3).modules if m.r == 1]
-    assert not _fails(ctx, first)
-    assert build_six_bases(ctx, first).stacked is \
-        build_six_bases(ctx, second).stacked
+    assert not _fails(first)
+    assert build_six_bases(first).stacked is \
+        build_six_bases(second).stacked
     aeps = second.frame.Aeps
     re, im = aeps._re.copy(), aeps._im.copy()
     re[0, 1], im[0, 1] = -re[0, 1], -im[0, 1]
     flipped = ExactMatrix.from_numerators(re, im, aeps._den)
     bad = replace(second, frame=replace(second.frame, Aeps=flipped))
-    assert _fails(ctx, bad)
-    assert not _fails(ctx, second)
+    assert _fails(bad)
+    assert not _fails(second)
 
 
 # -- representation matrices ----------------------------------------------------------
@@ -301,8 +308,7 @@ def test_p_shift_failure_names_pair_and_slice(monkeypatch):
     # negate one row of the frame's P pass over the left-hand sides: row
     # (d+1)*k + i is pair k of the P-shift table at slice i; the memo of
     # the six bases is bypassed, so that they are built with this pass
-    ctx = build_context(3)
-    mod = decompose(ctx).modules[0]
+    mod = decompose(build_context(3)).modules[0]
     apply = ModuleFrame.apply
     k, i = 1, 1
 
@@ -319,7 +325,7 @@ def test_p_shift_failure_names_pair_and_slice(monkeypatch):
                         leonard._six_bases_block.__wrapped__)
     with pytest.raises(BasisError, match=r"^P-shift AeAs->AAe failed at "
                                          r"slice 1 \(module r=0 index=0\)$"):
-        build_six_bases(ctx, mod)
+        build_six_bases(mod)
 
 
 @pytest.mark.parametrize("seed, label", [("u", "AeA"), ("u_star", "AeAs"),
@@ -350,9 +356,8 @@ def test_basis_solver_rejects_vector_of_another_module_d3():
 
 @pytest.mark.parametrize("D", [1, 2, 3, 4])
 def test_rep_grid_matches_closed_forms(D):
-    ctx = get_ctx(D)
     for m, bases, _ in get_bundles(D):
-        cells = verify_rep_matrices(ctx, bases)
+        cells = verify_rep_matrices(bases)
         assert len(cells) == 18
         assert all(c.passed for c in cells)
         forms = {f for c in cells for f in [c.form]}
@@ -519,9 +524,8 @@ def test_phi_matrix_from_integer_arrays():
 
 
 def test_module_gram_built_once_on_first_use():
-    ctx = get_ctx(2)
     (m, _, phi), = [b for b in get_bundles(2) if b[0].d == 2]
-    bases = build_six_bases(ctx, m)
+    bases = build_six_bases(m)
     stacked, gram = bases.stacked, bases.gram
     assert stacked == ExactMatrix.stack([bases[label]
                                          for label in BASIS_LABELS])
@@ -529,7 +533,7 @@ def test_module_gram_built_once_on_first_use():
     vectors = in_space(bases)
     assert gram == (vectors @ vectors.adjoint()).scale(
         1 / inner(m.u_star, m.u_star))
-    module_triple(verify_rep_matrices(ctx, bases))
+    verify_rep_matrices(bases)
     verify_inner_products(bases, phi)
     transition_matrices(bases, phi)
     assert bases.stacked is stacked and bases.gram is gram
@@ -588,7 +592,6 @@ def _with_basis(bases, label, vectors):
 
 @pytest.mark.parametrize("change", ["sheared", "zero"])
 def test_non_orthogonal_basis_is_named(change):
-    ctx = get_ctx(3)
     (m, bases, phi) = next(b for b in get_bundles(3) if b[0].d == 3)
     v = block_rows(bases["AeA"])
     v[2] = v[2] + v[1] if change == "sheared" else v[2].scale(0)
@@ -597,7 +600,7 @@ def test_non_orthogonal_basis_is_named(change):
     with pytest.raises(BasisError, match=message):
         broken.coords(bases.stacked)
     with pytest.raises(BasisError, match=message):
-        verify_rep_matrices(ctx, broken)
+        verify_rep_matrices(broken)
     with pytest.raises(BasisError, match=message):
         transition_matrices(broken, phi)
 
@@ -607,11 +610,10 @@ def test_rep_cells_equal_the_per_label_coords(D):
     # the one coordinate read per module against the elimination solver of
     # each basis on that basis's images over 2^D: the same 18 matrices and
     # verdicts
-    ctx = get_ctx(D)
     n_ops = len(OPERATOR_LABELS)
     for m, bases, _ in get_bundles(D):
         n = m.d + 1
-        cells = verify_rep_matrices(ctx, bases)
+        cells = verify_rep_matrices(bases)
         assert len(cells) == len(BASIS_LABELS) * n_ops
         cells = iter(cells)
         for label in BASIS_LABELS:
@@ -629,11 +631,11 @@ def test_rep_cells_equal_the_per_label_coords(D):
 
 
 @pytest.mark.parametrize("D", [2, 3, 4])
-def test_module_triple_is_the_asa_cells_in_operator_order(D):
+def test_asa_triple_is_the_asa_cells_in_operator_order(D):
     # the matrices of A, Astar, Aeps in basis AsA by exact solving
     ctx = get_ctx(D)
     for m, bases, _ in get_bundles(D):
-        triple = module_triple(verify_rep_matrices(ctx, bases))
+        triple = asa_triple(bases)
         asa = block_rows(in_space(bases, "AsA"))
         assert triple == tuple(representation_matrix(getattr(ctx, op), asa)
                                for op in OPERATOR_LABELS)
@@ -677,7 +679,7 @@ def test_rep_matrices_raise_the_first_failing_basis(monkeypatch, broken):
     message = ("target is outside the span of the basis" if first == broken[0]
                else f"basis {first} is not orthogonal (module r=1 index=0)")
     with pytest.raises(BasisError) as exc:
-        verify_rep_matrices(get_ctx(3), bases)
+        verify_rep_matrices(bases)
     assert str(exc.value) == message
 
 
@@ -768,13 +770,24 @@ def test_flipped_phi_entry_fails_the_same_cells():
 
 @pytest.mark.parametrize("D", [1, 2, 3, 4])
 def test_modules_are_leonard_triples(D):
-    ctx = get_ctx(D)
-    for m, bases, _ in get_bundles(D):
-        verdict = is_leonard_triple(
-            *module_triple(verify_rep_matrices(ctx, bases)))
+    for m in get_decomposition(D).modules:
+        verdict = _frame_verdict(m)
         assert verdict.verdict == "true"
         assert verdict.eigenvalue_order == tuple(m.d - 2 * k
                                                  for k in range(m.d + 1))
+
+
+@pytest.mark.parametrize("D", range(1, 9))
+def test_frame_verdict_is_the_verdict_on_the_asa_cells(D):
+    # the frame's matrices act on coordinate rows: transposed they are the
+    # operators in the slice basis, to which the AsA cells are similar, and
+    # the recognizer reads the same verdict, candidate order and
+    # tridiagonal map off both
+    for m, bases, _ in get_bundles(D):
+        got, want = _frame_verdict(m), is_leonard_triple(*asa_triple(bases))
+        assert (got.verdict, got.eigenvalue_order, got.tridiagonal) == \
+            (want.verdict, want.eigenvalue_order, want.tridiagonal), \
+            (m.r, m.index)
 
 
 def test_commuting_diagonal_pair_is_false():
@@ -807,9 +820,8 @@ def test_unverifiable_non_diagonalizable():
 
 
 def test_eigen_order_flip_and_permutation_sensitivity():
-    ctx = get_ctx(4)
     (m, bases, _) = next(b for b in get_bundles(4) if b[0].d == 2)
-    b, bs, be = module_triple(verify_rep_matrices(ctx, bases))
+    b, bs, be = asa_triple(bases)
     verdict = is_leonard_triple(b, bs, be)
     base = verdict.bases[0]
     rep = verdict.rep_matrices[(0, 1)]
@@ -884,9 +896,8 @@ def assert_agrees_with_elimination(triple):
 
 
 def _module_triples(D):
-    ctx = get_ctx(D)
-    return [module_triple(verify_rep_matrices(ctx, bases))
-            for m, bases, _ in get_bundles(D) if m.index == 0]
+    return [asa_triple(bases) for m, bases, _ in get_bundles(D)
+            if m.index == 0]
 
 
 @pytest.mark.parametrize("D", range(1, 9))
@@ -1032,13 +1043,38 @@ def test_no_command_eliminates(monkeypatch, capsys, D):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("D", range(1, 7))
+def test_leonard_check_builds_no_six_bases(monkeypatch, D):
+    # leonard-check is decompose and the verdict on each frame: with the
+    # six bases and the rep cells refused it exits 0, with the recorded
+    # report bytes for D <= 5, and at every D with the report that the
+    # verdicts on the AsA cells give
+    want = {"D": D, "modules": [
+        {"r": m.r, "index": m.index, "d": m.d,
+         "verdict": verdict.verdict,
+         "eigenvalue_order": list(verdict.eigenvalue_order)}
+        for m, bases, _ in get_bundles(D)
+        for verdict in [is_leonard_triple(*asa_triple(bases))]]}
+    with open(DIGESTS) as fh:
+        recorded = json.load(fh)
+    for name in ("build_six_bases", "verify_rep_matrices"):
+        monkeypatch.setattr(leonard, name, _refuse(name))
+    for fmt in ("json", "csv", "pretty"):
+        argv = ["leonard-check", "--d", str(D), "--format", fmt]
+        code, out, digest = run(argv)
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(out) == want
+        if D <= 5:
+            assert digest == recorded[" ".join(argv)]
+
+
 # -- per-module report ------------------------------------------------------------------------
 
 
 def test_module_report_shape():
-    ctx = get_ctx(3)
     (m, bases, _) = get_bundles(3)[0]
-    rep = module_report(ctx, bases)
+    rep = module_report(bases)
     assert rep["D"] == 3 and rep["r"] == m.r
     assert rep["leonard_triple"] == "true"
     assert rep["transitions"] == {"cells_checked": 36, "failures": []}

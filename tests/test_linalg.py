@@ -404,8 +404,10 @@ def test_sums_scales_and_entrywise_products_are_canonical(top):
 def test_leonard_reads_no_storage_and_no_private_decomposition_name():
     # leonard works on ExactMatrix values: it reads none of their numerator
     # arrays, denominator or bound, and imports only public names from
-    # decomposition
-    tree = ast.parse((Path(tcube.__file__).parent / "leonard.py").read_text())
+    # decomposition; it takes no context, as a module's frame holds all
+    # that it reads, and names no CubeContext
+    source = (Path(tcube.__file__).parent / "leonard.py").read_text()
+    tree = ast.parse(source)
     storage = [node.attr for node in ast.walk(tree)
                if isinstance(node, ast.Attribute)
                and node.attr in ("_re", "_im", "_den", "_max")]
@@ -414,6 +416,7 @@ def test_leonard_reads_no_storage_and_no_private_decomposition_name():
                and (node.module or "").split(".")[-1] == "decomposition"
                for alias in node.names if alias.name.startswith("_")]
     assert (storage, private) == ([], [])
+    assert "CubeContext" not in source
 
 
 @pytest.mark.parametrize("top", [3, 2 ** 26, 2 ** 60, 2 ** 70])

@@ -52,17 +52,20 @@ def sweep():
     return commands
 
 
+def run(argv):
+    """(exit code, stdout, sha256 of the exit code, stdout and stderr) of
+    one command."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    blob = json.dumps([code, stdout.getvalue(), stderr.getvalue()])
+    return code, stdout.getvalue(), hashlib.sha256(blob.encode()).hexdigest()
+
+
 def digests():
     """{command: sha256 of its exit code, stdout and stderr} over the sweep."""
-    out = {}
-    for argv in sweep():
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
-            code = cli.main(argv)
-        blob = json.dumps([code, stdout.getvalue(), stderr.getvalue()])
-        out[" ".join(argv)] = hashlib.sha256(blob.encode()).hexdigest()
-    return out
+    return {" ".join(argv): run(argv)[2] for argv in sweep()}
 
 
 def test_every_report_keeps_its_digest():
