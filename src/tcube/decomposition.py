@@ -276,19 +276,20 @@ def spectral_parts(m: ExactMatrix):
     eigenvalues theta_k = d - 2k that A has on E_(r+k) W (and Aeps on
     Eeps_(r+k) W).
 
-    parts[k] = prod_(j != k) (m - theta_j) / (theta_k - theta_j)
+    The parts F_k = prod_(j != k) (m - theta_j) / (theta_k - theta_j)
     = sum_i W[k, i] m^i, for W the coefficients of the Lagrange
-    polynomials (`_lagrange_table`): the powers m^0 .. m^d, each flattened
-    to one row, and one product W @ powers, whose row k is part k
-    flattened, so that reshaped to (d+1)^2 x (d+1) it is the parts stacked,
-    part k in rows k (d+1) .. (k+1) (d+1) - 1.  failure is None when the certificate holds: the parts sum to I (one
-    product of a ones row with the flattened parts), parts[k] m =
-    theta_k parts[k] (one product of the stacked parts with m, against the
-    stack with block k scaled by theta_k), and every part is nonzero.
-    Otherwise it names the first check that fails, as ("sum", None), else
-    ("eigen", k) or ("zero", k), by k and for each k in that order.
-    Memoized on m's exact entries: modules with equal frames share one
-    computation."""
+    polynomials (`_lagrange_table`), come as one (d+1)^2 x (d+1) matrix,
+    F_k in rows k (d+1) .. (k+1) (d+1) - 1: the powers m^0 .. m^d, each
+    flattened to one row, and one product W @ powers, whose row k is F_k
+    flattened, reshaped.
+
+    failure is None when the certificate holds: the parts sum to I (one
+    product of a ones row with the flattened parts), F_k m = theta_k F_k
+    (one product of the stacked parts with m, against the stack with
+    block k scaled by theta_k), and every part is nonzero.  Otherwise it
+    names the first check that fails, as ("sum", None), else ("eigen", k)
+    or ("zero", k), by k and for each k in that order.  Memoized on m's
+    exact entries: modules with equal frames share one computation."""
     n = m.rows
     d = n - 1
     powers = [ExactMatrix.identity(n), m]
@@ -296,15 +297,13 @@ def spectral_parts(m: ExactMatrix):
         powers.append(powers[-1] @ m)
     flat = _lagrange_table(d) @ ExactMatrix.stack(
         [p.reshape(1, n * n) for p in powers[:n]])
-    stacked = flat.reshape(n * n, n)
-    parts = tuple(stacked.block(slice(k * n, (k + 1) * n), slice(None))
-                  for k in range(n))
+    parts = flat.reshape(n * n, n)
     ones = np.ones((1, n), dtype=np.int64)
     total = ExactMatrix.from_numerators(ones, 0 * ones, 1) @ flat
     if total != ExactMatrix.identity(n).reshape(1, n * n):
         return parts, ("sum", None)
-    scaled = _scale_rows(stacked, np.repeat(d - 2 * np.arange(n), n))
-    eigen = (stacked @ m).entries_equal(scaled).reshape(n, n * n).all(axis=1)
+    scaled = _scale_rows(parts, np.repeat(d - 2 * np.arange(n), n))
+    eigen = (parts @ m).entries_equal(scaled).reshape(n, n * n).all(axis=1)
     nonzero = flat.nonzero().any(axis=1)
     for k in range(n):
         if not eigen[k]:
@@ -524,7 +523,7 @@ def seed_coordinates(frame: ModuleFrame) -> ExactMatrix:
     Aeps, and the unit row e_0.  Meaningful once the spectral certificates
     of both hold, which `decompose` checks.  The frame is the one owner of
     a module's seeds; memoized on it, by identity."""
-    rows = [spectral_parts(getattr(frame, op))[0][0].block([0], slice(None))
+    rows = [spectral_parts(getattr(frame, op))[0].block([0], slice(None))
             for op in ("A", "Aeps")]
     unit = ExactMatrix.identity(frame.A.rows).block([0], slice(None))
     return ExactMatrix.stack([rows[0], unit, rows[1]])

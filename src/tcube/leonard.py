@@ -52,22 +52,30 @@ are similar to them.  A Leonard triple stays one under transposition and
 similarity (Terwilliger, Linear Algebra Appl. 330 (2001)), so the verdict
 on the frame is the verdict on the action on W, with no six bases.
 
-Each module's checks are whole-matrix operations.  The closed forms are
-tables of Gaussian-integer numerators, built once per Phi matrix (one per
-inner-product kind and one per transition pattern) and scaled per module by
-one seed scalar, read off the Gram matrix of the frame's seeds.
-The inner products are the blocks of one Gram matrix of the six stacked
-bases, each compared with its scaled table entry by entry.  Coordinates
+Each module's checks are whole-table comparisons.  The closed forms are
+tables of Gaussian-integer numerators, laid out once per Phi matrix as two
+6(d+1) x 6(d+1) grids, one block per pair of bases: the inner-product
+kinds at their 21 blocks, and the transition patterns, each times the
+power of 1 +- i in its prefactor, with the identity on the diagonal
+blocks.  What is left of each closed form is a seed scalar, a pairing of
+the seeds of its two bases in the Gram of the frame's seeds, which one
+block call spreads over every block.  The inner products are the Gram
+matrix of the six stacked bases, compared entrywise with the grid times
+those scalars.  A transition prefactor is a ratio key / norm of seed
+scalars, so the transitions, and the proportionality rows likewise, are
+checked cross-multiplied, and no scalar is divided.  Each comparison,
+reshaped to (6, d+1, 6, d+1), gives every cell's verdict.  Coordinates
 have one read, reads = gram(B) stacked^* diag(1 / <b_k, b_k>), in all six
-bases at once (`SixBases.coords`).  It is certified once per call, not per
-target: with reads_b its column block of basis b and X_b the basis's
-square block of rows, reads_b X_b = I, so the read inverts each basis and
-every coordinate row is rebuilt exactly from its coordinates.  The rep
-matrices read the images of the six stacked bases, one product per
-operator, each image in its own basis, and compare each cell with its
-closed form; the 36 transitions read the six bases themselves, and the
-inverse and composition rows are the blocks of one product per middle
-basis.
+bases at once (`SixBases.read`), certified once per SixBases: with
+reads_b its column block of basis b and X_b the basis's square block of
+rows, reads_b X_b = I, so the read inverts each basis and every
+coordinate row is rebuilt exactly from its coordinates.  A rep cell is
+its closed form F exactly when the operator's images of X_b are F^T X_b,
+as X_b is invertible: one product of the transposed forms with the
+stacked bases and one comparison with the images decide all 18 cells.
+The 36 transitions are the read of the six bases themselves, and the
+inverse and composition rows are the blocks of one product of the
+transitions, stacked six times and masked, with the transitions.
 
 Every result is a function of the module's frame (whose Gram leaves out
 <u*, u*>, a scale that no verdict reads) and of the Phi matrix, and all
@@ -82,12 +90,12 @@ comparison of the frame's matrices.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -96,9 +104,8 @@ from .decomposition import (SEED_NAMES, IrreducibleModule, ModuleFrame,
                             seed_coordinates, spectral_failure,
                             spectral_parts)
 from .linalg import (ExactMatrix, ExactVector, SingularMatrixError,
-                     inverse_diagonal, pivot_inverse)
+                     inverse_diagonal, ints, pivot_inverse)
 from .report import IdentityCheck, check_true
-from .scalar import GaussRat
 
 # The P-cycle of the module docstring; the seeds turn as u* = Pu and
 # ue = Pu* under the chained normalization.
@@ -175,6 +182,7 @@ class PhiMatrix:
     def phi(self, i: int, j: int) -> Fraction:
         return math.comb(self.d, j) * self.hyper[i][j]
 
+    @cached_property
     def numerators(self) -> Tuple[np.ndarray, int]:
         """Phi as an object array of integers over one positive
         denominator (1 unless an entry has been replaced)."""
@@ -186,7 +194,7 @@ class PhiMatrix:
         return num, den
 
     def matrix(self) -> ExactMatrix:
-        num, den = self.numerators()
+        num, den = self.numerators
         return ExactMatrix.from_numerators(num, np.zeros_like(num), den)
 
 
@@ -205,21 +213,23 @@ def phi_matrix(d: int) -> PhiMatrix:
 
 def verify_phi(phi: PhiMatrix) -> List[IdentityCheck]:
     """Three-term recurrence (an independent route to the same values),
-    boundary rows/columns, and self-inversion up to 2^d."""
+    boundary rows/columns, and self-inversion up to 2^d, on the integer
+    numerators of Phi = num / q: row 0 is C(d,j), column 0 is 1 (there
+    Phi is the 2F1 value), and the recurrence of the 2F1 values,
+    f(i,j) = ((d-2j) f(i-1,j) - (i-1) f(i-2,j)) / (d-i+1), is checked
+    multiplied through by the positive (d-i+1) C(d,j) q."""
     d = phi.d
-    checks = []
-    for j in range(d + 1):
-        checks.append(check_true(f"phi_row0[{j}]",
-                                 phi.phi(0, j) == math.comb(d, j)))
-    for i in range(d + 1):
-        checks.append(check_true(f"phi_col0[{i}]", phi.f(i, 0) == 1))
-    for i in range(2, d + 1):
-        for j in range(d + 1):
-            lhs = phi.f(i, j)
-            rhs = (Fraction(d - 2 * j, d - i + 1) * phi.f(i - 1, j)
-                   - Fraction(i - 1, d - i + 1) * phi.f(i - 2, j))
-            checks.append(check_true(f"phi_recurrence[{i},{j}]", lhs == rhs))
-    m = phi.matrix()
+    num, q = phi.numerators
+    checks = [check_true(f"phi_row0[{j}]", num[0, j] == math.comb(d, j) * q)
+              for j in range(d + 1)]
+    checks += [check_true(f"phi_col0[{i}]", num[i, 0] == q)
+               for i in range(d + 1)]
+    i, j = np.arange(2, d + 1)[:, None], np.arange(d + 1)
+    holds = ((d - i + 1) * num[2:]
+             == (d - 2 * j) * num[1:-1] - (i - 1) * num[:-2])
+    checks += [check_true(f"phi_recurrence[{a + 2},{b}]", ok)
+               for (a, b), ok in np.ndenumerate(holds)]
+    m = ExactMatrix.from_numerators(num, 0 * num, q)
     checks.append(check_true("phi_self_inverse",
                              m @ m == ExactMatrix.identity(d + 1).scale(2 ** d)))
     return checks
@@ -336,21 +346,21 @@ class SixBases:
         which only a basis that is not orthogonal has, stands in as 1."""
         return inverse_diagonal(self.gram)
 
-    def coords(self, targets: ExactMatrix) -> ExactMatrix:
-        """Row t holds the coordinates of row t of targets (coordinate rows)
-        in all six bases, column block b in basis b: coordinate k is
-        <t, b_k> / <b_k, b_k>, so the coordinates are targets @ reads, with
-        reads = weighted @ inverse_norms.  The read is certified basis by
-        basis in BASIS_LABELS order: the Gram block of basis b is diagonal
-        with a nonzero diagonal, then reads_b X_b = I, for reads_b its
-        column block and X_b its (d+1) x (d+1) block of rows.  X_b is
-        square, so reads_b inverts it, and every coordinate row, whatever
-        the targets, is rebuilt exactly from its coordinates in basis b.
-        As X_b is square, reads_b X_b = I holds exactly when
-        X_b reads_b = I, and the six X_b reads_b are the diagonal blocks of
-        one product, stacked @ reads, which is also the result when the
-        targets are the bases themselves (`_transitions`).  The read is
-        formed on each call, from the inverse norms as they stand."""
+    @cached_property
+    def read(self) -> Tuple[ExactMatrix, ExactMatrix]:
+        """(reads, stacked @ reads), certified once per SixBases.
+        Coordinate k in basis b of a coordinate row t is
+        <t, b_k> / <b_k, b_k>, so the coordinates of targets in all six
+        bases are targets @ reads, reads = weighted @ inverse_norms, column
+        block b in basis b.  The read is certified basis by basis in
+        BASIS_LABELS order: the Gram block of basis b is diagonal with a
+        nonzero diagonal, then reads_b X_b = I, for reads_b its column
+        block and X_b its (d+1) x (d+1) block of rows.  X_b is square, so
+        reads_b inverts it, and every coordinate row, whatever the targets,
+        is rebuilt exactly from its coordinates in basis b.  As X_b is
+        square, reads_b X_b = I holds exactly when X_b reads_b = I, and the
+        six X_b reads_b are the diagonal blocks of one product,
+        stacked @ reads, the coordinates of the bases themselves."""
         n = self.module.d + 1
         reads = self.weighted @ self.inverse_norms
         nonzero = self.gram.nonzero()
@@ -364,17 +374,23 @@ class SixBases:
                                  f"index={self.module.index})")
             if not inverts[rows, rows].all():
                 raise BasisError("target is outside the span of the basis")
+        return reads, own
+
+    def coords(self, targets: ExactMatrix) -> ExactMatrix:
+        """Row t holds the coordinates of row t of targets (coordinate rows)
+        in all six bases, column block b in basis b: targets @ reads by the
+        certified read, or its certificate product itself when the targets
+        are the bases (`_transitions`)."""
+        reads, own = self.read
         return own if targets is self.stacked else targets @ reads
 
     @cached_property
-    def seed_scalars(self) -> Dict[str, GaussRat]:
-        """The nine inner products, keyed "a|b", of the frame's seeds
-        u = E_r u*, u* and ue = Eeps_r u*, by `ModuleFrame.gram_of`; the
-        inner-product, proportionality and transition checks share them."""
+    def seed_gram(self) -> ExactMatrix:
+        """Entry (a, b) is <a, b> / <u*, u*> for the frame's seeds u, u*,
+        ue in SEED_NAMES order (`ModuleFrame.gram_of`): the seed scalars
+        of the inner-product, proportionality and transition checks."""
         frame = self.module.frame
-        gram = frame.gram_of(seed_coordinates(frame))
-        return {f"{a}|{b}": gram[i, j] for i, a in enumerate(SEED_NAMES)
-                for j, b in enumerate(SEED_NAMES)}
+        return frame.gram_of(seed_coordinates(frame))
 
 
 # basis label -> (idempotent family, seed); vector i is family_(r+i) seed
@@ -410,11 +426,19 @@ def _unit_window(n: int) -> ExactMatrix:
     return ExactMatrix.from_numerators(units, 0 * units, 1)
 
 
+def _lay_out(stack: ExactMatrix, at) -> ExactMatrix:
+    """The table of n x n blocks whose block (x, y) is table at[x][y] of
+    stack, which holds n x n tables one below the other: one block call."""
+    at, n = np.asarray(at), stack.cols
+    r, c = np.indices((at.shape[0] * n, at.shape[1] * n))
+    return stack.block(at[r // n, c // n] * n + r % n, c % n)
+
+
 def _family_windows(mod: IrreducibleModule):
     """{family: [F_r | ... | F_(r+d)]}, its parts on W side by side, as
     coordinate matrices x -> x @ F_i: the spectral parts of the frame's A
-    (E) and Aeps (Eeps), and the unit diagonals (Estar, which masks slice
-    r + i)."""
+    (E) and Aeps (Eeps), laid out from their stack (`_lay_out`), and the
+    unit diagonals (Estar, which masks slice r + i)."""
     windows = {"Estar": _unit_window(mod.d + 1)}
     for op, family in (("A", "E"), ("Aeps", "Eeps")):
         parts, failure = spectral_parts(getattr(mod.frame, op))
@@ -422,7 +446,7 @@ def _family_windows(mod: IrreducibleModule):
             raise BasisError(
                 f"{spectral_failure(failure, mod.r, mod.d, family, op)} "
                 f"(module r={mod.r} index={mod.index})")
-        windows[family] = ExactMatrix.beside(parts)
+        windows[family] = _lay_out(parts, [range(mod.d + 1)])
     return windows
 
 
@@ -534,130 +558,74 @@ _FORM_BUILDERS = {
 
 @dataclass(frozen=True)
 class RepCell:
+    """One of the 18 rep cells.  `matrix`, which no command reads, is read
+    on demand: op's images of the basis in the basis itself, by its block
+    of the certified read."""
+
     basis: str
     op: str
     form: str
     passed: bool
-    matrix: ExactMatrix
+    bases: SixBases = field(repr=False, compare=False)
+
+    @property
+    def matrix(self) -> ExactMatrix:
+        reads = self.bases.read[0].block(slice(None),
+                                          self.bases.rows(self.basis))
+        images = self.bases.module.frame.apply(self.op,
+                                               self.bases[self.basis])
+        return (images @ reads).transpose()
 
 
 def verify_rep_matrices(bases: SixBases) -> List[RepCell]:
     """The full 6 bases x 3 operators grid against the closed forms, with
-    one operator pass and one coordinate read per distinct frame (see
+    one operator pass and one comparison per distinct frame (see
     `_rep_cells`)."""
     return list(_rep_cells(bases))
+
+
+@lru_cache(maxsize=None)
+def _rep_forms(n: int) -> ExactMatrix:
+    """The 18n x 6n table whose block (6 o + b, b) is the closed form of
+    operator o in basis b, transposed, and zero elsewhere."""
+    kinds = list(_FORM_BUILDERS)
+    stack = ExactMatrix.stack([_FORM_BUILDERS[k](n - 1).transpose()
+                               for k in kinds] + [ExactMatrix.zeros(n, n)])
+    return _lay_out(stack, [[kinds.index(REP_FORMS[op, x]) if x == y
+                             else len(kinds) for y in BASIS_LABELS]
+                            for op in OPERATOR_LABELS for x in BASIS_LABELS])
 
 
 @_memoized(lambda bases: bases.key)
 def _rep_cells(bases: SixBases) -> Tuple[RepCell, ...]:
     """The 18 cells of `verify_rep_matrices`.
 
-    Each operator is applied once to all six bases; row (o, b, j) of the
-    stacked images is operator o applied to vector j of basis b, and its
-    coordinates in basis b (`SixBases.coords`, whose certificate
-    reads_b X_b = I makes them rebuild it exactly) are column j of cell
-    (o, b), which is compared with its closed form."""
-    d = bases.module.d
-    n, nb = d + 1, len(BASIS_LABELS)
+    Row (o, b, j) of the stacked images is operator o applied to vector j
+    of basis b.  The cell (o, b) holds their coordinates in basis b, so
+    its images are cell^T X_b, for X_b the basis, which the certified read
+    (`SixBases.read`) inverts: the cell is the closed form F exactly when
+    the images are F^T X_b.  One product of the forms table with the
+    stacked bases and one comparison with the images give every verdict,
+    and no image is read in any basis."""
+    n = bases.module.d + 1
+    bases.read  # certifies each basis, or raises
     images = ExactMatrix.stack([bases.module.frame.apply(op, bases.stacked)
                                 for op in OPERATOR_LABELS])
-    coeffs = bases.coords(images)
-    cells = []
-    for b, name in enumerate(BASIS_LABELS):
-        cols = slice(b * n, (b + 1) * n)
-        for o, op_name in enumerate(OPERATOR_LABELS):
-            rows = slice((o * nb + b) * n, (o * nb + b + 1) * n)
-            form = REP_FORMS[(op_name, name)]
-            matrix = coeffs.block(rows, cols).transpose()
-            cells.append(RepCell(basis=name, op=op_name, form=form,
-                                 passed=matrix == _FORM_BUILDERS[form](d),
-                                 matrix=matrix))
-    return tuple(cells)
+    passed = images.entries_equal(_rep_forms(n) @ bases.stacked).reshape(
+        len(OPERATOR_LABELS), len(BASIS_LABELS), n * n).all(axis=2)
+    return tuple(RepCell(label, op, REP_FORMS[op, label],
+                         bool(passed[o, b]), bases)
+                 for b, label in enumerate(BASIS_LABELS)
+                 for o, op in enumerate(OPERATOR_LABELS))
 
 
 # -- closed-form tables ----------------------------------------------------------------
-
-
-def _unit_power(sign: int, d: int) -> Tuple[int, int]:
-    """(1 + sign i) ** d as (real part, imaginary part)."""
-    re, im = 1, 0
-    for _ in range(d):
-        re, im = re - sign * im, im + sign * re
-    return re, im
-
-
-def _gauss_table(weights, power, unit: Tuple[int, int],
-                 den: int) -> ExactMatrix:
-    """The matrix weights * i ** power * unit / den from integer arrays
-    (weights, power) and a Gaussian integer unit."""
-    ur, ui = unit
-    return ExactMatrix.from_numerators(
-        *_times_i_power(weights * ur, weights * ui, power), den)
-
-
-@lru_cache(maxsize=None)
-def _ipow_diagonal(d: int, sign: int) -> ExactMatrix:
-    """diag(i ** (sign k)) for k = 0..d."""
-    k = np.arange(d + 1)
-    return _gauss_table(np.diag(np.ones(d + 1, dtype=object)),
-                        sign * k[:, None], (1, 0), 1)
-
-
-@lru_cache(maxsize=None)
-def inner_tables(phi: PhiMatrix) -> Mapping[str, ExactMatrix]:
-    """Each formula kind of INNER_FORMULAS at every (i, j), before the seed
-    scalar: with b_i = C(d,i) and f = 2F1(-i,-j;-d;2),
-
-        delta         [i = j] b_i / 2^d
-        delta_ipow    [i = j] b_i i^i (1+i)^-d
-        f             b_i b_j f / 2^d
-        f_ipow_j      b_i b_j f i^j / 2^d
-        f_ipow_i      b_i b_j f i^i / 2^d
-        f_ipow_negij  b_i b_j f i^(-i-j) (2-2i)^-d
-
-    using (1+i)^-d = (1-i)^d / 2^d and (2-2i)^-d = (1+i)^d / 4^d."""
-    d = phi.d
-    i, j = np.indices((d + 1, d + 1))
-    binom = np.array([math.comb(d, k) for k in range(d + 1)], dtype=object)
-    num, q = phi.numerators()
-    pair = binom[:, None] * num
-    delta = np.diag(binom)
-    one = (1, 0)
-    return MappingProxyType({
-        "delta": _gauss_table(delta, 0, one, 2 ** d),
-        "delta_ipow": _gauss_table(delta, i, _unit_power(-1, d), 2 ** d),
-        "f": _gauss_table(pair, 0, one, 2 ** d * q),
-        "f_ipow_j": _gauss_table(pair, j, one, 2 ** d * q),
-        "f_ipow_i": _gauss_table(pair, i, one, 2 ** d * q),
-        "f_ipow_negij": _gauss_table(pair, -i - j, _unit_power(+1, d),
-                                     4 ** d * q),
-    })
-
-
-@lru_cache(maxsize=None)
-def transition_tables(phi: PhiMatrix) -> Mapping[str, ExactMatrix]:
-    """Each pattern of TRANSITION_TABLE before its prefactor: i^power(i,j)
-    Phi_ij for the power patterns, diag(i^k) for D1 and diag(i^-k) for
-    D2."""
-    d = phi.d
-    i, j = np.indices((d + 1, d + 1))
-    num, q = phi.numerators()
-    tables = {name: _gauss_table(num, power(i, j), (1, 0), q)
-              for name, power in _POWER_PATTERNS.items()}
-    tables["D1"] = _ipow_diagonal(d, +1)
-    tables["D2"] = _ipow_diagonal(d, -1)
-    return MappingProxyType(tables)
-
-
-# -- inner products ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GridCheck:
-    check_id: str
-    i: int
-    j: int
-    passed: bool
+#
+# Each closed form below is a table of Phi and d times a seed scalar, and the
+# seed scalar is a pairing of the seeds of its bases (_BASIS_SPEC): the inner
+# products of bases x and y scale <seed x, seed y>, and the transition from
+# src to dst <seed dst, seed src> / <seed src, seed src>.  The tables name
+# them as "a|b" keys.
 
 
 # (first basis, second basis) -> (formula kind, seed scalar key); the value of
@@ -672,56 +640,9 @@ INNER_FORMULAS = _orbit_table(
     {("AAs", "AeAs"): ("f_ipow_negij", "u*|u*")},
 )
 
-
-def verify_inner_products(bases: SixBases, phi: PhiMatrix) -> List[GridCheck]:
-    """Every pairing of the closed-form inner-product theorems, all (i, j),
-    computed once per distinct frame and Phi (see `_inner_checks`)."""
-    return list(_inner_checks(bases, phi))
-
-
-@_memoized(lambda bases, phi: (bases.key, phi))
-def _inner_checks(bases: SixBases, phi: PhiMatrix) -> Tuple[GridCheck, ...]:
-    """The checks of `verify_inner_products`: each block of the Gram matrix
-    of the six stacked bases against its table scaled by the seed scalar,
-    then the slicewise proportionality."""
-    n = bases.module.d + 1
-    gram = bases.gram
-    scal = bases.seed_scalars
-    tables = inner_tables(phi)
-    checks = []
-    for (x, y), (kind, key) in INNER_FORMULAS.items():
-        ok = gram.block(bases.rows(x), bases.rows(y)).entries_equal(
-            tables[kind].scale(scal[key]))
-        checks.extend(GridCheck(f"inner[{x}|{y}]", i, j, bool(ok[i, j]))
-                      for i in range(n) for j in range(n))
-    checks.extend(_verify_slice_proportionality(bases))
-    return tuple(checks)
-
-
 # (x, y, seed scalar key, norm key): vector i of x is i^i (1-i)^d times
 # key / norm times vector i of y
 _PROPORTIONAL_ROWS = _orbits((("AAe", "AAs", "ue|u*", "u*|u*"),))
-
-
-def _verify_slice_proportionality(bases: SixBases) -> List[GridCheck]:
-    """The slicewise proportionality between bases sharing an idempotent
-    family: each AAe (resp. AsA, AeAs) vector is an explicit multiple of the
-    matching AAs (resp. AsAe, AeA) vector, i^i (1-i)^d times a ratio of seed
-    scalars."""
-    d = bases.module.d
-    scal = bases.seed_scalars
-    omi_d = GaussRat(*_unit_power(-1, d))
-    checks = []
-    for x, y, key, norm in _PROPORTIONAL_ROWS:
-        coeffs = _ipow_diagonal(d, +1).scale(omi_d * scal[key] / scal[norm])
-        ok = bases[x].row_equal(coeffs @ bases[y])
-        checks.extend(GridCheck(f"proportional[{x}|{y}]", i, i, bool(v))
-                      for i, v in enumerate(ok))
-    return checks
-
-
-# -- transition matrices ----------------------------------------------------------------
-
 
 # (src, dst) -> (i-power pattern over the Phi grid | D1 | D2, prefactor kind)
 # Prefactor kinds: ("unit", sign_exp) for (1 -+ i)^(+-d) alone, or
@@ -746,51 +667,203 @@ _POWER_PATTERNS = {
     "sum": lambda i, j: i + j, "neg_sum": lambda i, j: -i - j,
 }
 
-
-def _prefactor(spec, d: int, scal: Dict[str, GaussRat]) -> GaussRat:
-    """The prefactor of a TRANSITION_TABLE spec, with its powers of 1 +- i
-    on integers (`_unit_power`): (1 + i)^-d = (1 - i)^d / 2^d and
-    (1 - i)^-d = (1 + i)^d / 2^d."""
-    if spec[0] == "unit":
-        re, im = _unit_power(-1 if spec[1] == "opi_inv" else +1, d)
-        return GaussRat(Fraction(re, 2 ** d), Fraction(im, 2 ** d))
-    key, norm, extra = spec
-    scale = scal[key] / scal[norm]
-    if extra is not None:
-        scale = scale * GaussRat(*_unit_power(+1 if extra == "opi" else -1,
-                                               d))
-    return scale
+# the power of 1 +- i in a transition prefactor, as (sign, inverse):
+# (1 + sign i)^d, over 2^d when inverse, as (1 -+ i)^-d = (1 +- i)^d / 2^d
+_UNITS = {None: (0, False), "opi": (1, False), "omi": (-1, False),
+          "opi_inv": (-1, True), "omi_inv": (1, True)}
 
 
-def transition_formulas(scal: Dict[str, GaussRat], phi: PhiMatrix
-                        ) -> Dict[Tuple[str, str], ExactMatrix]:
-    """The closed-form transition matrix of every (src, dst): the identity
-    when src == dst, else the pattern table of TRANSITION_TABLE scaled by
-    its prefactor, which `scal` (the seed scalars) determines."""
+def _unit_power(sign: int, d: int) -> Tuple[int, int]:
+    """(1 + sign i) ** d as (real part, imaginary part)."""
+    re, im = 1, 0
+    for _ in range(d):
+        re, im = re - sign * im, im + sign * re
+    return re, im
+
+
+def _table_specs(phi: PhiMatrix) -> dict:
+    """Each formula kind of INNER_FORMULAS and each pattern of
+    TRANSITION_TABLE at every (i, j), before its seed scalar or prefactor,
+    as (weights, power, unit, den) for the table weights i^power unit / den
+    (integer arrays weights and power, a Gaussian integer unit).  With
+    b_i = C(d,i) and f = 2F1(-i,-j;-d;2):
+
+        delta         [i = j] b_i / 2^d
+        delta_ipow    [i = j] b_i i^i (1+i)^-d
+        f             b_i b_j f / 2^d
+        f_ipow_j      b_i b_j f i^j / 2^d
+        f_ipow_i      b_i b_j f i^i / 2^d
+        f_ipow_negij  b_i b_j f i^(-i-j) (2-2i)^-d
+        D1, D2        diag(i^k), diag(i^-k)
+
+    using (1+i)^-d = (1-i)^d / 2^d and (2-2i)^-d = (1+i)^d / 4^d, each
+    power pattern i^power(i,j) Phi_ij, the identity I and zero 0."""
     d = phi.d
-    tables = transition_tables(phi)
-    ident = ExactMatrix.identity(d + 1)
-    scales = {}
-    formulas = {}
-    for src in BASIS_LABELS:
-        for dst in BASIS_LABELS:
-            if src == dst:
-                formulas[(src, dst)] = ident
-                continue
-            pattern, spec = TRANSITION_TABLE[(src, dst)]
-            if spec not in scales:
-                scales[spec] = _prefactor(spec, d, scal)
-            formulas[(src, dst)] = tables[pattern].scale(scales[spec])
-    return formulas
+    i, j = np.indices((d + 1, d + 1))
+    binom = np.array([math.comb(d, k) for k in range(d + 1)], dtype=object)
+    num, q = phi.numerators
+    pair = binom[:, None] * num
+    delta, eye = np.diag(binom), np.identity(d + 1, dtype=object)
+    one, zero = (1, 0), 0 * i
+    specs = {
+        "delta": (delta, zero, one, 2 ** d),
+        "delta_ipow": (delta, i, _unit_power(-1, d), 2 ** d),
+        "f": (pair, zero, one, 2 ** d * q),
+        "f_ipow_j": (pair, j, one, 2 ** d * q),
+        "f_ipow_i": (pair, i, one, 2 ** d * q),
+        "f_ipow_negij": (pair, -i - j, _unit_power(+1, d), 4 ** d * q),
+        "D1": (eye, i, one, 1), "D2": (eye, -i, one, 1),
+        "I": (eye, zero, one, 1), "0": (0 * eye, zero, one, 1)}
+    specs.update((name, (num, zero + power(i, j), one, q))
+                 for name, power in _POWER_PATTERNS.items())
+    return specs
+
+
+def _grid(blocks, specs) -> ExactMatrix:
+    """The 6(d+1) x 6(d+1) table whose block (x, y) is the table of
+    specs[blocks[x, y]] (`_table_specs`): the distinct tables stacked on
+    one denominator, in one pass over their weights (on int64 when `ints`
+    admits the bound), and laid out (`_lay_out`)."""
+    names = list(dict.fromkeys(blocks.values()))
+    weights, powers, units, dens = zip(*(specs[name] for name in names))
+    n, den = len(weights[0]), math.lcm(*dens)
+    # each table's factor to the common denominator, times its unit
+    fr, fi = (np.array([den // q * u[k] for u, q in zip(units, dens)],
+                       dtype=object)[:, None, None] for k in (0, 1))
+    w = np.stack(weights)
+    bound = max(map(abs, w.flat)) * max(abs(a) + abs(b)
+                                        for a, b in zip(fr.flat, fi.flat))
+    w, fr, fi = ints(bound, w, fr, fi)
+    re, im = _times_i_power(w * fr, w * fi, np.stack(powers))
+    stack = ExactMatrix.from_numerators(re.reshape(-1, n), im.reshape(-1, n),
+                                        den)
+    return _lay_out(stack, np.array([names.index(name) for name in
+                                     blocks.values()]).reshape(6, 6))
+
+
+@lru_cache(maxsize=None)
+def _closed_form_grids(phi: PhiMatrix) -> Tuple[ExactMatrix, ExactMatrix]:
+    """(inner, transitions), 6(d+1) x 6(d+1) with a block per pair of
+    bases: each pair of INNER_FORMULAS holds its kind's table, zero at the
+    other pairs, and each pair (src, dst) its transition pattern times the
+    power of 1 +- i in its prefactor, the identity when src == dst.  What
+    is left of each closed form is its seed scalar."""
+    d = phi.d
+    specs = _table_specs(phi)
+    inner, transitions = {}, {}
+    for pair in itertools.product(BASIS_LABELS, repeat=2):
+        inner[pair] = INNER_FORMULAS.get(pair, ("0",))[0]
+        if pair[0] == pair[1]:
+            transitions[pair] = "I"
+            continue
+        pattern, spec = TRANSITION_TABLE[pair]
+        name = (pattern, spec[1] if spec[0] == "unit" else spec[2])
+        if name not in specs:
+            weights, power, _, q = specs[pattern]
+            sign, inverse = _UNITS[name[1]]
+            specs[name] = (weights, power, _unit_power(sign, d),
+                           q * 2 ** (d * inverse))
+        transitions[pair] = name
+    return _grid(inner, specs), _grid(transitions, specs)
+
+
+def _seeds(n: int) -> np.ndarray:
+    """Entry (x n + i, c) is the row in the seed Gram (`SixBases.seed_gram`)
+    of the seed of basis x, for every column c < 6n."""
+    seeds = [SEED_NAMES.index(_BASIS_SPEC[label][1]) for label in BASIS_LABELS]
+    return np.repeat(np.repeat(seeds, n)[:, None], 6 * n, axis=1)
+
+
+# -- inner products ------------------------------------------------------------------
+
+
+class GridCheck(NamedTuple):
+    check_id: str
+    i: int
+    j: int
+    passed: bool
+
+
+def verify_inner_products(bases: SixBases, phi: PhiMatrix) -> List[GridCheck]:
+    """Every pairing of the closed-form inner-product theorems, all (i, j),
+    computed once per distinct frame and Phi (see `_inner_checks`)."""
+    return list(_inner_checks(bases, phi))
+
+
+@_memoized(lambda bases, phi: (bases.key, phi))
+def _inner_checks(bases: SixBases, phi: PhiMatrix) -> Tuple[GridCheck, ...]:
+    """The checks of `verify_inner_products`.  The Gram matrix of the six
+    stacked bases against Phi's inner-product grid times the seed scalars
+    <seed x, seed y> over each block (x, y), in one comparison whose
+    (6, d+1, 6, d+1) reshape holds the verdict of every pairing at every
+    (i, j).  Then the slicewise proportionality between bases sharing an
+    idempotent family: each AAe (resp. AsA, AeAs) vector x_i is the
+    diagonal transition i^i (1-i)^d <seed x, seed y> / <seed y, seed y>
+    (block (y, x) of the transition grid, times its seed scalar) times the
+    matching AAs (resp. AsAe, AeA) vector y_i, checked cross-multiplied,
+    all rows at once; the norm is nonzero, as `decompose` certifies the
+    seeds nonzero."""
+    n = bases.module.d + 1
+    inner, transitions = _closed_form_grids(phi)
+    seed_gram, seeds = bases.seed_gram, _seeds(n)
+    ok = bases.gram.entries_equal(inner.entrywise(
+        seed_gram.block(seeds, seeds.T))).reshape(6, n, 6, n)
+    checks = []
+    for x, y in INNER_FORMULAS:
+        check_id = f"inner[{x}|{y}]"
+        block = ok[BASIS_LABELS.index(x), :, BASIS_LABELS.index(y)]
+        checks += [GridCheck(check_id, i, j, v)
+                   for i, row in enumerate(block.tolist())
+                   for j, v in enumerate(row)]
+    # the rows of the x and the y of every proportional pair, and the same
+    # spread over the n coordinates of each row
+    x_rows, y_rows = (np.r_[tuple(bases.rows(pair[k])
+                                  for pair in _PROPORTIONAL_ROWS)]
+                      for k in (0, 1))
+    at_x, at_y = (np.repeat(rows[:, None], n, axis=1)
+                  for rows in (x_rows, y_rows))
+    seed_x, seed_y = seeds[at_x, 0], seeds[at_y, 0]
+    lhs = bases.stacked.block(x_rows, slice(None)).entrywise(
+        seed_gram.block(seed_y, seed_y))
+    rhs = bases.stacked.block(y_rows, slice(None)).entrywise(
+        transitions.block(at_y, at_x)).entrywise(
+        seed_gram.block(seed_x, seed_y))
+    rows = lhs.row_equal(rhs).reshape(len(_PROPORTIONAL_ROWS), n).tolist()
+    checks += [GridCheck(f"proportional[{x}|{y}]", i, i, v)
+               for (x, y, _, _), row in zip(_PROPORTIONAL_ROWS, rows)
+               for i, v in enumerate(row)]
+    return tuple(checks)
+
+
+# -- transition matrices ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TransitionCell:
+    """One of the 36 transitions.  `computed` and `formula`, which no
+    command reads, are read on demand off the tables of `_transitions`:
+    block (src, dst) of T, and that of the expected table over its norm,
+    the one division."""
+
     src: str
     dst: str
     passed: bool
-    computed: ExactMatrix
-    formula: ExactMatrix
+    tables: Tuple[ExactMatrix, ...] = field(repr=False, compare=False)
+
+    def _blocks(self) -> List[ExactMatrix]:
+        n = self.tables[0].rows // 6
+        s, t = (BASIS_LABELS.index(x) * n for x in (self.src, self.dst))
+        return [m.block(slice(s, s + n), slice(t, t + n))
+                for m in self.tables]
+
+    @property
+    def computed(self) -> ExactMatrix:
+        return self._blocks()[0]
+
+    @property
+    def formula(self) -> ExactMatrix:
+        _, expected, norms = self._blocks()
+        return expected.scale(1 / norms[0, 0])
 
 
 @dataclass(frozen=True)
@@ -813,42 +886,60 @@ def transition_matrices(bases: SixBases, phi: PhiMatrix) -> TransitionReport:
                             coherence=coherence)
 
 
+@lru_cache(maxsize=None)
+def _coherence_layout(n: int):
+    """(tile, mask, identities) for 6n x 6n transitions: the row index
+    that stacks six copies of them, the 0/1 matrix that keeps column block
+    b of copy b, and six copies of I."""
+    tile = np.tile(np.arange(6 * n), 6)
+    mask = np.equal.outer(np.repeat(np.arange(6), 6 * n),
+                          np.arange(6 * n) // n).astype(np.int64)
+    return (tile, ExactMatrix.from_numerators(mask, 0 * mask, 1),
+            ExactMatrix.identity(6 * n).block(tile, slice(None)))
+
+
 @_memoized(lambda bases, phi: (bases.key, phi))
 def _transitions(bases: SixBases, phi: PhiMatrix):
     """The cells and coherence checks of `transition_matrices`.
 
     The transitions are the blocks of the 6(d+1) x 6(d+1) matrix
     T = (stacked @ reads)^T, the coordinates of the six bases in each other
-    (`SixBases.coords`; row block src, column block dst); for each middle
-    basis b, block (a, c) of T[:, b] @ T[b, :] is T(a,b) T(b,c)."""
+    (`SixBases.coords`; row block src, column block dst).  Block (src, dst)
+    of the closed form is Phi's transition grid times key / norm, with
+    key = <seed dst, seed src> and norm = <seed src, seed src>, so the
+    check is T o norms == grid o keys entrywise: no scalar is divided, and
+    the norms are nonzero, as `decompose` certifies the seeds nonzero.  One
+    comparison, reshaped to (6, d+1, 6, d+1), gives every cell's verdict.
+
+    Copy b of T stacked six times, with every column block but b masked,
+    times T is T[:, b] T[b, :]: one product gives all six, and block
+    (a, c) of copy b is T(a, b) T(b, c).  It must equal T(a, c)
+    (composition) and, for c = a, I (inverse): one comparison with T
+    stacked six times and one with I."""
+    n = bases.module.d + 1
     computed = bases.coords(bases.stacked).transpose()
-    formulas = transition_formulas(bases.seed_scalars, phi)
-    rows = {label: bases.rows(label) for label in BASIS_LABELS}
-    cells = {}
-    for src in BASIS_LABELS:
-        for dst in BASIS_LABELS:
-            mat = computed.block(rows[src], rows[dst])
-            formula = formulas[(src, dst)]
-            cells[(src, dst)] = TransitionCell(src=src, dst=dst,
-                                               passed=mat == formula,
-                                               computed=mat, formula=formula)
-    every = slice(None)
-    through = {b: computed.block(every, rows[b])
-               @ computed.block(rows[b], every) for b in BASIS_LABELS}
-    agrees = {b: through[b].entries_equal(computed) for b in BASIS_LABELS}
-    ident = ExactMatrix.identity(bases.module.d + 1)
-    coherence = []
-    for a in BASIS_LABELS:
-        for b in BASIS_LABELS:
-            if a < b:
-                ok = through[b].block(rows[a], rows[a]) == ident
-                coherence.append(check_true(f"transition_inverse[{a}|{b}]", ok))
-    for a in BASIS_LABELS:
-        for b in BASIS_LABELS:
-            for c in BASIS_LABELS:
-                ok = agrees[b][rows[a], rows[c]].all()
-                coherence.append(
-                    check_true(f"transition_composition[{a}|{b}|{c}]", ok))
+    seed_gram, seeds = bases.seed_gram, _seeds(n)
+    norms = seed_gram.block(seeds, seeds)
+    expected = _closed_form_grids(phi)[1].entrywise(
+        seed_gram.block(seeds.T, seeds))
+    passed = computed.entrywise(norms).entries_equal(expected).reshape(
+        6, n, 6, n).all(axis=(1, 3))
+    tables = (computed, expected, norms)
+    cells = {(src, dst): TransitionCell(src, dst, bool(passed[a, b]), tables)
+             for a, src in enumerate(BASIS_LABELS)
+             for b, dst in enumerate(BASIS_LABELS)}
+    tile, mask, identities = _coherence_layout(n)
+    tiled = computed.block(tile, slice(None))
+    through = tiled.entrywise(mask) @ computed
+    # [b, a, c]: whether block (a, c) of copy b is I, and is T(a, c)
+    inverse, composes = (through.entries_equal(t).reshape(
+        6, 6, n, 6, n).all(axis=(2, 4)) for t in (identities, tiled))
+    labels = list(enumerate(BASIS_LABELS))
+    coherence = [check_true(f"transition_inverse[{a}|{b}]", inverse[j, i, i])
+                 for i, a in labels for j, b in labels if a < b]
+    coherence += [check_true(f"transition_composition[{a}|{b}|{c}]",
+                             composes[j, i, k])
+                  for i, a in labels for j, b in labels for k, c in labels]
     return cells, tuple(coherence)
 
 
@@ -874,11 +965,12 @@ class LeonardVerdict:
     rep_matrices: Dict[Tuple[int, int], ExactMatrix]
 
 
-def _eigen_representations(parts, table: ExactMatrix):
+def _eigen_representations(parts: ExactMatrix, table: ExactMatrix):
     """(X, reps) for the certified spectral parts F_0 .. F_d of an operator,
-    all nonzero, and table = [I | m_0 | m_1 | m_2]: column k of the
-    eigenbasis X is column p_k of F_k, and block o of reps is
-    X^-1 (block o of table) X, so block 0 is I.
+    all nonzero, stacked (`spectral_parts`), and
+    table = [I | m_0 | m_1 | m_2]: column k of the eigenbasis X is column
+    p_k of F_k, and block o of reps is X^-1 (block o of table) X, so block
+    0 is I.
 
     With d + 1 nonzero parts each F_k is the rank-one projection onto the
     eigenspace of theta_k along the others, so coordinate k of any w is
@@ -889,13 +981,12 @@ def _eigen_representations(parts, table: ExactMatrix):
     Delta [I | X^-1 m_0 X | ...], and a third product divides out Delta.
     Its first block certifies the read: R X is diagonal with a nonzero
     diagonal, so Delta^-1 R inverts X."""
-    n = len(parts)
-    stacked = ExactMatrix.stack(parts)
+    n = parts.cols
     k = np.arange(n)
-    pivot = np.diagonal(stacked.nonzero().reshape(n, n, n),
+    pivot = np.diagonal(parts.nonzero().reshape(n, n, n),
                         axis1=1, axis2=2).argmax(axis=1)
-    rows = stacked.block(k * n + pivot, slice(None))
-    eigenbasis = stacked.block(k * n + k[:, None], pivot)
+    rows = parts.block(k * n + pivot, slice(None))
+    eigenbasis = parts.block(k * n + k[:, None], pivot)
     scaled = ((rows @ table).reshape(table.cols, n) @ eigenbasis).reshape(
         n, table.cols)
     delta = scaled.columns(k)

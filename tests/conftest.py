@@ -20,9 +20,14 @@ member (`gather_eigen_discrepancy`), behind the clean part plus sparse
 defect of `CubeContext.family_eigen_discrepancy`, and the dense
 constructions of A, Astar and Aeps (`kron_sum`, `commutator_aeps`,
 `phase_conjugate`), behind their gather tables, of P (`kron_power`),
-behind the Walsh-Hadamard pass that builds it, and the Leonard recognizer
+behind the Walsh-Hadamard pass that builds it, the Leonard recognizer
 by per-candidate elimination (`naive_is_leonard_triple`), behind the one
-on the spectral parts.
+on the spectral parts, the inner products, proportionality and
+transitions block by block with GaussRat prefactors
+(`cell_inner_checks`, `cell_transitions`, on the per-kind tables
+`inner_tables` and `transition_tables`), behind the whole-table
+comparisons, and the Phi checks in Fraction arithmetic
+(`fraction_verify_phi`), behind `verify_phi` on integers.
 
 It also holds what only tests use and no command reaches: `check_equal` and
 `all_passed` over checks, `flipped_phi`, the one-entry mutation of a Phi
@@ -52,8 +57,9 @@ from tcube.leonard import (_BASIS_SPEC, _FORM_BUILDERS, _P_SHIFTS,
                            _PROPORTIONAL_ROWS, _SEED_ROWS, BASIS_LABELS,
                            INNER_FORMULAS, OPERATOR_LABELS, REP_FORMS,
                            TRANSITION_TABLE, BasisError, BasisSolver,
-                           LeonardVerdict, PhiMatrix, build_six_bases,
-                           phi_matrix, verify_rep_matrices)
+                           LeonardVerdict, PhiMatrix, _POWER_PATTERNS,
+                           _unit_power, build_six_bases, phi_matrix,
+                           verify_rep_matrices)
 from tcube.linalg import (I64_LIMIT, ExactMatrix, ExactVector,
                           first_discrepancy, gram_schmidt, ints,
                           inverse_diagonal, kernel_basis)
@@ -328,23 +334,24 @@ def interpolation_idempotents(m, theta):
 def naive_spectral_parts(m):
     """(parts, failure) of `decomposition.spectral_parts` by the oracle
     route: the parts by `interpolation_idempotents` over theta_k = d - 2k,
-    and the certificate part by part, each a product or sum of its own:
-    the parts summed against I, then for each k in turn
+    stacked, and the certificate part by part, each a product or sum of
+    its own: the parts summed against I, then for each k in turn
     parts[k] m against theta_k parts[k] and parts[k] against zero."""
     n = m.rows
     theta = [n - 1 - 2 * k for k in range(n)]
     parts = interpolation_idempotents(m, theta)
+    stacked = ExactMatrix.stack(parts)
     total = parts[0]
     for f in parts[1:]:
         total = total + f
     if total != ExactMatrix.identity(n):
-        return parts, ("sum", None)
+        return stacked, ("sum", None)
     for k, f in enumerate(parts):
         if f @ m != f.scale(theta[k]):
-            return parts, ("eigen", k)
+            return stacked, ("eigen", k)
         if f.is_zero():
-            return parts, ("zero", k)
-    return parts, None
+            return stacked, ("zero", k)
+    return stacked, None
 
 
 def naive_irreducible_tridiagonal(m) -> bool:
@@ -482,6 +489,186 @@ def oracle_transition(src: str, dst: str, scal, phi) -> ExactMatrix:
             scale = scale * opi ** d
     return oracle_pattern(pattern, scale, phi)
 
+
+
+# -- the module checks cell by cell --------------------------------------------------
+#
+# The inner products, the proportionality and the transitions as the library
+# checked them before it compared whole tables: one block, one GaussRat
+# prefactor and one record at a time, with the seed scalars as GaussRat.
+# The oracles of `leonard._inner_checks` and `leonard._transitions`.
+
+
+def _gauss_table(weights, power, unit, den) -> ExactMatrix:
+    """The matrix weights * i ** power * unit / den from integer arrays
+    (weights, power) and a Gaussian integer unit."""
+    ur, ui = unit
+    return ExactMatrix.from_numerators(
+        *_times_i_power(weights * ur, weights * ui, power), den)
+
+
+def ipow_diagonal(d: int, sign: int) -> ExactMatrix:
+    """diag(i ** (sign k)) for k = 0..d."""
+    k = np.arange(d + 1)
+    return _gauss_table(np.diag(np.ones(d + 1, dtype=object)),
+                        sign * k[:, None], (1, 0), 1)
+
+
+def inner_tables(phi) -> dict:
+    """Each formula kind of INNER_FORMULAS at every (i, j), before the seed
+    scalar: with b_i = C(d,i) and f = 2F1(-i,-j;-d;2),
+
+        delta         [i = j] b_i / 2^d
+        delta_ipow    [i = j] b_i i^i (1+i)^-d
+        f             b_i b_j f / 2^d
+        f_ipow_j      b_i b_j f i^j / 2^d
+        f_ipow_i      b_i b_j f i^i / 2^d
+        f_ipow_negij  b_i b_j f i^(-i-j) (2-2i)^-d
+
+    using (1+i)^-d = (1-i)^d / 2^d and (2-2i)^-d = (1+i)^d / 4^d."""
+    d = phi.d
+    i, j = np.indices((d + 1, d + 1))
+    binom = np.array([math.comb(d, k) for k in range(d + 1)], dtype=object)
+    num, q = phi.numerators
+    pair = binom[:, None] * num
+    delta = np.diag(binom)
+    one = (1, 0)
+    return {
+        "delta": _gauss_table(delta, 0, one, 2 ** d),
+        "delta_ipow": _gauss_table(delta, i, _unit_power(-1, d), 2 ** d),
+        "f": _gauss_table(pair, 0, one, 2 ** d * q),
+        "f_ipow_j": _gauss_table(pair, j, one, 2 ** d * q),
+        "f_ipow_i": _gauss_table(pair, i, one, 2 ** d * q),
+        "f_ipow_negij": _gauss_table(pair, -i - j, _unit_power(+1, d),
+                                     4 ** d * q),
+    }
+
+
+def transition_tables(phi) -> dict:
+    """Each pattern of TRANSITION_TABLE before its prefactor: i^power(i,j)
+    Phi_ij for the power patterns, diag(i^k) for D1 and diag(i^-k) for
+    D2."""
+    d = phi.d
+    i, j = np.indices((d + 1, d + 1))
+    num, q = phi.numerators
+    tables = {name: _gauss_table(num, power(i, j), (1, 0), q)
+              for name, power in _POWER_PATTERNS.items()}
+    tables["D1"] = ipow_diagonal(d, +1)
+    tables["D2"] = ipow_diagonal(d, -1)
+    return tables
+
+
+def seed_scalars(bases) -> dict:
+    """The nine seed scalars of a module's frame, keyed "a|b", as GaussRat
+    entries of its seed Gram."""
+    gram = bases.seed_gram
+    return {f"{a}|{b}": gram[i, j] for i, a in enumerate(SEED_NAMES)
+            for j, b in enumerate(SEED_NAMES)}
+
+
+def prefactor(spec, d: int, scal) -> GaussRat:
+    """The prefactor of a TRANSITION_TABLE spec, with its powers of 1 +- i
+    on integers (`_unit_power`): (1 + i)^-d = (1 - i)^d / 2^d and
+    (1 - i)^-d = (1 + i)^d / 2^d."""
+    if spec[0] == "unit":
+        re, im = _unit_power(-1 if spec[1] == "opi_inv" else +1, d)
+        return GaussRat(Fraction(re, 2 ** d), Fraction(im, 2 ** d))
+    key, norm, extra = spec
+    scale = scal[key] / scal[norm]
+    if extra is not None:
+        scale = scale * GaussRat(*_unit_power(+1 if extra == "opi" else -1,
+                                               d))
+    return scale
+
+
+def transition_formulas(scal, phi) -> dict:
+    """The closed-form transition matrix of every (src, dst): the identity
+    when src == dst, else the pattern table of TRANSITION_TABLE scaled by
+    its prefactor, which `scal` (the seed scalars) determines."""
+    d = phi.d
+    tables = transition_tables(phi)
+    ident = ExactMatrix.identity(d + 1)
+    formulas = {}
+    for src in BASIS_LABELS:
+        for dst in BASIS_LABELS:
+            if src == dst:
+                formulas[(src, dst)] = ident
+                continue
+            pattern, spec = TRANSITION_TABLE[(src, dst)]
+            formulas[(src, dst)] = tables[pattern].scale(
+                prefactor(spec, d, scal))
+    return formulas
+
+
+def cell_inner_checks(bases, phi) -> list:
+    """(check_id, i, j, passed) of every inner-product record: each block
+    of the Gram of the six stacked bases against its kind's table scaled
+    by the seed scalar, then the slicewise proportionality, vector i of x
+    against i^i (1-i)^d key / norm times vector i of y."""
+    n = bases.module.d + 1
+    scal = seed_scalars(bases)
+    tables = inner_tables(phi)
+    checks = []
+    for (x, y), (kind, key) in INNER_FORMULAS.items():
+        ok = bases.gram.block(bases.rows(x), bases.rows(y)).entries_equal(
+            tables[kind].scale(scal[key]))
+        checks.extend((f"inner[{x}|{y}]", i, j, bool(ok[i, j]))
+                      for i in range(n) for j in range(n))
+    omi_d = GaussRat(*_unit_power(-1, n - 1))
+    for x, y, key, norm in _PROPORTIONAL_ROWS:
+        coeffs = ipow_diagonal(n - 1, +1).scale(omi_d * scal[key]
+                                                 / scal[norm])
+        ok = bases[x].row_equal(coeffs @ bases[y])
+        checks.extend((f"proportional[{x}|{y}]", i, i, bool(v))
+                      for i, v in enumerate(ok))
+    return checks
+
+
+def cell_transitions(bases, phi):
+    """({(src, dst): (passed, computed, formula)}, [(identity, passed)]):
+    each block of T = (stacked @ reads)^T against its closed form, then
+    the inverse and composition rows, one product per middle basis."""
+    computed = bases.coords(bases.stacked).transpose()
+    formulas = transition_formulas(seed_scalars(bases), phi)
+    rows = {label: bases.rows(label) for label in BASIS_LABELS}
+    cells = {}
+    for src in BASIS_LABELS:
+        for dst in BASIS_LABELS:
+            mat = computed.block(rows[src], rows[dst])
+            formula = formulas[(src, dst)]
+            cells[(src, dst)] = (mat == formula, mat, formula)
+    every = slice(None)
+    through = {b: computed.block(every, rows[b])
+               @ computed.block(rows[b], every) for b in BASIS_LABELS}
+    ident = ExactMatrix.identity(bases.module.d + 1)
+    coherence = [(f"transition_inverse[{a}|{b}]",
+                  through[b].block(rows[a], rows[a]) == ident)
+                 for a in BASIS_LABELS for b in BASIS_LABELS if a < b]
+    coherence += [(f"transition_composition[{a}|{b}|{c}]",
+                   through[b].block(rows[a], rows[c])
+                   == computed.block(rows[a], rows[c]))
+                  for a in BASIS_LABELS for b in BASIS_LABELS
+                  for c in BASIS_LABELS]
+    return cells, coherence
+
+
+def fraction_verify_phi(phi) -> list:
+    """(name, passed) of every check of `leonard.verify_phi`, on the 2F1
+    values in Fraction arithmetic."""
+    d = phi.d
+    checks = [(f"phi_row0[{j}]", phi.phi(0, j) == math.comb(d, j))
+              for j in range(d + 1)]
+    checks += [(f"phi_col0[{i}]", phi.f(i, 0) == 1) for i in range(d + 1)]
+    for i in range(2, d + 1):
+        for j in range(d + 1):
+            rhs = (Fraction(d - 2 * j, d - i + 1) * phi.f(i - 1, j)
+                   - Fraction(i - 1, d - i + 1) * phi.f(i - 2, j))
+            checks.append((f"phi_recurrence[{i},{j}]", phi.f(i, j) == rhs))
+    m = ExactMatrix([[phi.phi(i, j) for j in range(d + 1)]
+                     for i in range(d + 1)])
+    checks.append(("phi_self_inverse",
+                   m @ m == ExactMatrix.identity(d + 1).scale(2 ** d)))
+    return checks
 
 def dense_orthogonal_sum(ctx, modules):
     """The dimensions of the modules sum to 2^D and their vectors are

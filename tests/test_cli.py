@@ -1,7 +1,6 @@
 """CLI behaviour: dumps, suites, exit codes, determinism, formats."""
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -218,7 +217,7 @@ def test_module_report_exits_1_when_a_check_fails(capsys, monkeypatch, fmt):
     def one_cell_failed(bases, phi):
         checks = honest(bases, phi)
         if bases.module.r == 1:
-            checks[0] = dataclasses.replace(checks[0], passed=False)
+            checks[0] = checks[0]._replace(passed=False)
         return checks
 
     monkeypatch.setattr(cli.leonard, "verify_inner_products", one_cell_failed)

@@ -510,7 +510,8 @@ def test_spectral_parts_certificate_names_the_first_failure():
     tri = ExactMatrix([[0, 1, 0], [2, 0, 2], [0, 1, 0]])
     parts, failure = spectral_parts(tri)
     assert failure is None
-    assert [p.trace() for p in parts] == [1, 1, 1]
+    assert [parts.block(slice(3 * k, 3 * k + 3), slice(None)).trace()
+            for k in range(3)] == [1, 1, 1]
     # eigenvalues 1, 1, -1 instead of 2, 0, -2
     assert spectral_parts(ExactMatrix.diagonal([1, 1, -1]))[1] == ("eigen", 0)
     # eigenvalue 2 missing: its part is zero and the others hold

@@ -12,15 +12,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from conftest import (asa_triple, block_rows, flipped_phi, get_bundles,
-                      get_ctx, get_decomposition, get_phi, in_space,
-                      naive_is_leonard_triple, oracle_inner,
-                      oracle_pattern, oracle_seeds, oracle_six_bases,
-                      oracle_transition, oracle_verdicts, product_calls,
-                      representation_matrix, series_2f1)
+from conftest import (asa_triple, block_rows, cell_inner_checks,
+                      cell_transitions, flipped_phi, fraction_verify_phi,
+                      get_bundles, get_ctx, get_decomposition, get_phi,
+                      in_space, inner_tables, naive_is_leonard_triple,
+                      oracle_inner, oracle_pattern, oracle_seeds,
+                      oracle_six_bases, oracle_transition, oracle_verdicts,
+                      prefactor, product_calls, representation_matrix,
+                      series_2f1, transition_formulas, transition_tables)
 from test_report_digests import DIGESTS, run
 from tcube import cli, decomposition, leonard, linalg
-from tcube.cube import build_context
+from tcube.cube import build_context, krawtchouk_table
 from tcube.decomposition import ModuleFrame, decompose
 from tcube.leonard import (_BASIS_SPEC, _P_CYCLES, _turn, BASIS_LABELS,
                            INNER_FORMULAS, OPERATOR_LABELS, TRANSITION_TABLE,
@@ -28,11 +30,10 @@ from tcube.leonard import (_BASIS_SPEC, _P_CYCLES, _turn, BASIS_LABELS,
                            PhiMatrix, REP_FORMS, SixBases,
                            _FORM_BUILDERS, _is_irreducible_tridiagonal,
                            build_six_bases, diagonal_form,
-                           hypergeometric_2f1, inner_tables,
+                           hypergeometric_2f1,
                            is_leonard_triple, itridiagonal_subneg_form,
                            itridiagonal_superneg_form, module_report,
-                           transition_formulas, transition_matrices,
-                           transition_tables, tridiagonal_form, verify_phi,
+                           transition_matrices, tridiagonal_form, verify_phi,
                            verify_inner_products, verify_rep_matrices)
 from tcube.linalg import ExactMatrix, ExactVector, inner, kernel_basis
 from tcube.scalar import GaussRat
@@ -96,6 +97,22 @@ def test_phi_mutation_detected(d):
                 continue
             mutated = flipped_phi(phi, i, j)
             assert not all(c.passed for c in verify_phi(mutated)), (i, j)
+
+
+@pytest.mark.parametrize("d", range(0, 9))
+def test_verify_phi_on_integers_equals_the_fraction_checks(d):
+    # the same names in the same order and the same verdicts as the checks
+    # on the 2F1 values in Fraction arithmetic: on Phi, Phi with a
+    # non-integer entry, and, for d <= 4, Phi with each entry flipped
+    phi = get_phi(d)
+    phis = phis_to_check(d)
+    if d <= 4:
+        phis += [flipped_phi(phi, i, j) for i in range(d + 1)
+                 for j in range(d + 1)]
+    for p in phis:
+        assert [(c.identity, c.passed) for c in verify_phi(p)] == \
+            fraction_verify_phi(p)
+    assert phi.numerators[0].tolist() == krawtchouk_table(d).tolist()
 
 
 # -- six bases ----------------------------------------------------------------------
@@ -512,7 +529,124 @@ def test_prefactors_equal_the_gauss_powers(d):
         else:
             key, norm, extra = spec
             want = scal[key] / scal[norm] * extras[extra]
-        assert leonard._prefactor(spec, d, scal) == want, spec
+        assert prefactor(spec, d, scal) == want, spec
+
+
+def _frames(D):
+    """One bundle (module, six bases, Phi) per distinct frame of Q_D."""
+    return list({id(m.frame): (m, b, phi)
+                 for m, b, phi in get_bundles(D)}.values())
+
+
+def _table_records(bases, phi):
+    """Every record of the inner products and transitions, laid out as the
+    cell oracles lay them out."""
+    report = transition_matrices(bases, phi)
+    return ([(c.check_id, c.i, c.j, c.passed)
+             for c in verify_inner_products(bases, phi)],
+            {key: (c.passed, c.computed, c.formula)
+             for key, c in report.cells.items()},
+            [(c.identity, c.passed) for c in report.coherence])
+
+
+def _cell_records(bases, phi):
+    cells, coherence = cell_transitions(bases, phi)
+    return cell_inner_checks(bases, phi), cells, coherence
+
+
+@pytest.mark.parametrize("D", range(1, 9))
+def test_table_checks_equal_the_cell_oracle(D):
+    # every record of the whole-table comparisons, each cell's computed
+    # matrix and closed form included, against the block-by-block checks
+    # with GaussRat prefactors: on every frame, with the true Phi, the
+    # flipped and the non-integer Phi of phis_to_check and, for d <= 4,
+    # Phi with each entry flipped
+    for m, bases, phi in _frames(D):
+        phis = phis_to_check(m.d)
+        if m.d <= 4:
+            phis += [flipped_phi(phi, i, j) for i in range(m.d + 1)
+                     for j in range(m.d + 1)]
+        for p in phis:
+            assert _table_records(bases, p) == _cell_records(bases, p), \
+                (m.r, m.d, p is phi)
+
+
+@pytest.mark.parametrize("scale", [2, GaussRat(0, 1)])
+def test_failing_proportional_rows_equal_the_cell_oracle(scale):
+    # vector 1 of AAe scaled: its basis stays orthogonal, so the read and
+    # the transitions still run, and the proportionality of AAe to AAs
+    # fails at row 1 alone, as do the inner products and transitions that
+    # read that vector; the transitions stay coherent
+    (m, bases, phi) = next(b for b in get_bundles(3) if b[0].d == 3)
+    v = block_rows(bases["AAe"])
+    v[1] = v[1].scale(scale)
+    broken = _with_basis(bases, "AAe", v)
+    records = _table_records(broken, phi)
+    assert records == _cell_records(broken, phi)
+    failed = [(c, i) for c, i, _, ok in records[0]
+              if c.startswith("proportional") and not ok]
+    assert failed == [("proportional[AAe|AAs]", 1)]
+    assert not all(ok for ok, _, _ in records[1].values())
+    assert all(ok for _, ok in records[2])
+
+
+@pytest.mark.parametrize("d", range(0, 9))
+def test_closed_form_grids_equal_the_cell_oracles(d):
+    # block (x, y) of the inner-product grid is the kind of INNER_FORMULAS
+    # at every (i, j), zero at the other pairs, and block (src, dst) of the
+    # transition grid the closed form with every seed scalar 1
+    ones = {key: GaussRat(1) for key in SEED_KEYS}
+    n = d + 1
+    for phi in phis_to_check(d):
+        inner, transitions = leonard._closed_form_grids(phi)
+        for a, x in enumerate(BASIS_LABELS):
+            for b, y in enumerate(BASIS_LABELS):
+                block = (slice(a * n, a * n + n), slice(b * n, b * n + n))
+                kind = INNER_FORMULAS.get((x, y))
+                assert inner.block(*block) == (
+                    ExactMatrix.zeros(n, n) if kind is None else
+                    ExactMatrix([[oracle_inner(kind[0], i, j, d, GaussRat(1),
+                                               phi) for j in range(n)]
+                                 for i in range(n)])), (x, y)
+                assert transitions.block(*block) == \
+                    oracle_transition(x, y, ones, phi), (x, y)
+
+
+def test_seed_scalars_pair_the_seeds_of_their_bases():
+    # the tables' "a|b" keys are the pairings that the grids read off the
+    # seed Gram: <seed x, seed y> for the inner products and the
+    # proportionality of x to y, over <seed y, seed y>, and
+    # <seed dst, seed src> / <seed src, seed src> for the transitions, a
+    # unit prefactor between bases of one seed
+    seed = {label: _BASIS_SPEC[label][1] for label in BASIS_LABELS}
+    for (x, y), (_, key) in INNER_FORMULAS.items():
+        assert key == f"{seed[x]}|{seed[y]}"
+    for x, y, key, norm in leonard._PROPORTIONAL_ROWS:
+        assert (key, norm) == (f"{seed[x]}|{seed[y]}", f"{seed[y]}|{seed[y]}")
+    for (src, dst), (_, spec) in TRANSITION_TABLE.items():
+        if spec[0] == "unit":
+            assert seed[src] == seed[dst]
+        else:
+            assert spec[:2] == (f"{seed[dst]}|{seed[src]}",
+                                f"{seed[src]}|{seed[src]}")
+
+
+@pytest.mark.parametrize("D", [2, 5, 8])
+def test_tables_make_one_product_per_family(monkeypatch, D):
+    # on fresh bases whose read and seed Gram are built, and Phi's grids:
+    # the rep cells make the three operator images and one product of the
+    # forms table with the bases, the transitions one coherence product,
+    # and the inner products none
+    for m, _, phi in _frames(D):
+        bases = build_six_bases(m)
+        bases.read, bases.seed_gram, leonard._closed_form_grids(phi)
+        leonard._rep_forms(m.d + 1)
+        assert product_calls(monkeypatch, leonard._rep_cells.__wrapped__,
+                             bases) == 4
+        assert product_calls(monkeypatch, leonard._transitions.__wrapped__,
+                             bases, phi) == 1
+        assert product_calls(monkeypatch, leonard._inner_checks.__wrapped__,
+                             bases, phi) == 0
 
 
 def test_phi_matrix_from_integer_arrays():
@@ -562,14 +696,17 @@ def test_orthogonal_coords_equal_the_elimination_solver(D):
 
 @pytest.mark.parametrize("D", [2, 5, 8])
 def test_coords_make_one_certificate_product(monkeypatch, D):
-    # on bases whose Gram is built: the read, one certificate product for
-    # all six bases and the targets through the read; the bases themselves
-    # (the transitions) are read by the certificate product alone
-    for m, bases, _ in get_bundles(D):
+    # on fresh bases whose Gram is built: the read and one certificate
+    # product for all six bases, once per SixBases, then the targets
+    # through the read; the bases themselves (the transitions) are read by
+    # the certificate product alone
+    for m, _, _ in get_bundles(D):
+        bases = build_six_bases(m)
         bases.gram
         images = m.frame.apply("A", bases.stacked)
         assert product_calls(monkeypatch, bases.coords, images) == 3
-        assert product_calls(monkeypatch, bases.coords, bases.stacked) == 2
+        assert product_calls(monkeypatch, bases.coords, bases.stacked) == 0
+        assert product_calls(monkeypatch, bases.coords, images) == 1
         assert bases.coords(bases.stacked) == \
             bases.coords(ExactMatrix.stack([bases.stacked]))
 
@@ -645,7 +782,8 @@ def _wrong_solves(monkeypatch, labels):
     """Double the inverse norms of the rows of the given bases.  In
     coordinates an orthogonal basis spans every target, so a wrong solve is
     the one thing that fails the reconstruction certificate; its Gram
-    blocks stay diagonal."""
+    blocks stay diagonal.  A SixBases certifies its read once, so the
+    doubled norms reach the bases built after this call."""
     honest = SixBases.inverse_norms.func
 
     def doubled(self):
@@ -668,7 +806,8 @@ def test_rep_matrices_raise_the_first_failing_basis(monkeypatch, broken):
     # broken basis in BASIS_LABELS order, orthogonality before span.  The
     # memo of the rep cells is bypassed, since the solve is broken, not the
     # bases
-    (m, bases, _) = next(b for b in get_bundles(3) if b[0].r == 1)
+    m = next(b for b in get_bundles(3) if b[0].r == 1)[0]
+    bases = build_six_bases(m)
     for label in broken[1:]:
         v = block_rows(bases[label])
         v[1] = v[1] + v[0]
@@ -684,8 +823,9 @@ def test_rep_matrices_raise_the_first_failing_basis(monkeypatch, broken):
 
 
 def test_target_outside_the_span_keeps_its_message(monkeypatch):
-    (m0, bases0, _) = get_bundles(3)[0]
+    m0 = get_bundles(3)[0][0]
     _wrong_solves(monkeypatch, ("AsA",))
+    bases0 = build_six_bases(m0)
     with pytest.raises(BasisError,
                        match=r"^target is outside the span of the basis$"):
         bases0.coords(bases0.stacked)
@@ -694,8 +834,9 @@ def test_target_outside_the_span_keeps_its_message(monkeypatch):
 def test_wrong_read_fails_even_on_a_zero_target(monkeypatch):
     # the certificate is on the read itself, not on what it reads: a zero
     # row rebuilds from any coordinates, and still a wrong read raises
-    (m0, bases0, _) = get_bundles(3)[0]
+    m0 = get_bundles(3)[0][0]
     _wrong_solves(monkeypatch, ("AsA",))
+    bases0 = build_six_bases(m0)
     with pytest.raises(BasisError,
                        match=r"^target is outside the span of the basis$"):
         bases0.coords(ExactMatrix([[0] * (m0.d + 1)]))
