@@ -731,8 +731,8 @@ def _grid(blocks, specs) -> ExactMatrix:
     fr, fi = (np.array([den // q * u[k] for u, q in zip(units, dens)],
                        dtype=object)[:, None, None] for k in (0, 1))
     w = np.stack(weights)
-    bound = max(map(abs, w.flat)) * max(abs(a) + abs(b)
-                                        for a, b in zip(fr.flat, fi.flat))
+    bound = max(1, *map(abs, w.flat)) * max(abs(a) + abs(b)
+                                            for a, b in zip(fr.flat, fi.flat))
     w, fr, fi = ints(bound, w, fr, fi)
     re, im = _times_i_power(w * fr, w * fi, np.stack(powers))
     stack = ExactMatrix.from_numerators(re.reshape(-1, n), im.reshape(-1, n),
